@@ -8,9 +8,10 @@ suite pins them against each other and against brute-force partition counts.
 from __future__ import annotations
 
 import math
+from collections import deque
 from fractions import Fraction
 
-from . import basis
+from . import basis, families
 from .exactmath import (
     Poly,
     Series,
@@ -19,23 +20,29 @@ from .exactmath import (
     falling_factorial,
     rising_factorial,
 )
-from .triangles import Triangle, recurrence_triangle
+from .triangles import Triangle
 
 
 def stirling2_triangle(nmax: int) -> Triangle:
     """S(n,k) via S(n,k) = S(n-1,k-1) + k*S(n-1,k), S(0,0) = 1."""
-    return recurrence_triangle("stirling2", {}, nmax, lambda n, k: 1, lambda n, k: k)
+    return families.triangle("stirling2", {}, nmax)
 
 
 def stirling1_triangle(nmax: int) -> Triangle:
-    """Signed s(n,k): the coefficient of x^k in x(x-1)...(x-n+1)."""
+    """Signed s(n,k), the coefficient of x^k in x(x-1)...(x-n+1), via
+    s(n,k) = s(n-1,k-1) - (n-1)*s(n-1,k)."""
+    return families.triangle("stirling1", {}, nmax)
+
+
+def stirling1_by_expansion(nmax: int) -> Triangle:
+    """Verification route: expand x(x-1)...(x-n+1) in monomials."""
     mat = basis.expand_in_monomials(basis.factorial_basis(1, 0, 1, nmax))
     return mat.to_triangle("stirling1", {})
 
 
 def lah_signed_triangle(nmax: int) -> Triangle:
     """Signed Lah triangle from L(n,k) = -L(n-1,k-1) - (n-1+k)*L(n-1,k)."""
-    return recurrence_triangle("lah", {}, nmax, lambda n, k: -1, lambda n, k: -(n - 1 + k))
+    return families.triangle("lah", {}, nmax)
 
 
 def lah_explicit(n: int, k: int) -> int:
@@ -100,8 +107,9 @@ def lah_egf_check(k: int, order: int) -> bool:
 
 
 def lah_from_stirlings(n: int, k: int) -> int:
-    """Signed Lah from both Stirling kinds: L(n,k) = sum_j (-1)^j s(n,j) S(j,k)."""
-    s1 = stirling1_triangle(n)
+    """Signed Lah from both Stirling kinds: L(n,k) = sum_j (-1)^j s(n,j) S(j,k),
+    with s from the polynomial expansion."""
+    s1 = stirling1_by_expansion(n)
     s2 = stirling2_triangle(n)
     total = 0
     for j in range(k, n + 1):
@@ -112,17 +120,19 @@ def lah_from_stirlings(n: int, k: int) -> int:
 
 def bell(n: int) -> int:
     """Bell number: row sum of the Stirling-second-kind triangle."""
-    return stirling2_triangle(n).row_sum(n)
+    return families.row_sum("stirling2", {}, n)
 
 
 def qi_bell(n: int) -> int:
     """Bell number through the alternating double sum
-    B_n = sum_k (-1)^(n-k) [sum_j L(k,j)] S(n,k) over signless Lah numbers."""
-    s2 = stirling2_triangle(n)
+    B_n = sum_k (-1)^(n-k) [sum_j L(k,j)] S(n,k) over signless Lah numbers
+    (the r-Lah numbers at r = 0); only row n of S and the Lah row sums are
+    kept."""
+    lah_sums = [sum(row) for row in families.integer_rows("r-lah", {"r": 0}, n)]
+    s2_row = deque(families.integer_rows("stirling2", {}, n), maxlen=1)[0]
     total = 0
-    for k in range(n + 1):
-        inner = sum(lah_signless(k, j) for j in range(k + 1))
-        term = inner * s2.value(n, k)
+    for k, value in enumerate(s2_row):
+        term = lah_sums[k] * value
         total += term if (n - k) % 2 == 0 else -term
     return total
 

@@ -11,19 +11,18 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from . import basis, classic, oracle, rnumbers, unified, whitney
+from . import basis, classic, families, oracle, rnumbers, unified, whitney
 from .exactmath import interpolate
+from .families import FAMILIES
 from .triangles import Triangle, transform
 from .unified import HSParams
-
-CACHE_ENV = "DOWLING_CACHE_DIR"
 
 
 class UsageError(Exception):
@@ -43,71 +42,24 @@ class JobConfig:
 
 
 # ---------------------------------------------------------------------------
-# families
+# families and sums: the table in `families`, plus Qi's alternating double
+# sum for the Bell numbers, which is no row sum of one family
 
 
-@dataclass(frozen=True)
-class Family:
-    name: str
-    needs: tuple
-    build: object  # (nmax, params) -> Triangle | CoeffMatrix
-    rational: bool = False
+SUMS = {**families.SUMS, "qi-bell": None}
 
 
-FAMILIES = {
-    "stirling1": Family("stirling1", (), lambda n, p: classic.stirling1_triangle(n)),
-    "stirling2": Family("stirling2", (), lambda n, p: classic.stirling2_triangle(n)),
-    "lah": Family("lah", (), lambda n, p: classic.lah_signed_triangle(n)),
-    "whitney1": Family("whitney1", ("alpha",), lambda n, p: whitney.whitney_first(n, p["alpha"])),
-    "whitney2": Family("whitney2", ("alpha",), lambda n, p: whitney.whitney_second(n, p["alpha"])),
-    "whitney-lah": Family(
-        "whitney-lah", ("alpha",), lambda n, p: whitney.whitney_lah(n, p["alpha"])
-    ),
-    "r-stirling1": Family("r-stirling1", ("r",), lambda n, p: rnumbers.r_stirling1(n, p["r"])),
-    "r-stirling2": Family("r-stirling2", ("r",), lambda n, p: rnumbers.r_stirling2(n, p["r"])),
-    "r-lah": Family("r-lah", ("r",), lambda n, p: rnumbers.r_lah(n, p["r"])),
-    "r-whitney1": Family(
-        "r-whitney1", ("m", "r"), lambda n, p: rnumbers.r_whitney_first(n, p["m"], p["r"])
-    ),
-    "r-whitney2": Family(
-        "r-whitney2", ("m", "r"), lambda n, p: rnumbers.r_whitney_second(n, p["m"], p["r"])
-    ),
-    "r-whitney-lah": Family(
-        "r-whitney-lah", ("m", "r"), lambda n, p: rnumbers.r_whitney_lah(n, p["m"], p["r"])
-    ),
-    "hs1": Family(
-        "hs1",
-        ("alpha", "beta", "gamma"),
-        lambda n, p: unified.hs_pair(n, HSParams(p["alpha"], p["beta"], p["gamma"])).s1,
-        rational=True,
-    ),
-    "hs2": Family(
-        "hs2",
-        ("alpha", "beta", "gamma"),
-        lambda n, p: unified.hs_pair(n, HSParams(p["alpha"], p["beta"], p["gamma"])).s2,
-        rational=True,
-    ),
-    "hs-lah": Family(
-        "hs-lah",
-        ("alpha", "beta", "gamma"),
-        lambda n, p: unified.hs_lah_matrix(n, HSParams(p["alpha"], p["beta"], p["gamma"])),
-        rational=True,
-    ),
-    "cakic": Family("cakic", ("alpha",), lambda n, p: unified.cakic(n, p["alpha"]), rational=True),
-}
+def _sum_needs(name: str) -> tuple:
+    family = SUMS[name]
+    return () if family is None else FAMILIES[family].needs
 
-SUMS = {
-    "bell": ((), lambda n, p: classic.bell(n)),
-    "qi-bell": ((), lambda n, p: classic.qi_bell(n)),
-    "dowling": (("alpha",), lambda n, p: whitney.dowling(n, p["alpha"])),
-    "r-bell": (("r",), lambda n, p: rnumbers.r_bell(n, p["r"])),
-    "r-dowling": (("m", "r"), lambda n, p: rnumbers.r_dowling(n, p["m"], p["r"])),
-    "hs-bell": (
-        ("alpha", "beta", "gamma"),
-        lambda n, p: unified.hs_bell(n, HSParams(p["alpha"], p["beta"], p["gamma"])),
-    ),
-    "cakic-bell": (("alpha",), lambda n, p: unified.cakic_bell(n, p["alpha"])),
-}
+
+def _sum_value(name: str, params: dict, n: int):
+    family = SUMS[name]
+    if family is None:
+        return classic.qi_bell(n)
+    return families.row_sum(family, params, n)
+
 
 _INT_PARAMS = {"m", "r"}
 
@@ -136,6 +88,23 @@ def _params_as_strings(params: dict) -> dict:
 
 # ---------------------------------------------------------------------------
 # rendering
+
+
+@contextmanager
+def unlimited_int_digits():
+    """Lift CPython's limit on int <-> decimal str conversion (4300 digits by
+    default) inside the block, so entries of any size print and parse.
+    Interpreters without the limit have no `sys.set_int_max_str_digits`."""
+    setter = getattr(sys, "set_int_max_str_digits", None)
+    if setter is None:
+        yield
+        return
+    previous = sys.get_int_max_str_digits()
+    setter(0)
+    try:
+        yield
+    finally:
+        setter(previous)
 
 
 def _value_rows(table) -> list:
@@ -174,37 +143,14 @@ def triangle_json(table, family: str, params: dict) -> str:
 
 def triangle_from_json(text: str) -> Triangle:
     obj = json.loads(text)
-    rows = tuple(tuple(int(v) for v in row) for row in obj["rows"])
-    params = {key: Fraction(value) for key, value in obj["params"].items()}
+    with unlimited_int_digits():
+        rows = tuple(tuple(int(v) for v in row) for row in obj["rows"])
+        params = {key: Fraction(value) for key, value in obj["params"].items()}
     params = {
         key: value.numerator if value.denominator == 1 else value
         for key, value in params.items()
     }
     return Triangle(obj["family"], params, obj["nmax"], rows)
-
-
-def _cache_path(family: str, params: dict, nmax: int) -> str | None:
-    directory = os.environ.get(CACHE_ENV)
-    if not directory:
-        return None
-    tag = "-".join(f"{key}{params[key]}" for key in sorted(params))
-    name = f"{family}{'-' + tag if tag else ''}-n{nmax}.json".replace("/", "_")
-    return os.path.join(directory, name)
-
-
-def _load_or_build(family: Family, nmax: int, params: dict):
-    path = None
-    if not family.rational:
-        path = _cache_path(family.name, params, nmax)
-    if path and os.path.exists(path):
-        with open(path, "r", encoding="utf-8") as fh:
-            return triangle_from_json(fh.read())
-    table = family.build(nmax, params)
-    if path:
-        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(triangle_json(table, family.name, params))
-    return table
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +234,7 @@ def _ident_ordlahstirling(p):
 
 def _ident_stirling_inverse(p):
     s2 = classic.stirling2_triangle(p["nmax"])
-    s1 = classic.stirling1_triangle(p["nmax"])
+    s1 = classic.stirling1_by_expansion(p["nmax"])
 
     def roundtrip(seq):
         return transform(s1, transform(s2, seq))
@@ -334,7 +280,7 @@ def _ident_triwlah(p):
 
 
 def _ident_whitney_ortho(p):
-    w = basis.CoeffMatrix.from_triangle(whitney.whitney_first(p["nmax"], p["alpha"]))
+    w = basis.CoeffMatrix.from_triangle(whitney.whitney_first_by_expansion(p["nmax"], p["alpha"]))
     second = basis.CoeffMatrix.from_triangle(whitney.whitney_second(p["nmax"], p["alpha"]))
     return _matrix_delta_failures(w.mul(second)) + _matrix_delta_failures(second.mul(w)), None
 
@@ -415,7 +361,7 @@ def _ident_weighted_egf(p):
 
 def _ident_rw_ortho(p):
     m, r, nmax = p["m"], p["r"], p["nmax"]
-    w = rnumbers.r_whitney_first(nmax, m, r)
+    w = rnumbers.r_whitney_first_by_solve(nmax, m, r)
     second = basis.CoeffMatrix.from_triangle(rnumbers.r_whitney_second(nmax, m, r))
     signed = basis.CoeffMatrix(
         tuple(
@@ -428,7 +374,7 @@ def _ident_rw_ortho(p):
 def _ident_rw_inv(p):
     m, r = p["m"], p["r"]
     nmax = p["nmax"]
-    w = rnumbers.r_whitney_first(nmax, m, r)
+    w = rnumbers.r_whitney_first_by_solve(nmax, m, r)
     second = rnumbers.r_whitney_second(nmax, m, r)
 
     def roundtrip(seq):
@@ -511,7 +457,7 @@ def _ident_ugexp(p):
 def _ident_hs_ortho(p):
     bad = []
     for hp in _hs_param_sets(p):
-        pair = unified.hs_pair(p["nmax"], hp)
+        pair = unified.hs_pair_by_solve(p["nmax"], hp)
         if not unified.verify_hs_orthogonality(pair):
             bad.append(
                 {"n": p["nmax"], "k": None, "expected": "identity", "actual": f"not inverse at {hp.as_dict()}"}
@@ -522,7 +468,7 @@ def _ident_hs_ortho(p):
 def _ident_invrel(p):
     bad = []
     for hp in _hs_param_sets(p):
-        pair = unified.hs_pair(p["nmax"], hp)
+        pair = unified.hs_pair_by_solve(p["nmax"], hp)
 
         def roundtrip(seq, pair=pair):
             return pair.s2.transform(pair.s1.transform(seq))
@@ -773,26 +719,23 @@ def _emit(text: str, out_path: str | None):
 
 
 def cmd_triangle(cfg: JobConfig) -> int:
-    family = FAMILIES.get(cfg.family)
-    if family is None:
+    if cfg.family not in FAMILIES:
         raise UsageError(f"unknown family {cfg.family!r}; known: {', '.join(sorted(FAMILIES))}")
-    table = _load_or_build(family, cfg.nmax, cfg.params)
+    table = families.triangle(cfg.family, cfg.params, cfg.nmax)
     if cfg.fmt == "table":
         text = render_table(table)
     elif cfg.fmt == "csv":
         text = render_csv(table)
     else:
-        text = triangle_json(table, family.name, cfg.params)
+        text = triangle_json(table, cfg.family, cfg.params)
     _emit(text, cfg.out)
     return 0
 
 
 def cmd_sum(cfg: JobConfig) -> int:
-    entry = SUMS.get(cfg.family)
-    if entry is None:
+    if cfg.family not in SUMS:
         raise UsageError(f"unknown sum family {cfg.family!r}; known: {', '.join(sorted(SUMS))}")
-    _, fn = entry
-    value = fn(cfg.nmax, cfg.params)
+    value = _sum_value(cfg.family, cfg.params, cfg.nmax)
     _emit(str(value) + "\n", cfg.out)
     return 0
 
@@ -844,7 +787,7 @@ def cmd_bench(cfg: JobConfig) -> int:
     if family is None:
         raise UsageError(f"unknown family {cfg.family!r}")
     start = time.perf_counter()
-    table = family.build(cfg.nmax, cfg.params)
+    table = families.triangle(cfg.family, cfg.params, cfg.nmax)
     elapsed = time.perf_counter() - start
     entries = sum(len(row) for row in table.rows)
     if family.rational:
@@ -855,7 +798,7 @@ def cmd_bench(cfg: JobConfig) -> int:
         )
     else:
         peak = max(abs(v).bit_length() for row in table.rows for v in row)
-    print(f"family        {family.name}")
+    print(f"family        {cfg.family}")
     print(f"nmax          {cfg.nmax}")
     print(f"entries       {entries}")
     print(f"peak bits     {peak}")
@@ -920,9 +863,8 @@ def _config_from_args(args) -> JobConfig:
         if family is not None:
             cfg.params = _collect_params(family.needs, args)
     elif cfg.command == "sum":
-        entry = SUMS.get(cfg.family)
-        if entry is not None:
-            cfg.params = _collect_params(entry[0], args)
+        if cfg.family in SUMS:
+            cfg.params = _collect_params(_sum_needs(cfg.family), args)
     elif cfg.command == "verify":
         for name in ("m", "r", "alpha", "beta", "gamma"):
             raw = getattr(args, name, None)
@@ -952,8 +894,9 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = _config_from_args(args)
-        return _DISPATCH[args.command](cfg)
+        with unlimited_int_digits():
+            cfg = _config_from_args(args)
+            return _DISPATCH[args.command](cfg)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from . import basis
+from . import basis, families
 from .exactmath import (
     Poly,
     Series,
@@ -20,45 +20,26 @@ from .exactmath import (
     generalized_falling,
     generalized_rising,
 )
-from .triangles import Triangle, recurrence_triangle
-
-
-def _check_r(r) -> int:
-    r = as_integer(Fraction(r)) if isinstance(r, Fraction) else r
-    if not isinstance(r, int) or r < 0:
-        raise ValueError(f"r must be a nonnegative integer, got {r!r}")
-    return r
-
-
-def _check_m(m) -> int:
-    m = as_integer(Fraction(m)) if isinstance(m, Fraction) else m
-    if not isinstance(m, int) or m < 1:
-        raise ValueError(f"m must be a positive integer, got {m!r}")
-    return m
+from .families import check_m, check_r
+from .triangles import Triangle
 
 
 def r_stirling2(nmax: int, r) -> Triangle:
     """r-Stirling numbers of the second kind via
     T(n,k) = T(n-1,k-1) + (k+r) * T(n-1,k)."""
-    r = _check_r(r)
-    return recurrence_triangle(
-        "r-stirling2", {"r": r}, nmax, lambda n, k: 1, lambda n, k: k + r
-    )
+    return families.triangle("r-stirling2", {"r": r}, nmax)
 
 
 def r_stirling1(nmax: int, r) -> Triangle:
     """Unsigned r-Stirling numbers of the first kind via
     T(n,k) = T(n-1,k-1) + (n-1+r) * T(n-1,k)."""
-    r = _check_r(r)
-    return recurrence_triangle(
-        "r-stirling1", {"r": r}, nmax, lambda n, k: 1, lambda n, k: n - 1 + r
-    )
+    return families.triangle("r-stirling1", {"r": r}, nmax)
 
 
 def weighted_stirling_egf_check(nmax: int, r, order: int) -> bool:
     """True iff n! [t^n] (e^t - 1)^k / k! * e^(rt) matches the r-Stirling
     second-kind entries for all k <= nmax and n <= nmax."""
-    r = _check_r(r)
+    r = check_r(r)
     if order < nmax:
         raise ValueError("order must be at least nmax")
     tri = r_stirling2(nmax, r)
@@ -74,16 +55,13 @@ def weighted_stirling_egf_check(nmax: int, r, order: int) -> bool:
 
 def r_lah(nmax: int, r) -> Triangle:
     """r-Lah numbers via T(n,k) = T(n-1,k-1) + (n-1+k+2r) * T(n-1,k)."""
-    r = _check_r(r)
-    return recurrence_triangle(
-        "r-lah", {"r": r}, nmax, lambda n, k: 1, lambda n, k: n - 1 + k + 2 * r
-    )
+    return families.triangle("r-lah", {"r": r}, nmax)
 
 
 def r_lah_from_stirlings(n: int, k: int, r) -> int:
     """r-Lah number as the product of the two r-Stirling kinds:
     L(n,k) = sum_j A(n,j) * S(j,k)."""
-    r = _check_r(r)
+    r = check_r(r)
     if k < 0 or k > n:
         return 0
     first = r_stirling1(n, r)
@@ -94,7 +72,7 @@ def r_lah_from_stirlings(n: int, k: int, r) -> int:
 def verify_r_inverse(a, r) -> bool:
     """Round-trip check of the r-Stirling inverse pair:
     b_n = sum_j A(n,j) a_j followed by a_n = sum_j (-1)^(n-j) S(n,j) b_j."""
-    r = _check_r(r)
+    r = check_r(r)
     a = list(a)
     if not a:
         return True
@@ -111,13 +89,13 @@ def verify_r_inverse(a, r) -> bool:
 
 def r_bell(n: int, r) -> int:
     """r-Bell number: row sum of the r-Stirling second-kind triangle."""
-    return r_stirling2(n, r).row_sum(n)
+    return families.row_sum("r-stirling2", {"r": r}, n)
 
 
 def r_bell_explicit(n: int, r) -> int:
     """r-Bell number through the alternating r-Lah sum:
     B(n) = sum_k (-1)^(n-k) S(n,k) [sum_j L(k,j)]."""
-    r = _check_r(r)
+    r = check_r(r)
     second = r_stirling2(n, r)
     lah = r_lah(n, r)
     total = 0
@@ -136,30 +114,39 @@ def _scaled_falling_basis(m: int, nmax: int) -> basis.PolyBasis:
 
 
 def r_whitney_second(nmax: int, m, r) -> Triangle:
-    """r-Whitney numbers of the second kind from the defining relation
+    """r-Whitney numbers of the second kind via
+    W(n,k) = W(n-1,k-1) + (k*m + r) * W(n-1,k)."""
+    return families.triangle("r-whitney2", {"m": m, "r": r}, nmax)
+
+
+def r_whitney_second_recurrence(nmax: int, m, r) -> Triangle:
+    """Former name of the recurrence route, which is now the production path
+    `r_whitney_second` itself; kept for existing callers such as
+    `perfbench/pin.py`."""
+    return r_whitney_second(nmax, m, r)
+
+
+def r_whitney_second_by_solve(nmax: int, m, r) -> Triangle:
+    """Verification route from the defining relation
     (mx+r)^n = sum_k m^k W(n,k) x(x-1)...(x-k+1), solved exactly."""
-    m = _check_m(m)
-    r = _check_r(r)
+    m = check_m(m)
+    r = check_r(r)
     source = basis.power_basis(Poly((r, m)), nmax)
     mat = basis.connection_matrix(source, _scaled_falling_basis(m, nmax))
     return mat.to_triangle("r-whitney2", {"m": m, "r": r})
 
 
-def r_whitney_second_recurrence(nmax: int, m, r) -> Triangle:
-    """Cross-check route for the second-kind numbers:
-    W(n,k) = W(n-1,k-1) + (k*m + r) * W(n-1,k)."""
-    m = _check_m(m)
-    r = _check_r(r)
-    return recurrence_triangle(
-        "r-whitney2", {"m": m, "r": r}, nmax, lambda n, k: 1, lambda n, k: k * m + r
-    )
-
-
 def r_whitney_first(nmax: int, m, r) -> Triangle:
-    """r-Whitney numbers of the first kind: expand m^n x(x-1)...(x-n+1) in
-    powers of (mx+r) and peel off the (-1)^(n-k) sign."""
-    m = _check_m(m)
-    r = _check_r(r)
+    """Unsigned r-Whitney numbers of the first kind via
+    w(n,k) = w(n-1,k-1) + ((n-1)*m + r) * w(n-1,k)."""
+    return families.triangle("r-whitney1", {"m": m, "r": r}, nmax)
+
+
+def r_whitney_first_by_solve(nmax: int, m, r) -> Triangle:
+    """Verification route: expand m^n x(x-1)...(x-n+1) in powers of (mx+r)
+    and peel off the (-1)^(n-k) sign."""
+    m = check_m(m)
+    r = check_r(r)
     mat = basis.connection_matrix(
         _scaled_falling_basis(m, nmax), basis.power_basis(Poly((r, m)), nmax)
     )
@@ -174,22 +161,14 @@ def r_whitney_first(nmax: int, m, r) -> Triangle:
 def r_whitney_lah(nmax: int, m, r) -> Triangle:
     """r-Whitney-Lah numbers via
     L(n,k) = L(n-1,k-1) + (2r + (n+k-1)m) * L(n-1,k)."""
-    m = _check_m(m)
-    r = _check_r(r)
-    return recurrence_triangle(
-        "r-whitney-lah",
-        {"m": m, "r": r},
-        nmax,
-        lambda n, k: 1,
-        lambda n, k: 2 * r + (n + k - 1) * m,
-    )
+    return families.triangle("r-whitney-lah", {"m": m, "r": r}, nmax)
 
 
 def r_whitney_lah_explicit(n: int, k: int, m, r) -> int:
     """Closed form C(n,k) * [2r|m]_n / [2r|m]_k; the quotient must divide
     exactly, anything else signals a bug."""
-    m = _check_m(m)
-    r = _check_r(r)
+    m = check_m(m)
+    r = check_r(r)
     if k < 0 or k > n:
         return 0
     denominator = generalized_rising(2 * r, m, k)
@@ -205,19 +184,20 @@ def r_whitney_lah_explicit(n: int, k: int, m, r) -> int:
 
 
 def r_whitney_lah_from_whitney(n: int, k: int, m, r) -> int:
-    """Product route: L(n,k) = sum_j w(n,j) W(j,k), no signs."""
+    """Product route: L(n,k) = sum_j w(n,j) W(j,k), no signs, with both
+    r-Whitney kinds from the connection solve."""
     if k < 0 or k > n:
         return 0
-    first = r_whitney_first(n, m, r)
-    second = r_whitney_second(n, m, r)
+    first = r_whitney_first_by_solve(n, m, r)
+    second = r_whitney_second_by_solve(n, m, r)
     return sum(first.value(n, j) * second.value(j, k) for j in range(k, n + 1))
 
 
 def r_whitney_lah_vertical(n: int, k: int, m, r) -> int:
     """Column-wise route, defined for k >= 1 (plus the trivial corner):
     L(n,k) = sum_{j=k-1}^{n-1} (2r + (n+k-1)m | m)_{n-1-j} L(j, k-1)."""
-    m = _check_m(m)
-    r = _check_r(r)
+    m = check_m(m)
+    r = check_r(r)
     if n == 0 and k == 0:
         return 1
     if k < 1 or k > n:
@@ -232,8 +212,8 @@ def r_whitney_lah_vertical(n: int, k: int, m, r) -> int:
 def r_whitney_lah_horizontal(n: int, k: int, m, r) -> int:
     """Row-wise route from row n+1:
     L(n,k) = sum_i (-1)^i [2r + (n+k+1)m | m]_i L(n+1, k+i+1)."""
-    m = _check_m(m)
-    r = _check_r(r)
+    m = check_m(m)
+    r = check_r(r)
     if k < 0 or k > n:
         return 0
     tri = r_whitney_lah(n + 1, m, r)
@@ -271,14 +251,15 @@ def verify_log_concavity(n: int, m, r) -> bool:
 
 def r_dowling(n: int, m, r) -> int:
     """r-Dowling number: row sum of the r-Whitney second-kind triangle."""
-    return r_whitney_second(n, m, r).row_sum(n)
+    return families.row_sum("r-whitney2", {"m": m, "r": r}, n)
 
 
 def r_dowling_explicit(n: int, m, r) -> int:
     """r-Dowling number through the alternating r-Whitney-Lah sum:
-    D(n) = sum_j (-1)^(n-j) [sum_k L(j,k)] W(n,j)."""
+    D(n) = sum_j (-1)^(n-j) [sum_k L(j,k)] W(n,j), with W from the
+    connection solve."""
     lah = r_whitney_lah(n, m, r)
-    second = r_whitney_second(n, m, r)
+    second = r_whitney_second_by_solve(n, m, r)
     total = 0
     for j in range(n + 1):
         term = lah.row_sum(j) * second.value(n, j)

@@ -1,8 +1,11 @@
-"""Lower-triangular integer tables shared by every number family."""
+"""Lower-triangular integer tables shared by every number family, and the
+one recurrence engine that builds them."""
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
+from itertools import count
 
 
 @dataclass(frozen=True)
@@ -41,26 +44,44 @@ class Triangle:
         return sum(self.rows[n])
 
 
-def recurrence_triangle(family: str, params: dict, nmax: int, diag, same) -> Triangle:
-    """Build T with T(0,0) = 1 and
-    T(n,k) = diag(n,k) * T(n-1,k-1) + same(n,k) * T(n-1,k),
-    where terms falling outside the triangle contribute nothing.
+def recurrence_rows(nmax: int, d: int, a: int, b: int, c: int):
+    """Yield rows 0..nmax, as tuples, of the triangle with T(0,0) = 1 and
+
+        T(n,k) = d*T(n-1,k-1) + (a*n + b*k + c)*T(n-1,k),    d = +1 or -1,
+
+    where n is the index of the row being built and terms falling outside
+    the triangle contribute nothing.  Each row is built from the previous
+    one alone, so a caller that keeps only the latest row needs O(nmax)
+    memory.  All arithmetic is on Python ints.
     """
     if nmax < 0:
         raise ValueError("nmax must be nonnegative")
-    rows = [(1,)]
+    if d not in (1, -1):
+        raise ValueError(f"the diagonal weight must be 1 or -1, got {d!r}")
+    row = (1,)
+    yield row
     for n in range(1, nmax + 1):
-        prev = rows[-1]
-        row = []
-        for k in range(n + 1):
-            v = 0
-            if k >= 1:
-                v += diag(n, k) * prev[k - 1]
-            if k <= n - 1:
-                v += same(n, k) * prev[k]
-            row.append(v)
-        rows.append(tuple(row))
-    return Triangle(family, params, nmax, tuple(rows))
+        w = a * n + c
+        # zip stops at the shorter operand: the weights of k = 1..n-1.
+        weights = count(w + b, b)
+        if d == 1:
+            inner = [p + x * q for x, p, q in zip(weights, row, row[1:])]
+        else:
+            inner = [x * q - p for x, p, q in zip(weights, row, row[1:])]
+        row = (w * row[0], *inner, d * row[-1])
+        yield row
+
+
+def recurrence_triangle(
+    family: str, params: dict, nmax: int, d: int, a: int, b: int, c: int
+) -> Triangle:
+    """The whole triangle of `recurrence_rows` up to row nmax."""
+    return Triangle(family, params, nmax, tuple(recurrence_rows(nmax, d, a, b, c)))
+
+
+def recurrence_row(n: int, d: int, a: int, b: int, c: int) -> tuple:
+    """Row n of `recurrence_rows` alone, keeping one row at a time."""
+    return deque(recurrence_rows(n, d, a, b, c), maxlen=1)[0]
 
 
 def transform(triangle: Triangle, seq) -> list:

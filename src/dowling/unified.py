@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import basis, rnumbers, whitney
+from . import basis, families, rnumbers, whitney
 from .basis import CoeffMatrix, connection_matrix, factorial_basis
 
 
@@ -56,11 +56,23 @@ def _coerce_params(params) -> HSParams:
 
 
 def hs_pair(nmax: int, params) -> HSPair:
-    """Compute both connection matrices for one parameter triple.
+    """Both matrices of the pair for one parameter triple, from the scaled
+    integer recurrences s1: k*beta - (n-1)*alpha + gamma and
+    s2: k*alpha - (n-1)*beta - gamma.  Mutual inversion is asserted because it
+    is the defining invariant of the pair."""
+    p = _coerce_params(params)
+    scale, u1, u2 = families.hs_scaled_pair(p.as_dict(), nmax)
+    s1 = CoeffMatrix(families.read_off(u1, scale))
+    s2 = CoeffMatrix(families.read_off(u2, scale))
+    return HSPair(s1, s2, p, nmax)
+
+
+def hs_pair_by_solve(nmax: int, params) -> HSPair:
+    """Verification route: both connection matrices, solved exactly.
 
     Both target bases have unit leading scale, so they are always graded and
-    the solve cannot degenerate.  Mutual inversion is asserted because it is
-    the defining invariant of the pair.
+    the solve cannot degenerate.  Mutual inversion is asserted as in
+    `hs_pair`.
     """
     p = _coerce_params(params)
     source1 = factorial_basis(1, 0, p.alpha, nmax)
@@ -80,8 +92,14 @@ def verify_hs_orthogonality(pair: HSPair) -> bool:
 
 
 def hs_lah_matrix(nmax: int, params) -> CoeffMatrix:
-    """Lah-type matrix L(n,j) = sum_k (-1)^k s2(n,k) s1(k,j)."""
-    pair = hs_pair(nmax, params)
+    """Lah-type matrix L(n,j) = sum_k (-1)^k s2(n,k) s1(k,j), as the product
+    of the two scaled integer recurrences."""
+    return families.triangle("hs-lah", _coerce_params(params).as_dict(), nmax)
+
+
+def hs_lah_matrix_by_solve(nmax: int, params) -> CoeffMatrix:
+    """Verification route: the same product over the solved pair."""
+    pair = hs_pair_by_solve(nmax, params)
     rows = []
     for n in range(nmax + 1):
         row = []
@@ -104,15 +122,14 @@ def hs_lah(n: int, j: int, params) -> Fraction:
 
 def hs_bell(n: int, params) -> Fraction:
     """Generalized Bell number: row sum of s1."""
-    pair = hs_pair(n, params)
-    return sum(pair.s1.entry(n, j) for j in range(n + 1))
+    return families.row_sum("hs1", _coerce_params(params).as_dict(), n)
 
 
 def hs_bell_explicit(n: int, params) -> Fraction:
     """Generalized Bell number through the alternating Lah-type sum:
-    W_n = (-1)^n sum_k [sum_j L(k,j)] s1(n,k)."""
-    pair = hs_pair(n, params)
-    lah = hs_lah_matrix(n, params)
+    W_n = (-1)^n sum_k [sum_j L(k,j)] s1(n,k), over the solved pair."""
+    pair = hs_pair_by_solve(n, params)
+    lah = hs_lah_matrix_by_solve(n, params)
     total = Fraction(0)
     for k in range(n + 1):
         inner = sum(lah.entry(k, j) for j in range(k + 1))
@@ -123,13 +140,12 @@ def hs_bell_explicit(n: int, params) -> Fraction:
 def cakic(nmax: int, alpha) -> CoeffMatrix:
     """Cakic numbers: coefficients of the step-alpha factorial of x in the
     plain falling-factorial basis, i.e. the s1 matrix at (alpha, 1, 0)."""
-    mat = hs_pair(nmax, HSParams(alpha, 1, 0)).s1
-    return CoeffMatrix(mat.rows, "cakic", {"alpha": Fraction(alpha)})
+    return families.triangle("cakic", {"alpha": alpha}, nmax)
 
 
 def cakic_bell(n: int, alpha) -> Fraction:
     """Row sum of the Cakic triangle."""
-    return hs_bell(n, HSParams(alpha, 1, 0))
+    return families.row_sum("cakic", {"alpha": alpha}, n)
 
 
 def cakic_bell_explicit(n: int, alpha) -> Fraction:
@@ -208,16 +224,18 @@ def verify_specializations(
     nmax: int, whitney_alpha: int = 3, r: int = 2, rw=(2, 2), cakic_alpha: int = 2
 ) -> SpecializationReport:
     """Check every reduction of the unified pair against the triangles the
-    other modules build, recording the sign convention that holds."""
+    other modules build, recording the sign convention that holds.  The
+    unified side comes from the connection solve, the other side from the
+    recurrences, so every match is also a match between two routes."""
     checks = []
 
     beta = whitney_alpha
     w1 = whitney.whitney_first(nmax, beta)
     w2 = whitney.whitney_second(nmax, beta)
     wlah = whitney.whitney_lah(nmax, beta)
-    s_b01 = hs_pair(nmax, HSParams(beta, 0, -1)).s1
-    s_0b1 = hs_pair(nmax, HSParams(0, beta, 1)).s1
-    l_0b1 = hs_lah_matrix(nmax, HSParams(0, beta, 1))
+    s_b01 = hs_pair_by_solve(nmax, HSParams(beta, 0, -1)).s1
+    s_0b1 = hs_pair_by_solve(nmax, HSParams(0, beta, 1)).s1
+    l_0b1 = hs_lah_matrix_by_solve(nmax, HSParams(0, beta, 1))
     checks.append(
         _match(
             "whitney-first",
@@ -252,9 +270,9 @@ def verify_specializations(
     rs1 = rnumbers.r_stirling1(nmax, r)
     rs2 = rnumbers.r_stirling2(nmax, r)
     rlah = rnumbers.r_lah(nmax, r)
-    s_10r = hs_pair(nmax, HSParams(1, 0, -r)).s1
-    s_01r = hs_pair(nmax, HSParams(0, 1, r)).s1
-    l_01r = hs_lah_matrix(nmax, HSParams(0, 1, r))
+    s_10r = hs_pair_by_solve(nmax, HSParams(1, 0, -r)).s1
+    s_01r = hs_pair_by_solve(nmax, HSParams(0, 1, r)).s1
+    l_01r = hs_lah_matrix_by_solve(nmax, HSParams(0, 1, r))
     checks.append(
         _match(
             "r-stirling-first",
@@ -290,9 +308,9 @@ def verify_specializations(
     rw1 = rnumbers.r_whitney_first(nmax, m, rr)
     rw2 = rnumbers.r_whitney_second(nmax, m, rr)
     rwlah = rnumbers.r_whitney_lah(nmax, m, rr)
-    s_m0r = hs_pair(nmax, HSParams(m, 0, -rr)).s1
-    s_0mr = hs_pair(nmax, HSParams(0, m, rr)).s1
-    l_0mr = hs_lah_matrix(nmax, HSParams(0, m, rr))
+    s_m0r = hs_pair_by_solve(nmax, HSParams(m, 0, -rr)).s1
+    s_0mr = hs_pair_by_solve(nmax, HSParams(0, m, rr)).s1
+    l_0mr = hs_lah_matrix_by_solve(nmax, HSParams(0, m, rr))
     checks.append(
         _match(
             "r-whitney-first",
@@ -327,8 +345,8 @@ def verify_specializations(
     defining = connection_matrix(
         factorial_basis(1, 0, cakic_alpha, nmax), factorial_basis(1, 0, 1, nmax)
     )
-    pos = hs_pair(nmax, HSParams(cakic_alpha, 1, 0)).s1
-    neg = hs_pair(nmax, HSParams(-cakic_alpha, 1, 0)).s1
+    pos = hs_pair_by_solve(nmax, HSParams(cakic_alpha, 1, 0)).s1
+    neg = hs_pair_by_solve(nmax, HSParams(-cakic_alpha, 1, 0)).s1
     checks.append(
         _match(
             "cakic",

@@ -7,32 +7,22 @@ relations, the recurrences generate the tables, and the two must agree.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from . import basis, classic
-from .exactmath import IntegralityError, as_integer, binomial
-from .triangles import Triangle, recurrence_triangle, transform
-
-
-def _int_param(value, name: str) -> int:
-    if isinstance(value, Fraction):
-        value = as_integer(value)
-    if not isinstance(value, int):
-        raise IntegralityError(f"{name} must be an integer, got {value!r}")
-    return value
-
-
-def _check_alpha(alpha) -> int:
-    alpha = _int_param(alpha, "alpha")
-    if alpha == 0:
-        raise ValueError("alpha must be nonzero (it is a factorial step)")
-    return alpha
+from . import basis, classic, families
+from .exactmath import binomial
+from .families import check_alpha
+from .triangles import Triangle, transform
 
 
 def whitney_first(nmax: int, alpha) -> Triangle:
     """Whitney numbers of the first kind: w(n,k) is the coefficient of x^k
-    in the step-alpha factorial (x-1)(x-1-alpha)...(x-1-(n-1)alpha)."""
-    alpha = _check_alpha(alpha)
+    in the step-alpha factorial (x-1)(x-1-alpha)...(x-1-(n-1)alpha), via
+    w(n,k) = w(n-1,k-1) - (1 + (n-1)*alpha) * w(n-1,k)."""
+    return families.triangle("whitney1", {"alpha": alpha}, nmax)
+
+
+def whitney_first_by_expansion(nmax: int, alpha) -> Triangle:
+    """Verification route: expand the step-alpha factorial in monomials."""
+    alpha = check_alpha(alpha)
     mat = basis.expand_in_monomials(basis.factorial_basis(1, -1, alpha, nmax))
     return mat.to_triangle("whitney1", {"alpha": alpha})
 
@@ -40,16 +30,13 @@ def whitney_first(nmax: int, alpha) -> Triangle:
 def whitney_second(nmax: int, alpha) -> Triangle:
     """Whitney numbers of the second kind via
     W(n,k) = W(n-1,k-1) + (1 + alpha*k) * W(n-1,k)."""
-    alpha = _check_alpha(alpha)
-    return recurrence_triangle(
-        "whitney2", {"alpha": alpha}, nmax, lambda n, k: 1, lambda n, k: 1 + alpha * k
-    )
+    return families.triangle("whitney2", {"alpha": alpha}, nmax)
 
 
 def whitney_second_benoumhani(n: int, k: int, alpha) -> int:
     """Second-kind Whitney number as a binomial sum over Stirling numbers:
     W(n,k) = sum_i C(n,i) alpha^(i-k) S(i,k)."""
-    alpha = _check_alpha(alpha)
+    alpha = check_alpha(alpha)
     if k < 0 or k > n:
         return 0
     s2 = classic.stirling2_triangle(n)
@@ -59,14 +46,7 @@ def whitney_second_benoumhani(n: int, k: int, alpha) -> int:
 def whitney_lah(nmax: int, alpha) -> Triangle:
     """Whitney-Lah triangle via
     L(n,k) = -L(n-1,k-1) - ((k+n-1)*alpha + 2) * L(n-1,k)."""
-    alpha = _check_alpha(alpha)
-    return recurrence_triangle(
-        "whitney-lah",
-        {"alpha": alpha},
-        nmax,
-        lambda n, k: -1,
-        lambda n, k: -((k + n - 1) * alpha + 2),
-    )
+    return families.triangle("whitney-lah", {"alpha": alpha}, nmax)
 
 
 def _descending_step_product(x: int, i: int, alpha: int) -> int:
@@ -93,7 +73,7 @@ def whitney_lah_vertical(n: int, k: int, alpha) -> int:
     the zero entry L(k-1,k), and column 0 has no such stop because it is not
     identically zero here.
     """
-    alpha = _check_alpha(alpha)
+    alpha = check_alpha(alpha)
     if n == 0 and k == 0:
         return 1
     if k < 1 or k > n:
@@ -110,7 +90,7 @@ def whitney_lah_vertical(n: int, k: int, alpha) -> int:
 def whitney_lah_horizontal(n: int, k: int, alpha) -> int:
     """Whitney-Lah number recovered row-wise from row n+1:
     L(n,k) = sum_i (-1)^(i+1) prod_{j<i}((n+k+1+j)*alpha + 2) L(n+1, k+i+1)."""
-    alpha = _check_alpha(alpha)
+    alpha = check_alpha(alpha)
     if k < 0 or k > n:
         return 0
     tri = whitney_lah(n + 1, alpha)
@@ -123,11 +103,11 @@ def whitney_lah_horizontal(n: int, k: int, alpha) -> int:
 
 def whitney_lah_from_whitney(n: int, j: int, alpha) -> int:
     """Whitney-Lah number as the signed product of the two Whitney kinds:
-    L(n,j) = sum_k (-1)^k w(n,k) W(k,j)."""
-    alpha = _check_alpha(alpha)
+    L(n,j) = sum_k (-1)^k w(n,k) W(k,j), with w from the polynomial expansion."""
+    alpha = check_alpha(alpha)
     if j < 0 or j > n:
         return 0
-    w = whitney_first(n, alpha)
+    w = whitney_first_by_expansion(n, alpha)
     second = whitney_second(n, alpha)
     total = 0
     for k in range(j, n + 1):
@@ -153,13 +133,13 @@ def verify_whitney_lah_inverse(g, alpha) -> bool:
 
 def dowling(n: int, alpha) -> int:
     """Dowling number: row sum of the second-kind Whitney triangle."""
-    return whitney_second(n, alpha).row_sum(n)
+    return families.row_sum("whitney2", {"alpha": alpha}, n)
 
 
 def dowling_explicit(n: int, alpha) -> int:
     """Dowling number through the alternating Whitney-Lah sum:
     D_n = sum_j (-1)^(n-j) [sum_k (-1)^j L(j,k)] W(n,j)."""
-    alpha = _check_alpha(alpha)
+    alpha = check_alpha(alpha)
     lah = whitney_lah(n, alpha)
     second = whitney_second(n, alpha)
     total = 0

@@ -6,8 +6,9 @@ from dowling.cli import (
     run_paper_tables,
     triangle_from_json,
     triangle_json,
+    unlimited_int_digits,
 )
-from dowling.rnumbers import r_lah
+from dowling.rnumbers import r_lah, r_whitney_lah_explicit
 
 
 def run(capsys, *argv):
@@ -193,18 +194,18 @@ def test_out_file(tmp_path, capsys):
     assert obj["rows"][3] == ["0", "1", "3", "1"]
 
 
-def test_cache_roundtrip(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("DOWLING_CACHE_DIR", str(tmp_path))
-    code, first, _ = run(
-        capsys, "triangle", "--family", "r-lah", "--r", "2", "--nmax", "5", "--format", "json"
-    )
+def test_entries_past_the_int_str_digit_limit(capsys):
+    # Row 95 at m = 10**50 holds entries of about 4800 digits, past CPython's
+    # default limit of 4300 on int <-> str conversion.
+    argv = ("triangle", "--family", "r-whitney-lah", "--m", str(10**50), "--r", "0", "--nmax", "95")
+    code, csv, _ = run(capsys, *argv, "--format", "csv")
     assert code == 0
-    cached = list(tmp_path.iterdir())
-    assert len(cached) == 1
-    code, second, _ = run(
-        capsys, "triangle", "--family", "r-lah", "--r", "2", "--nmax", "5", "--format", "json"
-    )
+    last = [line.split(",")[2] for line in csv.splitlines()[1:] if line.startswith("95,")]
+    assert len(last) == 96 and max(len(value) for value in last) > 4300
+    code, text, _ = run(capsys, *argv, "--format", "json")
     assert code == 0
-    assert first == second
-    # a corrupted-free reread comes from the cache file itself
-    assert json.loads(cached[0].read_text())["family"] == "r-lah"
+    tri = triangle_from_json(text)
+    assert tri.row(95) == tuple(r_whitney_lah_explicit(95, k, 10**50, 0) for k in range(96))
+    with unlimited_int_digits():
+        assert [str(v) for v in tri.row(95)] == last
+        assert triangle_json(tri, tri.family, tri.params) == text

@@ -22,7 +22,7 @@ from dowling.rnumbers import (
     r_whitney_lah_horizontal,
     r_whitney_lah_vertical,
     r_whitney_second,
-    r_whitney_second_recurrence,
+    r_whitney_second_by_solve,
     verify_log_concavity,
     verify_r_inverse,
     weighted_stirling_egf_check,
@@ -138,7 +138,7 @@ def test_r_whitney_second_table_and_recurrence():
     assert tri.value(2, 1) == 6
     assert tri.value(4, 2) == 100
     for m, r in PARAM_GRID:
-        assert r_whitney_second(10, m, r).rows == r_whitney_second_recurrence(10, m, r).rows
+        assert r_whitney_second(10, m, r).rows == r_whitney_second_by_solve(10, m, r).rows
 
 
 def test_r_whitney_first_small():
