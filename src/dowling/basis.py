@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .exactmath import DegenerateBasisError, Poly, as_integer
-from .triangles import Triangle
+from .triangles import Triangle, product, transform
 
 
 @dataclass(frozen=True)
@@ -110,13 +110,7 @@ class CoeffMatrix:
         """Triangular matrix product: out(n,m) = sum_j self(n,j) * other(j,m)."""
         if self.size != other.size:
             raise ValueError("matrix sizes differ")
-        rows = []
-        for n in range(self.size):
-            row = []
-            for m in range(n + 1):
-                row.append(sum(self.rows[n][j] * other.rows[j][m] for j in range(m, n + 1)))
-            rows.append(tuple(row))
-        return CoeffMatrix(tuple(rows))
+        return CoeffMatrix(product(self.rows, other.rows))
 
     def is_identity(self) -> bool:
         for n, row in enumerate(self.rows):
@@ -127,12 +121,7 @@ class CoeffMatrix:
 
     def transform(self, seq) -> list:
         """Apply as a lower-triangular matrix to a (short enough) sequence."""
-        seq = list(seq)
-        if len(seq) > self.size:
-            raise ValueError("sequence longer than the matrix")
-        return [
-            sum(self.rows[n][k] * seq[k] for k in range(n + 1)) for n in range(len(seq))
-        ]
+        return transform(self, seq)
 
     def int_rows(self) -> tuple:
         """Rows as plain ints; raises IntegralityError on any denominator."""

@@ -12,15 +12,8 @@ from collections import deque
 from fractions import Fraction
 
 from . import basis, families
-from .exactmath import (
-    Poly,
-    Series,
-    as_integer,
-    binomial,
-    falling_factorial,
-    rising_factorial,
-)
-from .triangles import Triangle
+from .exactmath import Poly, Series, as_integer, binomial
+from .triangles import Triangle, horizontal_rows, product, vertical_rows
 
 
 def stirling2_triangle(nmax: int) -> Triangle:
@@ -62,35 +55,30 @@ def lah_signless(n: int, k: int) -> int:
     return -value if n % 2 else value
 
 
-def lah_vertical(n: int, k: int) -> int:
-    """Signed Lah number assembled column-wise from lower rows:
+def lah_vertical_rows(nmax: int) -> tuple:
+    """Signed Lah rows 0..nmax assembled column-wise from the rows above,
+    all from one triangle of rows 0..nmax-1:
     L(n,k) = sum_i (-1)^(i+1) (n-1+k)_i L(n-1-i, k-1)."""
-    if n == 0:
-        return 1 if k == 0 else 0
-    if k < 0 or k > n:
-        return 0
-    top = n - 1
-    tri = lah_signed_triangle(top)
-    total = 0
-    for i in range(top - k + 2):
-        term = falling_factorial(k + top, i) * tri.value(top - i, k - 1)
-        total += term if i % 2 else -term
-    return total
+    return vertical_rows(lah_signed_triangle(max(nmax - 1, 0)), nmax, 0, 1, -1)
 
 
-def lah_horizontal(n: int, k: int) -> int:
-    """Signed Lah number recovered row-wise from row n+1:
+def lah_vertical(n: int, k: int) -> int:
+    """Entry (n, k) of `lah_vertical_rows`."""
+    return lah_vertical_rows(n)[n][k] if 0 <= k <= n else 0
+
+
+def lah_horizontal_rows(nmax: int) -> tuple:
+    """Signed Lah rows 0..nmax recovered row-wise from the row below, all
+    from one triangle of rows 0..nmax+1:
     L(n,k) = sum_i (-1)^(i+1) <n+k+1>_i L(n+1, k+i+1), where <x>_i is the
     ascending product x(x+1)...(x+i-1).  (The descending reading fails the
     cross-checks; see the verification suite.)"""
-    if k < 0 or k > n:
-        return 0
-    tri = lah_signed_triangle(n + 1)
-    total = 0
-    for i in range(n - k + 1):
-        term = rising_factorial(n + k + 1, i) * tri.value(n + 1, k + i + 1)
-        total += term if i % 2 else -term
-    return total
+    return horizontal_rows(lah_signed_triangle(nmax + 1), nmax, 0, 1, -1)
+
+
+def lah_horizontal(n: int, k: int) -> int:
+    """Entry (n, k) of `lah_horizontal_rows`."""
+    return lah_horizontal_rows(n)[n][k] if 0 <= k <= n else 0
 
 
 def lah_egf_check(k: int, order: int) -> bool:
@@ -106,16 +94,16 @@ def lah_egf_check(k: int, order: int) -> bool:
     )
 
 
+def lah_from_stirlings_rows(nmax: int) -> tuple:
+    """Signed Lah rows from both Stirling kinds: L(n,k) = sum_j (-1)^j s(n,j) S(j,k),
+    with s from one polynomial expansion."""
+    s1 = stirling1_by_expansion(nmax)
+    return product(s1.rows, stirling2_triangle(nmax).rows, signed=True)
+
+
 def lah_from_stirlings(n: int, k: int) -> int:
-    """Signed Lah from both Stirling kinds: L(n,k) = sum_j (-1)^j s(n,j) S(j,k),
-    with s from the polynomial expansion."""
-    s1 = stirling1_by_expansion(n)
-    s2 = stirling2_triangle(n)
-    total = 0
-    for j in range(k, n + 1):
-        term = s1.value(n, j) * s2.value(j, k)
-        total += -term if j % 2 else term
-    return total
+    """Entry (n, k) of `lah_from_stirlings_rows`."""
+    return lah_from_stirlings_rows(n)[n][k] if 0 <= k <= n else 0
 
 
 def bell(n: int) -> int:

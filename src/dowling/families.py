@@ -228,8 +228,4 @@ def _hs_lah(params: dict, nmax: int) -> CoeffMatrix:
     """L(n,j) = sum_k (-1)^k s2(n,k) s1(k,j) = [sum_k (-1)^k U2(n,k) U1(k,j)] / D^(n-j)."""
     params = _validate("hs-lah", params)
     scale, u1, u2 = hs_scaled_pair(params, nmax)
-    out = []
-    for n in range(nmax + 1):
-        signed = [-u if k % 2 else u for k, u in enumerate(u2[n])]
-        out.append(tuple(sum(signed[k] * u1[k][j] for k in range(j, n + 1)) for j in range(n + 1)))
-    return CoeffMatrix(read_off(out, scale), "hs-lah", params)
+    return CoeffMatrix(read_off(triangles.product(u2, u1, signed=True), scale), "hs-lah", params)

@@ -1,0 +1,382 @@
+"""The identity registry: every identity the package verifies, declared once
+as data.  `dowling verify` and the acceptance suite both run it.
+
+An identity is a check shape plus its default size and parameters.  Every
+reference and route of a shape is called as fn(nmax, **point), where the
+point holds the identity's parameters other than nmax.  The shapes:
+
+- `Tables`: a production triangle against whole-table routes, entrywise;
+- `Sequences`: a production sequence against a whole-sequence route;
+- `Product`: the product of two tables is the identity matrix;
+- `Roundtrip`: seeded random sequences pass through two tables and come back;
+- `Predicate`: a bool check at each of a list of points;
+- a plain function (nmax, **point) -> (failures, notes) for the rest.
+
+Parameter rules: an identity takes the parameters among its defaults, or
+the parameter group of its grid; its fixed parameters cannot be set.  An
+identity with a grid is checked at every grid point unless it is given the
+whole group, which then replaces the grid.
+"""
+
+from __future__ import annotations
+
+import random
+from dataclasses import dataclass, field
+from fractions import Fraction
+from functools import partial
+
+from . import classic, oracle, rnumbers, unified, whitney
+from .triangles import checkerboard, product, transform
+from .unified import HSParams
+
+
+def _failure(n, k, expected, actual) -> dict:
+    return {"n": n, "k": k, "expected": str(expected), "actual": str(actual)}
+
+
+# ---------------------------------------------------------------------------
+# shapes
+
+
+@dataclass(frozen=True)
+class Tables:
+    """`reference` returns a triangle; each route in `routes` is a pair
+    (function returning rows, first column it is compared from)."""
+
+    reference: object
+    routes: tuple
+    notes: str | None = None
+
+    def __call__(self, nmax, **point):
+        ref = self.reference(nmax, **point).rows
+        bad = []
+        for route, kmin in self.routes:
+            got = route(nmax, **point)
+            bad += [
+                _failure(n, k, row[k], got[n][k])
+                for n, row in enumerate(ref)
+                for k in range(kmin, n + 1)
+                if row[k] != got[n][k]
+            ]
+        return bad, self.notes
+
+
+@dataclass(frozen=True)
+class Sequences:
+    """`reference` and `route` return the values at n = 0..nmax."""
+
+    reference: object
+    route: object
+    notes: str | None = None
+
+    def __call__(self, nmax, **point):
+        got = self.route(nmax, **point)
+        ref = self.reference(nmax, **point)
+        bad = [_failure(n, None, want, got[n]) for n, want in enumerate(ref) if want != got[n]]
+        return bad, self.notes
+
+
+@dataclass(frozen=True)
+class Product:
+    """`pair` returns two tables whose product is the identity matrix, in
+    both orders unless `both_orders` is False."""
+
+    pair: object
+    both_orders: bool = True
+    notes: str | None = None
+
+    def __call__(self, nmax, **point):
+        first, second = self.pair(nmax, **point)
+        orders = ((first, second), (second, first)) if self.both_orders else ((first, second),)
+        bad = []
+        for c, d in orders:
+            for n, row in enumerate(product(c.rows, d.rows)):
+                bad += [_failure(n, k, int(n == k), v) for k, v in enumerate(row) if v != (n == k)]
+        return bad, self.notes
+
+
+@dataclass(frozen=True)
+class Roundtrip:
+    """`pair` returns two tables; applying the first and then the second to
+    a sequence gives it back.  Checked on five seeded random sequences of
+    length nmax + 1."""
+
+    pair: object
+    notes: str | None = None
+
+    def __call__(self, nmax, **point):
+        first, second = self.pair(nmax, **point)
+        bad = []
+        for seed in range(5):
+            rng = random.Random(seed)
+            seq = [rng.randint(-50, 50) for _ in range(nmax + 1)]
+            back = transform(second, transform(first, seq))
+            if back != seq:
+                bad.append(_failure(seed, None, seq, back))
+        return bad, self.notes
+
+
+@dataclass(frozen=True)
+class Predicate:
+    """`points` yields (n, k, holds) triples; each that does not hold fails
+    as `expected`."""
+
+    points: object
+    expected: str
+    notes: str | None = None
+
+    def __call__(self, nmax, **point):
+        points = self.points(nmax, **point)
+        return [_failure(n, k, self.expected, "mismatch") for n, k, holds in points if not holds], self.notes
+
+
+def _each(value):
+    """The sequence n -> value(n, ...) for n = 0..nmax."""
+    return lambda nmax, *args, **point: [value(n, *args, **point) for n in range(nmax + 1)]
+
+
+def _entrywise(entry):
+    """The rows of a closed form entry(n, k, ...)."""
+    return lambda nmax, **point: [
+        [entry(n, k, **point) for k in range(n + 1)] for n in range(nmax + 1)
+    ]
+
+
+def _hs(fn):
+    """fn(nmax, params) called with the Hsu-Shiue triple as keywords."""
+    return lambda nmax, alpha, beta, gamma: fn(nmax, HSParams(alpha, beta, gamma))
+
+
+def _solved_hs_pair(nmax, params):
+    pair = unified.hs_pair_by_solve(nmax, params)
+    return pair.s1, pair.s2
+
+
+def _r_whitney_pair(nmax, m, r):
+    """Signed r-Whitney first kind (solved) and second kind: mutually inverse."""
+    first = rnumbers.r_whitney_first_by_solve(nmax, m, r)
+    return checkerboard(first), rnumbers.r_whitney_second(nmax, m, r)
+
+
+# ---------------------------------------------------------------------------
+# identities that fit no shape
+
+
+def _bell_reduction(nmax):
+    bad = []
+    s2 = classic.stirling2_triangle(nmax + 1)
+    w1 = whitney.whitney_second(nmax, 1)
+    for n in range(nmax + 1):
+        want, got = classic.bell(n + 1), whitney.bell_via_dowling(n)
+        if want != got:
+            bad.append(_failure(n, None, want, got))
+        for j in range(n + 1):
+            if w1.value(n, j) != s2.value(n + 1, j + 1):
+                bad.append(_failure(n, j, s2.value(n + 1, j + 1), w1.value(n, j)))
+    return bad, "unit-step Dowling numbers against shifted Bell/Stirling values"
+
+
+def _specializations(nmax):
+    report = unified.verify_specializations(nmax)
+    bad = []
+    for check in report.checks:
+        if not check.passed:
+            for item in check.as_dict()["mismatches"]:
+                item = dict(item)
+                item["expected"] = f"{check.name}: {item['expected']}"
+                bad.append(item)
+    notes = "; ".join(f"{check.name}: {check.convention}" for check in report.checks)
+    return bad, notes
+
+
+def _oracle(nmax):
+    """Brute-force partition counts against the production families.  The
+    enumeration is capped by its size guard, so Lah stops at n = 9 and the
+    r-families at min(nmax, 11-r, 9)."""
+    # (last row, distinguished elements, ordered blocks, entry, row sum)
+    checks = [
+        (nmax, 0, False, classic.stirling2_triangle(nmax).value, classic.bell),
+        (min(nmax, 9), 0, True, classic.lah_signless, None),
+    ]
+    for r in (1, 2, 3):
+        top = min(nmax, 11 - r, 9)
+        checks.append((top, r, False, rnumbers.r_stirling2(top, r).value, partial(rnumbers.r_bell, r=r)))
+        checks.append((top, r, True, rnumbers.r_lah(top, r).value, None))
+    bad = []
+    for top, r, ordered, entry, total in checks:
+        for n in range(top + 1):
+            for k in range(n + 1):
+                want = oracle.count_partitions(oracle.PartitionSpec(n + r, k + r, r, ordered))
+                if want != entry(n, k):
+                    bad.append(_failure(n, k, want, entry(n, k)))
+            if total is not None and oracle.count_all_partitions(n + r, r) != total(n):
+                bad.append(_failure(n, None, oracle.count_all_partitions(n + r, r), total(n)))
+    return bad, None
+
+
+# ---------------------------------------------------------------------------
+# the registry
+
+
+@dataclass(frozen=True)
+class Identity:
+    name: str
+    defaults: dict  # nmax and the parameters a caller may set, in report order
+    check: object  # a shape, or a function (nmax, **point) -> (failures, notes)
+    grid: tuple = ()  # default points of the parameter group, if any
+    fixed: dict = field(default_factory=dict)  # parameters a caller may not set
+    needs_oracle: bool = False
+
+    @property
+    def accepts(self) -> tuple:
+        """The parameters a caller may set."""
+        return tuple(self.grid[0] if self.grid else (key for key in self.defaults if key != "nmax"))
+
+
+def _all_columns(*routes) -> tuple:
+    return tuple((route, 0) for route in routes)
+
+
+def _lgf(nmax, kmax):
+    return ((nmax, k, classic.lah_egf_check(k, nmax)) for k in range(min(kmax, nmax) + 1))
+
+
+def _weighted_egf(nmax, r, order):
+    return ((nmax, None, rnumbers.weighted_stirling_egf_check(nmax, r, order)),)
+
+
+def _log_concavity(nmax, m, r):
+    return ((n, None, rnumbers.verify_log_concavity(n, m, r)) for n in range(2, nmax + 1))
+
+
+def _stirling_pair(nmax):
+    return classic.stirling2_triangle(nmax), classic.stirling1_by_expansion(nmax)
+
+
+def _whitney_pair(nmax, alpha):
+    return whitney.whitney_first_by_expansion(nmax, alpha), whitney.whitney_second(nmax, alpha)
+
+
+_HS_GRID = tuple(
+    {"alpha": a, "beta": b, "gamma": g}
+    for a, b, g in ((0, 1, 2), (0, 2, 2), (1, 0, 0), (Fraction(1, 2), Fraction(1, 3), 2))
+)
+_MR_GRID = ({"m": 1, "r": 1}, {"m": 2, "r": 2}, {"m": 3, "r": 1})
+_W = {"nmax": 12, "alpha": 3}
+_R = {"nmax": 10, "r": 2}
+_RW = {"nmax": 12, "m": 2, "r": 2}
+_LAH = classic.lah_signed_triangle
+_W_LAH = whitney.whitney_lah
+_RW_LAH = rnumbers.r_whitney_lah
+_TRIWLAH_ROUTES = (
+    (whitney.whitney_lah_vertical_rows, 1),
+    *_all_columns(whitney.whitney_lah_horizontal_rows, whitney.whitney_lah_from_whitney_rows),
+)
+_RWLAH_ROUTES = (
+    *_all_columns(_entrywise(rnumbers.r_whitney_lah_explicit), rnumbers.r_whitney_lah_from_whitney_rows),
+    (rnumbers.r_whitney_lah_vertical_rows, 1),
+    *_all_columns(rnumbers.r_whitney_lah_horizontal_rows),
+)
+_SERIES = "series == triangle"
+_HORILAH = "angle-bracket weights resolved as the ascending product x(x+1)...(x+i-1)"
+_TRIWLAH = "vertical, horizontal and product routes against the triangular recurrence"
+_RWLAH = "explicit, product, vertical and horizontal routes against the recurrence"
+_LOG_CONCAVE = "product-form strict log-concavity; the sum form is implied at these sizes"
+
+REGISTRY = {
+    ident.name: ident
+    for ident in (
+        Identity("lef", {"nmax": 30}, Tables(_LAH, _all_columns(_entrywise(classic.lah_explicit)))),
+        Identity("verlah", {"nmax": 20}, Tables(_LAH, _all_columns(classic.lah_vertical_rows))),
+        Identity("horilah", {"nmax": 20}, Tables(_LAH, _all_columns(classic.lah_horizontal_rows), _HORILAH)),
+        Identity("lgf", {"nmax": 20}, Predicate(_lgf, _SERIES), fixed={"kmax": 5}),
+        Identity("qi", {"nmax": 25}, Sequences(_each(classic.bell), _each(classic.qi_bell))),
+        Identity("ordlahstirling", {"nmax": 15}, Tables(_LAH, _all_columns(classic.lah_from_stirlings_rows))),
+        Identity("stirling-inverse", {"nmax": 9}, Roundtrip(_stirling_pair)),
+        Identity("ortho", {"nmax": 12, "alpha": 3}, Product(whitney.whitney_lah_pair, both_orders=False)),
+        Identity("inv1", {"nmax": 9, "alpha": 3}, Roundtrip(whitney.whitney_lah_pair)),
+        Identity("wla1", _W, Tables(_W_LAH, _all_columns(whitney.whitney_lah_from_whitney_rows))),
+        Identity("triwlah", {"nmax": 15, "alpha": 3}, Tables(_W_LAH, _TRIWLAH_ROUTES, _TRIWLAH)),
+        Identity("whitney-ortho", _W, Product(_whitney_pair)),
+        Identity(
+            "benoumhani",
+            {"nmax": 15, "alpha": 3},
+            Tables(whitney.whitney_second, _all_columns(whitney.whitney_second_benoumhani_rows)),
+        ),
+        Identity(
+            "dow1", {"nmax": 10, "alpha": 3}, Sequences(_each(whitney.dowling), whitney.dowling_explicit_sequence)
+        ),
+        Identity("bell-reduction", {"nmax": 12}, _bell_reduction),
+        Identity("lah1", _R, Tables(rnumbers.r_lah, _all_columns(rnumbers.r_lah_from_stirlings_rows))),
+        Identity("lah4", {"nmax": 7, "r": 2}, Roundtrip(rnumbers.r_inverse_pair)),
+        Identity("expb", _R, Sequences(_each(rnumbers.r_bell), rnumbers.r_bell_explicit_sequence)),
+        Identity("weighted-egf", {"nmax": 12, "r": 2}, Predicate(_weighted_egf, _SERIES), fixed={"order": 12}),
+        Identity("rw-ortho", {"nmax": 8, "m": 2, "r": 2}, Product(_r_whitney_pair)),
+        Identity("rw-inv", {"nmax": 7, "m": 2, "r": 2}, Roundtrip(_r_whitney_pair)),
+        Identity("rwhitneylah", _RW, Tables(_RW_LAH, _all_columns(rnumbers.r_whitney_lah_from_whitney_rows))),
+        Identity("exprwlah", _RW, Tables(_RW_LAH, _all_columns(_entrywise(rnumbers.r_whitney_lah_explicit)))),
+        Identity("rwlah-routes", _RW, Tables(_RW_LAH, _RWLAH_ROUTES, _RWLAH)),
+        Identity("expl-rdow", _RW, Sequences(_each(rnumbers.r_dowling), rnumbers.r_dowling_explicit_sequence)),
+        Identity(
+            "ugexp",
+            {"nmax": 10},
+            Sequences(_hs(_each(unified.hs_bell)), _hs(unified.hs_bell_explicit_sequence)),
+            _HS_GRID,
+        ),
+        Identity("hs-ortho", {"nmax": 8}, Product(_hs(_solved_hs_pair)), _HS_GRID),
+        Identity("invrel", {"nmax": 9}, Roundtrip(_hs(_solved_hs_pair)), _HS_GRID),
+        Identity("log-concavity", {"nmax": 20}, Predicate(_log_concavity, "log-concave", _LOG_CONCAVE), _MR_GRID),
+        Identity("specializations", {"nmax": 6}, _specializations),
+        Identity("oracle", {"nmax": 8}, _oracle, needs_oracle=True),
+    )
+}
+
+
+# ---------------------------------------------------------------------------
+# running
+
+
+def taken(ident: Identity, given: dict) -> dict:
+    """The parameters among `given` that `ident` takes when every identity
+    runs at once: those it declares, and a grid group only when whole."""
+    mine = {key: value for key, value in given.items() if key in ident.accepts}
+    return mine if not ident.grid or len(mine) == len(ident.accepts) else {}
+
+
+def report(ident: Identity, given: dict | None = None, nmax: int | None = None) -> dict:
+    """Run one identity and return its verification report.
+
+    `given` holds parameters that replace the defaults; a parameter the
+    identity does not take, or part of its grid group, is a ValueError.
+    """
+    given = dict(given or {})
+    for key in given:
+        if key not in ident.accepts:
+            raise ValueError(f"identity {ident.name!r} does not take --{key}")
+    if ident.grid and given and len(given) < len(ident.accepts):
+        flags = ", ".join(f"--{key}" for key in ident.accepts)
+        raise ValueError(f"identity {ident.name!r} takes {flags} together or not at all")
+    if nmax is None:
+        nmax = ident.defaults["nmax"]
+    params = {key: value for key, value in ident.defaults.items() if key != "nmax"}
+    params.update(ident.fixed)
+    params.update(given)
+    points = (params,) if given or not ident.grid else ident.grid
+    failures, notes = [], None
+    for point in points:
+        bad, notes = ident.check(nmax, **point)
+        if ident.grid:
+            where = ", ".join(f"{key}={value}" for key, value in point.items())
+            for item in bad:
+                item["actual"] += f" at {where}"
+        failures += bad
+    out = {
+        "identity": ident.name,
+        "params": {key: str(value) for key, value in params.items()},
+        "nmax": nmax,
+        "pass": not failures,
+        "failures": failures,
+    }
+    if notes:
+        out["notes"] = notes
+    return out

@@ -17,11 +17,10 @@ from .exactmath import (
     as_integer,
     binomial,
     exp_series,
-    generalized_falling,
     generalized_rising,
 )
 from .families import check_m, check_r
-from .triangles import Triangle
+from .triangles import Triangle, checkerboard, horizontal_rows, product, transform, vertical_rows
 
 
 def r_stirling2(nmax: int, r) -> Triangle:
@@ -58,33 +57,32 @@ def r_lah(nmax: int, r) -> Triangle:
     return families.triangle("r-lah", {"r": r}, nmax)
 
 
-def r_lah_from_stirlings(n: int, k: int, r) -> int:
-    """r-Lah number as the product of the two r-Stirling kinds:
+def r_lah_from_stirlings_rows(nmax: int, r) -> tuple:
+    """r-Lah rows as the product of the two r-Stirling kinds:
     L(n,k) = sum_j A(n,j) * S(j,k)."""
+    return product(r_stirling1(nmax, r).rows, r_stirling2(nmax, r).rows)
+
+
+def r_lah_from_stirlings(n: int, k: int, r) -> int:
+    """Entry (n, k) of `r_lah_from_stirlings_rows`."""
     r = check_r(r)
-    if k < 0 or k > n:
-        return 0
-    first = r_stirling1(n, r)
-    second = r_stirling2(n, r)
-    return sum(first.value(n, j) * second.value(j, k) for j in range(k, n + 1))
+    return r_lah_from_stirlings_rows(n, r)[n][k] if 0 <= k <= n else 0
+
+
+def r_inverse_pair(nmax: int, r) -> tuple:
+    """The r-Stirling inverse pair as two tables: b_n = sum_j A(n,j) a_j is
+    undone by a_n = sum_j (-1)^(n-j) S(n,j) b_j."""
+    return r_stirling1(nmax, r), checkerboard(r_stirling2(nmax, r))
 
 
 def verify_r_inverse(a, r) -> bool:
-    """Round-trip check of the r-Stirling inverse pair:
-    b_n = sum_j A(n,j) a_j followed by a_n = sum_j (-1)^(n-j) S(n,j) b_j."""
+    """Round-trip check of the r-Stirling inverse pair."""
     r = check_r(r)
     a = list(a)
     if not a:
         return True
-    top = len(a) - 1
-    first = r_stirling1(top, r)
-    second = r_stirling2(top, r)
-    b = [sum(first.value(n, j) * a[j] for j in range(n + 1)) for n in range(len(a))]
-    recovered = [
-        sum((-1) ** (n - j) * second.value(n, j) * b[j] for j in range(n + 1))
-        for n in range(len(a))
-    ]
-    return recovered == a
+    first, second = r_inverse_pair(len(a) - 1, r)
+    return transform(second, transform(first, a)) == a
 
 
 def r_bell(n: int, r) -> int:
@@ -92,17 +90,17 @@ def r_bell(n: int, r) -> int:
     return families.row_sum("r-stirling2", {"r": r}, n)
 
 
-def r_bell_explicit(n: int, r) -> int:
-    """r-Bell number through the alternating r-Lah sum:
-    B(n) = sum_k (-1)^(n-k) S(n,k) [sum_j L(k,j)]."""
+def r_bell_explicit_sequence(nmax: int, r) -> list:
+    """r-Bell numbers B(0..nmax) through the alternating r-Lah sum
+    B(n) = sum_k (-1)^(n-k) S(n,k) [sum_j L(k,j)], from one triangle of each."""
     r = check_r(r)
-    second = r_stirling2(n, r)
-    lah = r_lah(n, r)
-    total = 0
-    for k in range(n + 1):
-        term = second.value(n, k) * lah.row_sum(k)
-        total += term if (n - k) % 2 == 0 else -term
-    return total
+    sums = [-sum(row) if k % 2 else sum(row) for k, row in enumerate(r_lah(nmax, r).rows)]
+    return [-v if n % 2 else v for n, v in enumerate(transform(r_stirling2(nmax, r), sums))]
+
+
+def r_bell_explicit(n: int, r) -> int:
+    """B(n) from `r_bell_explicit_sequence`."""
+    return r_bell_explicit_sequence(n, r)[n]
 
 
 def _scaled_falling_basis(m: int, nmax: int) -> basis.PolyBasis:
@@ -150,12 +148,7 @@ def r_whitney_first_by_solve(nmax: int, m, r) -> Triangle:
     mat = basis.connection_matrix(
         _scaled_falling_basis(m, nmax), basis.power_basis(Poly((r, m)), nmax)
     )
-    rows = []
-    for n in range(nmax + 1):
-        rows.append(
-            tuple(as_integer((-1) ** (n - k) * mat.entry(n, k)) for k in range(n + 1))
-        )
-    return Triangle("r-whitney1", {"m": m, "r": r}, nmax, tuple(rows))
+    return checkerboard(mat).to_triangle("r-whitney1", {"m": m, "r": r})
 
 
 def r_whitney_lah(nmax: int, m, r) -> Triangle:
@@ -183,46 +176,46 @@ def r_whitney_lah_explicit(n: int, k: int, m, r) -> int:
     return as_integer(value / denominator)
 
 
-def r_whitney_lah_from_whitney(n: int, k: int, m, r) -> int:
+def r_whitney_lah_from_whitney_rows(nmax: int, m, r) -> tuple:
     """Product route: L(n,k) = sum_j w(n,j) W(j,k), no signs, with both
-    r-Whitney kinds from the connection solve."""
-    if k < 0 or k > n:
-        return 0
-    first = r_whitney_first_by_solve(n, m, r)
-    second = r_whitney_second_by_solve(n, m, r)
-    return sum(first.value(n, j) * second.value(j, k) for j in range(k, n + 1))
+    r-Whitney kinds from one connection solve each."""
+    first = r_whitney_first_by_solve(nmax, m, r)
+    return product(first.rows, r_whitney_second_by_solve(nmax, m, r).rows)
 
 
-def r_whitney_lah_vertical(n: int, k: int, m, r) -> int:
-    """Column-wise route, defined for k >= 1 (plus the trivial corner):
+def r_whitney_lah_from_whitney(n: int, k: int, m, r) -> int:
+    """Entry (n, k) of `r_whitney_lah_from_whitney_rows`."""
+    return r_whitney_lah_from_whitney_rows(n, m, r)[n][k] if 0 <= k <= n else 0
+
+
+def r_whitney_lah_vertical_rows(nmax: int, m, r) -> tuple:
+    """Column-wise route from the rows above, all from one triangle of rows
+    0..nmax-1; it holds for k >= 1 (plus the trivial corner), so column 0 of
+    the result is not L(n,0):
     L(n,k) = sum_{j=k-1}^{n-1} (2r + (n+k-1)m | m)_{n-1-j} L(j, k-1)."""
     m = check_m(m)
     r = check_r(r)
-    if n == 0 and k == 0:
-        return 1
-    if k < 1 or k > n:
+    return vertical_rows(r_whitney_lah(max(nmax - 1, 0), m, r), nmax, 2 * r, m, 1)
+
+
+def r_whitney_lah_vertical(n: int, k: int, m, r) -> int:
+    """Entry (n, k) of `r_whitney_lah_vertical_rows`, for 1 <= k <= n or n = k = 0."""
+    if (n, k) != (0, 0) and not 1 <= k <= n:
         raise ValueError("the vertical route needs 1 <= k <= n")
-    tri = r_whitney_lah(n - 1, m, r)
-    x = 2 * r + (n + k - 1) * m
-    return sum(
-        generalized_falling(x, m, n - 1 - j) * tri.value(j, k - 1) for j in range(k - 1, n)
-    )
+    return r_whitney_lah_vertical_rows(n, m, r)[n][k]
+
+
+def r_whitney_lah_horizontal_rows(nmax: int, m, r) -> tuple:
+    """Row-wise route from the row below, all from one triangle of rows
+    0..nmax+1: L(n,k) = sum_i (-1)^i [2r + (n+k+1)m | m]_i L(n+1, k+i+1)."""
+    m = check_m(m)
+    r = check_r(r)
+    return horizontal_rows(r_whitney_lah(nmax + 1, m, r), nmax, 2 * r, m, 1)
 
 
 def r_whitney_lah_horizontal(n: int, k: int, m, r) -> int:
-    """Row-wise route from row n+1:
-    L(n,k) = sum_i (-1)^i [2r + (n+k+1)m | m]_i L(n+1, k+i+1)."""
-    m = check_m(m)
-    r = check_r(r)
-    if k < 0 or k > n:
-        return 0
-    tri = r_whitney_lah(n + 1, m, r)
-    x = 2 * r + (n + k + 1) * m
-    total = 0
-    for i in range(n - k + 1):
-        term = generalized_rising(x, m, i) * tri.value(n + 1, k + i + 1)
-        total += -term if i % 2 else term
-    return total
+    """Entry (n, k) of `r_whitney_lah_horizontal_rows`."""
+    return r_whitney_lah_horizontal_rows(n, m, r)[n][k] if 0 <= k <= n else 0
 
 
 def log_concavity_report(n: int, m, r) -> dict:
@@ -254,14 +247,16 @@ def r_dowling(n: int, m, r) -> int:
     return families.row_sum("r-whitney2", {"m": m, "r": r}, n)
 
 
-def r_dowling_explicit(n: int, m, r) -> int:
-    """r-Dowling number through the alternating r-Whitney-Lah sum:
-    D(n) = sum_j (-1)^(n-j) [sum_k L(j,k)] W(n,j), with W from the
+def r_dowling_explicit_sequence(nmax: int, m, r) -> list:
+    """r-Dowling numbers D(0..nmax) through the alternating r-Whitney-Lah sum
+    D(n) = sum_j (-1)^(n-j) [sum_k L(j,k)] W(n,j), with W from one
     connection solve."""
-    lah = r_whitney_lah(n, m, r)
-    second = r_whitney_second_by_solve(n, m, r)
-    total = 0
-    for j in range(n + 1):
-        term = lah.row_sum(j) * second.value(n, j)
-        total += term if (n - j) % 2 == 0 else -term
-    return total
+    lah = r_whitney_lah(nmax, m, r)
+    sums = [-sum(row) if j % 2 else sum(row) for j, row in enumerate(lah.rows)]
+    second = r_whitney_second_by_solve(nmax, m, r)
+    return [-v if n % 2 else v for n, v in enumerate(transform(second, sums))]
+
+
+def r_dowling_explicit(n: int, m, r) -> int:
+    """D(n) from `r_dowling_explicit_sequence`."""
+    return r_dowling_explicit_sequence(n, m, r)[n]

@@ -1,11 +1,16 @@
-"""Lower-triangular integer tables shared by every number family, and the
-one recurrence engine that builds them."""
+"""Lower-triangular integer tables shared by every number family, the one
+recurrence engine that builds them, and the whole-table algorithms (matrix
+product, transform, row and column expansions) the verification routes run
+over one prebuilt table."""
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
-from itertools import count
+from dataclasses import dataclass, field, replace
+from fractions import Fraction
+from itertools import chain, count
+
+from .exactmath import as_integer
 
 
 @dataclass(frozen=True)
@@ -22,7 +27,9 @@ class Triangle:
     rows: tuple = ((1,),)
 
     def __post_init__(self):
-        rows = tuple(tuple(int(v) for v in row) for row in self.rows)
+        rows = tuple(map(tuple, self.rows))
+        if not set(map(type, chain.from_iterable(rows))) <= {int}:
+            rows = tuple(tuple(map(_integer_entry, row)) for row in rows)
         object.__setattr__(self, "rows", rows)
         if len(rows) != self.nmax + 1:
             raise ValueError(f"expected {self.nmax + 1} rows, got {len(rows)}")
@@ -42,6 +49,16 @@ class Triangle:
 
     def row_sum(self, n: int) -> int:
         return sum(self.rows[n])
+
+
+def _integer_entry(value) -> int:
+    """An int entry as is, an integral Fraction as its int; anything else is
+    refused rather than truncated."""
+    if type(value) is int:
+        return value
+    if isinstance(value, Fraction):
+        return as_integer(value)
+    raise TypeError(f"triangle entries must be integers, got {value!r}")
 
 
 def recurrence_rows(nmax: int, d: int, a: int, b: int, c: int):
@@ -84,9 +101,82 @@ def recurrence_row(n: int, d: int, a: int, b: int, c: int) -> tuple:
     return deque(recurrence_rows(n, d, a, b, c), maxlen=1)[0]
 
 
-def transform(triangle: Triangle, seq) -> list:
-    """Apply the triangle as a lower-triangular matrix to a sequence."""
+# ---------------------------------------------------------------------------
+# whole-table algorithms over prebuilt rows
+
+
+def transform(table, seq) -> list:
+    """Apply a lower-triangular table (a `Triangle` or a `CoeffMatrix`) as a
+    matrix to a sequence no longer than the table."""
     seq = list(seq)
-    if len(seq) > triangle.nmax + 1:
-        raise ValueError("sequence longer than the triangle")
-    return [sum(triangle.value(n, k) * seq[k] for k in range(n + 1)) for n in range(len(seq))]
+    rows = table.rows
+    if len(seq) > len(rows):
+        raise ValueError("sequence longer than the table")
+    return [sum(v * s for v, s in zip(rows[n], seq)) for n in range(len(seq))]
+
+
+def product(first, second, signed: bool = False) -> tuple:
+    """Rows of the triangular matrix product sum_j first(n,j) second(j,k),
+    with the terms of odd j negated when `signed`; both arguments are rows."""
+    out = []
+    for n, row in enumerate(first):
+        if signed:
+            row = [-v if j % 2 else v for j, v in enumerate(row)]
+        out.append(
+            tuple(sum(row[j] * second[j][k] for j in range(k, n + 1)) for k in range(n + 1))
+        )
+    return tuple(out)
+
+
+def checkerboard(table):
+    """The same kind of table (a `Triangle` or a `CoeffMatrix`) with entries
+    (-1)^(n-k) T(n,k)."""
+    rows = tuple(
+        tuple(-v if (n - k) % 2 else v for k, v in enumerate(row))
+        for n, row in enumerate(table.rows)
+    )
+    return replace(table, rows=rows)
+
+
+def vertical_rows(lower: Triangle, nmax: int, c: int, h: int, sign: int) -> tuple:
+    """Rows 0..nmax of the column-wise expansion of a Lah-type triangle,
+
+        T(n,k) = sum_{i=0}^{n-k} sign^(i+1) (x|h)_i T(n-1-i, k-1),  x = c + (n-1+k)h,
+
+    with (x|h)_i = x(x-h)...(x-(i-1)h) (`exactmath.generalized_falling`, kept
+    here as a running product), all from `lower`, which holds rows 0..nmax-1
+    of T.  Column 0 below row 0 is the empty sum 0."""
+    rows = [(1,)]
+    for n in range(1, nmax + 1):
+        row = [0]
+        for k in range(1, n + 1):
+            x, total, factor = c + (n - 1 + k) * h, 0, sign
+            for i in range(n - k + 1):
+                total += factor * lower.rows[n - 1 - i][k - 1]
+                factor *= sign * (x - i * h)
+            row.append(total)
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def horizontal_rows(upper: Triangle, nmax: int, c: int, h: int, sign: int) -> tuple:
+    """Rows 0..nmax of the row-wise expansion of a Lah-type triangle from
+    the row below,
+
+        T(n,k) = sum_{i=0}^{n-k} sign (-1)^i [x|h]_i T(n+1, k+i+1),  x = c + (n+k+1)h,
+
+    with [x|h]_i = x(x+h)...(x+(i-1)h) (`exactmath.generalized_rising`, kept
+    here as a running product), all from `upper`, which holds rows 0..nmax+1
+    of T."""
+    rows = []
+    for n in range(nmax + 1):
+        below = upper.rows[n + 1]
+        row = []
+        for k in range(n + 1):
+            x, total, factor = c + (n + k + 1) * h, 0, sign
+            for i in range(n - k + 1):
+                total += factor * below[k + i + 1]
+                factor *= -(x + i * h)
+            row.append(total)
+        rows.append(tuple(row))
+    return tuple(rows)

@@ -20,6 +20,7 @@ from fractions import Fraction
 
 from . import basis, families, rnumbers, whitney
 from .basis import CoeffMatrix, connection_matrix, factorial_basis
+from .triangles import product, transform
 
 
 @dataclass(frozen=True)
@@ -97,20 +98,14 @@ def hs_lah_matrix(nmax: int, params) -> CoeffMatrix:
     return families.triangle("hs-lah", _coerce_params(params).as_dict(), nmax)
 
 
+def _signed_product(pair: HSPair) -> CoeffMatrix:
+    """L(n,j) = sum_k (-1)^k s2(n,k) s1(k,j) over one pair."""
+    return CoeffMatrix(product(pair.s2.rows, pair.s1.rows, signed=True))
+
+
 def hs_lah_matrix_by_solve(nmax: int, params) -> CoeffMatrix:
     """Verification route: the same product over the solved pair."""
-    pair = hs_pair_by_solve(nmax, params)
-    rows = []
-    for n in range(nmax + 1):
-        row = []
-        for j in range(n + 1):
-            total = Fraction(0)
-            for k in range(j, n + 1):
-                term = pair.s2.entry(n, k) * pair.s1.entry(k, j)
-                total += -term if k % 2 else term
-            row.append(total)
-        rows.append(tuple(row))
-    return CoeffMatrix(tuple(rows))
+    return _signed_product(hs_pair_by_solve(nmax, params))
 
 
 def hs_lah(n: int, j: int, params) -> Fraction:
@@ -125,16 +120,17 @@ def hs_bell(n: int, params) -> Fraction:
     return families.row_sum("hs1", _coerce_params(params).as_dict(), n)
 
 
+def hs_bell_explicit_sequence(nmax: int, params) -> list:
+    """Generalized Bell numbers W_0..W_nmax through the alternating Lah-type
+    sum W_n = (-1)^n sum_k [sum_j L(k,j)] s1(n,k), over one solved pair."""
+    pair = hs_pair_by_solve(nmax, params)
+    sums = [sum(row) for row in _signed_product(pair).rows]
+    return [-v if n % 2 else v for n, v in enumerate(transform(pair.s1, sums))]
+
+
 def hs_bell_explicit(n: int, params) -> Fraction:
-    """Generalized Bell number through the alternating Lah-type sum:
-    W_n = (-1)^n sum_k [sum_j L(k,j)] s1(n,k), over the solved pair."""
-    pair = hs_pair_by_solve(n, params)
-    lah = hs_lah_matrix_by_solve(n, params)
-    total = Fraction(0)
-    for k in range(n + 1):
-        inner = sum(lah.entry(k, j) for j in range(k + 1))
-        total += inner * pair.s1.entry(n, k)
-    return -total if n % 2 else total
+    """W_n from `hs_bell_explicit_sequence`."""
+    return hs_bell_explicit_sequence(n, params)[n]
 
 
 def cakic(nmax: int, alpha) -> CoeffMatrix:
@@ -200,24 +196,25 @@ def _match(name, params, nmax, expected, candidates) -> SpecializationCheck:
     fits, the mismatches against the first (as-printed) candidate are kept so
     a failure is visible rather than silently corrected.
     """
+    cells = [(n, k) for n in range(nmax + 1) for k in range(n + 1)]
     for label, candidate in candidates:
-        bad = []
-        for n in range(nmax + 1):
-            for k in range(n + 1):
-                want = expected(n, k)
-                got = candidate(n, k)
-                if want != got:
-                    bad.append((n, k, want, got))
-        if not bad:
+        if all(expected(n, k) == candidate(n, k) for n, k in cells):
             return SpecializationCheck(name, params, label, True)
     label, candidate = candidates[0]
     bad = tuple(
-        (n, k, expected(n, k), candidate(n, k))
-        for n in range(nmax + 1)
-        for k in range(n + 1)
-        if expected(n, k) != candidate(n, k)
+        (n, k, expected(n, k), candidate(n, k)) for n, k in cells if expected(n, k) != candidate(n, k)
     )
     return SpecializationCheck(name, params, f"no candidate matches (tried {label} first)", False, bad)
+
+
+def _flip(entry):
+    """(n, k) -> (-1)^(n-k) entry(n, k)."""
+    return lambda n, k: (-1) ** (n - k) * entry(n, k)
+
+
+def _alternate(entry):
+    """(n, k) -> (-1)^n entry(n, k)."""
+    return lambda n, k: (-1) ** n * entry(n, k)
 
 
 def verify_specializations(
@@ -227,137 +224,54 @@ def verify_specializations(
     other modules build, recording the sign convention that holds.  The
     unified side comes from the connection solve, the other side from the
     recurrences, so every match is also a match between two routes."""
-    checks = []
+    beta, (m, rr) = whitney_alpha, rw
 
-    beta = whitney_alpha
-    w1 = whitney.whitney_first(nmax, beta)
-    w2 = whitney.whitney_second(nmax, beta)
-    wlah = whitney.whitney_lah(nmax, beta)
-    s_b01 = hs_pair_by_solve(nmax, HSParams(beta, 0, -1)).s1
-    s_0b1 = hs_pair_by_solve(nmax, HSParams(0, beta, 1)).s1
-    l_0b1 = hs_lah_matrix_by_solve(nmax, HSParams(0, beta, 1))
-    checks.append(
-        _match(
-            "whitney-first",
-            {"beta": beta},
-            nmax,
-            w1.value,
-            [
-                ("w(n,k) = S(n,k; beta, 0, -1) as printed", s_b01.entry),
-                ("w(n,k) = (-1)^(n-k) S(n,k; beta, 0, -1)", lambda n, k: (-1) ** (n - k) * s_b01.entry(n, k)),
-            ],
-        )
-    )
-    checks.append(
-        _match(
-            "whitney-second",
-            {"beta": beta},
-            nmax,
-            w2.value,
-            [("W(n,k) = S(n,k; 0, beta, 1) as printed", s_0b1.entry)],
-        )
-    )
-    checks.append(
-        _match(
-            "whitney-lah",
-            {"beta": beta},
-            nmax,
-            wlah.value,
-            [("L^W(n,k) = L(n,k; 0, beta, 1) as printed", l_0b1.entry)],
-        )
-    )
+    def s1(*params):
+        return hs_pair_by_solve(nmax, HSParams(*params)).s1.entry
 
-    rs1 = rnumbers.r_stirling1(nmax, r)
-    rs2 = rnumbers.r_stirling2(nmax, r)
-    rlah = rnumbers.r_lah(nmax, r)
-    s_10r = hs_pair_by_solve(nmax, HSParams(1, 0, -r)).s1
-    s_01r = hs_pair_by_solve(nmax, HSParams(0, 1, r)).s1
-    l_01r = hs_lah_matrix_by_solve(nmax, HSParams(0, 1, r))
-    checks.append(
-        _match(
-            "r-stirling-first",
-            {"r": r},
-            nmax,
-            rs1.value,
-            [
-                ("A(n,k) = S(n,k; 1, 0, -r) as printed", s_10r.entry),
-                ("A(n,k) = (-1)^(n-k) S(n,k; 1, 0, -r)", lambda n, k: (-1) ** (n - k) * s_10r.entry(n, k)),
-            ],
-        )
-    )
-    checks.append(
-        _match(
-            "r-stirling-second",
-            {"r": r},
-            nmax,
-            rs2.value,
-            [("S(n,k) = S(n,k; 0, 1, r) as printed", s_01r.entry)],
-        )
-    )
-    checks.append(
-        _match(
-            "r-lah",
-            {"r": r},
-            nmax,
-            rlah.value,
-            [("L(n,k) = (-1)^n L(n,k; 0, 1, r) as printed", lambda n, k: (-1) ** n * l_01r.entry(n, k))],
-        )
-    )
+    def lah(*params):
+        return _signed_product(hs_pair_by_solve(nmax, HSParams(*params))).entry
 
-    m, rr = rw
-    rw1 = rnumbers.r_whitney_first(nmax, m, rr)
-    rw2 = rnumbers.r_whitney_second(nmax, m, rr)
-    rwlah = rnumbers.r_whitney_lah(nmax, m, rr)
-    s_m0r = hs_pair_by_solve(nmax, HSParams(m, 0, -rr)).s1
-    s_0mr = hs_pair_by_solve(nmax, HSParams(0, m, rr)).s1
-    l_0mr = hs_lah_matrix_by_solve(nmax, HSParams(0, m, rr))
-    checks.append(
-        _match(
-            "r-whitney-first",
-            {"m": m, "r": rr},
-            nmax,
-            rw1.value,
-            [
-                ("w(n,k) = (-1)^(n-k) S(n,k; m, 0, -r) as printed", lambda n, k: (-1) ** (n - k) * s_m0r.entry(n, k)),
-                ("w(n,k) = S(n,k; m, 0, -r)", s_m0r.entry),
-            ],
-        )
-    )
-    checks.append(
-        _match(
-            "r-whitney-second",
-            {"m": m, "r": rr},
-            nmax,
-            rw2.value,
-            [("W(n,k) = S(n,k; 0, m, r) as printed", s_0mr.entry)],
-        )
-    )
-    checks.append(
-        _match(
-            "r-whitney-lah",
-            {"m": m, "r": rr},
-            nmax,
-            rwlah.value,
-            [("L(n,k) = (-1)^n L(n,k; 0, m, r) as printed", lambda n, k: (-1) ** n * l_0mr.entry(n, k))],
-        )
-    )
-
+    s_b01, s_10r, s_m0r = s1(beta, 0, -1), s1(1, 0, -r), s1(m, 0, -rr)
     defining = connection_matrix(
         factorial_basis(1, 0, cakic_alpha, nmax), factorial_basis(1, 0, 1, nmax)
     )
-    pos = hs_pair_by_solve(nmax, HSParams(cakic_alpha, 1, 0)).s1
-    neg = hs_pair_by_solve(nmax, HSParams(-cakic_alpha, 1, 0)).s1
-    checks.append(
-        _match(
-            "cakic",
-            {"alpha": cakic_alpha},
-            nmax,
-            defining.entry,
-            [
-                ("c(n,k) = S(n,k; +alpha, 1, 0); the printed reduction negates alpha", pos.entry),
-                ("c(n,k) = S(n,k; -alpha, 1, 0) as printed", neg.entry),
-            ],
-        )
+    # (name, parameters, expected entries, candidate conventions in order)
+    specs = (
+        ("whitney-first", {"beta": beta}, whitney.whitney_first(nmax, beta).value, (
+            ("w(n,k) = S(n,k; beta, 0, -1) as printed", s_b01),
+            ("w(n,k) = (-1)^(n-k) S(n,k; beta, 0, -1)", _flip(s_b01)),
+        )),
+        ("whitney-second", {"beta": beta}, whitney.whitney_second(nmax, beta).value, (
+            ("W(n,k) = S(n,k; 0, beta, 1) as printed", s1(0, beta, 1)),
+        )),
+        ("whitney-lah", {"beta": beta}, whitney.whitney_lah(nmax, beta).value, (
+            ("L^W(n,k) = L(n,k; 0, beta, 1) as printed", lah(0, beta, 1)),
+        )),
+        ("r-stirling-first", {"r": r}, rnumbers.r_stirling1(nmax, r).value, (
+            ("A(n,k) = S(n,k; 1, 0, -r) as printed", s_10r),
+            ("A(n,k) = (-1)^(n-k) S(n,k; 1, 0, -r)", _flip(s_10r)),
+        )),
+        ("r-stirling-second", {"r": r}, rnumbers.r_stirling2(nmax, r).value, (
+            ("S(n,k) = S(n,k; 0, 1, r) as printed", s1(0, 1, r)),
+        )),
+        ("r-lah", {"r": r}, rnumbers.r_lah(nmax, r).value, (
+            ("L(n,k) = (-1)^n L(n,k; 0, 1, r) as printed", _alternate(lah(0, 1, r))),
+        )),
+        ("r-whitney-first", {"m": m, "r": rr}, rnumbers.r_whitney_first(nmax, m, rr).value, (
+            ("w(n,k) = (-1)^(n-k) S(n,k; m, 0, -r) as printed", _flip(s_m0r)),
+            ("w(n,k) = S(n,k; m, 0, -r)", s_m0r),
+        )),
+        ("r-whitney-second", {"m": m, "r": rr}, rnumbers.r_whitney_second(nmax, m, rr).value, (
+            ("W(n,k) = S(n,k; 0, m, r) as printed", s1(0, m, rr)),
+        )),
+        ("r-whitney-lah", {"m": m, "r": rr}, rnumbers.r_whitney_lah(nmax, m, rr).value, (
+            ("L(n,k) = (-1)^n L(n,k; 0, m, r) as printed", _alternate(lah(0, m, rr))),
+        )),
+        ("cakic", {"alpha": cakic_alpha}, defining.entry, (
+            ("c(n,k) = S(n,k; +alpha, 1, 0); the printed reduction negates alpha", s1(cakic_alpha, 1, 0)),
+            ("c(n,k) = S(n,k; -alpha, 1, 0) as printed", s1(-cakic_alpha, 1, 0)),
+        )),
     )
-
+    checks = (_match(name, params, nmax, expected, candidates) for name, params, expected, candidates in specs)
     return SpecializationReport(nmax, tuple(checks))

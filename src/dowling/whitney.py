@@ -10,7 +10,7 @@ from __future__ import annotations
 from . import basis, classic, families
 from .exactmath import binomial
 from .families import check_alpha
-from .triangles import Triangle, transform
+from .triangles import Triangle, horizontal_rows, product, transform, vertical_rows
 
 
 def whitney_first(nmax: int, alpha) -> Triangle:
@@ -33,14 +33,24 @@ def whitney_second(nmax: int, alpha) -> Triangle:
     return families.triangle("whitney2", {"alpha": alpha}, nmax)
 
 
-def whitney_second_benoumhani(n: int, k: int, alpha) -> int:
-    """Second-kind Whitney number as a binomial sum over Stirling numbers:
+def whitney_second_benoumhani_rows(nmax: int, alpha) -> tuple:
+    """Second-kind Whitney rows as binomial sums over one Stirling triangle:
     W(n,k) = sum_i C(n,i) alpha^(i-k) S(i,k)."""
     alpha = check_alpha(alpha)
-    if k < 0 or k > n:
-        return 0
-    s2 = classic.stirling2_triangle(n)
-    return sum(binomial(n, i) * alpha ** (i - k) * s2.value(i, k) for i in range(k, n + 1))
+    s2 = classic.stirling2_triangle(nmax).rows
+    return tuple(
+        tuple(
+            sum(binomial(n, i) * alpha ** (i - k) * s2[i][k] for i in range(k, n + 1))
+            for k in range(n + 1)
+        )
+        for n in range(nmax + 1)
+    )
+
+
+def whitney_second_benoumhani(n: int, k: int, alpha) -> int:
+    """Entry (n, k) of `whitney_second_benoumhani_rows`."""
+    alpha = check_alpha(alpha)
+    return whitney_second_benoumhani_rows(n, alpha)[n][k] if 0 <= k <= n else 0
 
 
 def whitney_lah(nmax: int, alpha) -> Triangle:
@@ -49,77 +59,63 @@ def whitney_lah(nmax: int, alpha) -> Triangle:
     return families.triangle("whitney-lah", {"alpha": alpha}, nmax)
 
 
-def _descending_step_product(x: int, i: int, alpha: int) -> int:
-    """prod_{j=0}^{i-1} ((x - j)*alpha + 2)."""
-    result = 1
-    for j in range(i):
-        result *= (x - j) * alpha + 2
-    return result
+def whitney_lah_vertical_rows(nmax: int, alpha) -> tuple:
+    """Whitney-Lah rows 0..nmax assembled column-wise from the rows above,
+    all from one triangle of rows 0..nmax-1:
+    L(n,k) = sum_i (-1)^(i+1) prod_{j<i}((n-1+k-j)*alpha + 2) L(n-1-i, k-1).
 
-
-def _ascending_step_product(x: int, i: int, alpha: int) -> int:
-    """prod_{j=0}^{i-1} ((x + j)*alpha + 2)."""
-    result = 1
-    for j in range(i):
-        result *= (x + j) * alpha + 2
-    return result
+    Holds for k >= 1 (plus the trivial corner): the expansion terminates on
+    the zero entry L(k-1,k), and column 0 has no such stop because it is not
+    identically zero here, so column 0 of the result is not L(n,0).
+    """
+    alpha = check_alpha(alpha)
+    return vertical_rows(whitney_lah(max(nmax - 1, 0), alpha), nmax, 2, alpha, -1)
 
 
 def whitney_lah_vertical(n: int, k: int, alpha) -> int:
-    """Whitney-Lah number assembled column-wise from lower rows:
-    L(n,k) = sum_i (-1)^(i+1) prod_{j<i}((n-1+k-j)*alpha + 2) L(n-1-i, k-1).
-
-    Defined for k >= 1 (plus the trivial corner): the expansion terminates on
-    the zero entry L(k-1,k), and column 0 has no such stop because it is not
-    identically zero here.
-    """
-    alpha = check_alpha(alpha)
-    if n == 0 and k == 0:
-        return 1
-    if k < 1 or k > n:
+    """Entry (n, k) of `whitney_lah_vertical_rows`, for 1 <= k <= n or n = k = 0."""
+    if (n, k) != (0, 0) and not 1 <= k <= n:
         raise ValueError("the vertical route needs 1 <= k <= n")
-    top = n - 1
-    tri = whitney_lah(top, alpha)
-    total = 0
-    for i in range(top - k + 2):
-        term = _descending_step_product(top + k, i, alpha) * tri.value(top - i, k - 1)
-        total += term if i % 2 else -term
-    return total
+    return whitney_lah_vertical_rows(n, alpha)[n][k]
+
+
+def whitney_lah_horizontal_rows(nmax: int, alpha) -> tuple:
+    """Whitney-Lah rows 0..nmax recovered row-wise from the row below, all
+    from one triangle of rows 0..nmax+1:
+    L(n,k) = sum_i (-1)^(i+1) prod_{j<i}((n+k+1+j)*alpha + 2) L(n+1, k+i+1)."""
+    alpha = check_alpha(alpha)
+    return horizontal_rows(whitney_lah(nmax + 1, alpha), nmax, 2, alpha, -1)
 
 
 def whitney_lah_horizontal(n: int, k: int, alpha) -> int:
-    """Whitney-Lah number recovered row-wise from row n+1:
-    L(n,k) = sum_i (-1)^(i+1) prod_{j<i}((n+k+1+j)*alpha + 2) L(n+1, k+i+1)."""
+    """Entry (n, k) of `whitney_lah_horizontal_rows`."""
     alpha = check_alpha(alpha)
-    if k < 0 or k > n:
-        return 0
-    tri = whitney_lah(n + 1, alpha)
-    total = 0
-    for i in range(n - k + 1):
-        term = _ascending_step_product(n + k + 1, i, alpha) * tri.value(n + 1, k + i + 1)
-        total += term if i % 2 else -term
-    return total
+    return whitney_lah_horizontal_rows(n, alpha)[n][k] if 0 <= k <= n else 0
+
+
+def whitney_lah_from_whitney_rows(nmax: int, alpha) -> tuple:
+    """Whitney-Lah rows as the signed product of the two Whitney kinds:
+    L(n,j) = sum_k (-1)^k w(n,k) W(k,j), with w from one polynomial expansion."""
+    w = whitney_first_by_expansion(nmax, alpha)
+    return product(w.rows, whitney_second(nmax, alpha).rows, signed=True)
 
 
 def whitney_lah_from_whitney(n: int, j: int, alpha) -> int:
-    """Whitney-Lah number as the signed product of the two Whitney kinds:
-    L(n,j) = sum_k (-1)^k w(n,k) W(k,j), with w from the polynomial expansion."""
+    """Entry (n, j) of `whitney_lah_from_whitney_rows`."""
     alpha = check_alpha(alpha)
-    if j < 0 or j > n:
-        return 0
-    w = whitney_first_by_expansion(n, alpha)
-    second = whitney_second(n, alpha)
-    total = 0
-    for k in range(j, n + 1):
-        term = w.value(n, k) * second.value(k, j)
-        total += -term if k % 2 else term
-    return total
+    return whitney_lah_from_whitney_rows(n, alpha)[n][j] if 0 <= j <= n else 0
+
+
+def whitney_lah_pair(nmax: int, alpha) -> tuple:
+    """(L, L) for the Whitney-Lah matrix L, which is its own inverse."""
+    tri = whitney_lah(nmax, alpha)
+    return tri, tri
 
 
 def verify_whitney_lah_orthogonality(nmax: int, alpha) -> bool:
     """True iff the Whitney-Lah matrix is its own inverse up to nmax."""
-    mat = basis.CoeffMatrix.from_triangle(whitney_lah(nmax, alpha))
-    return mat.mul(mat).is_identity()
+    first, second = map(basis.CoeffMatrix.from_triangle, whitney_lah_pair(nmax, alpha))
+    return first.mul(second).is_identity()
 
 
 def verify_whitney_lah_inverse(g, alpha) -> bool:
@@ -127,8 +123,8 @@ def verify_whitney_lah_inverse(g, alpha) -> bool:
     g = list(g)
     if not g:
         return True
-    tri = whitney_lah(len(g) - 1, alpha)
-    return transform(tri, transform(tri, g)) == g
+    first, second = whitney_lah_pair(len(g) - 1, alpha)
+    return transform(second, transform(first, g)) == g
 
 
 def dowling(n: int, alpha) -> int:
@@ -136,20 +132,18 @@ def dowling(n: int, alpha) -> int:
     return families.row_sum("whitney2", {"alpha": alpha}, n)
 
 
+def dowling_explicit_sequence(nmax: int, alpha) -> list:
+    """Dowling numbers D_0..D_nmax through the alternating Whitney-Lah sum
+    D_n = sum_j (-1)^(n-j) [sum_k (-1)^j L(j,k)] W(n,j), from one triangle
+    of each kind."""
+    lah = whitney_lah(nmax, alpha)
+    sums = [sum(row) for row in lah.rows]
+    return [-v if n % 2 else v for n, v in enumerate(transform(whitney_second(nmax, alpha), sums))]
+
+
 def dowling_explicit(n: int, alpha) -> int:
-    """Dowling number through the alternating Whitney-Lah sum:
-    D_n = sum_j (-1)^(n-j) [sum_k (-1)^j L(j,k)] W(n,j)."""
-    alpha = check_alpha(alpha)
-    lah = whitney_lah(n, alpha)
-    second = whitney_second(n, alpha)
-    total = 0
-    for j in range(n + 1):
-        inner = lah.row_sum(j)
-        if j % 2:
-            inner = -inner
-        term = inner * second.value(n, j)
-        total += term if (n - j) % 2 == 0 else -term
-    return total
+    """D_n from `dowling_explicit_sequence`."""
+    return dowling_explicit_sequence(n, alpha)[n]
 
 
 def bell_via_dowling(n: int) -> int:

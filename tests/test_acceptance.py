@@ -5,15 +5,12 @@ lines alongside the pytest verdicts.
 """
 
 import io
-import random
 import time
 from fractions import Fraction
 
-from dowling import basis, classic, oracle, rnumbers, unified, whitney
+from dowling import classic, identities, rnumbers, unified, whitney
 from dowling.cli import run_paper_tables
-from dowling.oracle import PartitionSpec
-from dowling.triangles import transform
-from dowling.unified import HSParams
+from dowling.identities import REGISTRY
 
 
 def _report(number, label, ok):
@@ -41,141 +38,70 @@ def test_criterion_2_worked_verifications():
     _report(2, "worked checks 35 / 15 / 37 / 257 hold exactly", ok)
 
 
+def _all_pass(points) -> bool:
+    """Run each (identity, nmax, parameters) point through the registry."""
+    ok = True
+    for name, nmax, params in points:
+        report = identities.report(REGISTRY[name], params, nmax)
+        if not report["pass"]:
+            print(f"  {name} nmax={nmax} {params}: {report['failures'][:3]}")
+        ok &= report["pass"]
+    return ok
+
+
 def test_criterion_3_two_route_equivalences():
     start = time.perf_counter()
-    ok = True
-
-    lah = classic.lah_signed_triangle(30)
-    ok &= all(
-        lah.value(n, k) == classic.lah_explicit(n, k) for n in range(31) for k in range(n + 1)
+    ok = _all_pass(
+        [
+            ("lef", 30, {}),
+            *(("triwlah", 15, {"alpha": alpha}) for alpha in (1, 2, 3, 5)),
+            *(("rwlah-routes", 12, {"m": m, "r": r}) for m, r in ((1, 1), (2, 2), (3, 2))),
+            ("qi", 25, {}),
+            *(("expb", 12, {"r": r}) for r in range(4)),
+            ("ugexp", 10, {}),
+        ]
     )
-
-    for alpha in (1, 2, 3, 5):
-        tri = whitney.whitney_lah(15, alpha)
-        for n in range(16):
-            for k in range(n + 1):
-                v = tri.value(n, k)
-                ok &= whitney.whitney_lah_horizontal(n, k, alpha) == v
-                ok &= whitney.whitney_lah_from_whitney(n, k, alpha) == v
-                if k >= 1:
-                    ok &= whitney.whitney_lah_vertical(n, k, alpha) == v
-
-    for m, r in ((1, 1), (2, 2), (3, 2)):
-        tri = rnumbers.r_whitney_lah(12, m, r)
-        for n in range(13):
-            for k in range(n + 1):
-                v = tri.value(n, k)
-                ok &= rnumbers.r_whitney_lah_explicit(n, k, m, r) == v
-                ok &= rnumbers.r_whitney_lah_from_whitney(n, k, m, r) == v
-                ok &= rnumbers.r_whitney_lah_horizontal(n, k, m, r) == v
-                if k >= 1:
-                    ok &= rnumbers.r_whitney_lah_vertical(n, k, m, r) == v
-
-    ok &= all(classic.qi_bell(n) == classic.bell(n) for n in range(26))
-
-    ok &= all(
-        rnumbers.r_bell_explicit(n, r) == rnumbers.r_bell(n, r)
-        for r in range(4)
-        for n in range(13)
-    )
-
-    param_sets = (
-        HSParams(0, 1, 2),
-        HSParams(0, 2, 2),
-        HSParams(1, 0, 0),
-        HSParams(Fraction(1, 2), Fraction(1, 3), 2),
-    )
-    ok &= all(
-        unified.hs_bell_explicit(n, p) == unified.hs_bell(n, p)
-        for p in param_sets
-        for n in range(11)
-    )
-
     elapsed = time.perf_counter() - start
     _report(3, f"two-route equivalence suites agree exactly in {elapsed:.1f}s",
             ok and elapsed < 30.0)
 
 
 def test_criterion_4_orthogonality_and_inverses():
-    ok = whitney.verify_whitney_lah_orthogonality(12, 3)
-    ok &= whitney.verify_whitney_lah_orthogonality(12, 1)
-
-    for alpha in (1, 3):
-        w = basis.CoeffMatrix.from_triangle(whitney.whitney_first(12, alpha))
-        second = basis.CoeffMatrix.from_triangle(whitney.whitney_second(12, alpha))
-        ok &= w.mul(second).is_identity() and second.mul(w).is_identity()
-
-    for params in (HSParams(0, 1, 2), HSParams(2, 3, 1), HSParams(Fraction(1, 2), Fraction(1, 3), 2)):
-        ok &= unified.verify_hs_orthogonality(unified.hs_pair(8, params))
-
-    s1 = classic.stirling1_triangle(9)
-    s2 = classic.stirling2_triangle(9)
-    wfirst = whitney.whitney_first(9, 3)
-    wsecond = whitney.whitney_second(9, 3)
-    rwfirst = rnumbers.r_whitney_first(9, 2, 2)
-    rwsecond = rnumbers.r_whitney_second(9, 2, 2)
-    hs = unified.hs_pair(9, HSParams(0, 2, 2))
-    for seed in range(5):
-        rng = random.Random(seed)
-        g = [rng.randint(-100, 100) for _ in range(10)]
-        ok &= transform(s1, transform(s2, g)) == g
-        ok &= whitney.verify_whitney_lah_inverse(g, 3)
-        ok &= transform(wsecond, transform(wfirst, g)) == g
-        ok &= rnumbers.verify_r_inverse(g, 2)
-        f = [
-            sum((-1) ** (n - j) * rwfirst.value(n, j) * g[j] for j in range(n + 1))
-            for n in range(10)
+    hs_points = (
+        {"alpha": 0, "beta": 1, "gamma": 2},
+        {"alpha": 2, "beta": 3, "gamma": 1},
+        {"alpha": Fraction(1, 2), "beta": Fraction(1, 3), "gamma": 2},
+    )
+    ok = _all_pass(
+        [
+            *(("ortho", 12, {"alpha": alpha}) for alpha in (3, 1)),
+            *(("whitney-ortho", 12, {"alpha": alpha}) for alpha in (1, 3)),
+            *(("hs-ortho", 8, point) for point in hs_points),
+            ("stirling-inverse", 9, {}),
+            ("inv1", 9, {"alpha": 3}),
+            ("lah4", 9, {"r": 2}),
+            ("rw-inv", 9, {"m": 2, "r": 2}),
+            ("invrel", 9, {"alpha": 0, "beta": 2, "gamma": 2}),
         ]
-        ok &= [sum(rwsecond.value(n, j) * f[j] for j in range(n + 1)) for n in range(10)] == g
-        ok &= hs.s2.transform(hs.s1.transform(g)) == g
-
+    )
     _report(4, "orthogonality and inverse round-trips hold exactly", ok)
 
 
 def test_criterion_5_oracle_equivalence():
     start = time.perf_counter()
-    ok = True
-
-    s2 = classic.stirling2_triangle(10)
-    for n in range(11):
-        for k in range(n + 1):
-            ok &= s2.value(n, k) == oracle.count_partitions(PartitionSpec(n, k))
-        ok &= classic.bell(n) == oracle.count_all_partitions(n)
-
-    for n in range(10):
-        for k in range(n + 1):
-            spec = PartitionSpec(n, k, ordered_blocks=True)
-            ok &= classic.lah_signless(n, k) == oracle.count_partitions(spec)
-
-    for r in range(4):
-        top = 11 - r
-        rs2 = rnumbers.r_stirling2(top, r)
-        rl = rnumbers.r_lah(top, r)
-        for n in range(top + 1):
-            for k in range(n + 1):
-                ok &= rs2.value(n, k) == oracle.count_partitions(PartitionSpec(n + r, k + r, r))
-                ok &= rl.value(n, k) == oracle.count_partitions(
-                    PartitionSpec(n + r, k + r, r, ordered_blocks=True)
-                )
-            ok &= rnumbers.r_bell(n, r) == oracle.count_all_partitions(n + r, r)
-
+    ok = _all_pass([("oracle", 11, {})])
     elapsed = time.perf_counter() - start
     _report(5, f"brute-force partition counts match all families in {elapsed:.1f}s",
             ok and elapsed < 60.0)
 
 
 def test_criterion_6_egf_checks():
-    ok = all(classic.lah_egf_check(k, 20) for k in range(6))
-    ok &= all(rnumbers.weighted_stirling_egf_check(12, r, 12) for r in range(4))
+    ok = _all_pass([("lgf", 20, {}), *(("weighted-egf", 12, {"r": r}) for r in range(4))])
     _report(6, "generating-function coefficients match the triangles exactly", ok)
 
 
 def test_criterion_7_log_concavity():
-    ok = all(
-        rnumbers.verify_log_concavity(n, m, r)
-        for m, r in ((1, 1), (2, 2), (3, 1))
-        for n in range(2, 21)
-    )
+    ok = _all_pass([("log-concavity", 20, {})])
     _report(7, "rows are strictly log-concave and unimodal", ok)
 
 

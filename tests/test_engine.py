@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from dowling import classic, families, rnumbers, unified, whitney
 from dowling.basis import connection_matrix, factorial_basis
-from dowling.triangles import recurrence_row, recurrence_rows, recurrence_triangle
+from dowling.exactmath import IntegralityError
+from dowling.triangles import Triangle, recurrence_row, recurrence_rows, recurrence_triangle
 from dowling.unified import HSParams
 
 F = Fraction
@@ -147,3 +148,13 @@ def test_property_hs_engine_vs_solve(alpha, beta, gamma, n):
     assert engine.s2.rows == solved.s2.rows
     assert unified.hs_lah_matrix(n, params).rows == unified.hs_lah_matrix_by_solve(n, params).rows
     assert unified.hs_bell(n, params) == unified.hs_bell_explicit(n, params)
+
+
+def test_triangle_refuses_non_integral_entries():
+    with pytest.raises(IntegralityError):
+        Triangle("x", {}, 0, ((F(1, 2),),))
+    with pytest.raises(TypeError):
+        Triangle("x", {}, 1, ((1,), (2.7, 1)))
+    with pytest.raises(TypeError):
+        Triangle("x", {}, 0, (("1",),))
+    assert Triangle("x", {}, 1, ((1,), (F(4, 2), 1))).rows == ((1,), (2, 1))

@@ -1,0 +1,114 @@
+"""The identity registry: every table and sequence check can fail, and
+`verify` takes only the parameters an identity declares."""
+
+import json
+from dataclasses import replace
+
+from dowling import families
+from dowling.cli import main
+from dowling.identities import REGISTRY, Sequences, Tables
+
+
+def run(capsys, *argv):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def _default_point(ident):
+    if ident.grid:
+        return dict(ident.grid[0])
+    params = {key: value for key, value in ident.defaults.items() if key != "nmax"}
+    return {**params, **ident.fixed}
+
+
+def _reference_source(ident, monkeypatch):
+    """The (family-table entry point, family) the reference is built from."""
+    seen = set()
+    with monkeypatch.context() as patch:
+        for entry in ("triangle", "row_sum"):
+            real = getattr(families, entry)
+
+            def spy(name, *args, entry=entry, real=real):
+                seen.add((entry, name))
+                return real(name, *args)
+
+            patch.setattr(families, entry, spy)
+        ident.check.reference(ident.defaults["nmax"], **_default_point(ident))
+    (source,) = seen
+    return source
+
+
+def test_every_table_and_sequence_check_can_fail(capsys, monkeypatch):
+    """Perturb the production family behind each reference at one entry,
+    wherever it is built, and the check must fail there.  A route that
+    reads the same production family instead of computing the entry its own
+    way would be perturbed alike and pass, so this also catches a route
+    compared with itself."""
+    names = [name for name, ident in REGISTRY.items() if isinstance(ident.check, (Tables, Sequences))]
+    assert len(names) == 16
+    for name in names:
+        ident = REGISTRY[name]
+        entry, family = _reference_source(ident, monkeypatch)
+        n0 = ident.defaults["nmax"]
+        k0 = 1 if isinstance(ident.check, Tables) else None
+        real = getattr(families, entry)
+
+        def triangle(name, params, nmax):
+            table = real(name, params, nmax)
+            if name != family or nmax < n0:
+                return table
+            rows = [list(row) for row in table.rows]
+            rows[n0][k0] += 1
+            return replace(table, rows=rows)
+
+        def row_sum(name, params, n):
+            value = real(name, params, n)
+            return value + 1 if name == family and n == n0 else value
+
+        with monkeypatch.context() as patch:
+            patch.setattr(families, entry, triangle if entry == "triangle" else row_sum)
+            code, out, _ = run(capsys, "verify", "--identity", name)
+        failures = json.loads(out)["failures"]
+        assert code == 1, name
+        assert any(f["n"] == n0 and f["k"] == k0 for f in failures), name
+
+
+def test_unused_parameter_exits_2(capsys):
+    code, _, err = run(capsys, "verify", "--identity", "lef", "--m", "5")
+    assert code == 2 and "does not take --m" in err
+
+
+def test_partial_parameter_group_exits_2(capsys):
+    code, _, err = run(capsys, "verify", "--identity", "log-concavity", "--m", "2")
+    assert code == 2 and "--m, --r together" in err
+    code, _, err = run(capsys, "verify", "--identity", "ugexp", "--alpha", "1", "--nmax", "3")
+    assert code == 2 and "--alpha, --beta, --gamma together" in err
+
+
+def test_whole_parameter_group_replaces_the_grid(capsys):
+    code, out, _ = run(
+        capsys, "verify", "--identity", "ugexp", "--alpha", "1", "--beta", "0", "--gamma", "0", "--nmax", "3"
+    )
+    assert code == 0
+    assert json.loads(out)["params"] == {"alpha": "1", "beta": "0", "gamma": "0"}
+    code, out, _ = run(capsys, "verify", "--identity", "log-concavity", "--m", "2", "--r", "1", "--nmax", "6")
+    assert code == 0 and json.loads(out)["params"] == {"m": "2", "r": "1"}
+
+
+def test_negative_nmax_exits_2(capsys):
+    code, _, err = run(capsys, "verify", "--identity", "qi", "--nmax", "-1")
+    assert code == 2 and "nonnegative" in err
+
+
+def test_all_gives_each_identity_only_its_parameters(capsys):
+    code, out, _ = run(capsys, "verify", "--identity", "all", "--r", "3", "--nmax", "3")
+    assert code == 0
+    params = {report["identity"]: report["params"] for report in json.loads(out)["identities"]}
+    assert params["lef"] == {}
+    assert params["lah1"] == {"r": "3"}
+    assert params["rw-ortho"] == {"m": "2", "r": "3"}
+    assert params["weighted-egf"] == {"r": "3", "order": "12"}
+    assert params["log-concavity"] == {}  # its group (m, r) was not given whole
+    code, _, err = run(capsys, "verify", "--identity", "all", "--beta", "1")
+    assert code == 2 and "no identity takes --beta" in err

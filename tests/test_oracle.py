@@ -49,3 +49,19 @@ def test_spec_validation():
         PartitionSpec(3, 1, 4)
     with pytest.raises(ValueError):
         PartitionSpec(-1, 0)
+
+
+def test_r_families_past_the_verify_clamp():
+    # `verify --identity oracle` stops the r-families at row 9 and leaves out
+    # r = 0; these are the rows the guard still allows beyond that.
+    from dowling.rnumbers import r_bell, r_lah, r_stirling2
+
+    for r, top in ((0, 11), (1, 10)):
+        rs2, rl = r_stirling2(top, r), r_lah(top, r)
+        for n in range(10 if r else 0, top + 1):
+            for k in range(n + 1):
+                assert rs2.value(n, k) == count_partitions(PartitionSpec(n + r, k + r, r))
+                assert rl.value(n, k) == count_partitions(
+                    PartitionSpec(n + r, k + r, r, ordered_blocks=True)
+                )
+            assert r_bell(n, r) == count_all_partitions(n + r, r)

@@ -56,10 +56,14 @@ def test_hs_orthogonality():
     assert verify_hs_orthogonality(hs_pair(0, HSParams(3, 7, 1)))
     assert verify_hs_orthogonality(hs_pair(8, HSParams(0, 1, 2)))
     assert verify_hs_orthogonality(hs_pair(6, HSParams(F(1, 2), F(1, 3), 2)))
+    assert verify_hs_orthogonality(hs_pair(8, HSParams(2, 3, 1)))
+    assert verify_hs_orthogonality(hs_pair(8, HSParams(F(1, 2), F(1, 3), 2)))
 
 
 def test_hs_inverse_relation_roundtrip():
-    for params in (HSParams(0, 1, 2), HSParams(F(1, 2), F(1, 3), 2), HSParams(2, 3, F(-1, 2))):
+    for params in (
+        HSParams(0, 1, 2), HSParams(0, 2, 2), HSParams(F(1, 2), F(1, 3), 2), HSParams(2, 3, F(-1, 2))
+    ):
         pair = hs_pair(9, params)
         for seed in range(5):
             rng = random.Random(seed)
