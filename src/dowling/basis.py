@@ -10,11 +10,11 @@ code path serves Stirling, Whitney, Lah and all their relatives.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactmath import DegenerateBasisError, Poly, as_integer
-from .triangles import Triangle, product, transform
+from .exactmath import DegenerateBasisError, Poly
+from .triangles import Triangle
 
 
 @dataclass(frozen=True)
@@ -72,79 +72,24 @@ def power_basis(base: Poly, nmax: int) -> PolyBasis:
     return PolyBasis(tuple(elems))
 
 
-@dataclass(frozen=True)
-class CoeffMatrix:
-    """Lower-triangular matrix of exact rationals; row n holds entries (n, 0..n)."""
-
-    rows: tuple
-    family: str = ""
-    params: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        rows = tuple(
-            tuple(v if isinstance(v, Fraction) else Fraction(v) for v in row) for row in self.rows
-        )
-        object.__setattr__(self, "rows", rows)
-        for n, row in enumerate(rows):
-            if len(row) != n + 1:
-                raise ValueError(f"row {n} has {len(row)} entries, expected {n + 1}")
-
-    @property
-    def nmax(self) -> int:
-        return len(self.rows) - 1
-
-    @property
-    def size(self) -> int:
-        return len(self.rows)
-
-    @classmethod
-    def from_triangle(cls, tri: Triangle) -> "CoeffMatrix":
-        return cls(tri.rows, tri.family, dict(tri.params))
-
-    def entry(self, n: int, k: int) -> Fraction:
-        if n < 0 or k < 0 or k > n:
-            return Fraction(0)
-        return self.rows[n][k]
-
-    def mul(self, other: "CoeffMatrix") -> "CoeffMatrix":
-        """Triangular matrix product: out(n,m) = sum_j self(n,j) * other(j,m)."""
-        if self.size != other.size:
-            raise ValueError("matrix sizes differ")
-        return CoeffMatrix(product(self.rows, other.rows))
-
-    def is_identity(self) -> bool:
-        for n, row in enumerate(self.rows):
-            for k, v in enumerate(row):
-                if v != (1 if n == k else 0):
-                    return False
-        return True
-
-    def transform(self, seq) -> list:
-        """Apply as a lower-triangular matrix to a (short enough) sequence."""
-        return transform(self, seq)
-
-    def int_rows(self) -> tuple:
-        """Rows as plain ints; raises IntegralityError on any denominator."""
-        return tuple(tuple(as_integer(v) for v in row) for row in self.rows)
-
-    def to_triangle(self, family: str, params: dict | None = None) -> Triangle:
-        """Convert to an integer Triangle, asserting every entry is integral."""
-        return Triangle(family, dict(params or {}), self.nmax, self.int_rows())
+# Solves and expansions return the package's one table class.  The name
+# stays bound because the per-layer tracer in `perfbench` looks it up.
+CoeffMatrix = Triangle
 
 
-def identity_matrix(nmax: int) -> CoeffMatrix:
-    return CoeffMatrix(tuple(tuple(1 if k == n else 0 for k in range(n + 1)) for n in range(nmax + 1)))
+def identity_matrix(nmax: int) -> Triangle:
+    return Triangle(tuple(tuple(int(k == n) for k in range(n + 1)) for n in range(nmax + 1)))
 
 
-def expand_in_monomials(basis: PolyBasis) -> CoeffMatrix:
+def expand_in_monomials(basis: PolyBasis) -> Triangle:
     """Row n = monomial coefficients of basis element n (constant term first)."""
     rows = []
     for n, p in enumerate(basis.elements):
         rows.append(tuple(p.coefficient(i) for i in range(n + 1)))
-    return CoeffMatrix(tuple(rows))
+    return Triangle(tuple(rows))
 
 
-def connection_matrix(source: PolyBasis, target: PolyBasis) -> CoeffMatrix:
+def connection_matrix(source: PolyBasis, target: PolyBasis) -> Triangle:
     """Matrix M with source[n] = sum_{j<=n} M(n,j) * target[j].
 
     Solved by back-substitution on monomial coefficients: the leading
@@ -167,18 +112,16 @@ def connection_matrix(source: PolyBasis, target: PolyBasis) -> CoeffMatrix:
                 for i in range(j + 1):
                     residual[i] -= c * tj[i]
         rows.append(tuple(row))
-    return CoeffMatrix(tuple(rows))
+    return Triangle(tuple(rows))
 
 
-def verify_tauber_product(ck: CoeffMatrix, dh: CoeffMatrix, l: CoeffMatrix) -> bool:
+def verify_tauber_product(ck: Triangle, dh: Triangle, l: Triangle) -> bool:
     """True iff l equals the triangular product ck * dh."""
-    if not (ck.size == dh.size == l.size):
+    if not (ck.nmax == dh.nmax == l.nmax):
         raise ValueError("matrix sizes differ")
     return ck.mul(dh).rows == l.rows
 
 
-def verify_orthogonality(c: CoeffMatrix, d: CoeffMatrix) -> bool:
+def verify_orthogonality(c: Triangle, d: Triangle) -> bool:
     """True iff c and d are mutually inverse (both products are the identity)."""
-    if c.size != d.size:
-        raise ValueError("matrix sizes differ")
     return c.mul(d).is_identity() and d.mul(c).is_identity()

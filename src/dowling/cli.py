@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import classic, families, rnumbers, whitney
-from .basis import CoeffMatrix
 from .exactmath import interpolate
 from .families import FAMILIES
 from .triangles import Triangle
@@ -112,7 +111,7 @@ def unlimited_int_digits():
 
 
 def _value_rows(table) -> list:
-    """Rows of decimal strings for either a Triangle or a CoeffMatrix."""
+    """Rows of decimal strings; rationals read "p/q"."""
     return [[str(v) for v in row] for row in table.rows]
 
 
@@ -145,24 +144,23 @@ def triangle_json(table, family: str, params: dict) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
-def triangle_from_json(text: str):
-    """Read back what `triangle_json` wrote: a `Triangle`, or a `CoeffMatrix`
-    of exact rationals for a rational family."""
+def triangle_from_json(text: str) -> Triangle:
+    """Read back what `triangle_json` wrote; entries of a rational family are
+    read as exact rationals, those of any other family as integers."""
     obj = json.loads(text)
     family = FAMILIES.get(obj["family"])
-    rational = family is not None and family.rational
+    parse = Fraction if family is not None and family.rational else int
     with unlimited_int_digits():
-        rows = tuple(tuple(map(Fraction if rational else int, row)) for row in obj["rows"])
+        rows = tuple(tuple(map(parse, row)) for row in obj["rows"])
         params = {key: Fraction(value) for key, value in obj["params"].items()}
     params = {
         key: value.numerator if value.denominator == 1 else value
         for key, value in params.items()
     }
-    if not rational:
-        return Triangle(obj["family"], params, obj["nmax"], rows)
-    if len(rows) != obj["nmax"] + 1:
+    table = Triangle(rows, obj["family"], params)
+    if table.nmax != obj["nmax"]:
         raise ValueError(f"expected {obj['nmax'] + 1} rows, got {len(rows)}")
-    return CoeffMatrix(rows, obj["family"], params)
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -352,21 +350,15 @@ def cmd_paper_tables(cfg: JobConfig) -> int:
 
 
 def cmd_bench(cfg: JobConfig) -> int:
-    family = FAMILIES.get(cfg.family)
-    if family is None:
+    if cfg.family not in FAMILIES:
         raise UsageError(f"unknown family {cfg.family!r}")
     start = time.perf_counter()
     table = families.triangle(cfg.family, cfg.params, cfg.nmax)
     elapsed = time.perf_counter() - start
     entries = sum(len(row) for row in table.rows)
-    if family.rational:
-        peak = max(
-            max(v.numerator.bit_length(), v.denominator.bit_length())
-            for row in table.rows
-            for v in row
-        )
-    else:
-        peak = max(abs(v).bit_length() for row in table.rows for v in row)
+    peak = max(
+        max(v.numerator.bit_length(), v.denominator.bit_length()) for row in table.rows for v in row
+    )
     print(f"family        {cfg.family}")
     print(f"nmax          {cfg.nmax}")
     print(f"entries       {entries}")
@@ -424,16 +416,15 @@ def _config_from_args(args) -> JobConfig:
     cfg.with_oracle = getattr(args, "with_oracle", False)
     cfg.family = getattr(args, "family", "") or ""
     cfg.identity = getattr(args, "identity", "") or ""
-    if cfg.command in ("triangle", "bench"):
-        family = FAMILIES.get(cfg.family)
-        if family is not None:
-            cfg.params = _collect_params(family.needs, args)
-    elif cfg.command == "sum":
-        if cfg.family in SUMS:
-            cfg.params = _collect_params(_sum_needs(cfg.family), args)
-    elif cfg.command == "verify":
-        given = [name for name in _PARAMS if getattr(args, name, None) is not None]
+    given = [name for name in _PARAMS if getattr(args, name, None) is not None]
+    if cfg.command == "verify":
         cfg.params = _collect_params(given, args)
+    elif cfg.family in (SUMS if cfg.command == "sum" else FAMILIES):
+        needs = _sum_needs(cfg.family) if cfg.command == "sum" else FAMILIES[cfg.family].needs
+        extra = [name for name in given if name not in needs]
+        if extra:
+            raise UsageError(f"family {cfg.family!r} does not take --{extra[0]}")
+        cfg.params = _collect_params(needs, args)
     if cfg.nmax is None and cfg.command in ("triangle", "sum", "bench"):
         raise UsageError("--nmax is required")
     if cfg.nmax is not None and cfg.nmax < 0:

@@ -25,46 +25,35 @@ from collections import namedtuple
 from fractions import Fraction
 
 from . import triangles
-from .basis import CoeffMatrix
 from .exactmath import IntegralityError, as_integer
+from .triangles import Triangle
 
 # ---------------------------------------------------------------------------
 # parameter validation
 
 
-def _int_param(value, name: str) -> int:
-    if isinstance(value, Fraction):
-        value = as_integer(value)
+# Integer parameters: the bound each must satisfy and what the bound says.
+# alpha is a factorial step, so it may not be zero.
+_BOUNDS = {
+    "alpha": (lambda v: v != 0, "a nonzero integer"),
+    "m": (lambda v: v >= 1, "a positive integer"),
+    "r": (lambda v: v >= 0, "a nonnegative integer"),
+}
+
+
+def check_param(name: str, value) -> int:
+    """An integer parameter (`alpha`, `m` or `r`) as an int within its bound.
+    A value that is not an integer raises IntegralityError, one outside the
+    bound ValueError."""
+    holds, kind = _BOUNDS[name]
+    if isinstance(value, Fraction) and value.denominator == 1:
+        value = value.numerator
     if not isinstance(value, int):
-        raise IntegralityError(f"{name} must be an integer, got {value!r}")
+        raise IntegralityError(f"{name} must be {kind}, got {value}")
+    if not holds(value):
+        raise ValueError(f"{name} must be {kind}, got {value}")
     return value
 
-
-def check_alpha(alpha) -> int:
-    """Whitney step: a nonzero integer."""
-    alpha = _int_param(alpha, "alpha")
-    if alpha == 0:
-        raise ValueError("alpha must be nonzero (it is a factorial step)")
-    return alpha
-
-
-def check_r(r) -> int:
-    """Number of distinguished elements: a nonnegative integer."""
-    r = as_integer(Fraction(r)) if isinstance(r, Fraction) else r
-    if not isinstance(r, int) or r < 0:
-        raise ValueError(f"r must be a nonnegative integer, got {r!r}")
-    return r
-
-
-def check_m(m) -> int:
-    """r-Whitney step: a positive integer."""
-    m = as_integer(Fraction(m)) if isinstance(m, Fraction) else m
-    if not isinstance(m, int) or m < 1:
-        raise ValueError(f"m must be a positive integer, got {m!r}")
-    return m
-
-
-_CHECKS = {"alpha": check_alpha, "m": check_m, "r": check_r}
 
 # ---------------------------------------------------------------------------
 # the table
@@ -72,7 +61,7 @@ _CHECKS = {"alpha": check_alpha, "m": check_m, "r": check_r}
 
 # Parameter names (in validation order), the engine weights (d, a, b, c) as a
 # function of the validated parameters, and whether parameters may be
-# rational.  Integer families validate each parameter with its checker above;
+# rational.  Integer families validate each parameter with `check_param`;
 # the entries of a rational family are exact rationals, read off the scaled
 # integer recurrence.  `weights` is None for the product family `hs-lah`.
 # (A named tuple rather than a dataclass: it is cheaper to create at import,
@@ -134,7 +123,7 @@ def _validate(name: str, params: dict) -> dict:
     family = FAMILIES[name]
     if family.rational:
         return {key: Fraction(params[key]) for key in family.needs}
-    return {key: _CHECKS[key](params[key]) for key in family.needs}
+    return {key: check_param(key, params[key]) for key in family.needs}
 
 
 def _denominator(values) -> int:
@@ -175,16 +164,16 @@ def integer_rows(name: str, params: dict, nmax: int):
     return triangles.recurrence_rows(nmax, *weights)
 
 
-def triangle(name: str, params: dict, nmax: int):
-    """Rows 0..nmax of a family: a `Triangle` of ints, or a `CoeffMatrix` of
-    exact rationals for a rational family."""
+def triangle(name: str, params: dict, nmax: int) -> Triangle:
+    """Rows 0..nmax of a family: ints, or exact rationals for a rational
+    family whose weights have denominators."""
     if name == "hs-lah":
         return _hs_lah(params, nmax)
     params, scale, weights = _engine(name, params)
     built = triangles.recurrence_triangle(name, params, nmax, *weights)
-    if not FAMILIES[name].rational:
+    if scale == 1:
         return built
-    return CoeffMatrix(read_off(built.rows, scale), name, params)
+    return Triangle(read_off(built.rows, scale), name, params)
 
 
 def row_sum(name: str, params: dict, n: int):
@@ -224,8 +213,8 @@ def hs_scaled_pair(params: dict, nmax: int) -> tuple:
     return scale, u1, u2
 
 
-def _hs_lah(params: dict, nmax: int) -> CoeffMatrix:
+def _hs_lah(params: dict, nmax: int) -> Triangle:
     """L(n,j) = sum_k (-1)^k s2(n,k) s1(k,j) = [sum_k (-1)^k U2(n,k) U1(k,j)] / D^(n-j)."""
     params = _validate("hs-lah", params)
     scale, u1, u2 = hs_scaled_pair(params, nmax)
-    return CoeffMatrix(read_off(triangles.product(u2, u1, signed=True), scale), "hs-lah", params)
+    return Triangle(read_off(triangles.product(u2, u1, signed=True), scale), "hs-lah", params)

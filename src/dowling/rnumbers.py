@@ -19,7 +19,7 @@ from .exactmath import (
     exp_series,
     generalized_rising,
 )
-from .families import check_m, check_r
+from .families import check_param
 from .triangles import Triangle, checkerboard, horizontal_rows, product, transform, vertical_rows
 
 
@@ -38,7 +38,7 @@ def r_stirling1(nmax: int, r) -> Triangle:
 def weighted_stirling_egf_check(nmax: int, r, order: int) -> bool:
     """True iff n! [t^n] (e^t - 1)^k / k! * e^(rt) matches the r-Stirling
     second-kind entries for all k <= nmax and n <= nmax."""
-    r = check_r(r)
+    r = check_param("r", r)
     if order < nmax:
         raise ValueError("order must be at least nmax")
     tri = r_stirling2(nmax, r)
@@ -65,7 +65,7 @@ def r_lah_from_stirlings_rows(nmax: int, r) -> tuple:
 
 def r_lah_from_stirlings(n: int, k: int, r) -> int:
     """Entry (n, k) of `r_lah_from_stirlings_rows`."""
-    r = check_r(r)
+    r = check_param("r", r)
     return r_lah_from_stirlings_rows(n, r)[n][k] if 0 <= k <= n else 0
 
 
@@ -77,7 +77,7 @@ def r_inverse_pair(nmax: int, r) -> tuple:
 
 def verify_r_inverse(a, r) -> bool:
     """Round-trip check of the r-Stirling inverse pair."""
-    r = check_r(r)
+    r = check_param("r", r)
     a = list(a)
     if not a:
         return True
@@ -93,7 +93,7 @@ def r_bell(n: int, r) -> int:
 def r_bell_explicit_sequence(nmax: int, r) -> list:
     """r-Bell numbers B(0..nmax) through the alternating r-Lah sum
     B(n) = sum_k (-1)^(n-k) S(n,k) [sum_j L(k,j)], from one triangle of each."""
-    r = check_r(r)
+    r = check_param("r", r)
     sums = [-sum(row) if k % 2 else sum(row) for k, row in enumerate(r_lah(nmax, r).rows)]
     return [-v if n % 2 else v for n, v in enumerate(transform(r_stirling2(nmax, r), sums))]
 
@@ -127,8 +127,8 @@ def r_whitney_second_recurrence(nmax: int, m, r) -> Triangle:
 def r_whitney_second_by_solve(nmax: int, m, r) -> Triangle:
     """Verification route from the defining relation
     (mx+r)^n = sum_k m^k W(n,k) x(x-1)...(x-k+1), solved exactly."""
-    m = check_m(m)
-    r = check_r(r)
+    m = check_param("m", m)
+    r = check_param("r", r)
     source = basis.power_basis(Poly((r, m)), nmax)
     mat = basis.connection_matrix(source, _scaled_falling_basis(m, nmax))
     return mat.to_triangle("r-whitney2", {"m": m, "r": r})
@@ -143,8 +143,8 @@ def r_whitney_first(nmax: int, m, r) -> Triangle:
 def r_whitney_first_by_solve(nmax: int, m, r) -> Triangle:
     """Verification route: expand m^n x(x-1)...(x-n+1) in powers of (mx+r)
     and peel off the (-1)^(n-k) sign."""
-    m = check_m(m)
-    r = check_r(r)
+    m = check_param("m", m)
+    r = check_param("r", r)
     mat = basis.connection_matrix(
         _scaled_falling_basis(m, nmax), basis.power_basis(Poly((r, m)), nmax)
     )
@@ -160,8 +160,8 @@ def r_whitney_lah(nmax: int, m, r) -> Triangle:
 def r_whitney_lah_explicit(n: int, k: int, m, r) -> int:
     """Closed form C(n,k) * [2r|m]_n / [2r|m]_k; the quotient must divide
     exactly, anything else signals a bug."""
-    m = check_m(m)
-    r = check_r(r)
+    m = check_param("m", m)
+    r = check_param("r", r)
     if k < 0 or k > n:
         return 0
     denominator = generalized_rising(2 * r, m, k)
@@ -193,8 +193,8 @@ def r_whitney_lah_vertical_rows(nmax: int, m, r) -> tuple:
     0..nmax-1; it holds for k >= 1 (plus the trivial corner), so column 0 of
     the result is not L(n,0):
     L(n,k) = sum_{j=k-1}^{n-1} (2r + (n+k-1)m | m)_{n-1-j} L(j, k-1)."""
-    m = check_m(m)
-    r = check_r(r)
+    m = check_param("m", m)
+    r = check_param("r", r)
     return vertical_rows(r_whitney_lah(max(nmax - 1, 0), m, r), nmax, 2 * r, m, 1)
 
 
@@ -208,8 +208,8 @@ def r_whitney_lah_vertical(n: int, k: int, m, r) -> int:
 def r_whitney_lah_horizontal_rows(nmax: int, m, r) -> tuple:
     """Row-wise route from the row below, all from one triangle of rows
     0..nmax+1: L(n,k) = sum_i (-1)^i [2r + (n+k+1)m | m]_i L(n+1, k+i+1)."""
-    m = check_m(m)
-    r = check_r(r)
+    m = check_param("m", m)
+    r = check_param("r", r)
     return horizontal_rows(r_whitney_lah(nmax + 1, m, r), nmax, 2 * r, m, 1)
 
 

@@ -1,7 +1,7 @@
-"""Lower-triangular integer tables shared by every number family, the one
-recurrence engine that builds them, and the whole-table algorithms (matrix
-product, transform, row and column expansions) the verification routes run
-over one prebuilt table."""
+"""The exact lower-triangular table every number family is stored in, the
+one recurrence engine that builds integer tables, and the whole-table
+algorithms (matrix product, transform, row and column expansions) the
+verification routes run over one prebuilt table."""
 
 from __future__ import annotations
 
@@ -12,32 +12,39 @@ from itertools import chain, count
 
 from .exactmath import as_integer
 
+_EXACT = {int, Fraction}
+
 
 @dataclass(frozen=True)
 class Triangle:
-    """Immutable table of integers indexed (n, k) with 0 <= k <= n <= nmax.
+    """Immutable lower-triangular table of exact entries (ints or Fractions,
+    stored as given) indexed (n, k) with 0 <= k <= n <= nmax: the connection
+    coefficients between two graded bases, optionally named by the family
+    and parameters they belong to.
 
     Entries outside that range read as zero; rows beyond nmax are an error
     because the table simply does not know them.
     """
 
-    family: str
+    rows: tuple
+    family: str = ""
     params: dict = field(default_factory=dict)
-    nmax: int = 0
-    rows: tuple = ((1,),)
 
     def __post_init__(self):
         rows = tuple(map(tuple, self.rows))
-        if not set(map(type, chain.from_iterable(rows))) <= {int}:
-            rows = tuple(tuple(map(_integer_entry, row)) for row in rows)
         object.__setattr__(self, "rows", rows)
-        if len(rows) != self.nmax + 1:
-            raise ValueError(f"expected {self.nmax + 1} rows, got {len(rows)}")
+        if not set(map(type, chain.from_iterable(rows))) <= _EXACT:
+            bad = next(v for v in chain.from_iterable(rows) if type(v) not in _EXACT)
+            raise TypeError(f"triangle entries must be ints or Fractions, got {bad!r}")
         for n, row in enumerate(rows):
             if len(row) != n + 1:
                 raise ValueError(f"row {n} has {len(row)} entries, expected {n + 1}")
 
-    def value(self, n: int, k: int) -> int:
+    @property
+    def nmax(self) -> int:
+        return len(self.rows) - 1
+
+    def value(self, n: int, k: int):
         if n < 0 or k < 0 or k > n:
             return 0
         if n > self.nmax:
@@ -47,18 +54,27 @@ class Triangle:
     def row(self, n: int) -> tuple:
         return self.rows[n]
 
-    def row_sum(self, n: int) -> int:
+    def row_sum(self, n: int):
         return sum(self.rows[n])
 
+    def mul(self, other: "Triangle") -> "Triangle":
+        """Triangular matrix product: out(n,m) = sum_j self(n,j) * other(j,m)."""
+        if self.nmax != other.nmax:
+            raise ValueError("matrix sizes differ")
+        return Triangle(product(self.rows, other.rows))
 
-def _integer_entry(value) -> int:
-    """An int entry as is, an integral Fraction as its int; anything else is
-    refused rather than truncated."""
-    if type(value) is int:
-        return value
-    if isinstance(value, Fraction):
-        return as_integer(value)
-    raise TypeError(f"triangle entries must be integers, got {value!r}")
+    def is_identity(self) -> bool:
+        return all(v == (n == k) for n, row in enumerate(self.rows) for k, v in enumerate(row))
+
+    def transform(self, seq) -> list:
+        """Apply as a lower-triangular matrix to a (short enough) sequence."""
+        return transform(self, seq)
+
+    def to_triangle(self, family: str, params: dict | None = None) -> "Triangle":
+        """The same entries as ints under a family name; raises
+        IntegralityError on any denominator."""
+        rows = tuple(tuple(map(as_integer, row)) for row in self.rows)
+        return Triangle(rows, family, dict(params or {}))
 
 
 def recurrence_rows(nmax: int, d: int, a: int, b: int, c: int):
@@ -93,7 +109,7 @@ def recurrence_triangle(
     family: str, params: dict, nmax: int, d: int, a: int, b: int, c: int
 ) -> Triangle:
     """The whole triangle of `recurrence_rows` up to row nmax."""
-    return Triangle(family, params, nmax, tuple(recurrence_rows(nmax, d, a, b, c)))
+    return Triangle(tuple(recurrence_rows(nmax, d, a, b, c)), family, params)
 
 
 def recurrence_row(n: int, d: int, a: int, b: int, c: int) -> tuple:
@@ -106,8 +122,8 @@ def recurrence_row(n: int, d: int, a: int, b: int, c: int) -> tuple:
 
 
 def transform(table, seq) -> list:
-    """Apply a lower-triangular table (a `Triangle` or a `CoeffMatrix`) as a
-    matrix to a sequence no longer than the table."""
+    """Apply a lower-triangular table as a matrix to a sequence no longer
+    than the table."""
     seq = list(seq)
     rows = table.rows
     if len(seq) > len(rows):
@@ -129,8 +145,7 @@ def product(first, second, signed: bool = False) -> tuple:
 
 
 def checkerboard(table):
-    """The same kind of table (a `Triangle` or a `CoeffMatrix`) with entries
-    (-1)^(n-k) T(n,k)."""
+    """The same table with entries (-1)^(n-k) T(n,k)."""
     rows = tuple(
         tuple(-v if (n - k) % 2 else v for k, v in enumerate(row))
         for n, row in enumerate(table.rows)

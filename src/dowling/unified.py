@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import basis, families, rnumbers, whitney
-from .basis import CoeffMatrix, connection_matrix, factorial_basis
-from .triangles import product, transform
+from .basis import connection_matrix, factorial_basis
+from .triangles import Triangle, product, transform
 
 
 @dataclass(frozen=True)
@@ -44,8 +44,8 @@ class HSParams:
 class HSPair:
     """The mutually inverse matrices s1 and s2 for one parameter triple."""
 
-    s1: CoeffMatrix
-    s2: CoeffMatrix
+    s1: Triangle
+    s2: Triangle
     params: HSParams
     nmax: int
 
@@ -63,8 +63,8 @@ def hs_pair(nmax: int, params) -> HSPair:
     is the defining invariant of the pair."""
     p = _coerce_params(params)
     scale, u1, u2 = families.hs_scaled_pair(p.as_dict(), nmax)
-    s1 = CoeffMatrix(families.read_off(u1, scale))
-    s2 = CoeffMatrix(families.read_off(u2, scale))
+    s1 = Triangle(families.read_off(u1, scale))
+    s2 = Triangle(families.read_off(u2, scale))
     return HSPair(s1, s2, p, nmax)
 
 
@@ -92,18 +92,18 @@ def verify_hs_orthogonality(pair: HSPair) -> bool:
     return basis.verify_orthogonality(pair.s1, pair.s2)
 
 
-def hs_lah_matrix(nmax: int, params) -> CoeffMatrix:
+def hs_lah_matrix(nmax: int, params) -> Triangle:
     """Lah-type matrix L(n,j) = sum_k (-1)^k s2(n,k) s1(k,j), as the product
     of the two scaled integer recurrences."""
     return families.triangle("hs-lah", _coerce_params(params).as_dict(), nmax)
 
 
-def _signed_product(pair: HSPair) -> CoeffMatrix:
+def _signed_product(pair: HSPair) -> Triangle:
     """L(n,j) = sum_k (-1)^k s2(n,k) s1(k,j) over one pair."""
-    return CoeffMatrix(product(pair.s2.rows, pair.s1.rows, signed=True))
+    return Triangle(product(pair.s2.rows, pair.s1.rows, signed=True))
 
 
-def hs_lah_matrix_by_solve(nmax: int, params) -> CoeffMatrix:
+def hs_lah_matrix_by_solve(nmax: int, params) -> Triangle:
     """Verification route: the same product over the solved pair."""
     return _signed_product(hs_pair_by_solve(nmax, params))
 
@@ -112,7 +112,7 @@ def hs_lah(n: int, j: int, params) -> Fraction:
     """Single Lah-type value; see hs_lah_matrix for the whole table."""
     if j < 0 or j > n:
         return Fraction(0)
-    return hs_lah_matrix(n, params).entry(n, j)
+    return hs_lah_matrix(n, params).value(n, j)
 
 
 def hs_bell(n: int, params) -> Fraction:
@@ -133,7 +133,7 @@ def hs_bell_explicit(n: int, params) -> Fraction:
     return hs_bell_explicit_sequence(n, params)[n]
 
 
-def cakic(nmax: int, alpha) -> CoeffMatrix:
+def cakic(nmax: int, alpha) -> Triangle:
     """Cakic numbers: coefficients of the step-alpha factorial of x in the
     plain falling-factorial basis, i.e. the s1 matrix at (alpha, 1, 0)."""
     return families.triangle("cakic", {"alpha": alpha}, nmax)
@@ -227,10 +227,10 @@ def verify_specializations(
     beta, (m, rr) = whitney_alpha, rw
 
     def s1(*params):
-        return hs_pair_by_solve(nmax, HSParams(*params)).s1.entry
+        return hs_pair_by_solve(nmax, HSParams(*params)).s1.value
 
     def lah(*params):
-        return _signed_product(hs_pair_by_solve(nmax, HSParams(*params))).entry
+        return _signed_product(hs_pair_by_solve(nmax, HSParams(*params))).value
 
     s_b01, s_10r, s_m0r = s1(beta, 0, -1), s1(1, 0, -r), s1(m, 0, -rr)
     defining = connection_matrix(
@@ -268,7 +268,7 @@ def verify_specializations(
         ("r-whitney-lah", {"m": m, "r": rr}, rnumbers.r_whitney_lah(nmax, m, rr).value, (
             ("L(n,k) = (-1)^n L(n,k; 0, m, r) as printed", _alternate(lah(0, m, rr))),
         )),
-        ("cakic", {"alpha": cakic_alpha}, defining.entry, (
+        ("cakic", {"alpha": cakic_alpha}, defining.value, (
             ("c(n,k) = S(n,k; +alpha, 1, 0); the printed reduction negates alpha", s1(cakic_alpha, 1, 0)),
             ("c(n,k) = S(n,k; -alpha, 1, 0) as printed", s1(-cakic_alpha, 1, 0)),
         )),

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from . import basis, classic, families
 from .exactmath import binomial
-from .families import check_alpha
+from .families import check_param
 from .triangles import Triangle, horizontal_rows, product, transform, vertical_rows
 
 
@@ -22,7 +22,7 @@ def whitney_first(nmax: int, alpha) -> Triangle:
 
 def whitney_first_by_expansion(nmax: int, alpha) -> Triangle:
     """Verification route: expand the step-alpha factorial in monomials."""
-    alpha = check_alpha(alpha)
+    alpha = check_param("alpha", alpha)
     mat = basis.expand_in_monomials(basis.factorial_basis(1, -1, alpha, nmax))
     return mat.to_triangle("whitney1", {"alpha": alpha})
 
@@ -36,7 +36,7 @@ def whitney_second(nmax: int, alpha) -> Triangle:
 def whitney_second_benoumhani_rows(nmax: int, alpha) -> tuple:
     """Second-kind Whitney rows as binomial sums over one Stirling triangle:
     W(n,k) = sum_i C(n,i) alpha^(i-k) S(i,k)."""
-    alpha = check_alpha(alpha)
+    alpha = check_param("alpha", alpha)
     s2 = classic.stirling2_triangle(nmax).rows
     return tuple(
         tuple(
@@ -49,7 +49,7 @@ def whitney_second_benoumhani_rows(nmax: int, alpha) -> tuple:
 
 def whitney_second_benoumhani(n: int, k: int, alpha) -> int:
     """Entry (n, k) of `whitney_second_benoumhani_rows`."""
-    alpha = check_alpha(alpha)
+    alpha = check_param("alpha", alpha)
     return whitney_second_benoumhani_rows(n, alpha)[n][k] if 0 <= k <= n else 0
 
 
@@ -68,7 +68,7 @@ def whitney_lah_vertical_rows(nmax: int, alpha) -> tuple:
     the zero entry L(k-1,k), and column 0 has no such stop because it is not
     identically zero here, so column 0 of the result is not L(n,0).
     """
-    alpha = check_alpha(alpha)
+    alpha = check_param("alpha", alpha)
     return vertical_rows(whitney_lah(max(nmax - 1, 0), alpha), nmax, 2, alpha, -1)
 
 
@@ -83,13 +83,13 @@ def whitney_lah_horizontal_rows(nmax: int, alpha) -> tuple:
     """Whitney-Lah rows 0..nmax recovered row-wise from the row below, all
     from one triangle of rows 0..nmax+1:
     L(n,k) = sum_i (-1)^(i+1) prod_{j<i}((n+k+1+j)*alpha + 2) L(n+1, k+i+1)."""
-    alpha = check_alpha(alpha)
+    alpha = check_param("alpha", alpha)
     return horizontal_rows(whitney_lah(nmax + 1, alpha), nmax, 2, alpha, -1)
 
 
 def whitney_lah_horizontal(n: int, k: int, alpha) -> int:
     """Entry (n, k) of `whitney_lah_horizontal_rows`."""
-    alpha = check_alpha(alpha)
+    alpha = check_param("alpha", alpha)
     return whitney_lah_horizontal_rows(n, alpha)[n][k] if 0 <= k <= n else 0
 
 
@@ -102,7 +102,7 @@ def whitney_lah_from_whitney_rows(nmax: int, alpha) -> tuple:
 
 def whitney_lah_from_whitney(n: int, j: int, alpha) -> int:
     """Entry (n, j) of `whitney_lah_from_whitney_rows`."""
-    alpha = check_alpha(alpha)
+    alpha = check_param("alpha", alpha)
     return whitney_lah_from_whitney_rows(n, alpha)[n][j] if 0 <= j <= n else 0
 
 
@@ -114,7 +114,7 @@ def whitney_lah_pair(nmax: int, alpha) -> tuple:
 
 def verify_whitney_lah_orthogonality(nmax: int, alpha) -> bool:
     """True iff the Whitney-Lah matrix is its own inverse up to nmax."""
-    first, second = map(basis.CoeffMatrix.from_triangle, whitney_lah_pair(nmax, alpha))
+    first, second = whitney_lah_pair(nmax, alpha)
     return first.mul(second).is_identity()
 
 

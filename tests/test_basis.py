@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dowling.basis import (
-    CoeffMatrix,
     PolyBasis,
     connection_matrix,
     expand_in_monomials,
@@ -17,6 +16,7 @@ from dowling.basis import (
     verify_tauber_product,
 )
 from dowling.exactmath import DegenerateBasisError, IntegralityError, Poly
+from dowling.triangles import Triangle
 
 F = Fraction
 
@@ -57,8 +57,8 @@ def test_connection_matrix_whitney_lah_corner():
     source = factorial_basis(-1, -1, 3, 4)  # (-x-1|3)_n
     target = factorial_basis(1, -1, 3, 4)  # (x-1|3)_n
     mat = connection_matrix(source, target)
-    assert mat.entry(1, 0) == -2
-    assert mat.entry(1, 1) == -1
+    assert mat.value(1, 0) == -2
+    assert mat.value(1, 1) == -1
 
 
 def test_connection_matrix_stirling_first_column():
@@ -67,7 +67,7 @@ def test_connection_matrix_stirling_first_column():
     for n in range(6):
         coeffs = brute_expand([(-i, 1) for i in range(n)])
         for k in range(n + 1):
-            assert mat.entry(n, k) == coeffs[k]
+            assert mat.value(n, k) == coeffs[k]
 
 
 def test_connection_reconstructs_source_polynomials():
@@ -77,7 +77,7 @@ def test_connection_reconstructs_source_polynomials():
     for n in range(7):
         rebuilt = Poly()
         for j in range(n + 1):
-            rebuilt = rebuilt + target.elements[j] * mat.entry(n, j)
+            rebuilt = rebuilt + target.elements[j] * mat.value(n, j)
         assert rebuilt == source.elements[n]
 
 
@@ -121,9 +121,9 @@ def test_tauber_whitney_instance():
     lah = whitney_lah(nmax, alpha)
     for n in range(nmax + 1):
         for k in range(n + 1):
-            assert c2.entry(n, k) == (-1) ** k * w.value(n, k)
-            assert d1.entry(n, k) == second.value(n, k)
-            assert l.entry(n, k) == lah.value(n, k)
+            assert c2.value(n, k) == (-1) ** k * w.value(n, k)
+            assert d1.value(n, k) == second.value(n, k)
+            assert l.value(n, k) == lah.value(n, k)
 
 
 def test_tauber_r_lah_instance():
@@ -138,21 +138,30 @@ def test_tauber_r_lah_instance():
     expected = r_lah(nmax, r)
     for n in range(nmax + 1):
         for k in range(n + 1):
-            assert l.entry(n, k) == (-1) ** n * expected.value(n, k)
+            assert l.value(n, k) == (-1) ** n * expected.value(n, k)
 
 
-def test_int_rows_raises_on_rationals():
-    mat = CoeffMatrix(((F(1),), (F(1, 2), F(1)),))
+def test_to_triangle_raises_on_rationals():
+    mat = Triangle(((F(1),), (F(1, 2), F(1)),))
     with pytest.raises(IntegralityError):
-        mat.int_rows()
+        mat.to_triangle("x")
+    whole = Triangle(((F(1),), (F(4, 2), 1)))
+    assert whole.to_triangle("x", {"r": 2}) == Triangle(((1,), (2, 1)), "x", {"r": 2})
+    assert set(map(type, whole.to_triangle("x").rows[1])) == {int}
 
 
 def test_matrix_transform_and_mul():
-    mat = CoeffMatrix(((1,), (2, 3)))
+    mat = Triangle(((1,), (2, 3)))
     assert mat.transform([1, 1]) == [1, 5]
     assert mat.mul(identity_matrix(1)).rows == mat.rows
     with pytest.raises(ValueError):
         mat.transform([1, 2, 3])
+    # Mixed int and Fraction rows: a matrix and its inverse.
+    half = Triangle(((1,), (F(1, 2), 2)))
+    inverse = Triangle(((F(1),), (F(-1, 4), F(1, 2))))
+    assert half.mul(inverse).is_identity() and inverse.mul(half).is_identity()
+    assert half.mul(half).rows == ((1,), (F(3, 2), 4))
+    assert not half.is_identity()
 
 
 @st.composite

@@ -1,6 +1,9 @@
 import json
 from fractions import Fraction
 
+import pytest
+
+from dowling import families
 from dowling.cli import (
     main,
     run_paper_tables,
@@ -69,6 +72,7 @@ def test_rational_triangle_json_roundtrip_is_byte_identical(capsys):
     mat = triangle_from_json(out)
     assert mat.rows == hs_pair(2, (Fraction(1, 2), Fraction(1, 3), 2)).s1.rows
     assert mat.rows[2][1] == Fraction(23, 6)
+    assert mat == families.triangle("hs1", mat.params, 2)
     assert triangle_json(mat, mat.family, mat.params) == out
 
 
@@ -159,6 +163,21 @@ def test_invalid_parameter_exits_2(capsys):
     assert code == 2
     code, _, err = run(capsys, "triangle", "--family", "whitney2", "--alpha", "0", "--nmax", "3")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    (
+        ("triangle", "--family", "stirling2", "--alpha", "3", "--nmax", "2"),
+        ("sum", "--family", "bell", "--m", "7", "--n", "3"),
+        ("bench", "--family", "lah", "--r", "5", "--nmax", "3"),
+    ),
+    ids=lambda argv: argv[0],
+)
+def test_parameter_the_family_does_not_take_exits_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert f"does not take {argv[3]}" in err
 
 
 def test_paper_tables_all_match(capsys):

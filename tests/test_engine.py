@@ -150,11 +150,15 @@ def test_property_hs_engine_vs_solve(alpha, beta, gamma, n):
     assert unified.hs_bell(n, params) == unified.hs_bell_explicit(n, params)
 
 
-def test_triangle_refuses_non_integral_entries():
+def test_triangle_keeps_exact_entries_and_refuses_others():
+    half = Triangle(((F(1, 2),),))
+    assert half.rows == ((F(1, 2),),) and type(half.value(0, 0)) is F
     with pytest.raises(IntegralityError):
-        Triangle("x", {}, 0, ((F(1, 2),),))
+        half.to_triangle("x")
     with pytest.raises(TypeError):
-        Triangle("x", {}, 1, ((1,), (2.7, 1)))
+        Triangle(((1,), (2.7, 1)))
     with pytest.raises(TypeError):
-        Triangle("x", {}, 0, (("1",),))
-    assert Triangle("x", {}, 1, ((1,), (F(4, 2), 1))).rows == ((1,), (2, 1))
+        Triangle((("1",),))
+    with pytest.raises(ValueError):
+        Triangle(((1,), (2,)))
+    assert Triangle(((1,), (F(4, 2), 1))).rows == ((1,), (2, 1))

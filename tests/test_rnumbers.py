@@ -1,9 +1,10 @@
 import random
+from fractions import Fraction
 
 import pytest
 
-from dowling.basis import CoeffMatrix
 from dowling.classic import bell, lah_signless, stirling2_triangle
+from dowling.exactmath import IntegralityError
 from dowling.oracle import PartitionSpec, count_all_partitions, count_partitions
 from dowling.rnumbers import (
     log_concavity_report,
@@ -27,6 +28,7 @@ from dowling.rnumbers import (
     verify_r_inverse,
     weighted_stirling_egf_check,
 )
+from dowling.triangles import Triangle
 
 R_STIRLING2_R2 = ((1,), (2, 1), (4, 5, 1), (8, 19, 9, 1), (16, 65, 55, 14, 1), (32, 211, 285, 125, 20, 1))
 R_LAH_R2 = (
@@ -150,8 +152,8 @@ def test_r_whitney_first_small():
 def test_r_whitney_orthogonality():
     for m, r in PARAM_GRID:
         w = r_whitney_first(8, m, r)
-        second = CoeffMatrix.from_triangle(r_whitney_second(8, m, r))
-        signed = CoeffMatrix(
+        second = r_whitney_second(8, m, r)
+        signed = Triangle(
             tuple(tuple((-1) ** (n - j) * w.value(n, j) for j in range(n + 1)) for n in range(9))
         )
         assert signed.mul(second).is_identity()
@@ -253,3 +255,8 @@ def test_parameter_validation():
         r_whitney_second(3, 0, 2)
     with pytest.raises(ValueError):
         r_lah(3, -1)
+    # A non-integer r or m is an integrality fault, as for alpha.
+    with pytest.raises(IntegralityError):
+        r_lah(3, 2.5)
+    with pytest.raises(IntegralityError):
+        r_whitney_second(3, Fraction(3, 2), 2)

@@ -33,15 +33,15 @@ def test_hs_pair_recovers_r_stirling2():
     tri = r_stirling2(5, 2)
     for n in range(6):
         for k in range(n + 1):
-            assert pair.s1.entry(n, k) == tri.value(n, k)
+            assert pair.s1.value(n, k) == tri.value(n, k)
 
 
 def test_hs_pair_diagonal_is_one():
     for params in PARAM_SETS:
         pair = hs_pair(6, params)
         for n in range(7):
-            assert pair.s1.entry(n, n) == 1
-            assert pair.s2.entry(n, n) == 1
+            assert pair.s1.value(n, n) == 1
+            assert pair.s2.value(n, n) == 1
 
 
 def test_hs_pair_recovers_stirling_first_kind():
@@ -49,7 +49,7 @@ def test_hs_pair_recovers_stirling_first_kind():
     s1 = stirling1_triangle(5)
     for n in range(6):
         for k in range(n + 1):
-            assert pair.s1.entry(n, k) == s1.value(n, k)
+            assert pair.s1.value(n, k) == s1.value(n, k)
 
 
 def test_hs_orthogonality():
@@ -82,7 +82,7 @@ def test_hs_lah_whitney_reduction():
     tri = whitney_lah(8, 3)
     for n in range(9):
         for k in range(n + 1):
-            assert lah.entry(n, k) == tri.value(n, k)
+            assert lah.value(n, k) == tri.value(n, k)
 
 
 def test_hs_lah_r_lah_reduction():
@@ -90,7 +90,7 @@ def test_hs_lah_r_lah_reduction():
     tri = r_lah(5, 2)
     for n in range(6):
         for k in range(n + 1):
-            assert (-1) ** n * lah.entry(n, k) == tri.value(n, k)
+            assert (-1) ** n * lah.value(n, k) == tri.value(n, k)
 
 
 def test_hs_lah_self_composition_where_self_inverse():
@@ -120,9 +120,9 @@ def test_cakic_unit_step_is_identity():
 def test_cakic_diagonal_and_bell_routes():
     mat = cakic(6, 2)
     for n in range(7):
-        assert mat.entry(n, n) == 1
+        assert mat.value(n, n) == 1
     for n in range(7):
-        row_sum = sum(mat.entry(n, k) for k in range(n + 1))
+        row_sum = sum(mat.value(n, k) for k in range(n + 1))
         assert cakic_bell(n, 2) == row_sum
         assert cakic_bell_explicit(n, 2) == row_sum
 
@@ -162,5 +162,5 @@ def test_degenerate_step_pair_still_works():
     # alpha = beta = 0 turns both sides into shifted monomial bases.
     pair = hs_pair(5, HSParams(0, 0, 1))
     assert verify_hs_orthogonality(pair)
-    binomial_row = [pair.s1.entry(4, k) for k in range(5)]
+    binomial_row = [pair.s1.value(4, k) for k in range(5)]
     assert binomial_row == [1, 4, 6, 4, 1]
