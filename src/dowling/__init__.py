@@ -16,11 +16,8 @@ from .classic import (
     bell,
     lah_egf_check,
     lah_explicit,
-    lah_from_stirlings,
-    lah_horizontal,
     lah_signed_triangle,
     lah_signless,
-    lah_vertical,
     partial_bell,
     qi_bell,
     stirling1_by_expansion,
@@ -34,12 +31,8 @@ from .exactmath import (
     Series,
     binomial,
     exp_series,
-    factorial_basis_poly,
-    falling_factorial,
-    generalized_falling,
     generalized_rising,
     interpolate,
-    rising_factorial,
 )
 from .oracle import PartitionSpec, count_all_partitions, count_partitions
 from .rnumbers import (
@@ -48,21 +41,16 @@ from .rnumbers import (
     r_dowling,
     r_dowling_explicit,
     r_lah,
-    r_lah_from_stirlings,
     r_stirling1,
     r_stirling2,
     r_whitney_first,
     r_whitney_first_by_solve,
     r_whitney_lah,
     r_whitney_lah_explicit,
-    r_whitney_lah_from_whitney,
-    r_whitney_lah_horizontal,
-    r_whitney_lah_vertical,
     r_whitney_second,
     r_whitney_second_by_solve,
     r_whitney_second_recurrence,
     verify_log_concavity,
-    verify_r_inverse,
     weighted_stirling_egf_check,
 )
 from .triangles import Triangle, transform
@@ -74,28 +62,20 @@ from .unified import (
     cakic_bell_explicit,
     hs_bell,
     hs_bell_explicit,
-    hs_lah,
     hs_lah_matrix,
     hs_lah_matrix_by_solve,
     hs_pair,
     hs_pair_by_solve,
-    verify_hs_orthogonality,
     verify_specializations,
 )
 from .whitney import (
     bell_via_dowling,
     dowling,
     dowling_explicit,
-    verify_whitney_lah_inverse,
-    verify_whitney_lah_orthogonality,
     whitney_first,
     whitney_first_by_expansion,
     whitney_lah,
-    whitney_lah_from_whitney,
-    whitney_lah_horizontal,
-    whitney_lah_vertical,
     whitney_second,
-    whitney_second_benoumhani,
 )
 
 __version__ = "0.1.0"

@@ -42,10 +42,6 @@ class PolyBasis:
     def nmax(self) -> int:
         return len(self.elements) - 1
 
-    @classmethod
-    def from_function(cls, build, nmax: int) -> "PolyBasis":
-        return cls(tuple(build(n) for n in range(nmax + 1)))
-
 
 def monomial_basis(nmax: int) -> PolyBasis:
     """1, x, x^2, ..., x^nmax."""

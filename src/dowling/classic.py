@@ -62,10 +62,6 @@ def lah_vertical_rows(nmax: int) -> tuple:
     return vertical_rows(lah_signed_triangle(max(nmax - 1, 0)), nmax, 0, 1, -1)
 
 
-def lah_vertical(n: int, k: int) -> int:
-    """Entry (n, k) of `lah_vertical_rows`."""
-    return lah_vertical_rows(n)[n][k] if 0 <= k <= n else 0
-
 
 def lah_horizontal_rows(nmax: int) -> tuple:
     """Signed Lah rows 0..nmax recovered row-wise from the row below, all
@@ -75,10 +71,6 @@ def lah_horizontal_rows(nmax: int) -> tuple:
     cross-checks; see the verification suite.)"""
     return horizontal_rows(lah_signed_triangle(nmax + 1), nmax, 0, 1, -1)
 
-
-def lah_horizontal(n: int, k: int) -> int:
-    """Entry (n, k) of `lah_horizontal_rows`."""
-    return lah_horizontal_rows(n)[n][k] if 0 <= k <= n else 0
 
 
 def lah_egf_check(k: int, order: int) -> bool:
@@ -100,10 +92,6 @@ def lah_from_stirlings_rows(nmax: int) -> tuple:
     s1 = stirling1_by_expansion(nmax)
     return product(s1.rows, stirling2_triangle(nmax).rows, signed=True)
 
-
-def lah_from_stirlings(n: int, k: int) -> int:
-    """Entry (n, k) of `lah_from_stirlings_rows`."""
-    return lah_from_stirlings_rows(n)[n][k] if 0 <= k <= n else 0
 
 
 def bell(n: int) -> int:

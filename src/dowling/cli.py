@@ -14,7 +14,6 @@ import json
 import sys
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import classic, families, rnumbers, whitney
@@ -25,18 +24,6 @@ from .triangles import Triangle
 
 class UsageError(Exception):
     """Bad family, identity, or parameter combination (exit code 2)."""
-
-
-@dataclass
-class JobConfig:
-    command: str
-    family: str = ""
-    identity: str = ""
-    nmax: int | None = None
-    params: dict = field(default_factory=dict)
-    fmt: str = "table"
-    out: str | None = None
-    with_oracle: bool = False
 
 
 # ---------------------------------------------------------------------------
@@ -296,71 +283,71 @@ def _emit(text: str, out_path: str | None):
         sys.stdout.write(text)
 
 
-def cmd_triangle(cfg: JobConfig) -> int:
-    if cfg.family not in FAMILIES:
-        raise UsageError(f"unknown family {cfg.family!r}; known: {', '.join(sorted(FAMILIES))}")
-    table = families.triangle(cfg.family, cfg.params, cfg.nmax)
-    if cfg.fmt == "table":
+def cmd_triangle(args) -> int:
+    if args.family not in FAMILIES:
+        raise UsageError(f"unknown family {args.family!r}; known: {', '.join(sorted(FAMILIES))}")
+    table = families.triangle(args.family, args.params, args.nmax)
+    if args.fmt == "table":
         text = render_table(table)
-    elif cfg.fmt == "csv":
+    elif args.fmt == "csv":
         text = render_csv(table)
     else:
-        text = triangle_json(table, cfg.family, cfg.params)
-    _emit(text, cfg.out)
+        text = triangle_json(table, args.family, args.params)
+    _emit(text, args.out)
     return 0
 
 
-def cmd_sum(cfg: JobConfig) -> int:
-    if cfg.family not in SUMS:
-        raise UsageError(f"unknown sum family {cfg.family!r}; known: {', '.join(sorted(SUMS))}")
-    value = _sum_value(cfg.family, cfg.params, cfg.nmax)
-    _emit(str(value) + "\n", cfg.out)
+def cmd_sum(args) -> int:
+    if args.family not in SUMS:
+        raise UsageError(f"unknown sum family {args.family!r}; known: {', '.join(sorted(SUMS))}")
+    value = _sum_value(args.family, args.params, args.nmax)
+    _emit(str(value) + "\n", args.out)
     return 0
 
 
-def cmd_verify(cfg: JobConfig) -> int:
+def cmd_verify(args) -> int:
     # Imported here: building the registry costs every other command ~5 ms.
     from . import identities
     from .identities import REGISTRY
 
-    if cfg.identity == "all":
-        chosen = [ident for ident in REGISTRY.values() if ident.needs_oracle <= cfg.with_oracle]
-        given = [identities.taken(ident, cfg.params) for ident in chosen]
-        unused = set(cfg.params).difference(*given)
+    if args.identity == "all":
+        chosen = [ident for ident in REGISTRY.values() if ident.needs_oracle <= args.with_oracle]
+        given = [identities.taken(ident, args.params) for ident in chosen]
+        unused = set(args.params).difference(*given)
         if unused:
             raise UsageError(f"no identity takes --{min(unused)} as given")
-        reports = [identities.report(ident, g, cfg.nmax) for ident, g in zip(chosen, given)]
+        reports = [identities.report(ident, g, args.nmax) for ident, g in zip(chosen, given)]
         ok = all(r["pass"] for r in reports)
-        _emit(json.dumps({"pass": ok, "identities": reports}, indent=2) + "\n", cfg.out)
+        _emit(json.dumps({"pass": ok, "identities": reports}, indent=2) + "\n", args.out)
         return 0 if ok else 1
-    ident = REGISTRY.get(cfg.identity)
+    ident = REGISTRY.get(args.identity)
     if ident is None:
         raise UsageError(
-            f"unknown identity {cfg.identity!r}; known: {', '.join(sorted(REGISTRY))} or 'all'"
+            f"unknown identity {args.identity!r}; known: {', '.join(sorted(REGISTRY))} or 'all'"
         )
-    if ident.needs_oracle and not cfg.with_oracle:
+    if ident.needs_oracle and not args.with_oracle:
         raise UsageError(f"identity {ident.name!r} needs --with-oracle")
-    report = identities.report(ident, cfg.params, cfg.nmax)
-    _emit(json.dumps(report, indent=2) + "\n", cfg.out)
+    report = identities.report(ident, args.params, args.nmax)
+    _emit(json.dumps(report, indent=2) + "\n", args.out)
     return 0 if report["pass"] else 1
 
 
-def cmd_paper_tables(cfg: JobConfig) -> int:
+def cmd_paper_tables(args) -> int:
     return 1 if run_paper_tables() else 0
 
 
-def cmd_bench(cfg: JobConfig) -> int:
-    if cfg.family not in FAMILIES:
-        raise UsageError(f"unknown family {cfg.family!r}")
+def cmd_bench(args) -> int:
+    if args.family not in FAMILIES:
+        raise UsageError(f"unknown family {args.family!r}")
     start = time.perf_counter()
-    table = families.triangle(cfg.family, cfg.params, cfg.nmax)
+    table = families.triangle(args.family, args.params, args.nmax)
     elapsed = time.perf_counter() - start
     entries = sum(len(row) for row in table.rows)
     peak = max(
         max(v.numerator.bit_length(), v.denominator.bit_length()) for row in table.rows for v in row
     )
-    print(f"family        {cfg.family}")
-    print(f"nmax          {cfg.nmax}")
+    print(f"family        {args.family}")
+    print(f"nmax          {args.nmax}")
     print(f"entries       {entries}")
     print(f"peak bits     {peak}")
     print(f"elapsed (s)   {elapsed:.3f}")
@@ -408,28 +395,25 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args) -> JobConfig:
-    cfg = JobConfig(command=args.command)
-    cfg.nmax = getattr(args, "nmax", None)
-    cfg.fmt = getattr(args, "fmt", "table")
-    cfg.out = getattr(args, "out", None)
-    cfg.with_oracle = getattr(args, "with_oracle", False)
-    cfg.family = getattr(args, "family", "") or ""
-    cfg.identity = getattr(args, "identity", "") or ""
+def _check_args(args) -> None:
+    """Refuse a bad argument combination and set `args.params` to the parsed
+    parameters the command takes."""
+    args.params = {}
+    family = getattr(args, "family", None)
+    nmax = getattr(args, "nmax", None)
     given = [name for name in _PARAMS if getattr(args, name, None) is not None]
-    if cfg.command == "verify":
-        cfg.params = _collect_params(given, args)
-    elif cfg.family in (SUMS if cfg.command == "sum" else FAMILIES):
-        needs = _sum_needs(cfg.family) if cfg.command == "sum" else FAMILIES[cfg.family].needs
+    if args.command == "verify":
+        args.params = _collect_params(given, args)
+    elif family in (SUMS if args.command == "sum" else FAMILIES):
+        needs = _sum_needs(family) if args.command == "sum" else FAMILIES[family].needs
         extra = [name for name in given if name not in needs]
         if extra:
-            raise UsageError(f"family {cfg.family!r} does not take --{extra[0]}")
-        cfg.params = _collect_params(needs, args)
-    if cfg.nmax is None and cfg.command in ("triangle", "sum", "bench"):
+            raise UsageError(f"family {family!r} does not take --{extra[0]}")
+        args.params = _collect_params(needs, args)
+    if nmax is None and args.command in ("triangle", "sum", "bench"):
         raise UsageError("--nmax is required")
-    if cfg.nmax is not None and cfg.nmax < 0:
+    if nmax is not None and nmax < 0:
         raise UsageError("--nmax must be nonnegative")
-    return cfg
 
 
 _DISPATCH = {
@@ -446,8 +430,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         with unlimited_int_digits():
-            cfg = _config_from_args(args)
-            return _DISPATCH[args.command](cfg)
+            _check_args(args)
+            return _DISPATCH[args.command](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -2,7 +2,7 @@
 
 Everything in this package computes over Python ints and
 `fractions.Fraction`, so every result is exact; nothing here ever rounds.
-The factorial helpers accept ints or Fractions and the result type follows
+`generalized_rising` accepts ints or Fractions and its result type follows
 the inputs.
 """
 
@@ -27,36 +27,6 @@ def as_integer(value) -> int:
     if value.denominator != 1:
         raise IntegralityError(f"expected an integer, got {value}")
     return value.numerator
-
-
-def falling_factorial(x, n: int):
-    """x(x-1)(x-2)...(x-n+1); the empty product (n=0) is 1."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    result = 1
-    for i in range(n):
-        result *= x - i
-    return result
-
-
-def rising_factorial(x, n: int):
-    """x(x+1)(x+2)...(x+n-1); the empty product (n=0) is 1."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    result = 1
-    for i in range(n):
-        result *= x + i
-    return result
-
-
-def generalized_falling(x, m, k: int):
-    """Step-m falling factorial (x|m)_k = x(x-m)(x-2m)...(x-(k-1)m)."""
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    result = 1
-    for i in range(k):
-        result *= x - i * m
-    return result
 
 
 def generalized_rising(x, m, n: int):
@@ -170,14 +140,6 @@ class Poly:
             result = result * x + c
         return result
 
-    def shift_argument(self, c):
-        """Return q with q(x) = p(x + c)."""
-        shift = Poly((c, 1))
-        result = Poly()
-        for coeff in reversed(self.coeffs):
-            result = result * shift + Poly((coeff,))
-        return result
-
     def __eq__(self, other):
         if not isinstance(other, Poly):
             return NotImplemented
@@ -188,26 +150,6 @@ class Poly:
 
     def __repr__(self):
         return f"Poly({list(self.coeffs)!r})"
-
-
-X = Poly((0, 1))
-
-
-def factorial_basis_poly(a, b, m, n: int) -> Poly:
-    """Product of the n linear factors (a*x + b - i*m) for i = 0..n-1.
-
-    Has degree exactly n and leading coefficient a**n, so it can serve as
-    the degree-n element of a graded basis; a = 0 with n >= 1 collapses the
-    degree and is rejected.
-    """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if a == 0 and n >= 1:
-        raise DegenerateBasisError("zero leading scale gives a degenerate basis element")
-    result = Poly((1,))
-    for i in range(n):
-        result = result * Poly((b - i * m, a))
-    return result
 
 
 def interpolate(points) -> Poly:
@@ -315,11 +257,6 @@ class Series:
                     acc += a * out[n - i]
             out.append(-acc / c0)
         return Series(out, self.order)
-
-    def truncate(self, order: int) -> "Series":
-        if order > self.order:
-            raise ValueError("cannot extend a truncated series")
-        return Series(self.coeffs[: order + 1], order)
 
     def __eq__(self, other):
         if not isinstance(other, Series):

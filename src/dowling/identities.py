@@ -13,9 +13,10 @@ point holds the identity's parameters other than nmax.  The shapes:
 - a plain function (nmax, **point) -> (failures, notes) for the rest.
 
 Parameter rules: an identity takes the parameters among its defaults, or
-the parameter group of its grid; its fixed parameters cannot be set.  An
-identity with a grid is checked at every grid point unless it is given the
-whole group, which then replaces the grid.
+the parameter group of its grid; its fixed parameters cannot be set (a
+fixed value may be a function of nmax).  An identity with a grid is checked
+at every grid point unless it is given the whole group, which then replaces
+the grid.
 """
 
 from __future__ import annotations
@@ -147,11 +148,6 @@ def _hs(fn):
     return lambda nmax, alpha, beta, gamma: fn(nmax, HSParams(alpha, beta, gamma))
 
 
-def _solved_hs_pair(nmax, params):
-    pair = unified.hs_pair_by_solve(nmax, params)
-    return pair.s1, pair.s2
-
-
 def _r_whitney_pair(nmax, m, r):
     """Signed r-Whitney first kind (solved) and second kind: mutually inverse."""
     first = rnumbers.r_whitney_first_by_solve(nmax, m, r)
@@ -174,19 +170,6 @@ def _bell_reduction(nmax):
             if w1.value(n, j) != s2.value(n + 1, j + 1):
                 bad.append(_failure(n, j, s2.value(n + 1, j + 1), w1.value(n, j)))
     return bad, "unit-step Dowling numbers against shifted Bell/Stirling values"
-
-
-def _specializations(nmax):
-    report = unified.verify_specializations(nmax)
-    bad = []
-    for check in report.checks:
-        if not check.passed:
-            for item in check.as_dict()["mismatches"]:
-                item = dict(item)
-                item["expected"] = f"{check.name}: {item['expected']}"
-                bad.append(item)
-    notes = "; ".join(f"{check.name}: {check.convention}" for check in report.checks)
-    return bad, notes
 
 
 def _oracle(nmax):
@@ -224,7 +207,7 @@ class Identity:
     defaults: dict  # nmax and the parameters a caller may set, in report order
     check: object  # a shape, or a function (nmax, **point) -> (failures, notes)
     grid: tuple = ()  # default points of the parameter group, if any
-    fixed: dict = field(default_factory=dict)  # parameters a caller may not set
+    fixed: dict = field(default_factory=dict)  # parameters a caller may not set, or functions of nmax
     needs_oracle: bool = False
 
     @property
@@ -310,7 +293,12 @@ REGISTRY = {
         Identity("lah1", _R, Tables(rnumbers.r_lah, _all_columns(rnumbers.r_lah_from_stirlings_rows))),
         Identity("lah4", {"nmax": 7, "r": 2}, Roundtrip(rnumbers.r_inverse_pair)),
         Identity("expb", _R, Sequences(_each(rnumbers.r_bell), rnumbers.r_bell_explicit_sequence)),
-        Identity("weighted-egf", {"nmax": 12, "r": 2}, Predicate(_weighted_egf, _SERIES), fixed={"order": 12}),
+        Identity(
+            "weighted-egf",
+            {"nmax": 12, "r": 2},
+            Predicate(_weighted_egf, _SERIES),
+            fixed={"order": partial(max, 12)},  # the series order must reach nmax
+        ),
         Identity("rw-ortho", {"nmax": 8, "m": 2, "r": 2}, Product(_r_whitney_pair)),
         Identity("rw-inv", {"nmax": 7, "m": 2, "r": 2}, Roundtrip(_r_whitney_pair)),
         Identity("rwhitneylah", _RW, Tables(_RW_LAH, _all_columns(rnumbers.r_whitney_lah_from_whitney_rows))),
@@ -323,10 +311,10 @@ REGISTRY = {
             Sequences(_hs(_each(unified.hs_bell)), _hs(unified.hs_bell_explicit_sequence)),
             _HS_GRID,
         ),
-        Identity("hs-ortho", {"nmax": 8}, Product(_hs(_solved_hs_pair)), _HS_GRID),
-        Identity("invrel", {"nmax": 9}, Roundtrip(_hs(_solved_hs_pair)), _HS_GRID),
+        Identity("hs-ortho", {"nmax": 8}, Product(_hs(unified.hs_pair_by_solve)), _HS_GRID),
+        Identity("invrel", {"nmax": 9}, Roundtrip(_hs(unified.hs_pair_by_solve)), _HS_GRID),
         Identity("log-concavity", {"nmax": 20}, Predicate(_log_concavity, "log-concave", _LOG_CONCAVE), _MR_GRID),
-        Identity("specializations", {"nmax": 6}, _specializations),
+        Identity("specializations", {"nmax": 6}, unified.verify_specializations),
         Identity("oracle", {"nmax": 8}, _oracle, needs_oracle=True),
     )
 }
@@ -359,7 +347,7 @@ def report(ident: Identity, given: dict | None = None, nmax: int | None = None) 
     if nmax is None:
         nmax = ident.defaults["nmax"]
     params = {key: value for key, value in ident.defaults.items() if key != "nmax"}
-    params.update(ident.fixed)
+    params.update((key, value(nmax) if callable(value) else value) for key, value in ident.fixed.items())
     params.update(given)
     points = (params,) if given or not ident.grid else ident.grid
     failures, notes = [], None

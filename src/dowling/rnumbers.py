@@ -63,26 +63,10 @@ def r_lah_from_stirlings_rows(nmax: int, r) -> tuple:
     return product(r_stirling1(nmax, r).rows, r_stirling2(nmax, r).rows)
 
 
-def r_lah_from_stirlings(n: int, k: int, r) -> int:
-    """Entry (n, k) of `r_lah_from_stirlings_rows`."""
-    r = check_param("r", r)
-    return r_lah_from_stirlings_rows(n, r)[n][k] if 0 <= k <= n else 0
-
-
 def r_inverse_pair(nmax: int, r) -> tuple:
     """The r-Stirling inverse pair as two tables: b_n = sum_j A(n,j) a_j is
     undone by a_n = sum_j (-1)^(n-j) S(n,j) b_j."""
     return r_stirling1(nmax, r), checkerboard(r_stirling2(nmax, r))
-
-
-def verify_r_inverse(a, r) -> bool:
-    """Round-trip check of the r-Stirling inverse pair."""
-    r = check_param("r", r)
-    a = list(a)
-    if not a:
-        return True
-    first, second = r_inverse_pair(len(a) - 1, r)
-    return transform(second, transform(first, a)) == a
 
 
 def r_bell(n: int, r) -> int:
@@ -183,11 +167,6 @@ def r_whitney_lah_from_whitney_rows(nmax: int, m, r) -> tuple:
     return product(first.rows, r_whitney_second_by_solve(nmax, m, r).rows)
 
 
-def r_whitney_lah_from_whitney(n: int, k: int, m, r) -> int:
-    """Entry (n, k) of `r_whitney_lah_from_whitney_rows`."""
-    return r_whitney_lah_from_whitney_rows(n, m, r)[n][k] if 0 <= k <= n else 0
-
-
 def r_whitney_lah_vertical_rows(nmax: int, m, r) -> tuple:
     """Column-wise route from the rows above, all from one triangle of rows
     0..nmax-1; it holds for k >= 1 (plus the trivial corner), so column 0 of
@@ -198,13 +177,6 @@ def r_whitney_lah_vertical_rows(nmax: int, m, r) -> tuple:
     return vertical_rows(r_whitney_lah(max(nmax - 1, 0), m, r), nmax, 2 * r, m, 1)
 
 
-def r_whitney_lah_vertical(n: int, k: int, m, r) -> int:
-    """Entry (n, k) of `r_whitney_lah_vertical_rows`, for 1 <= k <= n or n = k = 0."""
-    if (n, k) != (0, 0) and not 1 <= k <= n:
-        raise ValueError("the vertical route needs 1 <= k <= n")
-    return r_whitney_lah_vertical_rows(n, m, r)[n][k]
-
-
 def r_whitney_lah_horizontal_rows(nmax: int, m, r) -> tuple:
     """Row-wise route from the row below, all from one triangle of rows
     0..nmax+1: L(n,k) = sum_i (-1)^i [2r + (n+k+1)m | m]_i L(n+1, k+i+1)."""
@@ -213,33 +185,18 @@ def r_whitney_lah_horizontal_rows(nmax: int, m, r) -> tuple:
     return horizontal_rows(r_whitney_lah(nmax + 1, m, r), nmax, 2 * r, m, 1)
 
 
-def r_whitney_lah_horizontal(n: int, k: int, m, r) -> int:
-    """Entry (n, k) of `r_whitney_lah_horizontal_rows`."""
-    return r_whitney_lah_horizontal_rows(n, m, r)[n][k] if 0 <= k <= n else 0
-
-
-def log_concavity_report(n: int, m, r) -> dict:
-    """Check row n of the r-Whitney-Lah triangle for strict log-concavity.
-
-    Returns both the product form L(n,k-1)*L(n,k+1) < L(n,k)^2 and the
-    looser sum form L(n,k-1)+L(n,k+1) < L(n,k)^2, plus unimodality.
-    """
+def verify_log_concavity(n: int, m, r) -> bool:
+    """True iff row n of the r-Whitney-Lah triangle is strictly log-concave,
+    L(n,k-1)*L(n,k+1) < L(n,k)^2, and unimodal."""
     if n < 2:
         raise ValueError("log-concavity needs a row with interior entries")
     row = r_whitney_lah(n, m, r).row(n)
-    product_form = all(row[k - 1] * row[k + 1] < row[k] ** 2 for k in range(1, n))
-    sum_form = all(row[k - 1] + row[k + 1] < row[k] ** 2 for k in range(1, n))
     peak = max(range(n + 1), key=lambda k: row[k])
-    unimodal = all(row[k] <= row[k + 1] for k in range(peak)) and all(
-        row[k] >= row[k + 1] for k in range(peak, n)
+    return (
+        all(row[k - 1] * row[k + 1] < row[k] ** 2 for k in range(1, n))
+        and all(row[k] <= row[k + 1] for k in range(peak))
+        and all(row[k] >= row[k + 1] for k in range(peak, n))
     )
-    return {"product": product_form, "sum": sum_form, "unimodal": unimodal}
-
-
-def verify_log_concavity(n: int, m, r) -> bool:
-    """True iff row n is strictly log-concave (product form) and unimodal."""
-    report = log_concavity_report(n, m, r)
-    return report["product"] and report["unimodal"]
 
 
 def r_dowling(n: int, m, r) -> int:

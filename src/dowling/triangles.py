@@ -158,9 +158,9 @@ def vertical_rows(lower: Triangle, nmax: int, c: int, h: int, sign: int) -> tupl
 
         T(n,k) = sum_{i=0}^{n-k} sign^(i+1) (x|h)_i T(n-1-i, k-1),  x = c + (n-1+k)h,
 
-    with (x|h)_i = x(x-h)...(x-(i-1)h) (`exactmath.generalized_falling`, kept
-    here as a running product), all from `lower`, which holds rows 0..nmax-1
-    of T.  Column 0 below row 0 is the empty sum 0."""
+    with the step-h falling factorial (x|h)_i = x(x-h)...(x-(i-1)h) kept as
+    a running product, all from `lower`, which holds rows 0..nmax-1 of T.
+    Column 0 below row 0 is the empty sum 0."""
     rows = [(1,)]
     for n in range(1, nmax + 1):
         row = [0]

@@ -1,6 +1,6 @@
 """The two-parameter-plus-shift Stirling pair of Hsu and Shiue, the Lah-type
 numbers built from it, generalized Bell sums, Cakic numbers, and the
-cross-module specialization report.
+cross-module specialization check.
 
 The pair (s1, s2) consists of the connection coefficients
 
@@ -15,10 +15,11 @@ instead of trusting loose bookkeeping.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import basis, families, rnumbers, whitney
+from . import families, rnumbers, whitney
 from .basis import connection_matrix, factorial_basis
 from .triangles import Triangle, product, transform
 
@@ -40,14 +41,8 @@ class HSParams:
         return {"alpha": self.alpha, "beta": self.beta, "gamma": self.gamma}
 
 
-@dataclass(frozen=True)
-class HSPair:
-    """The mutually inverse matrices s1 and s2 for one parameter triple."""
-
-    s1: Triangle
-    s2: Triangle
-    params: HSParams
-    nmax: int
+# The mutually inverse matrices s1 and s2 for one parameter triple.
+HSPair = namedtuple("HSPair", "s1 s2")
 
 
 def _coerce_params(params) -> HSParams:
@@ -65,7 +60,7 @@ def hs_pair(nmax: int, params) -> HSPair:
     scale, u1, u2 = families.hs_scaled_pair(p.as_dict(), nmax)
     s1 = Triangle(families.read_off(u1, scale))
     s2 = Triangle(families.read_off(u2, scale))
-    return HSPair(s1, s2, p, nmax)
+    return HSPair(s1, s2)
 
 
 def hs_pair_by_solve(nmax: int, params) -> HSPair:
@@ -84,12 +79,7 @@ def hs_pair_by_solve(nmax: int, params) -> HSPair:
     s2 = connection_matrix(source2, target2)
     if not s1.mul(s2).is_identity():
         raise AssertionError("connection pair failed to be mutually inverse")
-    return HSPair(s1, s2, p, nmax)
-
-
-def verify_hs_orthogonality(pair: HSPair) -> bool:
-    """True iff s1 and s2 are mutually inverse in both product orders."""
-    return basis.verify_orthogonality(pair.s1, pair.s2)
+    return HSPair(s1, s2)
 
 
 def hs_lah_matrix(nmax: int, params) -> Triangle:
@@ -106,13 +96,6 @@ def _signed_product(pair: HSPair) -> Triangle:
 def hs_lah_matrix_by_solve(nmax: int, params) -> Triangle:
     """Verification route: the same product over the solved pair."""
     return _signed_product(hs_pair_by_solve(nmax, params))
-
-
-def hs_lah(n: int, j: int, params) -> Fraction:
-    """Single Lah-type value; see hs_lah_matrix for the whole table."""
-    if j < 0 or j > n:
-        return Fraction(0)
-    return hs_lah_matrix(n, params).value(n, j)
 
 
 def hs_bell(n: int, params) -> Fraction:
@@ -149,62 +132,25 @@ def cakic_bell_explicit(n: int, alpha) -> Fraction:
     return hs_bell_explicit(n, HSParams(alpha, 1, 0))
 
 
-@dataclass(frozen=True)
-class SpecializationCheck:
-    """Result of matching one cross-module reduction against candidates."""
-
-    name: str
-    params: dict
-    convention: str
-    passed: bool
-    mismatches: tuple = ()
-
-    def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "params": {key: str(value) for key, value in self.params.items()},
-            "convention": self.convention,
-            "pass": self.passed,
-            "mismatches": [
-                {"n": n, "k": k, "expected": str(e), "actual": str(a)}
-                for n, k, e, a in self.mismatches
-            ],
-        }
-
-
-@dataclass(frozen=True)
-class SpecializationReport:
-    nmax: int
-    checks: tuple
-
-    @property
-    def passed(self) -> bool:
-        return all(check.passed for check in self.checks)
-
-    def as_dict(self) -> dict:
-        return {
-            "nmax": self.nmax,
-            "pass": self.passed,
-            "checks": [check.as_dict() for check in self.checks],
-        }
-
-
-def _match(name, params, nmax, expected, candidates) -> SpecializationCheck:
-    """Try sign conventions in order; record the first that matches everywhere.
+def _match(name, nmax, expected, candidates) -> tuple:
+    """(convention, failures): try sign conventions in order and return the
+    first that matches everywhere.
 
     `expected` and each candidate map (n, k) to a value.  If no candidate
-    fits, the mismatches against the first (as-printed) candidate are kept so
-    a failure is visible rather than silently corrected.
+    fits, the mismatches against the first (as-printed) candidate are
+    returned so a failure is visible rather than silently corrected.
     """
     cells = [(n, k) for n in range(nmax + 1) for k in range(n + 1)]
     for label, candidate in candidates:
         if all(expected(n, k) == candidate(n, k) for n, k in cells):
-            return SpecializationCheck(name, params, label, True)
+            return label, []
     label, candidate = candidates[0]
-    bad = tuple(
-        (n, k, expected(n, k), candidate(n, k)) for n, k in cells if expected(n, k) != candidate(n, k)
-    )
-    return SpecializationCheck(name, params, f"no candidate matches (tried {label} first)", False, bad)
+    bad = [
+        {"n": n, "k": k, "expected": f"{name}: {expected(n, k)}", "actual": str(candidate(n, k))}
+        for n, k in cells
+        if expected(n, k) != candidate(n, k)
+    ]
+    return f"no candidate matches (tried {label} first)", bad
 
 
 def _flip(entry):
@@ -217,14 +163,13 @@ def _alternate(entry):
     return lambda n, k: (-1) ** n * entry(n, k)
 
 
-def verify_specializations(
-    nmax: int, whitney_alpha: int = 3, r: int = 2, rw=(2, 2), cakic_alpha: int = 2
-) -> SpecializationReport:
-    """Check every reduction of the unified pair against the triangles the
-    other modules build, recording the sign convention that holds.  The
-    unified side comes from the connection solve, the other side from the
-    recurrences, so every match is also a match between two routes."""
-    beta, (m, rr) = whitney_alpha, rw
+def verify_specializations(nmax: int) -> tuple:
+    """(failures, notes) of every reduction of the unified pair against the
+    triangles the other modules build; the notes record the sign convention
+    that holds for each.  The unified side comes from the connection solve,
+    the other side from the recurrences, so every match is also a match
+    between two routes."""
+    beta, r, (m, rr), cakic_alpha = 3, 2, (2, 2), 2  # the points checked
 
     def s1(*params):
         return hs_pair_by_solve(nmax, HSParams(*params)).s1.value
@@ -236,42 +181,46 @@ def verify_specializations(
     defining = connection_matrix(
         factorial_basis(1, 0, cakic_alpha, nmax), factorial_basis(1, 0, 1, nmax)
     )
-    # (name, parameters, expected entries, candidate conventions in order)
+    # (name, expected entries, candidate conventions in order)
     specs = (
-        ("whitney-first", {"beta": beta}, whitney.whitney_first(nmax, beta).value, (
+        ("whitney-first", whitney.whitney_first(nmax, beta).value, (
             ("w(n,k) = S(n,k; beta, 0, -1) as printed", s_b01),
             ("w(n,k) = (-1)^(n-k) S(n,k; beta, 0, -1)", _flip(s_b01)),
         )),
-        ("whitney-second", {"beta": beta}, whitney.whitney_second(nmax, beta).value, (
+        ("whitney-second", whitney.whitney_second(nmax, beta).value, (
             ("W(n,k) = S(n,k; 0, beta, 1) as printed", s1(0, beta, 1)),
         )),
-        ("whitney-lah", {"beta": beta}, whitney.whitney_lah(nmax, beta).value, (
+        ("whitney-lah", whitney.whitney_lah(nmax, beta).value, (
             ("L^W(n,k) = L(n,k; 0, beta, 1) as printed", lah(0, beta, 1)),
         )),
-        ("r-stirling-first", {"r": r}, rnumbers.r_stirling1(nmax, r).value, (
+        ("r-stirling-first", rnumbers.r_stirling1(nmax, r).value, (
             ("A(n,k) = S(n,k; 1, 0, -r) as printed", s_10r),
             ("A(n,k) = (-1)^(n-k) S(n,k; 1, 0, -r)", _flip(s_10r)),
         )),
-        ("r-stirling-second", {"r": r}, rnumbers.r_stirling2(nmax, r).value, (
+        ("r-stirling-second", rnumbers.r_stirling2(nmax, r).value, (
             ("S(n,k) = S(n,k; 0, 1, r) as printed", s1(0, 1, r)),
         )),
-        ("r-lah", {"r": r}, rnumbers.r_lah(nmax, r).value, (
+        ("r-lah", rnumbers.r_lah(nmax, r).value, (
             ("L(n,k) = (-1)^n L(n,k; 0, 1, r) as printed", _alternate(lah(0, 1, r))),
         )),
-        ("r-whitney-first", {"m": m, "r": rr}, rnumbers.r_whitney_first(nmax, m, rr).value, (
+        ("r-whitney-first", rnumbers.r_whitney_first(nmax, m, rr).value, (
             ("w(n,k) = (-1)^(n-k) S(n,k; m, 0, -r) as printed", _flip(s_m0r)),
             ("w(n,k) = S(n,k; m, 0, -r)", s_m0r),
         )),
-        ("r-whitney-second", {"m": m, "r": rr}, rnumbers.r_whitney_second(nmax, m, rr).value, (
+        ("r-whitney-second", rnumbers.r_whitney_second(nmax, m, rr).value, (
             ("W(n,k) = S(n,k; 0, m, r) as printed", s1(0, m, rr)),
         )),
-        ("r-whitney-lah", {"m": m, "r": rr}, rnumbers.r_whitney_lah(nmax, m, rr).value, (
+        ("r-whitney-lah", rnumbers.r_whitney_lah(nmax, m, rr).value, (
             ("L(n,k) = (-1)^n L(n,k; 0, m, r) as printed", _alternate(lah(0, m, rr))),
         )),
-        ("cakic", {"alpha": cakic_alpha}, defining.value, (
+        ("cakic", defining.value, (
             ("c(n,k) = S(n,k; +alpha, 1, 0); the printed reduction negates alpha", s1(cakic_alpha, 1, 0)),
             ("c(n,k) = S(n,k; -alpha, 1, 0) as printed", s1(-cakic_alpha, 1, 0)),
         )),
     )
-    checks = (_match(name, params, nmax, expected, candidates) for name, params, expected, candidates in specs)
-    return SpecializationReport(nmax, tuple(checks))
+    failures, notes = [], []
+    for name, expected, candidates in specs:
+        convention, bad = _match(name, nmax, expected, candidates)
+        failures += bad
+        notes.append(f"{name}: {convention}")
+    return failures, "; ".join(notes)

@@ -47,12 +47,6 @@ def whitney_second_benoumhani_rows(nmax: int, alpha) -> tuple:
     )
 
 
-def whitney_second_benoumhani(n: int, k: int, alpha) -> int:
-    """Entry (n, k) of `whitney_second_benoumhani_rows`."""
-    alpha = check_param("alpha", alpha)
-    return whitney_second_benoumhani_rows(n, alpha)[n][k] if 0 <= k <= n else 0
-
-
 def whitney_lah(nmax: int, alpha) -> Triangle:
     """Whitney-Lah triangle via
     L(n,k) = -L(n-1,k-1) - ((k+n-1)*alpha + 2) * L(n-1,k)."""
@@ -72,25 +66,12 @@ def whitney_lah_vertical_rows(nmax: int, alpha) -> tuple:
     return vertical_rows(whitney_lah(max(nmax - 1, 0), alpha), nmax, 2, alpha, -1)
 
 
-def whitney_lah_vertical(n: int, k: int, alpha) -> int:
-    """Entry (n, k) of `whitney_lah_vertical_rows`, for 1 <= k <= n or n = k = 0."""
-    if (n, k) != (0, 0) and not 1 <= k <= n:
-        raise ValueError("the vertical route needs 1 <= k <= n")
-    return whitney_lah_vertical_rows(n, alpha)[n][k]
-
-
 def whitney_lah_horizontal_rows(nmax: int, alpha) -> tuple:
     """Whitney-Lah rows 0..nmax recovered row-wise from the row below, all
     from one triangle of rows 0..nmax+1:
     L(n,k) = sum_i (-1)^(i+1) prod_{j<i}((n+k+1+j)*alpha + 2) L(n+1, k+i+1)."""
     alpha = check_param("alpha", alpha)
     return horizontal_rows(whitney_lah(nmax + 1, alpha), nmax, 2, alpha, -1)
-
-
-def whitney_lah_horizontal(n: int, k: int, alpha) -> int:
-    """Entry (n, k) of `whitney_lah_horizontal_rows`."""
-    alpha = check_param("alpha", alpha)
-    return whitney_lah_horizontal_rows(n, alpha)[n][k] if 0 <= k <= n else 0
 
 
 def whitney_lah_from_whitney_rows(nmax: int, alpha) -> tuple:
@@ -100,31 +81,10 @@ def whitney_lah_from_whitney_rows(nmax: int, alpha) -> tuple:
     return product(w.rows, whitney_second(nmax, alpha).rows, signed=True)
 
 
-def whitney_lah_from_whitney(n: int, j: int, alpha) -> int:
-    """Entry (n, j) of `whitney_lah_from_whitney_rows`."""
-    alpha = check_param("alpha", alpha)
-    return whitney_lah_from_whitney_rows(n, alpha)[n][j] if 0 <= j <= n else 0
-
-
 def whitney_lah_pair(nmax: int, alpha) -> tuple:
     """(L, L) for the Whitney-Lah matrix L, which is its own inverse."""
     tri = whitney_lah(nmax, alpha)
     return tri, tri
-
-
-def verify_whitney_lah_orthogonality(nmax: int, alpha) -> bool:
-    """True iff the Whitney-Lah matrix is its own inverse up to nmax."""
-    first, second = whitney_lah_pair(nmax, alpha)
-    return first.mul(second).is_identity()
-
-
-def verify_whitney_lah_inverse(g, alpha) -> bool:
-    """True iff applying the Whitney-Lah transform twice returns the input."""
-    g = list(g)
-    if not g:
-        return True
-    first, second = whitney_lah_pair(len(g) - 1, alpha)
-    return transform(second, transform(first, g)) == g
 
 
 def dowling(n: int, alpha) -> int:

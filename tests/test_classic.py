@@ -8,11 +8,11 @@ from dowling.classic import (
     bell,
     lah_egf_check,
     lah_explicit,
-    lah_from_stirlings,
-    lah_horizontal,
+    lah_from_stirlings_rows,
+    lah_horizontal_rows,
     lah_signed_triangle,
     lah_signless,
-    lah_vertical,
+    lah_vertical_rows,
     partial_bell,
     qi_bell,
     stirling1_triangle,
@@ -96,18 +96,17 @@ def test_lah_signless_counts_ordered_partitions():
 
 
 def test_lah_vertical_and_horizontal_agree_to_20():
-    tri = lah_signed_triangle(20)
-    for n in range(21):
-        for k in range(n + 1):
-            assert lah_vertical(n, k) == tri.value(n, k)
-            assert lah_horizontal(n, k) == tri.value(n, k)
+    rows = lah_signed_triangle(20).rows
+    assert lah_vertical_rows(20) == rows
+    assert lah_horizontal_rows(20) == rows
 
 
 def test_lah_vertical_small_cases():
-    assert lah_vertical(2, 1) == 2
-    assert lah_vertical(3, 3) == -1  # single-term sum on the diagonal
-    assert lah_horizontal(3, 2) == -6
-    assert lah_horizontal(2, 2) == 1
+    vertical, horizontal = lah_vertical_rows(3), lah_horizontal_rows(3)
+    assert vertical[2][1] == 2
+    assert vertical[3][3] == -1  # single-term sum on the diagonal
+    assert horizontal[3][2] == -6
+    assert horizontal[2][2] == 1
 
 
 def test_lah_egf():
@@ -119,13 +118,10 @@ def test_lah_egf():
 
 
 def test_lah_from_stirlings():
-    assert lah_from_stirlings(3, 2) == -6
-    for n in range(16):
-        assert lah_from_stirlings(n, n) == (-1) ** n
-    tri = lah_signed_triangle(15)
-    for n in range(16):
-        for k in range(n + 1):
-            assert lah_from_stirlings(n, k) == tri.value(n, k)
+    rows = lah_from_stirlings_rows(15)
+    assert rows[3][2] == -6
+    assert all(rows[n][n] == (-1) ** n for n in range(16))
+    assert rows == lah_signed_triangle(15).rows
 
 
 def test_bell_numbers():

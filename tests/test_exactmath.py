@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dowling.basis import factorial_basis
 from dowling.exactmath import (
     DegenerateBasisError,
     IntegralityError,
@@ -12,38 +13,37 @@ from dowling.exactmath import (
     as_integer,
     binomial,
     exp_series,
-    factorial_basis_poly,
-    falling_factorial,
-    generalized_falling,
     generalized_rising,
     interpolate,
-    rising_factorial,
 )
 
 F = Fraction
 
 
+# The falling factorial x(x-1)...(x-n+1) is the step -1 rising factorial.
+
+
 def test_falling_factorial_values():
-    assert falling_factorial(5, 3) == 60
-    assert falling_factorial(F(7, 2), 0) == 1
-    assert falling_factorial(0, 0) == 1
-    assert falling_factorial(F(1, 2), 2) == F(-1, 4)
+    assert generalized_rising(5, -1, 3) == 60
+    assert generalized_rising(F(7, 2), -1, 0) == 1
+    assert generalized_rising(0, -1, 0) == 1
+    assert generalized_rising(F(1, 2), -1, 2) == F(-1, 4)
 
 
 def test_rising_factorial_values():
-    assert rising_factorial(3, 3) == 60
-    assert rising_factorial(F(-5, 3), 0) == 1
+    assert generalized_rising(3, 1, 3) == 60
+    assert generalized_rising(F(-5, 3), 1, 0) == 1
 
 
 @pytest.mark.parametrize("x", [F(0), F(1), F(-2), F(1, 2), F(-7, 3)])
 @pytest.mark.parametrize("n", range(11))
 def test_rising_is_signed_falling_of_negated_argument(x, n):
-    assert rising_factorial(x, n) == (-1) ** n * falling_factorial(-x, n)
+    assert generalized_rising(x, 1, n) == (-1) ** n * generalized_rising(-x, -1, n)
 
 
 def test_generalized_factorials():
-    assert generalized_falling(4, 2, 2) == 8
-    assert generalized_falling(F(9), F(1, 3), 0) == 1
+    assert generalized_rising(4, -2, 2) == 8
+    assert generalized_rising(F(9), F(-1, 3), 0) == 1
     assert generalized_rising(4, 2, 2) == 24
     assert generalized_rising(7, 5, 0) == 1
 
@@ -51,8 +51,9 @@ def test_generalized_factorials():
 @pytest.mark.parametrize("x", [F(3), F(-1, 2), F(10, 3)])
 @pytest.mark.parametrize("n", range(7))
 def test_step_one_reduces_to_plain_factorials(x, n):
-    assert generalized_falling(x, 1, n) == falling_factorial(x, n)
-    assert generalized_rising(x, 1, n) == rising_factorial(x, n)
+    # Element n of factorial_basis(1, 0, m, n) is x(x-m)...(x-(n-1)m).
+    assert generalized_rising(x, -1, n) == factorial_basis(1, 0, 1, n).elements[n](x)
+    assert generalized_rising(x, 1, n) == factorial_basis(1, 0, -1, n).elements[n](x)
 
 
 def test_generalized_rising_quotients_divide_for_even_start():
@@ -77,7 +78,7 @@ def test_binomial():
 
 def test_negative_index_rejected():
     with pytest.raises(ValueError):
-        falling_factorial(3, -1)
+        generalized_rising(3, -1, -1)
     with pytest.raises(ValueError):
         generalized_rising(3, 1, -2)
 
@@ -106,14 +107,6 @@ def test_poly_basics():
     assert Poly().is_zero() and Poly().degree == -1
 
 
-def test_poly_shift_argument():
-    assert Poly([0, 0, 1]).shift_argument(1) == Poly([1, 2, 1])
-    p = Poly([2, -3, 0, 5])
-    q = p.shift_argument(F(1, 2))
-    for x in (F(0), F(1), F(-2), F(3, 4)):
-        assert q(x) == p(x + F(1, 2))
-
-
 def test_poly_mul_by_zero():
     assert (Poly([1, 2, 3]) * Poly()).is_zero()
     assert Poly([1, 1]) * 0 == Poly()
@@ -136,18 +129,19 @@ def test_poly_ring_axioms(a, b, c):
 
 
 def test_factorial_basis_poly():
-    assert factorial_basis_poly(1, -1, 3, 2) == Poly([4, -5, 1])  # (x-1)(x-4)
-    assert factorial_basis_poly(-1, -1, 5, 1) == Poly([-1, -1])
-    assert factorial_basis_poly(1, 0, 0, 2) == Poly([0, 0, 1])
+    # The top element of basis.factorial_basis(a, b, m, n): prod_{i<n} (a*x + b - i*m).
+    assert factorial_basis(1, -1, 3, 2).elements[2] == Poly([4, -5, 1])  # (x-1)(x-4)
+    assert factorial_basis(-1, -1, 5, 1).elements[1] == Poly([-1, -1])
+    assert factorial_basis(1, 0, 0, 2).elements[2] == Poly([0, 0, 1])
     with pytest.raises(DegenerateBasisError):
-        factorial_basis_poly(0, 1, 1, 1)
-    assert factorial_basis_poly(0, 5, 1, 0) == Poly([1])
+        factorial_basis(0, 1, 1, 1)
+    assert factorial_basis(0, 5, 1, 0).elements[0] == Poly([1])
 
 
 @pytest.mark.parametrize("a", [1, -1, F(2, 3)])
 @pytest.mark.parametrize("n", range(6))
 def test_factorial_basis_poly_degree_and_leading(a, n):
-    p = factorial_basis_poly(a, F(1, 2), F(-3), n)
+    p = factorial_basis(a, F(1, 2), F(-3), n).elements[n]
     assert p.degree == n
     assert p.leading == F(a) ** n
 
@@ -192,13 +186,6 @@ def test_series_inverse_rejects_zero_constant_term():
 def test_series_mul_requires_same_order():
     with pytest.raises(ValueError):
         Series([1], 2) * Series([1], 3)
-
-
-def test_series_truncate():
-    s = Series([1, 2, 3, 4], 3)
-    assert s.truncate(1) == Series([1, 2], 1)
-    with pytest.raises(ValueError):
-        s.truncate(5)
 
 
 def test_series_inverse_roundtrip():

@@ -112,3 +112,13 @@ def test_all_gives_each_identity_only_its_parameters(capsys):
     assert params["log-concavity"] == {}  # its group (m, r) was not given whole
     code, _, err = run(capsys, "verify", "--identity", "all", "--beta", "1")
     assert code == 2 and "no identity takes --beta" in err
+
+
+def test_series_order_follows_nmax(capsys):
+    # The series order of weighted-egf is 12 up to nmax 12, and nmax above it.
+    code, out, _ = run(capsys, "verify", "--identity", "weighted-egf", "--nmax", "20")
+    report = json.loads(out)
+    assert code == 0 and report["pass"] is True
+    assert report["params"] == {"r": "2", "order": "20"}
+    code, out, _ = run(capsys, "verify", "--identity", "all", "--nmax", "13")
+    assert code == 0 and json.loads(out)["pass"] is True

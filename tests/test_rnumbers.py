@@ -7,28 +7,27 @@ from dowling.classic import bell, lah_signless, stirling2_triangle
 from dowling.exactmath import IntegralityError
 from dowling.oracle import PartitionSpec, count_all_partitions, count_partitions
 from dowling.rnumbers import (
-    log_concavity_report,
     r_bell,
     r_bell_explicit,
     r_dowling,
     r_dowling_explicit,
+    r_inverse_pair,
     r_lah,
-    r_lah_from_stirlings,
+    r_lah_from_stirlings_rows,
     r_stirling1,
     r_stirling2,
     r_whitney_first,
     r_whitney_lah,
     r_whitney_lah_explicit,
-    r_whitney_lah_from_whitney,
-    r_whitney_lah_horizontal,
-    r_whitney_lah_vertical,
+    r_whitney_lah_from_whitney_rows,
+    r_whitney_lah_horizontal_rows,
+    r_whitney_lah_vertical_rows,
     r_whitney_second,
     r_whitney_second_by_solve,
     verify_log_concavity,
-    verify_r_inverse,
     weighted_stirling_egf_check,
 )
-from dowling.triangles import Triangle
+from dowling.triangles import Triangle, transform
 
 R_STIRLING2_R2 = ((1,), (2, 1), (4, 5, 1), (8, 19, 9, 1), (16, 65, 55, 14, 1), (32, 211, 285, 125, 20, 1))
 R_LAH_R2 = (
@@ -65,22 +64,20 @@ def test_r_lah_table():
 
 
 def test_r_lah_from_stirlings():
-    assert r_lah_from_stirlings(2, 0, 2) == 20
+    assert r_lah_from_stirlings_rows(2, 2)[2][0] == 20
     for r in range(4):
-        tri = r_lah(10, r)
-        for n in range(11):
-            assert r_lah_from_stirlings(n, n, r) == 1
-            for k in range(n + 1):
-                assert r_lah_from_stirlings(n, k, r) == tri.value(n, k)
+        rows = r_lah_from_stirlings_rows(10, r)
+        assert all(rows[n][n] == 1 for n in range(11))
+        assert rows == r_lah(10, r).rows
 
 
 def test_r_inverse_roundtrip():
-    assert verify_r_inverse([1, 0, 0, 0, 0], 2)
-    assert verify_r_inverse(list(range(1, 9)), 2)
     rng = random.Random(11)
-    for r in (1, 2):
-        for _ in range(5):
-            assert verify_r_inverse([rng.randint(-40, 40) for _ in range(8)], r)
+    samples = [([1, 0, 0, 0, 0], 2), (list(range(1, 9)), 2)]
+    samples += [([rng.randint(-40, 40) for _ in range(8)], r) for r in (1, 2) for _ in range(5)]
+    for a, r in samples:
+        first, second = r_inverse_pair(len(a) - 1, r)
+        assert transform(second, transform(first, a)) == a
 
 
 def test_r_bell_values_and_routes():
@@ -179,24 +176,27 @@ def test_r_whitney_lah_table():
     assert tuple(tri.row_sum(n) for n in range(5)) == (1, 5, 37, 361, 4361)
 
 
+def _from_column_1(rows) -> list:
+    """The rows without column 0, where the vertical expansion does not hold."""
+    return [row[1:] for row in rows]
+
+
 def test_r_whitney_lah_all_routes_agree():
     for m, r in PARAM_GRID:
-        tri = r_whitney_lah(12, m, r)
-        for n in range(13):
-            for k in range(n + 1):
-                assert r_whitney_lah_explicit(n, k, m, r) == tri.value(n, k)
-                assert r_whitney_lah_from_whitney(n, k, m, r) == tri.value(n, k)
-                assert r_whitney_lah_horizontal(n, k, m, r) == tri.value(n, k)
-                if k >= 1:
-                    assert r_whitney_lah_vertical(n, k, m, r) == tri.value(n, k)
+        rows = r_whitney_lah(12, m, r).rows
+        explicit = tuple(tuple(r_whitney_lah_explicit(n, k, m, r) for k in range(n + 1)) for n in range(13))
+        assert explicit == rows
+        assert r_whitney_lah_from_whitney_rows(12, m, r) == rows
+        assert r_whitney_lah_horizontal_rows(12, m, r) == rows
+        assert _from_column_1(r_whitney_lah_vertical_rows(12, m, r)) == _from_column_1(rows)
 
 
 def test_r_whitney_lah_route_examples():
-    assert r_whitney_lah_vertical(2, 1, 2, 2) == 12
-    assert r_whitney_lah_horizontal(1, 0, 2, 2) == 4
+    vertical = r_whitney_lah_vertical_rows(3, 2, 2)
+    assert vertical[2][1] == 12
+    assert vertical[3][0] == 0 != r_whitney_lah(3, 2, 2).value(3, 0)  # outside the expansion
+    assert r_whitney_lah_horizontal_rows(1, 2, 2)[1][0] == 4
     assert r_whitney_lah_explicit(2, 1, 2, 2) == 12
-    with pytest.raises(ValueError):
-        r_whitney_lah_vertical(3, 0, 2, 2)
 
 
 def test_r_whitney_lah_explicit_degenerate_r_zero():
@@ -208,18 +208,13 @@ def test_r_whitney_lah_explicit_degenerate_r_zero():
 
 def test_r_whitney_lah_m1_reduces_to_r_lah():
     for r in (1, 2, 3):
-        rl = r_lah(10, r)
-        assert r_whitney_lah(10, 1, r).rows == rl.rows
-        for n in range(11):
-            for k in range(n + 1):
-                assert r_whitney_lah_horizontal(n, k, 1, r) == rl.value(n, k)
-                if k >= 1:
-                    assert r_whitney_lah_vertical(n, k, 1, r) == rl.value(n, k)
+        rows = r_lah(10, r).rows
+        assert r_whitney_lah(10, 1, r).rows == rows
+        assert r_whitney_lah_horizontal_rows(10, 1, r) == rows
+        assert _from_column_1(r_whitney_lah_vertical_rows(10, 1, r)) == _from_column_1(rows)
 
 
 def test_log_concavity():
-    report = log_concavity_report(4, 2, 2)
-    assert report["product"] and report["unimodal"] and report["sum"]
     assert verify_log_concavity(2, 2, 2)
     for m, r in ((1, 1), (2, 2), (3, 1)):
         for n in range(2, 21):

@@ -1,6 +1,8 @@
 import random
+import re
 from fractions import Fraction
 
+from dowling.basis import verify_orthogonality
 from dowling.classic import stirling1_triangle
 from dowling.rnumbers import r_lah, r_stirling2
 from dowling.unified import (
@@ -10,10 +12,8 @@ from dowling.unified import (
     cakic_bell_explicit,
     hs_bell,
     hs_bell_explicit,
-    hs_lah,
     hs_lah_matrix,
     hs_pair,
-    verify_hs_orthogonality,
     verify_specializations,
 )
 from dowling.whitney import whitney_lah
@@ -53,11 +53,11 @@ def test_hs_pair_recovers_stirling_first_kind():
 
 
 def test_hs_orthogonality():
-    assert verify_hs_orthogonality(hs_pair(0, HSParams(3, 7, 1)))
-    assert verify_hs_orthogonality(hs_pair(8, HSParams(0, 1, 2)))
-    assert verify_hs_orthogonality(hs_pair(6, HSParams(F(1, 2), F(1, 3), 2)))
-    assert verify_hs_orthogonality(hs_pair(8, HSParams(2, 3, 1)))
-    assert verify_hs_orthogonality(hs_pair(8, HSParams(F(1, 2), F(1, 3), 2)))
+    assert verify_orthogonality(*hs_pair(0, HSParams(3, 7, 1)))
+    assert verify_orthogonality(*hs_pair(8, HSParams(0, 1, 2)))
+    assert verify_orthogonality(*hs_pair(6, HSParams(F(1, 2), F(1, 3), 2)))
+    assert verify_orthogonality(*hs_pair(8, HSParams(2, 3, 1)))
+    assert verify_orthogonality(*hs_pair(8, HSParams(F(1, 2), F(1, 3), 2)))
 
 
 def test_hs_inverse_relation_roundtrip():
@@ -73,8 +73,8 @@ def test_hs_inverse_relation_roundtrip():
 
 def test_hs_lah_diagonal():
     for params in PARAM_SETS:
-        for n in range(7):
-            assert hs_lah(n, n, params) == (-1) ** n
+        lah = hs_lah_matrix(6, params)
+        assert all(lah.value(n, n) == (-1) ** n for n in range(7))
 
 
 def test_hs_lah_whitney_reduction():
@@ -137,30 +137,25 @@ def test_cakic_defining_relation():
 
 
 def test_specialization_report_passes():
-    report = verify_specializations(6)
-    assert report.passed
-    assert len(report.checks) == 10
-    by_name = {check.name: check for check in report.checks}
-    assert not by_name["r-stirling-first"].convention.endswith("as printed")
-    assert "(-1)^(n-k)" in by_name["r-stirling-first"].convention
-    assert by_name["whitney-second"].convention.endswith("as printed")
-    assert "+alpha" in by_name["cakic"].convention
+    failures, notes = verify_specializations(6)
+    assert failures == []
+    # Conventions hold "; " themselves, so split only before "<name>: ".
+    conventions = dict(note.split(": ", 1) for note in re.split(r"; (?=[a-z-]+: )", notes))
+    assert len(conventions) == 10
+    assert not conventions["r-stirling-first"].endswith("as printed")
+    assert "(-1)^(n-k)" in conventions["r-stirling-first"]
+    assert conventions["whitney-second"].endswith("as printed")
+    assert "+alpha" in conventions["cakic"]
 
 
 def test_specialization_report_trivial_nmax():
-    report = verify_specializations(0)
-    assert report.passed
-
-
-def test_specialization_report_serializes():
-    obj = verify_specializations(3).as_dict()
-    assert obj["pass"] is True
-    assert all(not check["mismatches"] for check in obj["checks"])
+    failures, _ = verify_specializations(0)
+    assert failures == []
 
 
 def test_degenerate_step_pair_still_works():
     # alpha = beta = 0 turns both sides into shifted monomial bases.
     pair = hs_pair(5, HSParams(0, 0, 1))
-    assert verify_hs_orthogonality(pair)
+    assert verify_orthogonality(*pair)
     binomial_row = [pair.s1.value(4, k) for k in range(5)]
     assert binomial_row == [1, 4, 6, 4, 1]

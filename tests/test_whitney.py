@@ -8,16 +8,16 @@ from dowling.whitney import (
     bell_via_dowling,
     dowling,
     dowling_explicit,
-    verify_whitney_lah_inverse,
-    verify_whitney_lah_orthogonality,
     whitney_first,
     whitney_lah,
-    whitney_lah_from_whitney,
-    whitney_lah_horizontal,
-    whitney_lah_vertical,
+    whitney_lah_from_whitney_rows,
+    whitney_lah_horizontal_rows,
+    whitney_lah_pair,
+    whitney_lah_vertical_rows,
     whitney_second,
-    whitney_second_benoumhani,
+    whitney_second_benoumhani_rows,
 )
+from dowling.triangles import transform
 
 ALPHAS = (1, 2, 3, 5)
 
@@ -63,12 +63,9 @@ def test_whitney_second_defining_relation():
 
 
 def test_benoumhani_sum():
-    assert whitney_second_benoumhani(3, 1, 3) == 21
+    assert whitney_second_benoumhani_rows(3, 3)[3][1] == 21
     for alpha in ALPHAS:
-        tri = whitney_second(20, alpha)
-        for n in range(21):
-            for k in range(n + 1):
-                assert whitney_second_benoumhani(n, k, alpha) == tri.value(n, k)
+        assert whitney_second_benoumhani_rows(20, alpha) == whitney_second(20, alpha).rows
 
 
 def test_whitney_lah_table_values():
@@ -98,50 +95,46 @@ def test_whitney_lah_matches_closed_form_polynomials():
 
 def test_whitney_lah_recurrence_routes_agree():
     for alpha in ALPHAS:
-        tri = whitney_lah(15, alpha)
-        for n in range(16):
-            for k in range(n + 1):
-                if k >= 1:
-                    assert whitney_lah_vertical(n, k, alpha) == tri.value(n, k)
-                assert whitney_lah_horizontal(n, k, alpha) == tri.value(n, k)
+        rows = whitney_lah(15, alpha).rows
+        # The vertical expansion holds from column 1 on.
+        assert [row[1:] for row in whitney_lah_vertical_rows(15, alpha)] == [row[1:] for row in rows]
+        assert whitney_lah_horizontal_rows(15, alpha) == rows
 
 
 def test_whitney_lah_vertical_domain():
-    assert whitney_lah_vertical(0, 0, 3) == 1
-    assert whitney_lah_vertical(2, 1, 5) == 2 * (5 + 2)
-    with pytest.raises(ValueError):
-        whitney_lah_vertical(3, 0, 3)
+    rows = whitney_lah_vertical_rows(3, 5)
+    assert rows[0] == (1,)
+    assert rows[2][1] == 2 * (5 + 2)
+    # Column 0 is outside the expansion: it reads 0, not L(n, 0).
+    assert rows[3][0] == 0 != whitney_lah(3, 5).value(3, 0)
 
 
 def test_whitney_lah_horizontal_small():
-    assert whitney_lah_horizontal(1, 0, 7) == -2
-    assert whitney_lah_horizontal(4, 4, 3) == 1
+    assert whitney_lah_horizontal_rows(1, 7)[1][0] == -2
+    assert whitney_lah_horizontal_rows(4, 3)[4][4] == 1
 
 
 def test_whitney_lah_from_whitney():
-    assert whitney_lah_from_whitney(2, 1, 3) == 10
+    assert whitney_lah_from_whitney_rows(2, 3)[2][1] == 10
     for alpha in (1, 2, 3):
-        tri = whitney_lah(12, alpha)
-        for n in range(13):
-            assert whitney_lah_from_whitney(n, n, alpha) == (-1) ** n
-            for k in range(n + 1):
-                assert whitney_lah_from_whitney(n, k, alpha) == tri.value(n, k)
+        rows = whitney_lah_from_whitney_rows(12, alpha)
+        assert all(rows[n][n] == (-1) ** n for n in range(13))
+        assert rows == whitney_lah(12, alpha).rows
 
 
 def test_whitney_lah_orthogonality():
-    assert verify_whitney_lah_orthogonality(0, 3)
-    assert verify_whitney_lah_orthogonality(8, 3)
-    assert verify_whitney_lah_orthogonality(8, 1)
-    assert verify_whitney_lah_orthogonality(12, 5)
+    for nmax, alpha in ((0, 3), (8, 3), (8, 1), (12, 5)):
+        first, second = whitney_lah_pair(nmax, alpha)
+        assert first.mul(second).is_identity()
 
 
 def test_whitney_lah_inverse_roundtrip():
-    assert verify_whitney_lah_inverse([1, 0, 0, 0], 3)
-    assert verify_whitney_lah_inverse(list(range(1, 11)), 3)
     rng = random.Random(7)
-    for _ in range(5):
-        g = [rng.randint(-30, 30) for _ in range(9)]
-        assert verify_whitney_lah_inverse(g, 2)
+    samples = [([1, 0, 0, 0], 3), (list(range(1, 11)), 3)]
+    samples += [([rng.randint(-30, 30) for _ in range(9)], 2) for _ in range(5)]
+    for g, alpha in samples:
+        first, second = whitney_lah_pair(len(g) - 1, alpha)
+        assert transform(second, transform(first, g)) == g
 
 
 def test_whitney_orthogonality_both_orders():
