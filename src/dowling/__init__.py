@@ -1,81 +1,60 @@
 """Exact computation of Stirling, Lah, Whitney and Dowling number families,
-their r- and unified generalizations, and the Bell-type row sums, with every
-family available through at least two independent routes."""
+their r- and unified generalizations, and the Bell-type row sums.
 
-from .basis import (
-    PolyBasis,
-    connection_matrix,
-    expand_in_monomials,
-    factorial_basis,
-    monomial_basis,
-    power_basis,
-    verify_orthogonality,
-    verify_tauber_product,
-)
+Every family and sum is built by one engine, `families.triangle(name,
+params, nmax)` and `families.row_sum(name, params, n)`; the functions
+exported beside it are the paper's explicit formulas and the other
+verification routes, each an independent way to the same numbers.  The
+identity registry that checks them against the engine is
+`dowling.identities`, imported on demand.
+"""
+
+from . import families
 from .classic import (
-    bell,
     lah_egf_check,
     lah_explicit,
-    lah_signed_triangle,
+    lah_from_stirlings_rows,
+    lah_horizontal_rows,
     lah_signless,
+    lah_vertical_rows,
     partial_bell,
     qi_bell,
     stirling1_by_expansion,
-    stirling1_triangle,
-    stirling2_triangle,
 )
-from .exactmath import (
-    DegenerateBasisError,
-    IntegralityError,
-    Poly,
-    Series,
-    binomial,
-    exp_series,
-    generalized_rising,
-    interpolate,
-)
-from .oracle import PartitionSpec, count_all_partitions, count_partitions
 from .rnumbers import (
-    r_bell,
     r_bell_explicit,
-    r_dowling,
+    r_bell_explicit_sequence,
     r_dowling_explicit,
-    r_lah,
-    r_stirling1,
-    r_stirling2,
-    r_whitney_first,
+    r_dowling_explicit_sequence,
+    r_inverse_pair,
+    r_lah_from_stirlings_rows,
     r_whitney_first_by_solve,
-    r_whitney_lah,
     r_whitney_lah_explicit,
-    r_whitney_second,
+    r_whitney_lah_from_whitney_rows,
+    r_whitney_lah_horizontal_rows,
+    r_whitney_lah_vertical_rows,
     r_whitney_second_by_solve,
-    r_whitney_second_recurrence,
     verify_log_concavity,
     weighted_stirling_egf_check,
 )
 from .triangles import Triangle, transform
 from .unified import (
-    HSPair,
-    HSParams,
-    cakic,
-    cakic_bell,
-    cakic_bell_explicit,
-    hs_bell,
     hs_bell_explicit,
-    hs_lah_matrix,
+    hs_bell_explicit_sequence,
     hs_lah_matrix_by_solve,
     hs_pair,
     hs_pair_by_solve,
     verify_specializations,
 )
 from .whitney import (
-    bell_via_dowling,
-    dowling,
     dowling_explicit,
-    whitney_first,
+    dowling_explicit_sequence,
     whitney_first_by_expansion,
-    whitney_lah,
-    whitney_second,
+    whitney_lah_from_whitney_rows,
+    whitney_lah_horizontal_rows,
+    whitney_lah_pair,
+    whitney_lah_vertical_rows,
+    whitney_second_benoumhani_rows,
 )
 
 __version__ = "0.1.0"

@@ -1,8 +1,10 @@
-"""Stirling numbers of both kinds, Lah numbers, Bell numbers, partial Bell
-polynomials, and the alternating Lah/Stirling expression for Bell numbers.
+"""Verification routes for the Stirling numbers of both kinds, the Lah
+numbers and the Bell numbers, plus partial Bell polynomials and Qi's
+alternating Lah/Stirling expression for the Bell numbers.
 
-Every family here is computed by at least two independent routes; the test
-suite pins them against each other and against brute-force partition counts.
+The engine in `families` builds every family; the routes here compute it
+another way, and the test suite pins them against each other and against
+brute-force partition counts.
 """
 
 from __future__ import annotations
@@ -16,14 +18,8 @@ from .exactmath import Poly, Series, as_integer, binomial
 from .triangles import Triangle, horizontal_rows, product, vertical_rows
 
 
-def stirling2_triangle(nmax: int) -> Triangle:
-    """S(n,k) via S(n,k) = S(n-1,k-1) + k*S(n-1,k), S(0,0) = 1."""
-    return families.triangle("stirling2", {}, nmax)
-
-
 def stirling1_triangle(nmax: int) -> Triangle:
-    """Signed s(n,k), the coefficient of x^k in x(x-1)...(x-n+1), via
-    s(n,k) = s(n-1,k-1) - (n-1)*s(n-1,k)."""
+    """The engine's signed Stirling triangle, by the name `perfbench/pin.py` calls."""
     return families.triangle("stirling1", {}, nmax)
 
 
@@ -31,11 +27,6 @@ def stirling1_by_expansion(nmax: int) -> Triangle:
     """Verification route: expand x(x-1)...(x-n+1) in monomials."""
     mat = basis.expand_in_monomials(basis.factorial_basis(1, 0, 1, nmax))
     return mat.to_triangle("stirling1", {})
-
-
-def lah_signed_triangle(nmax: int) -> Triangle:
-    """Signed Lah triangle from L(n,k) = -L(n-1,k-1) - (n-1+k)*L(n-1,k)."""
-    return families.triangle("lah", {}, nmax)
 
 
 def lah_explicit(n: int, k: int) -> int:
@@ -59,7 +50,7 @@ def lah_vertical_rows(nmax: int) -> tuple:
     """Signed Lah rows 0..nmax assembled column-wise from the rows above,
     all from one triangle of rows 0..nmax-1:
     L(n,k) = sum_i (-1)^(i+1) (n-1+k)_i L(n-1-i, k-1)."""
-    return vertical_rows(lah_signed_triangle(max(nmax - 1, 0)), nmax, 0, 1, -1)
+    return vertical_rows(families.triangle("lah", {}, max(nmax - 1, 0)), nmax, 0, 1, -1)
 
 
 
@@ -69,7 +60,7 @@ def lah_horizontal_rows(nmax: int) -> tuple:
     L(n,k) = sum_i (-1)^(i+1) <n+k+1>_i L(n+1, k+i+1), where <x>_i is the
     ascending product x(x+1)...(x+i-1).  (The descending reading fails the
     cross-checks; see the verification suite.)"""
-    return horizontal_rows(lah_signed_triangle(nmax + 1), nmax, 0, 1, -1)
+    return horizontal_rows(families.triangle("lah", {}, nmax + 1), nmax, 0, 1, -1)
 
 
 
@@ -80,7 +71,7 @@ def lah_egf_check(k: int, order: int) -> bool:
     one_plus_t = Series.from_poly(Poly((1, 1)), order)
     base = Series.from_poly(Poly((0, -1)), order) * one_plus_t.inverse()
     series = (base ** k) * Fraction(1, math.factorial(k))
-    tri = lah_signed_triangle(order)
+    tri = families.triangle("lah", {}, order)
     return all(
         series.coefficient(n) * math.factorial(n) == tri.value(n, k) for n in range(order + 1)
     )
@@ -90,13 +81,7 @@ def lah_from_stirlings_rows(nmax: int) -> tuple:
     """Signed Lah rows from both Stirling kinds: L(n,k) = sum_j (-1)^j s(n,j) S(j,k),
     with s from one polynomial expansion."""
     s1 = stirling1_by_expansion(nmax)
-    return product(s1.rows, stirling2_triangle(nmax).rows, signed=True)
-
-
-
-def bell(n: int) -> int:
-    """Bell number: row sum of the Stirling-second-kind triangle."""
-    return families.row_sum("stirling2", {}, n)
+    return product(s1.rows, families.triangle("stirling2", {}, nmax).rows, signed=True)
 
 
 def qi_bell(n: int) -> int:

@@ -26,9 +26,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 
-from . import classic, oracle, rnumbers, unified, whitney
+from . import classic, families, oracle, rnumbers, unified, whitney
 from .triangles import checkerboard, product, transform
-from .unified import HSParams
 
 
 def _failure(n, k, expected, actual) -> dict:
@@ -143,15 +142,38 @@ def _entrywise(entry):
     ]
 
 
+def _table(family):
+    """The production triangle of a family.  `families.triangle` is looked up
+    at each call, so a test that patches it reaches every reference."""
+    return lambda nmax, **point: families.triangle(family, point, nmax)
+
+
+def _sums(family):
+    """The production row sums 0..nmax of a family, looked up likewise."""
+    return lambda nmax, **point: [families.row_sum(family, point, n) for n in range(nmax + 1)]
+
+
 def _hs(fn):
-    """fn(nmax, params) called with the Hsu-Shiue triple as keywords."""
-    return lambda nmax, alpha, beta, gamma: fn(nmax, HSParams(alpha, beta, gamma))
+    """fn(nmax, (alpha, beta, gamma)) called with the Hsu-Shiue triple as keywords."""
+    return lambda nmax, alpha, beta, gamma: fn(nmax, (alpha, beta, gamma))
+
+
+def _hs_ortho_pair(nmax, alpha, beta, gamma):
+    """s1 from the engine and s2 from the connection solve."""
+    s1 = families.triangle("hs1", {"alpha": alpha, "beta": beta, "gamma": gamma}, nmax)
+    return s1, unified.hs_pair_by_solve(nmax, (alpha, beta, gamma)).s2
+
+
+def _hs_inverse_pair(nmax, alpha, beta, gamma):
+    """s1 from the connection solve and s2 from the engine."""
+    s2 = families.triangle("hs2", {"alpha": alpha, "beta": beta, "gamma": gamma}, nmax)
+    return unified.hs_pair_by_solve(nmax, (alpha, beta, gamma)).s1, s2
 
 
 def _r_whitney_pair(nmax, m, r):
     """Signed r-Whitney first kind (solved) and second kind: mutually inverse."""
     first = rnumbers.r_whitney_first_by_solve(nmax, m, r)
-    return checkerboard(first), rnumbers.r_whitney_second(nmax, m, r)
+    return checkerboard(first), families.triangle("r-whitney2", {"m": m, "r": r}, nmax)
 
 
 # ---------------------------------------------------------------------------
@@ -160,10 +182,10 @@ def _r_whitney_pair(nmax, m, r):
 
 def _bell_reduction(nmax):
     bad = []
-    s2 = classic.stirling2_triangle(nmax + 1)
-    w1 = whitney.whitney_second(nmax, 1)
+    s2 = families.triangle("stirling2", {}, nmax + 1)
+    w1 = families.triangle("whitney2", {"alpha": 1}, nmax)
     for n in range(nmax + 1):
-        want, got = classic.bell(n + 1), whitney.bell_via_dowling(n)
+        want, got = families.row_sum("stirling2", {}, n + 1), families.row_sum("whitney2", {"alpha": 1}, n)
         if want != got:
             bad.append(_failure(n, None, want, got))
         for j in range(n + 1):
@@ -177,14 +199,16 @@ def _oracle(nmax):
     enumeration is capped by its size guard, so Lah stops at n = 9 and the
     r-families at min(nmax, 11-r, 9)."""
     # (last row, distinguished elements, ordered blocks, entry, row sum)
+    bell = partial(families.row_sum, "stirling2", {})
     checks = [
-        (nmax, 0, False, classic.stirling2_triangle(nmax).value, classic.bell),
+        (nmax, 0, False, families.triangle("stirling2", {}, nmax).value, bell),
         (min(nmax, 9), 0, True, classic.lah_signless, None),
     ]
     for r in (1, 2, 3):
-        top = min(nmax, 11 - r, 9)
-        checks.append((top, r, False, rnumbers.r_stirling2(top, r).value, partial(rnumbers.r_bell, r=r)))
-        checks.append((top, r, True, rnumbers.r_lah(top, r).value, None))
+        top, p = min(nmax, 11 - r, 9), {"r": r}
+        r_bell = partial(families.row_sum, "r-stirling2", p)
+        checks.append((top, r, False, families.triangle("r-stirling2", p, top).value, r_bell))
+        checks.append((top, r, True, families.triangle("r-lah", p, top).value, None))
     bad = []
     for top, r, ordered, entry, total in checks:
         for n in range(top + 1):
@@ -233,11 +257,12 @@ def _log_concavity(nmax, m, r):
 
 
 def _stirling_pair(nmax):
-    return classic.stirling2_triangle(nmax), classic.stirling1_by_expansion(nmax)
+    return families.triangle("stirling2", {}, nmax), classic.stirling1_by_expansion(nmax)
 
 
 def _whitney_pair(nmax, alpha):
-    return whitney.whitney_first_by_expansion(nmax, alpha), whitney.whitney_second(nmax, alpha)
+    second = families.triangle("whitney2", {"alpha": alpha}, nmax)
+    return whitney.whitney_first_by_expansion(nmax, alpha), second
 
 
 _HS_GRID = tuple(
@@ -248,9 +273,9 @@ _MR_GRID = ({"m": 1, "r": 1}, {"m": 2, "r": 2}, {"m": 3, "r": 1})
 _W = {"nmax": 12, "alpha": 3}
 _R = {"nmax": 10, "r": 2}
 _RW = {"nmax": 12, "m": 2, "r": 2}
-_LAH = classic.lah_signed_triangle
-_W_LAH = whitney.whitney_lah
-_RW_LAH = rnumbers.r_whitney_lah
+_LAH = _table("lah")
+_W_LAH = _table("whitney-lah")
+_RW_LAH = _table("r-whitney-lah")
 _TRIWLAH_ROUTES = (
     (whitney.whitney_lah_vertical_rows, 1),
     *_all_columns(whitney.whitney_lah_horizontal_rows, whitney.whitney_lah_from_whitney_rows),
@@ -273,7 +298,7 @@ REGISTRY = {
         Identity("verlah", {"nmax": 20}, Tables(_LAH, _all_columns(classic.lah_vertical_rows))),
         Identity("horilah", {"nmax": 20}, Tables(_LAH, _all_columns(classic.lah_horizontal_rows), _HORILAH)),
         Identity("lgf", {"nmax": 20}, Predicate(_lgf, _SERIES), fixed={"kmax": 5}),
-        Identity("qi", {"nmax": 25}, Sequences(_each(classic.bell), _each(classic.qi_bell))),
+        Identity("qi", {"nmax": 25}, Sequences(_sums("stirling2"), _each(classic.qi_bell))),
         Identity("ordlahstirling", {"nmax": 15}, Tables(_LAH, _all_columns(classic.lah_from_stirlings_rows))),
         Identity("stirling-inverse", {"nmax": 9}, Roundtrip(_stirling_pair)),
         Identity("ortho", {"nmax": 12, "alpha": 3}, Product(whitney.whitney_lah_pair, both_orders=False)),
@@ -284,15 +309,15 @@ REGISTRY = {
         Identity(
             "benoumhani",
             {"nmax": 15, "alpha": 3},
-            Tables(whitney.whitney_second, _all_columns(whitney.whitney_second_benoumhani_rows)),
+            Tables(_table("whitney2"), _all_columns(whitney.whitney_second_benoumhani_rows)),
         ),
         Identity(
-            "dow1", {"nmax": 10, "alpha": 3}, Sequences(_each(whitney.dowling), whitney.dowling_explicit_sequence)
+            "dow1", {"nmax": 10, "alpha": 3}, Sequences(_sums("whitney2"), whitney.dowling_explicit_sequence)
         ),
         Identity("bell-reduction", {"nmax": 12}, _bell_reduction),
-        Identity("lah1", _R, Tables(rnumbers.r_lah, _all_columns(rnumbers.r_lah_from_stirlings_rows))),
+        Identity("lah1", _R, Tables(_table("r-lah"), _all_columns(rnumbers.r_lah_from_stirlings_rows))),
         Identity("lah4", {"nmax": 7, "r": 2}, Roundtrip(rnumbers.r_inverse_pair)),
-        Identity("expb", _R, Sequences(_each(rnumbers.r_bell), rnumbers.r_bell_explicit_sequence)),
+        Identity("expb", _R, Sequences(_sums("r-stirling2"), rnumbers.r_bell_explicit_sequence)),
         Identity(
             "weighted-egf",
             {"nmax": 12, "r": 2},
@@ -304,15 +329,15 @@ REGISTRY = {
         Identity("rwhitneylah", _RW, Tables(_RW_LAH, _all_columns(rnumbers.r_whitney_lah_from_whitney_rows))),
         Identity("exprwlah", _RW, Tables(_RW_LAH, _all_columns(_entrywise(rnumbers.r_whitney_lah_explicit)))),
         Identity("rwlah-routes", _RW, Tables(_RW_LAH, _RWLAH_ROUTES, _RWLAH)),
-        Identity("expl-rdow", _RW, Sequences(_each(rnumbers.r_dowling), rnumbers.r_dowling_explicit_sequence)),
+        Identity("expl-rdow", _RW, Sequences(_sums("r-whitney2"), rnumbers.r_dowling_explicit_sequence)),
         Identity(
             "ugexp",
             {"nmax": 10},
-            Sequences(_hs(_each(unified.hs_bell)), _hs(unified.hs_bell_explicit_sequence)),
+            Sequences(_sums("hs1"), _hs(unified.hs_bell_explicit_sequence)),
             _HS_GRID,
         ),
-        Identity("hs-ortho", {"nmax": 8}, Product(_hs(unified.hs_pair_by_solve)), _HS_GRID),
-        Identity("invrel", {"nmax": 9}, Roundtrip(_hs(unified.hs_pair_by_solve)), _HS_GRID),
+        Identity("hs-ortho", {"nmax": 8}, Product(_hs_ortho_pair), _HS_GRID),
+        Identity("invrel", {"nmax": 9}, Roundtrip(_hs_inverse_pair), _HS_GRID),
         Identity("log-concavity", {"nmax": 20}, Predicate(_log_concavity, "log-concave", _LOG_CONCAVE), _MR_GRID),
         Identity("specializations", {"nmax": 6}, unified.verify_specializations),
         Identity("oracle", {"nmax": 8}, _oracle, needs_oracle=True),

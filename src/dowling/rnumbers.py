@@ -1,4 +1,5 @@
-"""r-Stirling, r-Lah, r-Bell, r-Whitney, r-Whitney-Lah and r-Dowling numbers.
+"""Verification routes for the r-Stirling, r-Lah, r-Bell, r-Whitney,
+r-Whitney-Lah and r-Dowling numbers.
 
 Indexing follows the shifted convention: the (n, k) entry of an r-family
 refers to a ground set of n+r elements split into k+r blocks, with the r
@@ -23,25 +24,13 @@ from .families import check_param
 from .triangles import Triangle, checkerboard, horizontal_rows, product, transform, vertical_rows
 
 
-def r_stirling2(nmax: int, r) -> Triangle:
-    """r-Stirling numbers of the second kind via
-    T(n,k) = T(n-1,k-1) + (k+r) * T(n-1,k)."""
-    return families.triangle("r-stirling2", {"r": r}, nmax)
-
-
-def r_stirling1(nmax: int, r) -> Triangle:
-    """Unsigned r-Stirling numbers of the first kind via
-    T(n,k) = T(n-1,k-1) + (n-1+r) * T(n-1,k)."""
-    return families.triangle("r-stirling1", {"r": r}, nmax)
-
-
 def weighted_stirling_egf_check(nmax: int, r, order: int) -> bool:
     """True iff n! [t^n] (e^t - 1)^k / k! * e^(rt) matches the r-Stirling
     second-kind entries for all k <= nmax and n <= nmax."""
     r = check_param("r", r)
     if order < nmax:
         raise ValueError("order must be at least nmax")
-    tri = r_stirling2(nmax, r)
+    tri = families.triangle("r-stirling2", {"r": r}, nmax)
     e_minus_1 = exp_series(order) - Series((1,), order)
     e_rt = exp_series(order, r)
     for k in range(nmax + 1):
@@ -52,34 +41,30 @@ def weighted_stirling_egf_check(nmax: int, r, order: int) -> bool:
     return True
 
 
-def r_lah(nmax: int, r) -> Triangle:
-    """r-Lah numbers via T(n,k) = T(n-1,k-1) + (n-1+k+2r) * T(n-1,k)."""
-    return families.triangle("r-lah", {"r": r}, nmax)
-
-
 def r_lah_from_stirlings_rows(nmax: int, r) -> tuple:
     """r-Lah rows as the product of the two r-Stirling kinds:
     L(n,k) = sum_j A(n,j) * S(j,k)."""
-    return product(r_stirling1(nmax, r).rows, r_stirling2(nmax, r).rows)
+    first = families.triangle("r-stirling1", {"r": r}, nmax)
+    second = families.triangle("r-stirling2", {"r": r}, nmax)
+    return product(first.rows, second.rows)
 
 
 def r_inverse_pair(nmax: int, r) -> tuple:
     """The r-Stirling inverse pair as two tables: b_n = sum_j A(n,j) a_j is
     undone by a_n = sum_j (-1)^(n-j) S(n,j) b_j."""
-    return r_stirling1(nmax, r), checkerboard(r_stirling2(nmax, r))
-
-
-def r_bell(n: int, r) -> int:
-    """r-Bell number: row sum of the r-Stirling second-kind triangle."""
-    return families.row_sum("r-stirling2", {"r": r}, n)
+    first = families.triangle("r-stirling1", {"r": r}, nmax)
+    second = families.triangle("r-stirling2", {"r": r}, nmax)
+    return first, checkerboard(second)
 
 
 def r_bell_explicit_sequence(nmax: int, r) -> list:
     """r-Bell numbers B(0..nmax) through the alternating r-Lah sum
     B(n) = sum_k (-1)^(n-k) S(n,k) [sum_j L(k,j)], from one triangle of each."""
     r = check_param("r", r)
-    sums = [-sum(row) if k % 2 else sum(row) for k, row in enumerate(r_lah(nmax, r).rows)]
-    return [-v if n % 2 else v for n, v in enumerate(transform(r_stirling2(nmax, r), sums))]
+    lah = families.triangle("r-lah", {"r": r}, nmax)
+    second = families.triangle("r-stirling2", {"r": r}, nmax)
+    sums = [-sum(row) if k % 2 else sum(row) for k, row in enumerate(lah.rows)]
+    return [-v if n % 2 else v for n, v in enumerate(transform(second, sums))]
 
 
 def r_bell_explicit(n: int, r) -> int:
@@ -95,17 +80,9 @@ def _scaled_falling_basis(m: int, nmax: int) -> basis.PolyBasis:
     return basis.PolyBasis(tuple(elems))
 
 
-def r_whitney_second(nmax: int, m, r) -> Triangle:
-    """r-Whitney numbers of the second kind via
-    W(n,k) = W(n-1,k-1) + (k*m + r) * W(n-1,k)."""
-    return families.triangle("r-whitney2", {"m": m, "r": r}, nmax)
-
-
 def r_whitney_second_recurrence(nmax: int, m, r) -> Triangle:
-    """Former name of the recurrence route, which is now the production path
-    `r_whitney_second` itself; kept for existing callers such as
-    `perfbench/pin.py`."""
-    return r_whitney_second(nmax, m, r)
+    """The engine's r-Whitney second-kind triangle, by the name `perfbench/pin.py` calls."""
+    return families.triangle("r-whitney2", {"m": m, "r": r}, nmax)
 
 
 def r_whitney_second_by_solve(nmax: int, m, r) -> Triangle:
@@ -118,12 +95,6 @@ def r_whitney_second_by_solve(nmax: int, m, r) -> Triangle:
     return mat.to_triangle("r-whitney2", {"m": m, "r": r})
 
 
-def r_whitney_first(nmax: int, m, r) -> Triangle:
-    """Unsigned r-Whitney numbers of the first kind via
-    w(n,k) = w(n-1,k-1) + ((n-1)*m + r) * w(n-1,k)."""
-    return families.triangle("r-whitney1", {"m": m, "r": r}, nmax)
-
-
 def r_whitney_first_by_solve(nmax: int, m, r) -> Triangle:
     """Verification route: expand m^n x(x-1)...(x-n+1) in powers of (mx+r)
     and peel off the (-1)^(n-k) sign."""
@@ -133,12 +104,6 @@ def r_whitney_first_by_solve(nmax: int, m, r) -> Triangle:
         _scaled_falling_basis(m, nmax), basis.power_basis(Poly((r, m)), nmax)
     )
     return checkerboard(mat).to_triangle("r-whitney1", {"m": m, "r": r})
-
-
-def r_whitney_lah(nmax: int, m, r) -> Triangle:
-    """r-Whitney-Lah numbers via
-    L(n,k) = L(n-1,k-1) + (2r + (n+k-1)m) * L(n-1,k)."""
-    return families.triangle("r-whitney-lah", {"m": m, "r": r}, nmax)
 
 
 def r_whitney_lah_explicit(n: int, k: int, m, r) -> int:
@@ -174,7 +139,8 @@ def r_whitney_lah_vertical_rows(nmax: int, m, r) -> tuple:
     L(n,k) = sum_{j=k-1}^{n-1} (2r + (n+k-1)m | m)_{n-1-j} L(j, k-1)."""
     m = check_param("m", m)
     r = check_param("r", r)
-    return vertical_rows(r_whitney_lah(max(nmax - 1, 0), m, r), nmax, 2 * r, m, 1)
+    lah = families.triangle("r-whitney-lah", {"m": m, "r": r}, max(nmax - 1, 0))
+    return vertical_rows(lah, nmax, 2 * r, m, 1)
 
 
 def r_whitney_lah_horizontal_rows(nmax: int, m, r) -> tuple:
@@ -182,7 +148,8 @@ def r_whitney_lah_horizontal_rows(nmax: int, m, r) -> tuple:
     0..nmax+1: L(n,k) = sum_i (-1)^i [2r + (n+k+1)m | m]_i L(n+1, k+i+1)."""
     m = check_param("m", m)
     r = check_param("r", r)
-    return horizontal_rows(r_whitney_lah(nmax + 1, m, r), nmax, 2 * r, m, 1)
+    lah = families.triangle("r-whitney-lah", {"m": m, "r": r}, nmax + 1)
+    return horizontal_rows(lah, nmax, 2 * r, m, 1)
 
 
 def verify_log_concavity(n: int, m, r) -> bool:
@@ -190,7 +157,7 @@ def verify_log_concavity(n: int, m, r) -> bool:
     L(n,k-1)*L(n,k+1) < L(n,k)^2, and unimodal."""
     if n < 2:
         raise ValueError("log-concavity needs a row with interior entries")
-    row = r_whitney_lah(n, m, r).row(n)
+    row = families.triangle("r-whitney-lah", {"m": m, "r": r}, n).row(n)
     peak = max(range(n + 1), key=lambda k: row[k])
     return (
         all(row[k - 1] * row[k + 1] < row[k] ** 2 for k in range(1, n))
@@ -199,16 +166,11 @@ def verify_log_concavity(n: int, m, r) -> bool:
     )
 
 
-def r_dowling(n: int, m, r) -> int:
-    """r-Dowling number: row sum of the r-Whitney second-kind triangle."""
-    return families.row_sum("r-whitney2", {"m": m, "r": r}, n)
-
-
 def r_dowling_explicit_sequence(nmax: int, m, r) -> list:
     """r-Dowling numbers D(0..nmax) through the alternating r-Whitney-Lah sum
     D(n) = sum_j (-1)^(n-j) [sum_k L(j,k)] W(n,j), with W from one
     connection solve."""
-    lah = r_whitney_lah(nmax, m, r)
+    lah = families.triangle("r-whitney-lah", {"m": m, "r": r}, nmax)
     sums = [-sum(row) if j % 2 else sum(row) for j, row in enumerate(lah.rows)]
     second = r_whitney_second_by_solve(nmax, m, r)
     return [-v if n % 2 else v for n, v in enumerate(transform(second, sums))]

@@ -1,6 +1,7 @@
-"""The two-parameter-plus-shift Stirling pair of Hsu and Shiue, the Lah-type
-numbers built from it, generalized Bell sums, Cakic numbers, and the
-cross-module specialization check.
+"""Verification routes for the two-parameter-plus-shift Stirling pair of
+Hsu and Shiue: the pair by connection solve, the Lah-type numbers and the
+generalized Bell sums built from it, and the cross-module specialization
+check.  A parameter triple is the plain tuple (alpha, beta, gamma).
 
 The pair (s1, s2) consists of the connection coefficients
 
@@ -16,39 +17,14 @@ instead of trusting loose bookkeeping.
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass
 from fractions import Fraction
 
-from . import families, rnumbers, whitney
+from . import families
 from .basis import connection_matrix, factorial_basis
 from .triangles import Triangle, product, transform
 
-
-@dataclass(frozen=True)
-class HSParams:
-    """Step sizes alpha, beta and shift gamma, stored as exact rationals."""
-
-    alpha: Fraction
-    beta: Fraction
-    gamma: Fraction
-
-    def __post_init__(self):
-        object.__setattr__(self, "alpha", Fraction(self.alpha))
-        object.__setattr__(self, "beta", Fraction(self.beta))
-        object.__setattr__(self, "gamma", Fraction(self.gamma))
-
-    def as_dict(self) -> dict:
-        return {"alpha": self.alpha, "beta": self.beta, "gamma": self.gamma}
-
-
 # The mutually inverse matrices s1 and s2 for one parameter triple.
 HSPair = namedtuple("HSPair", "s1 s2")
-
-
-def _coerce_params(params) -> HSParams:
-    if isinstance(params, HSParams):
-        return params
-    return HSParams(*params)
 
 
 def hs_pair(nmax: int, params) -> HSPair:
@@ -56,8 +32,7 @@ def hs_pair(nmax: int, params) -> HSPair:
     integer recurrences s1: k*beta - (n-1)*alpha + gamma and
     s2: k*alpha - (n-1)*beta - gamma.  Mutual inversion is asserted because it
     is the defining invariant of the pair."""
-    p = _coerce_params(params)
-    scale, u1, u2 = families.hs_scaled_pair(p.as_dict(), nmax)
+    scale, u1, u2 = families.hs_scaled_pair(dict(zip(("alpha", "beta", "gamma"), params)), nmax)
     s1 = Triangle(families.read_off(u1, scale))
     s2 = Triangle(families.read_off(u2, scale))
     return HSPair(s1, s2)
@@ -70,22 +45,16 @@ def hs_pair_by_solve(nmax: int, params) -> HSPair:
     the solve cannot degenerate.  Mutual inversion is asserted as in
     `hs_pair`.
     """
-    p = _coerce_params(params)
-    source1 = factorial_basis(1, 0, p.alpha, nmax)
-    target1 = factorial_basis(1, -p.gamma, p.beta, nmax)
-    source2 = factorial_basis(1, 0, p.beta, nmax)
-    target2 = factorial_basis(1, p.gamma, p.alpha, nmax)
+    alpha, beta, gamma = map(Fraction, params)
+    source1 = factorial_basis(1, 0, alpha, nmax)
+    target1 = factorial_basis(1, -gamma, beta, nmax)
+    source2 = factorial_basis(1, 0, beta, nmax)
+    target2 = factorial_basis(1, gamma, alpha, nmax)
     s1 = connection_matrix(source1, target1)
     s2 = connection_matrix(source2, target2)
     if not s1.mul(s2).is_identity():
         raise AssertionError("connection pair failed to be mutually inverse")
     return HSPair(s1, s2)
-
-
-def hs_lah_matrix(nmax: int, params) -> Triangle:
-    """Lah-type matrix L(n,j) = sum_k (-1)^k s2(n,k) s1(k,j), as the product
-    of the two scaled integer recurrences."""
-    return families.triangle("hs-lah", _coerce_params(params).as_dict(), nmax)
 
 
 def _signed_product(pair: HSPair) -> Triangle:
@@ -96,11 +65,6 @@ def _signed_product(pair: HSPair) -> Triangle:
 def hs_lah_matrix_by_solve(nmax: int, params) -> Triangle:
     """Verification route: the same product over the solved pair."""
     return _signed_product(hs_pair_by_solve(nmax, params))
-
-
-def hs_bell(n: int, params) -> Fraction:
-    """Generalized Bell number: row sum of s1."""
-    return families.row_sum("hs1", _coerce_params(params).as_dict(), n)
 
 
 def hs_bell_explicit_sequence(nmax: int, params) -> list:
@@ -114,22 +78,6 @@ def hs_bell_explicit_sequence(nmax: int, params) -> list:
 def hs_bell_explicit(n: int, params) -> Fraction:
     """W_n from `hs_bell_explicit_sequence`."""
     return hs_bell_explicit_sequence(n, params)[n]
-
-
-def cakic(nmax: int, alpha) -> Triangle:
-    """Cakic numbers: coefficients of the step-alpha factorial of x in the
-    plain falling-factorial basis, i.e. the s1 matrix at (alpha, 1, 0)."""
-    return families.triangle("cakic", {"alpha": alpha}, nmax)
-
-
-def cakic_bell(n: int, alpha) -> Fraction:
-    """Row sum of the Cakic triangle."""
-    return families.row_sum("cakic", {"alpha": alpha}, n)
-
-
-def cakic_bell_explicit(n: int, alpha) -> Fraction:
-    """Cakic row sum through the alternating Lah-type route."""
-    return hs_bell_explicit(n, HSParams(alpha, 1, 0))
 
 
 def _match(name, nmax, expected, candidates) -> tuple:
@@ -172,10 +120,13 @@ def verify_specializations(nmax: int) -> tuple:
     beta, r, (m, rr), cakic_alpha = 3, 2, (2, 2), 2  # the points checked
 
     def s1(*params):
-        return hs_pair_by_solve(nmax, HSParams(*params)).s1.value
+        return hs_pair_by_solve(nmax, params).s1.value
 
     def lah(*params):
-        return _signed_product(hs_pair_by_solve(nmax, HSParams(*params))).value
+        return _signed_product(hs_pair_by_solve(nmax, params)).value
+
+    def table(name, **params):
+        return families.triangle(name, params, nmax).value
 
     s_b01, s_10r, s_m0r = s1(beta, 0, -1), s1(1, 0, -r), s1(m, 0, -rr)
     defining = connection_matrix(
@@ -183,34 +134,34 @@ def verify_specializations(nmax: int) -> tuple:
     )
     # (name, expected entries, candidate conventions in order)
     specs = (
-        ("whitney-first", whitney.whitney_first(nmax, beta).value, (
+        ("whitney-first", table("whitney1", alpha=beta), (
             ("w(n,k) = S(n,k; beta, 0, -1) as printed", s_b01),
             ("w(n,k) = (-1)^(n-k) S(n,k; beta, 0, -1)", _flip(s_b01)),
         )),
-        ("whitney-second", whitney.whitney_second(nmax, beta).value, (
+        ("whitney-second", table("whitney2", alpha=beta), (
             ("W(n,k) = S(n,k; 0, beta, 1) as printed", s1(0, beta, 1)),
         )),
-        ("whitney-lah", whitney.whitney_lah(nmax, beta).value, (
+        ("whitney-lah", table("whitney-lah", alpha=beta), (
             ("L^W(n,k) = L(n,k; 0, beta, 1) as printed", lah(0, beta, 1)),
         )),
-        ("r-stirling-first", rnumbers.r_stirling1(nmax, r).value, (
+        ("r-stirling-first", table("r-stirling1", r=r), (
             ("A(n,k) = S(n,k; 1, 0, -r) as printed", s_10r),
             ("A(n,k) = (-1)^(n-k) S(n,k; 1, 0, -r)", _flip(s_10r)),
         )),
-        ("r-stirling-second", rnumbers.r_stirling2(nmax, r).value, (
+        ("r-stirling-second", table("r-stirling2", r=r), (
             ("S(n,k) = S(n,k; 0, 1, r) as printed", s1(0, 1, r)),
         )),
-        ("r-lah", rnumbers.r_lah(nmax, r).value, (
+        ("r-lah", table("r-lah", r=r), (
             ("L(n,k) = (-1)^n L(n,k; 0, 1, r) as printed", _alternate(lah(0, 1, r))),
         )),
-        ("r-whitney-first", rnumbers.r_whitney_first(nmax, m, rr).value, (
+        ("r-whitney-first", table("r-whitney1", m=m, r=rr), (
             ("w(n,k) = (-1)^(n-k) S(n,k; m, 0, -r) as printed", _flip(s_m0r)),
             ("w(n,k) = S(n,k; m, 0, -r)", s_m0r),
         )),
-        ("r-whitney-second", rnumbers.r_whitney_second(nmax, m, rr).value, (
+        ("r-whitney-second", table("r-whitney2", m=m, r=rr), (
             ("W(n,k) = S(n,k; 0, m, r) as printed", s1(0, m, rr)),
         )),
-        ("r-whitney-lah", rnumbers.r_whitney_lah(nmax, m, rr).value, (
+        ("r-whitney-lah", table("r-whitney-lah", m=m, r=rr), (
             ("L(n,k) = (-1)^n L(n,k; 0, m, r) as printed", _alternate(lah(0, m, rr))),
         )),
         ("cakic", defining.value, (

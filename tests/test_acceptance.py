@@ -8,7 +8,7 @@ import io
 import time
 from fractions import Fraction
 
-from dowling import classic, identities, rnumbers, unified, whitney
+from dowling import families, identities, rnumbers, unified, whitney
 from dowling.cli import run_paper_tables
 from dowling.identities import REGISTRY
 
@@ -30,8 +30,8 @@ def test_criterion_1_reference_tables():
 def test_criterion_2_worked_verifications():
     ok = (
         whitney.dowling_explicit(3, 3) == 35
-        and classic.bell(4) == 15
-        and whitney.bell_via_dowling(3) == 15
+        and families.row_sum("stirling2", {}, 4) == 15
+        and families.row_sum("whitney2", {"alpha": 1}, 3) == 15
         and rnumbers.r_bell_explicit(3, 2) == 37
         and rnumbers.r_dowling_explicit(4, 2, 2) == 257
     )
@@ -113,10 +113,10 @@ def test_criterion_8_specialization_report():
 
 def test_criterion_9_performance():
     start = time.perf_counter()
-    s2 = classic.stirling2_triangle(500)
+    s2 = families.triangle("stirling2", {}, 500)
     t_stirling = time.perf_counter() - start
     start = time.perf_counter()
-    rwl = rnumbers.r_whitney_lah(500, 3, 2)
+    rwl = families.triangle("r-whitney-lah", {"m": 3, "r": 2}, 500)
     t_rwl = time.perf_counter() - start
     ok = (
         t_stirling < 60.0

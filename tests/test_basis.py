@@ -114,11 +114,11 @@ def test_tauber_whitney_instance():
     l = connection_matrix(p2, p1)
     assert verify_tauber_product(c2, d1, l)
 
-    from dowling.whitney import whitney_first, whitney_second, whitney_lah
+    from dowling import families
 
-    w = whitney_first(nmax, alpha)
-    second = whitney_second(nmax, alpha)
-    lah = whitney_lah(nmax, alpha)
+    w = families.triangle("whitney1", {"alpha": alpha}, nmax)
+    second = families.triangle("whitney2", {"alpha": alpha}, nmax)
+    lah = families.triangle("whitney-lah", {"alpha": alpha}, nmax)
     for n in range(nmax + 1):
         for k in range(n + 1):
             assert c2.value(n, k) == (-1) ** k * w.value(n, k)
@@ -129,13 +129,13 @@ def test_tauber_whitney_instance():
 def test_tauber_r_lah_instance():
     # Second family (x)_n versus (-x-2r)_n: the composite connection is the
     # signed r-Lah triangle.
-    from dowling.rnumbers import r_lah
+    from dowling import families
 
     nmax, r = 6, 2
     p1 = factorial_basis(1, 0, 1, nmax)
     p2 = factorial_basis(-1, -2 * r, 1, nmax)
     l = connection_matrix(p2, p1)
-    expected = r_lah(nmax, r)
+    expected = families.triangle("r-lah", {"r": r}, nmax)
     for n in range(nmax + 1):
         for k in range(n + 1):
             assert l.value(n, k) == (-1) ** n * expected.value(n, k)

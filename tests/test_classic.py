@@ -4,19 +4,16 @@ from fractions import Fraction
 
 import pytest
 
+from dowling import families
 from dowling.classic import (
-    bell,
     lah_egf_check,
     lah_explicit,
     lah_from_stirlings_rows,
     lah_horizontal_rows,
-    lah_signed_triangle,
     lah_signless,
     lah_vertical_rows,
     partial_bell,
     qi_bell,
-    stirling1_triangle,
-    stirling2_triangle,
 )
 from dowling.oracle import PartitionSpec, count_partitions
 from dowling.triangles import transform
@@ -25,7 +22,7 @@ BELL = [1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147, 115975]
 
 
 def test_stirling2_values():
-    tri = stirling2_triangle(6)
+    tri = families.triangle("stirling2", {}, 6)
     assert tri.value(4, 2) == 7
     assert tri.value(6, 3) == 90
     assert all(tri.value(n, n) == 1 for n in range(7))
@@ -33,14 +30,14 @@ def test_stirling2_values():
 
 
 def test_stirling2_matches_oracle():
-    tri = stirling2_triangle(10)
+    tri = families.triangle("stirling2", {}, 10)
     for n in range(11):
         for k in range(n + 1):
             assert tri.value(n, k) == count_partitions(PartitionSpec(n, k))
 
 
 def test_stirling1_values():
-    tri = stirling1_triangle(5)
+    tri = families.triangle("stirling1", {}, 5)
     assert tri.value(3, 1) == 2  # x(x-1)(x-2) = x^3 - 3x^2 + 2x
     assert tri.value(3, 2) == -3
     assert all(tri.value(n, n) == 1 for n in range(6))
@@ -48,7 +45,7 @@ def test_stirling1_values():
 
 def test_stirling1_recurrence_cross_check():
     # Independent route: s(n,k) = s(n-1,k-1) - (n-1) s(n-1,k).
-    tri = stirling1_triangle(10)
+    tri = families.triangle("stirling1", {}, 10)
     for n in range(1, 11):
         for k in range(n + 1):
             expected = tri.value(n - 1, k - 1) - (n - 1) * tri.value(n - 1, k)
@@ -56,8 +53,8 @@ def test_stirling1_recurrence_cross_check():
 
 
 def test_stirling_orthogonality():
-    s1 = stirling1_triangle(8)
-    s2 = stirling2_triangle(8)
+    s1 = families.triangle("stirling1", {}, 8)
+    s2 = families.triangle("stirling2", {}, 8)
     for n in range(9):
         for j in range(n + 1):
             total = sum(s1.value(n, k) * s2.value(k, j) for k in range(j, n + 1))
@@ -65,7 +62,7 @@ def test_stirling_orthogonality():
 
 
 def test_lah_triangle_values():
-    tri = lah_signed_triangle(5)
+    tri = families.triangle("lah", {}, 5)
     assert tri.value(1, 1) == -1
     assert tri.value(3, 2) == -6
     assert all(tri.value(n, 0) == 0 for n in range(1, 6))
@@ -73,7 +70,7 @@ def test_lah_triangle_values():
 
 
 def test_lah_explicit_matches_recurrence_to_30():
-    tri = lah_signed_triangle(30)
+    tri = families.triangle("lah", {}, 30)
     for n in range(31):
         for k in range(n + 1):
             assert tri.value(n, k) == lah_explicit(n, k)
@@ -96,7 +93,7 @@ def test_lah_signless_counts_ordered_partitions():
 
 
 def test_lah_vertical_and_horizontal_agree_to_20():
-    rows = lah_signed_triangle(20).rows
+    rows = families.triangle("lah", {}, 20).rows
     assert lah_vertical_rows(20) == rows
     assert lah_horizontal_rows(20) == rows
 
@@ -121,24 +118,24 @@ def test_lah_from_stirlings():
     rows = lah_from_stirlings_rows(15)
     assert rows[3][2] == -6
     assert all(rows[n][n] == (-1) ** n for n in range(16))
-    assert rows == lah_signed_triangle(15).rows
+    assert rows == families.triangle("lah", {}, 15).rows
 
 
 def test_bell_numbers():
     for n, value in enumerate(BELL):
-        assert bell(n) == value
+        assert families.row_sum("stirling2", {}, n) == value
 
 
 def test_qi_bell_equals_bell_to_25():
     assert qi_bell(0) == 1
     assert qi_bell(4) == 15
     for n in range(26):
-        assert qi_bell(n) == bell(n)
+        assert qi_bell(n) == families.row_sum("stirling2", {}, n)
 
 
 def test_stirling_inverse_relation_roundtrip():
-    s1 = stirling1_triangle(9)
-    s2 = stirling2_triangle(9)
+    s1 = families.triangle("stirling1", {}, 9)
+    s2 = families.triangle("stirling2", {}, 9)
     for seed in range(5):
         rng = random.Random(seed)
         g = [rng.randint(-100, 100) for _ in range(10)]
@@ -170,7 +167,7 @@ def brute_partial_bell(n, k, xs):
 
 
 def test_partial_bell_all_ones_is_stirling2():
-    s2 = stirling2_triangle(8)
+    s2 = families.triangle("stirling2", {}, 8)
     for n in range(9):
         for k in range(n + 1):
             xs = [1] * (n - k + 1)

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -11,7 +15,7 @@ from dowling.cli import (
     triangle_json,
     unlimited_int_digits,
 )
-from dowling.rnumbers import r_lah, r_whitney_lah_explicit
+from dowling.rnumbers import r_whitney_lah_explicit
 from dowling.unified import hs_pair
 
 
@@ -54,7 +58,7 @@ def test_triangle_json_roundtrip_is_byte_identical(capsys):
     )
     assert code == 0
     tri = triangle_from_json(out)
-    assert tri.rows == r_lah(4, 2).rows
+    assert tri.rows == families.triangle("r-lah", {"r": 2}, 4).rows
     assert triangle_json(tri, tri.family, tri.params) == out
     obj = json.loads(out)
     assert obj["rows"][2] == ["20", "10", "1"]
@@ -210,6 +214,32 @@ def test_out_file(tmp_path, capsys):
     assert code == 0 and out == ""
     obj = json.loads(target.read_text())
     assert obj["rows"][3] == ["0", "1", "3", "1"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    (
+        ("triangle", "--family", "stirling2", "--nmax", "3"),
+        ("sum", "--family", "bell", "--n", "3"),
+        ("verify", "--identity", "lef", "--nmax", "3"),
+    ),
+    ids=lambda argv: argv[0],
+)
+@pytest.mark.parametrize("where", ("missing directory", "directory"))
+def test_unwritable_out_is_a_usage_error(tmp_path, capsys, argv, where):
+    target = tmp_path / "missing" / "x" if where == "missing directory" else tmp_path
+    code, out, err = run(capsys, *argv, "--out", str(target))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot write --out {target}: ")
+
+
+def test_importing_the_cli_leaves_the_registry_unloaded():
+    # Only `verify` needs the identity registry; every other command skips its import.
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = os.pathsep.join(filter(None, (str(src), os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, "PYTHONPATH": path}
+    check = "import sys, dowling.cli; sys.exit('dowling.identities' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", check], env=env).returncode == 0
 
 
 def test_entries_past_the_int_str_digit_limit(capsys):

@@ -12,20 +12,24 @@ from dowling import classic, families, rnumbers, unified, whitney
 from dowling.basis import connection_matrix, factorial_basis
 from dowling.exactmath import IntegralityError
 from dowling.triangles import Triangle, recurrence_row, recurrence_rows, recurrence_triangle
-from dowling.unified import HSParams
 
 F = Fraction
 
-# Integer, rational and negative-step points of the unified pair.
+# Integer, rational and negative-step points (alpha, beta, gamma) of the unified pair.
 HS_POINTS = (
-    HSParams(0, 1, 2),
-    HSParams(1, 0, 0),
-    HSParams(F(1, 2), F(1, 3), 2),
-    HSParams(-2, 3, 1),
-    HSParams(F(-1, 2), F(2, 3), F(-5, 7)),
-    HSParams(2, -3, F(-1, 2)),
+    (0, 1, 2),
+    (1, 0, 0),
+    (F(1, 2), F(1, 3), 2),
+    (-2, 3, 1),
+    (F(-1, 2), F(2, 3), F(-5, 7)),
+    (2, -3, F(-1, 2)),
 )
 RW_POINTS = ((1, 0), (1, 1), (2, 2), (3, 2), (5, 0))
+
+
+def named(params) -> dict:
+    """A Hsu-Shiue triple as the family table's parameters."""
+    return dict(zip(("alpha", "beta", "gamma"), params))
 
 
 def test_engine_small_tables():
@@ -52,21 +56,21 @@ def test_rolling_row_matches_the_whole_triangle():
 
 
 def test_stirling1_engine_vs_expansion():
-    assert classic.stirling1_triangle(30).rows == classic.stirling1_by_expansion(30).rows
+    assert families.triangle("stirling1", {}, 30).rows == classic.stirling1_by_expansion(30).rows
 
 
 def test_whitney1_engine_vs_expansion():
     for alpha in (1, 2, 3, -1, -2):
-        engine = whitney.whitney_first(30, alpha)
+        engine = families.triangle("whitney1", {"alpha": alpha}, 30)
         assert engine.rows == whitney.whitney_first_by_expansion(30, alpha).rows
 
 
 def test_r_whitney_engine_vs_solve():
     for m, r in RW_POINTS:
-        assert rnumbers.r_whitney_first(30, m, r).rows == rnumbers.r_whitney_first_by_solve(30, m, r).rows
-        assert (
-            rnumbers.r_whitney_second(30, m, r).rows == rnumbers.r_whitney_second_by_solve(30, m, r).rows
-        )
+        first = families.triangle("r-whitney1", {"m": m, "r": r}, 30)
+        second = families.triangle("r-whitney2", {"m": m, "r": r}, 30)
+        assert first.rows == rnumbers.r_whitney_first_by_solve(30, m, r).rows
+        assert second.rows == rnumbers.r_whitney_second_by_solve(30, m, r).rows
 
 
 def test_hs_pair_engine_vs_solve():
@@ -79,12 +83,13 @@ def test_hs_pair_engine_vs_solve():
 
 def test_hs_lah_engine_vs_solve():
     for params in HS_POINTS:
-        assert unified.hs_lah_matrix(15, params).rows == unified.hs_lah_matrix_by_solve(15, params).rows
+        engine = families.triangle("hs-lah", named(params), 15)
+        assert engine.rows == unified.hs_lah_matrix_by_solve(15, params).rows
 
 
 def test_hs_families_from_the_table_match_the_pair():
     for params in HS_POINTS:
-        p = params.as_dict()
+        p = named(params)
         pair = unified.hs_pair_by_solve(12, params)
         assert families.triangle("hs1", p, 12).rows == pair.s1.rows
         assert families.triangle("hs2", p, 12).rows == pair.s2.rows
@@ -93,19 +98,20 @@ def test_hs_families_from_the_table_match_the_pair():
 def test_cakic_engine_vs_defining_solve():
     for alpha in (2, -3, F(1, 2)):
         defining = connection_matrix(factorial_basis(1, 0, alpha, 20), factorial_basis(1, 0, 1, 20))
-        assert unified.cakic(20, alpha).rows == defining.rows
+        assert families.triangle("cakic", {"alpha": alpha}, 20).rows == defining.rows
 
 
 def test_rolling_sums_vs_full_solved_rows():
     for params in HS_POINTS:
         s1 = unified.hs_pair_by_solve(20, params).s1
         for n in (0, 1, 7, 20):
-            assert unified.hs_bell(n, params) == sum(s1.rows[n])
+            assert families.row_sum("hs1", named(params), n) == sum(s1.rows[n])
     for m, r in RW_POINTS:
         second = rnumbers.r_whitney_second_by_solve(30, m, r)
-        assert [rnumbers.r_dowling(n, m, r) for n in range(31)] == [sum(row) for row in second.rows]
-    s2 = classic.stirling2_triangle(30)
-    assert [classic.bell(n) for n in range(31)] == [sum(row) for row in s2.rows]
+        dowling = [families.row_sum("r-whitney2", {"m": m, "r": r}, n) for n in range(31)]
+        assert dowling == [sum(row) for row in second.rows]
+    s2 = families.triangle("stirling2", {}, 30)
+    assert [families.row_sum("stirling2", {}, n) for n in range(31)] == [sum(row) for row in s2.rows]
     assert [classic.qi_bell(n) for n in range(31)] == [sum(row) for row in s2.rows]
 
 
@@ -117,7 +123,7 @@ def test_hs_pair_asserts_mutual_inverse(monkeypatch):
     )
     monkeypatch.setattr(families, "FAMILIES", broken)
     with pytest.raises(AssertionError):
-        unified.hs_pair(4, HSParams(F(1, 2), F(1, 3), 2))
+        unified.hs_pair(4, (F(1, 2), F(1, 3), 2))
 
 
 small_rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
@@ -126,28 +132,31 @@ small_rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 @settings(max_examples=40, deadline=None)
 @given(st.integers(1, 6), st.integers(0, 5), st.integers(0, 8))
 def test_property_r_whitney_engine_vs_solve(m, r, n):
-    assert rnumbers.r_whitney_first(n, m, r).rows == rnumbers.r_whitney_first_by_solve(n, m, r).rows
-    assert rnumbers.r_whitney_second(n, m, r).rows == rnumbers.r_whitney_second_by_solve(n, m, r).rows
-    assert rnumbers.r_dowling(n, m, r) == rnumbers.r_dowling_explicit(n, m, r)
+    p = {"m": m, "r": r}
+    assert families.triangle("r-whitney1", p, n).rows == rnumbers.r_whitney_first_by_solve(n, m, r).rows
+    assert families.triangle("r-whitney2", p, n).rows == rnumbers.r_whitney_second_by_solve(n, m, r).rows
+    assert families.row_sum("r-whitney2", p, n) == rnumbers.r_dowling_explicit(n, m, r)
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(-6, 6).filter(bool), st.integers(0, 8))
 def test_property_whitney_engine_vs_expansion(alpha, n):
-    assert whitney.whitney_first(n, alpha).rows == whitney.whitney_first_by_expansion(n, alpha).rows
-    assert whitney.dowling(n, alpha) == whitney.dowling_explicit(n, alpha)
+    engine = families.triangle("whitney1", {"alpha": alpha}, n)
+    assert engine.rows == whitney.whitney_first_by_expansion(n, alpha).rows
+    assert families.row_sum("whitney2", {"alpha": alpha}, n) == whitney.dowling_explicit(n, alpha)
 
 
 @settings(max_examples=40, deadline=None)
 @given(small_rationals, small_rationals, small_rationals, st.integers(0, 6))
 def test_property_hs_engine_vs_solve(alpha, beta, gamma, n):
-    params = HSParams(alpha, beta, gamma)
+    params = (alpha, beta, gamma)
     engine = unified.hs_pair(n, params)
     solved = unified.hs_pair_by_solve(n, params)
     assert engine.s1.rows == solved.s1.rows
     assert engine.s2.rows == solved.s2.rows
-    assert unified.hs_lah_matrix(n, params).rows == unified.hs_lah_matrix_by_solve(n, params).rows
-    assert unified.hs_bell(n, params) == unified.hs_bell_explicit(n, params)
+    lah = families.triangle("hs-lah", named(params), n)
+    assert lah.rows == unified.hs_lah_matrix_by_solve(n, params).rows
+    assert families.row_sum("hs1", named(params), n) == unified.hs_bell_explicit(n, params)
 
 
 def test_triangle_keeps_exact_entries_and_refuses_others():

@@ -74,6 +74,29 @@ def test_every_table_and_sequence_check_can_fail(capsys, monkeypatch):
         assert any(f["n"] == n0 and f["k"] == k0 for f in failures), name
 
 
+def test_hs_pair_checks_read_the_engine(capsys, monkeypatch):
+    """hs-ortho multiplies the engine s1 by the solved s2, and invrel runs the
+    solved s1 into the engine s2, so one wrong engine entry fails each of
+    them at every grid point."""
+    real = families.triangle
+    for name, family in (("hs-ortho", "hs1"), ("invrel", "hs2")):
+
+        def triangle(fam, params, nmax, family=family):
+            table = real(fam, params, nmax)
+            if fam != family:
+                return table
+            rows = [list(row) for row in table.rows]
+            rows[2][1] += 1
+            return replace(table, rows=rows)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(families, "triangle", triangle)
+            code, out, _ = run(capsys, "verify", "--identity", name)
+        points = {f["actual"].rsplit(" at ", 1)[1] for f in json.loads(out)["failures"]}
+        assert code == 1, name
+        assert len(points) == len(REGISTRY[name].grid) == 4, name
+
+
 def test_unused_parameter_exits_2(capsys):
     code, _, err = run(capsys, "verify", "--identity", "lef", "--m", "5")
     assert code == 2 and "does not take --m" in err

@@ -3,26 +3,19 @@ from fractions import Fraction
 
 import pytest
 
-from dowling.classic import bell, lah_signless, stirling2_triangle
+from dowling import families
+from dowling.classic import lah_signless
 from dowling.exactmath import IntegralityError
 from dowling.oracle import PartitionSpec, count_all_partitions, count_partitions
 from dowling.rnumbers import (
-    r_bell,
     r_bell_explicit,
-    r_dowling,
     r_dowling_explicit,
     r_inverse_pair,
-    r_lah,
     r_lah_from_stirlings_rows,
-    r_stirling1,
-    r_stirling2,
-    r_whitney_first,
-    r_whitney_lah,
     r_whitney_lah_explicit,
     r_whitney_lah_from_whitney_rows,
     r_whitney_lah_horizontal_rows,
     r_whitney_lah_vertical_rows,
-    r_whitney_second,
     r_whitney_second_by_solve,
     verify_log_concavity,
     weighted_stirling_egf_check,
@@ -45,22 +38,25 @@ PARAM_GRID = ((1, 1), (2, 2), (3, 2))
 
 
 def test_r_stirling2_table():
-    assert r_stirling2(5, 2).rows == R_STIRLING2_R2
-    assert all(r_stirling2(6, r).value(n, n) == 1 for r in range(4) for n in range(7))
+    assert families.triangle("r-stirling2", {"r": 2}, 5).rows == R_STIRLING2_R2
+    for r in range(4):
+        assert all(families.triangle("r-stirling2", {"r": r}, 6).value(n, n) == 1 for n in range(7))
 
 
 def test_r_stirling1_small():
-    tri = r_stirling1(4, 2)
+    tri = families.triangle("r-stirling1", {"r": 2}, 4)
     assert tri.value(1, 0) == 2
     assert tri.value(2, 0) == 6
     assert tri.value(2, 1) == 5
-    assert all(r_stirling1(5, r).value(n, n) == 1 for r in range(4) for n in range(6))
+    for r in range(4):
+        assert all(families.triangle("r-stirling1", {"r": r}, 5).value(n, n) == 1 for n in range(6))
 
 
 def test_r_lah_table():
-    assert r_lah(5, 2).rows == R_LAH_R2
-    assert r_lah(5, 2).value(5, 0) == 6720
-    assert r_lah(5, 2).value(2, 1) == 10
+    tri = families.triangle("r-lah", {"r": 2}, 5)
+    assert tri.rows == R_LAH_R2
+    assert tri.value(5, 0) == 6720
+    assert tri.value(2, 1) == 10
 
 
 def test_r_lah_from_stirlings():
@@ -68,7 +64,7 @@ def test_r_lah_from_stirlings():
     for r in range(4):
         rows = r_lah_from_stirlings_rows(10, r)
         assert all(rows[n][n] == 1 for n in range(11))
-        assert rows == r_lah(10, r).rows
+        assert rows == families.triangle("r-lah", {"r": r}, 10).rows
 
 
 def test_r_inverse_roundtrip():
@@ -81,16 +77,16 @@ def test_r_inverse_roundtrip():
 
 
 def test_r_bell_values_and_routes():
-    assert r_bell(0, 2) == 1
-    assert r_bell(3, 2) == 37 and r_bell_explicit(3, 2) == 37
-    assert r_bell(5, 2) == 674
+    assert families.row_sum("r-stirling2", {"r": 2}, 0) == 1
+    assert families.row_sum("r-stirling2", {"r": 2}, 3) == 37 and r_bell_explicit(3, 2) == 37
+    assert families.row_sum("r-stirling2", {"r": 2}, 5) == 674
     for r in range(4):
         for n in range(13):
-            assert r_bell_explicit(n, r) == r_bell(n, r)
+            assert r_bell_explicit(n, r) == families.row_sum("r-stirling2", {"r": r}, n)
 
 
 def test_r_lah_row_sums_feed_the_bell_formula():
-    tri = r_lah(4, 2)
+    tri = families.triangle("r-lah", {"r": 2}, 4)
     assert tuple(tri.row_sum(n) for n in range(5)) == (1, 5, 31, 229, 1961)
 
 
@@ -103,53 +99,54 @@ def test_weighted_stirling_egf():
 
 
 def test_r_stirling2_column_zero_is_powers_of_r():
-    tri = r_stirling2(5, 2)
+    tri = families.triangle("r-stirling2", {"r": 2}, 5)
     assert tuple(tri.value(n, 0) for n in range(6)) == (1, 2, 4, 8, 16, 32)
 
 
 def test_r_zero_reduces_to_classic():
-    s2 = stirling2_triangle(12)
-    assert r_stirling2(12, 0).rows == s2.rows
-    rl = r_lah(12, 0)
+    s2 = families.triangle("stirling2", {}, 12)
+    assert families.triangle("r-stirling2", {"r": 0}, 12).rows == s2.rows
+    rl = families.triangle("r-lah", {"r": 0}, 12)
     for n in range(13):
         for k in range(n + 1):
             assert rl.value(n, k) == lah_signless(n, k)
     for n in range(13):
-        assert r_bell(n, 0) == bell(n)
+        assert families.row_sum("r-stirling2", {"r": 0}, n) == families.row_sum("stirling2", {}, n)
 
 
 def test_r_families_match_oracle_counts():
     for r in range(4):
         top = 11 - r
-        rs2 = r_stirling2(top, r)
-        rl = r_lah(top, r)
+        rs2 = families.triangle("r-stirling2", {"r": r}, top)
+        rl = families.triangle("r-lah", {"r": r}, top)
         for n in range(top + 1):
             for k in range(n + 1):
                 assert rs2.value(n, k) == count_partitions(PartitionSpec(n + r, k + r, r))
                 spec = PartitionSpec(n + r, k + r, r, ordered_blocks=True)
                 assert rl.value(n, k) == count_partitions(spec)
-            assert r_bell(n, r) == count_all_partitions(n + r, r)
+            assert families.row_sum("r-stirling2", {"r": r}, n) == count_all_partitions(n + r, r)
 
 
 def test_r_whitney_second_table_and_recurrence():
-    tri = r_whitney_second(4, 2, 2)
+    tri = families.triangle("r-whitney2", {"m": 2, "r": 2}, 4)
     assert tri.rows == R_WHITNEY2_22
     assert tri.value(2, 1) == 6
     assert tri.value(4, 2) == 100
     for m, r in PARAM_GRID:
-        assert r_whitney_second(10, m, r).rows == r_whitney_second_by_solve(10, m, r).rows
+        engine = families.triangle("r-whitney2", {"m": m, "r": r}, 10)
+        assert engine.rows == r_whitney_second_by_solve(10, m, r).rows
 
 
 def test_r_whitney_first_small():
-    tri = r_whitney_first(5, 2, 2)
+    tri = families.triangle("r-whitney1", {"m": 2, "r": 2}, 5)
     assert tri.value(1, 0) == 2
     assert all(tri.value(n, n) == 1 for n in range(6))
 
 
 def test_r_whitney_orthogonality():
     for m, r in PARAM_GRID:
-        w = r_whitney_first(8, m, r)
-        second = r_whitney_second(8, m, r)
+        w = families.triangle("r-whitney1", {"m": m, "r": r}, 8)
+        second = families.triangle("r-whitney2", {"m": m, "r": r}, 8)
         signed = Triangle(
             tuple(tuple((-1) ** (n - j) * w.value(n, j) for j in range(n + 1)) for n in range(9))
         )
@@ -158,8 +155,8 @@ def test_r_whitney_orthogonality():
 
 
 def test_r_whitney_inverse_relation():
-    w = r_whitney_first(7, 2, 2)
-    second = r_whitney_second(7, 2, 2)
+    w = families.triangle("r-whitney1", {"m": 2, "r": 2}, 7)
+    second = families.triangle("r-whitney2", {"m": 2, "r": 2}, 7)
     rng = random.Random(3)
     for _ in range(5):
         g = [rng.randint(-40, 40) for _ in range(8)]
@@ -169,7 +166,7 @@ def test_r_whitney_inverse_relation():
 
 
 def test_r_whitney_lah_table():
-    tri = r_whitney_lah(4, 2, 2)
+    tri = families.triangle("r-whitney-lah", {"m": 2, "r": 2}, 4)
     assert tri.rows == R_WHITNEY_LAH_22
     assert tri.value(2, 1) == 12
     assert tri.value(4, 0) == 1920
@@ -183,7 +180,7 @@ def _from_column_1(rows) -> list:
 
 def test_r_whitney_lah_all_routes_agree():
     for m, r in PARAM_GRID:
-        rows = r_whitney_lah(12, m, r).rows
+        rows = families.triangle("r-whitney-lah", {"m": m, "r": r}, 12).rows
         explicit = tuple(tuple(r_whitney_lah_explicit(n, k, m, r) for k in range(n + 1)) for n in range(13))
         assert explicit == rows
         assert r_whitney_lah_from_whitney_rows(12, m, r) == rows
@@ -194,13 +191,14 @@ def test_r_whitney_lah_all_routes_agree():
 def test_r_whitney_lah_route_examples():
     vertical = r_whitney_lah_vertical_rows(3, 2, 2)
     assert vertical[2][1] == 12
-    assert vertical[3][0] == 0 != r_whitney_lah(3, 2, 2).value(3, 0)  # outside the expansion
+    # Column 0 is outside the expansion.
+    assert vertical[3][0] == 0 != families.triangle("r-whitney-lah", {"m": 2, "r": 2}, 3).value(3, 0)
     assert r_whitney_lah_horizontal_rows(1, 2, 2)[1][0] == 4
     assert r_whitney_lah_explicit(2, 1, 2, 2) == 12
 
 
 def test_r_whitney_lah_explicit_degenerate_r_zero():
-    tri = r_whitney_lah(8, 2, 0)
+    tri = families.triangle("r-whitney-lah", {"m": 2, "r": 0}, 8)
     for n in range(9):
         for k in range(n + 1):
             assert r_whitney_lah_explicit(n, k, 2, 0) == tri.value(n, k)
@@ -208,8 +206,8 @@ def test_r_whitney_lah_explicit_degenerate_r_zero():
 
 def test_r_whitney_lah_m1_reduces_to_r_lah():
     for r in (1, 2, 3):
-        rows = r_lah(10, r).rows
-        assert r_whitney_lah(10, 1, r).rows == rows
+        rows = families.triangle("r-lah", {"r": r}, 10).rows
+        assert families.triangle("r-whitney-lah", {"m": 1, "r": r}, 10).rows == rows
         assert r_whitney_lah_horizontal_rows(10, 1, r) == rows
         assert _from_column_1(r_whitney_lah_vertical_rows(10, 1, r)) == _from_column_1(rows)
 
@@ -224,34 +222,33 @@ def test_log_concavity():
 
 
 def test_r_dowling_values_and_routes():
-    assert r_dowling(0, 2, 2) == 1
-    assert r_dowling(3, 2, 2) == 49
-    assert r_dowling(4, 2, 2) == 257 and r_dowling_explicit(4, 2, 2) == 257
+    assert families.row_sum("r-whitney2", {"m": 2, "r": 2}, 0) == 1
+    assert families.row_sum("r-whitney2", {"m": 2, "r": 2}, 3) == 49
+    assert families.row_sum("r-whitney2", {"m": 2, "r": 2}, 4) == 257 and r_dowling_explicit(4, 2, 2) == 257
     for m, r in PARAM_GRID:
         for n in range(13):
-            assert r_dowling_explicit(n, m, r) == r_dowling(n, m, r)
+            assert r_dowling_explicit(n, m, r) == families.row_sum("r-whitney2", {"m": m, "r": r}, n)
 
 
 def test_r_whitney_second_r1_matches_whitney():
-    from dowling.whitney import whitney_second
-
     for m in (1, 2, 3):
-        plain = whitney_second(10, m)
-        shifted = r_whitney_second(10, m, 1)
+        plain = families.triangle("whitney2", {"alpha": m}, 10)
+        shifted = families.triangle("r-whitney2", {"m": m, "r": 1}, 10)
         assert plain.rows == shifted.rows
 
 
 def test_r_whitney_second_unit_step_no_shift_is_stirling2():
-    assert r_whitney_second(10, 1, 0).rows == stirling2_triangle(10).rows
+    stirling2 = families.triangle("stirling2", {}, 10)
+    assert families.triangle("r-whitney2", {"m": 1, "r": 0}, 10).rows == stirling2.rows
 
 
 def test_parameter_validation():
     with pytest.raises(ValueError):
-        r_whitney_second(3, 0, 2)
+        families.triangle("r-whitney2", {"m": 0, "r": 2}, 3)
     with pytest.raises(ValueError):
-        r_lah(3, -1)
+        families.triangle("r-lah", {"r": -1}, 3)
     # A non-integer r or m is an integrality fault, as for alpha.
     with pytest.raises(IntegralityError):
-        r_lah(3, 2.5)
+        families.triangle("r-lah", {"r": 2.5}, 3)
     with pytest.raises(IntegralityError):
-        r_whitney_second(3, Fraction(3, 2), 2)
+        families.triangle("r-whitney2", {"m": Fraction(3, 2), "r": 2}, 3)

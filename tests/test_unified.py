@@ -2,35 +2,23 @@ import random
 import re
 from fractions import Fraction
 
+from dowling import families
 from dowling.basis import verify_orthogonality
-from dowling.classic import stirling1_triangle
-from dowling.rnumbers import r_lah, r_stirling2
-from dowling.unified import (
-    HSParams,
-    cakic,
-    cakic_bell,
-    cakic_bell_explicit,
-    hs_bell,
-    hs_bell_explicit,
-    hs_lah_matrix,
-    hs_pair,
-    verify_specializations,
-)
-from dowling.whitney import whitney_lah
+from dowling.unified import hs_bell_explicit, hs_pair, verify_specializations
 
 F = Fraction
 
-PARAM_SETS = (
-    HSParams(0, 1, 2),
-    HSParams(0, 2, 2),
-    HSParams(1, 0, 0),
-    HSParams(F(1, 2), F(1, 3), 2),
-)
+PARAM_SETS = ((0, 1, 2), (0, 2, 2), (1, 0, 0), (F(1, 2), F(1, 3), 2))
+
+
+def named(params) -> dict:
+    """A Hsu-Shiue triple as the family table's parameters."""
+    return dict(zip(("alpha", "beta", "gamma"), params))
 
 
 def test_hs_pair_recovers_r_stirling2():
-    pair = hs_pair(5, HSParams(0, 1, 2))
-    tri = r_stirling2(5, 2)
+    pair = hs_pair(5, (0, 1, 2))
+    tri = families.triangle("r-stirling2", {"r": 2}, 5)
     for n in range(6):
         for k in range(n + 1):
             assert pair.s1.value(n, k) == tri.value(n, k)
@@ -45,25 +33,23 @@ def test_hs_pair_diagonal_is_one():
 
 
 def test_hs_pair_recovers_stirling_first_kind():
-    pair = hs_pair(5, HSParams(1, 0, 0))
-    s1 = stirling1_triangle(5)
+    pair = hs_pair(5, (1, 0, 0))
+    s1 = families.triangle("stirling1", {}, 5)
     for n in range(6):
         for k in range(n + 1):
             assert pair.s1.value(n, k) == s1.value(n, k)
 
 
 def test_hs_orthogonality():
-    assert verify_orthogonality(*hs_pair(0, HSParams(3, 7, 1)))
-    assert verify_orthogonality(*hs_pair(8, HSParams(0, 1, 2)))
-    assert verify_orthogonality(*hs_pair(6, HSParams(F(1, 2), F(1, 3), 2)))
-    assert verify_orthogonality(*hs_pair(8, HSParams(2, 3, 1)))
-    assert verify_orthogonality(*hs_pair(8, HSParams(F(1, 2), F(1, 3), 2)))
+    assert verify_orthogonality(*hs_pair(0, (3, 7, 1)))
+    assert verify_orthogonality(*hs_pair(8, (0, 1, 2)))
+    assert verify_orthogonality(*hs_pair(6, (F(1, 2), F(1, 3), 2)))
+    assert verify_orthogonality(*hs_pair(8, (2, 3, 1)))
+    assert verify_orthogonality(*hs_pair(8, (F(1, 2), F(1, 3), 2)))
 
 
 def test_hs_inverse_relation_roundtrip():
-    for params in (
-        HSParams(0, 1, 2), HSParams(0, 2, 2), HSParams(F(1, 2), F(1, 3), 2), HSParams(2, 3, F(-1, 2))
-    ):
+    for params in ((0, 1, 2), (0, 2, 2), (F(1, 2), F(1, 3), 2), (2, 3, F(-1, 2))):
         pair = hs_pair(9, params)
         for seed in range(5):
             rng = random.Random(seed)
@@ -73,21 +59,21 @@ def test_hs_inverse_relation_roundtrip():
 
 def test_hs_lah_diagonal():
     for params in PARAM_SETS:
-        lah = hs_lah_matrix(6, params)
+        lah = families.triangle("hs-lah", named(params), 6)
         assert all(lah.value(n, n) == (-1) ** n for n in range(7))
 
 
 def test_hs_lah_whitney_reduction():
-    lah = hs_lah_matrix(8, HSParams(0, 3, 1))
-    tri = whitney_lah(8, 3)
+    lah = families.triangle("hs-lah", named((0, 3, 1)), 8)
+    tri = families.triangle("whitney-lah", {"alpha": 3}, 8)
     for n in range(9):
         for k in range(n + 1):
             assert lah.value(n, k) == tri.value(n, k)
 
 
 def test_hs_lah_r_lah_reduction():
-    lah = hs_lah_matrix(5, HSParams(0, 1, 2))
-    tri = r_lah(5, 2)
+    lah = families.triangle("hs-lah", named((0, 1, 2)), 5)
+    tri = families.triangle("r-lah", {"r": 2}, 5)
     for n in range(6):
         for k in range(n + 1):
             assert (-1) ** n * lah.value(n, k) == tri.value(n, k)
@@ -97,34 +83,34 @@ def test_hs_lah_self_composition_where_self_inverse():
     # With a unit shift the Lah-type matrix coincides with the Whitney-Lah
     # family, which is its own inverse.
     for beta in (2, 3):
-        lah = hs_lah_matrix(8, HSParams(0, beta, 1))
+        lah = families.triangle("hs-lah", named((0, beta, 1)), 8)
         assert lah.mul(lah).is_identity()
 
 
 def test_hs_bell_values():
-    assert hs_bell(3, HSParams(0, 1, 2)) == 37
-    assert hs_bell(4, HSParams(0, 2, 2)) == 257
-    assert hs_bell(0, HSParams(5, 1, 3)) == 1
+    assert families.row_sum("hs1", named((0, 1, 2)), 3) == 37
+    assert families.row_sum("hs1", named((0, 2, 2)), 4) == 257
+    assert families.row_sum("hs1", named((5, 1, 3)), 0) == 1
 
 
 def test_hs_bell_explicit_agrees():
     for params in PARAM_SETS:
         for n in range(11):
-            assert hs_bell_explicit(n, params) == hs_bell(n, params)
+            assert hs_bell_explicit(n, params) == families.row_sum("hs1", named(params), n)
 
 
 def test_cakic_unit_step_is_identity():
-    assert cakic(6, 1).is_identity()
+    assert families.triangle("cakic", {"alpha": 1}, 6).is_identity()
 
 
 def test_cakic_diagonal_and_bell_routes():
-    mat = cakic(6, 2)
+    mat = families.triangle("cakic", {"alpha": 2}, 6)
     for n in range(7):
         assert mat.value(n, n) == 1
     for n in range(7):
         row_sum = sum(mat.value(n, k) for k in range(n + 1))
-        assert cakic_bell(n, 2) == row_sum
-        assert cakic_bell_explicit(n, 2) == row_sum
+        assert families.row_sum("cakic", {"alpha": 2}, n) == row_sum
+        assert hs_bell_explicit(n, (2, 1, 0)) == row_sum
 
 
 def test_cakic_defining_relation():
@@ -133,7 +119,7 @@ def test_cakic_defining_relation():
 
     for alpha in (2, 3):
         expected = connection_matrix(factorial_basis(1, 0, alpha, 5), factorial_basis(1, 0, 1, 5))
-        assert cakic(5, alpha).rows == expected.rows
+        assert families.triangle("cakic", {"alpha": alpha}, 5).rows == expected.rows
 
 
 def test_specialization_report_passes():
@@ -155,7 +141,7 @@ def test_specialization_report_trivial_nmax():
 
 def test_degenerate_step_pair_still_works():
     # alpha = beta = 0 turns both sides into shifted monomial bases.
-    pair = hs_pair(5, HSParams(0, 0, 1))
+    pair = hs_pair(5, (0, 0, 1))
     assert verify_orthogonality(*pair)
     binomial_row = [pair.s1.value(4, k) for k in range(5)]
     assert binomial_row == [1, 4, 6, 4, 1]

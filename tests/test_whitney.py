@@ -2,19 +2,14 @@ import random
 
 import pytest
 
-from dowling.classic import bell, stirling2_triangle
+from dowling import families
 from dowling.exactmath import interpolate
 from dowling.whitney import (
-    bell_via_dowling,
-    dowling,
     dowling_explicit,
-    whitney_first,
-    whitney_lah,
     whitney_lah_from_whitney_rows,
     whitney_lah_horizontal_rows,
     whitney_lah_pair,
     whitney_lah_vertical_rows,
-    whitney_second,
     whitney_second_benoumhani_rows,
 )
 from dowling.triangles import transform
@@ -38,16 +33,18 @@ WHITNEY_LAH_POLYS = {
 
 
 def test_whitney_first_small():
-    tri = whitney_first(4, 3)
+    tri = families.triangle("whitney1", {"alpha": 3}, 4)
     assert tri.value(1, 0) == -1 and tri.value(1, 1) == 1
     assert tri.value(0, 0) == 1
     assert tri.row(2) == (4, -5, 1)
 
 
 def test_whitney_second_small():
-    tri = whitney_second(3, 3)
+    tri = families.triangle("whitney2", {"alpha": 3}, 3)
     assert tri.rows == ((1,), (1, 1), (1, 5, 1), (1, 21, 12, 1))
-    assert all(whitney_second(6, a).value(n, n) == 1 for a in ALPHAS for n in range(7))
+    for alpha in ALPHAS:
+        tri = families.triangle("whitney2", {"alpha": alpha}, 6)
+        assert all(tri.value(n, n) == 1 for n in range(7))
 
 
 def test_whitney_second_defining_relation():
@@ -56,7 +53,7 @@ def test_whitney_second_defining_relation():
 
     for alpha in (1, 3):
         mat = connection_matrix(monomial_basis(8), factorial_basis(1, -1, alpha, 8))
-        tri = whitney_second(8, alpha)
+        tri = families.triangle("whitney2", {"alpha": alpha}, 8)
         for n in range(9):
             for k in range(n + 1):
                 assert mat.value(n, k) == tri.value(n, k)
@@ -65,23 +62,24 @@ def test_whitney_second_defining_relation():
 def test_benoumhani_sum():
     assert whitney_second_benoumhani_rows(3, 3)[3][1] == 21
     for alpha in ALPHAS:
-        assert whitney_second_benoumhani_rows(20, alpha) == whitney_second(20, alpha).rows
+        rows = families.triangle("whitney2", {"alpha": alpha}, 20).rows
+        assert whitney_second_benoumhani_rows(20, alpha) == rows
 
 
 def test_whitney_lah_table_values():
     for alpha in (1, 3):
-        tri = whitney_lah(3, alpha)
+        tri = families.triangle("whitney-lah", {"alpha": alpha}, 3)
         assert tri.value(1, 0) == -2
         assert tri.value(1, 1) == -1
         assert tri.value(2, 1) == 2 * (alpha + 2)
         assert tri.value(3, 2) == -6 * (alpha + 1)
-    assert whitney_lah(3, 3).value(3, 2) == -24
+    assert families.triangle("whitney-lah", {"alpha": 3}, 3).value(3, 2) == -24
 
 
 def test_whitney_lah_matches_closed_form_polynomials():
     # Entries have degree <= n in the step, so n+2 sample points pin each one.
     samples = range(1, 9)
-    tables = {a: whitney_lah(6, a) for a in samples}
+    tables = {a: families.triangle("whitney-lah", {"alpha": a}, 6) for a in samples}
     for (n, k), coeffs in WHITNEY_LAH_POLYS.items():
         pts = [(a, tables[a].value(n, k)) for a in samples]
         assert interpolate(pts) == interpolate(
@@ -95,7 +93,7 @@ def test_whitney_lah_matches_closed_form_polynomials():
 
 def test_whitney_lah_recurrence_routes_agree():
     for alpha in ALPHAS:
-        rows = whitney_lah(15, alpha).rows
+        rows = families.triangle("whitney-lah", {"alpha": alpha}, 15).rows
         # The vertical expansion holds from column 1 on.
         assert [row[1:] for row in whitney_lah_vertical_rows(15, alpha)] == [row[1:] for row in rows]
         assert whitney_lah_horizontal_rows(15, alpha) == rows
@@ -106,7 +104,7 @@ def test_whitney_lah_vertical_domain():
     assert rows[0] == (1,)
     assert rows[2][1] == 2 * (5 + 2)
     # Column 0 is outside the expansion: it reads 0, not L(n, 0).
-    assert rows[3][0] == 0 != whitney_lah(3, 5).value(3, 0)
+    assert rows[3][0] == 0 != families.triangle("whitney-lah", {"alpha": 5}, 3).value(3, 0)
 
 
 def test_whitney_lah_horizontal_small():
@@ -119,7 +117,7 @@ def test_whitney_lah_from_whitney():
     for alpha in (1, 2, 3):
         rows = whitney_lah_from_whitney_rows(12, alpha)
         assert all(rows[n][n] == (-1) ** n for n in range(13))
-        assert rows == whitney_lah(12, alpha).rows
+        assert rows == families.triangle("whitney-lah", {"alpha": alpha}, 12).rows
 
 
 def test_whitney_lah_orthogonality():
@@ -139,16 +137,16 @@ def test_whitney_lah_inverse_roundtrip():
 
 def test_whitney_orthogonality_both_orders():
     for alpha in (1, 3):
-        w = whitney_first(12, alpha)
-        second = whitney_second(12, alpha)
+        w = families.triangle("whitney1", {"alpha": alpha}, 12)
+        second = families.triangle("whitney2", {"alpha": alpha}, 12)
         assert w.mul(second).is_identity()
         assert second.mul(w).is_identity()
 
 
 def test_dowling_values():
-    assert dowling(0, 3) == 1
-    assert dowling(2, 3) == 7
-    assert dowling(3, 3) == 35
+    assert families.row_sum("whitney2", {"alpha": 3}, 0) == 1
+    assert families.row_sum("whitney2", {"alpha": 3}, 2) == 7
+    assert families.row_sum("whitney2", {"alpha": 3}, 3) == 35
 
 
 def test_dowling_explicit_matches_row_sums():
@@ -156,16 +154,16 @@ def test_dowling_explicit_matches_row_sums():
     assert dowling_explicit(0, 4) == 1
     for alpha in ALPHAS:
         for n in range(16):
-            assert dowling_explicit(n, alpha) == dowling(n, alpha)
+            assert dowling_explicit(n, alpha) == families.row_sum("whitney2", {"alpha": alpha}, n)
 
 
 def test_unit_step_reduces_to_bell_and_stirling():
-    assert bell_via_dowling(3) == 15
-    assert bell_via_dowling(0) == 1
+    assert families.row_sum("whitney2", {"alpha": 1}, 3) == 15
+    assert families.row_sum("whitney2", {"alpha": 1}, 0) == 1
     for n in range(13):
-        assert bell_via_dowling(n) == bell(n + 1)
-    s2 = stirling2_triangle(13)
-    w1 = whitney_second(12, 1)
+        assert families.row_sum("whitney2", {"alpha": 1}, n) == families.row_sum("stirling2", {}, n + 1)
+    s2 = families.triangle("stirling2", {}, 13)
+    w1 = families.triangle("whitney2", {"alpha": 1}, 12)
     for n in range(13):
         for j in range(n + 1):
             assert w1.value(n, j) == s2.value(n + 1, j + 1)
@@ -173,9 +171,9 @@ def test_unit_step_reduces_to_bell_and_stirling():
 
 def test_alpha_validation():
     with pytest.raises(ValueError):
-        whitney_second(3, 0)
+        families.triangle("whitney2", {"alpha": 0}, 3)
     from dowling.exactmath import IntegralityError
     from fractions import Fraction
 
     with pytest.raises(IntegralityError):
-        whitney_lah(3, Fraction(1, 2))
+        families.triangle("whitney-lah", {"alpha": Fraction(1, 2)}, 3)
