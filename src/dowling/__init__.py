@@ -39,12 +39,12 @@ from .rnumbers import (
 )
 from .triangles import Triangle, transform
 from .unified import (
+    cakic_by_solve,
     hs_bell_explicit,
     hs_bell_explicit_sequence,
     hs_lah_matrix_by_solve,
     hs_pair,
     hs_pair_by_solve,
-    verify_specializations,
 )
 from .whitney import (
     dowling_explicit,

@@ -17,7 +17,6 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 from . import classic, families, rnumbers, whitney
-from .exactmath import interpolate
 from .families import FAMILIES
 from .triangles import Triangle
 
@@ -154,6 +153,7 @@ def triangle_from_json(text: str) -> Triangle:
 # reference tables bundled for the paper-tables command
 
 
+# Whitney-Lah rows 0..3: each entry a polynomial in alpha, by its coefficients.
 WHITNEY_LAH_ALPHA_POLYS = (
     ((1,),),
     ((-2,), (-1,)),
@@ -161,58 +161,71 @@ WHITNEY_LAH_ALPHA_POLYS = (
     ((-8, -12, -4), (-12, -18, -6), (-6, -6), (-1,)),
 )
 
-WHITNEY2_ALPHA3_ROWS = ((1,), (1, 1), (1, 5, 1), (1, 21, 12, 1))
-DOWLING_ALPHA3_COLUMN = (1, 2, 7, 35)
 
-R_LAH_R2_ROWS = (
-    (1,),
-    (4, 1),
-    (20, 10, 1),
-    (120, 90, 18, 1),
-    (840, 840, 252, 28, 1),
-    (6720, 8400, 3360, 560, 40, 1),
-)
+def _paper_tables() -> tuple:
+    """(label, computed, bundled) of every reference table and worked check.
 
-R_STIRLING2_R2_ROWS = (
-    (1,),
-    (2, 1),
-    (4, 5, 1),
-    (8, 19, 9, 1),
-    (16, 65, 55, 14, 1),
-    (32, 211, 285, 125, 20, 1),
-)
-R_BELL_R2_COLUMN = (1, 3, 10, 37, 151, 674)
-
-R_WHITNEY2_M2_R2_ROWS = ((1,), (2, 1), (4, 6, 1), (8, 28, 12, 1), (16, 120, 100, 20, 1))
-R_DOWLING_M2_R2_COLUMN = (1, 3, 11, 49, 257)
-
-R_WHITNEY_LAH_M2_R2_ROWS = ((1,), (4, 1), (24, 12, 1), (192, 144, 24, 1), (1920, 1920, 480, 40, 1))
-R_WHITNEY_LAH_M2_R2_SUMS = (1, 5, 37, 361, 4361)
-
-
-def _check_symbolic_whitney_lah() -> list:
-    """Verify the small Whitney-Lah entries as polynomials in the step.
-
-    Entries of row n have degree at most n in alpha, so agreement at the four
-    points 1..4 plus exact interpolation back to the closed forms pins them.
+    The Whitney-Lah rows are checked as polynomials in the step: each entry
+    of rows 0..3 is a polynomial of degree at most 3 in alpha, so agreement
+    at the four steps 1..4 pins it, and its interpolant is the bundled one.
     """
-    problems = []
-    sample = (1, 2, 3, 4)
-    tables = {a: families.triangle("whitney-lah", {"alpha": a}, 3) for a in sample}
-    for n, row in enumerate(WHITNEY_LAH_ALPHA_POLYS):
-        for k, coeffs in enumerate(row):
-            closed = interpolate(
-                [(a, sum(c * a ** i for i, c in enumerate(coeffs))) for a in sample]
-            )
-            for a in sample:
-                want = sum(c * a ** i for i, c in enumerate(coeffs))
-                got = tables[a].value(n, k)
-                if want != got:
-                    problems.append(f"whitney-lah({n},{k}) at alpha={a}: expected {want}, got {got}")
-            fitted = interpolate([(a, tables[a].value(n, k)) for a in sample])
-            if fitted != closed:
-                problems.append(f"whitney-lah({n},{k}): interpolated polynomial differs")
-    return problems
+
+    def rows(family, params, nmax):
+        return families.triangle(family, params, nmax).rows
+
+    def column(name, params, count):
+        return tuple(_sum_value(name, params, n) for n in range(count))
+
+    def polys_at(alpha):
+        polys = WHITNEY_LAH_ALPHA_POLYS
+        return tuple(tuple(sum(c * alpha**i for i, c in enumerate(p)) for p in row) for row in polys)
+
+    steps = (1, 2, 3, 4)
+    rwl = rows("r-whitney-lah", {"m": 2, "r": 2}, 4)
+    return (
+        (
+            "whitney-lah rows 0..3, symbolic step (4 points + interpolation)",
+            tuple(rows("whitney-lah", {"alpha": a}, 3) for a in steps),
+            tuple(map(polys_at, steps)),
+        ),
+        (
+            "whitney2 alpha=3 rows 0..3",
+            rows("whitney2", {"alpha": 3}, 3),
+            ((1,), (1, 1), (1, 5, 1), (1, 21, 12, 1)),
+        ),
+        ("dowling alpha=3 column", column("dowling", {"alpha": 3}, 4), (1, 2, 7, 35)),
+        (
+            "r-lah r=2 rows 0..5",
+            rows("r-lah", {"r": 2}, 5),
+            ((1,), (4, 1), (20, 10, 1), (120, 90, 18, 1), (840, 840, 252, 28, 1), (6720, 8400, 3360, 560, 40, 1)),
+        ),
+        (
+            "r-stirling2 r=2 rows 0..5",
+            rows("r-stirling2", {"r": 2}, 5),
+            ((1,), (2, 1), (4, 5, 1), (8, 19, 9, 1), (16, 65, 55, 14, 1), (32, 211, 285, 125, 20, 1)),
+        ),
+        ("r-bell r=2 column", column("r-bell", {"r": 2}, 6), (1, 3, 10, 37, 151, 674)),
+        (
+            "r-whitney2 m=2 r=2 rows 0..4",
+            rows("r-whitney2", {"m": 2, "r": 2}, 4),
+            ((1,), (2, 1), (4, 6, 1), (8, 28, 12, 1), (16, 120, 100, 20, 1)),
+        ),
+        ("r-dowling m=2 r=2 column", column("r-dowling", {"m": 2, "r": 2}, 5), (1, 3, 11, 49, 257)),
+        (
+            "r-whitney-lah m=2 r=2 rows 0..4",
+            rwl,
+            ((1,), (4, 1), (24, 12, 1), (192, 144, 24, 1), (1920, 1920, 480, 40, 1)),
+        ),
+        ("r-whitney-lah m=2 r=2 row sums", tuple(map(sum, rwl)), (1, 5, 37, 361, 4361)),
+        ("worked check: dowling-explicit(3, alpha=3) = 35", whitney.dowling_explicit(3, 3), 35),
+        (
+            "worked check: bell(4) = 15 via unit-step dowling",
+            (_sum_value("bell", {}, 4), _sum_value("dowling", {"alpha": 1}, 3)),
+            (15, 15),
+        ),
+        ("worked check: r-bell-explicit(3, r=2) = 37", rnumbers.r_bell_explicit(3, 2), 37),
+        ("worked check: r-dowling-explicit(4, m=2, r=2) = 257", rnumbers.r_dowling_explicit(4, 2, 2), 257),
+    )
 
 
 def run_paper_tables(out=None) -> int:
@@ -220,55 +233,15 @@ def run_paper_tables(out=None) -> int:
     number of mismatches."""
     if out is None:
         out = sys.stdout
-    problems = []
-
-    def check(name, ok, detail=""):
-        if ok:
-            print(f"ok        {name}", file=out)
+    problems = 0
+    for label, computed, bundled in _paper_tables():
+        if computed == bundled:
+            print(f"ok        {label}", file=out)
         else:
-            print(f"MISMATCH  {name}  {detail}", file=out)
-            problems.append(name)
-
-    symbolic = _check_symbolic_whitney_lah()
-    check("whitney-lah rows 0..3, symbolic step (4 points + interpolation)", not symbolic, "; ".join(symbolic))
-
-    w2 = families.triangle("whitney2", {"alpha": 3}, 3)
-    check("whitney2 alpha=3 rows 0..3", w2.rows == WHITNEY2_ALPHA3_ROWS, str(w2.rows))
-    dowling_col = tuple(_sum_value("dowling", {"alpha": 3}, n) for n in range(4))
-    check("dowling alpha=3 column", dowling_col == DOWLING_ALPHA3_COLUMN, str(dowling_col))
-
-    rl = families.triangle("r-lah", {"r": 2}, 5)
-    check("r-lah r=2 rows 0..5", rl.rows == R_LAH_R2_ROWS, str(rl.rows))
-
-    rs2 = families.triangle("r-stirling2", {"r": 2}, 5)
-    check("r-stirling2 r=2 rows 0..5", rs2.rows == R_STIRLING2_R2_ROWS, str(rs2.rows))
-    rbell_col = tuple(_sum_value("r-bell", {"r": 2}, n) for n in range(6))
-    check("r-bell r=2 column", rbell_col == R_BELL_R2_COLUMN, str(rbell_col))
-
-    rw2 = families.triangle("r-whitney2", {"m": 2, "r": 2}, 4)
-    check("r-whitney2 m=2 r=2 rows 0..4", rw2.rows == R_WHITNEY2_M2_R2_ROWS, str(rw2.rows))
-    rdow_col = tuple(_sum_value("r-dowling", {"m": 2, "r": 2}, n) for n in range(5))
-    check("r-dowling m=2 r=2 column", rdow_col == R_DOWLING_M2_R2_COLUMN, str(rdow_col))
-
-    rwl = families.triangle("r-whitney-lah", {"m": 2, "r": 2}, 4)
-    check("r-whitney-lah m=2 r=2 rows 0..4", rwl.rows == R_WHITNEY_LAH_M2_R2_ROWS, str(rwl.rows))
-    sums = tuple(rwl.row_sum(n) for n in range(5))
-    check("r-whitney-lah m=2 r=2 row sums", sums == R_WHITNEY_LAH_M2_R2_SUMS, str(sums))
-
-    check("worked check: dowling-explicit(3, alpha=3) = 35", whitney.dowling_explicit(3, 3) == 35)
-    check(
-        "worked check: bell(4) = 15 via unit-step dowling",
-        _sum_value("bell", {}, 4) == 15 and _sum_value("dowling", {"alpha": 1}, 3) == 15,
-    )
-    check("worked check: r-bell-explicit(3, r=2) = 37", rnumbers.r_bell_explicit(3, 2) == 37)
-    check(
-        "worked check: r-dowling-explicit(4, m=2, r=2) = 257",
-        rnumbers.r_dowling_explicit(4, 2, 2) == 257,
-    )
-
-    summary = "all reference tables match" if not problems else f"{len(problems)} mismatch(es)"
-    print(summary, file=out)
-    return len(problems)
+            print(f"MISMATCH  {label}  {computed}", file=out)
+            problems += 1
+    print("all reference tables match" if not problems else f"{problems} mismatch(es)", file=out)
+    return problems
 
 
 # ---------------------------------------------------------------------------
@@ -349,11 +322,14 @@ def cmd_bench(args) -> int:
     peak = max(
         max(v.numerator.bit_length(), v.denominator.bit_length()) for row in table.rows for v in row
     )
-    print(f"family        {args.family}")
-    print(f"nmax          {args.nmax}")
-    print(f"entries       {entries}")
-    print(f"peak bits     {peak}")
-    print(f"elapsed (s)   {elapsed:.3f}")
+    text = (
+        f"family        {args.family}\n"
+        f"nmax          {args.nmax}\n"
+        f"entries       {entries}\n"
+        f"peak bits     {peak}\n"
+        f"elapsed (s)   {elapsed:.3f}\n"
+    )
+    _emit(text, args.out)
     return 0
 
 

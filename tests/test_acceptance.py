@@ -8,7 +8,7 @@ import io
 import time
 from fractions import Fraction
 
-from dowling import families, identities, rnumbers, unified, whitney
+from dowling import families, identities, rnumbers, whitney
 from dowling.cli import run_paper_tables
 from dowling.identities import REGISTRY
 
@@ -106,7 +106,7 @@ def test_criterion_7_log_concavity():
 
 
 def test_criterion_8_specialization_report():
-    failures, _ = unified.verify_specializations(6)
+    failures, _ = REGISTRY["specializations"].check(6)
     ok = not failures
     _report(8, "all reductions match cross-module triangles with recorded conventions", ok)
 

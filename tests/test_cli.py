@@ -216,6 +216,26 @@ def test_out_file(tmp_path, capsys):
     assert obj["rows"][3] == ["0", "1", "3", "1"]
 
 
+def test_bench_out_file(tmp_path, capsys):
+    target = tmp_path / "bench.txt"
+    code, out, _ = run(capsys, "bench", "--family", "stirling2", "--nmax", "40", "--out", str(target))
+    assert code == 0 and out == ""
+    lines = target.read_text().splitlines()
+    assert lines[:4] == ["family        stirling2", "nmax          40", "entries       861", "peak bits     115"]
+    assert lines[4].startswith("elapsed (s)   ") and len(lines) == 5
+
+
+def test_unlimited_int_digits_without_the_setter(monkeypatch, capsys):
+    # Interpreters before 3.10.7 have no digit limit and no setter for it.
+    monkeypatch.delattr(sys, "set_int_max_str_digits")
+    limit = sys.get_int_max_str_digits()
+    with unlimited_int_digits():
+        assert sys.get_int_max_str_digits() == limit
+    assert sys.get_int_max_str_digits() == limit
+    code, out, _ = run(capsys, "sum", "--family", "bell", "--n", "10")
+    assert code == 0 and out == "115975\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     (

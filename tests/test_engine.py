@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dowling import classic, families, rnumbers, unified, whitney
-from dowling.basis import connection_matrix, factorial_basis
 from dowling.exactmath import IntegralityError
 from dowling.triangles import Triangle, recurrence_row, recurrence_rows, recurrence_triangle
 
@@ -97,8 +96,7 @@ def test_hs_families_from_the_table_match_the_pair():
 
 def test_cakic_engine_vs_defining_solve():
     for alpha in (2, -3, F(1, 2)):
-        defining = connection_matrix(factorial_basis(1, 0, alpha, 20), factorial_basis(1, 0, 1, 20))
-        assert families.triangle("cakic", {"alpha": alpha}, 20).rows == defining.rows
+        assert families.triangle("cakic", {"alpha": alpha}, 20).rows == unified.cakic_by_solve(20, alpha).rows
 
 
 def test_rolling_sums_vs_full_solved_rows():

@@ -1,12 +1,16 @@
-"""The identity registry: every table and sequence check can fail, and
-`verify` takes only the parameters an identity declares."""
+"""The identity registry: every table and sequence check can fail, every
+specialization fails on a sign error, `verify` builds every engine family,
+and `verify` takes only the parameters an identity declares."""
 
 import json
 from dataclasses import replace
 
+import pytest
+
 from dowling import families
 from dowling.cli import main
-from dowling.identities import REGISTRY, Sequences, Tables
+from dowling.identities import REGISTRY, SPECIALIZATIONS, Sequences, Tables
+from dowling.triangles import checkerboard
 
 
 def run(capsys, *argv):
@@ -95,6 +99,57 @@ def test_hs_pair_checks_read_the_engine(capsys, monkeypatch):
         points = {f["actual"].rsplit(" at ", 1)[1] for f in json.loads(out)["failures"]}
         assert code == 1, name
         assert len(points) == len(REGISTRY[name].grid) == 4, name
+
+
+def _failing_reductions(capsys) -> set:
+    code, out, _ = run(capsys, "verify", "--identity", "specializations")
+    failing = {f["expected"].split(": ", 1)[0] for f in json.loads(out)["failures"]}
+    assert (code == 1) == bool(failing)
+    return failing
+
+
+def test_a_sign_error_fails_its_specialization(capsys, monkeypatch):
+    """Each reduction declares one sign convention, so an engine family with
+    every sign of (-1)^(n-k) flipped fails its reduction instead of passing
+    under another convention."""
+    real = families.triangle
+    for name, _, family, *_ in SPECIALIZATIONS:
+
+        def triangle(fam, params, nmax, family=family):
+            table = real(fam, params, nmax)
+            return checkerboard(table) if fam == family else table
+
+        with monkeypatch.context() as patch:
+            patch.setattr(families, "triangle", triangle)
+            assert _failing_reductions(capsys) == {name}, name
+
+
+@pytest.mark.parametrize(
+    "family, weights, reduction",
+    (
+        ("whitney1", lambda p: (1, p["alpha"], 0, 1 - p["alpha"]), "whitney-first"),
+        ("r-whitney1", lambda p: (1, -p["m"], 0, p["m"] - p["r"]), "r-whitney-first"),
+        ("cakic", lambda p: (1, -p["alpha"], 1, p["alpha"] + 1), "cakic"),
+    ),
+    ids=("whitney1-signs", "r-whitney1-signs", "cakic-c-weight"),
+)
+def test_a_wrong_engine_weight_fails_its_specialization(capsys, monkeypatch, family, weights, reduction):
+    monkeypatch.setitem(families.FAMILIES, family, families.FAMILIES[family]._replace(weights=weights))
+    assert _failing_reductions(capsys) == {reduction}
+
+
+def test_verify_builds_every_engine_family(capsys, monkeypatch):
+    built = set()
+    real = families.triangle
+
+    def triangle(name, params, nmax):
+        built.add(name)
+        return real(name, params, nmax)
+
+    monkeypatch.setattr(families, "triangle", triangle)
+    code, _, _ = run(capsys, "verify", "--identity", "all")
+    assert code == 0
+    assert built == set(families.FAMILIES) and len(built) == 16
 
 
 def test_unused_parameter_exits_2(capsys):

@@ -2,18 +2,20 @@
 routes of its own, several of them library calls.  Run those routes here on
 small sizes, for every family, sum and parameter set of the benchmark op
 spaces, so that a renamed or changed library name fails in the test suite
-rather than at the next re-pin."""
+rather than at the next re-pin.  Also run the cheap `verify` ops against
+their pinned digests, so that a changed report byte fails here too."""
 
 import contextlib
+import hashlib
 import io
+import json
 import sys
 from pathlib import Path
 
 import pytest
 
-pytest.importorskip("sympy")
-
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+sys.path.insert(0, str(PERFBENCH))
 
 import ops  # noqa: E402
 import pin  # noqa: E402
@@ -43,6 +45,7 @@ def _cli_sum(family: str, params: dict):
 
 
 def test_pin_routes_agree_with_the_library():
+    pytest.importorskip("sympy")
     strata = _strata()
     assert {command for command, _, _ in strata} == {"triangle", "sum"}
     for (command, family, _), params in strata.items():
@@ -51,3 +54,19 @@ def test_pin_routes_agree_with_the_library():
             assert pin.reference_triangle(family, params, SIZE) == want, (family, params)
         else:
             assert pin.reference_sum(family, params, SIZE) == _cli_sum(family, params), (family, params)
+
+
+def test_verify_and_paper_tables_match_their_pins():
+    """Every default-size `verify` op, `paper-tables` and the raised-size
+    specialization reports give the exit code and stdout pinned in
+    `expected.json`, which this test only reads.  The brute-force `oracle`
+    op is left out: it alone takes 3-4 s, several times all the others
+    together, and CI's `verify --identity all --with-oracle` step runs it."""
+    pinned = json.loads((PERFBENCH / "expected.json").read_text())["verify"]
+    chosen = [op for op in ops.op_space("verify") if "--nmax" not in op and "oracle" not in op]
+    chosen += [ops.verify_op("specializations", nmax) for nmax in (9, 12)]
+    assert len(chosen) == 33
+    for op in chosen:
+        code, data = pin.run_in_process(op, to_file=False)
+        want = pinned[ops.op_key(op)]
+        assert (code, hashlib.sha256(data).hexdigest()) == (want["rc"], want["sha256"]), ops.op_key(op)

@@ -4,7 +4,8 @@ from fractions import Fraction
 
 from dowling import families
 from dowling.basis import verify_orthogonality
-from dowling.unified import hs_bell_explicit, hs_pair, verify_specializations
+from dowling.identities import REGISTRY
+from dowling.unified import cakic_by_solve, hs_bell_explicit, hs_pair
 
 F = Fraction
 
@@ -115,15 +116,12 @@ def test_cakic_diagonal_and_bell_routes():
 
 def test_cakic_defining_relation():
     # Step-alpha factorial of x expanded in plain falling factorials.
-    from dowling.basis import connection_matrix, factorial_basis
-
     for alpha in (2, 3):
-        expected = connection_matrix(factorial_basis(1, 0, alpha, 5), factorial_basis(1, 0, 1, 5))
-        assert families.triangle("cakic", {"alpha": alpha}, 5).rows == expected.rows
+        assert families.triangle("cakic", {"alpha": alpha}, 5).rows == cakic_by_solve(5, alpha).rows
 
 
 def test_specialization_report_passes():
-    failures, notes = verify_specializations(6)
+    failures, notes = REGISTRY["specializations"].check(6)
     assert failures == []
     # Conventions hold "; " themselves, so split only before "<name>: ".
     conventions = dict(note.split(": ", 1) for note in re.split(r"; (?=[a-z-]+: )", notes))
@@ -135,7 +133,7 @@ def test_specialization_report_passes():
 
 
 def test_specialization_report_trivial_nmax():
-    failures, _ = verify_specializations(0)
+    failures, _ = REGISTRY["specializations"].check(0)
     assert failures == []
 
 
