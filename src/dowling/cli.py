@@ -10,9 +10,12 @@ arbitrary precision survives serialization.
 from __future__ import annotations
 
 import argparse
+import decimal
+import io
 import json
 import sys
 import time
+from collections import namedtuple
 from contextlib import contextmanager
 from fractions import Fraction
 
@@ -96,38 +99,76 @@ def unlimited_int_digits():
         setter(previous)
 
 
-def _value_rows(table) -> list:
-    """Rows of decimal strings; rationals read "p/q"."""
-    return [[str(v) for v in row] for row in table.rows]
+# Integer + and * on decimals are exact in this context: full precision and
+# exponent range, with any rounding or overflow raising instead.
+EXACT_DECIMALS = decimal.Context(
+    prec=decimal.MAX_PREC,
+    Emax=decimal.MAX_EMAX,
+    Emin=decimal.MIN_EMIN,
+    traps=[decimal.Inexact, decimal.Rounded, decimal.InvalidOperation, decimal.Overflow],
+)
+
+# A triangle whose rows are still to be built: the writers read `nmax` and
+# iterate `rows` once, as they do a `Triangle`.
+_Rows = namedtuple("_Rows", ("nmax", "rows"))
 
 
-def render_table(table) -> str:
-    rows = _value_rows(table)
-    width = max(len(v) for row in rows for v in row)
-    label_width = len(str(len(rows) - 1))
-    lines = []
+def _decimal_rows(family: str, params: dict, nmax: int) -> _Rows:
+    """Rows of an integer family built on `decimal.Decimal`, to be iterated
+    in the `EXACT_DECIMALS` context.  libmpdec stores base-10**19 limbs, so
+    the str of an entry takes time linear in its digits, where that of an
+    int is quadratic.  The parameters are validated here, before any output
+    is opened, and a zero that came out as -0 (a negative weight times 0) is
+    replaced by 0."""
+    zero = decimal.Decimal(0)
+    rows = families.integer_rows(family, params, nmax, decimal.Decimal(1))
+    return _Rows(nmax, (row if all(row) else tuple(v or zero for v in row) for row in rows))
+
+
+def _width(value) -> int:
+    """Printed length of an entry; that of a Decimal integer is read off its
+    exponent and sign without printing it."""
+    if isinstance(value, (int, Fraction)):
+        return len(str(value))
+    return value.adjusted() + 1 + value.is_signed()
+
+
+# The writers below stream a triangle to `out` one row at a time: each entry
+# prints as its str, so a rational reads "p/q".
+
+
+def render_table(table, out) -> None:
+    rows = list(table.rows)  # the column width needs every entry first
+    width = max(max(map(_width, row)) for row in rows)
+    label_width = len(str(table.nmax))
     for n, row in enumerate(rows):
-        cells = "  ".join(v.rjust(width) for v in row)
-        lines.append(f"{str(n).rjust(label_width)} | {cells}")
-    return "\n".join(lines) + "\n"
+        cells = "  ".join(str(v).rjust(width) for v in row)
+        out.write(f"{str(n).rjust(label_width)} | {cells}\n")
 
 
-def render_csv(table) -> str:
-    lines = ["n,k,value"]
-    for n, row in enumerate(_value_rows(table)):
-        for k, value in enumerate(row):
-            lines.append(f"{n},{k},{value}")
-    return "\n".join(lines) + "\n"
+def render_csv(table, out) -> None:
+    out.write("n,k,value\n")
+    for n, row in enumerate(table.rows):
+        out.write("".join([f"{n},{k},{v}\n" for k, v in enumerate(map(str, row))]))
 
 
-def triangle_json(table, family: str, params: dict) -> str:
-    obj = {
-        "family": family,
-        "params": _params_as_strings(params),
-        "nmax": len(table.rows) - 1,
-        "rows": _value_rows(table),
-    }
-    return json.dumps(obj, indent=2) + "\n"
+def triangle_json(table, family: str, params: dict, out=None):
+    """Write the triangle as the bytes of `json.dumps(obj, indent=2) + "\\n"`
+    for obj = {"family", "params", "nmax", "rows"}, its values strings; with
+    no `out`, return that text."""
+    if out is None:
+        out = io.StringIO()
+        triangle_json(table, family, params, out)
+        return out.getvalue()
+    head = {"family": family, "params": _params_as_strings(params), "nmax": table.nmax}
+    # Drop the closing "\n}" and go on with the rows; an entry's str needs no
+    # JSON escape.
+    out.write(json.dumps(head, indent=2)[:-2] + ',\n  "rows": [')
+    separator = "\n"
+    for row in table.rows:
+        out.write(separator + '    [\n      "' + '",\n      "'.join(map(str, row)) + '"\n    ]')
+        separator = ",\n"
+    out.write("\n  ]\n}\n")
 
 
 def triangle_from_json(text: str) -> Triangle:
@@ -248,28 +289,42 @@ def run_paper_tables(out=None) -> int:
 # commands
 
 
+@contextmanager
+def _output(out_path: str | None):
+    """The --out file, or stdout without one; failing to open or write the
+    file is a usage error."""
+    if not out_path:
+        yield sys.stdout
+        return
+    try:
+        with open(out_path, "w", encoding="utf-8") as fh:
+            yield fh
+    except OSError as exc:
+        raise UsageError(f"cannot write --out {out_path}: {exc.strerror or exc}") from None
+
+
 def _emit(text: str, out_path: str | None):
-    if out_path:
-        try:
-            with open(out_path, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise UsageError(f"cannot write --out {out_path}: {exc.strerror or exc}") from None
-    else:
-        sys.stdout.write(text)
+    with _output(out_path) as out:
+        out.write(text)
 
 
 def cmd_triangle(args) -> int:
+    """Write a triangle as it is built.  An integer family runs the engine on
+    decimals (see `_decimal_rows`); a rational family is built whole, as
+    Fractions read off the integer engine."""
     if args.family not in FAMILIES:
         raise UsageError(f"unknown family {args.family!r}; known: {', '.join(sorted(FAMILIES))}")
-    table = families.triangle(args.family, args.params, args.nmax)
-    if args.fmt == "table":
-        text = render_table(table)
-    elif args.fmt == "csv":
-        text = render_csv(table)
+    if FAMILIES[args.family].rational:
+        table = families.triangle(args.family, args.params, args.nmax)
     else:
-        text = triangle_json(table, args.family, args.params)
-    _emit(text, args.out)
+        table = _decimal_rows(args.family, args.params, args.nmax)
+    with _output(args.out) as out, decimal.localcontext(EXACT_DECIMALS):
+        if args.fmt == "table":
+            render_table(table, out)
+        elif args.fmt == "csv":
+            render_csv(table, out)
+        else:
+            triangle_json(table, args.family, args.params, out)
     return 0
 
 

@@ -156,12 +156,14 @@ def _engine(name: str, params: dict, scale: int | None = None) -> tuple:
     return params, scale, _scaled(weights, scale)
 
 
-def integer_rows(name: str, params: dict, nmax: int):
-    """Yield the rows 0..nmax of an integer family, one at a time."""
+def integer_rows(name: str, params: dict, nmax: int, one=1):
+    """Yield the rows 0..nmax of an integer family, one at a time, with
+    entries of the type of `one` (see `triangles.recurrence_rows`).  The
+    parameters are validated at the call, before the first row is asked for."""
     if FAMILIES[name].rational:
         raise ValueError(f"{name} has rational entries")
     _, _, weights = _engine(name, params)
-    return triangles.recurrence_rows(nmax, *weights)
+    return triangles.recurrence_rows(nmax, *weights, one)
 
 
 def triangle(name: str, params: dict, nmax: int) -> Triangle:

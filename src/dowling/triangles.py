@@ -77,7 +77,7 @@ class Triangle:
         return Triangle(rows, family, dict(params or {}))
 
 
-def recurrence_rows(nmax: int, d: int, a: int, b: int, c: int):
+def recurrence_rows(nmax: int, d: int, a: int, b: int, c: int, one=1):
     """Yield rows 0..nmax, as tuples, of the triangle with T(0,0) = 1 and
 
         T(n,k) = d*T(n-1,k-1) + (a*n + b*k + c)*T(n-1,k),    d = +1 or -1,
@@ -85,18 +85,20 @@ def recurrence_rows(nmax: int, d: int, a: int, b: int, c: int):
     where n is the index of the row being built and terms falling outside
     the triangle contribute nothing.  Each row is built from the previous
     one alone, so a caller that keeps only the latest row needs O(nmax)
-    memory.  All arithmetic is on Python ints.
+    memory.  The entries have the type of `one`: Python ints by default, or
+    `decimal.Decimal(1)` for rows that print in time linear in their digits
+    (exact only in a context that never rounds).
     """
     if nmax < 0:
         raise ValueError("nmax must be nonnegative")
     if d not in (1, -1):
         raise ValueError(f"the diagonal weight must be 1 or -1, got {d!r}")
-    row = (1,)
+    row = (one,)
     yield row
     for n in range(1, nmax + 1):
         w = a * n + c
         # zip stops at the shorter operand: the weights of k = 1..n-1.
-        weights = count(w + b, b)
+        weights = count(one * (w + b), one * b)
         if d == 1:
             inner = [p + x * q for x, p, q in zip(weights, row, row[1:])]
         else:

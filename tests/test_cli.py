@@ -1,3 +1,4 @@
+import decimal
 import json
 import os
 import subprocess
@@ -9,6 +10,7 @@ import pytest
 
 from dowling import families
 from dowling.cli import (
+    EXACT_DECIMALS,
     main,
     run_paper_tables,
     triangle_from_json,
@@ -78,6 +80,89 @@ def test_rational_triangle_json_roundtrip_is_byte_identical(capsys):
     assert mat.rows[2][1] == Fraction(23, 6)
     assert mat == families.triangle("hs1", mat.params, 2)
     assert triangle_json(mat, mat.family, mat.params) == out
+
+
+def _int_rendering(table, fmt: str, family: str, params: dict) -> str:
+    """A triangle as the CLI printed it from whole int rows: every entry
+    turned into its str first, then formatted."""
+    rows = [[str(v) for v in row] for row in table.rows]
+    if fmt == "table":
+        width = max(len(v) for row in rows for v in row)
+        label_width = len(str(len(rows) - 1))
+        lines = [
+            f"{str(n).rjust(label_width)} | " + "  ".join(v.rjust(width) for v in row)
+            for n, row in enumerate(rows)
+        ]
+    elif fmt == "csv":
+        lines = ["n,k,value"]
+        lines += [f"{n},{k},{v}" for n, row in enumerate(rows) for k, v in enumerate(row)]
+    else:
+        strings = {key: str(value) for key, value in params.items()}
+        obj = {"family": family, "params": strings, "nmax": len(rows) - 1, "rows": rows}
+        return json.dumps(obj, indent=2) + "\n"
+    return "\n".join(lines) + "\n"
+
+
+def _triangle_argv(family: str, params: dict, nmax: int, fmt: str) -> list:
+    argv = ["triangle", "--family", family, "--nmax", str(nmax), "--format", fmt]
+    return argv + [arg for key, value in params.items() for arg in (f"--{key}", str(value))]
+
+
+# Parameter points of the integer families: negative steps and r = 0 give the
+# zero columns and negative weights where a decimal -0 could appear.
+_INTEGER_POINTS = {
+    (): ({},),
+    ("alpha",): ({"alpha": 2}, {"alpha": -3}),
+    ("r",): ({"r": 0}, {"r": 2}),
+    ("m", "r"): ({"m": 1, "r": 0}, {"m": 3, "r": 2}),
+}
+
+
+@pytest.mark.parametrize(
+    "family, params",
+    [
+        (name, params)
+        for name, family in families.FAMILIES.items()
+        if not family.rational
+        for params in _INTEGER_POINTS[family.needs]
+    ],
+    ids=lambda value: (
+        value if isinstance(value, str) else ",".join(f"{k}={v}" for k, v in value.items()) or "none"
+    ),
+)
+def test_integer_triangles_print_as_their_int_entries(capsys, family, params):
+    # The CLI prints integer families from decimal rows; the bytes must be
+    # those of the int triangle, with no "-0" from a negative weight times 0.
+    for nmax in (0, 1, 12):
+        table = families.triangle(family, params, nmax)
+        for fmt in ("table", "csv", "json"):
+            code, out, _ = run(capsys, *_triangle_argv(family, params, nmax, fmt))
+            assert code == 0
+            assert out == _int_rendering(table, fmt, family, params), (nmax, fmt)
+
+
+@pytest.mark.parametrize(
+    "family, params",
+    (
+        ("stirling2", {}),
+        ("hs1", {"alpha": Fraction(1, 2), "beta": Fraction(1, 3), "gamma": 2}),
+        ("cakic", {"alpha": 2}),
+    ),
+    ids=("no params", "hs1", "cakic"),
+)
+@pytest.mark.parametrize("nmax", (0, 1, 5))
+def test_streamed_json_is_json_dumps(capsys, family, params, nmax):
+    table = families.triangle(family, params, nmax)
+    expected = _int_rendering(table, "json", family, params)
+    assert triangle_json(table, family, params) == expected
+    code, out, _ = run(capsys, *_triangle_argv(family, params, nmax, "json"))
+    assert code == 0 and out == expected
+
+
+def test_decimal_rows_never_round():
+    assert EXACT_DECIMALS.traps[decimal.Inexact] and EXACT_DECIMALS.traps[decimal.Rounded]
+    with decimal.localcontext(EXACT_DECIMALS), pytest.raises(decimal.Inexact):
+        decimal.Decimal("0.5").quantize(decimal.Decimal(1))
 
 
 def test_json_values_are_strings_for_big_entries(capsys):
@@ -245,12 +330,41 @@ def test_unlimited_int_digits_without_the_setter(monkeypatch, capsys):
     ),
     ids=lambda argv: argv[0],
 )
-@pytest.mark.parametrize("where", ("missing directory", "directory"))
+@pytest.mark.parametrize("where", ("missing directory", "directory", "full device"))
 def test_unwritable_out_is_a_usage_error(tmp_path, capsys, argv, where):
-    target = tmp_path / "missing" / "x" if where == "missing directory" else tmp_path
+    if where == "missing directory":
+        target = tmp_path / "missing" / "x"
+    elif where == "directory":
+        target = tmp_path
+    else:
+        # An existing file that opens but fails on write (ENOSPC).
+        target = Path("/dev/full")
+        if not target.exists():
+            pytest.skip("no /dev/full")
     code, out, err = run(capsys, *argv, "--out", str(target))
     assert code == 2 and out == ""
     assert err.startswith(f"error: cannot write --out {target}: ")
+
+
+@pytest.mark.parametrize("existing", (True, False), ids=("existing file", "no file"))
+@pytest.mark.parametrize(
+    "argv",
+    (
+        ("--family", "whitney2", "--alpha", "0"),
+        ("--family", "r-lah", "--r", "-1"),
+        ("--family", "whitney-lah", "--alpha", "1/2"),
+    ),
+    ids=lambda argv: argv[1],
+)
+def test_parameter_error_leaves_out_untouched(tmp_path, capsys, argv, existing):
+    # Triangles are written as they are built, so the parameters must be
+    # checked before the --out file is opened (and truncated).
+    target = tmp_path / "out.txt"
+    if existing:
+        target.write_text("kept\n")
+    code, out, err = run(capsys, "triangle", *argv, "--nmax", "3", "--out", str(target))
+    assert code == 2 and out == "" and err.startswith("error: ")
+    assert target.read_text() == "kept\n" if existing else not target.exists()
 
 
 def test_importing_the_cli_leaves_the_registry_unloaded():
