@@ -43,7 +43,6 @@ from .unified import (
     hs_bell_explicit,
     hs_bell_explicit_sequence,
     hs_lah_matrix_by_solve,
-    hs_pair,
     hs_pair_by_solve,
 )
 from .whitney import (

@@ -89,8 +89,8 @@ def qi_bell(n: int) -> int:
     B_n = sum_k (-1)^(n-k) [sum_j L(k,j)] S(n,k) over signless Lah numbers
     (the r-Lah numbers at r = 0); only row n of S and the Lah row sums are
     kept."""
-    lah_sums = [sum(row) for row in families.integer_rows("r-lah", {"r": 0}, n)]
-    s2_row = deque(families.integer_rows("stirling2", {}, n), maxlen=1)[0]
+    lah_sums = [sum(row) for row in families.rows("r-lah", {"r": 0}, n)]
+    s2_row = deque(families.rows("stirling2", {}, n), maxlen=1)[0]
     total = 0
     for k, value in enumerate(s2_row):
         term = lah_sums[k] * value

@@ -114,14 +114,16 @@ _Rows = namedtuple("_Rows", ("nmax", "rows"))
 
 
 def _decimal_rows(family: str, params: dict, nmax: int) -> _Rows:
-    """Rows of an integer family built on `decimal.Decimal`, to be iterated
-    in the `EXACT_DECIMALS` context.  libmpdec stores base-10**19 limbs, so
-    the str of an entry takes time linear in its digits, where that of an
-    int is quadratic.  The parameters are validated here, before any output
-    is opened, and a zero that came out as -0 (a negative weight times 0) is
+    """Rows of a family from `families.rows`, to be iterated in the
+    `EXACT_DECIMALS` context: the engine builds integer entries on
+    `decimal.Decimal`; rational entries, and those of the product `hs-lah`,
+    come as Fractions or ints.  libmpdec stores base-10**19 limbs, so the
+    str of an entry takes time linear in its digits, where that of an int is
+    quadratic.  The parameters are validated here, before any output is
+    opened, and a zero that came out as -0 (a negative weight times 0) is
     replaced by 0."""
     zero = decimal.Decimal(0)
-    rows = families.integer_rows(family, params, nmax, decimal.Decimal(1))
+    rows = families.rows(family, params, nmax, decimal.Decimal(1))
     return _Rows(nmax, (row if all(row) else tuple(v or zero for v in row) for row in rows))
 
 
@@ -309,15 +311,10 @@ def _emit(text: str, out_path: str | None):
 
 
 def cmd_triangle(args) -> int:
-    """Write a triangle as it is built.  An integer family runs the engine on
-    decimals (see `_decimal_rows`); a rational family is built whole, as
-    Fractions read off the integer engine."""
+    """Write a triangle as it is built (see `_decimal_rows`)."""
     if args.family not in FAMILIES:
         raise UsageError(f"unknown family {args.family!r}; known: {', '.join(sorted(FAMILIES))}")
-    if FAMILIES[args.family].rational:
-        table = families.triangle(args.family, args.params, args.nmax)
-    else:
-        table = _decimal_rows(args.family, args.params, args.nmax)
+    table = _decimal_rows(args.family, args.params, args.nmax)
     with _output(args.out) as out, decimal.localcontext(EXACT_DECIMALS):
         if args.fmt == "table":
             render_table(table, out)

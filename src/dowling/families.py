@@ -11,7 +11,7 @@ as verification routes.
 Rational parameters never put a Fraction inside the recurrence.  With D the
 lcm of the denominators of the weights, the scaled weights D*(a*n + b*k + c)
 are integers, the integer recurrence gives U(n,k), and
-S(n,k) = U(n,k) / D^(n-k) is read off at the end.
+S(n,k) = U(n,k) / D^(n-k) is read off one row at a time.
 
 `hs-lah` is the one family without a two-term linear recurrence (at
 (1, 0, 0) the weights fitted to row 4 are 13/3, 5, 6), so it is built as the
@@ -136,15 +136,16 @@ def _scaled(weights, scale: int) -> tuple:
     return (d, *(as_integer(Fraction(v) * scale) for v in linear))
 
 
-def read_off(scaled_rows, scale: int) -> tuple:
-    """Rows of S(n,k) = U(n,k) / scale^(n-k) from the scaled integer rows U."""
+def _read_off(scaled_rows, scale: int):
+    """Yield the rows of S(n,k) = U(n,k) / scale^(n-k) from the scaled
+    integer rows U, one at a time; at scale 1 they are U itself."""
     if scale == 1:
-        return tuple(scaled_rows)
-    powers = [scale**i for i in range(len(scaled_rows))]
-    return tuple(
-        tuple(Fraction(u, powers[n - k]) for k, u in enumerate(row))
-        for n, row in enumerate(scaled_rows)
-    )
+        yield from scaled_rows
+        return
+    powers = []
+    for n, row in enumerate(scaled_rows):
+        powers.append(scale**n)
+        yield tuple(Fraction(u, powers[n - k]) for k, u in enumerate(row))
 
 
 def _engine(name: str, params: dict, scale: int | None = None) -> tuple:
@@ -156,14 +157,19 @@ def _engine(name: str, params: dict, scale: int | None = None) -> tuple:
     return params, scale, _scaled(weights, scale)
 
 
-def integer_rows(name: str, params: dict, nmax: int, one=1):
-    """Yield the rows 0..nmax of an integer family, one at a time, with
-    entries of the type of `one` (see `triangles.recurrence_rows`).  The
-    parameters are validated at the call, before the first row is asked for."""
-    if FAMILIES[name].rational:
-        raise ValueError(f"{name} has rational entries")
-    _, _, weights = _engine(name, params)
-    return triangles.recurrence_rows(nmax, *weights, one)
+def rows(name: str, params: dict, nmax: int, one=1):
+    """Yield the rows 0..nmax of a family, one at a time.  Where the entries
+    are integers (scale 1) they come straight from the engine, of the type
+    of `one` (see `triangles.recurrence_rows`); otherwise they are exact
+    rationals read off the scaled int rows.  `hs-lah` is built whole before
+    its first row.  The parameters are validated at the call, before the
+    first row is asked for."""
+    if name == "hs-lah":
+        return iter(_hs_lah(params, nmax).rows)
+    _, scale, weights = _engine(name, params)
+    if scale == 1:
+        return triangles.recurrence_rows(nmax, *weights, one)
+    return _read_off(triangles.recurrence_rows(nmax, *weights), scale)
 
 
 def triangle(name: str, params: dict, nmax: int) -> Triangle:
@@ -175,7 +181,7 @@ def triangle(name: str, params: dict, nmax: int) -> Triangle:
     built = triangles.recurrence_triangle(name, params, nmax, *weights)
     if scale == 1:
         return built
-    return Triangle(read_off(built.rows, scale), name, params)
+    return Triangle(_read_off(built.rows, scale), name, params)
 
 
 def row_sum(name: str, params: dict, n: int):
@@ -219,4 +225,4 @@ def _hs_lah(params: dict, nmax: int) -> Triangle:
     """L(n,j) = sum_k (-1)^k s2(n,k) s1(k,j) = [sum_k (-1)^k U2(n,k) U1(k,j)] / D^(n-j)."""
     params = _validate("hs-lah", params)
     scale, u1, u2 = hs_scaled_pair(params, nmax)
-    return Triangle(read_off(triangles.product(u2, u1, signed=True), scale), "hs-lah", params)
+    return Triangle(_read_off(triangles.product(u2, u1, signed=True), scale), "hs-lah", params)

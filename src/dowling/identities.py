@@ -79,15 +79,14 @@ class Sequences:
 @dataclass(frozen=True)
 class Product:
     """`pair` returns two tables whose product is the identity matrix, in
-    both orders unless `both_orders` is False."""
+    both orders; a table paired with itself is multiplied once."""
 
     pair: object
-    both_orders: bool = True
     notes: str | None = None
 
     def __call__(self, nmax, **point):
         first, second = self.pair(nmax, **point)
-        orders = ((first, second), (second, first)) if self.both_orders else ((first, second),)
+        orders = ((first, second),) if first is second else ((first, second), (second, first))
         bad = []
         for c, d in orders:
             for n, row in enumerate(product(c.rows, d.rows)):
@@ -365,7 +364,7 @@ REGISTRY = {
         Identity("qi", {"nmax": 25}, Sequences(_sums("stirling2"), _each(classic.qi_bell))),
         Identity("ordlahstirling", {"nmax": 15}, Tables(_LAH, _all_columns(classic.lah_from_stirlings_rows))),
         Identity("stirling-inverse", {"nmax": 9}, Roundtrip(_stirling_pair)),
-        Identity("ortho", {"nmax": 12, "alpha": 3}, Product(whitney.whitney_lah_pair, both_orders=False)),
+        Identity("ortho", {"nmax": 12, "alpha": 3}, Product(whitney.whitney_lah_pair)),
         Identity("inv1", {"nmax": 9, "alpha": 3}, Roundtrip(whitney.whitney_lah_pair)),
         Identity("wla1", _W, Tables(_W_LAH, _all_columns(whitney.whitney_lah_from_whitney_rows))),
         Identity("triwlah", {"nmax": 15, "alpha": 3}, Tables(_W_LAH, _TRIWLAH_ROUTES, _TRIWLAH)),

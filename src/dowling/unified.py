@@ -18,7 +18,6 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 
-from . import families
 from .basis import connection_matrix, factorial_basis
 from .triangles import Triangle, product, transform
 
@@ -26,23 +25,12 @@ from .triangles import Triangle, product, transform
 HSPair = namedtuple("HSPair", "s1 s2")
 
 
-def hs_pair(nmax: int, params) -> HSPair:
-    """Both matrices of the pair for one parameter triple, from the scaled
-    integer recurrences s1: k*beta - (n-1)*alpha + gamma and
-    s2: k*alpha - (n-1)*beta - gamma.  Mutual inversion is asserted because it
-    is the defining invariant of the pair."""
-    scale, u1, u2 = families.hs_scaled_pair(dict(zip(("alpha", "beta", "gamma"), params)), nmax)
-    s1 = Triangle(families.read_off(u1, scale))
-    s2 = Triangle(families.read_off(u2, scale))
-    return HSPair(s1, s2)
-
-
 def hs_pair_by_solve(nmax: int, params) -> HSPair:
     """Verification route: both connection matrices, solved exactly.
 
     Both target bases have unit leading scale, so they are always graded and
     the solve cannot degenerate.  Mutual inversion is asserted as in
-    `hs_pair`.
+    `families.hs_scaled_pair`.
     """
     alpha, beta, gamma = map(Fraction, params)
     source1 = factorial_basis(1, 0, alpha, nmax)

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from dowling import families
+from dowling import families, triangles
 from dowling.cli import (
     EXACT_DECIMALS,
     main,
@@ -18,7 +18,7 @@ from dowling.cli import (
     unlimited_int_digits,
 )
 from dowling.rnumbers import r_whitney_lah_explicit
-from dowling.unified import hs_pair
+from dowling.unified import hs_pair_by_solve
 
 
 def run(capsys, *argv):
@@ -76,14 +76,14 @@ def test_rational_triangle_json_roundtrip_is_byte_identical(capsys):
     )
     assert code == 0
     mat = triangle_from_json(out)
-    assert mat.rows == hs_pair(2, (Fraction(1, 2), Fraction(1, 3), 2)).s1.rows
+    assert mat.rows == hs_pair_by_solve(2, (Fraction(1, 2), Fraction(1, 3), 2)).s1.rows
     assert mat.rows[2][1] == Fraction(23, 6)
     assert mat == families.triangle("hs1", mat.params, 2)
     assert triangle_json(mat, mat.family, mat.params) == out
 
 
 def _int_rendering(table, fmt: str, family: str, params: dict) -> str:
-    """A triangle as the CLI printed it from whole int rows: every entry
+    """A triangle as the CLI printed it from a whole `Triangle`: every entry
     turned into its str first, then formatted."""
     rows = [[str(v) for v in row] for row in table.rows]
     if fmt == "table":
@@ -108,37 +108,68 @@ def _triangle_argv(family: str, params: dict, nmax: int, fmt: str) -> list:
     return argv + [arg for key, value in params.items() for arg in (f"--{key}", str(value))]
 
 
-# Parameter points of the integer families: negative steps and r = 0 give the
-# zero columns and negative weights where a decimal -0 could appear.
-_INTEGER_POINTS = {
+# Parameter points of every family, by the parameters it takes: negative steps
+# and r = 0 give the zero columns and negative weights where a decimal -0
+# could appear (hs1 at (1, 0, 0) and cakic at 2 among them); the rational
+# points give Fraction entries.
+_POINTS = {
     (): ({},),
     ("alpha",): ({"alpha": 2}, {"alpha": -3}),
     ("r",): ({"r": 0}, {"r": 2}),
     ("m", "r"): ({"m": 1, "r": 0}, {"m": 3, "r": 2}),
-}
-
-
-@pytest.mark.parametrize(
-    "family, params",
-    [
-        (name, params)
-        for name, family in families.FAMILIES.items()
-        if not family.rational
-        for params in _INTEGER_POINTS[family.needs]
-    ],
-    ids=lambda value: (
-        value if isinstance(value, str) else ",".join(f"{k}={v}" for k, v in value.items()) or "none"
+    ("alpha", "beta", "gamma"): (
+        {"alpha": 1, "beta": 0, "gamma": 0},
+        {"alpha": 0, "beta": 1, "gamma": 2},
+        {"alpha": Fraction(1, 2), "beta": Fraction(1, 3), "gamma": 2},
     ),
-)
+}
+_CAKIC_POINTS = ({"alpha": 2}, {"alpha": -1}, {"alpha": Fraction(1, 2)})
+
+
+def _family_points(names):
+    return [
+        (name, params)
+        for name in names
+        for params in (_CAKIC_POINTS if name == "cakic" else _POINTS[families.FAMILIES[name].needs])
+    ]
+
+
+def _point_id(value):
+    return value if isinstance(value, str) else ",".join(f"{k}={v}" for k, v in value.items()) or "none"
+
+
+@pytest.mark.parametrize("family, params", _family_points(families.FAMILIES), ids=_point_id)
 def test_integer_triangles_print_as_their_int_entries(capsys, family, params):
-    # The CLI prints integer families from decimal rows; the bytes must be
-    # those of the int triangle, with no "-0" from a negative weight times 0.
+    # The CLI prints every family from `families.rows`, integer entries as
+    # decimals; the bytes must be those of the whole `Triangle`, with no "-0"
+    # from a negative weight times 0.
     for nmax in (0, 1, 12):
         table = families.triangle(family, params, nmax)
         for fmt in ("table", "csv", "json"):
             code, out, _ = run(capsys, *_triangle_argv(family, params, nmax, fmt))
             assert code == 0
             assert out == _int_rendering(table, fmt, family, params), (nmax, fmt)
+
+
+@pytest.mark.parametrize(
+    "family, params",
+    _family_points(name for name in families.FAMILIES if name != "hs-lah"),
+    ids=_point_id,
+)
+def test_engine_families_print_without_a_whole_triangle(monkeypatch, capsys, family, params):
+    # Every family but the product `hs-lah` streams from the engine's rows;
+    # none may build a `Triangle` to print.
+    table = families.triangle(family, params, 6)
+    expected = {fmt: _int_rendering(table, fmt, family, params) for fmt in ("table", "csv", "json")}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("built a whole triangle")
+
+    monkeypatch.setattr(families, "triangle", refuse)
+    monkeypatch.setattr(triangles, "recurrence_triangle", refuse)
+    for fmt, text in expected.items():
+        code, out, _ = run(capsys, *_triangle_argv(family, params, 6, fmt))
+        assert code == 0 and out == text, fmt
 
 
 @pytest.mark.parametrize(

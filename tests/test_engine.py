@@ -74,10 +74,9 @@ def test_r_whitney_engine_vs_solve():
 
 def test_hs_pair_engine_vs_solve():
     for params in HS_POINTS:
-        engine = unified.hs_pair(20, params)
         solved = unified.hs_pair_by_solve(20, params)
-        assert engine.s1.rows == solved.s1.rows
-        assert engine.s2.rows == solved.s2.rows
+        assert families.triangle("hs1", named(params), 20).rows == solved.s1.rows
+        assert families.triangle("hs2", named(params), 20).rows == solved.s2.rows
 
 
 def test_hs_lah_engine_vs_solve():
@@ -121,7 +120,7 @@ def test_hs_pair_asserts_mutual_inverse(monkeypatch):
     )
     monkeypatch.setattr(families, "FAMILIES", broken)
     with pytest.raises(AssertionError):
-        unified.hs_pair(4, (F(1, 2), F(1, 3), 2))
+        families.hs_scaled_pair(named((F(1, 2), F(1, 3), 2)), 4)
 
 
 small_rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
@@ -148,10 +147,9 @@ def test_property_whitney_engine_vs_expansion(alpha, n):
 @given(small_rationals, small_rationals, small_rationals, st.integers(0, 6))
 def test_property_hs_engine_vs_solve(alpha, beta, gamma, n):
     params = (alpha, beta, gamma)
-    engine = unified.hs_pair(n, params)
     solved = unified.hs_pair_by_solve(n, params)
-    assert engine.s1.rows == solved.s1.rows
-    assert engine.s2.rows == solved.s2.rows
+    assert families.triangle("hs1", named(params), n).rows == solved.s1.rows
+    assert families.triangle("hs2", named(params), n).rows == solved.s2.rows
     lah = families.triangle("hs-lah", named(params), n)
     assert lah.rows == unified.hs_lah_matrix_by_solve(n, params).rows
     assert families.row_sum("hs1", named(params), n) == unified.hs_bell_explicit(n, params)

@@ -5,7 +5,7 @@ from fractions import Fraction
 from dowling import families
 from dowling.basis import verify_orthogonality
 from dowling.identities import REGISTRY
-from dowling.unified import cakic_by_solve, hs_bell_explicit, hs_pair
+from dowling.unified import HSPair, cakic_by_solve, hs_bell_explicit
 
 F = Fraction
 
@@ -15,6 +15,11 @@ PARAM_SETS = ((0, 1, 2), (0, 2, 2), (1, 0, 0), (F(1, 2), F(1, 3), 2))
 def named(params) -> dict:
     """A Hsu-Shiue triple as the family table's parameters."""
     return dict(zip(("alpha", "beta", "gamma"), params))
+
+
+def hs_pair(nmax: int, params) -> HSPair:
+    """Both matrices of the pair from the family table."""
+    return HSPair(*(families.triangle(kind, named(params), nmax) for kind in ("hs1", "hs2")))
 
 
 def test_hs_pair_recovers_r_stirling2():
