@@ -1,17 +1,26 @@
 """Brute-force set-partition counting: ground truth for the number families.
 
-Partitions are enumerated as restricted growth strings, so the enumeration
-is provably exhaustive and duplicate-free.  Counting is deliberately naive;
-a hard size guard keeps it at desk scale.
+One plain recursive walk visits every partition of {1..total} as its
+canonical restricted growth string (each element takes an earlier element's
+label or the next fresh one); each partition has exactly one such string, so
+the walk is exhaustive and duplicate-free.  It carries each partition's
+statistics incrementally and tallies them at the leaf: nothing is derived by
+recurrence or closed form.  A hard size guard keeps it at desk scale.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 SIZE_GUARD = 12
+
+
+def _check(total: int, distinguished: int) -> None:
+    if total < 0:
+        raise ValueError(f"total={total} must be nonnegative")
+    if not 0 <= distinguished <= total:
+        raise ValueError(f"distinguished={distinguished} must lie in 0..total={total}")
 
 
 @dataclass(frozen=True)
@@ -26,66 +35,57 @@ class PartitionSpec:
     ordered_blocks: bool = False
 
     def __post_init__(self):
-        if self.total < 0 or self.blocks < 0:
-            raise ValueError("sizes must be nonnegative")
-        if self.distinguished > self.total:
-            raise ValueError("cannot distinguish more elements than exist")
+        _check(self.total, self.distinguished)
+        if self.blocks < 0:
+            raise ValueError(f"blocks={self.blocks} must be nonnegative")
 
 
 def _iter_partition_stats(total: int):
-    """Yield (block_count, separated_prefix, ordered_weight) per partition.
+    """Enumerate the partitions of {1..total} and return their (plain,
+    weighted) tallies, dicts keyed by (block_count, separated_prefix).
 
-    `separated_prefix` is the largest p such that elements 1..p land in
-    pairwise distinct blocks; in a canonical restricted growth string that
-    is the first index where the label stops being fresh.  `ordered_weight`
-    is the product of the factorials of the block sizes, i.e. the number of
-    ways to linearly order every block.
+    `separated_prefix` is the largest p with elements 1..p in pairwise
+    distinct blocks; it grows only while each new label is fresh and equals
+    its index.  `weighted` sums the product of the block sizes' factorials
+    (the ways to order every block linearly), which joining a block of size
+    s multiplies by s + 1.  The last element's labels are tallied in a loop.
     """
     if total == 0:
-        yield 0, 0, 1
-        return
-    labels = [0] * total
-    sizes = [0] * (total + 1)
+        return {(0, 0): 1}, {(0, 0): 1}
+    plain, weighted = {}, {}
+    sizes = [0] * total
 
-    def emit():
-        blocks = max(labels[:total]) + 1
-        sep = total
-        for i in range(total):
-            if labels[i] != i:
-                sep = i
-                break
-        weight = 1
-        for b in range(blocks):
-            weight *= math.factorial(sizes[b])
-        return blocks, sep, weight
-
-    def walk(i, used):
-        if i == total:
-            yield emit()
+    def walk(i, used, sep, weight):
+        if i == total - 1:
+            key = (used + 1, sep + (sep == i))
+            plain[key] = plain.get(key, 0) + 1
+            weighted[key] = weighted.get(key, 0) + weight
+            if used:
+                key = (used, sep)
+                count, tally = plain.get(key, 0), weighted.get(key, 0)
+                for label in range(used):
+                    count += 1
+                    tally += weight * (sizes[label] + 1)
+                plain[key], weighted[key] = count, tally
             return
-        for label in range(used + 1):
-            labels[i] = label
-            sizes[label] += 1
-            yield from walk(i + 1, used + (label == used))
-            sizes[label] -= 1
+        for label in range(used):
+            size = sizes[label]
+            sizes[label] = size + 1
+            walk(i + 1, used, sep, weight * (size + 1))
+            sizes[label] = size
+        sizes[used] = 1
+        walk(i + 1, used + 1, sep + (sep == i), weight)
+        sizes[used] = 0
 
-    yield from walk(0, 0)
+    walk(0, 0, 0, 1)
+    return plain, weighted
 
 
 @lru_cache(maxsize=None)
 def _census(total: int):
-    """Tally partitions of {1..total} by (block_count, separated_prefix).
-
-    Returns two dicts: plain counts and linear-order-weighted counts.  Pure
-    and cached, so repeated queries share one enumeration sweep.
-    """
-    plain: dict = {}
-    weighted: dict = {}
-    for blocks, sep, weight in _iter_partition_stats(total):
-        key = (blocks, sep)
-        plain[key] = plain.get(key, 0) + 1
-        weighted[key] = weighted.get(key, 0) + weight
-    return plain, weighted
+    """The (plain, weighted) tallies of `_iter_partition_stats(total)`,
+    cached so that repeated queries share one enumeration sweep."""
+    return _iter_partition_stats(total)
 
 
 def count_partitions(spec: PartitionSpec) -> int:
@@ -103,10 +103,9 @@ def count_partitions(spec: PartitionSpec) -> int:
 
 def count_all_partitions(total: int, distinguished: int = 0, ordered: bool = False) -> int:
     """Count partitions into any number of blocks (same constraints)."""
+    _check(total, distinguished)
     if total > SIZE_GUARD:
         raise ValueError(f"total={total} exceeds the size guard ({SIZE_GUARD})")
-    if distinguished > total:
-        raise ValueError("cannot distinguish more elements than exist")
     plain, weighted = _census(total)
     table = weighted if ordered else plain
     return sum(count for (_, sep), count in table.items() if sep >= distinguished)

@@ -1,6 +1,34 @@
+import math
+
 import pytest
 
+from dowling import oracle
 from dowling.oracle import PartitionSpec, count_all_partitions, count_partitions
+
+BELL = (1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147, 115975, 678570)
+# OEIS A000262: sets of lists, i.e. partitions weighted by the product of
+# their block sizes' factorials.
+SETS_OF_LISTS = (1, 1, 3, 13, 73, 501, 4051, 37633, 394353, 4596553, 58941091, 824073141)
+
+
+def _growth_strings(total):
+    """Every restricted growth string of length `total`, listed naively."""
+    strings = [[]]
+    for _ in range(total):
+        strings = [s + [label] for s in strings for label in range(max(s, default=-1) + 2)]
+    return strings
+
+
+def _reference_census(total):
+    """The census recomputed from scratch for each growth string."""
+    plain, weighted = {}, {}
+    for labels in _growth_strings(total):
+        blocks = max(labels, default=-1) + 1
+        sep = next((i for i, label in enumerate(labels) if label != i), total)
+        weight = math.prod(math.factorial(labels.count(b)) for b in range(blocks))
+        plain[blocks, sep] = plain.get((blocks, sep), 0) + 1
+        weighted[blocks, sep] = weighted.get((blocks, sep), 0) + weight
+    return plain, weighted
 
 
 def test_stirling_style_counts():
@@ -37,11 +65,52 @@ def test_bell_column_against_direct_listing():
     assert count_all_partitions(3, 0, ordered=True) == 1 * 6 + 3 * 2 + 1  # 13
 
 
+def test_census_matches_a_from_scratch_enumeration():
+    for total in range(9):
+        assert oracle._census(total) == _reference_census(total), total
+
+
+def test_census_sums_are_bell_and_sets_of_lists():
+    for total in range(12):
+        plain, weighted = oracle._census(total)
+        assert sum(plain.values()) == BELL[total]
+        assert sum(weighted.values()) == SETS_OF_LISTS[total]
+        assert count_all_partitions(total, 0, ordered=True) == SETS_OF_LISTS[total]
+
+
+def test_one_enumeration_per_distinct_total(monkeypatch):
+    # perfbench/tracer.py counts `oracle.partitions_enumerated` by wrapping
+    # `_iter_partition_stats`; `_census` must reach it through the module
+    # global, once per total.
+    seen = []
+    enumerate_partitions = oracle._iter_partition_stats
+
+    def counted(total):
+        seen.append(total)
+        return enumerate_partitions(total)
+
+    monkeypatch.setattr(oracle, "_iter_partition_stats", counted)
+    oracle._census.cache_clear()
+    try:
+        for total in (3, 5, 3, 0, 5, 7):
+            count_all_partitions(total)
+            count_partitions(PartitionSpec(total, 2))
+    finally:
+        oracle._census.cache_clear()
+    assert seen == [3, 5, 0, 7]
+
+
 def test_size_guard():
     with pytest.raises(ValueError):
         count_partitions(PartitionSpec(13, 2))
     with pytest.raises(ValueError):
         count_all_partitions(13)
+    with pytest.raises(ValueError, match="distinguished=-2"):
+        count_all_partitions(4, -2)
+    with pytest.raises(ValueError, match="total=-1"):
+        count_all_partitions(-1)
+    with pytest.raises(ValueError, match="distinguished=5"):
+        count_all_partitions(4, 5)
 
 
 def test_spec_validation():
@@ -49,6 +118,10 @@ def test_spec_validation():
         PartitionSpec(3, 1, 4)
     with pytest.raises(ValueError):
         PartitionSpec(-1, 0)
+    with pytest.raises(ValueError, match="distinguished=-1"):
+        PartitionSpec(4, 2, -1)
+    with pytest.raises(ValueError, match="blocks=-1"):
+        PartitionSpec(4, -1)
 
 
 def test_r_families_past_the_verify_clamp():
