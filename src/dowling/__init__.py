@@ -42,7 +42,6 @@ from .unified import (
     cakic_by_solve,
     hs_bell_explicit,
     hs_bell_explicit_sequence,
-    hs_lah_matrix_by_solve,
     hs_pair_by_solve,
 )
 from .whitney import (

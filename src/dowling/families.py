@@ -4,9 +4,11 @@ recurrence engine in `triangles`,
     T(n,k) = d*T(n-1,k-1) + (a*n + b*k + c)*T(n-1,k),
 
 with its parameters and their validation.  The production path of every
-family and every Bell-type row sum runs through this table; connection
-solves, polynomial expansions and closed forms stay in the family modules
-as verification routes.
+family and every Bell-type row sum runs through this table.  The row sums
+of the integer second-kind families, weights (1, 0, b, c) with b != 0, take
+the explicit formula in `_explicit_sum`; every other row sum rolls the
+engine's row.  Connection solves, polynomial expansions and the other
+closed forms stay in the family modules as verification routes.
 
 Rational parameters never put a Fraction inside the recurrence.  With D the
 lcm of the denominators of the weights, the scaled weights D*(a*n + b*k + c)
@@ -184,12 +186,50 @@ def triangle(name: str, params: dict, nmax: int) -> Triangle:
     return Triangle(_read_off(built.rows, scale), name, params)
 
 
+def _explicit_sum(n: int, b: int, c: int) -> int:
+    """Sum of row n of T(n,k) = T(n-1,k-1) + (b*k + c)*T(n-1,k), b != 0, by
+    the explicit formula T(n,k) = sum_j (-1)^(k-j) C(k,j) (b*j + c)^n / (b^k k!).
+    Summed over k, it reads
+
+        n! b^n sum_k T(n,k) = sum_t C(n,t) e(t) (b*(n-t) + c)^n,
+        e(0) = 1,  e(t) = b*t*e(t-1) + (-1)^t
+
+    (at b = 1, e(t) is the derangement number).  Unrolling e and swapping
+    the sums gives the same total as sum_s (-1)^s G(s), with G(n+1) = 0 and
+
+        G(s) = b*(s+1)*G(s+1) + C(n,s) (b*(n-s) + c)^n,
+
+    so that s walks from n down to 0 with O(1) big ints live, and each step
+    takes one power and products of big ints by small ones only.  The power
+    of two in b*(n-s) + c is applied as a shift.  The division by n! b^n is
+    asserted exact, the formula's invariant."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    total, g, binom = 0, 0, 1
+    for s in range(n, -1, -1):
+        x = b * (n - s) + c
+        twos = (x & -x).bit_length() - 1 if x else 0
+        g = b * (s + 1) * g + (binom * (x >> twos) ** n << n * twos)
+        total += -g if s & 1 else g
+        binom = binom * s // (n - s + 1)
+    quotient, remainder = divmod(total, math.factorial(n) * b**n)
+    if remainder:
+        raise AssertionError("explicit row sum failed to divide by n! b^n")
+    return quotient
+
+
 def row_sum(name: str, params: dict, n: int):
-    """Sum of row n of an engine family, in O(n) memory: an int, or an exact
-    rational for a rational family."""
+    """Sum of row n of an engine family: an int, or an exact rational for a
+    rational family.  An integer second-kind family, weights (1, 0, b, c)
+    with b != 0, takes the explicit formula of `_explicit_sum`, O(n) big
+    products; every other family rolls its row in O(n) memory."""
     _, scale, weights = _engine(name, params)
+    rational = FAMILIES[name].rational
+    d, a, b, c = weights
+    if not rational and (d, a) == (1, 0) and b:
+        return _explicit_sum(n, b, c)
     row = triangles.recurrence_row(n, *weights)
-    if not FAMILIES[name].rational:
+    if not rational:
         return sum(row)
     # sum_k U(n,k) / D^(n-k) = (sum_k U(n,k) D^k) / D^n, by Horner's rule.
     total = 0

@@ -157,6 +157,11 @@ def _hs(fn):
     return lambda nmax, alpha, beta, gamma: fn(nmax, (alpha, beta, gamma))
 
 
+def _cakic_bell(nmax, alpha):
+    """The Cakic-Bell numbers as the generalized Bell numbers at (alpha, 1, 0)."""
+    return unified.hs_bell_explicit_sequence(nmax, (alpha, 1, 0))
+
+
 def _hs_ortho_pair(nmax, alpha, beta, gamma):
     """s1 from the engine and s2 from the connection solve."""
     s1 = families.triangle("hs1", {"alpha": alpha, "beta": beta, "gamma": gamma}, nmax)
@@ -204,7 +209,7 @@ _SIGNS = {
 _HS = ("alpha", "beta", "gamma")
 _ROUTES = {
     "solved s1": lambda nmax, point, pair: pair.s1.rows,
-    "solved L": lambda nmax, point, pair: product(pair.s2.rows, pair.s1.rows, signed=True),
+    "solved L": lambda nmax, point, pair: unified.signed_product(pair).rows,
     "engine L": lambda nmax, point, pair: families.triangle("hs-lah", dict(zip(_HS, point)), nmax).rows,
     "defining solve": lambda nmax, point, pair: unified.cakic_by_solve(nmax, point[0]).rows,
 }
@@ -399,6 +404,7 @@ REGISTRY = {
             Sequences(_sums("hs1"), _hs(unified.hs_bell_explicit_sequence)),
             _HS_GRID,
         ),
+        Identity("cakic-bell", {"nmax": 10, "alpha": 2}, Sequences(_sums("cakic"), _cakic_bell)),
         Identity("hs-ortho", {"nmax": 8}, Product(_hs_ortho_pair), _HS_GRID),
         Identity("invrel", {"nmax": 9}, Roundtrip(_hs_inverse_pair), _HS_GRID),
         Identity("log-concavity", {"nmax": 20}, Predicate(_log_concavity, "log-concave", _LOG_CONCAVE), _MR_GRID),

@@ -44,21 +44,17 @@ def hs_pair_by_solve(nmax: int, params) -> HSPair:
     return HSPair(s1, s2)
 
 
-def _signed_product(pair: HSPair) -> Triangle:
-    """L(n,j) = sum_k (-1)^k s2(n,k) s1(k,j) over one pair."""
+def signed_product(pair: HSPair) -> Triangle:
+    """L(n,j) = sum_k (-1)^k s2(n,k) s1(k,j) over one pair; over the solved
+    pair it is the verification route of `hs-lah`."""
     return Triangle(product(pair.s2.rows, pair.s1.rows, signed=True))
-
-
-def hs_lah_matrix_by_solve(nmax: int, params) -> Triangle:
-    """Verification route: the same product over the solved pair."""
-    return _signed_product(hs_pair_by_solve(nmax, params))
 
 
 def hs_bell_explicit_sequence(nmax: int, params) -> list:
     """Generalized Bell numbers W_0..W_nmax through the alternating Lah-type
     sum W_n = (-1)^n sum_k [sum_j L(k,j)] s1(n,k), over one solved pair."""
     pair = hs_pair_by_solve(nmax, params)
-    sums = [sum(row) for row in _signed_product(pair).rows]
+    sums = [sum(row) for row in signed_product(pair).rows]
     return [-v if n % 2 else v for n, v in enumerate(transform(pair.s1, sums))]
 
 

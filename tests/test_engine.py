@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 
 from dowling import classic, families, rnumbers, unified, whitney
 from dowling.exactmath import IntegralityError
+from dowling.identities import _MR_GRID
 from dowling.triangles import Triangle, recurrence_row, recurrence_rows, recurrence_triangle
+from dowling.unified import hs_pair_by_solve, signed_product
 
 F = Fraction
 
@@ -45,6 +47,8 @@ def test_engine_rejects_bad_input():
         recurrence_triangle("x", {}, 3, 2, 0, 1, 0)
     with pytest.raises(ValueError):
         recurrence_row(-1, 1, 0, 1, 0)
+    with pytest.raises(ValueError):
+        families.row_sum("stirling2", {}, -1)
 
 
 def test_rolling_row_matches_the_whole_triangle():
@@ -82,7 +86,7 @@ def test_hs_pair_engine_vs_solve():
 def test_hs_lah_engine_vs_solve():
     for params in HS_POINTS:
         engine = families.triangle("hs-lah", named(params), 15)
-        assert engine.rows == unified.hs_lah_matrix_by_solve(15, params).rows
+        assert engine.rows == signed_product(hs_pair_by_solve(15, params)).rows
 
 
 def test_hs_families_from_the_table_match_the_pair():
@@ -110,6 +114,36 @@ def test_rolling_sums_vs_full_solved_rows():
     s2 = families.triangle("stirling2", {}, 30)
     assert [families.row_sum("stirling2", {}, n) for n in range(31)] == [sum(row) for row in s2.rows]
     assert [classic.qi_bell(n) for n in range(31)] == [sum(row) for row in s2.rows]
+
+
+# The integer second-kind families, whose row sums take the explicit formula.
+_SECOND_KIND = (
+    ("stirling2", {}),
+    *(("whitney2", {"alpha": alpha}) for alpha in (-3, -2, -1, 1, 2, 3, 10**9)),
+    *(("r-stirling2", {"r": r}) for r in (0, 1, 2, 3)),
+    *(("r-whitney2", point) for point in (*_MR_GRID, {"m": 3, "r": 0})),
+)
+
+
+@pytest.mark.parametrize("name, params", _SECOND_KIND)
+def test_explicit_sums_match_the_rolling_row(name, params):
+    weights = families._engine(name, params)[2]
+    for n in range(61):
+        value = families.row_sum(name, params, n)
+        assert type(value) is int
+        assert value == sum(recurrence_row(n, *weights)), n
+
+
+def test_rational_sums_stay_fractions():
+    # hs1 at (0, 1, 2) has the weights of a second-kind family, but it is rational.
+    assert all(type(families.row_sum("hs1", named((0, 1, 2)), n)) is F for n in range(10))
+
+
+def test_explicit_sum_asserts_exact_division(monkeypatch):
+    # 5! B(5) = 6240 is no multiple of 7: a wrong divisor must trip the assertion.
+    monkeypatch.setattr(families.math, "factorial", lambda n: 7)
+    with pytest.raises(AssertionError):
+        families.row_sum("stirling2", {}, 5)
 
 
 def test_hs_pair_asserts_mutual_inverse(monkeypatch):
@@ -151,7 +185,7 @@ def test_property_hs_engine_vs_solve(alpha, beta, gamma, n):
     assert families.triangle("hs1", named(params), n).rows == solved.s1.rows
     assert families.triangle("hs2", named(params), n).rows == solved.s2.rows
     lah = families.triangle("hs-lah", named(params), n)
-    assert lah.rows == unified.hs_lah_matrix_by_solve(n, params).rows
+    assert lah.rows == signed_product(hs_pair_by_solve(n, params)).rows
     assert families.row_sum("hs1", named(params), n) == unified.hs_bell_explicit(n, params)
 
 
