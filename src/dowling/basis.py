@@ -10,22 +10,20 @@ code path serves Stirling, Whitney, Lah and all their relatives.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .exactmath import DegenerateBasisError, Poly
 from .triangles import Triangle
 
 
-@dataclass(frozen=True)
-class PolyBasis:
+class PolyBasis(namedtuple("PolyBasis", ("elements",))):
     """A tuple of polynomials, validated so element n has degree exactly n."""
 
-    elements: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        elems = tuple(self.elements)
-        object.__setattr__(self, "elements", elems)
+    def __new__(cls, elements):
+        elems = tuple(elements)
         if not elems:
             raise DegenerateBasisError("a basis needs at least one element")
         for n, p in enumerate(elems):
@@ -33,6 +31,7 @@ class PolyBasis:
                 raise DegenerateBasisError(
                     f"element {n} has degree {p.degree}; a graded basis needs degree exactly {n}"
                 )
+        return super().__new__(cls, elems)
 
     @property
     def size(self) -> int:

@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import decimal
 import io
-import json
 import sys
 import time
 from collections import namedtuple
@@ -120,18 +119,19 @@ def _decimal_rows(family: str, params: dict, nmax: int) -> _Rows:
     come as Fractions or ints.  libmpdec stores base-10**19 limbs, so the
     str of an entry takes time linear in its digits, where that of an int is
     quadratic.  The parameters are validated here, before any output is
-    opened, and a zero that came out as -0 (a negative weight times 0) is
-    replaced by 0."""
-    zero = decimal.Decimal(0)
+    opened, and a zero is replaced by its absolute value, so that one that
+    came out as -0 (a negative weight times 0) prints as 0 and each row
+    still holds Decimals only or none."""
     rows = families.rows(family, params, nmax, decimal.Decimal(1))
-    return _Rows(nmax, (row if all(row) else tuple(v or zero for v in row) for row in rows))
+    return _Rows(nmax, (row if all(row) else tuple(v or abs(v) for v in row) for row in rows))
 
 
 def _width(value) -> int:
-    """Printed length of an entry; that of a Decimal integer is read off its
-    exponent and sign without printing it."""
-    if isinstance(value, (int, Fraction)):
-        return len(str(value))
+    """Printed length of an entry kept by `render_table`: a str, or a
+    Decimal integer, whose length is read off its exponent and sign without
+    printing it."""
+    if isinstance(value, str):
+        return len(value)
     return value.adjusted() + 1 + value.is_signed()
 
 
@@ -140,7 +140,11 @@ def _width(value) -> int:
 
 
 def render_table(table, out) -> None:
-    rows = list(table.rows)  # the column width needs every entry first
+    # The column width needs every entry first.  A row of ints or Fractions
+    # is kept as its strs, so that each entry is printed once (an int's str
+    # is quadratic in its digits); a Decimal row is kept as it is, since its
+    # strs would take more than twice its memory.
+    rows = [row if isinstance(row[0], decimal.Decimal) else tuple(map(str, row)) for row in table.rows]
     width = max(max(map(_width, row)) for row in rows)
     label_width = len(str(table.nmax))
     for n, row in enumerate(rows):
@@ -158,6 +162,8 @@ def triangle_json(table, family: str, params: dict, out=None):
     """Write the triangle as the bytes of `json.dumps(obj, indent=2) + "\\n"`
     for obj = {"family", "params", "nmax", "rows"}, its values strings; with
     no `out`, return that text."""
+    import json
+
     if out is None:
         out = io.StringIO()
         triangle_json(table, family, params, out)
@@ -176,6 +182,8 @@ def triangle_json(table, family: str, params: dict, out=None):
 def triangle_from_json(text: str) -> Triangle:
     """Read back what `triangle_json` wrote; entries of a rational family are
     read as exact rationals, those of any other family as integers."""
+    import json
+
     obj = json.loads(text)
     family = FAMILIES.get(obj["family"])
     parse = Fraction if family is not None and family.rational else int
@@ -334,7 +342,10 @@ def cmd_sum(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    # Imported here: building the registry costs every other command ~5 ms.
+    # Imported here, like `json` in the JSON writers: every other command
+    # would pay for them at start.
+    import json
+
     from . import identities
     from .identities import REGISTRY
 

@@ -21,10 +21,12 @@ the grid.
 
 from __future__ import annotations
 
+import math
 import random
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from functools import cache, partial
+from types import MappingProxyType
 
 from . import classic, families, oracle, rnumbers, unified, whitney
 from .triangles import checkerboard, product, transform
@@ -35,17 +37,15 @@ def _failure(n, k, expected, actual) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# shapes
+# shapes: named tuples rather than dataclasses, like `Identity` and
+# `families.Family`, since importing `dataclasses` costs more than the registry
 
 
-@dataclass(frozen=True)
-class Tables:
+class Tables(namedtuple("Tables", ("reference", "routes", "notes"), defaults=(None,))):
     """`reference` returns a triangle; each route in `routes` is a pair
     (function returning rows, first column it is compared from)."""
 
-    reference: object
-    routes: tuple
-    notes: str | None = None
+    __slots__ = ()
 
     def __call__(self, nmax, **point):
         ref = self.reference(nmax, **point).rows
@@ -61,13 +61,10 @@ class Tables:
         return bad, self.notes
 
 
-@dataclass(frozen=True)
-class Sequences:
+class Sequences(namedtuple("Sequences", ("reference", "route", "notes"), defaults=(None,))):
     """`reference` and `route` return the values at n = 0..nmax."""
 
-    reference: object
-    route: object
-    notes: str | None = None
+    __slots__ = ()
 
     def __call__(self, nmax, **point):
         got = self.route(nmax, **point)
@@ -76,13 +73,11 @@ class Sequences:
         return bad, self.notes
 
 
-@dataclass(frozen=True)
-class Product:
+class Product(namedtuple("Product", ("pair", "notes"), defaults=(None,))):
     """`pair` returns two tables whose product is the identity matrix, in
     both orders; a table paired with itself is multiplied once."""
 
-    pair: object
-    notes: str | None = None
+    __slots__ = ()
 
     def __call__(self, nmax, **point):
         first, second = self.pair(nmax, **point)
@@ -94,14 +89,12 @@ class Product:
         return bad, self.notes
 
 
-@dataclass(frozen=True)
-class Roundtrip:
+class Roundtrip(namedtuple("Roundtrip", ("pair", "notes"), defaults=(None,))):
     """`pair` returns two tables; applying the first and then the second to
     a sequence gives it back.  Checked on five seeded random sequences of
     length nmax + 1."""
 
-    pair: object
-    notes: str | None = None
+    __slots__ = ()
 
     def __call__(self, nmax, **point):
         first, second = self.pair(nmax, **point)
@@ -115,14 +108,11 @@ class Roundtrip:
         return bad, self.notes
 
 
-@dataclass(frozen=True)
-class Predicate:
+class Predicate(namedtuple("Predicate", ("points", "expected", "notes"), defaults=(None,))):
     """`points` yields (n, k, holds) triples; each that does not hold fails
     as `expected`."""
 
-    points: object
-    expected: str
-    notes: str | None = None
+    __slots__ = ()
 
     def __call__(self, nmax, **point):
         points = self.points(nmax, **point)
@@ -262,6 +252,32 @@ def _specializations(nmax):
     return bad, "; ".join(notes)
 
 
+# The reductions of the partial Bell polynomials B(n,k) that `partial-bell`
+# checks: (engine family, x_i as a function of i >= 1, the sign taking
+# B(n,k) to the engine's entry).
+_PARTIAL_BELL = (
+    ("stirling2", lambda i: 1, "as printed"),
+    ("lah", math.factorial, "(-1)^n"),
+    ("stirling1", lambda i: math.factorial(i - 1), "(-1)^(n-k)"),
+)
+
+
+def _partial_bell(nmax):
+    """Each reduction of `_PARTIAL_BELL`, entrywise: the polynomials come
+    from `classic.partial_bell`, which enumerates multiplicity vectors and
+    shares no code with the engine."""
+    bad = []
+    for family, x, sign in _PARTIAL_BELL:
+        xs = [x(i) for i in range(1, nmax + 2)]
+        sign = _SIGNS[sign]
+        for n, row in enumerate(families.triangle(family, {}, nmax).rows):
+            for k, want in enumerate(row):
+                got = sign(n, k) * classic.partial_bell(n, k, xs)
+                if want != got:
+                    bad.append(_failure(n, k, f"{family}: {want}", got))
+    return bad, "B(n,k) at x_i = 1, i!, (i-1)! against S(n,k), (-1)^n L(n,k), (-1)^(n-k) s(n,k)"
+
+
 def _oracle(nmax):
     """Brute-force partition counts against the production families.  The
     enumeration is capped by its size guard, so Lah stops at n = 9 and the
@@ -293,14 +309,18 @@ def _oracle(nmax):
 # the registry
 
 
-@dataclass(frozen=True)
-class Identity:
-    name: str
-    defaults: dict  # nmax and the parameters a caller may set, in report order
-    check: object  # a shape, or a function (nmax, **point) -> (failures, notes)
-    grid: tuple = ()  # default points of the parameter group, if any
-    fixed: dict = field(default_factory=dict)  # parameters a caller may not set, or functions of nmax
-    needs_oracle: bool = False
+_IDENTITY_FIELDS = (
+    "name",
+    "defaults",  # nmax and the parameters a caller may set, in report order
+    "check",  # a shape, or a function (nmax, **point) -> (failures, notes)
+    "grid",  # default points of the parameter group, if any
+    "fixed",  # parameters a caller may not set, or functions of nmax
+    "needs_oracle",
+)
+
+
+class Identity(namedtuple("Identity", _IDENTITY_FIELDS, defaults=((), MappingProxyType({}), False))):
+    __slots__ = ()
 
     @property
     def accepts(self) -> tuple:
@@ -369,6 +389,7 @@ REGISTRY = {
         Identity("qi", {"nmax": 25}, Sequences(_sums("stirling2"), _each(classic.qi_bell))),
         Identity("ordlahstirling", {"nmax": 15}, Tables(_LAH, _all_columns(classic.lah_from_stirlings_rows))),
         Identity("stirling-inverse", {"nmax": 9}, Roundtrip(_stirling_pair)),
+        Identity("partial-bell", {"nmax": 10}, _partial_bell),
         Identity("ortho", {"nmax": 12, "alpha": 3}, Product(whitney.whitney_lah_pair)),
         Identity("inv1", {"nmax": 9, "alpha": 3}, Roundtrip(whitney.whitney_lah_pair)),
         Identity("wla1", _W, Tables(_W_LAH, _all_columns(whitney.whitney_lah_from_whitney_rows))),

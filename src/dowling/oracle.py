@@ -10,7 +10,7 @@ recurrence or closed form.  A hard size guard keeps it at desk scale.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 SIZE_GUARD = 12
@@ -23,21 +23,18 @@ def _check(total: int, distinguished: int) -> None:
         raise ValueError(f"distinguished={distinguished} must lie in 0..total={total}")
 
 
-@dataclass(frozen=True)
-class PartitionSpec:
+class PartitionSpec(namedtuple("PartitionSpec", ("total", "blocks", "distinguished", "ordered_blocks"))):
     """What to count: partitions of {1..total} into `blocks` nonempty blocks,
     with the first `distinguished` elements pairwise separated; `ordered`
     counts each block as a linearly ordered list."""
 
-    total: int
-    blocks: int
-    distinguished: int = 0
-    ordered_blocks: bool = False
+    __slots__ = ()
 
-    def __post_init__(self):
-        _check(self.total, self.distinguished)
-        if self.blocks < 0:
-            raise ValueError(f"blocks={self.blocks} must be nonnegative")
+    def __new__(cls, total: int, blocks: int, distinguished: int = 0, ordered_blocks: bool = False):
+        _check(total, distinguished)
+        if blocks < 0:
+            raise ValueError(f"blocks={blocks} must be nonnegative")
+        return super().__new__(cls, total, blocks, distinguished, ordered_blocks)
 
 
 def _iter_partition_stats(total: int):

@@ -5,8 +5,7 @@ verification routes run over one prebuilt table."""
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field, replace
+from collections import deque, namedtuple
 from fractions import Fraction
 from itertools import chain, count
 
@@ -15,8 +14,7 @@ from .exactmath import as_integer
 _EXACT = {int, Fraction}
 
 
-@dataclass(frozen=True)
-class Triangle:
+class Triangle(namedtuple("Triangle", ("rows", "family", "params"))):
     """Immutable lower-triangular table of exact entries (ints or Fractions,
     stored as given) indexed (n, k) with 0 <= k <= n <= nmax: the connection
     coefficients between two graded bases, optionally named by the family
@@ -24,15 +22,26 @@ class Triangle:
 
     Entries outside that range read as zero; rows beyond nmax are an error
     because the table simply does not know them.
+
+    A named tuple rather than a dataclass, like `families.Family`: importing
+    `dataclasses`, and with it `inspect`, costs every CLI call about 12 ms.
+    Every construction, `_replace` included, runs `__post_init__`, which the
+    per-layer tracer in `perfbench` wraps by name.
     """
 
-    rows: tuple
-    family: str = ""
-    params: dict = field(default_factory=dict)
+    __slots__ = ()
+
+    def __new__(cls, rows, family: str = "", params: dict | None = None):
+        self = super().__new__(cls, tuple(map(tuple, rows)), family, {} if params is None else params)
+        self.__post_init__()
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     def __post_init__(self):
-        rows = tuple(map(tuple, self.rows))
-        object.__setattr__(self, "rows", rows)
+        rows = self.rows
         if not set(map(type, chain.from_iterable(rows))) <= _EXACT:
             bad = next(v for v in chain.from_iterable(rows) if type(v) not in _EXACT)
             raise TypeError(f"triangle entries must be ints or Fractions, got {bad!r}")
@@ -152,7 +161,7 @@ def checkerboard(table):
         tuple(-v if (n - k) % 2 else v for k, v in enumerate(row))
         for n, row in enumerate(table.rows)
     )
-    return replace(table, rows=rows)
+    return Triangle(rows, table.family, table.params)
 
 
 def vertical_rows(lower: Triangle, nmax: int, c: int, h: int, sign: int) -> tuple:

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from dowling import families, triangles
+from dowling import basis, families, triangles
 from dowling.cli import (
     EXACT_DECIMALS,
     main,
@@ -235,6 +235,26 @@ def test_triangle_rational_entries_render_as_fractions(capsys):
     assert values[0] == "1"
 
 
+def test_rational_table_prints_each_entry_once(monkeypatch, capsys):
+    # The column width and the cells of a table read the same str of each
+    # rational entry; CPython's int -> str is quadratic in the digits.
+    params = {"alpha": Fraction(1, 2), "beta": Fraction(1, 3), "gamma": 2}
+    table = families.triangle("hs1", params, 12)
+    expected = _int_rendering(table, "table", "hs1", params)
+    argv = _triangle_argv("hs1", params, 12, "table")
+    printed = []
+    real = Fraction.__str__
+
+    def spy(self):
+        printed.append(self)
+        return real(self)
+
+    monkeypatch.setattr(Fraction, "__str__", spy)
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and out == expected
+    assert len(printed) == sum(map(len, table.rows))
+
+
 def test_verify_pass_report(capsys):
     code, out, _ = run(capsys, "verify", "--identity", "dow1", "--alpha", "3", "--nmax", "8")
     assert code == 0
@@ -399,12 +419,31 @@ def test_parameter_error_leaves_out_untouched(tmp_path, capsys, argv, existing):
 
 
 def test_importing_the_cli_leaves_the_registry_unloaded():
-    # Only `verify` needs the identity registry; every other command skips its import.
+    # Only `verify` needs the identity registry; every other command skips its
+    # import.  Every call pays for what the CLI imports at start, so it loads
+    # neither `dataclasses` (which imports `inspect`) nor `json`, and the
+    # registry no `dataclasses` either; -S keeps a site hook from loading them.
     src = Path(__file__).resolve().parents[1] / "src"
     path = os.pathsep.join(filter(None, (str(src), os.environ.get("PYTHONPATH"))))
     env = {**os.environ, "PYTHONPATH": path}
-    check = "import sys, dowling.cli; sys.exit('dowling.identities' in sys.modules)"
-    assert subprocess.run([sys.executable, "-c", check], env=env).returncode == 0
+    for module, absent in (
+        ("dowling.cli", ("dowling.identities",)),
+        ("dowling.cli", ("dataclasses", "inspect", "json")),
+        ("dowling.identities", ("dataclasses",)),
+    ):
+        check = f"import sys, {module}; sys.exit(' '.join(m for m in {absent!r} if m in sys.modules) or None)"
+        result = subprocess.run([sys.executable, "-S", "-c", check], env=env, capture_output=True, text=True)
+        assert result.returncode == 0, (module, result.stderr)
+    # The per-layer tracer in `perfbench` wraps `Triangle.__post_init__` and
+    # reads `basis.CoeffMatrix`; a triangle stays immutable, and `_replace`
+    # validates like any other construction.
+    assert "__post_init__" in vars(triangles.Triangle)
+    assert basis.CoeffMatrix is triangles.Triangle
+    table = triangles.Triangle(((1,),))
+    with pytest.raises(AttributeError):
+        table.rows = ((2,),)
+    with pytest.raises(ValueError):
+        table._replace(rows=((1, 2),))
 
 
 def test_entries_past_the_int_str_digit_limit(capsys):
