@@ -12,11 +12,13 @@ from __future__ import annotations
 import argparse
 import decimal
 import io
+import os
 import sys
 import time
 from collections import namedtuple
 from contextlib import contextmanager
 from fractions import Fraction
+from itertools import chain
 
 from . import classic, families, rnumbers, whitney
 from .families import FAMILIES
@@ -108,8 +110,9 @@ EXACT_DECIMALS = decimal.Context(
 )
 
 # A triangle whose rows are still to be built: the writers read `nmax` and
-# iterate `rows` once, as they do a `Triangle`.
-_Rows = namedtuple("_Rows", ("nmax", "rows"))
+# iterate `rows` once, as they do a `Triangle`; `int_rows()` builds the same
+# rows again as ints, for the column width of a table.
+_Rows = namedtuple("_Rows", ("nmax", "rows", "int_rows"))
 
 
 def _decimal_rows(family: str, params: dict, nmax: int) -> _Rows:
@@ -123,16 +126,11 @@ def _decimal_rows(family: str, params: dict, nmax: int) -> _Rows:
     came out as -0 (a negative weight times 0) prints as 0 and each row
     still holds Decimals only or none."""
     rows = families.rows(family, params, nmax, decimal.Decimal(1))
-    return _Rows(nmax, (row if all(row) else tuple(v or abs(v) for v in row) for row in rows))
-
-
-def _width(value) -> int:
-    """Printed length of an entry kept by `render_table`: a str, or a
-    Decimal integer, whose length is read off its exponent and sign without
-    printing it."""
-    if isinstance(value, str):
-        return len(value)
-    return value.adjusted() + 1 + value.is_signed()
+    return _Rows(
+        nmax,
+        (row if all(row) else tuple(v or abs(v) for v in row) for row in rows),
+        lambda: families.rows(family, params, nmax),
+    )
 
 
 # The writers below stream a triangle to `out` one row at a time: each entry
@@ -140,16 +138,30 @@ def _width(value) -> int:
 
 
 def render_table(table, out) -> None:
-    # The column width needs every entry first.  A row of ints or Fractions
-    # is kept as its strs, so that each entry is printed once (an int's str
-    # is quadratic in its digits); a Decimal row is kept as it is, since its
-    # strs would take more than twice its memory.
-    rows = [row if isinstance(row[0], decimal.Decimal) else tuple(map(str, row)) for row in table.rows]
-    width = max(max(map(_width, row)) for row in rows)
-    label_width = len(str(table.nmax))
+    """Write lines "n | T(n,0)  T(n,1) ...", every entry right-aligned to
+    the width of the widest.  Decimal rows (see `_decimal_rows`) are written
+    as they come, each line by one %-format: the width is read first off
+    the largest and smallest entry of `table.int_rows()`, since the printed
+    length of an integer grows with its absolute value, plus one for a
+    minus sign.  Any other rows, of rational entries or of `hs-lah`, are
+    kept as their strs, so that each entry is printed once (an int's str is
+    quadratic in its digits)."""
+    rows = iter(table.rows)
+    first = next(rows)
+    rows = chain((first,), rows)
+    if isinstance(first[0], decimal.Decimal):
+        hi = lo = 0
+        for row in table.int_rows():
+            hi = max(hi, max(row))
+            lo = min(lo, min(row))
+        width = max(len(str(hi)), len(str(lo)))
+    else:
+        rows = [tuple(map(str, row)) for row in rows]
+        width = max(len(v) for row in rows for v in row)
+    line = f"%{len(str(table.nmax))}d | %{width}s"
     for n, row in enumerate(rows):
-        cells = "  ".join(str(v).rjust(width) for v in row)
-        out.write(f"{str(n).rjust(label_width)} | {cells}\n")
+        out.write((line + "\n") % (n, *row))
+        line += f"  %{width}s"
 
 
 def render_csv(table, out) -> None:
@@ -301,16 +313,26 @@ def run_paper_tables(out=None) -> int:
 
 @contextmanager
 def _output(out_path: str | None):
-    """The --out file, or stdout without one; failing to open or write the
-    file is a usage error."""
-    if not out_path:
-        yield sys.stdout
+    """The --out file, or stdout without one; failing to open or write
+    either is a usage error.  Stdout is flushed before the block ends, so a
+    closed pipe or a full disk is seen here, not at interpreter exit."""
+    if out_path:
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                yield fh
+        except OSError as exc:
+            raise UsageError(f"cannot write --out {out_path}: {exc.strerror or exc}") from None
         return
     try:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            yield fh
+        yield sys.stdout
+        sys.stdout.flush()
     except OSError as exc:
-        raise UsageError(f"cannot write --out {out_path}: {exc.strerror or exc}") from None
+        # What is left in the buffer would fail again at the flush of
+        # interpreter exit: point stdout at the null device instead.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        raise UsageError(f"cannot write stdout: {exc.strerror or exc}") from None
 
 
 def _emit(text: str, out_path: str | None):
@@ -319,7 +341,9 @@ def _emit(text: str, out_path: str | None):
 
 
 def cmd_triangle(args) -> int:
-    """Write a triangle as it is built (see `_decimal_rows`)."""
+    """Write a triangle as it is built (see `_decimal_rows`), in every
+    format one row at a time; only a table of rational or `hs-lah` entries
+    keeps its strs until the column width is known (see `render_table`)."""
     if args.family not in FAMILIES:
         raise UsageError(f"unknown family {args.family!r}; known: {', '.join(sorted(FAMILIES))}")
     table = _decimal_rows(args.family, args.params, args.nmax)
@@ -372,7 +396,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_paper_tables(args) -> int:
-    return 1 if run_paper_tables() else 0
+    with _output(None) as out:
+        problems = run_paper_tables(out)
+    return 1 if problems else 0
 
 
 def cmd_bench(args) -> int:

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -25,6 +26,16 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _subprocess_env() -> dict:
+    """The environment of a child Python that imports `dowling` from src,
+    with stdout block-buffered as it is by default."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = os.pathsep.join(filter(None, (str(src), os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, "PYTHONPATH": path}
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
 
 
 def test_triangle_table_format(capsys):
@@ -143,12 +154,47 @@ def test_integer_triangles_print_as_their_int_entries(capsys, family, params):
     # The CLI prints every family from `families.rows`, integer entries as
     # decimals; the bytes must be those of the whole `Triangle`, with no "-0"
     # from a negative weight times 0.
-    for nmax in (0, 1, 12):
+    for nmax in (0, 1, 2, 12):
         table = families.triangle(family, params, nmax)
         for fmt in ("table", "csv", "json"):
             code, out, _ = run(capsys, *_triangle_argv(family, params, nmax, fmt))
             assert code == 0
             assert out == _int_rendering(table, fmt, family, params), (nmax, fmt)
+
+
+@pytest.mark.parametrize(
+    "family, params",
+    (("lah", {}), ("whitney-lah", {"alpha": -1}), ("whitney-lah", {"alpha": 1}), ("whitney-lah", {"alpha": 2})),
+    ids=_point_id,
+)
+def test_table_width_from_a_negative_entry_above_the_last_row(capsys, family, params):
+    # A table's column width is read off the largest and smallest entry of
+    # each row; here the widest entry is a negative one in row 1, wider than
+    # any of row 2 (and lah's row 2 starts with a decimal -0).
+    table = families.triangle(family, params, 2)
+    widths = [max(len(str(v)) for v in row) for row in table.rows]
+    assert widths[1] > widths[2] and len(str(min(table.rows[1]))) == widths[1]
+    code, out, _ = run(capsys, *_triangle_argv(family, params, 2, "table"))
+    assert code == 0 and out == _int_rendering(table, "table", family, params)
+
+
+def test_table_streams_in_one_rows_memory(tmp_path):
+    # The column width comes from a first pass over the int rows and the
+    # lines from the decimal rows, one row at a time.  Holding every decimal
+    # row of this triangle takes 11 MB of traced memory; streamed, the peak
+    # is under 1 MB.
+    target = tmp_path / "table.txt"
+    argv = _triangle_argv("r-whitney-lah", {"m": 3, "r": 2}, 300, "table") + ["--out", str(target)]
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 4 << 20, peak
+    with target.open() as lines:
+        assert sum(1 for _ in lines) == 301
 
 
 @pytest.mark.parametrize(
@@ -397,6 +443,48 @@ def test_unwritable_out_is_a_usage_error(tmp_path, capsys, argv, where):
     assert err.startswith(f"error: cannot write --out {target}: ")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    (
+        ("triangle", "--family", "stirling2", "--nmax", "30"),
+        ("sum", "--family", "bell", "--n", "3"),
+        ("verify", "--identity", "lef", "--nmax", "3"),
+        ("paper-tables",),
+        ("bench", "--family", "lah", "--nmax", "3"),
+    ),
+    ids=lambda argv: argv[0],
+)
+def test_full_stdout_is_a_usage_error(argv):
+    # Like a full --out file: one error line, exit 2, and nothing left in
+    # the buffer to fail again at interpreter exit.
+    if not Path("/dev/full").exists():
+        pytest.skip("no /dev/full")
+    with open("/dev/full", "w") as full:
+        result = subprocess.run(
+            [sys.executable, "-m", "dowling.cli", *argv],
+            stdout=full, stderr=subprocess.PIPE, text=True, env=_subprocess_env(),
+        )
+    assert result.returncode == 2
+    assert result.stderr.startswith("error: cannot write stdout: ")
+    assert result.stderr.count("\n") == 1, result.stderr
+
+
+@pytest.mark.parametrize("fmt", ("table", "csv"))
+def test_closed_stdout_pipe_is_a_usage_error(fmt):
+    # `dowling triangle ... | head -1`: the reader goes away long before the
+    # triangle is written.
+    process = subprocess.Popen(
+        [sys.executable, "-m", "dowling.cli", *_triangle_argv("stirling2", {}, 300, fmt)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=_subprocess_env(),
+    )
+    assert process.stdout.readline().startswith("n,k,value" if fmt == "csv" else "  0 | ")
+    process.stdout.close()
+    err = process.stderr.read()
+    process.stderr.close()
+    assert process.wait() == 2
+    assert err.startswith("error: cannot write stdout: ") and err.count("\n") == 1, err
+
+
 @pytest.mark.parametrize("existing", (True, False), ids=("existing file", "no file"))
 @pytest.mark.parametrize(
     "argv",
@@ -423,9 +511,7 @@ def test_importing_the_cli_leaves_the_registry_unloaded():
     # import.  Every call pays for what the CLI imports at start, so it loads
     # neither `dataclasses` (which imports `inspect`) nor `json`, and the
     # registry no `dataclasses` either; -S keeps a site hook from loading them.
-    src = Path(__file__).resolve().parents[1] / "src"
-    path = os.pathsep.join(filter(None, (str(src), os.environ.get("PYTHONPATH"))))
-    env = {**os.environ, "PYTHONPATH": path}
+    env = _subprocess_env()
     for module, absent in (
         ("dowling.cli", ("dowling.identities",)),
         ("dowling.cli", ("dataclasses", "inspect", "json")),
@@ -454,6 +540,9 @@ def test_entries_past_the_int_str_digit_limit(capsys):
     assert code == 0
     last = [line.split(",")[2] for line in csv.splitlines()[1:] if line.startswith("95,")]
     assert len(last) == 96 and max(len(value) for value in last) > 4300
+    code, table, _ = run(capsys, *argv, "--format", "table")
+    assert code == 0
+    assert table.splitlines()[-1].split(" | ")[1].split() == last
     code, text, _ = run(capsys, *argv, "--format", "json")
     assert code == 0
     tri = triangle_from_json(text)
