@@ -14,7 +14,7 @@ from collections import deque
 from fractions import Fraction
 
 from . import basis, families
-from .exactmath import Poly, Series, as_integer, binomial
+from .exactmath import Poly, Series, binomial
 from .triangles import Triangle, horizontal_rows, product, vertical_rows
 
 
@@ -98,10 +98,26 @@ def qi_bell(n: int) -> int:
     return total
 
 
+def partial_bell_rows(nmax: int, xs) -> tuple:
+    """Rows 0..nmax of the partial Bell polynomials B(n,k) at x_1, x_2, ...
+    (the first nmax of `xs`), by the size i of the block that holds the
+    first element: B(0,0) = 1, B(n,0) = 0 for n >= 1, and
+
+        B(n,k) = sum_{i=1}^{n-k+1} C(n-1,i-1) x_i B(n-i,k-1),
+
+    in O(nmax^3) operations on ints."""
+    rows = [(1,)]
+    for n in range(1, nmax + 1):
+        weights = [math.comb(n - 1, i) * xs[i] for i in range(n)]
+        rows.append(
+            (0, *(sum(weights[i] * rows[n - 1 - i][k - 1] for i in range(n - k + 1)) for k in range(1, n + 1)))
+        )
+    return tuple(rows)
+
+
 def partial_bell(n: int, k: int, xs) -> int:
-    """Partial Bell polynomial B_{n,k}(x_1, ..., x_{n-k+1}) by direct
-    enumeration of multiplicity vectors (l_i) with sum l_i = k and
-    sum i*l_i = n."""
+    """Partial Bell polynomial B_{n,k}(x_1, ..., x_{n-k+1}), from the rows
+    of `partial_bell_rows`."""
     if n < 0 or k < 0:
         raise ValueError("indices must be nonnegative")
     if k > n:
@@ -112,24 +128,6 @@ def partial_bell(n: int, k: int, xs) -> int:
     xs = list(xs)
     if len(xs) < width:
         raise ValueError(f"need at least {width} arguments, got {len(xs)}")
-    factors = [Fraction(xs[i - 1], math.factorial(i)) for i in range(1, width + 1)]
-    total = Fraction(0)
-
-    def assign(i, blocks_left, weight_left, acc):
-        nonlocal total
-        if i == width:
-            if blocks_left == 0 and weight_left == 0:
-                total += acc
-            return
-        step = i + 1
-        limit = min(blocks_left, weight_left // step)
-        for l in range(limit + 1):
-            assign(
-                i + 1,
-                blocks_left - l,
-                weight_left - l * step,
-                acc * factors[i] ** l / math.factorial(l),
-            )
-
-    assign(0, k, n, Fraction(1))
-    return as_integer(total * math.factorial(n))
+    # B(n,k) reads x_1..x_width alone: a later x reaches only entries
+    # B(j,l) with j - l >= width, on which B(n,k) does not depend.
+    return partial_bell_rows(n, xs[:width] + [0] * (n - width))[n][k]

@@ -13,16 +13,16 @@ import argparse
 import decimal
 import io
 import os
+import stat
 import sys
 import time
 from collections import namedtuple
 from contextlib import contextmanager
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, islice
 
 from . import classic, families, rnumbers, whitney
 from .families import FAMILIES
-from .triangles import Triangle
 
 
 class UsageError(Exception):
@@ -133,19 +133,23 @@ def _decimal_rows(family: str, params: dict, nmax: int) -> _Rows:
     )
 
 
-# The writers below stream a triangle to `out` one row at a time: each entry
-# prints as its str, so a rational reads "p/q".
+# The writers below stream a triangle to `out` one row at a time, each format
+# as a head, the line of row n and a tail; an entry prints as its str, so a
+# rational reads "p/q".  With `split`, the caller opened `out` to write from
+# its start, and a large triangle of decimal rows may be written by two
+# processes (see `_split_row`).
 
 
-def render_table(table, out) -> None:
+def render_table(table, out, split: bool = False) -> None:
     """Write lines "n | T(n,0)  T(n,1) ...", every entry right-aligned to
     the width of the widest.  Decimal rows (see `_decimal_rows`) are written
     as they come, each line by one %-format: the width is read first off
     the largest and smallest entry of `table.int_rows()`, since the printed
     length of an integer grows with its absolute value, plus one for a
-    minus sign.  Any other rows, of rational entries or of `hs-lah`, are
-    kept as their strs, so that each entry is printed once (an int's str is
-    quadratic in its digits)."""
+    minus sign.  Every line's length is then known in closed form.  Any
+    other rows, of rational entries or of `hs-lah`, are kept as their strs,
+    so that each entry is printed once (an int's str is quadratic in its
+    digits)."""
     rows = iter(table.rows)
     first = next(rows)
     rows = chain((first,), rows)
@@ -158,19 +162,31 @@ def render_table(table, out) -> None:
     else:
         rows = [tuple(map(str, row)) for row in rows]
         width = max(len(v) for row in rows for v in row)
-    line = f"%{len(str(table.nmax))}d | %{width}s"
-    for n, row in enumerate(rows):
-        out.write((line + "\n") % (n, *row))
-        line += f"  %{width}s"
+    label = len(str(table.nmax))
+    start, cell = f"%{label}d | %{width}s", f"  %{width}s"
+
+    def line(n, row):
+        return (start + cell * n + "\n") % (n, *row)
+
+    def size(n, row):
+        return label + 3 + width + n * (width + 2) + 1
+
+    _write(out, table.nmax, rows, "", line, "", size if split else None, 1)
 
 
-def render_csv(table, out) -> None:
-    out.write("n,k,value\n")
-    for n, row in enumerate(table.rows):
-        out.write("".join([f"{n},{k},{v}\n" for k, v in enumerate(map(str, row))]))
+def render_csv(table, out, split: bool = False) -> None:
+    """Write the header "n,k,value" and a line "n,k,T(n,k)" per entry."""
+
+    def line(n, row):
+        return "".join([f"{n},{k},{v}\n" for k, v in enumerate(map(str, row))])
+
+    def size(n, row):
+        return (n + 1) * (len(str(n)) + 3) + len("".join(map(str, range(n + 1)))) + _digits(row)
+
+    _write(out, table.nmax, table.rows, "n,k,value\n", line, "", size if split else None, 2)
 
 
-def triangle_json(table, family: str, params: dict, out=None):
+def triangle_json(table, family: str, params: dict, out=None, split: bool = False):
     """Write the triangle as the bytes of `json.dumps(obj, indent=2) + "\\n"`
     for obj = {"family", "params", "nmax", "rows"}, its values strings; with
     no `out`, return that text."""
@@ -183,33 +199,141 @@ def triangle_json(table, family: str, params: dict, out=None):
     head = {"family": family, "params": _params_as_strings(params), "nmax": table.nmax}
     # Drop the closing "\n}" and go on with the rows; an entry's str needs no
     # JSON escape.
-    out.write(json.dumps(head, indent=2)[:-2] + ',\n  "rows": [')
-    separator = "\n"
-    for row in table.rows:
-        out.write(separator + '    [\n      "' + '",\n      "'.join(map(str, row)) + '"\n    ]')
-        separator = ",\n"
-    out.write("\n  ]\n}\n")
+    head = json.dumps(head, indent=2)[:-2] + ',\n  "rows": ['
+
+    start, comma, end = '    [\n      "', '",\n      "', '"\n    ]'
+
+    def line(n, row):
+        return ("\n" if n == 0 else ",\n") + start + comma.join(map(str, row)) + end
+
+    def size(n, row):
+        return (1 if n == 0 else 2) + len(start) + n * len(comma) + len(end) + _digits(row)
+
+    _write(out, table.nmax, table.rows, head, line, "\n  ]\n}\n", size if split else None, 2)
 
 
-def triangle_from_json(text: str) -> Triangle:
-    """Read back what `triangle_json` wrote; entries of a rational family are
-    read as exact rationals, those of any other family as integers."""
-    import json
+def _digits(row) -> int:
+    """The printed length of a row of decimals, told without printing it:
+    each entry's digits, plus one for a minus sign (no entry is -0, see
+    `_decimal_rows`)."""
+    return sum([v.adjusted() + 1 + v.is_signed() for v in row])
 
-    obj = json.loads(text)
-    family = FAMILIES.get(obj["family"])
-    parse = Fraction if family is not None and family.rational else int
-    with unlimited_int_digits():
-        rows = tuple(tuple(map(parse, row)) for row in obj["rows"])
-        params = {key: Fraction(value) for key, value in obj["params"].items()}
-    params = {
-        key: value.numerator if value.denominator == 1 else value
-        for key, value in params.items()
-    }
-    table = Triangle(rows, obj["family"], params)
-    if table.nmax != obj["nmax"]:
-        raise ValueError(f"expected {obj['nmax'] + 1} rows, got {len(rows)}")
-    return table
+
+def _write(out, nmax: int, rows, head: str, line, tail: str, size, growth: int) -> None:
+    """Write `head`, `line(n, row)` for each row and `tail` to `out`.  Given
+    `size(n, row)`, the length of `line(n, row)` told without printing it
+    (None to write in this process), the rows may be shared with a forked
+    worker (see `_split_row`); that length grows about like n^growth."""
+    out.write(head)
+    rows = enumerate(rows)
+    if size is not None:
+        first = next(rows)
+        rows = chain((first,), rows)
+        m = _split_row(out, nmax, growth) if isinstance(first[1][0], decimal.Decimal) else None
+        if m is not None:
+            _write_split(out, rows, m, line, tail, size)
+            return
+    for n, row in rows:
+        out.write(line(n, row))
+    out.write(tail)
+
+
+# Where a forked worker takes over, row m.  The cost model: a row costs in
+# proportion to its bytes, and line n is about (n + 1)^g bytes long, g = 1
+# for a table (every cell has one width) and g = 2 for csv and json (n + 1
+# entries whose digits grow about linearly in n).  So the rows [0, m) cost
+# C(m) ~ m^(g + 1) of the whole C.  This process spends C(m).  The worker
+# spends b C(m) on its own pass over those rows, to find its offset, and
+# C - C(m) on the rest; the two finish together at C(m) = C / (2 - b).  The
+# build is about a quarter of a row's cost, but the worker's pass also sums
+# the lengths and copies the pages the fork shares: timed on a 2-vCPU VM, b
+# came to 0.2-0.4, and b = 0.4 (m at 0.79 (nmax + 1) for a table, 0.85 for
+# csv and json) left neither process waiting on the other beyond noise.
+_SPLIT_PASS = 0.4
+# Below this nmax the fork, its copied pages and the rebuilt rows cost as
+# much as the second CPU saves: on a 2-vCPU VM a split call took 5-15 ms
+# longer at nmax 100-150, broke even at 175-200 and gained about 10 ms at
+# 250, 0.13 s at 450.
+_SPLIT_NMAX = 200
+
+
+def _split_row(out, nmax: int, growth: int):
+    """The first row that a forked worker writes, or None to write every row
+    in this process: only a large triangle, on at least two CPUs, into a
+    regular file, since the worker writes at its own byte offsets."""
+    if nmax < _SPLIT_NMAX or not all(hasattr(os, name) for name in ("fork", "pwrite", "sched_getaffinity")):
+        return None
+    if len(os.sched_getaffinity(0)) < 2 or not stat.S_ISREG(os.fstat(out.fileno()).st_mode):
+        return None
+    return round((nmax + 1) * (2 - _SPLIT_PASS) ** (-1 / (growth + 1)))
+
+
+def _write_split(out, rows, m: int, line, tail: str, size) -> None:
+    """Write the rows [0, m) of `rows`, pairs (n, row), to `out` here, while
+    a forked worker (see `_worker`) writes the rest and `tail` at their byte
+    offsets.  The worker sends the offset it found and then 0, or the errno
+    of a failed write, which is raised here as an OSError; an offset other
+    than where this process's rows end raises too.  The worker is reaped
+    before this returns, and killed first if this process fails."""
+    out.flush()
+    fd = out.fileno()
+    start = os.lseek(fd, 0, os.SEEK_CUR)
+    reader, writer = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        os.close(reader)
+        _worker(fd, writer, rows, m, start, line, tail, size)
+    os.close(writer)
+    try:
+        for n, row in islice(rows, m):
+            out.write(line(n, row))
+        out.flush()
+        end = os.lseek(fd, 0, os.SEEK_CUR)
+        report = b""
+        while chunk := os.read(reader, 16):
+            report += chunk
+    except BaseException:
+        os.kill(pid, 9)  # SIGKILL
+        raise
+    finally:
+        os.close(reader)
+        os.waitpid(pid, 0)
+    offset, status = (int.from_bytes(report[i : i + 8], "little", signed=True) for i in (0, 8))
+    if len(report) != 16 or status < 0:
+        raise RuntimeError(f"the worker writing rows {m}.. failed")
+    if status:
+        raise OSError(status, os.strerror(status))
+    if offset != end:
+        raise RuntimeError(f"rows {m}.. were written from byte {offset}, but the rows before end at byte {end}")
+
+
+def _worker(fd: int, pipe: int, rows, m: int, start: int, line, tail: str, size):
+    """The forked worker of `_write_split`.  It reads the lengths of the
+    rows before m off its own copy of `rows` and writes each later line
+    with `os.pwrite`.  It leaves only through `os._exit`, so no frame of its
+    caller runs on in this process."""
+    status = -1
+    try:
+        offset = start + sum(size(n, row) for n, row in islice(rows, m))
+        os.write(pipe, offset.to_bytes(8, "little", signed=True))
+        for text in chain((line(n, row) for n, row in rows), (tail,)):
+            data = memoryview(text.encode())
+            while data:
+                written = os.pwrite(fd, data, offset)
+                data, offset = data[written:], offset + written
+        status = 0
+    except OSError as exc:
+        status = exc.errno or -1
+    except BaseException:
+        import traceback
+
+        traceback.print_exc()
+        raise
+    finally:
+        try:
+            os.write(pipe, status.to_bytes(8, "little", signed=True))
+        finally:
+            os._exit(0 if status == 0 else 1)
 
 
 # ---------------------------------------------------------------------------
@@ -343,17 +467,20 @@ def _emit(text: str, out_path: str | None):
 def cmd_triangle(args) -> int:
     """Write a triangle as it is built (see `_decimal_rows`), in every
     format one row at a time; only a table of rational or `hs-lah` entries
-    keeps its strs until the column width is known (see `render_table`)."""
+    keeps its strs until the column width is known (see `render_table`).
+    The --out file is opened here to be written from its start, so a large
+    integer triangle may go out from two processes (see `_split_row`)."""
     if args.family not in FAMILIES:
         raise UsageError(f"unknown family {args.family!r}; known: {', '.join(sorted(FAMILIES))}")
     table = _decimal_rows(args.family, args.params, args.nmax)
+    split = bool(args.out)
     with _output(args.out) as out, decimal.localcontext(EXACT_DECIMALS):
         if args.fmt == "table":
-            render_table(table, out)
+            render_table(table, out, split)
         elif args.fmt == "csv":
-            render_csv(table, out)
+            render_csv(table, out, split)
         else:
-            triangle_json(table, args.family, args.params, out)
+            triangle_json(table, args.family, args.params, out, split)
     return 0
 
 
@@ -426,8 +553,29 @@ def cmd_bench(args) -> int:
 # argument parsing
 
 
+class _Parser(argparse.ArgumentParser):
+    """Help and usage on stdout are written through `_output`, so a stdout
+    that fails is a usage error here as it is for every command."""
+
+    def _print_message(self, message, file=None):
+        if file is not sys.stdout:
+            super()._print_message(message, file)
+            return
+        with _output(None) as out:
+            out.write(message)
+
+
+class _Nmax(argparse.Action):
+    """Store the row count with the flag it was given by (`sum` and `bench`
+    take --nmax or --n), so that a message names the flag as typed."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        namespace.nmax = values
+        namespace.nmax_flag = option_string
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="dowling",
         description="Exact Stirling/Lah/Whitney/Dowling number families, their "
         "Bell-type sums, and identity verification suites.",
@@ -435,7 +583,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p, nmax_aliases=("--nmax",)):
-        p.add_argument(*nmax_aliases, dest="nmax", type=int, default=None)
+        p.add_argument(*nmax_aliases, dest="nmax", type=int, default=None, action=_Nmax)
         for name in _PARAMS:
             p.add_argument(f"--{name}")
         p.add_argument("--out", default=None)
@@ -481,7 +629,7 @@ def _check_args(args) -> None:
     if nmax is None and args.command in ("triangle", "sum", "bench"):
         raise UsageError("--nmax is required")
     if nmax is not None and nmax < 0:
-        raise UsageError("--nmax must be nonnegative")
+        raise UsageError(f"{args.nmax_flag} must be nonnegative")
 
 
 _DISPATCH = {
@@ -494,9 +642,8 @@ _DISPATCH = {
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         with unlimited_int_digits():
             _check_args(args)
             return _DISPATCH[args.command](args)

@@ -13,6 +13,7 @@ from dowling.classic import (
     lah_signless,
     lah_vertical_rows,
     partial_bell,
+    partial_bell_rows,
     qi_bell,
 )
 from dowling.oracle import PartitionSpec, count_partitions
@@ -164,6 +165,42 @@ def brute_partial_bell(n, k, xs):
             stack.append((i + 1, ls + [l], sk + l, sn + l * (i + 1)))
     assert total.denominator == 1
     return total.numerator
+
+
+def enumerated_partial_bell(n, k, xs):
+    """Reference: n! times the sum over multiplicity vectors (l_i) with
+    sum l_i = k and sum i*l_i = n of prod (x_i/i!)^l_i / l_i!, the vectors
+    enumerated with pruning (p(n) of them at most)."""
+    width = n - k + 1
+    factors = [Fraction(xs[i - 1], math.factorial(i)) for i in range(1, width + 1)]
+    total = Fraction(0)
+
+    def assign(i, blocks_left, weight_left, acc):
+        nonlocal total
+        if i == width:
+            if blocks_left == 0 and weight_left == 0:
+                total += acc
+            return
+        step = i + 1
+        for l in range(min(blocks_left, weight_left // step) + 1):
+            assign(i + 1, blocks_left - l, weight_left - l * step, acc * factors[i] ** l / math.factorial(l))
+
+    assign(0, k, n, Fraction(1))
+    total *= math.factorial(n)
+    assert total.denominator == 1
+    return total.numerator
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_partial_bell_recurrence_against_enumeration(seed):
+    rng = random.Random(seed)
+    xs = [rng.randint(-9, 9) for _ in range(13)]
+    rows = partial_bell_rows(12, xs)
+    assert [len(row) for row in rows] == list(range(1, 14))
+    for n in range(13):
+        for k in range(n + 1):
+            want = enumerated_partial_bell(n, k, xs) if n else 1
+            assert rows[n][k] == partial_bell(n, k, xs[: n - k + 1]) == want, (n, k)
 
 
 def test_partial_bell_all_ones_is_stirling2():

@@ -1,20 +1,21 @@
 import decimal
+import errno
 import json
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from dowling import basis, families, triangles
+from dowling import basis, cli, families, triangles
 from dowling.cli import (
     EXACT_DECIMALS,
     main,
     run_paper_tables,
-    triangle_from_json,
     triangle_json,
     unlimited_int_digits,
 )
@@ -36,6 +37,21 @@ def _subprocess_env() -> dict:
     env = {**os.environ, "PYTHONPATH": path}
     env.pop("PYTHONUNBUFFERED", None)
     return env
+
+
+def triangle_from_json(text: str) -> triangles.Triangle:
+    """Read back what `triangle_json` wrote; entries of a rational family are
+    read as exact rationals, those of any other family as integers."""
+    obj = json.loads(text)
+    family = families.FAMILIES.get(obj["family"])
+    parse = Fraction if family is not None and family.rational else int
+    with unlimited_int_digits():
+        rows = tuple(tuple(map(parse, row)) for row in obj["rows"])
+        params = {key: Fraction(value) for key, value in obj["params"].items()}
+    params = {key: value.numerator if value.denominator == 1 else value for key, value in params.items()}
+    table = triangles.Triangle(rows, obj["family"], params)
+    assert table.nmax == obj["nmax"], (table.nmax, obj["nmax"])
+    return table
 
 
 def test_triangle_table_format(capsys):
@@ -550,3 +566,128 @@ def test_entries_past_the_int_str_digit_limit(capsys):
     with unlimited_int_digits():
         assert [str(v) for v in tri.row(95)] == last
         assert triangle_json(tri, tri.family, tri.params) == text
+
+
+# ---------------------------------------------------------------------------
+# a large integer triangle written to --out by two processes
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """Let the --out writer split on any host, and check afterwards that no
+    worker is left; yields the first row of the worker of each split."""
+    if not all(hasattr(os, name) for name in ("fork", "pwrite")):
+        pytest.skip("no os.fork or os.pwrite")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    splits = []
+    real = cli._write_split
+
+    def spy(out, rows, m, *rest):
+        splits.append(m)
+        return real(out, rows, m, *rest)
+
+    monkeypatch.setattr(cli, "_write_split", spy)
+    yield splits
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize(
+    "family, params",
+    (("lah", {}), ("r-stirling1", {"r": 0}), ("whitney-lah", {"alpha": -1}), ("r-whitney-lah", {"m": 3, "r": 2})),
+    ids=_point_id,
+)
+def test_split_out_file_holds_the_stdout_bytes(tmp_path, capsys, two_cpus, family, params):
+    # lah and r-stirling1 at r = 0 have decimal -0 entries, and the widest
+    # entry of whitney-lah at alpha = -1 is negative; the crossover nmax is
+    # the first that splits.
+    target = tmp_path / "out"
+    for nmax in (cli._SPLIT_NMAX - 1, cli._SPLIT_NMAX, cli._SPLIT_NMAX + 1):
+        for fmt in ("table", "csv", "json"):
+            argv = _triangle_argv(family, params, nmax, fmt)
+            code, stdout, _ = run(capsys, *argv)
+            assert code == 0
+            del two_cpus[:]
+            code, out, err = run(capsys, *argv, "--out", str(target))
+            assert code == 0 and out == err == ""
+            assert len(two_cpus) == (nmax >= cli._SPLIT_NMAX) and all(0 < m <= nmax for m in two_cpus)
+            assert target.read_text() == stdout, (nmax, fmt)
+
+
+def test_split_worker_write_error_is_a_usage_error(tmp_path, capsys, monkeypatch, two_cpus):
+    # Only the forked worker writes with os.pwrite.
+    def full(fd, data, offset):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(os, "pwrite", full)
+    target = tmp_path / "out"
+    argv = _triangle_argv("stirling2", {}, cli._SPLIT_NMAX, "csv")
+    code, out, err = run(capsys, *argv, "--out", str(target))
+    assert two_cpus and code == 2 and out == ""
+    assert err == f"error: cannot write --out {target}: {os.strerror(errno.ENOSPC)}\n"
+
+
+def test_split_offset_mismatch_raises(tmp_path, monkeypatch, two_cpus):
+    # A wrong length model puts the worker's rows at the wrong offset; the
+    # CLI process compares that offset with where its own rows end.
+    monkeypatch.setattr(cli, "_digits", lambda row: sum(len(str(v)) for v in row) + 1)
+    argv = _triangle_argv("stirling2", {}, cli._SPLIT_NMAX, "json") + ["--out", str(tmp_path / "out")]
+    with pytest.raises(RuntimeError, match="were written from byte"):
+        main(argv)
+    assert two_cpus
+
+
+def test_split_parent_failure_kills_the_worker(tmp_path, monkeypatch, two_cpus):
+    # The worker would sleep for a minute in its first write; the CLI
+    # process fails after its own rows, kills the worker and reaps it.
+    monkeypatch.setattr(os, "pwrite", lambda fd, data, offset: time.sleep(60))
+    real_lseek = os.lseek
+    calls = []
+
+    def lseek(fd, position, how):
+        calls.append(fd)
+        if len(calls) == 2:
+            raise RuntimeError("failed after the rows")
+        return real_lseek(fd, position, how)
+
+    monkeypatch.setattr(os, "lseek", lseek)
+    argv = _triangle_argv("stirling2", {}, cli._SPLIT_NMAX, "table") + ["--out", str(tmp_path / "out")]
+    start = time.monotonic()
+    with pytest.raises(RuntimeError, match="failed after the rows"):
+        main(argv)
+    assert two_cpus and time.monotonic() - start < 30
+
+
+@pytest.mark.parametrize("unbuffered", (False, True), ids=("buffered", "unbuffered"))
+@pytest.mark.parametrize("argv", (("--help",), ("triangle", "--help")), ids=("top", "triangle"))
+def test_help_to_a_full_stdout_is_a_usage_error(argv, unbuffered):
+    # argparse prints help with its own writer, which drops an OSError;
+    # buffered, the write failed only at interpreter exit.
+    if not Path("/dev/full").exists():
+        pytest.skip("no /dev/full")
+    env = _subprocess_env()
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    with open("/dev/full", "w") as full:
+        result = subprocess.run(
+            [sys.executable, "-m", "dowling.cli", *argv], stdout=full, stderr=subprocess.PIPE, text=True, env=env
+        )
+    assert result.returncode == 2
+    assert result.stderr == f"error: cannot write stdout: {os.strerror(errno.ENOSPC)}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    (
+        (("sum", "--family", "bell", "--n", "-1"), "--n"),
+        (("sum", "--family", "bell", "--nmax", "-1"), "--nmax"),
+        (("bench", "--family", "lah", "--n", "-1"), "--n"),
+        (("triangle", "--family", "lah", "--nmax", "-1"), "--nmax"),
+    ),
+    ids=("sum --n", "sum --nmax", "bench --n", "triangle --nmax"),
+)
+def test_negative_row_count_names_the_flag_as_typed(capsys, argv, flag):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {flag} must be nonnegative\n"
+
