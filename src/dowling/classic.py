@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from . import basis, families
 from .exactmath import Poly, Series, binomial
-from .triangles import Triangle, horizontal_rows, product, vertical_rows
+from .triangles import Triangle
 
 
 def stirling1_triangle(nmax: int) -> Triangle:
@@ -46,24 +46,6 @@ def lah_signless(n: int, k: int) -> int:
     return -value if n % 2 else value
 
 
-def lah_vertical_rows(nmax: int) -> tuple:
-    """Signed Lah rows 0..nmax assembled column-wise from the rows above,
-    all from one triangle of rows 0..nmax-1:
-    L(n,k) = sum_i (-1)^(i+1) (n-1+k)_i L(n-1-i, k-1)."""
-    return vertical_rows(families.triangle("lah", {}, max(nmax - 1, 0)), nmax, 0, 1, -1)
-
-
-
-def lah_horizontal_rows(nmax: int) -> tuple:
-    """Signed Lah rows 0..nmax recovered row-wise from the row below, all
-    from one triangle of rows 0..nmax+1:
-    L(n,k) = sum_i (-1)^(i+1) <n+k+1>_i L(n+1, k+i+1), where <x>_i is the
-    ascending product x(x+1)...(x+i-1).  (The descending reading fails the
-    cross-checks; see the verification suite.)"""
-    return horizontal_rows(families.triangle("lah", {}, nmax + 1), nmax, 0, 1, -1)
-
-
-
 def lah_egf_check(k: int, order: int) -> bool:
     """True iff n! [t^n] (1/k!)((-t)/(1+t))^k equals L(n,k) for n <= order."""
     if order < k:
@@ -75,13 +57,6 @@ def lah_egf_check(k: int, order: int) -> bool:
     return all(
         series.coefficient(n) * math.factorial(n) == tri.value(n, k) for n in range(order + 1)
     )
-
-
-def lah_from_stirlings_rows(nmax: int) -> tuple:
-    """Signed Lah rows from both Stirling kinds: L(n,k) = sum_j (-1)^j s(n,j) S(j,k),
-    with s from one polynomial expansion."""
-    s1 = stirling1_by_expansion(nmax)
-    return product(s1.rows, families.triangle("stirling2", {}, nmax).rows, signed=True)
 
 
 def qi_bell(n: int) -> int:

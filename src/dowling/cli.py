@@ -641,9 +641,22 @@ _DISPATCH = {
 }
 
 
+def _attach_negative_values(argv) -> list:
+    """Each `--flag -1/2` as `--flag=-1/2`: argparse reads a token that starts
+    with '-' as an option unless it looks like a negative int or decimal."""
+    out = []
+    for token in argv:
+        flag = out[-1] if out else ""
+        if token[:1] == "-" and token[1:2].isdecimal() and flag[:2] == "--" and "=" not in flag and flag != "--":
+            out[-1] = f"{flag}={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
+        args = _build_parser().parse_args(_attach_negative_values(sys.argv[1:] if argv is None else argv))
         with unlimited_int_digits():
             _check_args(args)
             return _DISPATCH[args.command](args)

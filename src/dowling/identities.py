@@ -29,7 +29,7 @@ from functools import cache, partial
 from types import MappingProxyType
 
 from . import classic, families, oracle, rnumbers, unified, whitney
-from .triangles import checkerboard, product, transform
+from .triangles import checkerboard, horizontal_rows, product, transform, vertical_rows
 
 
 def _failure(n, k, expected, actual) -> dict:
@@ -278,6 +278,38 @@ def _partial_bell(nmax):
     return bad, "B(n,k) at x_i = 1, i!, (i-1)! against S(n,k), (-1)^n L(n,k), (-1)^(n-k) s(n,k)"
 
 
+# The four Lah-type families.  Each is the r-Whitney-Lah triangle at one
+# (m, r), times (-1)^n where its sign is -1, and the product of a first- and
+# a second-kind table, signed likewise: (m, r) as a function of the validated
+# parameters, the sign, and the two kinds, each called as fn(nmax, **params).
+LahType = namedtuple("LahType", ("mr", "sign", "first", "second"))
+LAH_TYPES = {
+    "lah": LahType(lambda p: (1, 0), -1, classic.stirling1_by_expansion, _table("stirling2")),
+    "whitney-lah": LahType(lambda p: (p["alpha"], 1), -1, whitney.whitney_first_by_expansion, _table("whitney2")),
+    "r-lah": LahType(lambda p: (1, p["r"]), 1, _table("r-stirling1"), _table("r-stirling2")),
+    "r-whitney-lah": LahType(
+        lambda p: (p["m"], p["r"]), 1, rnumbers.r_whitney_first_by_solve, rnumbers.r_whitney_second_by_solve
+    ),
+}
+
+
+def lah_route(kind, family, nmax, **point) -> tuple:
+    """Rows 0..nmax of a `LAH_TYPES` family by its "vertical", "horizontal"
+    or "product" route, its parameters validated with `families.check_param`.
+    The expansions run over the family's own engine rows, 0..nmax-1 below and
+    0..nmax+1 above; column 0 of the vertical route reads 0 below row 0."""
+    mr, sign, first, second = LAH_TYPES[family]
+    params = {key: families.check_param(key, value) for key, value in point.items()}
+    m, r = mr(params)
+    if kind == "vertical":
+        return vertical_rows(families.triangle(family, params, max(nmax - 1, 0)), nmax, 2 * r, m, sign)
+    if kind == "horizontal":
+        return horizontal_rows(families.triangle(family, params, nmax + 1), nmax, 2 * r, m, sign)
+    if kind == "product":
+        return product(first(nmax, **params).rows, second(nmax, **params).rows, signed=sign == -1)
+    raise ValueError(f"unknown Lah-type route {kind!r}")
+
+
 def _oracle(nmax):
     """Brute-force partition counts against the production families.  The
     enumeration is capped by its size guard, so Lah stops at n = 9 and the
@@ -332,6 +364,17 @@ def _all_columns(*routes) -> tuple:
     return tuple((route, 0) for route in routes)
 
 
+def _lah_routes(family, **columns) -> tuple:
+    """The `lah_route`s of a family by kind, each with the first column it
+    is compared from, in the order given."""
+    return tuple((partial(lah_route, kind, family), kmin) for kind, kmin in columns.items())
+
+
+def _twice(table):
+    """A table paired with itself, for a family that is its own inverse."""
+    return lambda nmax, **point: (table(nmax, **point),) * 2
+
+
 def _lgf(nmax, kmax):
     return ((nmax, k, classic.lah_egf_check(k, nmax)) for k in range(min(kmax, nmax) + 1))
 
@@ -364,15 +407,7 @@ _RW = {"nmax": 12, "m": 2, "r": 2}
 _LAH = _table("lah")
 _W_LAH = _table("whitney-lah")
 _RW_LAH = _table("r-whitney-lah")
-_TRIWLAH_ROUTES = (
-    (whitney.whitney_lah_vertical_rows, 1),
-    *_all_columns(whitney.whitney_lah_horizontal_rows, whitney.whitney_lah_from_whitney_rows),
-)
-_RWLAH_ROUTES = (
-    *_all_columns(_entrywise(rnumbers.r_whitney_lah_explicit), rnumbers.r_whitney_lah_from_whitney_rows),
-    (rnumbers.r_whitney_lah_vertical_rows, 1),
-    *_all_columns(rnumbers.r_whitney_lah_horizontal_rows),
-)
+_RW_EXPLICIT = _all_columns(_entrywise(rnumbers.r_whitney_lah_explicit))
 _SERIES = "series == triangle"
 _HORILAH = "angle-bracket weights resolved as the ascending product x(x+1)...(x+i-1)"
 _TRIWLAH = "vertical, horizontal and product routes against the triangular recurrence"
@@ -383,17 +418,21 @@ REGISTRY = {
     ident.name: ident
     for ident in (
         Identity("lef", {"nmax": 30}, Tables(_LAH, _all_columns(_entrywise(classic.lah_explicit)))),
-        Identity("verlah", {"nmax": 20}, Tables(_LAH, _all_columns(classic.lah_vertical_rows))),
-        Identity("horilah", {"nmax": 20}, Tables(_LAH, _all_columns(classic.lah_horizontal_rows), _HORILAH)),
+        Identity("verlah", {"nmax": 20}, Tables(_LAH, _lah_routes("lah", vertical=0))),
+        Identity("horilah", {"nmax": 20}, Tables(_LAH, _lah_routes("lah", horizontal=0), _HORILAH)),
         Identity("lgf", {"nmax": 20}, Predicate(_lgf, _SERIES), fixed={"kmax": 5}),
         Identity("qi", {"nmax": 25}, Sequences(_sums("stirling2"), _each(classic.qi_bell))),
-        Identity("ordlahstirling", {"nmax": 15}, Tables(_LAH, _all_columns(classic.lah_from_stirlings_rows))),
+        Identity("ordlahstirling", {"nmax": 15}, Tables(_LAH, _lah_routes("lah", product=0))),
         Identity("stirling-inverse", {"nmax": 9}, Roundtrip(_stirling_pair)),
         Identity("partial-bell", {"nmax": 10}, _partial_bell),
-        Identity("ortho", {"nmax": 12, "alpha": 3}, Product(whitney.whitney_lah_pair)),
-        Identity("inv1", {"nmax": 9, "alpha": 3}, Roundtrip(whitney.whitney_lah_pair)),
-        Identity("wla1", _W, Tables(_W_LAH, _all_columns(whitney.whitney_lah_from_whitney_rows))),
-        Identity("triwlah", {"nmax": 15, "alpha": 3}, Tables(_W_LAH, _TRIWLAH_ROUTES, _TRIWLAH)),
+        Identity("ortho", {"nmax": 12, "alpha": 3}, Product(_twice(_W_LAH))),
+        Identity("inv1", {"nmax": 9, "alpha": 3}, Roundtrip(_twice(_W_LAH))),
+        Identity("wla1", _W, Tables(_W_LAH, _lah_routes("whitney-lah", product=0))),
+        Identity(
+            "triwlah",
+            {"nmax": 15, "alpha": 3},
+            Tables(_W_LAH, _lah_routes("whitney-lah", vertical=1, horizontal=0, product=0), _TRIWLAH),
+        ),
         Identity("whitney-ortho", _W, Product(_whitney_pair)),
         Identity(
             "benoumhani",
@@ -404,7 +443,7 @@ REGISTRY = {
             "dow1", {"nmax": 10, "alpha": 3}, Sequences(_sums("whitney2"), whitney.dowling_explicit_sequence)
         ),
         Identity("bell-reduction", {"nmax": 12}, _bell_reduction),
-        Identity("lah1", _R, Tables(_table("r-lah"), _all_columns(rnumbers.r_lah_from_stirlings_rows))),
+        Identity("lah1", _R, Tables(_table("r-lah"), _lah_routes("r-lah", product=0))),
         Identity("lah4", {"nmax": 7, "r": 2}, Roundtrip(rnumbers.r_inverse_pair)),
         Identity("expb", _R, Sequences(_sums("r-stirling2"), rnumbers.r_bell_explicit_sequence)),
         Identity(
@@ -415,9 +454,15 @@ REGISTRY = {
         ),
         Identity("rw-ortho", {"nmax": 8, "m": 2, "r": 2}, Product(_r_whitney_pair)),
         Identity("rw-inv", {"nmax": 7, "m": 2, "r": 2}, Roundtrip(_r_whitney_pair)),
-        Identity("rwhitneylah", _RW, Tables(_RW_LAH, _all_columns(rnumbers.r_whitney_lah_from_whitney_rows))),
-        Identity("exprwlah", _RW, Tables(_RW_LAH, _all_columns(_entrywise(rnumbers.r_whitney_lah_explicit)))),
-        Identity("rwlah-routes", _RW, Tables(_RW_LAH, _RWLAH_ROUTES, _RWLAH)),
+        Identity("rwhitneylah", _RW, Tables(_RW_LAH, _lah_routes("r-whitney-lah", product=0))),
+        Identity("exprwlah", _RW, Tables(_RW_LAH, _RW_EXPLICIT)),
+        Identity(
+            "rwlah-routes",
+            _RW,
+            Tables(
+                _RW_LAH, _RW_EXPLICIT + _lah_routes("r-whitney-lah", product=0, vertical=1, horizontal=0), _RWLAH
+            ),
+        ),
         Identity("expl-rdow", _RW, Sequences(_sums("r-whitney2"), rnumbers.r_dowling_explicit_sequence)),
         Identity(
             "ugexp",

@@ -21,7 +21,7 @@ from .exactmath import (
     generalized_rising,
 )
 from .families import check_param
-from .triangles import Triangle, checkerboard, horizontal_rows, product, transform, vertical_rows
+from .triangles import Triangle, checkerboard, transform
 
 
 def weighted_stirling_egf_check(nmax: int, r, order: int) -> bool:
@@ -39,14 +39,6 @@ def weighted_stirling_egf_check(nmax: int, r, order: int) -> bool:
             if series.coefficient(n) * math.factorial(n) != tri.value(n, k):
                 return False
     return True
-
-
-def r_lah_from_stirlings_rows(nmax: int, r) -> tuple:
-    """r-Lah rows as the product of the two r-Stirling kinds:
-    L(n,k) = sum_j A(n,j) * S(j,k)."""
-    first = families.triangle("r-stirling1", {"r": r}, nmax)
-    second = families.triangle("r-stirling2", {"r": r}, nmax)
-    return product(first.rows, second.rows)
 
 
 def r_inverse_pair(nmax: int, r) -> tuple:
@@ -123,33 +115,6 @@ def r_whitney_lah_explicit(n: int, k: int, m, r) -> int:
         return binomial(n, k) * tail
     value = Fraction(binomial(n, k)) * generalized_rising(2 * r, m, n)
     return as_integer(value / denominator)
-
-
-def r_whitney_lah_from_whitney_rows(nmax: int, m, r) -> tuple:
-    """Product route: L(n,k) = sum_j w(n,j) W(j,k), no signs, with both
-    r-Whitney kinds from one connection solve each."""
-    first = r_whitney_first_by_solve(nmax, m, r)
-    return product(first.rows, r_whitney_second_by_solve(nmax, m, r).rows)
-
-
-def r_whitney_lah_vertical_rows(nmax: int, m, r) -> tuple:
-    """Column-wise route from the rows above, all from one triangle of rows
-    0..nmax-1; it holds for k >= 1 (plus the trivial corner), so column 0 of
-    the result is not L(n,0):
-    L(n,k) = sum_{j=k-1}^{n-1} (2r + (n+k-1)m | m)_{n-1-j} L(j, k-1)."""
-    m = check_param("m", m)
-    r = check_param("r", r)
-    lah = families.triangle("r-whitney-lah", {"m": m, "r": r}, max(nmax - 1, 0))
-    return vertical_rows(lah, nmax, 2 * r, m, 1)
-
-
-def r_whitney_lah_horizontal_rows(nmax: int, m, r) -> tuple:
-    """Row-wise route from the row below, all from one triangle of rows
-    0..nmax+1: L(n,k) = sum_i (-1)^i [2r + (n+k+1)m | m]_i L(n+1, k+i+1)."""
-    m = check_param("m", m)
-    r = check_param("r", r)
-    lah = families.triangle("r-whitney-lah", {"m": m, "r": r}, nmax + 1)
-    return horizontal_rows(lah, nmax, 2 * r, m, 1)
 
 
 def verify_log_concavity(n: int, m, r) -> bool:

@@ -8,14 +8,12 @@ from dowling import families
 from dowling.classic import (
     lah_egf_check,
     lah_explicit,
-    lah_from_stirlings_rows,
-    lah_horizontal_rows,
     lah_signless,
-    lah_vertical_rows,
     partial_bell,
     partial_bell_rows,
     qi_bell,
 )
+from dowling.identities import lah_route
 from dowling.oracle import PartitionSpec, count_partitions
 from dowling.triangles import transform
 
@@ -95,12 +93,12 @@ def test_lah_signless_counts_ordered_partitions():
 
 def test_lah_vertical_and_horizontal_agree_to_20():
     rows = families.triangle("lah", {}, 20).rows
-    assert lah_vertical_rows(20) == rows
-    assert lah_horizontal_rows(20) == rows
+    assert lah_route("vertical", "lah", 20) == rows
+    assert lah_route("horizontal", "lah", 20) == rows
 
 
 def test_lah_vertical_small_cases():
-    vertical, horizontal = lah_vertical_rows(3), lah_horizontal_rows(3)
+    vertical, horizontal = lah_route("vertical", "lah", 3), lah_route("horizontal", "lah", 3)
     assert vertical[2][1] == 2
     assert vertical[3][3] == -1  # single-term sum on the diagonal
     assert horizontal[3][2] == -6
@@ -116,7 +114,7 @@ def test_lah_egf():
 
 
 def test_lah_from_stirlings():
-    rows = lah_from_stirlings_rows(15)
+    rows = lah_route("product", "lah", 15)
     assert rows[3][2] == -6
     assert all(rows[n][n] == (-1) ** n for n in range(16))
     assert rows == families.triangle("lah", {}, 15).rows

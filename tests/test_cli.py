@@ -10,6 +10,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from dowling import basis, cli, families, triangles
 from dowling.cli import (
@@ -19,12 +21,17 @@ from dowling.cli import (
     triangle_json,
     unlimited_int_digits,
 )
+from dowling.identities import REGISTRY
 from dowling.rnumbers import r_whitney_lah_explicit
 from dowling.unified import hs_pair_by_solve
 
 
 def run(capsys, *argv):
-    code = main(list(argv))
+    """(exit code, stdout, stderr) of one call, argparse's own exits included."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -691,3 +698,124 @@ def test_negative_row_count_names_the_flag_as_typed(capsys, argv, flag):
     assert code == 2 and out == ""
     assert err == f"error: {flag} must be nonnegative\n"
 
+
+
+@pytest.mark.parametrize(
+    "argv, joined",
+    (
+        (
+            "triangle --family hs1 --alpha -1/2 --beta 1 --gamma 0 --nmax 2",
+            "triangle --family hs1 --alpha=-1/2 --beta 1 --gamma 0 --nmax 2",
+        ),
+        (
+            "triangle --family hs1 --alpha 1/2 --beta -1e1 --gamma -3/4 --nmax 3 --format csv",
+            "triangle --family hs1 --alpha 1/2 --beta=-1e1 --gamma=-3/4 --nmax 3 --format csv",
+        ),
+        (
+            "verify --identity invrel --alpha 1/2 --beta -1/3 --gamma 2 --nmax 4",
+            "verify --identity invrel --alpha 1/2 --beta=-1/3 --gamma 2 --nmax 4",
+        ),
+        ("sum --family cakic-bell --alpha -5/3 --n 6", "sum --family cakic-bell --alpha=-5/3 --n 6"),
+    ),
+    ids=("alpha", "beta-exponent", "verify", "sum"),
+)
+def test_negative_rational_given_as_its_own_argument(capsys, argv, joined):
+    """argparse reads `-1/2` as an option, unlike `-1` or `-0.5`; after its
+    flag it is taken as that flag's value, as in `--alpha=-1/2`."""
+    code, out, err = run(capsys, *argv.split())
+    assert (code, err) == (0, "")
+    assert run(capsys, *joined.split()) == (0, out, "")
+
+
+def test_a_flag_without_its_value_is_still_refused(capsys):
+    code, out, err = run(capsys, "triangle", "--family", "hs1", "--alpha", "--", "-1/2", "--nmax", "2")
+    assert code == 2 and out == ""
+    assert "error: argument --alpha: expected one argument" in err
+
+
+# ---------------------------------------------------------------------------
+# the exit-code contract, over random calls
+
+
+def _rows_from_table(text: str) -> list:
+    return [line.split("|", 1)[1].split() for line in text.splitlines()]
+
+
+def _rows_from_csv(text: str) -> list:
+    header, *lines = text.splitlines()
+    assert header == "n,k,value"
+    rows = []
+    for line in lines:
+        n, k, value = line.split(",")
+        if k == "0":
+            rows.append([])
+        assert (int(n), int(k)) == (len(rows) - 1, len(rows[-1]))
+        rows[-1].append(value)
+    return rows
+
+
+_VALUES = st.one_of(
+    st.integers(-3, 3),
+    st.fractions(-3, 3, max_denominator=6),
+    st.sampled_from((10**30, -(10**30), Fraction(10**20, 3), "-0.5", "1e2", "x", "1/0")),
+).map(str)
+_NAMES = ("m", "r", "alpha", "beta", "gamma")
+
+
+@st.composite
+def _calls(draw) -> list:
+    """A `dowling` argv: a command with a known or unknown family or
+    identity, the parameters it takes or any others, each as `--name value`
+    or `--name=value`, and a row count in -2..12 or none."""
+    command = draw(st.sampled_from(("triangle", "sum", "verify", "paper-tables", "bench")))
+    argv, takes = [command], ()
+    if command == "verify":
+        name = draw(st.sampled_from((*REGISTRY, "all", "nope")))
+        argv += ["--identity", name]
+        takes = REGISTRY[name].accepts if name in REGISTRY else ()
+        if draw(st.booleans()):
+            argv.append("--with-oracle")
+    elif command != "paper-tables":
+        names = cli.SUMS if command == "sum" else families.FAMILIES
+        name = draw(st.sampled_from((*names, "nope")))
+        argv += ["--family", name]
+        if name in names:
+            takes = cli._sum_needs(name) if command == "sum" else families.FAMILIES[name].needs
+    if command == "triangle":
+        argv += ["--format", draw(st.sampled_from(("table", "csv", "json")))]
+    given = takes if draw(st.booleans()) else draw(st.lists(st.sampled_from(_NAMES), unique=True))
+    for name in given:
+        value = draw(_VALUES)
+        argv += draw(st.sampled_from(([f"--{name}", value], [f"--{name}={value}"])))
+    # The oracle enumerates partitions: at nmax 12 it takes seconds.
+    nmax = draw(st.none() | st.integers(-2, 8 if "--with-oracle" in argv else 12))
+    if nmax is not None:
+        argv += ["--nmax", str(nmax)]
+    return argv
+
+
+@settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=_calls())
+def test_exit_code_contract(capsys, argv):
+    """0 ok, 1 only from a failed verification, 2 a usage error with one
+    `error:` line and no traceback; a triangle printed in each format reads
+    back as the family's triangle."""
+    code, out, err = run(capsys, *argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if code == 1:
+        assert argv[0] in ("verify", "paper-tables")
+    if code == 2:
+        assert out == "" and sum("error:" in line for line in err.splitlines()) == 1
+    if code != 0 or argv[0] != "triangle":
+        return
+    fmt, call, printed = argv.index("--format") + 1, list(argv), {}
+    for form in ("table", "csv", "json"):
+        call[fmt] = form
+        code, printed[form], err = run(capsys, *call)
+        assert (code, err) == (0, "")
+    tri = triangle_from_json(printed["json"])
+    want = [[Fraction(v) for v in row] for row in families.triangle(tri.family, tri.params, tri.nmax).rows]
+    assert [list(row) for row in tri.rows] == want
+    assert [[Fraction(v) for v in row] for row in _rows_from_table(printed["table"])] == want
+    assert [[Fraction(v) for v in row] for row in _rows_from_csv(printed["csv"])] == want

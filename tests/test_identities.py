@@ -1,14 +1,17 @@
 """The identity registry: every table and sequence check can fail, every
 specialization fails on a sign error, `verify` builds every engine family,
-and `verify` takes only the parameters an identity declares."""
+`verify` takes only the parameters an identity declares, and the Lah-type
+families are what `LAH_TYPES` declares them to be."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
 from dowling import families
 from dowling.cli import main
-from dowling.identities import REGISTRY, SPECIALIZATIONS, Sequences, Tables
+from dowling.exactmath import IntegralityError
+from dowling.identities import LAH_TYPES, REGISTRY, SPECIALIZATIONS, Sequences, Tables, lah_route
 from dowling.triangles import checkerboard
 
 
@@ -219,3 +222,59 @@ def test_series_order_follows_nmax(capsys):
     assert report["params"] == {"r": "2", "order": "20"}
     code, out, _ = run(capsys, "verify", "--identity", "all", "--nmax", "13")
     assert code == 0 and json.loads(out)["pass"] is True
+
+
+# Points of each Lah-type family: the parameter sets its route tests ran at.
+LAH_POINTS = {
+    "lah": ({},),
+    "whitney-lah": tuple({"alpha": a} for a in (1, 2, 3, 5)),
+    "r-lah": tuple({"r": r} for r in range(4)),
+    "r-whitney-lah": ({"m": 1, "r": 1}, {"m": 2, "r": 2}, {"m": 3, "r": 2}, {"m": 2, "r": 0}),
+}
+
+
+@pytest.mark.parametrize("family", sorted(LAH_TYPES))
+def test_lah_types_are_r_whitney_lah_at_their_declared_point(family):
+    """Each family's engine rows are sign^n times the r-Whitney-Lah rows at
+    its declared (m, r)."""
+    assert set(LAH_POINTS) == set(LAH_TYPES)
+    lah = LAH_TYPES[family]
+    for point in LAH_POINTS[family]:
+        m, r = lah.mr(point)
+        base = families.triangle("r-whitney-lah", {"m": m, "r": r}, 12).rows
+        signed = tuple(tuple(lah.sign**n * v for v in row) for n, row in enumerate(base))
+        assert families.triangle(family, point, 12).rows == signed, point
+
+
+@pytest.mark.parametrize(
+    "name, columns",
+    (
+        ("verlah", (0,)),
+        ("horilah", (0,)),
+        ("ordlahstirling", (0,)),
+        ("wla1", (0,)),
+        ("lah1", (0,)),
+        ("rwhitneylah", (0,)),
+        ("triwlah", (1, 0, 0)),
+        ("rwlah-routes", (0, 0, 1, 0)),
+    ),
+)
+def test_lah_type_identities_keep_their_routes(name, columns):
+    """The number of routes of each Lah-type identity, and the first column
+    each is compared from."""
+    assert tuple(kmin for _, kmin in REGISTRY[name].check.routes) == columns
+
+
+def test_lah_routes_validate_their_parameters():
+    """An integral Fraction, as the CLI passes `--alpha 3`, runs on ints; a
+    proper one is refused before any route runs."""
+    for kind in ("vertical", "horizontal", "product"):
+        rows = lah_route(kind, "whitney-lah", 6, alpha=Fraction(3))
+        assert rows == lah_route(kind, "whitney-lah", 6, alpha=3)
+        assert {type(v) for row in rows for v in row} == {int}
+        with pytest.raises(IntegralityError):
+            lah_route(kind, "whitney-lah", 6, alpha=Fraction(1, 2))
+        with pytest.raises(ValueError):
+            lah_route(kind, "r-whitney-lah", 6, m=0, r=1)
+    with pytest.raises(ValueError, match="unknown Lah-type route"):
+        lah_route("diagonal", "lah", 6)

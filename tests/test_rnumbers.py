@@ -1,21 +1,19 @@
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
 from dowling import families
 from dowling.classic import lah_signless
 from dowling.exactmath import IntegralityError
+from dowling.identities import lah_route
 from dowling.oracle import PartitionSpec, count_all_partitions, count_partitions
 from dowling.rnumbers import (
     r_bell_explicit,
     r_dowling_explicit,
     r_inverse_pair,
-    r_lah_from_stirlings_rows,
     r_whitney_lah_explicit,
-    r_whitney_lah_from_whitney_rows,
-    r_whitney_lah_horizontal_rows,
-    r_whitney_lah_vertical_rows,
     r_whitney_second_by_solve,
     verify_log_concavity,
     weighted_stirling_egf_check,
@@ -35,6 +33,9 @@ R_WHITNEY2_22 = ((1,), (2, 1), (4, 6, 1), (8, 28, 12, 1), (16, 120, 100, 20, 1))
 R_WHITNEY_LAH_22 = ((1,), (4, 1), (24, 12, 1), (192, 144, 24, 1), (1920, 1920, 480, 40, 1))
 
 PARAM_GRID = ((1, 1), (2, 2), (3, 2))
+RW_VERTICAL, RW_HORIZONTAL, RW_PRODUCT = (
+    partial(lah_route, kind, "r-whitney-lah") for kind in ("vertical", "horizontal", "product")
+)
 
 
 def test_r_stirling2_table():
@@ -60,9 +61,9 @@ def test_r_lah_table():
 
 
 def test_r_lah_from_stirlings():
-    assert r_lah_from_stirlings_rows(2, 2)[2][0] == 20
+    assert lah_route("product", "r-lah", 2, r=2)[2][0] == 20
     for r in range(4):
-        rows = r_lah_from_stirlings_rows(10, r)
+        rows = lah_route("product", "r-lah", 10, r=r)
         assert all(rows[n][n] == 1 for n in range(11))
         assert rows == families.triangle("r-lah", {"r": r}, 10).rows
 
@@ -183,17 +184,17 @@ def test_r_whitney_lah_all_routes_agree():
         rows = families.triangle("r-whitney-lah", {"m": m, "r": r}, 12).rows
         explicit = tuple(tuple(r_whitney_lah_explicit(n, k, m, r) for k in range(n + 1)) for n in range(13))
         assert explicit == rows
-        assert r_whitney_lah_from_whitney_rows(12, m, r) == rows
-        assert r_whitney_lah_horizontal_rows(12, m, r) == rows
-        assert _from_column_1(r_whitney_lah_vertical_rows(12, m, r)) == _from_column_1(rows)
+        assert RW_PRODUCT(12, m=m, r=r) == rows
+        assert RW_HORIZONTAL(12, m=m, r=r) == rows
+        assert _from_column_1(RW_VERTICAL(12, m=m, r=r)) == _from_column_1(rows)
 
 
 def test_r_whitney_lah_route_examples():
-    vertical = r_whitney_lah_vertical_rows(3, 2, 2)
+    vertical = RW_VERTICAL(3, m=2, r=2)
     assert vertical[2][1] == 12
     # Column 0 is outside the expansion.
     assert vertical[3][0] == 0 != families.triangle("r-whitney-lah", {"m": 2, "r": 2}, 3).value(3, 0)
-    assert r_whitney_lah_horizontal_rows(1, 2, 2)[1][0] == 4
+    assert RW_HORIZONTAL(1, m=2, r=2)[1][0] == 4
     assert r_whitney_lah_explicit(2, 1, 2, 2) == 12
 
 
@@ -208,8 +209,8 @@ def test_r_whitney_lah_m1_reduces_to_r_lah():
     for r in (1, 2, 3):
         rows = families.triangle("r-lah", {"r": r}, 10).rows
         assert families.triangle("r-whitney-lah", {"m": 1, "r": r}, 10).rows == rows
-        assert r_whitney_lah_horizontal_rows(10, 1, r) == rows
-        assert _from_column_1(r_whitney_lah_vertical_rows(10, 1, r)) == _from_column_1(rows)
+        assert RW_HORIZONTAL(10, m=1, r=r) == rows
+        assert _from_column_1(RW_VERTICAL(10, m=1, r=r)) == _from_column_1(rows)
 
 
 def test_log_concavity():

@@ -1,20 +1,18 @@
 import random
+from functools import partial
 
 import pytest
 
 from dowling import families
 from dowling.exactmath import interpolate
-from dowling.whitney import (
-    dowling_explicit,
-    whitney_lah_from_whitney_rows,
-    whitney_lah_horizontal_rows,
-    whitney_lah_pair,
-    whitney_lah_vertical_rows,
-    whitney_second_benoumhani_rows,
-)
+from dowling.identities import lah_route
+from dowling.whitney import dowling_explicit, whitney_second_benoumhani_rows
 from dowling.triangles import transform
 
 ALPHAS = (1, 2, 3, 5)
+VERTICAL, HORIZONTAL, PRODUCT = (
+    partial(lah_route, kind, "whitney-lah") for kind in ("vertical", "horizontal", "product")
+)
 
 # Closed forms of the small Whitney-Lah entries as polynomials in the step
 # (constant coefficient first).
@@ -95,12 +93,12 @@ def test_whitney_lah_recurrence_routes_agree():
     for alpha in ALPHAS:
         rows = families.triangle("whitney-lah", {"alpha": alpha}, 15).rows
         # The vertical expansion holds from column 1 on.
-        assert [row[1:] for row in whitney_lah_vertical_rows(15, alpha)] == [row[1:] for row in rows]
-        assert whitney_lah_horizontal_rows(15, alpha) == rows
+        assert [row[1:] for row in VERTICAL(15, alpha=alpha)] == [row[1:] for row in rows]
+        assert HORIZONTAL(15, alpha=alpha) == rows
 
 
 def test_whitney_lah_vertical_domain():
-    rows = whitney_lah_vertical_rows(3, 5)
+    rows = VERTICAL(3, alpha=5)
     assert rows[0] == (1,)
     assert rows[2][1] == 2 * (5 + 2)
     # Column 0 is outside the expansion: it reads 0, not L(n, 0).
@@ -108,22 +106,22 @@ def test_whitney_lah_vertical_domain():
 
 
 def test_whitney_lah_horizontal_small():
-    assert whitney_lah_horizontal_rows(1, 7)[1][0] == -2
-    assert whitney_lah_horizontal_rows(4, 3)[4][4] == 1
+    assert HORIZONTAL(1, alpha=7)[1][0] == -2
+    assert HORIZONTAL(4, alpha=3)[4][4] == 1
 
 
 def test_whitney_lah_from_whitney():
-    assert whitney_lah_from_whitney_rows(2, 3)[2][1] == 10
+    assert PRODUCT(2, alpha=3)[2][1] == 10
     for alpha in (1, 2, 3):
-        rows = whitney_lah_from_whitney_rows(12, alpha)
+        rows = PRODUCT(12, alpha=alpha)
         assert all(rows[n][n] == (-1) ** n for n in range(13))
         assert rows == families.triangle("whitney-lah", {"alpha": alpha}, 12).rows
 
 
 def test_whitney_lah_orthogonality():
     for nmax, alpha in ((0, 3), (8, 3), (8, 1), (12, 5)):
-        first, second = whitney_lah_pair(nmax, alpha)
-        assert first.mul(second).is_identity()
+        lah = families.triangle("whitney-lah", {"alpha": alpha}, nmax)
+        assert lah.mul(lah).is_identity()
 
 
 def test_whitney_lah_inverse_roundtrip():
@@ -131,8 +129,8 @@ def test_whitney_lah_inverse_roundtrip():
     samples = [([1, 0, 0, 0], 3), (list(range(1, 11)), 3)]
     samples += [([rng.randint(-30, 30) for _ in range(9)], 2) for _ in range(5)]
     for g, alpha in samples:
-        first, second = whitney_lah_pair(len(g) - 1, alpha)
-        assert transform(second, transform(first, g)) == g
+        lah = families.triangle("whitney-lah", {"alpha": alpha}, len(g) - 1)
+        assert transform(lah, transform(lah, g)) == g
 
 
 def test_whitney_orthogonality_both_orders():
