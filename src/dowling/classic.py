@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from . import basis, families
 from .exactmath import Poly, Series, binomial
-from .triangles import Triangle
+from .triangles import Triangle, alternating_sums
 
 
 def stirling1_triangle(nmax: int) -> Triangle:
@@ -64,13 +64,8 @@ def qi_bell(n: int) -> int:
     B_n = sum_k (-1)^(n-k) [sum_j L(k,j)] S(n,k) over signless Lah numbers
     (the r-Lah numbers at r = 0); only row n of S and the Lah row sums are
     kept."""
-    lah_sums = [sum(row) for row in families.rows("r-lah", {"r": 0}, n)]
-    s2_row = deque(families.rows("stirling2", {}, n), maxlen=1)[0]
-    total = 0
-    for k, value in enumerate(s2_row):
-        term = lah_sums[k] * value
-        total += term if (n - k) % 2 == 0 else -term
-    return total
+    second = deque(families.rows("stirling2", {}, n), maxlen=1)
+    return next(alternating_sums(second, families.rows("r-lah", {"r": 0}, n), -1))
 
 
 def partial_bell_rows(nmax: int, xs) -> tuple:

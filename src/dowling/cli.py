@@ -529,15 +529,18 @@ def cmd_paper_tables(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    """Build a family's rows one at a time, timing only the build, and count
+    their entries and the bits of the widest numerator or denominator."""
     if args.family not in FAMILIES:
         raise UsageError(f"unknown family {args.family!r}")
+    elapsed = entries = peak = 0
     start = time.perf_counter()
-    table = families.triangle(args.family, args.params, args.nmax)
-    elapsed = time.perf_counter() - start
-    entries = sum(len(row) for row in table.rows)
-    peak = max(
-        max(v.numerator.bit_length(), v.denominator.bit_length()) for row in table.rows for v in row
-    )
+    for row in families.rows(args.family, args.params, args.nmax):
+        elapsed += time.perf_counter() - start
+        entries += len(row)
+        peak = max(peak, *(max(v.numerator.bit_length(), v.denominator.bit_length()) for v in row))
+        start = time.perf_counter()
+    elapsed += time.perf_counter() - start
     text = (
         f"family        {args.family}\n"
         f"nmax          {args.nmax}\n"
@@ -660,6 +663,10 @@ def main(argv=None) -> int:
         with unlimited_int_digits():
             _check_args(args)
             return _DISPATCH[args.command](args)
+    except SystemExit as exc:
+        # argparse's own exit, once it has written the help (0) or its usage
+        # error (2).
+        return exc.code
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

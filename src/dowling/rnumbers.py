@@ -9,6 +9,7 @@ distinguished elements pairwise separated.  Row 0 is always [1].
 from __future__ import annotations
 
 import math
+from collections import deque
 from fractions import Fraction
 
 from . import basis, families
@@ -21,7 +22,7 @@ from .exactmath import (
     generalized_rising,
 )
 from .families import check_param
-from .triangles import Triangle, checkerboard, transform
+from .triangles import Triangle, alternating_sums, checkerboard
 
 
 def weighted_stirling_egf_check(nmax: int, r, order: int) -> bool:
@@ -51,17 +52,15 @@ def r_inverse_pair(nmax: int, r) -> tuple:
 
 def r_bell_explicit_sequence(nmax: int, r) -> list:
     """r-Bell numbers B(0..nmax) through the alternating r-Lah sum
-    B(n) = sum_k (-1)^(n-k) S(n,k) [sum_j L(k,j)], from one triangle of each."""
-    r = check_param("r", r)
-    lah = families.triangle("r-lah", {"r": r}, nmax)
-    second = families.triangle("r-stirling2", {"r": r}, nmax)
-    sums = [-sum(row) if k % 2 else sum(row) for k, row in enumerate(lah.rows)]
-    return [-v if n % 2 else v for n, v in enumerate(transform(second, sums))]
+    B(n) = sum_k (-1)^(n-k) S(n,k) [sum_j L(k,j)], over streamed rows."""
+    second = families.rows("r-stirling2", {"r": r}, nmax)
+    return list(alternating_sums(second, families.rows("r-lah", {"r": r}, nmax), -1))
 
 
 def r_bell_explicit(n: int, r) -> int:
-    """B(n) from `r_bell_explicit_sequence`."""
-    return r_bell_explicit_sequence(n, r)[n]
+    """B(n) by the same sum over row n of S alone."""
+    second = deque(families.rows("r-stirling2", {"r": r}, n), maxlen=1)
+    return next(alternating_sums(second, families.rows("r-lah", {"r": r}, n), -1))
 
 
 def _scaled_falling_basis(m: int, nmax: int) -> basis.PolyBasis:
@@ -122,7 +121,7 @@ def verify_log_concavity(n: int, m, r) -> bool:
     L(n,k-1)*L(n,k+1) < L(n,k)^2, and unimodal."""
     if n < 2:
         raise ValueError("log-concavity needs a row with interior entries")
-    row = families.triangle("r-whitney-lah", {"m": m, "r": r}, n).row(n)
+    row = deque(families.rows("r-whitney-lah", {"m": m, "r": r}, n), maxlen=1)[0]
     peak = max(range(n + 1), key=lambda k: row[k])
     return (
         all(row[k - 1] * row[k + 1] < row[k] ** 2 for k in range(1, n))
@@ -133,14 +132,12 @@ def verify_log_concavity(n: int, m, r) -> bool:
 
 def r_dowling_explicit_sequence(nmax: int, m, r) -> list:
     """r-Dowling numbers D(0..nmax) through the alternating r-Whitney-Lah sum
-    D(n) = sum_j (-1)^(n-j) [sum_k L(j,k)] W(n,j), with W from one
-    connection solve."""
-    lah = families.triangle("r-whitney-lah", {"m": m, "r": r}, nmax)
-    sums = [-sum(row) if j % 2 else sum(row) for j, row in enumerate(lah.rows)]
-    second = r_whitney_second_by_solve(nmax, m, r)
-    return [-v if n % 2 else v for n, v in enumerate(transform(second, sums))]
+    D(n) = sum_j (-1)^(n-j) [sum_k L(j,k)] W(n,j), over streamed rows."""
+    second = families.rows("r-whitney2", {"m": m, "r": r}, nmax)
+    return list(alternating_sums(second, families.rows("r-whitney-lah", {"m": m, "r": r}, nmax), -1))
 
 
 def r_dowling_explicit(n: int, m, r) -> int:
-    """D(n) from `r_dowling_explicit_sequence`."""
-    return r_dowling_explicit_sequence(n, m, r)[n]
+    """D(n) by the same sum over row n of W alone."""
+    second = deque(families.rows("r-whitney2", {"m": m, "r": r}, n), maxlen=1)
+    return next(alternating_sums(second, families.rows("r-whitney-lah", {"m": m, "r": r}, n), -1))

@@ -1,7 +1,7 @@
 """The exact lower-triangular table every number family is stored in, the
-one recurrence engine that builds integer tables, and the whole-table
-algorithms (matrix product, transform, row and column expansions) the
-verification routes run over one prebuilt table."""
+one recurrence engine that builds integer tables, the paper's alternating
+Lah/Stirling sum over streamed rows, and the whole-table algorithms (matrix
+product, transform, row and column expansions) of the verification routes."""
 
 from __future__ import annotations
 
@@ -63,9 +63,6 @@ class Triangle(namedtuple("Triangle", ("rows", "family", "params"))):
     def row(self, n: int) -> tuple:
         return self.rows[n]
 
-    def row_sum(self, n: int):
-        return sum(self.rows[n])
-
     def mul(self, other: "Triangle") -> "Triangle":
         """Triangular matrix product: out(n,m) = sum_j self(n,j) * other(j,m)."""
         if self.nmax != other.nmax:
@@ -126,6 +123,18 @@ def recurrence_triangle(
 def recurrence_row(n: int, d: int, a: int, b: int, c: int) -> tuple:
     """Row n of `recurrence_rows` alone, keeping one row at a time."""
     return deque(recurrence_rows(n, d, a, b, c), maxlen=1)[0]
+
+
+def alternating_sums(second_rows, lah_rows, sign: int = 1):
+    """Yield (-1)^n sum_k W(n,k) sign^k [sum_j L(k,j)] for each row W(n,.) in
+    `second_rows`, the paper's sum for a Bell-type number; it keeps the row
+    sums of L alone, read from `lah_rows` as far as the widest row so far."""
+    lah_rows, sums = iter(lah_rows), []
+    for row in second_rows:
+        while len(sums) < len(row):
+            sums.append(sign ** len(sums) * sum(next(lah_rows)))
+        total = sum(v * s for v, s in zip(row, sums))
+        yield total if len(row) % 2 else -total
 
 
 # ---------------------------------------------------------------------------

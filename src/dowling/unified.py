@@ -19,7 +19,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .basis import connection_matrix, factorial_basis
-from .triangles import Triangle, product, transform
+from .triangles import Triangle, alternating_sums, product
 
 # The mutually inverse matrices s1 and s2 for one parameter triple.
 HSPair = namedtuple("HSPair", "s1 s2")
@@ -54,8 +54,7 @@ def hs_bell_explicit_sequence(nmax: int, params) -> list:
     """Generalized Bell numbers W_0..W_nmax through the alternating Lah-type
     sum W_n = (-1)^n sum_k [sum_j L(k,j)] s1(n,k), over one solved pair."""
     pair = hs_pair_by_solve(nmax, params)
-    sums = [sum(row) for row in signed_product(pair).rows]
-    return [-v if n % 2 else v for n, v in enumerate(transform(pair.s1, sums))]
+    return list(alternating_sums(pair.s1.rows, signed_product(pair).rows))
 
 
 def hs_bell_explicit(n: int, params) -> Fraction:

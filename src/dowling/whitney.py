@@ -9,10 +9,12 @@ the tables, and the two must agree.
 
 from __future__ import annotations
 
+from collections import deque
+
 from . import basis, families
 from .exactmath import binomial
 from .families import check_param
-from .triangles import Triangle, transform
+from .triangles import Triangle, alternating_sums
 
 
 def whitney_first_by_expansion(nmax: int, alpha) -> Triangle:
@@ -38,14 +40,12 @@ def whitney_second_benoumhani_rows(nmax: int, alpha) -> tuple:
 
 def dowling_explicit_sequence(nmax: int, alpha) -> list:
     """Dowling numbers D_0..D_nmax through the alternating Whitney-Lah sum
-    D_n = sum_j (-1)^(n-j) [sum_k (-1)^j L(j,k)] W(n,j), from one triangle
-    of each kind."""
-    lah = families.triangle("whitney-lah", {"alpha": alpha}, nmax)
-    second = families.triangle("whitney2", {"alpha": alpha}, nmax)
-    sums = [sum(row) for row in lah.rows]
-    return [-v if n % 2 else v for n, v in enumerate(transform(second, sums))]
+    D_n = sum_j (-1)^(n-j) [sum_k (-1)^j L(j,k)] W(n,j), over streamed rows."""
+    second = families.rows("whitney2", {"alpha": alpha}, nmax)
+    return list(alternating_sums(second, families.rows("whitney-lah", {"alpha": alpha}, nmax)))
 
 
 def dowling_explicit(n: int, alpha) -> int:
-    """D_n from `dowling_explicit_sequence`."""
-    return dowling_explicit_sequence(n, alpha)[n]
+    """D_n by the same sum over row n of W alone."""
+    second = deque(families.rows("whitney2", {"alpha": alpha}, n), maxlen=1)
+    return next(alternating_sums(second, families.rows("whitney-lah", {"alpha": alpha}, n)))

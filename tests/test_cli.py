@@ -27,11 +27,8 @@ from dowling.unified import hs_pair_by_solve
 
 
 def run(capsys, *argv):
-    """(exit code, stdout, stderr) of one call, argparse's own exits included."""
-    try:
-        code = main(list(argv))
-    except SystemExit as exc:
-        code = exc.code
+    """(exit code, stdout, stderr) of one call."""
+    code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -408,6 +405,44 @@ def test_bench_runs(capsys):
     code, out, _ = run(capsys, "bench", "--family", "stirling2", "--nmax", "40")
     assert code == 0
     assert "peak bits" in out and "elapsed" in out
+
+
+@pytest.mark.parametrize(
+    "family, params",
+    (
+        ("r-whitney-lah", {"m": 3, "r": 2}),
+        ("hs1", {"alpha": Fraction(1, 2), "beta": Fraction(1, 3), "gamma": 2}),
+    ),
+    ids=("r-whitney-lah", "hs1"),
+)
+def test_bench_streams_rows_without_a_whole_triangle(monkeypatch, capsys, family, params):
+    # `bench` counts entries and peak bits row by row; the whole triangle
+    # is the reference.
+    rows = families.triangle(family, params, 30).rows
+    peak = max(max(v.numerator.bit_length(), v.denominator.bit_length()) for row in rows for v in row)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("built a whole triangle")
+
+    monkeypatch.setattr(families, "triangle", refuse)
+    monkeypatch.setattr(triangles, "recurrence_triangle", refuse)
+    argv = [f"--{key}={value}" for key, value in params.items()]
+    code, out, _ = run(capsys, "bench", "--family", family, *argv, "--n", "30")
+    assert code == 0
+    assert out.splitlines()[2:4] == [f"entries       {sum(map(len, rows))}", f"peak bits     {peak}"]
+
+
+def test_main_returns_argparse_exit_codes(capsys):
+    # argparse's usage errors and --help come back from `main` as its exit
+    # code, not as a SystemExit; the usage error stays on stderr.
+    for argv in (["paper-tables", "--nmax", "0"], ["sum", "--family", "bell", "--n", "x"]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("usage: dowling")
+        assert sum("error:" in line for line in captured.err.splitlines()) == 1
+    assert main(["--help"]) == 0 and main(["bench", "--help"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("usage: dowling") and captured.err == ""
 
 
 def test_out_file(tmp_path, capsys):
