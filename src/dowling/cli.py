@@ -118,13 +118,13 @@ _Rows = namedtuple("_Rows", ("nmax", "rows", "int_rows"))
 def _decimal_rows(family: str, params: dict, nmax: int) -> _Rows:
     """Rows of a family from `families.rows`, to be iterated in the
     `EXACT_DECIMALS` context: the engine builds integer entries on
-    `decimal.Decimal`; rational entries, and those of the product `hs-lah`,
-    come as Fractions or ints.  libmpdec stores base-10**19 limbs, so the
-    str of an entry takes time linear in its digits, where that of an int is
-    quadratic.  The parameters are validated here, before any output is
-    opened, and a zero is replaced by its absolute value, so that one that
-    came out as -0 (a negative weight times 0) prints as 0 and each row
-    still holds Decimals only or none."""
+    `decimal.Decimal`; rational entries come as Fractions, and those of the
+    streamed product `hs-lah` as Fractions or ints.  libmpdec stores
+    base-10**19 limbs, so the str of an entry takes time linear in its
+    digits, where that of an int is quadratic.  The parameters are
+    validated here, before any output is opened, and a zero is replaced by
+    its absolute value, so that one that came out as -0 (a negative weight
+    times 0) prints as 0 and each row still holds Decimals only or none."""
     rows = families.rows(family, params, nmax, decimal.Decimal(1))
     return _Rows(
         nmax,
@@ -147,9 +147,9 @@ def render_table(table, out, split: bool = False) -> None:
     the largest and smallest entry of `table.int_rows()`, since the printed
     length of an integer grows with its absolute value, plus one for a
     minus sign.  Every line's length is then known in closed form.  Any
-    other rows, of rational entries or of `hs-lah`, are kept as their strs,
+    other rows, of Fractions or of `hs-lah`'s ints, are kept as their strs,
     so that each entry is printed once (an int's str is quadratic in its
-    digits)."""
+    digits, and a second pass over `hs-lah` would rebuild its product)."""
     rows = iter(table.rows)
     first = next(rows)
     rows = chain((first,), rows)
@@ -466,8 +466,9 @@ def _emit(text: str, out_path: str | None):
 
 def cmd_triangle(args) -> int:
     """Write a triangle as it is built (see `_decimal_rows`), in every
-    format one row at a time; only a table of rational or `hs-lah` entries
-    keeps its strs until the column width is known (see `render_table`).
+    format one row at a time, `hs-lah` too; only a table whose rows are not
+    decimals (rational or `hs-lah` entries) keeps its strs until the column
+    width is known (see `render_table`).
     The --out file is opened here to be written from its start, so a large
     integer triangle may go out from two processes (see `_split_row`)."""
     if args.family not in FAMILIES:

@@ -16,8 +16,10 @@ are integers, the integer recurrence gives U(n,k), and
 S(n,k) = U(n,k) / D^(n-k) is read off one row at a time.
 
 `hs-lah` is the one family without a two-term linear recurrence (at
-(1, 0, 0) the weights fitted to row 4 are 13/3, 5, 6), so it is built as the
-signed product sum_k (-1)^k s2(n,k) s1(k,j) of two engine triangles.
+(1, 0, 0) the weights fitted to row 4 are 13/3, 5, 6), so its rows stream as
+the signed product sum_k (-1)^k U2(n,k) U1(k,j) of the scaled hs2 and hs1
+rows, both at the triple's one D, whose powers then read off the same way.
+`triangle` gathers the rows of every family into a `Triangle`.
 """
 
 from __future__ import annotations
@@ -163,11 +165,15 @@ def rows(name: str, params: dict, nmax: int, one=1):
     """Yield the rows 0..nmax of a family, one at a time.  Where the entries
     are integers (scale 1) they come straight from the engine, of the type
     of `one` (see `triangles.recurrence_rows`); otherwise they are exact
-    rationals read off the scaled int rows.  `hs-lah` is built whole before
-    its first row.  The parameters are validated at the call, before the
-    first row is asked for."""
+    rationals read off the scaled int rows.  `hs-lah` streams the signed
+    product of the hs2 and hs1 rows at the triple's one scale, as ints or
+    Fractions whatever `one`.  The parameters are validated at the call,
+    before the first row is asked for."""
     if name == "hs-lah":
-        return iter(_hs_lah(params, nmax).rows)
+        params = _validate(name, params)
+        scale = _denominator(params.values())
+        s2, s1 = (triangles.recurrence_rows(nmax, *_engine(kind, params, scale)[2]) for kind in ("hs2", "hs1"))
+        return _read_off(triangles.product(s2, s1, signed=True), scale)
     _, scale, weights = _engine(name, params)
     if scale == 1:
         return triangles.recurrence_rows(nmax, *weights, one)
@@ -175,15 +181,9 @@ def rows(name: str, params: dict, nmax: int, one=1):
 
 
 def triangle(name: str, params: dict, nmax: int) -> Triangle:
-    """Rows 0..nmax of a family: ints, or exact rationals for a rational
-    family whose weights have denominators."""
-    if name == "hs-lah":
-        return _hs_lah(params, nmax)
-    params, scale, weights = _engine(name, params)
-    built = triangles.recurrence_triangle(name, params, nmax, *weights)
-    if scale == 1:
-        return built
-    return Triangle(_read_off(built.rows, scale), name, params)
+    """Rows 0..nmax of a family gathered from `rows`: ints, or exact
+    rationals for a rational family whose weights have denominators."""
+    return Triangle(rows(name, params, nmax), name, _validate(name, params))
 
 
 def _explicit_sum(n: int, b: int, c: int) -> int:
@@ -236,33 +236,3 @@ def row_sum(name: str, params: dict, n: int):
     for u in reversed(row):
         total = total * scale + u
     return Fraction(total, scale**n)
-
-
-def hs_scaled_pair(params: dict, nmax: int) -> tuple:
-    """(D, U1, U2): integer rows with s1(n,k) = U1(n,k)/D^(n-k) and
-    s2(n,k) = U2(n,k)/D^(n-k) for one Hsu-Shiue triple, D the lcm of the
-    denominators of alpha, beta, gamma.
-
-    The pair is asserted mutually inverse, its defining invariant.  The
-    powers of D cancel in the product, so s1 s2 = I reads
-    sum_j U1(n,j) U2(j,m) = [n = m] on the scaled integers.
-    """
-    params = _validate("hs1", params)
-    scale = _denominator(params.values())
-    _, _, w1 = _engine("hs1", params, scale)
-    _, _, w2 = _engine("hs2", params, scale)
-    u1 = triangles.recurrence_triangle("hs1", params, nmax, *w1).rows
-    u2 = triangles.recurrence_triangle("hs2", params, nmax, *w2).rows
-    for n in range(nmax + 1):
-        row = u1[n]
-        for m in range(n):
-            if sum(row[j] * u2[j][m] for j in range(m, n + 1)):
-                raise AssertionError("connection pair failed to be mutually inverse")
-    return scale, u1, u2
-
-
-def _hs_lah(params: dict, nmax: int) -> Triangle:
-    """L(n,j) = sum_k (-1)^k s2(n,k) s1(k,j) = [sum_k (-1)^k U2(n,k) U1(k,j)] / D^(n-j)."""
-    params = _validate("hs-lah", params)
-    scale, u1, u2 = hs_scaled_pair(params, nmax)
-    return Triangle(_read_off(triangles.product(u2, u1, signed=True), scale), "hs-lah", params)

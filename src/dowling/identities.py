@@ -306,7 +306,7 @@ def lah_route(kind, family, nmax, **point) -> tuple:
     if kind == "horizontal":
         return horizontal_rows(families.triangle(family, params, nmax + 1), nmax, 2 * r, m, sign)
     if kind == "product":
-        return product(first(nmax, **params).rows, second(nmax, **params).rows, signed=sign == -1)
+        return tuple(product(first(nmax, **params).rows, second(nmax, **params).rows, signed=sign == -1))
     raise ValueError(f"unknown Lah-type route {kind!r}")
 
 

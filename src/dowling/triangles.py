@@ -1,7 +1,8 @@
 """The exact lower-triangular table every number family is stored in, the
 one recurrence engine that builds integer tables, the paper's alternating
-Lah/Stirling sum over streamed rows, and the whole-table algorithms (matrix
-product, transform, row and column expansions) of the verification routes."""
+Lah/Stirling sum and the triangular matrix product over streamed rows, and
+the whole-table algorithms (transform, row and column expansions) of the
+verification routes."""
 
 from __future__ import annotations
 
@@ -137,6 +138,20 @@ def alternating_sums(second_rows, lah_rows, sign: int = 1):
         yield total if len(row) % 2 else -total
 
 
+def product(first, second, signed: bool = False):
+    """Yield the rows of the triangular matrix product sum_j first(n,j)
+    second(j,k), with the terms of odd j negated when `signed`, for each row
+    of `first`; `second` is read as far as the widest row so far."""
+    second, seen = iter(second), []
+    for row in first:
+        while len(seen) < len(row):
+            seen.append(next(second))
+        if signed:
+            row = [-v if j % 2 else v for j, v in enumerate(row)]
+        n = len(row) - 1
+        yield tuple(sum(row[j] * seen[j][k] for j in range(k, n + 1)) for k in range(n + 1))
+
+
 # ---------------------------------------------------------------------------
 # whole-table algorithms over prebuilt rows
 
@@ -149,19 +164,6 @@ def transform(table, seq) -> list:
     if len(seq) > len(rows):
         raise ValueError("sequence longer than the table")
     return [sum(v * s for v, s in zip(rows[n], seq)) for n in range(len(seq))]
-
-
-def product(first, second, signed: bool = False) -> tuple:
-    """Rows of the triangular matrix product sum_j first(n,j) second(j,k),
-    with the terms of odd j negated when `signed`; both arguments are rows."""
-    out = []
-    for n, row in enumerate(first):
-        if signed:
-            row = [-v if j % 2 else v for j, v in enumerate(row)]
-        out.append(
-            tuple(sum(row[j] * second[j][k] for j in range(k, n + 1)) for k in range(n + 1))
-        )
-    return tuple(out)
 
 
 def checkerboard(table):

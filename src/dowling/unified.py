@@ -29,8 +29,8 @@ def hs_pair_by_solve(nmax: int, params) -> HSPair:
     """Verification route: both connection matrices, solved exactly.
 
     Both target bases have unit leading scale, so they are always graded and
-    the solve cannot degenerate.  Mutual inversion is asserted as in
-    `families.hs_scaled_pair`.
+    the solve cannot degenerate.  Mutual inversion is asserted, the pair's
+    defining invariant; `hs-ortho` and `invrel` check the engine rows for it.
     """
     alpha, beta, gamma = map(Fraction, params)
     source1 = factorial_basis(1, 0, alpha, nmax)
@@ -52,9 +52,13 @@ def signed_product(pair: HSPair) -> Triangle:
 
 def hs_bell_explicit_sequence(nmax: int, params) -> list:
     """Generalized Bell numbers W_0..W_nmax through the alternating Lah-type
-    sum W_n = (-1)^n sum_k [sum_j L(k,j)] s1(n,k), over one solved pair."""
+    sum W_n = (-1)^n sum_k [sum_j L(k,j)] s1(n,k), over one solved pair.
+    The row sums of L are the matrix-vector product
+    sum_i (-1)^i s2(k,i) [sum_j s1(i,j)]: `alternating_sums` with sign -1
+    gives them times (-1)^k, a sign the outer sum's sign -1 takes back."""
     pair = hs_pair_by_solve(nmax, params)
-    return list(alternating_sums(pair.s1.rows, signed_product(pair).rows))
+    lah_sums = alternating_sums(pair.s2.rows, ((sum(row),) for row in pair.s1.rows), -1)
+    return list(alternating_sums(pair.s1.rows, ((v,) for v in lah_sums), -1))
 
 
 def hs_bell_explicit(n: int, params) -> Fraction:

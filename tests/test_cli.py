@@ -217,14 +217,10 @@ def test_table_streams_in_one_rows_memory(tmp_path):
         assert sum(1 for _ in lines) == 301
 
 
-@pytest.mark.parametrize(
-    "family, params",
-    _family_points(name for name in families.FAMILIES if name != "hs-lah"),
-    ids=_point_id,
-)
+@pytest.mark.parametrize("family, params", _family_points(families.FAMILIES), ids=_point_id)
 def test_engine_families_print_without_a_whole_triangle(monkeypatch, capsys, family, params):
-    # Every family but the product `hs-lah` streams from the engine's rows;
-    # none may build a `Triangle` to print.
+    # Every family streams from the engine's rows, `hs-lah` as the product
+    # of two row streams; none may build a `Triangle` to print.
     table = families.triangle(family, params, 6)
     expected = {fmt: _int_rendering(table, fmt, family, params) for fmt in ("table", "csv", "json")}
 

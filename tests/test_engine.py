@@ -8,10 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dowling import classic, families, rnumbers, unified, whitney
+from dowling import classic, families, identities, rnumbers, unified, whitney
 from dowling.exactmath import IntegralityError
 from dowling.identities import _MR_GRID
-from dowling.triangles import Triangle, recurrence_row, recurrence_rows, recurrence_triangle
+from dowling.triangles import Triangle, product, recurrence_row, recurrence_rows, recurrence_triangle
 from dowling.unified import hs_pair_by_solve, signed_product
 
 F = Fraction
@@ -56,6 +56,35 @@ def test_rolling_row_matches_the_whole_triangle():
         rows = tuple(recurrence_rows(40, *weights))
         assert recurrence_triangle("t", {}, 40, *weights).rows == rows
         assert recurrence_row(40, *weights) == rows[40]
+
+
+def whole_product(first, second, signed=False) -> tuple:
+    """The rows of `triangles.product` as it read before it streamed: both
+    arguments whole tables of rows."""
+    out = []
+    for n, row in enumerate(first):
+        if signed:
+            row = [-v if j % 2 else v for j, v in enumerate(row)]
+        out.append(tuple(sum(row[j] * second[j][k] for j in range(k, n + 1)) for k in range(n + 1)))
+    return tuple(out)
+
+
+def rows_through(rows, n):
+    """Rows 0..n of `rows`, as an iterator that raises when asked for more."""
+    yield from rows[: n + 1]
+    raise AssertionError(f"read past row {n}")
+
+
+@pytest.mark.parametrize("signed", (False, True))
+def test_product_streams_the_whole_table_product(signed):
+    nmax = 12
+    s1, s2 = (families.triangle(name, {}, nmax).rows for name in ("stirling1", "stirling2"))
+    hs1, hs2 = (families.triangle(name, named((F(1, 2), F(1, 3), 2)), nmax).rows for name in ("hs1", "hs2"))
+    for first, second in ((s2, s1), (hs2, hs1), (s1, hs1), (hs2, s2)):
+        want = whole_product(first, second, signed)
+        for n in range(nmax + 1):
+            # Rows 0..n of the product read rows 0..n of `second` alone.
+            assert tuple(product(first[: n + 1], rows_through(second, n), signed)) == want[: n + 1]
 
 
 def test_stirling1_engine_vs_expansion():
@@ -147,14 +176,21 @@ def test_explicit_sum_asserts_exact_division(monkeypatch):
 
 
 def test_hs_pair_asserts_mutual_inverse(monkeypatch):
-    # A wrong s2 weight must trip the assertion on the scaled integers.
-    broken = dict(families.FAMILIES)
-    broken["hs2"] = families.Family(
-        ("alpha", "beta", "gamma"), lambda p: (1, -p["beta"], p["alpha"], p["beta"] + p["gamma"]), True
-    )
-    monkeypatch.setattr(families, "FAMILIES", broken)
-    with pytest.raises(AssertionError):
-        families.hs_scaled_pair(named((F(1, 2), F(1, 3), 2)), 4)
+    # The pair's mutual inversion is checked by `invrel` (solved s1, engine
+    # s2) and `hs-ortho` (engine s1, solved s2), not on every build.  A wrong
+    # weight of either engine family must fail the identity that reads it:
+    # hs2's gamma term with its sign flipped, hs1's beta term likewise.
+    broken = {
+        ("hs2", "invrel"): lambda p: (1, -p["beta"], p["alpha"], p["beta"] + p["gamma"]),
+        ("hs1", "hs-ortho"): lambda p: (1, -p["alpha"], -p["beta"], p["alpha"] + p["gamma"]),
+    }
+    for (name, identity), weights in broken.items():
+        assert identities.report(identities.REGISTRY[identity])["pass"]
+        table = dict(families.FAMILIES)
+        table[name] = families.Family(("alpha", "beta", "gamma"), weights, True)
+        with monkeypatch.context() as patch:
+            patch.setattr(families, "FAMILIES", table)
+            assert not identities.report(identities.REGISTRY[identity])["pass"], identity
 
 
 small_rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
