@@ -5,6 +5,8 @@ Every family and sum is built by one engine, `families.triangle(name,
 params, nmax)` and `families.row_sum(name, params, n)`; the functions
 exported beside it are the paper's explicit formulas and the other
 verification routes, each an independent way to the same numbers.  The
+explicit formulas of the four integer Bell-type sums are one table,
+`classic.EXPLICIT`, read by `explicit_sequence` and `explicit_sum`.  The
 identity registry that checks them against the engine is
 `dowling.identities`, imported on demand; the vertical, horizontal and
 product routes of the four Lah-type families are built there, by
@@ -13,18 +15,17 @@ product routes of the four Lah-type families are built there, by
 
 from . import families
 from .classic import (
+    EXPLICIT,
+    explicit_sequence,
+    explicit_sum,
     lah_egf_check,
     lah_explicit,
     lah_signless,
     partial_bell,
-    qi_bell,
     stirling1_by_expansion,
 )
 from .rnumbers import (
-    r_bell_explicit,
-    r_bell_explicit_sequence,
     r_dowling_explicit,
-    r_dowling_explicit_sequence,
     r_inverse_pair,
     r_whitney_first_by_solve,
     r_whitney_lah_explicit,
@@ -34,14 +35,12 @@ from .rnumbers import (
 )
 from .triangles import Triangle, transform
 from .unified import (
-    cakic_by_solve,
     hs_bell_explicit,
     hs_bell_explicit_sequence,
     hs_pair_by_solve,
 )
 from .whitney import (
     dowling_explicit,
-    dowling_explicit_sequence,
     whitney_first_by_expansion,
     whitney_second_benoumhani_rows,
 )

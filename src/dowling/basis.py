@@ -49,6 +49,8 @@ def monomial_basis(nmax: int) -> PolyBasis:
 
 def factorial_basis(a, b, m, nmax: int) -> PolyBasis:
     """Elements prod_{i<n} (a*x + b - i*m), built incrementally."""
+    if nmax < 0:
+        raise ValueError("nmax must be nonnegative")
     if a == 0 and nmax >= 1:
         raise DegenerateBasisError("zero leading scale gives a degenerate basis")
     elems = [Poly((1,))]
@@ -59,6 +61,8 @@ def factorial_basis(a, b, m, nmax: int) -> PolyBasis:
 
 def power_basis(base: Poly, nmax: int) -> PolyBasis:
     """Powers base^n of a degree-one polynomial."""
+    if nmax < 0:
+        raise ValueError("nmax must be nonnegative")
     if base.degree != 1:
         raise DegenerateBasisError("power basis needs a polynomial of degree exactly 1")
     elems = [Poly((1,))]

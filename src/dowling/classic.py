@@ -1,6 +1,8 @@
 """Verification routes for the Stirling numbers of both kinds, the Lah
-numbers and the Bell numbers, plus partial Bell polynomials and Qi's
-alternating Lah/Stirling expression for the Bell numbers.
+numbers and the Bell numbers, plus partial Bell polynomials and `EXPLICIT`,
+the paper's alternating Lah/Stirling formula for each integer Bell-type sum:
+Qi's formula for the Bell numbers and its Dowling, r-Bell and r-Dowling
+generalizations, declared once as data.
 
 The engine in `families` builds every family; the routes here compute it
 another way, and the test suite pins them against each other and against
@@ -59,13 +61,35 @@ def lah_egf_check(k: int, order: int) -> bool:
     )
 
 
-def qi_bell(n: int) -> int:
-    """Bell number through the alternating double sum
-    B_n = sum_k (-1)^(n-k) [sum_j L(k,j)] S(n,k) over signless Lah numbers
-    (the r-Lah numbers at r = 0); only row n of S and the Lah row sums are
-    kept."""
-    second = deque(families.rows("stirling2", {}, n), maxlen=1)
-    return next(alternating_sums(second, families.rows("r-lah", {"r": 0}, n), -1))
+# The paper's explicit formula for each integer sum of `families.SUMS`,
+#
+#     (-1)^n sum_k W(n,k) sign^k [sum_j L(k,j)],
+#
+# over the sum's second-kind family W and a Lah-type family L: (L, its
+# parameters as a function of the sum's, sign).  At `bell` it is Qi's formula
+# over the signless Lah numbers, the r-Lah numbers at r = 0.
+EXPLICIT = {
+    "bell": ("r-lah", lambda p: {"r": 0}, -1),
+    "dowling": ("whitney-lah", dict, 1),
+    "r-bell": ("r-lah", dict, -1),
+    "r-dowling": ("r-whitney-lah", dict, -1),
+}
+
+
+def explicit_sequence(name: str, params: dict, nmax: int) -> list:
+    """The sum `name` of `EXPLICIT` at n = 0..nmax by its explicit formula,
+    over the streamed rows of both kinds."""
+    lah, lah_params, sign = EXPLICIT[name]
+    second = families.rows(families.SUMS[name], params, nmax)
+    return list(alternating_sums(second, families.rows(lah, lah_params(params), nmax), sign))
+
+
+def explicit_sum(name: str, params: dict, n: int) -> int:
+    """The sum `name` of `EXPLICIT` at n by the same formula over row n of W
+    alone."""
+    lah, lah_params, sign = EXPLICIT[name]
+    second = deque(families.rows(families.SUMS[name], params, n), maxlen=1)
+    return next(alternating_sums(second, families.rows(lah, lah_params(params), n), sign))
 
 
 def partial_bell_rows(nmax: int, xs) -> tuple:

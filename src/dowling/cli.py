@@ -21,7 +21,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 from itertools import chain, islice
 
-from . import classic, families, rnumbers, whitney
+from . import classic, families
 from .families import FAMILIES
 
 
@@ -30,8 +30,8 @@ class UsageError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# families and sums: the table in `families`, plus Qi's alternating double
-# sum for the Bell numbers, which is no row sum of one family
+# families and sums: the table in `families`, plus `qi-bell`, the Bell
+# numbers by Qi's formula, `classic.EXPLICIT["bell"]`, which is no row sum
 
 
 SUMS = {**families.SUMS, "qi-bell": None}
@@ -45,7 +45,7 @@ def _sum_needs(name: str) -> tuple:
 def _sum_value(name: str, params: dict, n: int):
     family = SUMS[name]
     if family is None:
-        return classic.qi_bell(n)
+        return classic.explicit_sum("bell", {}, n)
     return families.row_sum(family, params, n)
 
 
@@ -367,6 +367,7 @@ def _paper_tables() -> tuple:
         polys = WHITNEY_LAH_ALPHA_POLYS
         return tuple(tuple(sum(c * alpha**i for i, c in enumerate(p)) for p in row) for row in polys)
 
+    explicit = classic.explicit_sum
     steps = (1, 2, 3, 4)
     rwl = rows("r-whitney-lah", {"m": 2, "r": 2}, 4)
     return (
@@ -404,14 +405,14 @@ def _paper_tables() -> tuple:
             ((1,), (4, 1), (24, 12, 1), (192, 144, 24, 1), (1920, 1920, 480, 40, 1)),
         ),
         ("r-whitney-lah m=2 r=2 row sums", tuple(map(sum, rwl)), (1, 5, 37, 361, 4361)),
-        ("worked check: dowling-explicit(3, alpha=3) = 35", whitney.dowling_explicit(3, 3), 35),
+        ("worked check: dowling-explicit(3, alpha=3) = 35", explicit("dowling", {"alpha": 3}, 3), 35),
         (
             "worked check: bell(4) = 15 via unit-step dowling",
             (_sum_value("bell", {}, 4), _sum_value("dowling", {"alpha": 1}, 3)),
             (15, 15),
         ),
-        ("worked check: r-bell-explicit(3, r=2) = 37", rnumbers.r_bell_explicit(3, 2), 37),
-        ("worked check: r-dowling-explicit(4, m=2, r=2) = 257", rnumbers.r_dowling_explicit(4, 2, 2), 257),
+        ("worked check: r-bell-explicit(3, r=2) = 37", explicit("r-bell", {"r": 2}, 3), 37),
+        ("worked check: r-dowling-explicit(4, m=2, r=2) = 257", explicit("r-dowling", {"m": 2, "r": 2}, 4), 257),
     )
 
 

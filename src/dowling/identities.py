@@ -119,9 +119,9 @@ class Predicate(namedtuple("Predicate", ("points", "expected", "notes"), default
         return [_failure(n, k, self.expected, "mismatch") for n, k, holds in points if not holds], self.notes
 
 
-def _each(value):
-    """The sequence n -> value(n, ...) for n = 0..nmax."""
-    return lambda nmax, *args, **point: [value(n, *args, **point) for n in range(nmax + 1)]
+def _explicit(name):
+    """The sum `name` of `classic.EXPLICIT` at n = 0..nmax by its explicit formula."""
+    return lambda nmax, **point: classic.explicit_sequence(name, point, nmax)
 
 
 def _entrywise(entry):
@@ -201,7 +201,6 @@ _ROUTES = {
     "solved s1": lambda nmax, point, pair: pair.s1.rows,
     "solved L": lambda nmax, point, pair: unified.signed_product(pair).rows,
     "engine L": lambda nmax, point, pair: families.triangle("hs-lah", dict(zip(_HS, point)), nmax).rows,
-    "defining solve": lambda nmax, point, pair: unified.cakic_by_solve(nmax, point[0]).rows,
 }
 _S1, _L = ("solved s1",), ("solved L", "engine L")
 
@@ -228,7 +227,7 @@ SPECIALIZATIONS = (
     ("r-whitney-lah", "L(n,k) = (-1)^n L(n,k; 0, m, r) as printed",
      "r-whitney-lah", {"m": 2, "r": 2}, (0, 2, 2), _L, "(-1)^n"),
     ("cakic", "c(n,k) = S(n,k; +alpha, 1, 0); the printed reduction negates alpha",
-     "cakic", {"alpha": 2}, (2, 1, 0), ("solved s1", "defining solve"), "as printed"),
+     "cakic", {"alpha": 2}, (2, 1, 0), _S1, "as printed"),
 )
 
 
@@ -421,7 +420,7 @@ REGISTRY = {
         Identity("verlah", {"nmax": 20}, Tables(_LAH, _lah_routes("lah", vertical=0))),
         Identity("horilah", {"nmax": 20}, Tables(_LAH, _lah_routes("lah", horizontal=0), _HORILAH)),
         Identity("lgf", {"nmax": 20}, Predicate(_lgf, _SERIES), fixed={"kmax": 5}),
-        Identity("qi", {"nmax": 25}, Sequences(_sums("stirling2"), _each(classic.qi_bell))),
+        Identity("qi", {"nmax": 25}, Sequences(_sums("stirling2"), _explicit("bell"))),
         Identity("ordlahstirling", {"nmax": 15}, Tables(_LAH, _lah_routes("lah", product=0))),
         Identity("stirling-inverse", {"nmax": 9}, Roundtrip(_stirling_pair)),
         Identity("partial-bell", {"nmax": 10}, _partial_bell),
@@ -439,13 +438,11 @@ REGISTRY = {
             {"nmax": 15, "alpha": 3},
             Tables(_table("whitney2"), _all_columns(whitney.whitney_second_benoumhani_rows)),
         ),
-        Identity(
-            "dow1", {"nmax": 10, "alpha": 3}, Sequences(_sums("whitney2"), whitney.dowling_explicit_sequence)
-        ),
+        Identity("dow1", {"nmax": 10, "alpha": 3}, Sequences(_sums("whitney2"), _explicit("dowling"))),
         Identity("bell-reduction", {"nmax": 12}, _bell_reduction),
         Identity("lah1", _R, Tables(_table("r-lah"), _lah_routes("r-lah", product=0))),
         Identity("lah4", {"nmax": 7, "r": 2}, Roundtrip(rnumbers.r_inverse_pair)),
-        Identity("expb", _R, Sequences(_sums("r-stirling2"), rnumbers.r_bell_explicit_sequence)),
+        Identity("expb", _R, Sequences(_sums("r-stirling2"), _explicit("r-bell"))),
         Identity(
             "weighted-egf",
             {"nmax": 12, "r": 2},
@@ -463,7 +460,7 @@ REGISTRY = {
                 _RW_LAH, _RW_EXPLICIT + _lah_routes("r-whitney-lah", product=0, vertical=1, horizontal=0), _RWLAH
             ),
         ),
-        Identity("expl-rdow", _RW, Sequences(_sums("r-whitney2"), rnumbers.r_dowling_explicit_sequence)),
+        Identity("expl-rdow", _RW, Sequences(_sums("r-whitney2"), _explicit("r-dowling"))),
         Identity(
             "ugexp",
             {"nmax": 10},

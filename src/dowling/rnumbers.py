@@ -1,5 +1,7 @@
-"""Verification routes for the r-Stirling, r-Lah, r-Bell, r-Whitney,
-r-Whitney-Lah and r-Dowling numbers.
+"""Verification routes for the r-Stirling, r-Lah, r-Whitney and
+r-Whitney-Lah numbers; the explicit formulas of the r-Bell and r-Dowling
+numbers are declared with the paper's other Bell-type formulas in
+`classic.EXPLICIT`.
 
 Indexing follows the shifted convention: the (n, k) entry of an r-family
 refers to a ground set of n+r elements split into k+r blocks, with the r
@@ -12,7 +14,7 @@ import math
 from collections import deque
 from fractions import Fraction
 
-from . import basis, families
+from . import basis, classic, families
 from .exactmath import (
     Poly,
     Series,
@@ -22,7 +24,7 @@ from .exactmath import (
     generalized_rising,
 )
 from .families import check_param
-from .triangles import Triangle, alternating_sums, checkerboard
+from .triangles import Triangle, checkerboard
 
 
 def weighted_stirling_egf_check(nmax: int, r, order: int) -> bool:
@@ -50,27 +52,6 @@ def r_inverse_pair(nmax: int, r) -> tuple:
     return first, checkerboard(second)
 
 
-def r_bell_explicit_sequence(nmax: int, r) -> list:
-    """r-Bell numbers B(0..nmax) through the alternating r-Lah sum
-    B(n) = sum_k (-1)^(n-k) S(n,k) [sum_j L(k,j)], over streamed rows."""
-    second = families.rows("r-stirling2", {"r": r}, nmax)
-    return list(alternating_sums(second, families.rows("r-lah", {"r": r}, nmax), -1))
-
-
-def r_bell_explicit(n: int, r) -> int:
-    """B(n) by the same sum over row n of S alone."""
-    second = deque(families.rows("r-stirling2", {"r": r}, n), maxlen=1)
-    return next(alternating_sums(second, families.rows("r-lah", {"r": r}, n), -1))
-
-
-def _scaled_falling_basis(m: int, nmax: int) -> basis.PolyBasis:
-    """Elements m^k * x(x-1)...(x-k+1)."""
-    elems = [Poly((1,))]
-    for k in range(1, nmax + 1):
-        elems.append(elems[-1] * Poly((-(k - 1), 1)) * m)
-    return basis.PolyBasis(tuple(elems))
-
-
 def r_whitney_second_recurrence(nmax: int, m, r) -> Triangle:
     """The engine's r-Whitney second-kind triangle, by the name `perfbench/pin.py` calls."""
     return families.triangle("r-whitney2", {"m": m, "r": r}, nmax)
@@ -82,7 +63,7 @@ def r_whitney_second_by_solve(nmax: int, m, r) -> Triangle:
     m = check_param("m", m)
     r = check_param("r", r)
     source = basis.power_basis(Poly((r, m)), nmax)
-    mat = basis.connection_matrix(source, _scaled_falling_basis(m, nmax))
+    mat = basis.connection_matrix(source, basis.factorial_basis(m, 0, m, nmax))
     return mat.to_triangle("r-whitney2", {"m": m, "r": r})
 
 
@@ -92,7 +73,7 @@ def r_whitney_first_by_solve(nmax: int, m, r) -> Triangle:
     m = check_param("m", m)
     r = check_param("r", r)
     mat = basis.connection_matrix(
-        _scaled_falling_basis(m, nmax), basis.power_basis(Poly((r, m)), nmax)
+        basis.factorial_basis(m, 0, m, nmax), basis.power_basis(Poly((r, m)), nmax)
     )
     return checkerboard(mat).to_triangle("r-whitney1", {"m": m, "r": r})
 
@@ -130,14 +111,6 @@ def verify_log_concavity(n: int, m, r) -> bool:
     )
 
 
-def r_dowling_explicit_sequence(nmax: int, m, r) -> list:
-    """r-Dowling numbers D(0..nmax) through the alternating r-Whitney-Lah sum
-    D(n) = sum_j (-1)^(n-j) [sum_k L(j,k)] W(n,j), over streamed rows."""
-    second = families.rows("r-whitney2", {"m": m, "r": r}, nmax)
-    return list(alternating_sums(second, families.rows("r-whitney-lah", {"m": m, "r": r}, nmax), -1))
-
-
 def r_dowling_explicit(n: int, m, r) -> int:
-    """D(n) by the same sum over row n of W alone."""
-    second = deque(families.rows("r-whitney2", {"m": m, "r": r}, n), maxlen=1)
-    return next(alternating_sums(second, families.rows("r-whitney-lah", {"m": m, "r": r}, n), -1))
+    """D(n) by the paper's alternating r-Whitney-Lah sum, `classic.EXPLICIT["r-dowling"]`."""
+    return classic.explicit_sum("r-dowling", {"m": m, "r": r}, n)

@@ -1,7 +1,7 @@
 """Verification routes for the two-parameter-plus-shift Stirling pair of
-Hsu and Shiue: the pair by connection solve, the Lah-type numbers and the
-generalized Bell sums built from it, and the Cakic numbers by their defining
-solve.  A parameter triple is the plain tuple (alpha, beta, gamma).
+Hsu and Shiue: the pair by connection solve, and the Lah-type numbers and
+the generalized Bell sums built from it.  A parameter triple is the plain
+tuple (alpha, beta, gamma).
 
 The pair (s1, s2) consists of the connection coefficients
 
@@ -64,9 +64,3 @@ def hs_bell_explicit_sequence(nmax: int, params) -> list:
 def hs_bell_explicit(n: int, params) -> Fraction:
     """W_n from `hs_bell_explicit_sequence`."""
     return hs_bell_explicit_sequence(n, params)[n]
-
-
-def cakic_by_solve(nmax: int, alpha) -> Triangle:
-    """Verification route: the Cakic numbers by their defining connection
-    solve, the step-alpha falling factorials of x in plain falling factorials."""
-    return connection_matrix(factorial_basis(1, 0, alpha, nmax), factorial_basis(1, 0, 1, nmax))

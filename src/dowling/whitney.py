@@ -1,5 +1,6 @@
-"""Verification routes for the Whitney numbers of both kinds and the
-Dowling numbers; the Whitney-Lah routes are declared with the other
+"""Verification routes for the Whitney numbers of both kinds; the Dowling
+numbers' explicit formula is declared with the paper's other Bell-type
+formulas in `classic.EXPLICIT`, and the Whitney-Lah routes with the other
 Lah-type families in `identities.LAH_TYPES`.
 
 The step parameter alpha is a nonzero integer; the polynomial machinery in
@@ -9,12 +10,10 @@ the tables, and the two must agree.
 
 from __future__ import annotations
 
-from collections import deque
-
-from . import basis, families
+from . import basis, classic, families
 from .exactmath import binomial
 from .families import check_param
-from .triangles import Triangle, alternating_sums
+from .triangles import Triangle
 
 
 def whitney_first_by_expansion(nmax: int, alpha) -> Triangle:
@@ -38,14 +37,6 @@ def whitney_second_benoumhani_rows(nmax: int, alpha) -> tuple:
     )
 
 
-def dowling_explicit_sequence(nmax: int, alpha) -> list:
-    """Dowling numbers D_0..D_nmax through the alternating Whitney-Lah sum
-    D_n = sum_j (-1)^(n-j) [sum_k (-1)^j L(j,k)] W(n,j), over streamed rows."""
-    second = families.rows("whitney2", {"alpha": alpha}, nmax)
-    return list(alternating_sums(second, families.rows("whitney-lah", {"alpha": alpha}, nmax)))
-
-
 def dowling_explicit(n: int, alpha) -> int:
-    """D_n by the same sum over row n of W alone."""
-    second = deque(families.rows("whitney2", {"alpha": alpha}, n), maxlen=1)
-    return next(alternating_sums(second, families.rows("whitney-lah", {"alpha": alpha}, n)))
+    """D_n by the paper's alternating Whitney-Lah sum, `classic.EXPLICIT["dowling"]`."""
+    return classic.explicit_sum("dowling", {"alpha": alpha}, n)

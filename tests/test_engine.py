@@ -3,6 +3,7 @@ as verification: polynomial expansion, connection solves, and full-triangle
 row sums."""
 
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -49,6 +50,30 @@ def test_engine_rejects_bad_input():
         recurrence_row(-1, 1, 0, 1, 0)
     with pytest.raises(ValueError):
         families.row_sum("stirling2", {}, -1)
+
+
+# Every solve, expansion and explicit-formula route as a function of its size.
+_ANY = {"alpha": 3, "m": 2, "r": 2}
+_SIZED_ROUTES = {
+    "stirling1_by_expansion": classic.stirling1_by_expansion,
+    "whitney_first_by_expansion": lambda n: whitney.whitney_first_by_expansion(n, 3),
+    "r_whitney_first_by_solve": lambda n: rnumbers.r_whitney_first_by_solve(n, 2, 2),
+    "r_whitney_second_by_solve": lambda n: rnumbers.r_whitney_second_by_solve(n, 2, 2),
+    "hs_pair_by_solve": lambda n: hs_pair_by_solve(n, (0, 1, 2)),
+    "hs_bell_explicit": lambda n: unified.hs_bell_explicit(n, (0, 1, 2)),
+    "hs_bell_explicit_sequence": lambda n: unified.hs_bell_explicit_sequence(n, (0, 1, 2)),
+    "dowling_explicit": lambda n: whitney.dowling_explicit(n, 3),
+    "r_dowling_explicit": lambda n: rnumbers.r_dowling_explicit(n, 2, 2),
+    **{f"explicit_sum-{name}": partial(classic.explicit_sum, name, _ANY) for name in classic.EXPLICIT},
+    **{f"explicit_sequence-{name}": partial(classic.explicit_sequence, name, _ANY) for name in classic.EXPLICIT},
+}
+
+
+@pytest.mark.parametrize("route", sorted(_SIZED_ROUTES))
+def test_routes_reject_a_negative_size(route):
+    with pytest.raises(ValueError, match="nmax must be nonnegative"):
+        _SIZED_ROUTES[route](-1)
+    assert _SIZED_ROUTES[route](0) is not None
 
 
 def test_rolling_row_matches_the_whole_triangle():
@@ -127,8 +152,10 @@ def test_hs_families_from_the_table_match_the_pair():
 
 
 def test_cakic_engine_vs_defining_solve():
+    # The defining solve of the Cakic numbers is the solved s1 at (alpha, 1, 0).
     for alpha in (2, -3, F(1, 2)):
-        assert families.triangle("cakic", {"alpha": alpha}, 20).rows == unified.cakic_by_solve(20, alpha).rows
+        solved = hs_pair_by_solve(20, (alpha, 1, 0)).s1
+        assert families.triangle("cakic", {"alpha": alpha}, 20).rows == solved.rows
 
 
 def test_rolling_sums_vs_full_solved_rows():
@@ -142,7 +169,7 @@ def test_rolling_sums_vs_full_solved_rows():
         assert dowling == [sum(row) for row in second.rows]
     s2 = families.triangle("stirling2", {}, 30)
     assert [families.row_sum("stirling2", {}, n) for n in range(31)] == [sum(row) for row in s2.rows]
-    assert [classic.qi_bell(n) for n in range(31)] == [sum(row) for row in s2.rows]
+    assert classic.explicit_sequence("bell", {}, 30) == [sum(row) for row in s2.rows]
 
 
 # The integer second-kind families, whose row sums take the explicit formula.

@@ -7,7 +7,8 @@ from fractions import Fraction
 
 import pytest
 
-from dowling import basis, classic, families, rnumbers, triangles, unified, whitney
+from dowling import basis, families, identities, rnumbers, triangles, unified, whitney
+from dowling.classic import EXPLICIT, explicit_sequence, explicit_sum
 from dowling.triangles import alternating_sums, transform
 
 NMAX = 30
@@ -27,14 +28,16 @@ def whole_table(second, lah, sign):
 def test_qi_bell_equals_the_whole_table_formula():
     lah = families.triangle("r-lah", {"r": 0}, NMAX)
     want = whole_table(families.triangle("stirling2", {}, NMAX), lah, -1)
-    assert [classic.qi_bell(n) for n in range(NMAX + 1)] == want
+    assert explicit_sequence("bell", {}, NMAX) == want
+    assert [explicit_sum("bell", {}, n) for n in range(NMAX + 1)] == want
 
 
 @pytest.mark.parametrize("alpha", ALPHAS)
 def test_dowling_explicit_equals_the_whole_table_formula(alpha):
     p = {"alpha": alpha}
     want = whole_table(families.triangle("whitney2", p, NMAX), families.triangle("whitney-lah", p, NMAX), 1)
-    assert whitney.dowling_explicit_sequence(NMAX, alpha) == want
+    assert explicit_sequence("dowling", p, NMAX) == want
+    assert [explicit_sum("dowling", p, n) for n in range(NMAX + 1)] == want
     assert [whitney.dowling_explicit(n, alpha) for n in range(NMAX + 1)] == want
 
 
@@ -42,16 +45,18 @@ def test_dowling_explicit_equals_the_whole_table_formula(alpha):
 def test_r_bell_explicit_equals_the_whole_table_formula(r):
     p = {"r": r}
     want = whole_table(families.triangle("r-stirling2", p, NMAX), families.triangle("r-lah", p, NMAX), -1)
-    assert rnumbers.r_bell_explicit_sequence(NMAX, r) == want
-    assert [rnumbers.r_bell_explicit(n, r) for n in range(NMAX + 1)] == want
+    assert explicit_sequence("r-bell", p, NMAX) == want
+    assert [explicit_sum("r-bell", p, n) for n in range(NMAX + 1)] == want
 
 
 @pytest.mark.parametrize("m, r", MRS)
 def test_r_dowling_explicit_equals_the_whole_table_formula(m, r):
     # The second kind by its connection solve, as the route took it before.
-    lah = families.triangle("r-whitney-lah", {"m": m, "r": r}, NMAX)
+    p = {"m": m, "r": r}
+    lah = families.triangle("r-whitney-lah", p, NMAX)
     want = whole_table(rnumbers.r_whitney_second_by_solve(NMAX, m, r), lah, -1)
-    assert rnumbers.r_dowling_explicit_sequence(NMAX, m, r) == want
+    assert explicit_sequence("r-dowling", p, NMAX) == want
+    assert [explicit_sum("r-dowling", p, n) for n in range(NMAX + 1)] == want
     assert [rnumbers.r_dowling_explicit(n, m, r) for n in range(NMAX + 1)] == want
 
 
@@ -83,13 +88,49 @@ def test_the_integer_routes_build_no_whole_triangle_and_solve_nothing(monkeypatc
     monkeypatch.setattr(triangles, "recurrence_triangle", refuse)
     monkeypatch.setattr(basis, "connection_matrix", refuse)
     n = 40
-    assert classic.qi_bell(n) == families.row_sum("stirling2", {}, n)
-    assert whitney.dowling_explicit(n, 3) == families.row_sum("whitney2", {"alpha": 3}, n)
-    assert rnumbers.r_bell_explicit(n, 2) == families.row_sum("r-stirling2", {"r": 2}, n)
-    assert rnumbers.r_dowling_explicit(n, 2, 2) == families.row_sum("r-whitney2", {"m": 2, "r": 2}, n)
-    assert whitney.dowling_explicit_sequence(n, 3)[n] == whitney.dowling_explicit(n, 3)
-    assert rnumbers.r_bell_explicit_sequence(n, 2)[n] == rnumbers.r_bell_explicit(n, 2)
-    assert rnumbers.r_dowling_explicit_sequence(n, 2, 2)[n] == rnumbers.r_dowling_explicit(n, 2, 2)
+    points = {"bell": {}, "dowling": {"alpha": 3}, "r-bell": {"r": 2}, "r-dowling": {"m": 2, "r": 2}}
+    for name, params in points.items():
+        assert explicit_sum(name, params, n) == families.row_sum(families.SUMS[name], params, n)
+        assert explicit_sequence(name, params, n)[n] == explicit_sum(name, params, n)
+    assert whitney.dowling_explicit(n, 3) == explicit_sum("dowling", {"alpha": 3}, n)
+    assert rnumbers.r_dowling_explicit(n, 2, 2) == explicit_sum("r-dowling", {"m": 2, "r": 2}, n)
+
+
+# Two or more parameter points of each sum of `EXPLICIT`; `bell` has one.
+EXPLICIT_POINTS = {
+    "bell": ({},),
+    "dowling": tuple({"alpha": alpha} for alpha in ALPHAS),
+    "r-bell": tuple({"r": r} for r in RS),
+    "r-dowling": tuple({"m": m, "r": r} for m, r in MRS),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXPLICIT))
+def test_each_explicit_formula_is_its_sum(monkeypatch, name):
+    """Each entry of `EXPLICIT` reads the rows of the sum's own family W and
+    of a Lah-type family L, and equals the sum's production row sums, with
+    no whole triangle built."""
+    assert set(EXPLICIT_POINTS) == set(EXPLICIT)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("built a whole triangle")
+
+    read, real = [], families.rows
+
+    def rows(family, params, nmax, *args):
+        read.append(family)
+        return real(family, params, nmax, *args)
+
+    monkeypatch.setattr(families, "triangle", refuse)
+    monkeypatch.setattr(families, "rows", rows)
+    second, lah = families.SUMS[name], EXPLICIT[name][0]
+    assert lah in identities.LAH_TYPES
+    for params in EXPLICIT_POINTS[name]:
+        read.clear()
+        values = explicit_sequence(name, params, NMAX)
+        assert read == [second, lah], params
+        assert values == [families.row_sum(second, params, n) for n in range(NMAX + 1)], params
+        assert [explicit_sum(name, params, n) for n in range(NMAX + 1)] == values, params
 
 
 def test_r_dowling_explicit_at_200():

@@ -80,6 +80,21 @@ def test_every_table_and_sequence_check_can_fail(capsys, monkeypatch):
         assert any(f["n"] == n0 and f["k"] == k0 for f in failures), name
 
 
+def test_qi_streams_the_stirling_rows_once(capsys, monkeypatch):
+    """`qi` runs Qi's formula as one pass over the rows 0..nmax, not one
+    pass per n."""
+    asked, real = [], families.rows
+
+    def rows(name, *args):
+        asked.append(name)
+        return real(name, *args)
+
+    monkeypatch.setattr(families, "rows", rows)
+    code, _, _ = run(capsys, "verify", "--identity", "qi")
+    assert code == 0
+    assert asked.count("stirling2") == 1
+
+
 def test_hs_pair_checks_read_the_engine(capsys, monkeypatch):
     """hs-ortho multiplies the engine s1 by the solved s2, and invrel runs the
     solved s1 into the engine s2, so one wrong engine entry fails each of

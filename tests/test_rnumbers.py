@@ -5,12 +5,11 @@ from functools import partial
 import pytest
 
 from dowling import families
-from dowling.classic import lah_signless
+from dowling.classic import explicit_sum, lah_signless
 from dowling.exactmath import IntegralityError
 from dowling.identities import lah_route
 from dowling.oracle import PartitionSpec, count_all_partitions, count_partitions
 from dowling.rnumbers import (
-    r_bell_explicit,
     r_dowling_explicit,
     r_inverse_pair,
     r_whitney_lah_explicit,
@@ -79,11 +78,11 @@ def test_r_inverse_roundtrip():
 
 def test_r_bell_values_and_routes():
     assert families.row_sum("r-stirling2", {"r": 2}, 0) == 1
-    assert families.row_sum("r-stirling2", {"r": 2}, 3) == 37 and r_bell_explicit(3, 2) == 37
+    assert families.row_sum("r-stirling2", {"r": 2}, 3) == 37 and explicit_sum("r-bell", {"r": 2}, 3) == 37
     assert families.row_sum("r-stirling2", {"r": 2}, 5) == 674
     for r in range(4):
         for n in range(13):
-            assert r_bell_explicit(n, r) == families.row_sum("r-stirling2", {"r": r}, n)
+            assert explicit_sum("r-bell", {"r": r}, n) == families.row_sum("r-stirling2", {"r": r}, n)
 
 
 def test_r_lah_row_sums_feed_the_bell_formula():
