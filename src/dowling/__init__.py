@@ -5,7 +5,7 @@ Every family and sum is built by one engine, `families.triangle(name,
 params, nmax)` and `families.row_sum(name, params, n)`; the functions
 exported beside it are the paper's explicit formulas and the other
 verification routes, each an independent way to the same numbers.  The
-explicit formulas of the four integer Bell-type sums are one table,
+explicit formulas of the six Bell-type sums are one table,
 `classic.EXPLICIT`, read by `explicit_sequence` and `explicit_sum`.  The
 identity registry that checks them against the engine is
 `dowling.identities`, imported on demand; the vertical, horizontal and
@@ -36,7 +36,6 @@ from .rnumbers import (
 from .triangles import Triangle, transform
 from .unified import (
     hs_bell_explicit,
-    hs_bell_explicit_sequence,
     hs_pair_by_solve,
 )
 from .whitney import (

@@ -1,8 +1,9 @@
 """Verification routes for the Stirling numbers of both kinds, the Lah
 numbers and the Bell numbers, plus partial Bell polynomials and `EXPLICIT`,
-the paper's alternating Lah/Stirling formula for each integer Bell-type sum:
-Qi's formula for the Bell numbers and its Dowling, r-Bell and r-Dowling
-generalizations, declared once as data.
+the paper's alternating Lah/Stirling formula for each Bell-type sum: Qi's
+formula for the Bell numbers, its Dowling, r-Bell and r-Dowling
+generalizations, and the theorem for the Hsu-Shiue generalized Bell numbers
+and the Cakic-Bell numbers, declared once as data.
 
 The engine in `families` builds every family; the routes here compute it
 another way, and the test suite pins them against each other and against
@@ -61,18 +62,22 @@ def lah_egf_check(k: int, order: int) -> bool:
     )
 
 
-# The paper's explicit formula for each integer sum of `families.SUMS`,
+# The paper's explicit formula for each sum of `families.SUMS`,
 #
 #     (-1)^n sum_k W(n,k) sign^k [sum_j L(k,j)],
 #
 # over the sum's second-kind family W and a Lah-type family L: (L, its
 # parameters as a function of the sum's, sign).  At `bell` it is Qi's formula
-# over the signless Lah numbers, the r-Lah numbers at r = 0.
+# over the signless Lah numbers, the r-Lah numbers at r = 0; at `hs-bell` it
+# is the paper's theorem for the generalized Bell numbers, over the Lah-type
+# numbers of the Hsu-Shiue triple, and `cakic-bell` is its triple (alpha, 1, 0).
 EXPLICIT = {
     "bell": ("r-lah", lambda p: {"r": 0}, -1),
     "dowling": ("whitney-lah", dict, 1),
     "r-bell": ("r-lah", dict, -1),
     "r-dowling": ("r-whitney-lah", dict, -1),
+    "hs-bell": ("hs-lah", dict, 1),
+    "cakic-bell": ("hs-lah", lambda p: {"alpha": p["alpha"], "beta": 1, "gamma": 0}, 1),
 }
 
 
@@ -84,9 +89,9 @@ def explicit_sequence(name: str, params: dict, nmax: int) -> list:
     return list(alternating_sums(second, families.rows(lah, lah_params(params), nmax), sign))
 
 
-def explicit_sum(name: str, params: dict, n: int) -> int:
+def explicit_sum(name: str, params: dict, n: int):
     """The sum `name` of `EXPLICIT` at n by the same formula over row n of W
-    alone."""
+    alone: an int, or an exact rational where the rows have denominators."""
     lah, lah_params, sign = EXPLICIT[name]
     second = deque(families.rows(families.SUMS[name], params, n), maxlen=1)
     return next(alternating_sums(second, families.rows(lah, lah_params(params), n), sign))

@@ -5,10 +5,11 @@ recurrence engine in `triangles`,
 
 with its parameters and their validation.  The production path of every
 family and every Bell-type row sum runs through this table.  The row sums
-of the integer second-kind families, weights (1, 0, b, c) with b != 0, take
-the explicit formula in `_explicit_sum`; every other row sum rolls the
-engine's row.  Connection solves, polynomial expansions and the other
-closed forms stay in the family modules as verification routes.
+do not roll the engine: each sum family has weights (1, a, b, c), and
+`row_sum` takes the explicit formula of `_explicit_sum` where b != 0 and a
+product of n factors where b = 0, integer or rational alike.  Connection
+solves, polynomial expansions and the other closed forms stay in the family
+modules as verification routes.
 
 Rational parameters never put a Fraction inside the recurrence.  With D the
 lcm of the denominators of the weights, the scaled weights D*(a*n + b*k + c)
@@ -186,32 +187,42 @@ def triangle(name: str, params: dict, nmax: int) -> Triangle:
     return Triangle(rows(name, params, nmax), name, _validate(name, params))
 
 
-def _explicit_sum(n: int, b: int, c: int) -> int:
-    """Sum of row n of T(n,k) = T(n-1,k-1) + (b*k + c)*T(n-1,k), b != 0, by
-    the explicit formula T(n,k) = sum_j (-1)^(k-j) C(k,j) (b*j + c)^n / (b^k k!).
-    Summed over k, it reads
+def _explicit_sum(n: int, a: int, b: int, c: int, scale: int) -> int:
+    """sum_k U(n,k) scale^k over row n of the integer family
+    U(n,k) = U(n-1,k-1) + (a*n + b*k + c)*U(n-1,k), b != 0.  Row n is the
+    connection matrix from prod_{i=1}^n (u + c + a*i) to the step-b factorials
+    of u, so U(n,k) = sum_j (-1)^(k-j) C(k,j) F(j) / (b^k k!), with
 
-        n! b^n sum_k T(n,k) = sum_t C(n,t) e(t) (b*(n-t) + c)^n,
-        e(0) = 1,  e(t) = b*t*e(t-1) + (-1)^t
+        F(j) = prod_{i=1}^n (b*j + c + a*i),
 
-    (at b = 1, e(t) is the derangement number).  Unrolling e and swapping
-    the sums gives the same total as sum_s (-1)^s G(s), with G(n+1) = 0 and
+    the power (b*j + c)^n at a = 0.  Weighted by D^k (D = scale) and summed
+    over k, it reads
 
-        G(s) = b*(s+1)*G(s+1) + C(n,s) (b*(n-s) + c)^n,
+        n! b^n sum_k U(n,k) D^k = sum_t C(n,t) D^(n-t) F(n-t) e(t),
+        e(0) = 1,  e(t) = b*t*e(t-1) + (-D)^t
 
-    so that s walks from n down to 0 with O(1) big ints live, and each step
-    takes one power and products of big ints by small ones only.  The power
-    of two in b*(n-s) + c is applied as a shift.  The division by n! b^n is
-    asserted exact, the formula's invariant."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    total, g, binom = 0, 0, 1
+    (at b = D = 1, e(t) is the derangement number).  Unrolling e and
+    swapping the sums gives the same total as sum_s (-D)^s G(s), with
+    G(n+1) = 0 and
+
+        G(s) = b*(s+1)*G(s+1) + C(n,s) D^(n-s) F(n-s),
+
+    so that s walks from n down to 0 with O(1) big ints live, one more
+    Horner step per term carrying the scale, and C(n,s) D^(n-s) kept as one
+    running product.  At a = 0 each F costs one power, whose power of two is
+    applied as a shift; otherwise it is the product of n small factors.  The
+    division by n! b^n is asserted exact, the formula's invariant."""
+    total, g, weight = 0, 0, 1
     for s in range(n, -1, -1):
         x = b * (n - s) + c
-        twos = (x & -x).bit_length() - 1 if x else 0
-        g = b * (s + 1) * g + (binom * (x >> twos) ** n << n * twos)
-        total += -g if s & 1 else g
-        binom = binom * s // (n - s + 1)
+        if a:
+            term = weight * math.prod(range(x + a, x + a * (n + 1), a))
+        else:
+            twos = (x & -x).bit_length() - 1 if x else 0
+            term = weight * (x >> twos) ** n << n * twos
+        g = b * (s + 1) * g + term
+        total = g - scale * total
+        weight = weight * (s * scale) // (n - s + 1)
     quotient, remainder = divmod(total, math.factorial(n) * b**n)
     if remainder:
         raise AssertionError("explicit row sum failed to divide by n! b^n")
@@ -219,20 +230,20 @@ def _explicit_sum(n: int, b: int, c: int) -> int:
 
 
 def row_sum(name: str, params: dict, n: int):
-    """Sum of row n of an engine family: an int, or an exact rational for a
-    rational family.  An integer second-kind family, weights (1, 0, b, c)
-    with b != 0, takes the explicit formula of `_explicit_sum`, O(n) big
-    products; every other family rolls its row in O(n) memory."""
-    _, scale, weights = _engine(name, params)
-    rational = FAMILIES[name].rational
-    d, a, b, c = weights
-    if not rational and (d, a) == (1, 0) and b:
-        return _explicit_sum(n, b, c)
-    row = triangles.recurrence_row(n, *weights)
-    if not rational:
-        return sum(row)
-    # sum_k U(n,k) / D^(n-k) = (sum_k U(n,k) D^k) / D^n, by Horner's rule.
-    total = 0
-    for u in reversed(row):
-        total = total * scale + u
-    return Fraction(total, scale**n)
+    """Sum of row n of a family of diagonal weight 1 (every family of
+    `SUMS`): an int, or an exact rational for a rational family.  With the
+    weights (1, a, b, c) scaled by D, the sum is sum_k U(n,k) D^k / D^n: by
+    the explicit formula of `_explicit_sum` where b != 0, and as the product
+    prod_{i=1}^n (D + a*i + c) of the row's generating polynomial at D where
+    b = 0.  Neither rolls the engine's row."""
+    _, scale, (d, a, b, c) = _engine(name, params)
+    if d != 1:
+        raise ValueError(f"{name} has diagonal weight {d}; row sums need weight 1")
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    if b:
+        total = _explicit_sum(n, a, b, c, scale)
+    else:
+        x = scale + c
+        total = math.prod(range(x + a, x + a * (n + 1), a)) if a else x**n
+    return Fraction(total, scale**n) if FAMILIES[name].rational else total

@@ -142,16 +142,6 @@ def _sums(family):
     return lambda nmax, **point: [families.row_sum(family, point, n) for n in range(nmax + 1)]
 
 
-def _hs(fn):
-    """fn(nmax, (alpha, beta, gamma)) called with the Hsu-Shiue triple as keywords."""
-    return lambda nmax, alpha, beta, gamma: fn(nmax, (alpha, beta, gamma))
-
-
-def _cakic_bell(nmax, alpha):
-    """The Cakic-Bell numbers as the generalized Bell numbers at (alpha, 1, 0)."""
-    return unified.hs_bell_explicit_sequence(nmax, (alpha, 1, 0))
-
-
 def _hs_ortho_pair(nmax, alpha, beta, gamma):
     """s1 from the engine and s2 from the connection solve."""
     s1 = families.triangle("hs1", {"alpha": alpha, "beta": beta, "gamma": gamma}, nmax)
@@ -461,13 +451,8 @@ REGISTRY = {
             ),
         ),
         Identity("expl-rdow", _RW, Sequences(_sums("r-whitney2"), _explicit("r-dowling"))),
-        Identity(
-            "ugexp",
-            {"nmax": 10},
-            Sequences(_sums("hs1"), _hs(unified.hs_bell_explicit_sequence)),
-            _HS_GRID,
-        ),
-        Identity("cakic-bell", {"nmax": 10, "alpha": 2}, Sequences(_sums("cakic"), _cakic_bell)),
+        Identity("ugexp", {"nmax": 10}, Sequences(_sums("hs1"), _explicit("hs-bell")), _HS_GRID),
+        Identity("cakic-bell", {"nmax": 10, "alpha": 2}, Sequences(_sums("cakic"), _explicit("cakic-bell"))),
         Identity("hs-ortho", {"nmax": 8}, Product(_hs_ortho_pair), _HS_GRID),
         Identity("invrel", {"nmax": 9}, Roundtrip(_hs_inverse_pair), _HS_GRID),
         Identity("log-concavity", {"nmax": 20}, Predicate(_log_concavity, "log-concave", _LOG_CONCAVE), _MR_GRID),

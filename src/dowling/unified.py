@@ -1,7 +1,8 @@
 """Verification routes for the two-parameter-plus-shift Stirling pair of
-Hsu and Shiue: the pair by connection solve, and the Lah-type numbers and
-the generalized Bell sums built from it.  A parameter triple is the plain
-tuple (alpha, beta, gamma).
+Hsu and Shiue: the pair by connection solve and the Lah-type numbers built
+from it, plus `hs_bell_explicit`, the generalized Bell numbers by one call
+into `classic.EXPLICIT`.  A parameter triple is the plain tuple
+(alpha, beta, gamma).
 
 The pair (s1, s2) consists of the connection coefficients
 
@@ -18,8 +19,9 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 
+from . import classic
 from .basis import connection_matrix, factorial_basis
-from .triangles import Triangle, alternating_sums, product
+from .triangles import Triangle, product
 
 # The mutually inverse matrices s1 and s2 for one parameter triple.
 HSPair = namedtuple("HSPair", "s1 s2")
@@ -50,17 +52,7 @@ def signed_product(pair: HSPair) -> Triangle:
     return Triangle(product(pair.s2.rows, pair.s1.rows, signed=True))
 
 
-def hs_bell_explicit_sequence(nmax: int, params) -> list:
-    """Generalized Bell numbers W_0..W_nmax through the alternating Lah-type
-    sum W_n = (-1)^n sum_k [sum_j L(k,j)] s1(n,k), over one solved pair.
-    The row sums of L are the matrix-vector product
-    sum_i (-1)^i s2(k,i) [sum_j s1(i,j)]: `alternating_sums` with sign -1
-    gives them times (-1)^k, a sign the outer sum's sign -1 takes back."""
-    pair = hs_pair_by_solve(nmax, params)
-    lah_sums = alternating_sums(pair.s2.rows, ((sum(row),) for row in pair.s1.rows), -1)
-    return list(alternating_sums(pair.s1.rows, ((v,) for v in lah_sums), -1))
-
-
-def hs_bell_explicit(n: int, params) -> Fraction:
-    """W_n from `hs_bell_explicit_sequence`."""
-    return hs_bell_explicit_sequence(n, params)[n]
+def hs_bell_explicit(n: int, params):
+    """The generalized Bell number W_n by the paper's formula,
+    `classic.EXPLICIT["hs-bell"]`, at the triple (alpha, beta, gamma)."""
+    return classic.explicit_sum("hs-bell", dict(zip(("alpha", "beta", "gamma"), params)), n)

@@ -2,6 +2,7 @@
 as verification: polynomial expansion, connection solves, and full-triangle
 row sums."""
 
+from collections import deque
 from fractions import Fraction
 from functools import partial
 
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dowling import classic, families, identities, rnumbers, unified, whitney
+from dowling import classic, families, identities, rnumbers, triangles, unified, whitney
 from dowling.exactmath import IntegralityError
 from dowling.identities import _MR_GRID
 from dowling.triangles import Triangle, product, recurrence_row, recurrence_rows, recurrence_triangle
@@ -53,7 +54,7 @@ def test_engine_rejects_bad_input():
 
 
 # Every solve, expansion and explicit-formula route as a function of its size.
-_ANY = {"alpha": 3, "m": 2, "r": 2}
+_ANY = {"alpha": 3, "beta": 1, "gamma": 2, "m": 2, "r": 2}
 _SIZED_ROUTES = {
     "stirling1_by_expansion": classic.stirling1_by_expansion,
     "whitney_first_by_expansion": lambda n: whitney.whitney_first_by_expansion(n, 3),
@@ -61,7 +62,6 @@ _SIZED_ROUTES = {
     "r_whitney_second_by_solve": lambda n: rnumbers.r_whitney_second_by_solve(n, 2, 2),
     "hs_pair_by_solve": lambda n: hs_pair_by_solve(n, (0, 1, 2)),
     "hs_bell_explicit": lambda n: unified.hs_bell_explicit(n, (0, 1, 2)),
-    "hs_bell_explicit_sequence": lambda n: unified.hs_bell_explicit_sequence(n, (0, 1, 2)),
     "dowling_explicit": lambda n: whitney.dowling_explicit(n, 3),
     "r_dowling_explicit": lambda n: rnumbers.r_dowling_explicit(n, 2, 2),
     **{f"explicit_sum-{name}": partial(classic.explicit_sum, name, _ANY) for name in classic.EXPLICIT},
@@ -172,22 +172,54 @@ def test_rolling_sums_vs_full_solved_rows():
     assert classic.explicit_sequence("bell", {}, 30) == [sum(row) for row in s2.rows]
 
 
-# The integer second-kind families, whose row sums take the explicit formula.
-_SECOND_KIND = (
+def rolling_sum(name, params, n):
+    """Row n of a sum family rolled by the engine on its scaled weights,
+    sum_k U(n,k) D^k / D^n by Horner's rule: an int for an integer family, a
+    Fraction for a rational one."""
+    _, scale, weights = families._engine(name, params)
+    total = 0
+    for u in reversed(recurrence_row(n, *weights)):
+        total = total * scale + u
+    return F(total, scale**n) if families.FAMILIES[name].rational else total
+
+
+# Points of every sum family: the integer second-kind families (a = 0), then
+# the rational hs1 and cakic, with a != 0, b = 0 (at (1, 0, 0) and
+# (1/2, 0, 1/3)), denominators and negative steps.
+_SUM_POINTS = (
     ("stirling2", {}),
     *(("whitney2", {"alpha": alpha}) for alpha in (-3, -2, -1, 1, 2, 3, 10**9)),
     *(("r-stirling2", {"r": r}) for r in (0, 1, 2, 3)),
     *(("r-whitney2", point) for point in (*_MR_GRID, {"m": 3, "r": 0})),
+    *(("hs1", named(params)) for params in (*HS_POINTS, (F(1, 2), 0, F(1, 3)), (-3, 2, F(1, 5)))),
+    *(("cakic", {"alpha": alpha}) for alpha in (1, 2, 3, -3, F(1, 2))),
 )
 
 
-@pytest.mark.parametrize("name, params", _SECOND_KIND)
+@pytest.mark.parametrize("name, params", _SUM_POINTS)
 def test_explicit_sums_match_the_rolling_row(name, params):
-    weights = families._engine(name, params)[2]
+    kind = F if families.FAMILIES[name].rational else int
     for n in range(61):
         value = families.row_sum(name, params, n)
-        assert type(value) is int
-        assert value == sum(recurrence_row(n, *weights)), n
+        assert type(value) is kind
+        assert value == rolling_sum(name, params, n), n
+
+
+def test_row_sums_roll_no_engine_row(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("rolled the engine's row")
+
+    points = [(family, _ANY) for family in families.SUMS.values()]
+    points += [("hs1", named((F(1, 2), F(1, 3), 2))), ("hs1", named((F(1, 2), 0, F(1, 3))))]
+    points += [("cakic", {"alpha": F(1, 2)})]
+    want = [rolling_sum(family, params, 40) for family, params in points]
+    monkeypatch.setattr(triangles, "recurrence_rows", refuse)
+    assert [families.row_sum(family, params, 40) for family, params in points] == want
+
+
+def test_row_sum_refuses_a_signed_diagonal():
+    with pytest.raises(ValueError, match="diagonal weight"):
+        families.row_sum("lah", {}, 3)
 
 
 def test_rational_sums_stay_fractions():
@@ -238,6 +270,20 @@ def test_property_whitney_engine_vs_expansion(alpha, n):
     engine = families.triangle("whitney1", {"alpha": alpha}, n)
     assert engine.rows == whitney.whitney_first_by_expansion(n, alpha).rows
     assert families.row_sum("whitney2", {"alpha": alpha}, n) == whitney.dowling_explicit(n, alpha)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_rationals, st.sampled_from((0, *range(-3, 4), F(1, 3), F(-2, 5))), small_rationals, st.integers(0, 30))
+def test_property_hs_bell_sum_is_the_last_row_summed(alpha, beta, gamma, n):
+    p = named((alpha, beta, gamma))
+    assert families.row_sum("hs1", p, n) == sum(deque(families.rows("hs1", p, n), maxlen=1)[0])
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_rationals.filter(bool), st.integers(0, 30))
+def test_property_cakic_bell_sum_is_the_last_row_summed(alpha, n):
+    p = {"alpha": alpha}
+    assert families.row_sum("cakic", p, n) == sum(deque(families.rows("cakic", p, n), maxlen=1)[0])
 
 
 @settings(max_examples=40, deadline=None)

@@ -18,6 +18,11 @@ MRS = ((1, 0), (1, 1), (2, 2), (3, 1))
 HS_POINTS = ((0, 1, 2), (1, 0, 0), (Fraction(1, 2), Fraction(1, 3), 2), (-2, 3, 1))
 
 
+def named(params) -> dict:
+    """A Hsu-Shiue triple as the family table's parameters."""
+    return dict(zip(("alpha", "beta", "gamma"), params))
+
+
 def whole_table(second, lah, sign):
     """(-1)^n sum_k W(n,k) sign^k [sum_j L(k,j)] for n = 0..nmax, from two
     whole triangles."""
@@ -62,9 +67,10 @@ def test_r_dowling_explicit_equals_the_whole_table_formula(m, r):
 
 @pytest.mark.parametrize("params", HS_POINTS)
 def test_hs_bell_explicit_equals_the_whole_table_formula(params):
+    # The solved pair is the reference; the formula reads the engine rows.
     pair = unified.hs_pair_by_solve(10, params)
     want = whole_table(pair.s1, unified.signed_product(pair), 1)
-    assert unified.hs_bell_explicit_sequence(10, params) == want
+    assert explicit_sequence("hs-bell", named(params), 10) == want
     assert [unified.hs_bell_explicit(n, params) for n in range(11)] == want
 
 
@@ -81,6 +87,9 @@ def test_alternating_sums_reads_the_lah_rows_only_as_far_as_needed():
 
 
 def test_the_integer_routes_build_no_whole_triangle_and_solve_nothing(monkeypatch):
+    """Every entry of `EXPLICIT`, the rational `hs-bell` and `cakic-bell`
+    too, streams engine rows and solves no connection."""
+
     def refuse(*args, **kwargs):
         raise AssertionError("built a whole triangle or solved a connection")
 
@@ -88,10 +97,20 @@ def test_the_integer_routes_build_no_whole_triangle_and_solve_nothing(monkeypatc
     monkeypatch.setattr(triangles, "recurrence_triangle", refuse)
     monkeypatch.setattr(basis, "connection_matrix", refuse)
     n = 40
-    points = {"bell": {}, "dowling": {"alpha": 3}, "r-bell": {"r": 2}, "r-dowling": {"m": 2, "r": 2}}
+    points = {
+        "bell": {},
+        "dowling": {"alpha": 3},
+        "r-bell": {"r": 2},
+        "r-dowling": {"m": 2, "r": 2},
+        "hs-bell": named((Fraction(1, 2), Fraction(1, 3), 2)),
+        "cakic-bell": {"alpha": 2},
+    }
+    assert set(points) == set(EXPLICIT)
     for name, params in points.items():
         assert explicit_sum(name, params, n) == families.row_sum(families.SUMS[name], params, n)
         assert explicit_sequence(name, params, n)[n] == explicit_sum(name, params, n)
+    hs_bell = explicit_sum("hs-bell", points["hs-bell"], n)
+    assert unified.hs_bell_explicit(n, (Fraction(1, 2), Fraction(1, 3), 2)) == hs_bell
     assert whitney.dowling_explicit(n, 3) == explicit_sum("dowling", {"alpha": 3}, n)
     assert rnumbers.r_dowling_explicit(n, 2, 2) == explicit_sum("r-dowling", {"m": 2, "r": 2}, n)
 
@@ -102,6 +121,8 @@ EXPLICIT_POINTS = {
     "dowling": tuple({"alpha": alpha} for alpha in ALPHAS),
     "r-bell": tuple({"r": r} for r in RS),
     "r-dowling": tuple({"m": m, "r": r} for m, r in MRS),
+    "hs-bell": (*identities._HS_GRID, named((-3, 2, Fraction(1, 5)))),
+    "cakic-bell": tuple({"alpha": alpha} for alpha in (2, -3, Fraction(1, 2))),
 }
 
 
@@ -124,7 +145,7 @@ def test_each_explicit_formula_is_its_sum(monkeypatch, name):
     monkeypatch.setattr(families, "triangle", refuse)
     monkeypatch.setattr(families, "rows", rows)
     second, lah = families.SUMS[name], EXPLICIT[name][0]
-    assert lah in identities.LAH_TYPES
+    assert lah in identities.LAH_TYPES or lah == "hs-lah"
     for params in EXPLICIT_POINTS[name]:
         read.clear()
         values = explicit_sequence(name, params, NMAX)
