@@ -8,8 +8,8 @@ verification routes, each an independent way to the same numbers.  The
 explicit formulas of the six Bell-type sums are one table,
 `classic.EXPLICIT`, read by `explicit_sequence` and `explicit_sum`.  The
 identity registry that checks them against the engine is
-`dowling.identities`, imported on demand; the vertical, horizontal and
-product routes of the four Lah-type families are built there, by
+`dowling.identities`, imported on demand; the explicit, vertical, horizontal
+and product routes of the four Lah-type families are built there, by
 `identities.lah_route`, from one declaration of each family.
 """
 
@@ -19,8 +19,6 @@ from .classic import (
     explicit_sequence,
     explicit_sum,
     lah_egf_check,
-    lah_explicit,
-    lah_signless,
     partial_bell,
     stirling1_by_expansion,
 )

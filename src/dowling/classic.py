@@ -1,13 +1,15 @@
 """Verification routes for the Stirling numbers of both kinds, the Lah
-numbers and the Bell numbers, plus partial Bell polynomials and `EXPLICIT`,
-the paper's alternating Lah/Stirling formula for each Bell-type sum: Qi's
-formula for the Bell numbers, its Dowling, r-Bell and r-Dowling
+numbers' EGF and the Bell numbers, plus partial Bell polynomials and
+`EXPLICIT`, the paper's alternating Lah/Stirling formula for each Bell-type
+sum: Qi's formula for the Bell numbers, its Dowling, r-Bell and r-Dowling
 generalizations, and the theorem for the Hsu-Shiue generalized Bell numbers
 and the Cakic-Bell numbers, declared once as data.
 
 The engine in `families` builds every family; the routes here compute it
 another way, and the test suite pins them against each other and against
-brute-force partition counts.
+brute-force partition counts.  The Lah numbers' closed form is the one of
+all four Lah-type families, `triangles.explicit_row`, read through
+`identities.lah_route`.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from collections import deque
 from fractions import Fraction
 
 from . import basis, families
-from .exactmath import Poly, Series, binomial
+from .exactmath import Poly, Series
 from .triangles import Triangle, alternating_sums
 
 
@@ -30,23 +32,6 @@ def stirling1_by_expansion(nmax: int) -> Triangle:
     """Verification route: expand x(x-1)...(x-n+1) in monomials."""
     mat = basis.expand_in_monomials(basis.factorial_basis(1, 0, 1, nmax))
     return mat.to_triangle("stirling1", {})
-
-
-def lah_explicit(n: int, k: int) -> int:
-    """Signed Lah number in closed form: (-1)^n C(n-1,k-1) n!/k!."""
-    if n == 0 and k == 0:
-        return 1
-    if k <= 0 or k > n:
-        return 0
-    value = binomial(n - 1, k - 1) * (math.factorial(n) // math.factorial(k))
-    return -value if n % 2 else value
-
-
-def lah_signless(n: int, k: int) -> int:
-    """Signless Lah number (-1)^n L(n,k): counts partitions of an n-set
-    into k nonempty linearly ordered blocks."""
-    value = lah_explicit(n, k)
-    return -value if n % 2 else value
 
 
 def lah_egf_check(k: int, order: int) -> bool:

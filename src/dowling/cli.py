@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import decimal
-import io
 import os
 import stat
 import sys
@@ -186,16 +185,11 @@ def render_csv(table, out, split: bool = False) -> None:
     _write(out, table.nmax, table.rows, "n,k,value\n", line, "", size if split else None, 2)
 
 
-def triangle_json(table, family: str, params: dict, out=None, split: bool = False):
+def triangle_json(table, family: str, params: dict, out, split: bool = False) -> None:
     """Write the triangle as the bytes of `json.dumps(obj, indent=2) + "\\n"`
-    for obj = {"family", "params", "nmax", "rows"}, its values strings; with
-    no `out`, return that text."""
+    for obj = {"family", "params", "nmax", "rows"}, its values strings."""
     import json
 
-    if out is None:
-        out = io.StringIO()
-        triangle_json(table, family, params, out)
-        return out.getvalue()
     head = {"family": family, "params": _params_as_strings(params), "nmax": table.nmax}
     # Drop the closing "\n}" and go on with the rows; an entry's str needs no
     # JSON escape.
@@ -416,11 +410,9 @@ def _paper_tables() -> tuple:
     )
 
 
-def run_paper_tables(out=None) -> int:
-    """Regenerate every bundled reference table and worked check; return the
-    number of mismatches."""
-    if out is None:
-        out = sys.stdout
+def run_paper_tables(out) -> int:
+    """Regenerate every bundled reference table and worked check, writing
+    one line each to `out`; return the number of mismatches."""
     problems = 0
     for label, computed, bundled in _paper_tables():
         if computed == bundled:

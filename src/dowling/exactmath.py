@@ -2,8 +2,6 @@
 
 Everything in this package computes over Python ints and
 `fractions.Fraction`, so every result is exact; nothing here ever rounds.
-`generalized_rising` accepts ints or Fractions and its result type follows
-the inputs.
 """
 
 from __future__ import annotations
@@ -27,25 +25,6 @@ def as_integer(value) -> int:
     if value.denominator != 1:
         raise IntegralityError(f"expected an integer, got {value}")
     return value.numerator
-
-
-def generalized_rising(x, m, n: int):
-    """Step-m rising factorial [x|m]_n = x(x+m)(x+2m)...(x+(n-1)m)."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    result = 1
-    for i in range(n):
-        result *= x + i * m
-    return result
-
-
-def binomial(n: int, k: int) -> int:
-    """C(n, k); zero outside 0 <= k <= n."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if k < 0 or k > n:
-        return 0
-    return math.comb(n, k)
 
 
 class Poly:

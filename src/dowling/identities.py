@@ -29,7 +29,7 @@ from functools import cache, partial
 from types import MappingProxyType
 
 from . import classic, families, oracle, rnumbers, unified, whitney
-from .triangles import checkerboard, horizontal_rows, product, transform, vertical_rows
+from .triangles import checkerboard, explicit_row, horizontal_rows, product, transform, vertical_rows
 
 
 def _failure(n, k, expected, actual) -> dict:
@@ -122,13 +122,6 @@ class Predicate(namedtuple("Predicate", ("points", "expected", "notes"), default
 def _explicit(name):
     """The sum `name` of `classic.EXPLICIT` at n = 0..nmax by its explicit formula."""
     return lambda nmax, **point: classic.explicit_sequence(name, point, nmax)
-
-
-def _entrywise(entry):
-    """The rows of a closed form entry(n, k, ...)."""
-    return lambda nmax, **point: [
-        [entry(n, k, **point) for k in range(n + 1)] for n in range(nmax + 1)
-    ]
 
 
 def _table(family):
@@ -283,13 +276,17 @@ LAH_TYPES = {
 
 
 def lah_route(kind, family, nmax, **point) -> tuple:
-    """Rows 0..nmax of a `LAH_TYPES` family by its "vertical", "horizontal"
-    or "product" route, its parameters validated with `families.check_param`.
-    The expansions run over the family's own engine rows, 0..nmax-1 below and
+    """Rows 0..nmax of a `LAH_TYPES` family by its "explicit", "vertical",
+    "horizontal" or "product" route, its parameters validated with
+    `families.check_param`.  The explicit route is the closed form
+    sign^n C(n,k) [2r|m]_n / [2r|m]_k of `triangles.explicit_row`.  The
+    expansions run over the family's own engine rows, 0..nmax-1 below and
     0..nmax+1 above; column 0 of the vertical route reads 0 below row 0."""
     mr, sign, first, second = LAH_TYPES[family]
     params = {key: families.check_param(key, value) for key, value in point.items()}
     m, r = mr(params)
+    if kind == "explicit":
+        return tuple(tuple(sign**n * v for v in explicit_row(n, 2 * r, m)) for n in range(nmax + 1))
     if kind == "vertical":
         return vertical_rows(families.triangle(family, params, max(nmax - 1, 0)), nmax, 2 * r, m, sign)
     if kind == "horizontal":
@@ -300,14 +297,16 @@ def lah_route(kind, family, nmax, **point) -> tuple:
 
 
 def _oracle(nmax):
-    """Brute-force partition counts against the production families.  The
+    """Brute-force partition counts against the production families; the
+    ordered-block counts are the signless Lah numbers (-1)^n L(n,k).  The
     enumeration is capped by its size guard, so Lah stops at n = 9 and the
     r-families at min(nmax, 11-r, 9)."""
     # (last row, distinguished elements, ordered blocks, entry, row sum)
     bell = partial(families.row_sum, "stirling2", {})
+    lah = families.triangle("lah", {}, min(nmax, 9))
     checks = [
         (nmax, 0, False, families.triangle("stirling2", {}, nmax).value, bell),
-        (min(nmax, 9), 0, True, classic.lah_signless, None),
+        (min(nmax, 9), 0, True, lambda n, k: (-1) ** n * lah.value(n, k), None),
     ]
     for r in (1, 2, 3):
         top, p = min(nmax, 11 - r, 9), {"r": r}
@@ -347,10 +346,6 @@ class Identity(namedtuple("Identity", _IDENTITY_FIELDS, defaults=((), MappingPro
     def accepts(self) -> tuple:
         """The parameters a caller may set."""
         return tuple(self.grid[0] if self.grid else (key for key in self.defaults if key != "nmax"))
-
-
-def _all_columns(*routes) -> tuple:
-    return tuple((route, 0) for route in routes)
 
 
 def _lah_routes(family, **columns) -> tuple:
@@ -396,7 +391,6 @@ _RW = {"nmax": 12, "m": 2, "r": 2}
 _LAH = _table("lah")
 _W_LAH = _table("whitney-lah")
 _RW_LAH = _table("r-whitney-lah")
-_RW_EXPLICIT = _all_columns(_entrywise(rnumbers.r_whitney_lah_explicit))
 _SERIES = "series == triangle"
 _HORILAH = "angle-bracket weights resolved as the ascending product x(x+1)...(x+i-1)"
 _TRIWLAH = "vertical, horizontal and product routes against the triangular recurrence"
@@ -406,7 +400,7 @@ _LOG_CONCAVE = "product-form strict log-concavity; the sum form is implied at th
 REGISTRY = {
     ident.name: ident
     for ident in (
-        Identity("lef", {"nmax": 30}, Tables(_LAH, _all_columns(_entrywise(classic.lah_explicit)))),
+        Identity("lef", {"nmax": 30}, Tables(_LAH, _lah_routes("lah", explicit=0))),
         Identity("verlah", {"nmax": 20}, Tables(_LAH, _lah_routes("lah", vertical=0))),
         Identity("horilah", {"nmax": 20}, Tables(_LAH, _lah_routes("lah", horizontal=0), _HORILAH)),
         Identity("lgf", {"nmax": 20}, Predicate(_lgf, _SERIES), fixed={"kmax": 5}),
@@ -416,7 +410,7 @@ REGISTRY = {
         Identity("partial-bell", {"nmax": 10}, _partial_bell),
         Identity("ortho", {"nmax": 12, "alpha": 3}, Product(_twice(_W_LAH))),
         Identity("inv1", {"nmax": 9, "alpha": 3}, Roundtrip(_twice(_W_LAH))),
-        Identity("wla1", _W, Tables(_W_LAH, _lah_routes("whitney-lah", product=0))),
+        Identity("wla1", _W, Tables(_W_LAH, _lah_routes("whitney-lah", explicit=0, product=0))),
         Identity(
             "triwlah",
             {"nmax": 15, "alpha": 3},
@@ -426,11 +420,11 @@ REGISTRY = {
         Identity(
             "benoumhani",
             {"nmax": 15, "alpha": 3},
-            Tables(_table("whitney2"), _all_columns(whitney.whitney_second_benoumhani_rows)),
+            Tables(_table("whitney2"), ((whitney.whitney_second_benoumhani_rows, 0),)),
         ),
         Identity("dow1", {"nmax": 10, "alpha": 3}, Sequences(_sums("whitney2"), _explicit("dowling"))),
         Identity("bell-reduction", {"nmax": 12}, _bell_reduction),
-        Identity("lah1", _R, Tables(_table("r-lah"), _lah_routes("r-lah", product=0))),
+        Identity("lah1", _R, Tables(_table("r-lah"), _lah_routes("r-lah", explicit=0, product=0))),
         Identity("lah4", {"nmax": 7, "r": 2}, Roundtrip(rnumbers.r_inverse_pair)),
         Identity("expb", _R, Sequences(_sums("r-stirling2"), _explicit("r-bell"))),
         Identity(
@@ -442,13 +436,11 @@ REGISTRY = {
         Identity("rw-ortho", {"nmax": 8, "m": 2, "r": 2}, Product(_r_whitney_pair)),
         Identity("rw-inv", {"nmax": 7, "m": 2, "r": 2}, Roundtrip(_r_whitney_pair)),
         Identity("rwhitneylah", _RW, Tables(_RW_LAH, _lah_routes("r-whitney-lah", product=0))),
-        Identity("exprwlah", _RW, Tables(_RW_LAH, _RW_EXPLICIT)),
+        Identity("exprwlah", _RW, Tables(_RW_LAH, _lah_routes("r-whitney-lah", explicit=0))),
         Identity(
             "rwlah-routes",
             _RW,
-            Tables(
-                _RW_LAH, _RW_EXPLICIT + _lah_routes("r-whitney-lah", product=0, vertical=1, horizontal=0), _RWLAH
-            ),
+            Tables(_RW_LAH, _lah_routes("r-whitney-lah", explicit=0, product=0, vertical=1, horizontal=0), _RWLAH),
         ),
         Identity("expl-rdow", _RW, Sequences(_sums("r-whitney2"), _explicit("r-dowling"))),
         Identity("ugexp", {"nmax": 10}, Sequences(_sums("hs1"), _explicit("hs-bell")), _HS_GRID),

@@ -1,7 +1,8 @@
-"""Verification routes for the r-Stirling, r-Lah, r-Whitney and
-r-Whitney-Lah numbers; the explicit formulas of the r-Bell and r-Dowling
-numbers are declared with the paper's other Bell-type formulas in
-`classic.EXPLICIT`.
+"""Verification routes for the r-Stirling, r-Whitney and r-Whitney-Lah
+numbers; the explicit formulas of the r-Bell and r-Dowling numbers are
+declared with the paper's other Bell-type formulas in `classic.EXPLICIT`,
+and the r-Whitney-Lah closed form, of which `r_whitney_lah_explicit` reads
+one entry, is `triangles.explicit_row`.
 
 Indexing follows the shifted convention: the (n, k) entry of an r-family
 refers to a ground set of n+r elements split into k+r blocks, with the r
@@ -15,16 +16,9 @@ from collections import deque
 from fractions import Fraction
 
 from . import basis, classic, families
-from .exactmath import (
-    Poly,
-    Series,
-    as_integer,
-    binomial,
-    exp_series,
-    generalized_rising,
-)
+from .exactmath import Poly, Series, exp_series
 from .families import check_param
-from .triangles import Triangle, checkerboard
+from .triangles import Triangle, checkerboard, explicit_row
 
 
 def weighted_stirling_egf_check(nmax: int, r, order: int) -> bool:
@@ -79,22 +73,13 @@ def r_whitney_first_by_solve(nmax: int, m, r) -> Triangle:
 
 
 def r_whitney_lah_explicit(n: int, k: int, m, r) -> int:
-    """Closed form C(n,k) * [2r|m]_n / [2r|m]_k; the quotient must divide
-    exactly, anything else signals a bug."""
+    """Closed form C(n,k) * [2r|m]_n / [2r|m]_k, entry k of
+    `triangles.explicit_row(n, 2r, m)`."""
     m = check_param("m", m)
     r = check_param("r", r)
     if k < 0 or k > n:
         return 0
-    denominator = generalized_rising(2 * r, m, k)
-    if denominator == 0:
-        # r = 0 with k >= 1 makes the printed quotient 0/0; the telescoped
-        # product prod_{i=k}^{n-1}(2r + i*m) is its unique consistent value.
-        tail = 1
-        for i in range(k, n):
-            tail *= 2 * r + i * m
-        return binomial(n, k) * tail
-    value = Fraction(binomial(n, k)) * generalized_rising(2 * r, m, n)
-    return as_integer(value / denominator)
+    return explicit_row(n, 2 * r, m)[k]
 
 
 def verify_log_concavity(n: int, m, r) -> bool:

@@ -1,8 +1,8 @@
 """The exact lower-triangular table every number family is stored in, the
 one recurrence engine that builds integer tables, the paper's alternating
 Lah/Stirling sum and the triangular matrix product over streamed rows, and
-the whole-table algorithms (transform, row and column expansions) of the
-verification routes."""
+the whole-table algorithms (transform, row and column expansions) and the
+closed-form Lah-type row of the verification routes."""
 
 from __future__ import annotations
 
@@ -202,9 +202,8 @@ def horizontal_rows(upper: Triangle, nmax: int, c: int, h: int, sign: int) -> tu
 
         T(n,k) = sum_{i=0}^{n-k} sign (-1)^i [x|h]_i T(n+1, k+i+1),  x = c + (n+k+1)h,
 
-    with [x|h]_i = x(x+h)...(x+(i-1)h) (`exactmath.generalized_rising`, kept
-    here as a running product), all from `upper`, which holds rows 0..nmax+1
-    of T."""
+    with the step-h rising factorial [x|h]_i = x(x+h)...(x+(i-1)h) kept as a
+    running product, all from `upper`, which holds rows 0..nmax+1 of T."""
     rows = []
     for n in range(nmax + 1):
         below = upper.rows[n + 1]
@@ -217,3 +216,20 @@ def horizontal_rows(upper: Triangle, nmax: int, c: int, h: int, sign: int) -> tu
             row.append(total)
         rows.append(tuple(row))
     return tuple(rows)
+
+
+def explicit_row(n: int, c: int, h: int) -> tuple:
+    """Row n of the closed form of a Lah-type triangle,
+
+        T(n,k) = C(n,k) prod_{i=k}^{n-1} (c + i*h),
+
+    the quotient C(n,k) [c|h]_n / [c|h]_k telescoped, so that it has no 0/0
+    where a factor c + i*h vanishes.  It is walked from T(n,n) = 1 down,
+    T(n,k) = T(n,k+1) (k+1)(c + k*h) / (n-k), each division asserted exact."""
+    entry, row = 1, [1]
+    for k in range(n - 1, -1, -1):
+        entry, remainder = divmod(entry * (k + 1) * (c + k * h), n - k)
+        if remainder:
+            raise AssertionError("explicit Lah-type row failed to divide by n - k")
+        row.append(entry)
+    return tuple(reversed(row))

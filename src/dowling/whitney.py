@@ -10,8 +10,9 @@ the tables, and the two must agree.
 
 from __future__ import annotations
 
+import math
+
 from . import basis, classic, families
-from .exactmath import binomial
 from .families import check_param
 from .triangles import Triangle
 
@@ -30,7 +31,7 @@ def whitney_second_benoumhani_rows(nmax: int, alpha) -> tuple:
     s2 = families.triangle("stirling2", {}, nmax).rows
     return tuple(
         tuple(
-            sum(binomial(n, i) * alpha ** (i - k) * s2[i][k] for i in range(k, n + 1))
+            sum(math.comb(n, i) * alpha ** (i - k) * s2[i][k] for i in range(k, n + 1))
             for k in range(n + 1)
         )
         for n in range(nmax + 1)

@@ -8,8 +8,6 @@ from dowling import families
 from dowling.classic import (
     explicit_sum,
     lah_egf_check,
-    lah_explicit,
-    lah_signless,
     partial_bell,
     partial_bell_rows,
 )
@@ -69,26 +67,23 @@ def test_lah_triangle_values():
 
 
 def test_lah_explicit_matches_recurrence_to_30():
-    tri = families.triangle("lah", {}, 30)
-    for n in range(31):
-        for k in range(n + 1):
-            assert tri.value(n, k) == lah_explicit(n, k)
+    assert lah_route("explicit", "lah", 30) == families.triangle("lah", {}, 30).rows
 
 
 def test_lah_explicit_values():
-    assert lah_explicit(4, 2) == 36
-    assert lah_explicit(0, 0) == 1
-    assert lah_explicit(3, 0) == 0
-    assert lah_explicit(2, 5) == 0
+    # (-1)^n C(n-1,k-1) n!/k!
+    rows = lah_route("explicit", "lah", 4)
+    assert rows[4][2] == 36
+    assert rows[3] == (0, -6, -6, -1)
+    assert rows[0] == (1,)
 
 
 def test_lah_signless_counts_ordered_partitions():
-    assert lah_signless(3, 1) == 6
-    assert lah_signless(4, 2) == 36
+    tri = families.triangle("lah", {}, 9)
     for n in range(10):
         for k in range(n + 1):
             spec = PartitionSpec(n, k, ordered_blocks=True)
-            assert lah_signless(n, k) == count_partitions(spec)
+            assert (-1) ** n * tri.value(n, k) == count_partitions(spec)
 
 
 def test_lah_vertical_and_horizontal_agree_to_20():

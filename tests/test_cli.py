@@ -1,5 +1,6 @@
 import decimal
 import errno
+import io
 import json
 import os
 import subprocess
@@ -22,7 +23,6 @@ from dowling.cli import (
     unlimited_int_digits,
 )
 from dowling.identities import REGISTRY
-from dowling.rnumbers import r_whitney_lah_explicit
 from dowling.unified import hs_pair_by_solve
 
 
@@ -41,6 +41,13 @@ def _subprocess_env() -> dict:
     env = {**os.environ, "PYTHONPATH": path}
     env.pop("PYTHONUNBUFFERED", None)
     return env
+
+
+def json_text(table, family: str, params: dict) -> str:
+    """What `triangle_json` writes for a table."""
+    out = io.StringIO()
+    triangle_json(table, family, params, out)
+    return out.getvalue()
 
 
 def triangle_from_json(text: str) -> triangles.Triangle:
@@ -92,7 +99,7 @@ def test_triangle_json_roundtrip_is_byte_identical(capsys):
     assert code == 0
     tri = triangle_from_json(out)
     assert tri.rows == families.triangle("r-lah", {"r": 2}, 4).rows
-    assert triangle_json(tri, tri.family, tri.params) == out
+    assert json_text(tri, tri.family, tri.params) == out
     obj = json.loads(out)
     assert obj["rows"][2] == ["20", "10", "1"]
     assert obj["params"] == {"r": "2"}
@@ -110,7 +117,7 @@ def test_rational_triangle_json_roundtrip_is_byte_identical(capsys):
     assert mat.rows == hs_pair_by_solve(2, (Fraction(1, 2), Fraction(1, 3), 2)).s1.rows
     assert mat.rows[2][1] == Fraction(23, 6)
     assert mat == families.triangle("hs1", mat.params, 2)
-    assert triangle_json(mat, mat.family, mat.params) == out
+    assert json_text(mat, mat.family, mat.params) == out
 
 
 def _int_rendering(table, fmt: str, family: str, params: dict) -> str:
@@ -247,7 +254,7 @@ def test_engine_families_print_without_a_whole_triangle(monkeypatch, capsys, fam
 def test_streamed_json_is_json_dumps(capsys, family, params, nmax):
     table = families.triangle(family, params, nmax)
     expected = _int_rendering(table, "json", family, params)
-    assert triangle_json(table, family, params) == expected
+    assert json_text(table, family, params) == expected
     code, out, _ = run(capsys, *_triangle_argv(family, params, nmax, "json"))
     assert code == 0 and out == expected
 
@@ -391,8 +398,6 @@ def test_paper_tables_all_match(capsys):
 
 
 def test_run_paper_tables_returns_mismatch_count():
-    import io
-
     sink = io.StringIO()
     assert run_paper_tables(out=sink) == 0
 
@@ -600,10 +605,10 @@ def test_entries_past_the_int_str_digit_limit(capsys):
     code, text, _ = run(capsys, *argv, "--format", "json")
     assert code == 0
     tri = triangle_from_json(text)
-    assert tri.row(95) == tuple(r_whitney_lah_explicit(95, k, 10**50, 0) for k in range(96))
+    assert tri.row(95) == triangles.explicit_row(95, 0, 10**50)
     with unlimited_int_digits():
         assert [str(v) for v in tri.row(95)] == last
-        assert triangle_json(tri, tri.family, tri.params) == text
+        assert json_text(tri, tri.family, tri.params) == text
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 as verification: polynomial expansion, connection solves, and full-triangle
 row sums."""
 
+import math
 from collections import deque
 from fractions import Fraction
 from functools import partial
@@ -232,6 +233,26 @@ def test_explicit_sum_asserts_exact_division(monkeypatch):
     monkeypatch.setattr(families.math, "factorial", lambda n: 7)
     with pytest.raises(AssertionError):
         families.row_sum("stirling2", {}, 5)
+
+
+def test_explicit_row_is_the_telescoped_quotient():
+    # C(n,k) prod_{i=k}^{n-1} (c + i h) is C(n,k) [c|h]_n / [c|h]_k wherever
+    # [c|h]_k != 0, the quotient divides exactly at c = 2r, and the walk has
+    # no 0/0 where a factor vanishes: at r = 0 or at a negative step.
+    for c, h in ((2, 1), (4, 2), (2, 3), (0, 1), (0, 5), (2, -2), (2, -1), (6, -3)):
+        for n in range(13):
+            rising = [math.prod(c + i * h for i in range(j)) for j in range(n + 1)]
+            row = triangles.explicit_row(n, c, h)
+            for k in range(n + 1):
+                assert row[k] == math.comb(n, k) * math.prod(c + i * h for i in range(k, n)), (c, h, n, k)
+                if rising[k]:
+                    assert F(math.comb(n, k) * rising[n], rising[k]) == row[k]
+
+
+def test_explicit_row_asserts_exact_division():
+    # At c = 1/2 the walk reaches T(2,1) = 3, and T(2,0) = 3 * 1/2 / 2 is no integer.
+    with pytest.raises(AssertionError):
+        triangles.explicit_row(2, F(1, 2), 1)
 
 
 def test_hs_pair_asserts_mutual_inverse(monkeypatch):

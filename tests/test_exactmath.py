@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -11,76 +12,30 @@ from dowling.exactmath import (
     Poly,
     Series,
     as_integer,
-    binomial,
     exp_series,
-    generalized_rising,
     interpolate,
 )
 
 F = Fraction
 
 
-# The falling factorial x(x-1)...(x-n+1) is the step -1 rising factorial.
-
-
-def test_falling_factorial_values():
-    assert generalized_rising(5, -1, 3) == 60
-    assert generalized_rising(F(7, 2), -1, 0) == 1
-    assert generalized_rising(0, -1, 0) == 1
-    assert generalized_rising(F(1, 2), -1, 2) == F(-1, 4)
-
-
-def test_rising_factorial_values():
-    assert generalized_rising(3, 1, 3) == 60
-    assert generalized_rising(F(-5, 3), 1, 0) == 1
+# Element n of factorial_basis(1, 0, m, n) is x(x-m)...(x-(n-1)m): the
+# falling factorial at m = 1, the rising one at m = -1.
 
 
 @pytest.mark.parametrize("x", [F(0), F(1), F(-2), F(1, 2), F(-7, 3)])
 @pytest.mark.parametrize("n", range(11))
 def test_rising_is_signed_falling_of_negated_argument(x, n):
-    assert generalized_rising(x, 1, n) == (-1) ** n * generalized_rising(-x, -1, n)
-
-
-def test_generalized_factorials():
-    assert generalized_rising(4, -2, 2) == 8
-    assert generalized_rising(F(9), F(-1, 3), 0) == 1
-    assert generalized_rising(4, 2, 2) == 24
-    assert generalized_rising(7, 5, 0) == 1
+    rising = factorial_basis(1, 0, -1, n).elements[n]
+    falling = factorial_basis(1, 0, 1, n).elements[n]
+    assert rising(x) == (-1) ** n * falling(-x)
 
 
 @pytest.mark.parametrize("x", [F(3), F(-1, 2), F(10, 3)])
 @pytest.mark.parametrize("n", range(7))
 def test_step_one_reduces_to_plain_factorials(x, n):
-    # Element n of factorial_basis(1, 0, m, n) is x(x-m)...(x-(n-1)m).
-    assert generalized_rising(x, -1, n) == factorial_basis(1, 0, 1, n).elements[n](x)
-    assert generalized_rising(x, 1, n) == factorial_basis(1, 0, -1, n).elements[n](x)
-
-
-def test_generalized_rising_quotients_divide_for_even_start():
-    # [2r|m]_n / [2r|m]_k must be integral for positive r, m: needed by the
-    # closed-form r-Whitney-Lah route.
-    for r in range(1, 4):
-        for m in range(1, 4):
-            for n in range(8):
-                for k in range(n + 1):
-                    q = F(generalized_rising(2 * r, m, n), generalized_rising(2 * r, m, k))
-                    assert q.denominator == 1
-
-
-def test_binomial():
-    assert binomial(4, 2) == 6
-    assert binomial(9, 0) == 1
-    assert binomial(3, 5) == 0
-    assert binomial(3, -1) == 0
-    with pytest.raises(ValueError):
-        binomial(-1, 0)
-
-
-def test_negative_index_rejected():
-    with pytest.raises(ValueError):
-        generalized_rising(3, -1, -1)
-    with pytest.raises(ValueError):
-        generalized_rising(3, 1, -2)
+    assert math.prod(x - i for i in range(n)) == factorial_basis(1, 0, 1, n).elements[n](x)
+    assert math.prod(x + i for i in range(n)) == factorial_basis(1, 0, -1, n).elements[n](x)
 
 
 def test_as_integer():

@@ -1,7 +1,8 @@
 """The identity registry: every table and sequence check can fail, every
 specialization fails on a sign error, `verify` builds every engine family,
-`verify` takes only the parameters an identity declares, and the Lah-type
-families are what `LAH_TYPES` declares them to be."""
+`verify` takes only the parameters an identity declares, the Lah-type
+families are what `LAH_TYPES` declares them to be, and a wrong weight of any
+of them is caught by the identities that read it."""
 
 import json
 from fractions import Fraction
@@ -11,7 +12,7 @@ import pytest
 from dowling import families
 from dowling.cli import main
 from dowling.exactmath import IntegralityError
-from dowling.identities import LAH_TYPES, REGISTRY, SPECIALIZATIONS, Sequences, Tables, lah_route
+from dowling.identities import LAH_TYPES, REGISTRY, SPECIALIZATIONS, Sequences, Tables, lah_route, report
 from dowling.triangles import checkerboard
 
 
@@ -259,31 +260,43 @@ def test_lah_types_are_r_whitney_lah_at_their_declared_point(family):
         base = families.triangle("r-whitney-lah", {"m": m, "r": r}, 12).rows
         signed = tuple(tuple(lah.sign**n * v for v in row) for n, row in enumerate(base))
         assert families.triangle(family, point, 12).rows == signed, point
+        assert lah_route("explicit", family, 12, **point) == signed, point
+
+
+def test_explicit_route_at_a_negative_step():
+    # 2 + k*alpha vanishes at k = 2 for alpha = -1 and at k = 1 for alpha = -2:
+    # the entries from there left are 0, and the walk from k = n down reaches
+    # them without a 0/0.
+    for alpha in (-1, -2, -7):
+        rows = families.triangle("whitney-lah", {"alpha": alpha}, 20).rows
+        assert lah_route("explicit", "whitney-lah", 20, alpha=alpha) == rows, alpha
 
 
 @pytest.mark.parametrize(
     "name, columns",
     (
-        ("verlah", (0,)),
-        ("horilah", (0,)),
-        ("ordlahstirling", (0,)),
-        ("wla1", (0,)),
-        ("lah1", (0,)),
-        ("rwhitneylah", (0,)),
-        ("triwlah", (1, 0, 0)),
-        ("rwlah-routes", (0, 0, 1, 0)),
+        ("verlah", (("vertical", 0),)),
+        ("horilah", (("horizontal", 0),)),
+        ("ordlahstirling", (("product", 0),)),
+        ("wla1", (("explicit", 0), ("product", 0))),
+        ("lah1", (("explicit", 0), ("product", 0))),
+        ("rwhitneylah", (("product", 0),)),
+        ("triwlah", (("vertical", 1), ("horizontal", 0), ("product", 0))),
+        ("rwlah-routes", (("explicit", 0), ("product", 0), ("vertical", 1), ("horizontal", 0))),
+        ("lef", (("explicit", 0),)),
+        ("exprwlah", (("explicit", 0),)),
     ),
 )
 def test_lah_type_identities_keep_their_routes(name, columns):
-    """The number of routes of each Lah-type identity, and the first column
-    each is compared from."""
-    assert tuple(kmin for _, kmin in REGISTRY[name].check.routes) == columns
+    """The `lah_route` kinds of each Lah-type identity, in order, and the
+    first column each is compared from."""
+    assert tuple((route.args[0], kmin) for route, kmin in REGISTRY[name].check.routes) == columns
 
 
 def test_lah_routes_validate_their_parameters():
     """An integral Fraction, as the CLI passes `--alpha 3`, runs on ints; a
     proper one is refused before any route runs."""
-    for kind in ("vertical", "horizontal", "product"):
+    for kind in ("explicit", "vertical", "horizontal", "product"):
         rows = lah_route(kind, "whitney-lah", 6, alpha=Fraction(3))
         assert rows == lah_route(kind, "whitney-lah", 6, alpha=3)
         assert {type(v) for row in rows for v in row} == {int}
@@ -293,3 +306,40 @@ def test_lah_routes_validate_their_parameters():
             lah_route(kind, "r-whitney-lah", 6, m=0, r=1)
     with pytest.raises(ValueError, match="unknown Lah-type route"):
         lah_route("diagonal", "lah", 6)
+
+
+# The identities that catch a Lah-type family with its engine weight a, b or
+# c raised by 1.  `oracle` catches `lah` since it reads the engine table.
+_W_LAH_CATCHERS = {"wla1", "triwlah", "dow1", "specializations"}
+LAH_MUTANT_CATCHERS = {
+    "lah": dict.fromkeys("abc", {"lef", "verlah", "horilah", "lgf", "ordlahstirling", "partial-bell", "oracle"}),
+    "whitney-lah": {**dict.fromkeys("ab", _W_LAH_CATCHERS | {"ortho", "inv1"}), "c": _W_LAH_CATCHERS},
+    "r-lah": dict.fromkeys("abc", {"qi", "lah1", "expb", "specializations", "oracle"}),
+    "r-whitney-lah": dict.fromkeys(
+        "abc", {"rwhitneylah", "exprwlah", "rwlah-routes", "expl-rdow", "specializations"}
+    ),
+}
+
+
+@pytest.mark.parametrize("weight", "abc")
+@pytest.mark.parametrize("family", sorted(LAH_TYPES))
+def test_a_wrong_lah_type_weight_is_caught(monkeypatch, family, weight):
+    """Every identity runs at its defaults on the mutant; one that fails or
+    raises has caught it."""
+    real = families.FAMILIES[family]
+    index = " abc".index(weight)
+
+    def weights(p):
+        mutated = list(real.weights(p))
+        mutated[index] += 1
+        return tuple(mutated)
+
+    monkeypatch.setitem(families.FAMILIES, family, real._replace(weights=weights))
+    caught = set()
+    for name, ident in REGISTRY.items():
+        try:
+            if not report(ident)["pass"]:
+                caught.add(name)
+        except Exception:
+            caught.add(name)
+    assert caught >= LAH_MUTANT_CATCHERS[family][weight], LAH_MUTANT_CATCHERS[family][weight] - caught
