@@ -10,7 +10,8 @@ explicit formulas of the six Bell-type sums are one table,
 identity registry that checks them against the engine is
 `dowling.identities`, imported on demand; the explicit, vertical, horizontal
 and product routes of the four Lah-type families are built there, by
-`identities.lah_route`, from one declaration of each family.
+`identities.lah_route`, from one declaration of each family.  Every connection
+solve is one integer routine, `basis.solve(family, params, nmax)`.
 """
 
 from . import families
@@ -20,14 +21,11 @@ from .classic import (
     explicit_sum,
     lah_egf_check,
     partial_bell,
-    stirling1_by_expansion,
 )
 from .rnumbers import (
     r_dowling_explicit,
     r_inverse_pair,
-    r_whitney_first_by_solve,
     r_whitney_lah_explicit,
-    r_whitney_second_by_solve,
     verify_log_concavity,
     weighted_stirling_egf_check,
 )
@@ -38,7 +36,6 @@ from .unified import (
 )
 from .whitney import (
     dowling_explicit,
-    whitney_first_by_expansion,
     whitney_second_benoumhani_rows,
 )
 

@@ -1,15 +1,16 @@
-"""Verification routes for the Stirling numbers of both kinds, the Lah
-numbers' EGF and the Bell numbers, plus partial Bell polynomials and
-`EXPLICIT`, the paper's alternating Lah/Stirling formula for each Bell-type
-sum: Qi's formula for the Bell numbers, its Dowling, r-Bell and r-Dowling
-generalizations, and the theorem for the Hsu-Shiue generalized Bell numbers
-and the Cakic-Bell numbers, declared once as data.
+"""Verification routes for the Lah numbers' EGF and the Bell numbers, plus
+partial Bell polynomials and `EXPLICIT`, the paper's alternating Lah/Stirling
+formula for each Bell-type sum: Qi's formula for the Bell numbers, its
+Dowling, r-Bell and r-Dowling generalizations, and the theorem for the
+Hsu-Shiue generalized Bell numbers and the Cakic-Bell numbers, declared once
+as data.
 
 The engine in `families` builds every family; the routes here compute it
 another way, and the test suite pins them against each other and against
 brute-force partition counts.  The Lah numbers' closed form is the one of
 all four Lah-type families, `triangles.explicit_row`, read through
-`identities.lah_route`.
+`identities.lah_route`; the signed Stirling numbers of the first kind by
+expansion are `basis.solve("stirling1", ...)`.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ import math
 from collections import deque
 from fractions import Fraction
 
-from . import basis, families
-from .exactmath import Poly, Series
+from . import families
+from .exactmath import Series
 from .triangles import Triangle, alternating_sums
 
 
@@ -28,18 +29,11 @@ def stirling1_triangle(nmax: int) -> Triangle:
     return families.triangle("stirling1", {}, nmax)
 
 
-def stirling1_by_expansion(nmax: int) -> Triangle:
-    """Verification route: expand x(x-1)...(x-n+1) in monomials."""
-    mat = basis.expand_in_monomials(basis.factorial_basis(1, 0, 1, nmax))
-    return mat.to_triangle("stirling1", {})
-
-
 def lah_egf_check(k: int, order: int) -> bool:
     """True iff n! [t^n] (1/k!)((-t)/(1+t))^k equals L(n,k) for n <= order."""
     if order < k:
         raise ValueError("order must be at least k")
-    one_plus_t = Series.from_poly(Poly((1, 1)), order)
-    base = Series.from_poly(Poly((0, -1)), order) * one_plus_t.inverse()
+    base = Series((0, -1), order) * Series((1, 1), order).inverse()
     series = (base ** k) * Fraction(1, math.factorial(k))
     tri = families.triangle("lah", {}, order)
     return all(

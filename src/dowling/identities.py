@@ -28,7 +28,7 @@ from fractions import Fraction
 from functools import cache, partial
 from types import MappingProxyType
 
-from . import classic, families, oracle, rnumbers, unified, whitney
+from . import basis, classic, families, oracle, rnumbers, unified, whitney
 from .triangles import checkerboard, explicit_row, horizontal_rows, product, transform, vertical_rows
 
 
@@ -135,22 +135,22 @@ def _sums(family):
     return lambda nmax, **point: [families.row_sum(family, point, n) for n in range(nmax + 1)]
 
 
-def _hs_ortho_pair(nmax, alpha, beta, gamma):
-    """s1 from the engine and s2 from the connection solve."""
-    s1 = families.triangle("hs1", {"alpha": alpha, "beta": beta, "gamma": gamma}, nmax)
-    return s1, unified.hs_pair_by_solve(nmax, (alpha, beta, gamma)).s2
+def _solved(family):
+    """A family by its connection solve, `basis.solve`, called like `_table`."""
+    return lambda nmax, **point: basis.solve(family, point, nmax)
 
 
-def _hs_inverse_pair(nmax, alpha, beta, gamma):
-    """s1 from the connection solve and s2 from the engine."""
-    s2 = families.triangle("hs2", {"alpha": alpha, "beta": beta, "gamma": gamma}, nmax)
-    return unified.hs_pair_by_solve(nmax, (alpha, beta, gamma)).s1, s2
+def _signed(table):
+    """A table function with its entries signed by (-1)^(n-k)."""
+    return lambda nmax, **point: checkerboard(table(nmax, **point))
 
 
-def _r_whitney_pair(nmax, m, r):
-    """Signed r-Whitney first kind (solved) and second kind: mutually inverse."""
-    first = rnumbers.r_whitney_first_by_solve(nmax, m, r)
-    return checkerboard(first), families.triangle("r-whitney2", {"m": m, "r": r}, nmax)
+def _pair(first, second):
+    """Two table functions as one function of the pair."""
+    return lambda nmax, **point: (first(nmax, **point), second(nmax, **point))
+
+
+_R_WHITNEY_PAIR = _pair(_signed(_solved("r-whitney1")), _table("r-whitney2"))
 
 
 # ---------------------------------------------------------------------------
@@ -266,12 +266,10 @@ def _partial_bell(nmax):
 # parameters, the sign, and the two kinds, each called as fn(nmax, **params).
 LahType = namedtuple("LahType", ("mr", "sign", "first", "second"))
 LAH_TYPES = {
-    "lah": LahType(lambda p: (1, 0), -1, classic.stirling1_by_expansion, _table("stirling2")),
-    "whitney-lah": LahType(lambda p: (p["alpha"], 1), -1, whitney.whitney_first_by_expansion, _table("whitney2")),
+    "lah": LahType(lambda p: (1, 0), -1, _solved("stirling1"), _table("stirling2")),
+    "whitney-lah": LahType(lambda p: (p["alpha"], 1), -1, _solved("whitney1"), _table("whitney2")),
     "r-lah": LahType(lambda p: (1, p["r"]), 1, _table("r-stirling1"), _table("r-stirling2")),
-    "r-whitney-lah": LahType(
-        lambda p: (p["m"], p["r"]), 1, rnumbers.r_whitney_first_by_solve, rnumbers.r_whitney_second_by_solve
-    ),
+    "r-whitney-lah": LahType(lambda p: (p["m"], p["r"]), 1, _solved("r-whitney1"), _solved("r-whitney2")),
 }
 
 
@@ -371,13 +369,18 @@ def _log_concavity(nmax, m, r):
     return ((n, None, rnumbers.verify_log_concavity(n, m, r)) for n in range(2, nmax + 1))
 
 
-def _stirling_pair(nmax):
-    return families.triangle("stirling2", {}, nmax), families.triangle("stirling1", {}, nmax)
-
-
-def _whitney_pair(nmax, alpha):
-    second = families.triangle("whitney2", {"alpha": alpha}, nmax)
-    return whitney.whitney_first_by_expansion(nmax, alpha), second
+def _engine_ortho(nmax, alpha, m, r):
+    """Each engine first kind times its engine second kind is the identity
+    matrix, in both orders: w1 W2 at alpha and checkerboard(r-w1) r-W2 at
+    (m, r).  A failure names the first kind."""
+    kinds = {
+        "whitney1": (_pair(_table("whitney1"), _table("whitney2")), {"alpha": alpha}),
+        "r-whitney1": (_pair(_signed(_table("r-whitney1")), _table("r-whitney2")), {"m": m, "r": r}),
+    }
+    bad = []
+    for name, (pair, point) in kinds.items():
+        bad += [dict(item, expected=f"{name}: {item['expected']}") for item in Product(pair)(nmax, **point)[0]]
+    return bad, None
 
 
 _HS_GRID = tuple(
@@ -406,7 +409,7 @@ REGISTRY = {
         Identity("lgf", {"nmax": 20}, Predicate(_lgf, _SERIES), fixed={"kmax": 5}),
         Identity("qi", {"nmax": 25}, Sequences(_sums("stirling2"), _explicit("bell"))),
         Identity("ordlahstirling", {"nmax": 15}, Tables(_LAH, _lah_routes("lah", product=0))),
-        Identity("stirling-inverse", {"nmax": 9}, Roundtrip(_stirling_pair)),
+        Identity("stirling-inverse", {"nmax": 9}, Roundtrip(_pair(_table("stirling2"), _table("stirling1")))),
         Identity("partial-bell", {"nmax": 10}, _partial_bell),
         Identity("ortho", {"nmax": 12, "alpha": 3}, Product(_twice(_W_LAH))),
         Identity("inv1", {"nmax": 9, "alpha": 3}, Roundtrip(_twice(_W_LAH))),
@@ -416,7 +419,7 @@ REGISTRY = {
             {"nmax": 15, "alpha": 3},
             Tables(_W_LAH, _lah_routes("whitney-lah", vertical=1, horizontal=0, product=0), _TRIWLAH),
         ),
-        Identity("whitney-ortho", _W, Product(_whitney_pair)),
+        Identity("whitney-ortho", _W, Product(_pair(_solved("whitney1"), _table("whitney2")))),
         Identity(
             "benoumhani",
             {"nmax": 15, "alpha": 3},
@@ -433,8 +436,9 @@ REGISTRY = {
             Predicate(_weighted_egf, _SERIES),
             fixed={"order": partial(max, 12)},  # the series order must reach nmax
         ),
-        Identity("rw-ortho", {"nmax": 8, "m": 2, "r": 2}, Product(_r_whitney_pair)),
-        Identity("rw-inv", {"nmax": 7, "m": 2, "r": 2}, Roundtrip(_r_whitney_pair)),
+        Identity("rw-ortho", {"nmax": 8, "m": 2, "r": 2}, Product(_R_WHITNEY_PAIR)),
+        Identity("rw-inv", {"nmax": 7, "m": 2, "r": 2}, Roundtrip(_R_WHITNEY_PAIR)),
+        Identity("engine-ortho", {"nmax": 12, "alpha": 3, "m": 2, "r": 2}, _engine_ortho),
         Identity("rwhitneylah", _RW, Tables(_RW_LAH, _lah_routes("r-whitney-lah", product=0))),
         Identity("exprwlah", _RW, Tables(_RW_LAH, _lah_routes("r-whitney-lah", explicit=0))),
         Identity(
@@ -445,8 +449,8 @@ REGISTRY = {
         Identity("expl-rdow", _RW, Sequences(_sums("r-whitney2"), _explicit("r-dowling"))),
         Identity("ugexp", {"nmax": 10}, Sequences(_sums("hs1"), _explicit("hs-bell")), _HS_GRID),
         Identity("cakic-bell", {"nmax": 10, "alpha": 2}, Sequences(_sums("cakic"), _explicit("cakic-bell"))),
-        Identity("hs-ortho", {"nmax": 8}, Product(_hs_ortho_pair), _HS_GRID),
-        Identity("invrel", {"nmax": 9}, Roundtrip(_hs_inverse_pair), _HS_GRID),
+        Identity("hs-ortho", {"nmax": 8}, Product(_pair(_table("hs1"), _solved("hs2"))), _HS_GRID),
+        Identity("invrel", {"nmax": 9}, Roundtrip(_pair(_solved("hs1"), _table("hs2"))), _HS_GRID),
         Identity("log-concavity", {"nmax": 20}, Predicate(_log_concavity, "log-concave", _LOG_CONCAVE), _MR_GRID),
         Identity("specializations", {"nmax": 6}, _specializations),
         Identity("oracle", {"nmax": 8}, _oracle, needs_oracle=True),

@@ -1,8 +1,9 @@
 """Verification routes for the r-Stirling, r-Whitney and r-Whitney-Lah
-numbers; the explicit formulas of the r-Bell and r-Dowling numbers are
-declared with the paper's other Bell-type formulas in `classic.EXPLICIT`,
-and the r-Whitney-Lah closed form, of which `r_whitney_lah_explicit` reads
-one entry, is `triangles.explicit_row`.
+numbers; the r-Whitney numbers of both kinds by connection solve are
+`basis.solve`'s, the explicit formulas of the r-Bell and r-Dowling numbers are declared with the
+paper's other Bell-type formulas in `classic.EXPLICIT`, and the
+r-Whitney-Lah closed form, of which `r_whitney_lah_explicit` reads one
+entry, is `triangles.explicit_row`.
 
 Indexing follows the shifted convention: the (n, k) entry of an r-family
 refers to a ground set of n+r elements split into k+r blocks, with the r
@@ -15,8 +16,8 @@ import math
 from collections import deque
 from fractions import Fraction
 
-from . import basis, classic, families
-from .exactmath import Poly, Series, exp_series
+from . import classic, families
+from .exactmath import Series, exp_series
 from .families import check_param
 from .triangles import Triangle, checkerboard, explicit_row
 
@@ -49,27 +50,6 @@ def r_inverse_pair(nmax: int, r) -> tuple:
 def r_whitney_second_recurrence(nmax: int, m, r) -> Triangle:
     """The engine's r-Whitney second-kind triangle, by the name `perfbench/pin.py` calls."""
     return families.triangle("r-whitney2", {"m": m, "r": r}, nmax)
-
-
-def r_whitney_second_by_solve(nmax: int, m, r) -> Triangle:
-    """Verification route from the defining relation
-    (mx+r)^n = sum_k m^k W(n,k) x(x-1)...(x-k+1), solved exactly."""
-    m = check_param("m", m)
-    r = check_param("r", r)
-    source = basis.power_basis(Poly((r, m)), nmax)
-    mat = basis.connection_matrix(source, basis.factorial_basis(m, 0, m, nmax))
-    return mat.to_triangle("r-whitney2", {"m": m, "r": r})
-
-
-def r_whitney_first_by_solve(nmax: int, m, r) -> Triangle:
-    """Verification route: expand m^n x(x-1)...(x-n+1) in powers of (mx+r)
-    and peel off the (-1)^(n-k) sign."""
-    m = check_param("m", m)
-    r = check_param("r", r)
-    mat = basis.connection_matrix(
-        basis.factorial_basis(m, 0, m, nmax), basis.power_basis(Poly((r, m)), nmax)
-    )
-    return checkerboard(mat).to_triangle("r-whitney1", {"m": m, "r": r})
 
 
 def r_whitney_lah_explicit(n: int, k: int, m, r) -> int:

@@ -1,26 +1,22 @@
 """Verification routes for the two-parameter-plus-shift Stirling pair of
-Hsu and Shiue: the pair by connection solve and the Lah-type numbers built
-from it, plus `hs_bell_explicit`, the generalized Bell numbers by one call
-into `classic.EXPLICIT`.  A parameter triple is the plain tuple
+Hsu and Shiue: the pair by two integer connection solves and the Lah-type
+numbers built from it, plus `hs_bell_explicit`, the generalized Bell numbers
+by one call into `classic.EXPLICIT`.  A parameter triple is the plain tuple
 (alpha, beta, gamma).
 
-The pair (s1, s2) consists of the connection coefficients
-
-    step-alpha factorial of t   =  sum_k s1(n,k) * step-beta factorial of (t - gamma)
-    step-beta  factorial of t   =  sum_k s2(n,k) * step-alpha factorial of (t + gamma)
-
-which are mutually inverse.  Specializing (alpha, beta, gamma) recovers every
-other family in this package; `identities.SPECIALIZATIONS` declares those
-reductions, each with its one sign convention.
+The pair (s1, s2) is the connection coefficients of the bases `basis.BASES`
+declares, (t|alpha)_n in (t - gamma|beta)_k and (t|beta)_n in
+(t + gamma|alpha)_k, which are mutually inverse.  Specializing
+(alpha, beta, gamma) recovers every other family in this package;
+`identities.SPECIALIZATIONS` declares those reductions, each with its one
+sign convention.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
 
-from . import classic
-from .basis import connection_matrix, factorial_basis
+from . import basis, classic, families
 from .triangles import Triangle, product
 
 # The mutually inverse matrices s1 and s2 for one parameter triple.
@@ -28,22 +24,15 @@ HSPair = namedtuple("HSPair", "s1 s2")
 
 
 def hs_pair_by_solve(nmax: int, params) -> HSPair:
-    """Verification route: both connection matrices, solved exactly.
-
-    Both target bases have unit leading scale, so they are always graded and
-    the solve cannot degenerate.  Mutual inversion is asserted, the pair's
-    defining invariant; `hs-ortho` and `invrel` check the engine rows for it.
-    """
-    alpha, beta, gamma = map(Fraction, params)
-    source1 = factorial_basis(1, 0, alpha, nmax)
-    target1 = factorial_basis(1, -gamma, beta, nmax)
-    source2 = factorial_basis(1, 0, beta, nmax)
-    target2 = factorial_basis(1, gamma, alpha, nmax)
-    s1 = connection_matrix(source1, target1)
-    s2 = connection_matrix(source2, target2)
-    if not s1.mul(s2).is_identity():
+    """Verification route: s1 and s2 by two integer solves.  Mutual
+    inversion, the pair's defining invariant, is asserted on their scaled
+    ints D^(n-k) s(n,k), whose product is exactly the identity; `hs-ortho`
+    and `invrel` check the engine rows for it."""
+    point = dict(zip(("alpha", "beta", "gamma"), params))
+    (scale, s1), (_, s2) = (basis.scaled_solve(kind, point, nmax) for kind in ("hs1", "hs2"))
+    if any(v != (n == k) for n, row in enumerate(product(s1, s2)) for k, v in enumerate(row)):
         raise AssertionError("connection pair failed to be mutually inverse")
-    return HSPair(s1, s2)
+    return HSPair(*(Triangle(families._read_off(rows, scale)) for rows in (s1, s2)))
 
 
 def signed_product(pair: HSPair) -> Triangle:

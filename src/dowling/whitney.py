@@ -1,27 +1,18 @@
-"""Verification routes for the Whitney numbers of both kinds; the Dowling
+"""Verification routes for the Whitney numbers of the second kind; the
+first kind by expansion is `basis.solve("whitney1", ...)`, the Dowling
 numbers' explicit formula is declared with the paper's other Bell-type
 formulas in `classic.EXPLICIT`, and the Whitney-Lah routes with the other
 Lah-type families in `identities.LAH_TYPES`.
 
-The step parameter alpha is a nonzero integer; the polynomial machinery in
-`basis` handles the defining relations, the engine in `families` generates
-the tables, and the two must agree.
+The step parameter alpha is a nonzero integer.
 """
 
 from __future__ import annotations
 
 import math
 
-from . import basis, classic, families
+from . import classic, families
 from .families import check_param
-from .triangles import Triangle
-
-
-def whitney_first_by_expansion(nmax: int, alpha) -> Triangle:
-    """Verification route: expand the step-alpha factorial in monomials."""
-    alpha = check_param("alpha", alpha)
-    mat = basis.expand_in_monomials(basis.factorial_basis(1, -1, alpha, nmax))
-    return mat.to_triangle("whitney1", {"alpha": alpha})
 
 
 def whitney_second_benoumhani_rows(nmax: int, alpha) -> tuple:

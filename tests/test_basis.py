@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dowling.basis import (
+    BASES,
     PolyBasis,
     connection_matrix,
     expand_in_monomials,
@@ -12,11 +13,15 @@ from dowling.basis import (
     identity_matrix,
     monomial_basis,
     power_basis,
+    scaled_solve,
+    solve,
     verify_orthogonality,
     verify_tauber_product,
 )
-from dowling.exactmath import DegenerateBasisError, IntegralityError, Poly
-from dowling.triangles import Triangle
+from dowling.exactmath import DegenerateBasisError, IntegralityError, Poly, as_integer
+from dowling.identities import _HS_GRID
+from dowling.triangles import Triangle, checkerboard
+from dowling.unified import hs_pair_by_solve
 
 F = Fraction
 
@@ -178,3 +183,64 @@ def graded_bases(draw, nmax=5):
 @given(graded_bases(), graded_bases())
 def test_connection_round_trip_is_identity(p, q):
     assert connection_matrix(p, q).mul(connection_matrix(q, p)).is_identity()
+
+
+# Each family of `basis.BASES` by the Fraction back-substitution over the
+# bases its route was solved on before the integer solve, as (params, nmax)
+# -> table; the Hsu-Shiue parameters as Fractions, as that route took them.
+FRACTION_ROUTES = {
+    "stirling1": lambda p, n: expand_in_monomials(factorial_basis(1, 0, 1, n)),
+    "whitney1": lambda p, n: expand_in_monomials(factorial_basis(1, -1, p["alpha"], n)),
+    "r-whitney1": lambda p, n: checkerboard(
+        connection_matrix(factorial_basis(p["m"], 0, p["m"], n), power_basis(Poly((p["r"], p["m"])), n))
+    ),
+    "r-whitney2": lambda p, n: connection_matrix(
+        power_basis(Poly((p["r"], p["m"])), n), factorial_basis(p["m"], 0, p["m"], n)
+    ),
+    "hs1": lambda p, n: connection_matrix(
+        factorial_basis(1, 0, F(p["alpha"]), n), factorial_basis(1, -F(p["gamma"]), F(p["beta"]), n)
+    ),
+    "hs2": lambda p, n: connection_matrix(
+        factorial_basis(1, 0, F(p["beta"]), n), factorial_basis(1, F(p["gamma"]), F(p["alpha"]), n)
+    ),
+}
+_MR = tuple({"m": m, "r": r} for m, r in ((1, 0), (2, 2), (3, 1)))
+_HS = (*_HS_GRID, {"alpha": -3, "beta": 2, "gamma": F(1, 5)})
+SOLVE_POINTS = {
+    "stirling1": ({},),
+    "whitney1": tuple({"alpha": alpha} for alpha in (3, 1, -2)),
+    "r-whitney1": _MR,
+    "r-whitney2": _MR,
+    "hs1": _HS,
+    "hs2": _HS,
+}
+
+
+@pytest.mark.parametrize("family", sorted(BASES))
+def test_the_integer_solve_is_the_fraction_solve(family):
+    """Rows 0..12 of every declared family by `solve` equal the Fraction
+    solve's, and `scaled_solve` gives ints U(n,k) = D^(n-k) T(n,k)."""
+    assert set(SOLVE_POINTS) == set(FRACTION_ROUTES) == set(BASES)
+    for point in SOLVE_POINTS[family]:
+        want = FRACTION_ROUTES[family](point, 12).rows
+        assert solve(family, point, 12).rows == want, point
+        scale, rows = scaled_solve(family, point, 12)
+        assert rows == tuple(
+            tuple(as_integer(scale ** (n - k) * v) for k, v in enumerate(row)) for n, row in enumerate(want)
+        ), point
+
+
+@pytest.mark.parametrize(
+    "kind, wrong",
+    (
+        ("hs2", {"target": lambda p, j: j * p["alpha"] + p["gamma"]}),  # gamma's sign flipped
+        ("hs1", {"source": lambda p, i: (i + 1) * p["alpha"]}),  # the source nodes shifted by one
+    ),
+    ids=("hs2-target", "hs1-source"),
+)
+def test_the_pair_asserts_integer_mutual_inversion(monkeypatch, kind, wrong):
+    params = (F(1, 2), F(1, 3), 2)
+    hs_pair_by_solve(8, params)
+    monkeypatch.setitem(BASES, kind, BASES[kind]._replace(**wrong))
+    with pytest.raises(AssertionError, match="mutually inverse"):
+        hs_pair_by_solve(8, params)

@@ -1,6 +1,6 @@
 """The recurrence engine and the family table against the routes that stay
-as verification: polynomial expansion, connection solves, and full-triangle
-row sums."""
+as verification: the integer connection solve of `basis.solve`, and
+full-triangle row sums."""
 
 import math
 from collections import deque
@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dowling import classic, families, identities, rnumbers, triangles, unified, whitney
+from dowling import basis, classic, families, identities, rnumbers, triangles, unified, whitney
 from dowling.exactmath import IntegralityError
 from dowling.identities import _MR_GRID
 from dowling.triangles import Triangle, product, recurrence_row, recurrence_rows, recurrence_triangle
@@ -57,10 +57,7 @@ def test_engine_rejects_bad_input():
 # Every solve, expansion and explicit-formula route as a function of its size.
 _ANY = {"alpha": 3, "beta": 1, "gamma": 2, "m": 2, "r": 2}
 _SIZED_ROUTES = {
-    "stirling1_by_expansion": classic.stirling1_by_expansion,
-    "whitney_first_by_expansion": lambda n: whitney.whitney_first_by_expansion(n, 3),
-    "r_whitney_first_by_solve": lambda n: rnumbers.r_whitney_first_by_solve(n, 2, 2),
-    "r_whitney_second_by_solve": lambda n: rnumbers.r_whitney_second_by_solve(n, 2, 2),
+    **{f"solve-{family}": partial(basis.solve, family, _ANY) for family in basis.BASES},
     "hs_pair_by_solve": lambda n: hs_pair_by_solve(n, (0, 1, 2)),
     "hs_bell_explicit": lambda n: unified.hs_bell_explicit(n, (0, 1, 2)),
     "dowling_explicit": lambda n: whitney.dowling_explicit(n, 3),
@@ -114,21 +111,20 @@ def test_product_streams_the_whole_table_product(signed):
 
 
 def test_stirling1_engine_vs_expansion():
-    assert families.triangle("stirling1", {}, 30).rows == classic.stirling1_by_expansion(30).rows
+    assert families.triangle("stirling1", {}, 30).rows == basis.solve("stirling1", {}, 30).rows
 
 
 def test_whitney1_engine_vs_expansion():
     for alpha in (1, 2, 3, -1, -2):
         engine = families.triangle("whitney1", {"alpha": alpha}, 30)
-        assert engine.rows == whitney.whitney_first_by_expansion(30, alpha).rows
+        assert engine.rows == basis.solve("whitney1", {"alpha": alpha}, 30).rows
 
 
 def test_r_whitney_engine_vs_solve():
     for m, r in RW_POINTS:
-        first = families.triangle("r-whitney1", {"m": m, "r": r}, 30)
-        second = families.triangle("r-whitney2", {"m": m, "r": r}, 30)
-        assert first.rows == rnumbers.r_whitney_first_by_solve(30, m, r).rows
-        assert second.rows == rnumbers.r_whitney_second_by_solve(30, m, r).rows
+        p = {"m": m, "r": r}
+        for family in ("r-whitney1", "r-whitney2"):
+            assert families.triangle(family, p, 30).rows == basis.solve(family, p, 30).rows
 
 
 def test_hs_pair_engine_vs_solve():
@@ -165,7 +161,7 @@ def test_rolling_sums_vs_full_solved_rows():
         for n in (0, 1, 7, 20):
             assert families.row_sum("hs1", named(params), n) == sum(s1.rows[n])
     for m, r in RW_POINTS:
-        second = rnumbers.r_whitney_second_by_solve(30, m, r)
+        second = basis.solve("r-whitney2", {"m": m, "r": r}, 30)
         dowling = [families.row_sum("r-whitney2", {"m": m, "r": r}, n) for n in range(31)]
         assert dowling == [sum(row) for row in second.rows]
     s2 = families.triangle("stirling2", {}, 30)
@@ -280,8 +276,8 @@ small_rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 @given(st.integers(1, 6), st.integers(0, 5), st.integers(0, 8))
 def test_property_r_whitney_engine_vs_solve(m, r, n):
     p = {"m": m, "r": r}
-    assert families.triangle("r-whitney1", p, n).rows == rnumbers.r_whitney_first_by_solve(n, m, r).rows
-    assert families.triangle("r-whitney2", p, n).rows == rnumbers.r_whitney_second_by_solve(n, m, r).rows
+    assert families.triangle("r-whitney1", p, n).rows == basis.solve("r-whitney1", p, n).rows
+    assert families.triangle("r-whitney2", p, n).rows == basis.solve("r-whitney2", p, n).rows
     assert families.row_sum("r-whitney2", p, n) == rnumbers.r_dowling_explicit(n, m, r)
 
 
@@ -289,7 +285,7 @@ def test_property_r_whitney_engine_vs_solve(m, r, n):
 @given(st.integers(-6, 6).filter(bool), st.integers(0, 8))
 def test_property_whitney_engine_vs_expansion(alpha, n):
     engine = families.triangle("whitney1", {"alpha": alpha}, n)
-    assert engine.rows == whitney.whitney_first_by_expansion(n, alpha).rows
+    assert engine.rows == basis.solve("whitney1", {"alpha": alpha}, n).rows
     assert families.row_sum("whitney2", {"alpha": alpha}, n) == whitney.dowling_explicit(n, alpha)
 
 

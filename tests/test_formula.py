@@ -59,7 +59,7 @@ def test_r_dowling_explicit_equals_the_whole_table_formula(m, r):
     # The second kind by its connection solve, as the route took it before.
     p = {"m": m, "r": r}
     lah = families.triangle("r-whitney-lah", p, NMAX)
-    want = whole_table(rnumbers.r_whitney_second_by_solve(NMAX, m, r), lah, -1)
+    want = whole_table(basis.solve("r-whitney2", p, NMAX), lah, -1)
     assert explicit_sequence("r-dowling", p, NMAX) == want
     assert [explicit_sum("r-dowling", p, n) for n in range(NMAX + 1)] == want
     assert [rnumbers.r_dowling_explicit(n, m, r) for n in range(NMAX + 1)] == want
@@ -95,7 +95,8 @@ def test_the_integer_routes_build_no_whole_triangle_and_solve_nothing(monkeypatc
 
     monkeypatch.setattr(families, "triangle", refuse)
     monkeypatch.setattr(triangles, "recurrence_triangle", refuse)
-    monkeypatch.setattr(basis, "connection_matrix", refuse)
+    for name in ("connection_matrix", "solve", "scaled_solve"):
+        monkeypatch.setattr(basis, name, refuse)
     n = 40
     points = {
         "bell": {},

@@ -2,7 +2,8 @@
 specialization fails on a sign error, `verify` builds every engine family,
 `verify` takes only the parameters an identity declares, the Lah-type
 families are what `LAH_TYPES` declares them to be, and a wrong weight of any
-of them is caught by the identities that read it."""
+of them, or of the first kinds `whitney1` and `r-whitney1`, is caught by the
+identities that read it."""
 
 import json
 from fractions import Fraction
@@ -321,11 +322,10 @@ LAH_MUTANT_CATCHERS = {
 }
 
 
-@pytest.mark.parametrize("weight", "abc")
-@pytest.mark.parametrize("family", sorted(LAH_TYPES))
-def test_a_wrong_lah_type_weight_is_caught(monkeypatch, family, weight):
-    """Every identity runs at its defaults on the mutant; one that fails or
-    raises has caught it."""
+def _catching(monkeypatch, family, weight) -> set:
+    """The identities that catch `family` with its engine weight a, b or c
+    raised by 1.  Every identity runs at its defaults on the mutant; one
+    that fails or raises has caught it."""
     real = families.FAMILIES[family]
     index = " abc".index(weight)
 
@@ -342,4 +342,20 @@ def test_a_wrong_lah_type_weight_is_caught(monkeypatch, family, weight):
                 caught.add(name)
         except Exception:
             caught.add(name)
+    return caught
+
+
+@pytest.mark.parametrize("weight", "abc")
+@pytest.mark.parametrize("family", sorted(LAH_TYPES))
+def test_a_wrong_lah_type_weight_is_caught(monkeypatch, family, weight):
+    caught = _catching(monkeypatch, family, weight)
     assert caught >= LAH_MUTANT_CATCHERS[family][weight], LAH_MUTANT_CATCHERS[family][weight] - caught
+
+
+@pytest.mark.parametrize("weight", "abc")
+@pytest.mark.parametrize("family", ("whitney1", "r-whitney1"))
+def test_a_wrong_first_kind_weight_is_caught_twice(monkeypatch, family, weight):
+    """The engine's first kinds are caught by the solved s1 of
+    `specializations` and by `engine-ortho`, which multiplies each by its
+    engine second kind."""
+    assert _catching(monkeypatch, family, weight) >= {"specializations", "engine-ortho"}

@@ -4,7 +4,7 @@ from functools import partial
 
 import pytest
 
-from dowling import families
+from dowling import basis, families
 from dowling.classic import explicit_sum
 from dowling.exactmath import IntegralityError
 from dowling.identities import lah_route
@@ -13,7 +13,6 @@ from dowling.rnumbers import (
     r_dowling_explicit,
     r_inverse_pair,
     r_whitney_lah_explicit,
-    r_whitney_second_by_solve,
     verify_log_concavity,
     weighted_stirling_egf_check,
 )
@@ -135,7 +134,7 @@ def test_r_whitney_second_table_and_recurrence():
     assert tri.value(4, 2) == 100
     for m, r in PARAM_GRID:
         engine = families.triangle("r-whitney2", {"m": m, "r": r}, 10)
-        assert engine.rows == r_whitney_second_by_solve(10, m, r).rows
+        assert engine.rows == basis.solve("r-whitney2", {"m": m, "r": r}, 10).rows
 
 
 def test_r_whitney_first_small():
