@@ -1,9 +1,9 @@
-"""Verification routes for the Lah numbers' EGF and the Bell numbers, plus
-partial Bell polynomials and `EXPLICIT`, the paper's alternating Lah/Stirling
-formula for each Bell-type sum: Qi's formula for the Bell numbers, its
-Dowling, r-Bell and r-Dowling generalizations, and the theorem for the
-Hsu-Shiue generalized Bell numbers and the Cakic-Bell numbers, declared once
-as data.
+"""Verification routes for the Lah numbers' EGF and the Bell numbers, the
+rows of the partial Bell polynomials, and `EXPLICIT`, the paper's
+alternating Lah/Stirling formula for each Bell-type sum: Qi's formula for
+the Bell numbers, its Dowling, r-Bell and r-Dowling generalizations, and the
+theorem for the Hsu-Shiue generalized Bell numbers and the Cakic-Bell
+numbers, declared once as data.
 
 The engine in `families` builds every family; the routes here compute it
 another way, and the test suite pins them against each other and against
@@ -17,10 +17,9 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from fractions import Fraction
 
 from . import families
-from .exactmath import Series
+from .exactmath import egf_product
 from .triangles import Triangle, alternating_sums
 
 
@@ -30,15 +29,16 @@ def stirling1_triangle(nmax: int) -> Triangle:
 
 
 def lah_egf_check(k: int, order: int) -> bool:
-    """True iff n! [t^n] (1/k!)((-t)/(1+t))^k equals L(n,k) for n <= order."""
+    """True iff n! [t^n] ((-t)/(1+t))^k equals k! L(n,k) for n <= order: the
+    EGF (0, -1!, 2!, -3!, ...) raised to the k-th power by `egf_product`."""
     if order < k:
         raise ValueError("order must be at least k")
-    base = Series((0, -1), order) * Series((1, 1), order).inverse()
-    series = (base ** k) * Fraction(1, math.factorial(k))
+    base = [0] + [(-1) ** n * math.factorial(n) for n in range(1, order + 1)]
+    series = [1] + [0] * order
+    for _ in range(k):
+        series = egf_product(series, base)
     tri = families.triangle("lah", {}, order)
-    return all(
-        series.coefficient(n) * math.factorial(n) == tri.value(n, k) for n in range(order + 1)
-    )
+    return all(series[n] == math.factorial(k) * tri.value(n, k) for n in range(order + 1))
 
 
 # The paper's explicit formula for each sum of `families.SUMS`,
@@ -91,21 +91,3 @@ def partial_bell_rows(nmax: int, xs) -> tuple:
             (0, *(sum(weights[i] * rows[n - 1 - i][k - 1] for i in range(n - k + 1)) for k in range(1, n + 1)))
         )
     return tuple(rows)
-
-
-def partial_bell(n: int, k: int, xs) -> int:
-    """Partial Bell polynomial B_{n,k}(x_1, ..., x_{n-k+1}), from the rows
-    of `partial_bell_rows`."""
-    if n < 0 or k < 0:
-        raise ValueError("indices must be nonnegative")
-    if k > n:
-        return 0
-    if n == 0:
-        return 1
-    width = n - k + 1
-    xs = list(xs)
-    if len(xs) < width:
-        raise ValueError(f"need at least {width} arguments, got {len(xs)}")
-    # B(n,k) reads x_1..x_width alone: a later x reaches only entries
-    # B(j,l) with j - l >= width, on which B(n,k) does not depend.
-    return partial_bell_rows(n, xs[:width] + [0] * (n - width))[n][k]

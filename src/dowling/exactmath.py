@@ -1,4 +1,6 @@
-"""Exact scalars, polynomials, and truncated power series.
+"""Exact scalars, the product of two exponential generating functions on
+ints (`egf_product`), and the `Fraction` polynomials, interpolation and
+truncated power series that the tests keep as their reference.
 
 Everything in this package computes over Python ints and
 `fractions.Fraction`, so every result is exact; nothing here ever rounds.
@@ -25,6 +27,13 @@ def as_integer(value) -> int:
     if value.denominator != 1:
         raise IntegralityError(f"expected an integer, got {value}")
     return value.numerator
+
+
+def egf_product(a, b) -> list:
+    """The product of two exponential generating functions, each given by
+    its coefficients times n!: term n is sum_i C(n,i) a_i b_(n-i), for n
+    below the shorter length."""
+    return [sum(math.comb(n, i) * a[i] * b[n - i] for i in range(n + 1)) for n in range(min(len(a), len(b)))]
 
 
 class Poly:

@@ -151,6 +151,7 @@ def _pair(first, second):
 
 
 _R_WHITNEY_PAIR = _pair(_signed(_solved("r-whitney1")), _table("r-whitney2"))
+_R_STIRLING_PAIR = _pair(_table("r-stirling1"), _signed(_table("r-stirling2")))
 
 
 # ---------------------------------------------------------------------------
@@ -428,7 +429,7 @@ REGISTRY = {
         Identity("dow1", {"nmax": 10, "alpha": 3}, Sequences(_sums("whitney2"), _explicit("dowling"))),
         Identity("bell-reduction", {"nmax": 12}, _bell_reduction),
         Identity("lah1", _R, Tables(_table("r-lah"), _lah_routes("r-lah", explicit=0, product=0))),
-        Identity("lah4", {"nmax": 7, "r": 2}, Roundtrip(rnumbers.r_inverse_pair)),
+        Identity("lah4", {"nmax": 7, "r": 2}, Roundtrip(_R_STIRLING_PAIR)),
         Identity("expb", _R, Sequences(_sums("r-stirling2"), _explicit("r-bell"))),
         Identity(
             "weighted-egf",

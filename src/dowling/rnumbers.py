@@ -1,9 +1,11 @@
 """Verification routes for the r-Stirling, r-Whitney and r-Whitney-Lah
-numbers; the r-Whitney numbers of both kinds by connection solve are
-`basis.solve`'s, the explicit formulas of the r-Bell and r-Dowling numbers are declared with the
-paper's other Bell-type formulas in `classic.EXPLICIT`, and the
-r-Whitney-Lah closed form, of which `r_whitney_lah_explicit` reads one
-entry, is `triangles.explicit_row`.
+numbers: the weighted EGF of the r-Stirling numbers of the second kind, on
+ints, and the log-concavity of the r-Whitney-Lah rows.  The r-Whitney
+numbers of both kinds by connection solve are `basis.solve`'s, the explicit
+formulas of the r-Bell and r-Dowling numbers are declared with the paper's
+other Bell-type formulas in `classic.EXPLICIT`, and the r-Whitney-Lah closed
+form, of which `r_whitney_lah_explicit` reads one entry, is
+`triangles.explicit_row`.
 
 Indexing follows the shifted convention: the (n, k) entry of an r-family
 refers to a ground set of n+r elements split into k+r blocks, with the r
@@ -14,37 +16,29 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from fractions import Fraction
 
 from . import classic, families
-from .exactmath import Series, exp_series
+from .exactmath import egf_product
 from .families import check_param
-from .triangles import Triangle, checkerboard, explicit_row
+from .triangles import Triangle, explicit_row
 
 
 def weighted_stirling_egf_check(nmax: int, r, order: int) -> bool:
-    """True iff n! [t^n] (e^t - 1)^k / k! * e^(rt) matches the r-Stirling
-    second-kind entries for all k <= nmax and n <= nmax."""
+    """True iff n! [t^n] e^(rt) (e^t - 1)^k equals k! S_r(n,k), the
+    r-Stirling second-kind entry, for all k <= nmax and n <= nmax: the EGF
+    (r^n) times (0, 1, 1, ...) once per k, through t^order by `egf_product`."""
     r = check_param("r", r)
     if order < nmax:
         raise ValueError("order must be at least nmax")
     tri = families.triangle("r-stirling2", {"r": r}, nmax)
-    e_minus_1 = exp_series(order) - Series((1,), order)
-    e_rt = exp_series(order, r)
+    ones = [0] + [1] * order
+    series = [r**n for n in range(order + 1)]
     for k in range(nmax + 1):
-        series = (e_minus_1 ** k) * Fraction(1, math.factorial(k)) * e_rt
-        for n in range(nmax + 1):
-            if series.coefficient(n) * math.factorial(n) != tri.value(n, k):
-                return False
+        if k:
+            series = egf_product(series, ones)
+        if any(series[n] != math.factorial(k) * tri.value(n, k) for n in range(nmax + 1)):
+            return False
     return True
-
-
-def r_inverse_pair(nmax: int, r) -> tuple:
-    """The r-Stirling inverse pair as two tables: b_n = sum_j A(n,j) a_j is
-    undone by a_n = sum_j (-1)^(n-j) S(n,j) b_j."""
-    first = families.triangle("r-stirling1", {"r": r}, nmax)
-    second = families.triangle("r-stirling2", {"r": r}, nmax)
-    return first, checkerboard(second)
 
 
 def r_whitney_second_recurrence(nmax: int, m, r) -> Triangle:

@@ -8,7 +8,6 @@ from dowling import families
 from dowling.classic import (
     explicit_sum,
     lah_egf_check,
-    partial_bell,
     partial_bell_rows,
 )
 from dowling.identities import lah_route
@@ -193,33 +192,25 @@ def test_partial_bell_recurrence_against_enumeration(seed):
     for n in range(13):
         for k in range(n + 1):
             want = enumerated_partial_bell(n, k, xs) if n else 1
-            assert rows[n][k] == partial_bell(n, k, xs[: n - k + 1]) == want, (n, k)
+            # B(n,k) reads x_1..x_(n-k+1) alone: zeros after them change nothing.
+            truncated = partial_bell_rows(n, xs[: n - k + 1] + [0] * n)[n][k]
+            assert rows[n][k] == truncated == want, (n, k)
 
 
 def test_partial_bell_all_ones_is_stirling2():
-    s2 = families.triangle("stirling2", {}, 8)
-    for n in range(9):
-        for k in range(n + 1):
-            xs = [1] * (n - k + 1)
-            assert partial_bell(n, k, xs) == s2.value(n, k)
+    assert partial_bell_rows(8, [1] * 8) == families.triangle("stirling2", {}, 8).rows
 
 
 def test_partial_bell_diagonal_is_power():
     for x1 in (1, 2, -3):
-        for n in range(1, 6):
-            assert partial_bell(n, n, [x1]) == x1 ** n
+        rows = partial_bell_rows(5, [x1, 0, 0, 0, 0])
+        assert [rows[n][n] for n in range(1, 6)] == [x1**n for n in range(1, 6)]
 
 
 def test_partial_bell_against_enumeration_oracle():
-    assert partial_bell(4, 2, [1, 2, 3]) == brute_partial_bell(4, 2, [1, 2, 3]) == 24
+    xs = [((-1) ** i) * (i + 2) for i in range(7)]
+    rows = partial_bell_rows(6, xs)
+    assert partial_bell_rows(4, [1, 2, 3, 0])[4][2] == brute_partial_bell(4, 2, [1, 2, 3]) == 24
     for n in range(7):
         for k in range(n + 1):
-            xs = [((-1) ** i) * (i + 2) for i in range(n - k + 1)]
-            assert partial_bell(n, k, xs) == brute_partial_bell(n, k, xs)
-
-
-def test_partial_bell_argument_length_guard():
-    with pytest.raises(ValueError):
-        partial_bell(5, 2, [1, 1, 1])
-    assert partial_bell(0, 0, []) == 1
-    assert partial_bell(3, 5, []) == 0
+            assert rows[n][k] == brute_partial_bell(n, k, xs)

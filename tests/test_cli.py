@@ -14,6 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import dowling
 from dowling import basis, cli, families, triangles
 from dowling.cli import (
     EXACT_DECIMALS,
@@ -566,13 +567,17 @@ def test_parameter_error_leaves_out_untouched(tmp_path, capsys, argv, existing):
 
 
 def test_importing_the_cli_leaves_the_registry_unloaded():
-    # Only `verify` needs the identity registry; every other command skips its
-    # import.  Every call pays for what the CLI imports at start, so it loads
-    # neither `dataclasses` (which imports `inspect`) nor `json`, and the
-    # registry no `dataclasses` either; -S keeps a site hook from loading them.
+    # Only `verify` needs the identity registry and the route modules it
+    # reads; every other command skips their import, and the package itself
+    # imports only its five exports.  Every call pays for what the CLI imports
+    # at start, so it loads neither `dataclasses` (which imports `inspect`)
+    # nor `json`, and the registry no `dataclasses` either; -S keeps a site
+    # hook from loading them.
+    assert sorted(dowling.__all__) == ["EXPLICIT", "Triangle", "explicit_sequence", "explicit_sum", "families"]
     env = _subprocess_env()
+    routes = ("dowling.basis", "dowling.unified", "dowling.rnumbers", "dowling.whitney")
     for module, absent in (
-        ("dowling.cli", ("dowling.identities",)),
+        ("dowling.cli", ("dowling.identities", *routes)),
         ("dowling.cli", ("dataclasses", "inspect", "json")),
         ("dowling.identities", ("dataclasses",)),
     ):

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from dowling.exactmath import (
     Poly,
     Series,
     as_integer,
+    egf_product,
     exp_series,
     interpolate,
 )
@@ -141,6 +143,21 @@ def test_series_inverse_rejects_zero_constant_term():
 def test_series_mul_requires_same_order():
     with pytest.raises(ValueError):
         Series([1], 2) * Series([1], 3)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_egf_product_matches_the_series_product(seed):
+    """Term n of `egf_product` is n! [t^n] of the `Series` product of the two
+    EGFs sum a_i t^i / i! and sum b_i t^i / i!, through the shorter length."""
+    rng = random.Random(seed)
+    a = [rng.randint(-30, 30) for _ in range(rng.randint(1, 12))]
+    b = [rng.randint(-30, 30) for _ in range(rng.randint(1, 12))]
+    order = min(len(a), len(b)) - 1
+    egf = lambda xs: Series([F(x, math.factorial(i)) for i, x in enumerate(xs)], order)
+    product = egf(a) * egf(b)
+    got = egf_product(a, b)
+    assert all(isinstance(v, int) for v in got)
+    assert got == [product.coefficient(n) * math.factorial(n) for n in range(order + 1)]
 
 
 def test_series_inverse_roundtrip():

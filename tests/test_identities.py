@@ -2,8 +2,8 @@
 specialization fails on a sign error, `verify` builds every engine family,
 `verify` takes only the parameters an identity declares, the Lah-type
 families are what `LAH_TYPES` declares them to be, and a wrong weight of any
-of them, or of the first kinds `whitney1` and `r-whitney1`, is caught by the
-identities that read it."""
+of them, of `r-stirling2`, or of the first kinds `whitney1` and `r-whitney1`,
+is caught by the identities that read it."""
 
 import json
 from fractions import Fraction
@@ -309,16 +309,18 @@ def test_lah_routes_validate_their_parameters():
         lah_route("diagonal", "lah", 6)
 
 
-# The identities that catch a Lah-type family with its engine weight a, b or
-# c raised by 1.  `oracle` catches `lah` since it reads the engine table.
+# The identities that catch a Lah-type family, or `r-stirling2`, with its
+# engine weight a, b or c raised by 1.  `oracle` catches `lah` since it reads
+# the engine table.
 _W_LAH_CATCHERS = {"wla1", "triwlah", "dow1", "specializations"}
-LAH_MUTANT_CATCHERS = {
+MUTANT_CATCHERS = {
     "lah": dict.fromkeys("abc", {"lef", "verlah", "horilah", "lgf", "ordlahstirling", "partial-bell", "oracle"}),
     "whitney-lah": {**dict.fromkeys("ab", _W_LAH_CATCHERS | {"ortho", "inv1"}), "c": _W_LAH_CATCHERS},
     "r-lah": dict.fromkeys("abc", {"qi", "lah1", "expb", "specializations", "oracle"}),
     "r-whitney-lah": dict.fromkeys(
         "abc", {"rwhitneylah", "exprwlah", "rwlah-routes", "expl-rdow", "specializations"}
     ),
+    "r-stirling2": dict.fromkeys("abc", {"expb", "lah1", "lah4", "oracle", "specializations", "weighted-egf"}),
 }
 
 
@@ -346,10 +348,10 @@ def _catching(monkeypatch, family, weight) -> set:
 
 
 @pytest.mark.parametrize("weight", "abc")
-@pytest.mark.parametrize("family", sorted(LAH_TYPES))
+@pytest.mark.parametrize("family", sorted(MUTANT_CATCHERS))
 def test_a_wrong_lah_type_weight_is_caught(monkeypatch, family, weight):
     caught = _catching(monkeypatch, family, weight)
-    assert caught >= LAH_MUTANT_CATCHERS[family][weight], LAH_MUTANT_CATCHERS[family][weight] - caught
+    assert caught >= MUTANT_CATCHERS[family][weight], MUTANT_CATCHERS[family][weight] - caught
 
 
 @pytest.mark.parametrize("weight", "abc")

@@ -11,12 +11,11 @@ from dowling.identities import lah_route
 from dowling.oracle import PartitionSpec, count_all_partitions, count_partitions
 from dowling.rnumbers import (
     r_dowling_explicit,
-    r_inverse_pair,
     r_whitney_lah_explicit,
     verify_log_concavity,
     weighted_stirling_egf_check,
 )
-from dowling.triangles import Triangle, transform
+from dowling.triangles import Triangle, checkerboard, transform
 
 R_STIRLING2_R2 = ((1,), (2, 1), (4, 5, 1), (8, 19, 9, 1), (16, 65, 55, 14, 1), (32, 211, 285, 125, 20, 1))
 R_LAH_R2 = (
@@ -71,7 +70,9 @@ def test_r_inverse_roundtrip():
     samples = [([1, 0, 0, 0, 0], 2), (list(range(1, 9)), 2)]
     samples += [([rng.randint(-40, 40) for _ in range(8)], r) for r in (1, 2) for _ in range(5)]
     for a, r in samples:
-        first, second = r_inverse_pair(len(a) - 1, r)
+        # b_n = sum_j A(n,j) a_j is undone by a_n = sum_j (-1)^(n-j) S(n,j) b_j.
+        first = families.triangle("r-stirling1", {"r": r}, len(a) - 1)
+        second = checkerboard(families.triangle("r-stirling2", {"r": r}, len(a) - 1))
         assert transform(second, transform(first, a)) == a
 
 
