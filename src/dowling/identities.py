@@ -5,7 +5,7 @@ An identity is a check shape plus its default size and parameters.  Every
 reference and route of a shape is called as fn(nmax, **point), where the
 point holds the identity's parameters other than nmax.  The shapes:
 
-- `Tables`: a production triangle against whole-table routes, entrywise;
+- `Tables`: a production row stream against route row streams, entrywise;
 - `Sequences`: a production sequence against a whole-sequence route;
 - `Product`: the product of two tables is the identity matrix;
 - `Roundtrip`: seeded random sequences pass through two tables and come back;
@@ -26,6 +26,7 @@ import random
 from collections import namedtuple
 from fractions import Fraction
 from functools import cache, partial
+from itertools import zip_longest
 from types import MappingProxyType
 
 from . import basis, classic, families, oracle, rnumbers, unified, whitney
@@ -36,29 +37,49 @@ def _failure(n, k, expected, actual) -> dict:
     return {"n": n, "k": k, "expected": str(expected), "actual": str(actual)}
 
 
+# The sign taking a route's row n to the engine's, entry by entry.
+_SIGNS = {
+    "as printed": lambda n, row: row,
+    "(-1)^(n-k)": lambda n, row: [-v if (n - k) % 2 else v for k, v in enumerate(row)],
+    "(-1)^n": lambda n, row: [-v for v in row] if n % 2 else row,
+}
+_LACKS = ("a row", "no row")  # indexed by whether a stream lacks the row
+
+
+def _entrywise(ref, routes, sign="as printed", label=None) -> list:
+    """The failures of each route (rows, first column compared) against the
+    rows `ref`, entry by entry, its rows taken with a `_SIGNS` sign and each
+    expected value prefixed by `label`; the streams advance together, one
+    row of each held.  A route with fewer or more rows than `ref` fails
+    once, at the first row one of them lacks.  Failures go route by route."""
+    prefix, sign = f"{label}: " if label else "", _SIGNS[sign]
+    bads, ended = [[] for _ in routes], set()
+    for n, (want, *got) in enumerate(zip_longest(ref, *(rows for rows, _ in routes))):
+        for i, ((_, kmin), row) in enumerate(zip(routes, got)):
+            if i in ended or want is None or row is None:
+                if i not in ended and want is not row:
+                    bads[i].append(_failure(n, None, prefix + _LACKS[want is None], _LACKS[row is None]))
+                ended.add(i)
+            else:
+                row = sign(n, row)
+                bads[i] += [_failure(n, k, prefix + str(want[k]), row[k]) for k in range(kmin, n + 1) if want[k] != row[k]]
+    return [item for bad in bads for item in bad]
+
+
 # ---------------------------------------------------------------------------
 # shapes: named tuples rather than dataclasses, like `Identity` and
 # `families.Family`, since importing `dataclasses` costs more than the registry
 
 
 class Tables(namedtuple("Tables", ("reference", "routes", "notes"), defaults=(None,))):
-    """`reference` returns a triangle; each route in `routes` is a pair
-    (function returning rows, first column it is compared from)."""
+    """`reference` returns rows; each route in `routes` is a pair (function
+    returning rows, first column it is compared from), streamed together."""
 
     __slots__ = ()
 
     def __call__(self, nmax, **point):
-        ref = self.reference(nmax, **point).rows
-        bad = []
-        for route, kmin in self.routes:
-            got = route(nmax, **point)
-            bad += [
-                _failure(n, k, row[k], got[n][k])
-                for n, row in enumerate(ref)
-                for k in range(kmin, n + 1)
-                if row[k] != got[n][k]
-            ]
-        return bad, self.notes
+        ref = self.reference(nmax, **point)
+        return _entrywise(ref, [(route(nmax, **point), kmin) for route, kmin in self.routes]), self.notes
 
 
 class Sequences(namedtuple("Sequences", ("reference", "route", "notes"), defaults=(None,))):
@@ -82,11 +103,8 @@ class Product(namedtuple("Product", ("pair", "notes"), defaults=(None,))):
     def __call__(self, nmax, **point):
         first, second = self.pair(nmax, **point)
         orders = ((first, second),) if first is second else ((first, second), (second, first))
-        bad = []
-        for c, d in orders:
-            for n, row in enumerate(product(c.rows, d.rows)):
-                bad += [_failure(n, k, int(n == k), v) for k, v in enumerate(row) if v != (n == k)]
-        return bad, self.notes
+        ref = (tuple(int(n == k) for k in range(n + 1)) for n in range(nmax + 1))
+        return _entrywise(ref, [(product(c.rows, d.rows), 0) for c, d in orders]), self.notes
 
 
 class Roundtrip(namedtuple("Roundtrip", ("pair", "notes"), defaults=(None,))):
@@ -125,9 +143,14 @@ def _explicit(name):
 
 
 def _table(family):
-    """The production triangle of a family.  `families.triangle` is looked up
-    at each call, so a test that patches it reaches every reference."""
+    """The production triangle of a family, `families.triangle` looked up at each call."""
     return lambda nmax, **point: families.triangle(family, point, nmax)
+
+
+def _rows(family):
+    """The production rows of a family, `families.rows` looked up likewise, so
+    a test that patches it reaches every reference (and `families.triangle`)."""
+    return lambda nmax, **point: families.rows(family, point, nmax)
 
 
 def _sums(family):
@@ -172,19 +195,12 @@ def _bell_reduction(nmax):
     return bad, "unit-step Dowling numbers against shifted Bell/Stirling values"
 
 
-# The sign (n, k) -> +-1 that takes a route's entry to the engine's.
-_SIGNS = {
-    "as printed": lambda n, k: 1,
-    "(-1)^(n-k)": lambda n, k: (-1) ** (n - k),
-    "(-1)^n": lambda n, k: (-1) ** n,
-}
-
 # The routes of a reduction, read at its point given the pair solved there.
 _HS = ("alpha", "beta", "gamma")
 _ROUTES = {
     "solved s1": lambda nmax, point, pair: pair.s1.rows,
-    "solved L": lambda nmax, point, pair: unified.signed_product(pair).rows,
-    "engine L": lambda nmax, point, pair: families.triangle("hs-lah", dict(zip(_HS, point)), nmax).rows,
+    "solved L": lambda nmax, point, pair: product(pair.s2.rows, pair.s1.rows, signed=True),
+    "engine L": lambda nmax, point, pair: families.rows("hs-lah", dict(zip(_HS, point)), nmax),
 }
 _S1, _L = ("solved s1",), ("solved L", "engine L")
 
@@ -221,16 +237,8 @@ def _specializations(nmax):
     solved = cache(partial(unified.hs_pair_by_solve, nmax))
     bad, notes = [], []
     for name, convention, family, params, point, routes, sign in SPECIALIZATIONS:
-        ref = families.triangle(family, params, nmax).rows
-        sign = _SIGNS[sign]
-        for route in routes:
-            got = _ROUTES[route](nmax, point, solved(point))
-            bad += [
-                _failure(n, k, f"{name}: {want}", sign(n, k) * got[n][k])
-                for n, row in enumerate(ref)
-                for k, want in enumerate(row)
-                if want != sign(n, k) * got[n][k]
-            ]
+        ref = families.rows(family, params, nmax)
+        bad += _entrywise(ref, [(_ROUTES[route](nmax, point, solved(point)), 0) for route in routes], sign, name)
         notes.append(f"{name}: {convention}")
     return bad, "; ".join(notes)
 
@@ -252,12 +260,7 @@ def _partial_bell(nmax):
     bad = []
     for family, x, sign in _PARTIAL_BELL:
         polys = classic.partial_bell_rows(nmax, [x(i) for i in range(1, nmax + 1)])
-        sign = _SIGNS[sign]
-        for n, row in enumerate(families.triangle(family, {}, nmax).rows):
-            for k, want in enumerate(row):
-                got = sign(n, k) * polys[n][k]
-                if want != got:
-                    bad.append(_failure(n, k, f"{family}: {want}", got))
+        bad += _entrywise(families.rows(family, {}, nmax), [(polys, 0)], sign, family)
     return bad, "B(n,k) at x_i = 1, i!, (i-1)! against S(n,k), (-1)^n L(n,k), (-1)^(n-k) s(n,k)"
 
 
@@ -274,24 +277,25 @@ LAH_TYPES = {
 }
 
 
-def lah_route(kind, family, nmax, **point) -> tuple:
+def lah_route(kind, family, nmax, **point):
     """Rows 0..nmax of a `LAH_TYPES` family by its "explicit", "vertical",
     "horizontal" or "product" route, its parameters validated with
-    `families.check_param`.  The explicit route is the closed form
-    sign^n C(n,k) [2r|m]_n / [2r|m]_k of `triangles.explicit_row`.  The
-    expansions run over the family's own engine rows, 0..nmax-1 below and
-    0..nmax+1 above; column 0 of the vertical route reads 0 below row 0."""
+    `families.check_param` at the call, as an iterator.  The explicit route
+    is the closed form sign^n C(n,k) [2r|m]_n / [2r|m]_k of
+    `triangles.explicit_row`.  The expansions run over the family's own
+    engine rows, 0..nmax-1 whole below and 0..nmax+1 streamed above; column
+    0 of the vertical route reads 0 below row 0."""
     mr, sign, first, second = LAH_TYPES[family]
     params = {key: families.check_param(key, value) for key, value in point.items()}
     m, r = mr(params)
     if kind == "explicit":
-        return tuple(tuple(sign**n * v for v in explicit_row(n, 2 * r, m)) for n in range(nmax + 1))
+        return (tuple(sign**n * v for v in explicit_row(n, 2 * r, m)) for n in range(nmax + 1))
     if kind == "vertical":
         return vertical_rows(families.triangle(family, params, max(nmax - 1, 0)), nmax, 2 * r, m, sign)
     if kind == "horizontal":
-        return horizontal_rows(families.triangle(family, params, nmax + 1), nmax, 2 * r, m, sign)
+        return horizontal_rows(families.rows(family, params, nmax + 1), nmax, 2 * r, m, sign)
     if kind == "product":
-        return tuple(product(first(nmax, **params).rows, second(nmax, **params).rows, signed=sign == -1))
+        return product(first(nmax, **params).rows, second(nmax, **params).rows, signed=sign == -1)
     raise ValueError(f"unknown Lah-type route {kind!r}")
 
 
@@ -392,9 +396,9 @@ _MR_GRID = ({"m": 1, "r": 1}, {"m": 2, "r": 2}, {"m": 3, "r": 1})
 _W = {"nmax": 12, "alpha": 3}
 _R = {"nmax": 10, "r": 2}
 _RW = {"nmax": 12, "m": 2, "r": 2}
-_LAH = _table("lah")
-_W_LAH = _table("whitney-lah")
-_RW_LAH = _table("r-whitney-lah")
+_LAH = _rows("lah")
+_W_LAH = _rows("whitney-lah")
+_RW_LAH = _rows("r-whitney-lah")
 _SERIES = "series == triangle"
 _HORILAH = "angle-bracket weights resolved as the ascending product x(x+1)...(x+i-1)"
 _TRIWLAH = "vertical, horizontal and product routes against the triangular recurrence"
@@ -412,8 +416,8 @@ REGISTRY = {
         Identity("ordlahstirling", {"nmax": 15}, Tables(_LAH, _lah_routes("lah", product=0))),
         Identity("stirling-inverse", {"nmax": 9}, Roundtrip(_pair(_table("stirling2"), _table("stirling1")))),
         Identity("partial-bell", {"nmax": 10}, _partial_bell),
-        Identity("ortho", {"nmax": 12, "alpha": 3}, Product(_twice(_W_LAH))),
-        Identity("inv1", {"nmax": 9, "alpha": 3}, Roundtrip(_twice(_W_LAH))),
+        Identity("ortho", {"nmax": 12, "alpha": 3}, Product(_twice(_table("whitney-lah")))),
+        Identity("inv1", {"nmax": 9, "alpha": 3}, Roundtrip(_twice(_table("whitney-lah")))),
         Identity("wla1", _W, Tables(_W_LAH, _lah_routes("whitney-lah", explicit=0, product=0))),
         Identity(
             "triwlah",
@@ -424,11 +428,11 @@ REGISTRY = {
         Identity(
             "benoumhani",
             {"nmax": 15, "alpha": 3},
-            Tables(_table("whitney2"), ((whitney.whitney_second_benoumhani_rows, 0),)),
+            Tables(_rows("whitney2"), ((whitney.whitney_second_benoumhani_rows, 0),)),
         ),
         Identity("dow1", {"nmax": 10, "alpha": 3}, Sequences(_sums("whitney2"), _explicit("dowling"))),
         Identity("bell-reduction", {"nmax": 12}, _bell_reduction),
-        Identity("lah1", _R, Tables(_table("r-lah"), _lah_routes("r-lah", explicit=0, product=0))),
+        Identity("lah1", _R, Tables(_rows("r-lah"), _lah_routes("r-lah", explicit=0, product=0))),
         Identity("lah4", {"nmax": 7, "r": 2}, Roundtrip(_R_STIRLING_PAIR)),
         Identity("expb", _R, Sequences(_sums("r-stirling2"), _explicit("r-bell"))),
         Identity(

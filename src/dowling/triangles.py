@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from collections import deque, namedtuple
 from fractions import Fraction
-from itertools import chain, count
+from itertools import chain, count, islice
 
 from .exactmath import as_integer
 
@@ -175,15 +175,15 @@ def checkerboard(table):
     return Triangle(rows, table.family, table.params)
 
 
-def vertical_rows(lower: Triangle, nmax: int, c: int, h: int, sign: int) -> tuple:
-    """Rows 0..nmax of the column-wise expansion of a Lah-type triangle,
+def vertical_rows(lower: Triangle, nmax: int, c: int, h: int, sign: int):
+    """Yield rows 0..nmax of the column-wise expansion of a Lah-type triangle,
 
         T(n,k) = sum_{i=0}^{n-k} sign^(i+1) (x|h)_i T(n-1-i, k-1),  x = c + (n-1+k)h,
 
     with the step-h falling factorial (x|h)_i = x(x-h)...(x-(i-1)h) kept as
     a running product, all from `lower`, which holds rows 0..nmax-1 of T.
     Column 0 below row 0 is the empty sum 0."""
-    rows = [(1,)]
+    yield (1,)
     for n in range(1, nmax + 1):
         row = [0]
         for k in range(1, n + 1):
@@ -192,21 +192,18 @@ def vertical_rows(lower: Triangle, nmax: int, c: int, h: int, sign: int) -> tupl
                 total += factor * lower.rows[n - 1 - i][k - 1]
                 factor *= sign * (x - i * h)
             row.append(total)
-        rows.append(tuple(row))
-    return tuple(rows)
+        yield tuple(row)
 
 
-def horizontal_rows(upper: Triangle, nmax: int, c: int, h: int, sign: int) -> tuple:
-    """Rows 0..nmax of the row-wise expansion of a Lah-type triangle from
-    the row below,
+def horizontal_rows(upper, nmax: int, c: int, h: int, sign: int):
+    """Yield rows 0..nmax of the row-wise expansion of a Lah-type triangle
+    from the row below,
 
         T(n,k) = sum_{i=0}^{n-k} sign (-1)^i [x|h]_i T(n+1, k+i+1),  x = c + (n+k+1)h,
 
     with the step-h rising factorial [x|h]_i = x(x+h)...(x+(i-1)h) kept as a
-    running product, all from `upper`, which holds rows 0..nmax+1 of T."""
-    rows = []
-    for n in range(nmax + 1):
-        below = upper.rows[n + 1]
+    running product.  Row n reads only row n+1 of `upper`, rows 0..nmax+1."""
+    for n, below in enumerate(islice(upper, 1, nmax + 2)):
         row = []
         for k in range(n + 1):
             x, total, factor = c + (n + k + 1) * h, 0, sign
@@ -214,8 +211,7 @@ def horizontal_rows(upper: Triangle, nmax: int, c: int, h: int, sign: int) -> tu
                 total += factor * below[k + i + 1]
                 factor *= -(x + i * h)
             row.append(total)
-        rows.append(tuple(row))
-    return tuple(rows)
+        yield tuple(row)
 
 
 def explicit_row(n: int, c: int, h: int) -> tuple:

@@ -1,7 +1,8 @@
 """Verification routes for the two-parameter-plus-shift Stirling pair of
-Hsu and Shiue: the pair by two integer connection solves and the Lah-type
-numbers built from it, plus `hs_bell_explicit`, the generalized Bell numbers
-by one call into `classic.EXPLICIT`.  A parameter triple is the plain tuple
+Hsu and Shiue: the pair by two integer connection solves, whose signed
+product `identities` reads as a route of the Lah-type `hs-lah`, plus
+`hs_bell_explicit`, the generalized Bell numbers by one call into
+`classic.EXPLICIT`.  A parameter triple is the plain tuple
 (alpha, beta, gamma).
 
 The pair (s1, s2) is the connection coefficients of the bases `basis.BASES`
@@ -33,12 +34,6 @@ def hs_pair_by_solve(nmax: int, params) -> HSPair:
     if any(v != (n == k) for n, row in enumerate(product(s1, s2)) for k, v in enumerate(row)):
         raise AssertionError("connection pair failed to be mutually inverse")
     return HSPair(*(Triangle(families._read_off(rows, scale)) for rows in (s1, s2)))
-
-
-def signed_product(pair: HSPair) -> Triangle:
-    """L(n,j) = sum_k (-1)^k s2(n,k) s1(k,j) over one pair; over the solved
-    pair it is the verification route of `hs-lah`."""
-    return Triangle(product(pair.s2.rows, pair.s1.rows, signed=True))
 
 
 def hs_bell_explicit(n: int, params):

@@ -15,7 +15,7 @@ from dowling import basis, classic, families, identities, rnumbers, triangles, u
 from dowling.exactmath import IntegralityError
 from dowling.identities import _MR_GRID
 from dowling.triangles import Triangle, product, recurrence_row, recurrence_rows, recurrence_triangle
-from dowling.unified import hs_pair_by_solve, signed_product
+from dowling.unified import hs_pair_by_solve
 
 F = Fraction
 
@@ -136,8 +136,8 @@ def test_hs_pair_engine_vs_solve():
 
 def test_hs_lah_engine_vs_solve():
     for params in HS_POINTS:
-        engine = families.triangle("hs-lah", named(params), 15)
-        assert engine.rows == signed_product(hs_pair_by_solve(15, params)).rows
+        engine, pair = families.triangle("hs-lah", named(params), 15), hs_pair_by_solve(15, params)
+        assert engine.rows == tuple(product(pair.s2.rows, pair.s1.rows, signed=True))
 
 
 def test_hs_families_from_the_table_match_the_pair():
@@ -311,7 +311,7 @@ def test_property_hs_engine_vs_solve(alpha, beta, gamma, n):
     assert families.triangle("hs1", named(params), n).rows == solved.s1.rows
     assert families.triangle("hs2", named(params), n).rows == solved.s2.rows
     lah = families.triangle("hs-lah", named(params), n)
-    assert lah.rows == signed_product(hs_pair_by_solve(n, params)).rows
+    assert lah.rows == tuple(product(solved.s2.rows, solved.s1.rows, signed=True))
     assert families.row_sum("hs1", named(params), n) == unified.hs_bell_explicit(n, params)
 
 

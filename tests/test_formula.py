@@ -69,7 +69,7 @@ def test_r_dowling_explicit_equals_the_whole_table_formula(m, r):
 def test_hs_bell_explicit_equals_the_whole_table_formula(params):
     # The solved pair is the reference; the formula reads the engine rows.
     pair = unified.hs_pair_by_solve(10, params)
-    want = whole_table(pair.s1, unified.signed_product(pair), 1)
+    want = whole_table(pair.s1, triangles.Triangle(triangles.product(pair.s2.rows, pair.s1.rows, signed=True)), 1)
     assert explicit_sequence("hs-bell", named(params), 10) == want
     assert [unified.hs_bell_explicit(n, params) for n in range(11)] == want
 

@@ -10,11 +10,11 @@ from fractions import Fraction
 
 import pytest
 
-from dowling import families
+from dowling import families, triangles
 from dowling.cli import main
 from dowling.exactmath import IntegralityError
 from dowling.identities import LAH_TYPES, REGISTRY, SPECIALIZATIONS, Sequences, Tables, lah_route, report
-from dowling.triangles import checkerboard
+from dowling.triangles import Triangle, checkerboard
 
 
 def run(capsys, *argv):
@@ -34,7 +34,7 @@ def _reference_source(ident, monkeypatch):
     """The (family-table entry point, family) the reference is built from."""
     seen = set()
     with monkeypatch.context() as patch:
-        for entry in ("triangle", "row_sum"):
+        for entry in ("rows", "row_sum"):
             real = getattr(families, entry)
 
             def spy(name, *args, entry=entry, real=real):
@@ -62,20 +62,20 @@ def test_every_table_and_sequence_check_can_fail(capsys, monkeypatch):
         k0 = 1 if isinstance(ident.check, Tables) else None
         real = getattr(families, entry)
 
-        def triangle(name, params, nmax):
-            table = real(name, params, nmax)
+        def rows(name, params, nmax, *args):
+            table = real(name, params, nmax, *args)
             if name != family or nmax < n0:
                 return table
-            rows = [list(row) for row in table.rows]
-            rows[n0][k0] += 1
-            return table._replace(rows=rows)
+            table = [list(row) for row in table]
+            table[n0][k0] += 1
+            return map(tuple, table)
 
         def row_sum(name, params, n):
             value = real(name, params, n)
             return value + 1 if name == family and n == n0 else value
 
         with monkeypatch.context() as patch:
-            patch.setattr(families, entry, triangle if entry == "triangle" else row_sum)
+            patch.setattr(families, entry, rows if entry == "rows" else row_sum)
             code, out, _ = run(capsys, "verify", "--identity", name)
         failures = json.loads(out)["failures"]
         assert code == 1, name
@@ -131,15 +131,15 @@ def test_a_sign_error_fails_its_specialization(capsys, monkeypatch):
     """Each reduction declares one sign convention, so an engine family with
     every sign of (-1)^(n-k) flipped fails its reduction instead of passing
     under another convention."""
-    real = families.triangle
+    real = families.rows
     for name, _, family, *_ in SPECIALIZATIONS:
 
-        def triangle(fam, params, nmax, family=family):
-            table = real(fam, params, nmax)
-            return checkerboard(table) if fam == family else table
+        def rows(fam, params, nmax, *args, family=family):
+            table = real(fam, params, nmax, *args)
+            return checkerboard(Triangle(table)).rows if fam == family else table
 
         with monkeypatch.context() as patch:
-            patch.setattr(families, "triangle", triangle)
+            patch.setattr(families, "rows", rows)
             assert _failing_reductions(capsys) == {name}, name
 
 
@@ -161,31 +161,61 @@ def test_a_wrong_engine_weight_fails_its_specialization(capsys, monkeypatch, fam
 def test_partial_bell_fails_on_each_engine_family(capsys, monkeypatch, family):
     # partial-bell compares three engine tables, so no one reference covers it
     # in the test above; one wrong entry of each fails it there alone.
-    real = families.triangle
+    real = families.rows
 
-    def triangle(name, params, nmax):
-        table = real(name, params, nmax)
+    def rows(name, params, nmax, *args):
+        table = real(name, params, nmax, *args)
         if name != family:
             return table
-        rows = [list(row) for row in table.rows]
-        rows[4][2] += 1
-        return table._replace(rows=rows)
+        table = [list(row) for row in table]
+        table[4][2] += 1
+        return map(tuple, table)
 
-    monkeypatch.setattr(families, "triangle", triangle)
+    monkeypatch.setattr(families, "rows", rows)
     code, out, _ = run(capsys, "verify", "--identity", "partial-bell")
     assert code == 1
     assert [(f["n"], f["k"]) for f in json.loads(out)["failures"]] == [(4, 2)]
 
 
+@pytest.mark.parametrize("name", ("lef", "horilah", "exprwlah"))
+def test_streamed_identities_build_no_whole_triangle(capsys, monkeypatch, name):
+    # The reference and every route of these identities are row streams,
+    # compared one row at a time.
+    def refuse(*args, **kwargs):
+        raise AssertionError("built a whole triangle")
+
+    monkeypatch.setattr(families, "triangle", refuse)
+    monkeypatch.setattr(triangles, "recurrence_triangle", refuse)
+    for argv in ((), ("--nmax", "60")):
+        code, out, _ = run(capsys, "verify", "--identity", name, *argv)
+        assert code == 0 and json.loads(out)["pass"] is True, argv
+
+
+@pytest.mark.parametrize("change, n, expected, actual", ((-1, 10, "a row", "no row"), (1, 11, "no row", "a row")))
+def test_a_route_with_a_wrong_row_count_fails(capsys, monkeypatch, change, n, expected, actual):
+    """A route that yields one row fewer, or one more, than its reference
+    fails once, at the first row that one of the two lacks: a verification
+    failure, not a usage error."""
+    ident = REGISTRY["lef"]
+
+    def route(nmax):
+        return lah_route("explicit", "lah", nmax + change)
+
+    monkeypatch.setitem(REGISTRY, "lef", ident._replace(check=ident.check._replace(routes=((route, 0),))))
+    code, out, _ = run(capsys, "verify", "--identity", "lef", "--nmax", "10")
+    assert code == 1 and json.loads(out)["pass"] is False
+    assert json.loads(out)["failures"] == [{"n": n, "k": None, "expected": expected, "actual": actual}]
+
+
 def test_verify_builds_every_engine_family(capsys, monkeypatch):
     built = set()
-    real = families.triangle
+    real = families.rows
 
-    def triangle(name, params, nmax):
+    def rows(name, *args):
         built.add(name)
-        return real(name, params, nmax)
+        return real(name, *args)
 
-    monkeypatch.setattr(families, "triangle", triangle)
+    monkeypatch.setattr(families, "rows", rows)
     code, _, _ = run(capsys, "verify", "--identity", "all")
     assert code == 0
     assert built == set(families.FAMILIES) and len(built) == 16
@@ -261,7 +291,7 @@ def test_lah_types_are_r_whitney_lah_at_their_declared_point(family):
         base = families.triangle("r-whitney-lah", {"m": m, "r": r}, 12).rows
         signed = tuple(tuple(lah.sign**n * v for v in row) for n, row in enumerate(base))
         assert families.triangle(family, point, 12).rows == signed, point
-        assert lah_route("explicit", family, 12, **point) == signed, point
+        assert tuple(lah_route("explicit", family, 12, **point)) == signed, point
 
 
 def test_explicit_route_at_a_negative_step():
@@ -270,7 +300,7 @@ def test_explicit_route_at_a_negative_step():
     # them without a 0/0.
     for alpha in (-1, -2, -7):
         rows = families.triangle("whitney-lah", {"alpha": alpha}, 20).rows
-        assert lah_route("explicit", "whitney-lah", 20, alpha=alpha) == rows, alpha
+        assert tuple(lah_route("explicit", "whitney-lah", 20, alpha=alpha)) == rows, alpha
 
 
 @pytest.mark.parametrize(
@@ -298,8 +328,8 @@ def test_lah_routes_validate_their_parameters():
     """An integral Fraction, as the CLI passes `--alpha 3`, runs on ints; a
     proper one is refused before any route runs."""
     for kind in ("explicit", "vertical", "horizontal", "product"):
-        rows = lah_route(kind, "whitney-lah", 6, alpha=Fraction(3))
-        assert rows == lah_route(kind, "whitney-lah", 6, alpha=3)
+        rows = tuple(lah_route(kind, "whitney-lah", 6, alpha=Fraction(3)))
+        assert rows == tuple(lah_route(kind, "whitney-lah", 6, alpha=3))
         assert {type(v) for row in rows for v in row} == {int}
         with pytest.raises(IntegralityError):
             lah_route(kind, "whitney-lah", 6, alpha=Fraction(1, 2))

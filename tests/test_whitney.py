@@ -1,5 +1,4 @@
 import random
-from functools import partial
 
 import pytest
 
@@ -11,7 +10,8 @@ from dowling.triangles import transform
 
 ALPHAS = (1, 2, 3, 5)
 VERTICAL, HORIZONTAL, PRODUCT = (
-    partial(lah_route, kind, "whitney-lah") for kind in ("vertical", "horizontal", "product")
+    lambda nmax, kind=kind, **point: tuple(lah_route(kind, "whitney-lah", nmax, **point))
+    for kind in ("vertical", "horizontal", "product")
 )
 
 # Closed forms of the small Whitney-Lah entries as polynomials in the step
