@@ -5,8 +5,10 @@ element n in monomials and divides it synthetically by (x - b_j), j < n;
 the remainder of division j is T(n,j), and the last quotient is 1.
 Rational parameters are scaled by D, the lcm of their denominators, so that
 over y = D x every node is an integer and the rows are the engine's scaled
-ints U(n,k) = D^(n-k) T(n,k), which `solve` reads off.  The `Fraction`
-bases, expansions and back-substitution below are the tests' reference.
+ints U(n,k) = D^(n-k) T(n,k), at the D of `families.scaled_rows`: the
+inverse-pair checks of `identities` multiply them by the engine's scaled
+rows as they come, and `solve` reads them off.  The `Fraction` bases,
+expansions and back-substitution below are the tests' reference.
 """
 
 from __future__ import annotations

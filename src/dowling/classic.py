@@ -28,9 +28,10 @@ def stirling1_triangle(nmax: int) -> Triangle:
     return families.triangle("stirling1", {}, nmax)
 
 
-def lah_egf_check(k: int, order: int) -> bool:
-    """True iff n! [t^n] ((-t)/(1+t))^k equals k! L(n,k) for n <= order: the
-    EGF (0, -1!, 2!, -3!, ...) raised to the k-th power by `egf_product`."""
+def lah_egf_check(k: int, order: int) -> tuple | None:
+    """The first (n, k, n! [t^n] ((-t)/(1+t))^k, k! L(n,k)) whose two values
+    differ, n <= order, or None where none does: the EGF
+    (0, -1!, 2!, -3!, ...) raised to the k-th power by `egf_product`."""
     if order < k:
         raise ValueError("order must be at least k")
     base = [0] + [(-1) ** n * math.factorial(n) for n in range(1, order + 1)]
@@ -38,7 +39,10 @@ def lah_egf_check(k: int, order: int) -> bool:
     for _ in range(k):
         series = egf_product(series, base)
     tri = families.triangle("lah", {}, order)
-    return all(series[n] == math.factorial(k) * tri.value(n, k) for n in range(order + 1))
+    for n in range(order + 1):
+        if series[n] != math.factorial(k) * tri.value(n, k):
+            return n, k, series[n], math.factorial(k) * tri.value(n, k)
+    return None
 
 
 # The paper's explicit formula for each sum of `families.SUMS`,

@@ -14,7 +14,8 @@ modules as verification routes.
 Rational parameters never put a Fraction inside the recurrence.  With D the
 lcm of the denominators of the weights, the scaled weights D*(a*n + b*k + c)
 are integers, the integer recurrence gives U(n,k), and
-S(n,k) = U(n,k) / D^(n-k) is read off one row at a time.
+S(n,k) = U(n,k) / D^(n-k) is read off one row at a time; `scaled_rows`
+yields U itself, for the checks that multiply two scaled tables.
 
 `hs-lah` is the one family without a two-term linear recurrence (at
 (1, 0, 0) the weights fitted to row 4 are 13/3, 5, 6), so its rows stream as
@@ -153,32 +154,33 @@ def _read_off(scaled_rows, scale: int):
         yield tuple(Fraction(u, powers[n - k]) for k, u in enumerate(row))
 
 
-def _engine(name: str, params: dict, scale: int | None = None) -> tuple:
+def _engine(name: str, params: dict) -> tuple:
     """(validated params, scale, integer weights) of an engine family."""
     params = _validate(name, params)
     weights = FAMILIES[name].weights(params)
-    if scale is None:
-        scale = _denominator(weights[1:])
+    scale = _denominator(weights[1:])
     return params, scale, _scaled(weights, scale)
 
 
-def rows(name: str, params: dict, nmax: int, one=1):
-    """Yield the rows 0..nmax of a family, one at a time.  Where the entries
-    are integers (scale 1) they come straight from the engine, of the type
-    of `one` (see `triangles.recurrence_rows`); otherwise they are exact
-    rationals read off the scaled int rows.  `hs-lah` streams the signed
-    product of the hs2 and hs1 rows at the triple's one scale, as ints or
-    Fractions whatever `one`.  The parameters are validated at the call,
-    before the first row is asked for."""
+def scaled_rows(name: str, params: dict, nmax: int, one=1) -> tuple:
+    """(D, the rows 0..nmax of a family's scaled ints U(n,k) = D^(n-k) T(n,k),
+    one at a time), D the lcm of the denominators of its weights.  Entries
+    are of the type of `one` (see `triangles.recurrence_rows`) at D = 1,
+    ints otherwise and for `hs-lah`, the signed product of the hs2 and hs1
+    rows, both at the triple's one D.  The parameters are validated at the
+    call, before the first row is asked for."""
     if name == "hs-lah":
-        params = _validate(name, params)
-        scale = _denominator(params.values())
-        s2, s1 = (triangles.recurrence_rows(nmax, *_engine(kind, params, scale)[2]) for kind in ("hs2", "hs1"))
-        return _read_off(triangles.product(s2, s1, signed=True), scale)
+        (scale, s2), (_, s1) = (scaled_rows(kind, params, nmax) for kind in ("hs2", "hs1"))
+        return scale, triangles.product(s2, s1, signed=True)
     _, scale, weights = _engine(name, params)
-    if scale == 1:
-        return triangles.recurrence_rows(nmax, *weights, one)
-    return _read_off(triangles.recurrence_rows(nmax, *weights), scale)
+    return scale, triangles.recurrence_rows(nmax, *weights, one if scale == 1 else 1)
+
+
+def rows(name: str, params: dict, nmax: int, one=1):
+    """Yield the rows 0..nmax of a family, one at a time: those of
+    `scaled_rows`, or exact rationals read off them where D > 1."""
+    scale, scaled = scaled_rows(name, params, nmax, one)
+    return _read_off(scaled, scale)
 
 
 def triangle(name: str, params: dict, nmax: int) -> Triangle:

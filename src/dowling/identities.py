@@ -6,10 +6,9 @@ reference and route of a shape is called as fn(nmax, **point), where the
 point holds the identity's parameters other than nmax.  The shapes:
 
 - `Tables`: a production row stream against route row streams, entrywise;
-- `Sequences`: a production sequence against a whole-sequence route;
-- `Product`: the product of two tables is the identity matrix;
-- `Roundtrip`: seeded random sequences pass through two tables and come back;
-- `Predicate`: a bool check at each of a list of points;
+- `Sequences`: a production sequence against a sequence route, term by term;
+- `Inverse`: the product of two row streams is the identity matrix,
+  entrywise, on the scaled ints of a rational pair;
 - a plain function (nmax, **point) -> (failures, notes) for the rest.
 
 Parameter rules: an identity takes the parameters among its defaults, or
@@ -22,15 +21,14 @@ the grid.
 from __future__ import annotations
 
 import math
-import random
 from collections import namedtuple
 from fractions import Fraction
 from functools import cache, partial
-from itertools import zip_longest
+from itertools import count, zip_longest
 from types import MappingProxyType
 
 from . import basis, classic, families, oracle, rnumbers, unified, whitney
-from .triangles import checkerboard, explicit_row, horizontal_rows, product, transform, vertical_rows
+from .triangles import explicit_row, horizontal_rows, product, vertical_rows
 
 
 def _failure(n, k, expected, actual) -> dict:
@@ -43,7 +41,8 @@ _SIGNS = {
     "(-1)^(n-k)": lambda n, row: [-v if (n - k) % 2 else v for k, v in enumerate(row)],
     "(-1)^n": lambda n, row: [-v for v in row] if n % 2 else row,
 }
-_LACKS = ("a row", "no row")  # indexed by whether a stream lacks the row
+# Indexed by whether a stream of rows, or of terms, lacks item n.
+_LACKS, _LACKS_TERM = ("a row", "no row"), ("a term", "no term")
 
 
 def _entrywise(ref, routes, sign="as printed", label=None) -> list:
@@ -83,58 +82,45 @@ class Tables(namedtuple("Tables", ("reference", "routes", "notes"), defaults=(No
 
 
 class Sequences(namedtuple("Sequences", ("reference", "route", "notes"), defaults=(None,))):
-    """`reference` and `route` return the values at n = 0..nmax."""
+    """`reference` and `route` return the values at n = 0..nmax, compared
+    term by term.  A route with fewer or more terms than the reference
+    fails once, at the first n one of them lacks."""
 
     __slots__ = ()
 
     def __call__(self, nmax, **point):
         got = self.route(nmax, **point)
-        ref = self.reference(nmax, **point)
-        bad = [_failure(n, None, want, got[n]) for n, want in enumerate(ref) if want != got[n]]
-        return bad, self.notes
-
-
-class Product(namedtuple("Product", ("pair", "notes"), defaults=(None,))):
-    """`pair` returns two tables whose product is the identity matrix, in
-    both orders; a table paired with itself is multiplied once."""
-
-    __slots__ = ()
-
-    def __call__(self, nmax, **point):
-        first, second = self.pair(nmax, **point)
-        orders = ((first, second),) if first is second else ((first, second), (second, first))
-        ref = (tuple(int(n == k) for k in range(n + 1)) for n in range(nmax + 1))
-        return _entrywise(ref, [(product(c.rows, d.rows), 0) for c, d in orders]), self.notes
-
-
-class Roundtrip(namedtuple("Roundtrip", ("pair", "notes"), defaults=(None,))):
-    """`pair` returns two tables; applying the first and then the second to
-    a sequence gives it back.  Checked on five seeded random sequences of
-    length nmax + 1."""
-
-    __slots__ = ()
-
-    def __call__(self, nmax, **point):
-        first, second = self.pair(nmax, **point)
         bad = []
-        for seed in range(5):
-            rng = random.Random(seed)
-            seq = [rng.randint(-50, 50) for _ in range(nmax + 1)]
-            back = transform(second, transform(first, seq))
-            if back != seq:
-                bad.append(_failure(seed, None, seq, back))
+        for n, (want, value) in enumerate(zip_longest(self.reference(nmax, **point), got)):
+            if want is None or value is None:
+                bad.append(_failure(n, None, _LACKS_TERM[want is None], _LACKS_TERM[value is None]))
+                break
+            if want != value:
+                bad.append(_failure(n, None, want, value))
         return bad, self.notes
 
 
-class Predicate(namedtuple("Predicate", ("points", "expected", "notes"), defaults=(None,))):
-    """`points` yields (n, k, holds) triples; each that does not hold fails
-    as `expected`."""
+def inverse_failures(nmax, first, second, label=None) -> list:
+    """The failures, by `_entrywise`, of the product of two tables against
+    the identity matrix, rows 0..nmax.  Each table is (D, rows of its scaled
+    ints U(n,k) = D^(n-k) T(n,k)) at one D, as `families.scaled_rows`
+    returns; their product is D^(n-k) times the tables', so one is the
+    identity iff the other is.  One order suffices: AB = I iff BA = I for
+    square lower-triangular tables."""
+    (scale, first), (other, second) = first, second
+    if scale != other:
+        raise ValueError(f"an inverse pair needs one scale, got {scale} and {other}")
+    ref = (tuple(int(n == k) for k in range(n + 1)) for n in range(nmax + 1))
+    return _entrywise(ref, [(product(first, second), 0)], label=label)
+
+
+class Inverse(namedtuple("Inverse", ("first", "second", "notes"), defaults=(None,))):
+    """`first` and `second` return the two tables of `inverse_failures`."""
 
     __slots__ = ()
 
     def __call__(self, nmax, **point):
-        points = self.points(nmax, **point)
-        return [_failure(n, k, self.expected, "mismatch") for n, k, holds in points if not holds], self.notes
+        return inverse_failures(nmax, self.first(nmax, **point), self.second(nmax, **point)), self.notes
 
 
 def _explicit(name):
@@ -142,15 +128,16 @@ def _explicit(name):
     return lambda nmax, **point: classic.explicit_sequence(name, point, nmax)
 
 
-def _table(family):
-    """The production triangle of a family, `families.triangle` looked up at each call."""
-    return lambda nmax, **point: families.triangle(family, point, nmax)
-
-
 def _rows(family):
-    """The production rows of a family, `families.rows` looked up likewise, so
-    a test that patches it reaches every reference (and `families.triangle`)."""
+    """The production rows of a family, `families.rows` looked up at each
+    call, so a test that patches it reaches every reference (and
+    `families.triangle`)."""
     return lambda nmax, **point: families.rows(family, point, nmax)
+
+
+def _scaled(family):
+    """(D, the production rows of a family as scaled ints), looked up likewise."""
+    return lambda nmax, **point: families.scaled_rows(family, point, nmax)
 
 
 def _sums(family):
@@ -159,22 +146,18 @@ def _sums(family):
 
 
 def _solved(family):
-    """A family by its connection solve, `basis.solve`, called like `_table`."""
-    return lambda nmax, **point: basis.solve(family, point, nmax)
+    """(D, a family's scaled rows by its connection solve), called like `_scaled`."""
+    return lambda nmax, **point: basis.scaled_solve(family, point, nmax)
 
 
 def _signed(table):
-    """A table function with its entries signed by (-1)^(n-k)."""
-    return lambda nmax, **point: checkerboard(table(nmax, **point))
+    """A function like `_scaled`'s with its entries signed by (-1)^(n-k)."""
 
+    def signed(nmax, **point):
+        scale, rows = table(nmax, **point)
+        return scale, map(_SIGNS["(-1)^(n-k)"], count(), rows)
 
-def _pair(first, second):
-    """Two table functions as one function of the pair."""
-    return lambda nmax, **point: (first(nmax, **point), second(nmax, **point))
-
-
-_R_WHITNEY_PAIR = _pair(_signed(_solved("r-whitney1")), _table("r-whitney2"))
-_R_STIRLING_PAIR = _pair(_table("r-stirling1"), _signed(_table("r-stirling2")))
+    return signed
 
 
 # ---------------------------------------------------------------------------
@@ -267,12 +250,13 @@ def _partial_bell(nmax):
 # The four Lah-type families.  Each is the r-Whitney-Lah triangle at one
 # (m, r), times (-1)^n where its sign is -1, and the product of a first- and
 # a second-kind table, signed likewise: (m, r) as a function of the validated
-# parameters, the sign, and the two kinds, each called as fn(nmax, **params).
+# parameters, the sign, and the two kinds, each called as fn(nmax, **params)
+# and returning (1, rows), as `_scaled` and `_solved` do at integer points.
 LahType = namedtuple("LahType", ("mr", "sign", "first", "second"))
 LAH_TYPES = {
-    "lah": LahType(lambda p: (1, 0), -1, _solved("stirling1"), _table("stirling2")),
-    "whitney-lah": LahType(lambda p: (p["alpha"], 1), -1, _solved("whitney1"), _table("whitney2")),
-    "r-lah": LahType(lambda p: (1, p["r"]), 1, _table("r-stirling1"), _table("r-stirling2")),
+    "lah": LahType(lambda p: (1, 0), -1, _solved("stirling1"), _scaled("stirling2")),
+    "whitney-lah": LahType(lambda p: (p["alpha"], 1), -1, _solved("whitney1"), _scaled("whitney2")),
+    "r-lah": LahType(lambda p: (1, p["r"]), 1, _scaled("r-stirling1"), _scaled("r-stirling2")),
     "r-whitney-lah": LahType(lambda p: (p["m"], p["r"]), 1, _solved("r-whitney1"), _solved("r-whitney2")),
 }
 
@@ -295,7 +279,8 @@ def lah_route(kind, family, nmax, **point):
     if kind == "horizontal":
         return horizontal_rows(families.rows(family, params, nmax + 1), nmax, 2 * r, m, sign)
     if kind == "product":
-        return product(first(nmax, **params).rows, second(nmax, **params).rows, signed=sign == -1)
+        (_, first), (_, second) = first(nmax, **params), second(nmax, **params)
+        return product(first, second, signed=sign == -1)
     raise ValueError(f"unknown Lah-type route {kind!r}")
 
 
@@ -357,34 +342,36 @@ def _lah_routes(family, **columns) -> tuple:
     return tuple((partial(lah_route, kind, family), kmin) for kind, kmin in columns.items())
 
 
-def _twice(table):
-    """A table paired with itself, for a family that is its own inverse."""
-    return lambda nmax, **point: (table(nmax, **point),) * 2
+def _series_failures(differences) -> list:
+    """Each first (n, k, series value, k! T(n,k)) of an EGF check that is
+    not None, as a failure expecting the triangle's value."""
+    return [_failure(n, k, want, got) for n, k, got, want in filter(None, differences)]
 
 
 def _lgf(nmax, kmax):
-    return ((nmax, k, classic.lah_egf_check(k, nmax)) for k in range(min(kmax, nmax) + 1))
+    return _series_failures(classic.lah_egf_check(k, nmax) for k in range(min(kmax, nmax) + 1)), None
 
 
 def _weighted_egf(nmax, r, order):
-    return ((nmax, None, rnumbers.weighted_stirling_egf_check(nmax, r, order)),)
+    return _series_failures([rnumbers.weighted_stirling_egf_check(nmax, r, order)]), None
 
 
 def _log_concavity(nmax, m, r):
-    return ((n, None, rnumbers.verify_log_concavity(n, m, r)) for n in range(2, nmax + 1))
+    bad = [n for n in range(2, nmax + 1) if not rnumbers.verify_log_concavity(n, m, r)]
+    return [_failure(n, None, "log-concave", "mismatch") for n in bad], _LOG_CONCAVE
 
 
 def _engine_ortho(nmax, alpha, m, r):
     """Each engine first kind times its engine second kind is the identity
-    matrix, in both orders: w1 W2 at alpha and checkerboard(r-w1) r-W2 at
+    matrix: w1 W2 at alpha and the (-1)^(n-k)-signed r-w1 times r-W2 at
     (m, r).  A failure names the first kind."""
     kinds = {
-        "whitney1": (_pair(_table("whitney1"), _table("whitney2")), {"alpha": alpha}),
-        "r-whitney1": (_pair(_signed(_table("r-whitney1")), _table("r-whitney2")), {"m": m, "r": r}),
+        "whitney1": (_scaled("whitney1"), _scaled("whitney2"), {"alpha": alpha}),
+        "r-whitney1": (_signed(_scaled("r-whitney1")), _scaled("r-whitney2"), {"m": m, "r": r}),
     }
     bad = []
-    for name, (pair, point) in kinds.items():
-        bad += [dict(item, expected=f"{name}: {item['expected']}") for item in Product(pair)(nmax, **point)[0]]
+    for name, (first, second, point) in kinds.items():
+        bad += inverse_failures(nmax, first(nmax, **point), second(nmax, **point), name)
     return bad, None
 
 
@@ -399,7 +386,8 @@ _RW = {"nmax": 12, "m": 2, "r": 2}
 _LAH = _rows("lah")
 _W_LAH = _rows("whitney-lah")
 _RW_LAH = _rows("r-whitney-lah")
-_SERIES = "series == triangle"
+_W_LAH_SQUARE = Inverse(_scaled("whitney-lah"), _scaled("whitney-lah"))  # its own inverse
+_R_WHITNEY_PAIR = Inverse(_signed(_solved("r-whitney1")), _scaled("r-whitney2"))
 _HORILAH = "angle-bracket weights resolved as the ascending product x(x+1)...(x+i-1)"
 _TRIWLAH = "vertical, horizontal and product routes against the triangular recurrence"
 _RWLAH = "explicit, product, vertical and horizontal routes against the recurrence"
@@ -411,20 +399,20 @@ REGISTRY = {
         Identity("lef", {"nmax": 30}, Tables(_LAH, _lah_routes("lah", explicit=0))),
         Identity("verlah", {"nmax": 20}, Tables(_LAH, _lah_routes("lah", vertical=0))),
         Identity("horilah", {"nmax": 20}, Tables(_LAH, _lah_routes("lah", horizontal=0), _HORILAH)),
-        Identity("lgf", {"nmax": 20}, Predicate(_lgf, _SERIES), fixed={"kmax": 5}),
+        Identity("lgf", {"nmax": 20}, _lgf, fixed={"kmax": 5}),
         Identity("qi", {"nmax": 25}, Sequences(_sums("stirling2"), _explicit("bell"))),
         Identity("ordlahstirling", {"nmax": 15}, Tables(_LAH, _lah_routes("lah", product=0))),
-        Identity("stirling-inverse", {"nmax": 9}, Roundtrip(_pair(_table("stirling2"), _table("stirling1")))),
+        Identity("stirling-inverse", {"nmax": 9}, Inverse(_scaled("stirling2"), _scaled("stirling1"))),
         Identity("partial-bell", {"nmax": 10}, _partial_bell),
-        Identity("ortho", {"nmax": 12, "alpha": 3}, Product(_twice(_table("whitney-lah")))),
-        Identity("inv1", {"nmax": 9, "alpha": 3}, Roundtrip(_twice(_table("whitney-lah")))),
+        Identity("ortho", {"nmax": 12, "alpha": 3}, _W_LAH_SQUARE),
+        Identity("inv1", {"nmax": 9, "alpha": 3}, _W_LAH_SQUARE),
         Identity("wla1", _W, Tables(_W_LAH, _lah_routes("whitney-lah", explicit=0, product=0))),
         Identity(
             "triwlah",
             {"nmax": 15, "alpha": 3},
             Tables(_W_LAH, _lah_routes("whitney-lah", vertical=1, horizontal=0, product=0), _TRIWLAH),
         ),
-        Identity("whitney-ortho", _W, Product(_pair(_solved("whitney1"), _table("whitney2")))),
+        Identity("whitney-ortho", _W, Inverse(_solved("whitney1"), _scaled("whitney2"))),
         Identity(
             "benoumhani",
             {"nmax": 15, "alpha": 3},
@@ -433,16 +421,16 @@ REGISTRY = {
         Identity("dow1", {"nmax": 10, "alpha": 3}, Sequences(_sums("whitney2"), _explicit("dowling"))),
         Identity("bell-reduction", {"nmax": 12}, _bell_reduction),
         Identity("lah1", _R, Tables(_rows("r-lah"), _lah_routes("r-lah", explicit=0, product=0))),
-        Identity("lah4", {"nmax": 7, "r": 2}, Roundtrip(_R_STIRLING_PAIR)),
+        Identity("lah4", {"nmax": 7, "r": 2}, Inverse(_scaled("r-stirling1"), _signed(_scaled("r-stirling2")))),
         Identity("expb", _R, Sequences(_sums("r-stirling2"), _explicit("r-bell"))),
         Identity(
             "weighted-egf",
             {"nmax": 12, "r": 2},
-            Predicate(_weighted_egf, _SERIES),
+            _weighted_egf,
             fixed={"order": partial(max, 12)},  # the series order must reach nmax
         ),
-        Identity("rw-ortho", {"nmax": 8, "m": 2, "r": 2}, Product(_R_WHITNEY_PAIR)),
-        Identity("rw-inv", {"nmax": 7, "m": 2, "r": 2}, Roundtrip(_R_WHITNEY_PAIR)),
+        Identity("rw-ortho", {"nmax": 8, "m": 2, "r": 2}, _R_WHITNEY_PAIR),
+        Identity("rw-inv", {"nmax": 7, "m": 2, "r": 2}, _R_WHITNEY_PAIR),
         Identity("engine-ortho", {"nmax": 12, "alpha": 3, "m": 2, "r": 2}, _engine_ortho),
         Identity("rwhitneylah", _RW, Tables(_RW_LAH, _lah_routes("r-whitney-lah", product=0))),
         Identity("exprwlah", _RW, Tables(_RW_LAH, _lah_routes("r-whitney-lah", explicit=0))),
@@ -454,9 +442,9 @@ REGISTRY = {
         Identity("expl-rdow", _RW, Sequences(_sums("r-whitney2"), _explicit("r-dowling"))),
         Identity("ugexp", {"nmax": 10}, Sequences(_sums("hs1"), _explicit("hs-bell")), _HS_GRID),
         Identity("cakic-bell", {"nmax": 10, "alpha": 2}, Sequences(_sums("cakic"), _explicit("cakic-bell"))),
-        Identity("hs-ortho", {"nmax": 8}, Product(_pair(_table("hs1"), _solved("hs2"))), _HS_GRID),
-        Identity("invrel", {"nmax": 9}, Roundtrip(_pair(_solved("hs1"), _table("hs2"))), _HS_GRID),
-        Identity("log-concavity", {"nmax": 20}, Predicate(_log_concavity, "log-concave", _LOG_CONCAVE), _MR_GRID),
+        Identity("hs-ortho", {"nmax": 8}, Inverse(_scaled("hs1"), _solved("hs2")), _HS_GRID),
+        Identity("invrel", {"nmax": 9}, Inverse(_solved("hs1"), _scaled("hs2")), _HS_GRID),
+        Identity("log-concavity", {"nmax": 20}, _log_concavity, _MR_GRID),
         Identity("specializations", {"nmax": 6}, _specializations),
         Identity("oracle", {"nmax": 8}, _oracle, needs_oracle=True),
     )

@@ -23,9 +23,10 @@ from .families import check_param
 from .triangles import Triangle, explicit_row
 
 
-def weighted_stirling_egf_check(nmax: int, r, order: int) -> bool:
-    """True iff n! [t^n] e^(rt) (e^t - 1)^k equals k! S_r(n,k), the
-    r-Stirling second-kind entry, for all k <= nmax and n <= nmax: the EGF
+def weighted_stirling_egf_check(nmax: int, r, order: int) -> tuple | None:
+    """The first (n, k), k then n, whose n! [t^n] e^(rt) (e^t - 1)^k differs
+    from k! S_r(n,k), the r-Stirling second-kind entry, k, n <= nmax, as
+    (n, k, series value, k! S_r(n,k)), or None where none does: the EGF
     (r^n) times (0, 1, 1, ...) once per k, through t^order by `egf_product`."""
     r = check_param("r", r)
     if order < nmax:
@@ -36,9 +37,10 @@ def weighted_stirling_egf_check(nmax: int, r, order: int) -> bool:
     for k in range(nmax + 1):
         if k:
             series = egf_product(series, ones)
-        if any(series[n] != math.factorial(k) * tri.value(n, k) for n in range(nmax + 1)):
-            return False
-    return True
+        for n in range(nmax + 1):
+            if series[n] != math.factorial(k) * tri.value(n, k):
+                return n, k, series[n], math.factorial(k) * tri.value(n, k)
+    return None
 
 
 def r_whitney_second_recurrence(nmax: int, m, r) -> Triangle:

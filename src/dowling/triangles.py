@@ -166,15 +166,6 @@ def transform(table, seq) -> list:
     return [sum(v * s for v, s in zip(rows[n], seq)) for n in range(len(seq))]
 
 
-def checkerboard(table):
-    """The same table with entries (-1)^(n-k) T(n,k)."""
-    rows = tuple(
-        tuple(-v if (n - k) % 2 else v for k, v in enumerate(row))
-        for n, row in enumerate(table.rows)
-    )
-    return Triangle(rows, table.family, table.params)
-
-
 def vertical_rows(lower: Triangle, nmax: int, c: int, h: int, sign: int):
     """Yield rows 0..nmax of the column-wise expansion of a Lah-type triangle,
 

@@ -20,7 +20,7 @@ from dowling.basis import (
 )
 from dowling.exactmath import DegenerateBasisError, IntegralityError, Poly, as_integer
 from dowling.identities import _HS_GRID
-from dowling.triangles import Triangle, checkerboard
+from dowling.triangles import Triangle
 from dowling.unified import hs_pair_by_solve
 
 F = Fraction
@@ -183,6 +183,11 @@ def graded_bases(draw, nmax=5):
 @given(graded_bases(), graded_bases())
 def test_connection_round_trip_is_identity(p, q):
     assert connection_matrix(p, q).mul(connection_matrix(q, p)).is_identity()
+
+
+def checkerboard(table):
+    """The same table with entries (-1)^(n-k) T(n,k)."""
+    return Triangle(tuple((-1) ** (n - k) * v for k, v in enumerate(row)) for n, row in enumerate(table.rows))
 
 
 # Each family of `basis.BASES` by the Fraction back-substitution over the

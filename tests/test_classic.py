@@ -100,9 +100,9 @@ def test_lah_vertical_small_cases():
 
 
 def test_lah_egf():
-    assert lah_egf_check(1, 4)
-    assert lah_egf_check(0, 3)
-    assert lah_egf_check(2, 6)
+    assert lah_egf_check(1, 4) is None
+    assert lah_egf_check(0, 3) is None
+    assert lah_egf_check(2, 6) is None
     with pytest.raises(ValueError):
         lah_egf_check(4, 2)
 

@@ -1,20 +1,19 @@
-"""The identity registry: every table and sequence check can fail, every
-specialization fails on a sign error, `verify` builds every engine family,
-`verify` takes only the parameters an identity declares, the Lah-type
-families are what `LAH_TYPES` declares them to be, and a wrong weight of any
-of them, of `r-stirling2`, or of the first kinds `whitney1` and `r-whitney1`,
-is caught by the identities that read it."""
+"""The identity registry: every table, sequence and inverse-pair check can
+fail, every specialization fails on a sign error, `verify` builds every
+engine family, `verify` takes only the parameters an identity declares, the
+Lah-type families are what `LAH_TYPES` declares them to be, and a wrong
+weight of any engine family is caught by the identities that read it."""
 
 import json
+import math
 from fractions import Fraction
 
 import pytest
 
-from dowling import families, triangles
+from dowling import classic, families, identities, triangles
 from dowling.cli import main
 from dowling.exactmath import IntegralityError
-from dowling.identities import LAH_TYPES, REGISTRY, SPECIALIZATIONS, Sequences, Tables, lah_route, report
-from dowling.triangles import Triangle, checkerboard
+from dowling.identities import LAH_TYPES, REGISTRY, SPECIALIZATIONS, Inverse, Sequences, Tables, lah_route, report
 
 
 def run(capsys, *argv):
@@ -98,22 +97,22 @@ def test_qi_streams_the_stirling_rows_once(capsys, monkeypatch):
 
 
 def test_hs_pair_checks_read_the_engine(capsys, monkeypatch):
-    """hs-ortho multiplies the engine s1 by the solved s2, and invrel runs the
-    solved s1 into the engine s2, so one wrong engine entry fails each of
-    them at every grid point."""
-    real = families.triangle
+    """hs-ortho multiplies the engine s1 by the solved s2, and invrel the
+    solved s1 by the engine s2, so one wrong engine entry fails each of them
+    at every grid point."""
+    real = families.scaled_rows
     for name, family in (("hs-ortho", "hs1"), ("invrel", "hs2")):
 
-        def triangle(fam, params, nmax, family=family):
-            table = real(fam, params, nmax)
+        def scaled_rows(fam, params, nmax, *args, family=family):
+            scale, rows = real(fam, params, nmax, *args)
             if fam != family:
-                return table
-            rows = [list(row) for row in table.rows]
+                return scale, rows
+            rows = [list(row) for row in rows]
             rows[2][1] += 1
-            return table._replace(rows=rows)
+            return scale, map(tuple, rows)
 
         with monkeypatch.context() as patch:
-            patch.setattr(families, "triangle", triangle)
+            patch.setattr(families, "scaled_rows", scaled_rows)
             code, out, _ = run(capsys, "verify", "--identity", name)
         points = {f["actual"].rsplit(" at ", 1)[1] for f in json.loads(out)["failures"]}
         assert code == 1, name
@@ -136,7 +135,9 @@ def test_a_sign_error_fails_its_specialization(capsys, monkeypatch):
 
         def rows(fam, params, nmax, *args, family=family):
             table = real(fam, params, nmax, *args)
-            return checkerboard(Triangle(table)).rows if fam == family else table
+            if fam != family:
+                return table
+            return (tuple((-1) ** (n - k) * v for k, v in enumerate(row)) for n, row in enumerate(table))
 
         with monkeypatch.context() as patch:
             patch.setattr(families, "rows", rows)
@@ -207,15 +208,98 @@ def test_a_route_with_a_wrong_row_count_fails(capsys, monkeypatch, change, n, ex
     assert json.loads(out)["failures"] == [{"n": n, "k": None, "expected": expected, "actual": actual}]
 
 
-def test_verify_builds_every_engine_family(capsys, monkeypatch):
-    built = set()
-    real = families.rows
+@pytest.mark.parametrize("change, n, expected, actual", ((-1, 25, "a term", "no term"), (1, 26, "no term", "a term")))
+def test_a_sequence_route_of_the_wrong_length_fails(capsys, monkeypatch, change, n, expected, actual):
+    """A sequence route one term short, or one term long, fails once, at
+    the first n that one side lacks, with exit code 1."""
+    real = classic.explicit_sequence
 
-    def rows(name, *args):
+    def explicit_sequence(name, params, nmax):
+        terms = real(name, params, nmax)
+        return terms[:change] if change < 0 else terms + [0] * change
+
+    monkeypatch.setattr(classic, "explicit_sequence", explicit_sequence)
+    code, out, _ = run(capsys, "verify", "--identity", "qi")
+    assert code == 1 and json.loads(out)["pass"] is False
+    assert json.loads(out)["failures"] == [{"n": n, "k": None, "expected": expected, "actual": actual}]
+
+
+@pytest.mark.parametrize("name, family, n, k", (("lgf", "lah", 7, 3), ("weighted-egf", "r-stirling2", 6, 2)))
+def test_a_wrong_egf_coefficient_is_named(capsys, monkeypatch, name, family, n, k):
+    """An EGF check fails at the first coefficient n! [t^n] of the k-th
+    power that differs from k! T(n,k), expecting the triangle's value."""
+    real = families.triangle
+
+    def triangle(fam, params, nmax):
+        table = real(fam, params, nmax)
+        if fam != family:
+            return table
+        rows = [list(row) for row in table.rows]
+        rows[n][k] += 1
+        return table._replace(rows=rows)
+
+    monkeypatch.setattr(families, "triangle", triangle)
+    code, out, _ = run(capsys, "verify", "--identity", name)
+    entry = math.factorial(k) * real(family, {"r": 2} if family == "r-stirling2" else {}, n).value(n, k)
+    assert code == 1
+    assert json.loads(out)["failures"] == [
+        {"n": n, "k": k, "expected": str(entry + math.factorial(k)), "actual": str(entry)}
+    ]
+
+
+def test_a_rational_pair_is_multiplied_on_ints(capsys, monkeypatch):
+    """At (1/2, 1/3, 2), hs-ortho and invrel multiply the scaled ints of
+    the pair, one product each: no Fraction reaches `triangles.product`."""
+    real, seen = triangles.product, []
+
+    def product(first, second, signed=False):
+        def spied(rows):
+            for row in rows:
+                seen.extend(map(type, row))
+                yield row
+
+        seen.append("call")
+        return real(spied(first), spied(second), signed)
+
+    monkeypatch.setattr(identities, "product", product)
+    for name in ("hs-ortho", "invrel"):
+        seen.clear()
+        code, _, _ = run(capsys, "verify", "--identity", name, "--alpha", "1/2", "--beta", "1/3", "--gamma", "2")
+        assert code == 0, name
+        assert seen.count("call") == 1 and set(seen) == {"call", int}, name
+
+
+def test_a_wrong_entry_of_one_factor_fails_at_its_row(capsys, monkeypatch):
+    """One wrong entry (3, 1) of the first factor of an inverse pair changes
+    row 3 of the product alone, and its column 1 since the second factor's
+    diagonal is 1 or -1: each `Inverse` check fails there, in that row."""
+    names = [name for name, ident in REGISTRY.items() if isinstance(ident.check, Inverse)]
+    assert len(names) == 9
+    for name in names:
+        ident = REGISTRY[name]
+
+        def first(nmax, real=ident.check.first, **point):
+            scale, rows = real(nmax, **point)
+            return scale, ((row[0], row[1] + 1, *row[2:]) if n == 3 else row for n, row in enumerate(rows))
+
+        monkeypatch.setitem(REGISTRY, name, ident._replace(check=ident.check._replace(first=first)))
+        code, out, _ = run(capsys, "verify", "--identity", name)
+        failures = json.loads(out)["failures"]
+        assert code == 1, name
+        assert {f["n"] for f in failures} == {3} and any(f["k"] == 1 for f in failures), name
+
+
+def test_verify_builds_every_engine_family(capsys, monkeypatch):
+    # `families.rows` reads its rows off `scaled_rows`, as the inverse-pair
+    # checks and the `hs-lah` product do.
+    built = set()
+    real = families.scaled_rows
+
+    def scaled_rows(name, *args):
         built.add(name)
         return real(name, *args)
 
-    monkeypatch.setattr(families, "rows", rows)
+    monkeypatch.setattr(families, "scaled_rows", scaled_rows)
     code, _, _ = run(capsys, "verify", "--identity", "all")
     assert code == 0
     assert built == set(families.FAMILIES) and len(built) == 16
@@ -339,18 +423,35 @@ def test_lah_routes_validate_their_parameters():
         lah_route("diagonal", "lah", 6)
 
 
-# The identities that catch a Lah-type family, or `r-stirling2`, with its
-# engine weight a, b or c raised by 1.  `oracle` catches `lah` since it reads
-# the engine table.
+# The identities that catch each engine family with its weight a, b or c
+# raised by 1, exactly: every such mutant is caught at least twice.  `oracle`
+# catches `lah` since it reads the engine table.  The whitney-lah mutant of
+# weight c is still its own inverse, so `ortho` and `inv1` pass it.
 _W_LAH_CATCHERS = {"wla1", "triwlah", "dow1", "specializations"}
+_HS_CATCHERS = {"ugexp", "cakic-bell", "specializations"}
 MUTANT_CATCHERS = {
+    "stirling1": dict.fromkeys("abc", {"partial-bell", "stirling-inverse"}),
+    "stirling2": dict.fromkeys(
+        "abc", {"qi", "ordlahstirling", "stirling-inverse", "partial-bell", "benoumhani", "bell-reduction", "oracle"}
+    ),
     "lah": dict.fromkeys("abc", {"lef", "verlah", "horilah", "lgf", "ordlahstirling", "partial-bell", "oracle"}),
+    "whitney1": dict.fromkeys("abc", {"engine-ortho", "specializations"}),
+    "whitney2": dict.fromkeys(
+        "abc",
+        {"wla1", "triwlah", "whitney-ortho", "benoumhani", "dow1", "bell-reduction", "engine-ortho", "specializations"},
+    ),
     "whitney-lah": {**dict.fromkeys("ab", _W_LAH_CATCHERS | {"ortho", "inv1"}), "c": _W_LAH_CATCHERS},
+    "r-stirling1": dict.fromkeys("abc", {"lah1", "lah4", "specializations"}),
+    "r-stirling2": dict.fromkeys("abc", {"expb", "lah1", "lah4", "oracle", "specializations", "weighted-egf"}),
     "r-lah": dict.fromkeys("abc", {"qi", "lah1", "expb", "specializations", "oracle"}),
+    "r-whitney1": dict.fromkeys("abc", {"engine-ortho", "specializations"}),
+    "r-whitney2": dict.fromkeys("abc", {"rw-ortho", "rw-inv", "engine-ortho", "expl-rdow", "specializations"}),
     "r-whitney-lah": dict.fromkeys(
         "abc", {"rwhitneylah", "exprwlah", "rwlah-routes", "expl-rdow", "specializations"}
     ),
-    "r-stirling2": dict.fromkeys("abc", {"expb", "lah1", "lah4", "oracle", "specializations", "weighted-egf"}),
+    "hs1": dict.fromkeys("abc", _HS_CATCHERS | {"hs-ortho"}),
+    "hs2": dict.fromkeys("abc", _HS_CATCHERS | {"invrel"}),
+    "cakic": dict.fromkeys("abc", {"cakic-bell", "specializations"}),
 }
 
 
@@ -380,14 +481,18 @@ def _catching(monkeypatch, family, weight) -> set:
 @pytest.mark.parametrize("weight", "abc")
 @pytest.mark.parametrize("family", sorted(MUTANT_CATCHERS))
 def test_a_wrong_lah_type_weight_is_caught(monkeypatch, family, weight):
-    caught = _catching(monkeypatch, family, weight)
-    assert caught >= MUTANT_CATCHERS[family][weight], MUTANT_CATCHERS[family][weight] - caught
+    """The mutation gate, over every engine family (the Lah types were its
+    first): each single-weight mutant is caught by exactly its declared
+    identities, at least two."""
+    assert set(MUTANT_CATCHERS) == {name for name, fam in families.FAMILIES.items() if fam.weights}
+    assert len(MUTANT_CATCHERS[family][weight]) >= 2
+    assert _catching(monkeypatch, family, weight) == MUTANT_CATCHERS[family][weight]
 
 
 @pytest.mark.parametrize("weight", "abc")
 @pytest.mark.parametrize("family", ("whitney1", "r-whitney1"))
-def test_a_wrong_first_kind_weight_is_caught_twice(monkeypatch, family, weight):
+def test_a_wrong_first_kind_weight_is_caught_twice(family, weight):
     """The engine's first kinds are caught by the solved s1 of
     `specializations` and by `engine-ortho`, which multiplies each by its
-    engine second kind."""
-    assert _catching(monkeypatch, family, weight) >= {"specializations", "engine-ortho"}
+    engine second kind; the gate above runs them."""
+    assert MUTANT_CATCHERS[family][weight] == {"specializations", "engine-ortho"}

@@ -14,7 +14,7 @@ from dowling.rnumbers import (
     verify_log_concavity,
     weighted_stirling_egf_check,
 )
-from dowling.triangles import Triangle, checkerboard, transform
+from dowling.triangles import Triangle, transform
 
 R_STIRLING2_R2 = ((1,), (2, 1), (4, 5, 1), (8, 19, 9, 1), (16, 65, 55, 14, 1), (32, 211, 285, 125, 20, 1))
 R_LAH_R2 = (
@@ -72,7 +72,8 @@ def test_r_inverse_roundtrip():
     for a, r in samples:
         # b_n = sum_j A(n,j) a_j is undone by a_n = sum_j (-1)^(n-j) S(n,j) b_j.
         first = families.triangle("r-stirling1", {"r": r}, len(a) - 1)
-        second = checkerboard(families.triangle("r-stirling2", {"r": r}, len(a) - 1))
+        second = families.triangle("r-stirling2", {"r": r}, len(a) - 1)
+        second = Triangle(tuple((-1) ** (n - k) * v for k, v in enumerate(row)) for n, row in enumerate(second.rows))
         assert transform(second, transform(first, a)) == a
 
 
@@ -91,9 +92,9 @@ def test_r_lah_row_sums_feed_the_bell_formula():
 
 
 def test_weighted_stirling_egf():
-    assert weighted_stirling_egf_check(5, 2, 8)
+    assert weighted_stirling_egf_check(5, 2, 8) is None
     for r in range(4):
-        assert weighted_stirling_egf_check(4, r, 12)
+        assert weighted_stirling_egf_check(4, r, 12) is None
     with pytest.raises(ValueError):
         weighted_stirling_egf_check(5, 2, 3)
 
