@@ -1,15 +1,19 @@
 """The identity registry: every identity the package verifies, declared once
 as data.  `dowling verify` and the acceptance suite both run it.
 
-An identity is a check shape plus its default size and parameters.  Every
-reference and route of a shape is called as fn(nmax, **point), where the
-point holds the identity's parameters other than nmax.  The shapes:
+An identity is a check plus its default size, parameters and notes.  A
+check is a shape, or a tuple of shapes whose failures the report lists in
+order.  Every reference and route of a shape is called as fn(nmax, **point),
+where the point holds the identity's parameters other than nmax.  The shapes:
 
 - `Tables`: a production row stream against route row streams, entrywise;
 - `Sequences`: a production sequence against a sequence route, term by term;
 - `Inverse`: the product of two row streams is the identity matrix,
-  entrywise, on the scaled ints of a rational pair;
-- a plain function (nmax, **point) -> (failures, notes) for the rest.
+  entrywise, on the scaled ints of a rational pair.
+
+The checks that fit no shape are plain functions (nmax, **point) ->
+failures.  A route, sequence or product lists at most `_LISTED` failures,
+then one failure counting the rest.
 
 Parameter rules: an identity takes the parameters among its defaults, or
 the parameter group of its grid; its fixed parameters cannot be set (a
@@ -22,17 +26,30 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
+from contextvars import ContextVar
 from fractions import Fraction
-from functools import cache, partial
-from itertools import count, zip_longest
+from functools import partial
+from itertools import count, islice, zip_longest
 from types import MappingProxyType
 
-from . import basis, classic, families, oracle, rnumbers, unified, whitney
+from . import basis, classic, families, oracle, rnumbers, whitney
 from .triangles import explicit_row, horizontal_rows, product, vertical_rows
 
 
 def _failure(n, k, expected, actual) -> dict:
     return {"n": n, "k": k, "expected": str(expected), "actual": str(actual)}
+
+
+# The failures a route, sequence or product lists; one more counts the rest.
+_LISTED = 20
+
+
+def _listed(bad, seen, prefix) -> list:
+    """The first `_LISTED` of `bad`, the first of `seen` failures, then one
+    failure counting any left out."""
+    if seen <= _LISTED:
+        return bad
+    return bad[:_LISTED] + [_failure(None, None, f"{prefix}{_LISTED} failures listed", f"{seen - _LISTED} more")]
 
 
 # The sign taking a route's row n to the engine's, entry by entry.
@@ -50,19 +67,23 @@ def _entrywise(ref, routes, sign="as printed", label=None) -> list:
     rows `ref`, entry by entry, its rows taken with a `_SIGNS` sign and each
     expected value prefixed by `label`; the streams advance together, one
     row of each held.  A route with fewer or more rows than `ref` fails
-    once, at the first row one of them lacks.  Failures go route by route."""
+    once, at the first row one of them lacks.  Failures go route by route,
+    at most `_LISTED` of each."""
     prefix, sign = f"{label}: " if label else "", _SIGNS[sign]
-    bads, ended = [[] for _ in routes], set()
+    bads, seen, ended = [[] for _ in routes], [0] * len(routes), set()
     for n, (want, *got) in enumerate(zip_longest(ref, *(rows for rows, _ in routes))):
         for i, ((_, kmin), row) in enumerate(zip(routes, got)):
-            if i in ended or want is None or row is None:
-                if i not in ended and want is not row:
-                    bads[i].append(_failure(n, None, prefix + _LACKS[want is None], _LACKS[row is None]))
+            if i in ended:
+                continue
+            if want is None or row is None:
                 ended.add(i)
+                fresh = [] if want is row else [_failure(n, None, prefix + _LACKS[want is None], _LACKS[row is None])]
             else:
                 row = sign(n, row)
-                bads[i] += [_failure(n, k, prefix + str(want[k]), row[k]) for k in range(kmin, n + 1) if want[k] != row[k]]
-    return [item for bad in bads for item in bad]
+                fresh = [_failure(n, k, prefix + str(want[k]), row[k]) for k in range(kmin, n + 1) if want[k] != row[k]]
+            seen[i] += len(fresh)
+            bads[i] += fresh[: _LISTED - len(bads[i])]
+    return [item for bad, many in zip(bads, seen) for item in _listed(bad, many, prefix)]
 
 
 # ---------------------------------------------------------------------------
@@ -70,18 +91,19 @@ def _entrywise(ref, routes, sign="as printed", label=None) -> list:
 # `families.Family`, since importing `dataclasses` costs more than the registry
 
 
-class Tables(namedtuple("Tables", ("reference", "routes", "notes"), defaults=(None,))):
+class Tables(namedtuple("Tables", ("reference", "routes", "sign", "label"), defaults=("as printed", None))):
     """`reference` returns rows; each route in `routes` is a pair (function
-    returning rows, first column it is compared from), streamed together."""
+    returning rows, first column it is compared from), streamed together
+    and compared by `_entrywise` with its `sign` and `label`."""
 
     __slots__ = ()
 
     def __call__(self, nmax, **point):
-        ref = self.reference(nmax, **point)
-        return _entrywise(ref, [(route(nmax, **point), kmin) for route, kmin in self.routes]), self.notes
+        ref, routes = self.reference(nmax, **point), [(route(nmax, **point), kmin) for route, kmin in self.routes]
+        return _entrywise(ref, routes, self.sign, self.label)
 
 
-class Sequences(namedtuple("Sequences", ("reference", "route", "notes"), defaults=(None,))):
+class Sequences(namedtuple("Sequences", ("reference", "route"))):
     """`reference` and `route` return the values at n = 0..nmax, compared
     term by term.  A route with fewer or more terms than the reference
     fails once, at the first n one of them lacks."""
@@ -89,38 +111,31 @@ class Sequences(namedtuple("Sequences", ("reference", "route", "notes"), default
     __slots__ = ()
 
     def __call__(self, nmax, **point):
-        got = self.route(nmax, **point)
-        bad = []
+        got, bad = self.route(nmax, **point), []
         for n, (want, value) in enumerate(zip_longest(self.reference(nmax, **point), got)):
             if want is None or value is None:
                 bad.append(_failure(n, None, _LACKS_TERM[want is None], _LACKS_TERM[value is None]))
                 break
             if want != value:
                 bad.append(_failure(n, None, want, value))
-        return bad, self.notes
+        return _listed(bad, len(bad), "")
 
 
-def inverse_failures(nmax, first, second, label=None) -> list:
-    """The failures, by `_entrywise`, of the product of two tables against
-    the identity matrix, rows 0..nmax.  Each table is (D, rows of its scaled
-    ints U(n,k) = D^(n-k) T(n,k)) at one D, as `families.scaled_rows`
-    returns; their product is D^(n-k) times the tables', so one is the
-    identity iff the other is.  One order suffices: AB = I iff BA = I for
-    square lower-triangular tables."""
-    (scale, first), (other, second) = first, second
-    if scale != other:
-        raise ValueError(f"an inverse pair needs one scale, got {scale} and {other}")
-    ref = (tuple(int(n == k) for k in range(n + 1)) for n in range(nmax + 1))
-    return _entrywise(ref, [(product(first, second), 0)], label=label)
-
-
-class Inverse(namedtuple("Inverse", ("first", "second", "notes"), defaults=(None,))):
-    """`first` and `second` return the two tables of `inverse_failures`."""
+class Inverse(namedtuple("Inverse", ("first", "second", "label"), defaults=(None,))):
+    """`first` and `second` return two tables, each (D, rows of its scaled
+    ints U(n,k) = D^(n-k) T(n,k)) at one D, as `families.scaled_rows` does;
+    their product, D^(n-k) times the tables', is compared with the identity
+    matrix by `_entrywise` under `label`.  One order suffices: AB = I iff
+    BA = I for square lower-triangular tables."""
 
     __slots__ = ()
 
     def __call__(self, nmax, **point):
-        return inverse_failures(nmax, self.first(nmax, **point), self.second(nmax, **point)), self.notes
+        (scale, first), (other, second) = self.first(nmax, **point), self.second(nmax, **point)
+        if scale != other:
+            raise ValueError(f"an inverse pair needs one scale, got {scale} and {other}")
+        ref = (tuple(int(n == k) for k in range(n + 1)) for n in range(nmax + 1))
+        return _entrywise(ref, [(product(first, second), 0)], label=self.label)
 
 
 def _explicit(name):
@@ -161,90 +176,85 @@ def _signed(table):
 
 
 # ---------------------------------------------------------------------------
-# identities that fit no shape
+# the reductions of the Hsu-Shiue pair
 
 
-def _bell_reduction(nmax):
-    bad = []
-    s2 = families.triangle("stirling2", {}, nmax + 1)
-    w1 = families.triangle("whitney2", {"alpha": 1}, nmax)
-    for n in range(nmax + 1):
-        want, got = families.row_sum("stirling2", {}, n + 1), families.row_sum("whitney2", {"alpha": 1}, n)
-        if want != got:
-            bad.append(_failure(n, None, want, got))
-        for j in range(n + 1):
-            if w1.value(n, j) != s2.value(n + 1, j + 1):
-                bad.append(_failure(n, j, s2.value(n + 1, j + 1), w1.value(n, j)))
-    return bad, "unit-step Dowling numbers against shifted Bell/Stirling values"
+# The solves of the running report by (kind, triple, nmax), a dict `report`
+# sets: the cases of `specializations` at a triple share one of each kind.
+_SOLVES = ContextVar("solves")
 
 
-# The routes of a reduction, read at its point given the pair solved there.
-_HS = ("alpha", "beta", "gamma")
-_ROUTES = {
-    "solved s1": lambda nmax, point, pair: pair.s1.rows,
-    "solved L": lambda nmax, point, pair: product(pair.s2.rows, pair.s1.rows, signed=True),
-    "engine L": lambda nmax, point, pair: families.rows("hs-lah", dict(zip(_HS, point)), nmax),
-}
-_S1, _L = ("solved s1",), ("solved L", "engine L")
+def _solve_once(kind, triple, nmax):
+    """(D, the scaled rows of `kind`, hs1 or hs2, by `basis.scaled_solve` at
+    a triple (alpha, beta, gamma)), solved once per report."""
+    solves, key = _SOLVES.get({}), (kind, triple, nmax)
+    if key not in solves:
+        solves[key] = basis.scaled_solve(kind, dict(zip(families._HS, triple)), nmax)
+    return solves[key]
+
+
+def _pair_routes(kind, triple) -> tuple:
+    """The routes compared with a reduction's engine table at its triple,
+    each called as fn(nmax): the solved s1, or for a Lah-type reduction
+    ("L") the signed product of the solved s2 and s1 and the engine's
+    `hs-lah`."""
+
+    def solved(name, nmax):
+        scale, rows = _solve_once(name, triple, nmax)
+        return families._read_off(rows, scale)
+
+    if kind == "s1":
+        return ((partial(solved, "hs1"), 0),)
+    return (
+        (lambda nmax: product(solved("hs2", nmax), solved("hs1", nmax), signed=True), 0),
+        (lambda nmax: families.rows("hs-lah", dict(zip(families._HS, triple)), nmax), 0),
+    )
+
 
 # The reductions of the Hsu-Shiue pair, each with the one sign convention it
-# satisfies: (name, convention, engine family and parameters, the point
-# (alpha, beta, gamma), the routes compared with the engine there, the sign).
+# satisfies: (name, convention, engine family and parameters, the triple
+# (alpha, beta, gamma), the kind of its `_pair_routes`, the sign).
 SPECIALIZATIONS = (
     ("whitney-first", "w(n,k) = S(n,k; beta, 0, -1) as printed",
-     "whitney1", {"alpha": 3}, (3, 0, -1), _S1, "as printed"),
+     "whitney1", {"alpha": 3}, (3, 0, -1), "s1", "as printed"),
     ("whitney-second", "W(n,k) = S(n,k; 0, beta, 1) as printed",
-     "whitney2", {"alpha": 3}, (0, 3, 1), _S1, "as printed"),
+     "whitney2", {"alpha": 3}, (0, 3, 1), "s1", "as printed"),
     ("whitney-lah", "L^W(n,k) = L(n,k; 0, beta, 1) as printed",
-     "whitney-lah", {"alpha": 3}, (0, 3, 1), _L, "as printed"),
+     "whitney-lah", {"alpha": 3}, (0, 3, 1), "L", "as printed"),
     ("r-stirling-first", "A(n,k) = (-1)^(n-k) S(n,k; 1, 0, -r)",
-     "r-stirling1", {"r": 2}, (1, 0, -2), _S1, "(-1)^(n-k)"),
+     "r-stirling1", {"r": 2}, (1, 0, -2), "s1", "(-1)^(n-k)"),
     ("r-stirling-second", "S(n,k) = S(n,k; 0, 1, r) as printed",
-     "r-stirling2", {"r": 2}, (0, 1, 2), _S1, "as printed"),
+     "r-stirling2", {"r": 2}, (0, 1, 2), "s1", "as printed"),
     ("r-lah", "L(n,k) = (-1)^n L(n,k; 0, 1, r) as printed",
-     "r-lah", {"r": 2}, (0, 1, 2), _L, "(-1)^n"),
+     "r-lah", {"r": 2}, (0, 1, 2), "L", "(-1)^n"),
     ("r-whitney-first", "w(n,k) = (-1)^(n-k) S(n,k; m, 0, -r) as printed",
-     "r-whitney1", {"m": 2, "r": 2}, (2, 0, -2), _S1, "(-1)^(n-k)"),
+     "r-whitney1", {"m": 2, "r": 2}, (2, 0, -2), "s1", "(-1)^(n-k)"),
     ("r-whitney-second", "W(n,k) = S(n,k; 0, m, r) as printed",
-     "r-whitney2", {"m": 2, "r": 2}, (0, 2, 2), _S1, "as printed"),
+     "r-whitney2", {"m": 2, "r": 2}, (0, 2, 2), "s1", "as printed"),
     ("r-whitney-lah", "L(n,k) = (-1)^n L(n,k; 0, m, r) as printed",
-     "r-whitney-lah", {"m": 2, "r": 2}, (0, 2, 2), _L, "(-1)^n"),
+     "r-whitney-lah", {"m": 2, "r": 2}, (0, 2, 2), "L", "(-1)^n"),
     ("cakic", "c(n,k) = S(n,k; +alpha, 1, 0); the printed reduction negates alpha",
-     "cakic", {"alpha": 2}, (2, 1, 0), _S1, "as printed"),
+     "cakic", {"alpha": 2}, (2, 1, 0), "s1", "as printed"),
+)
+
+# Each engine table of `SPECIALIZATIONS` against its routes, entrywise, then
+# the solved pair at each triple, which must be mutually inverse.
+_SPECIALIZATIONS = (
+    *(
+        Tables(partial(_rows(family), **params), _pair_routes(kind, triple), sign, name)
+        for name, _, family, params, triple, kind, sign in SPECIALIZATIONS
+    ),
+    *(
+        Inverse(partial(_solve_once, "hs1", triple), partial(_solve_once, "hs2", triple), f"solved pair at {triple}")
+        for triple in dict.fromkeys(triple for *_, triple, _, _ in SPECIALIZATIONS)
+    ),
 )
 
 
-def _specializations(nmax):
-    """Each engine table of `SPECIALIZATIONS` against its routes, entrywise;
-    the notes are the declared conventions.  Each point is solved once."""
-    solved = cache(partial(unified.hs_pair_by_solve, nmax))
-    bad, notes = [], []
-    for name, convention, family, params, point, routes, sign in SPECIALIZATIONS:
-        ref = families.rows(family, params, nmax)
-        bad += _entrywise(ref, [(_ROUTES[route](nmax, point, solved(point)), 0) for route in routes], sign, name)
-        notes.append(f"{name}: {convention}")
-    return bad, "; ".join(notes)
-
-
-# The reductions of the partial Bell polynomials B(n,k) that `partial-bell`
-# checks: (engine family, x_i as a function of i >= 1, the sign taking
-# B(n,k) to the engine's entry).
-_PARTIAL_BELL = (
-    ("stirling2", lambda i: 1, "as printed"),
-    ("lah", math.factorial, "(-1)^n"),
-    ("stirling1", lambda i: math.factorial(i - 1), "(-1)^(n-k)"),
-)
-
-
-def _partial_bell(nmax):
-    """Each reduction of `_PARTIAL_BELL`, entrywise: the polynomials come
-    from `classic.partial_bell_rows`, a recurrence on the block of the first
-    element that shares no code with the engine."""
-    bad = []
-    for family, x, sign in _PARTIAL_BELL:
-        polys = classic.partial_bell_rows(nmax, [x(i) for i in range(1, nmax + 1)])
-        bad += _entrywise(families.rows(family, {}, nmax), [(polys, 0)], sign, family)
-    return bad, "B(n,k) at x_i = 1, i!, (i-1)! against S(n,k), (-1)^n L(n,k), (-1)^(n-k) s(n,k)"
+def _bell_polynomials(x):
+    """The rows of the partial Bell polynomials B(n,k) at x_i = x(i), i >= 1,
+    by `classic.partial_bell_rows`, which shares no code with the engine."""
+    return lambda nmax: classic.partial_bell_rows(nmax, [x(i) for i in range(1, nmax + 1)])
 
 
 # The four Lah-type families.  Each is the r-Whitney-Lah triangle at one
@@ -284,33 +294,39 @@ def lah_route(kind, family, nmax, **point):
     raise ValueError(f"unknown Lah-type route {kind!r}")
 
 
+def _counts(ordered):
+    """Rows 0..nmax of the brute-force counts of partitions of n + r elements
+    into k + r blocks, `ordered` or not, the first r elements apart."""
+    return lambda nmax, r=0: (
+        tuple(oracle.count_partitions(oracle.PartitionSpec(n + r, k + r, r, ordered)) for k in range(n + 1))
+        for n in range(nmax + 1)
+    )
+
+
+def _all_counts(nmax, r=0):
+    """The brute-force counts of all those partitions, n = 0..nmax."""
+    return [oracle.count_all_partitions(n + r, r) for n in range(nmax + 1)]
+
+
+_R_ORACLE = (  # the cases of `oracle` at r = 1, 2, 3
+    Tables(_counts(False), ((_rows("r-stirling2"), 0),)),
+    Sequences(_all_counts, _sums("r-stirling2")),
+    Tables(_counts(True), ((_rows("r-lah"), 0),)),
+)
+
+
 def _oracle(nmax):
-    """Brute-force partition counts against the production families; the
-    ordered-block counts are the signless Lah numbers (-1)^n L(n,k).  The
-    enumeration is capped by its size guard, so Lah stops at n = 9 and the
-    r-families at min(nmax, 11-r, 9)."""
-    # (last row, distinguished elements, ordered blocks, entry, row sum)
-    bell = partial(families.row_sum, "stirling2", {})
-    lah = families.triangle("lah", {}, min(nmax, 9))
-    checks = [
-        (nmax, 0, False, families.triangle("stirling2", {}, nmax).value, bell),
-        (min(nmax, 9), 0, True, lambda n, k: (-1) ** n * lah.value(n, k), None),
+    """Brute-force partition counts against the production families and
+    their row sums; the ordered-block counts are the signless Lah numbers
+    (-1)^n L(n,k).  The enumeration is capped by its size guard, so Lah
+    stops at n = 9 and the r-families at min(nmax, 11-r, 9)."""
+    checks = [  # (last row, point, case)
+        (nmax, {}, Tables(_counts(False), ((_rows("stirling2"), 0),))),
+        (nmax, {}, Sequences(_all_counts, _sums("stirling2"))),
+        (min(nmax, 9), {}, Tables(_counts(True), ((_rows("lah"), 0),), "(-1)^n")),
+        *((min(nmax, 11 - r, 9), {"r": r}, case) for r in (1, 2, 3) for case in _R_ORACLE),
     ]
-    for r in (1, 2, 3):
-        top, p = min(nmax, 11 - r, 9), {"r": r}
-        r_bell = partial(families.row_sum, "r-stirling2", p)
-        checks.append((top, r, False, families.triangle("r-stirling2", p, top).value, r_bell))
-        checks.append((top, r, True, families.triangle("r-lah", p, top).value, None))
-    bad = []
-    for top, r, ordered, entry, total in checks:
-        for n in range(top + 1):
-            for k in range(n + 1):
-                want = oracle.count_partitions(oracle.PartitionSpec(n + r, k + r, r, ordered))
-                if want != entry(n, k):
-                    bad.append(_failure(n, k, want, entry(n, k)))
-            if total is not None and oracle.count_all_partitions(n + r, r) != total(n):
-                bad.append(_failure(n, None, oracle.count_all_partitions(n + r, r), total(n)))
-    return bad, None
+    return [item for top, point, case in checks for item in case(top, **point)]
 
 
 # ---------------------------------------------------------------------------
@@ -320,14 +336,15 @@ def _oracle(nmax):
 _IDENTITY_FIELDS = (
     "name",
     "defaults",  # nmax and the parameters a caller may set, in report order
-    "check",  # a shape, or a function (nmax, **point) -> (failures, notes)
+    "check",  # a shape, a tuple of shapes, or a function (nmax, **point) -> failures
     "grid",  # default points of the parameter group, if any
     "fixed",  # parameters a caller may not set, or functions of nmax
     "needs_oracle",
+    "notes",  # what the report records of the check, if anything
 )
 
 
-class Identity(namedtuple("Identity", _IDENTITY_FIELDS, defaults=((), MappingProxyType({}), False))):
+class Identity(namedtuple("Identity", _IDENTITY_FIELDS, defaults=((), MappingProxyType({}), False, None))):
     __slots__ = ()
 
     @property
@@ -349,30 +366,16 @@ def _series_failures(differences) -> list:
 
 
 def _lgf(nmax, kmax):
-    return _series_failures(classic.lah_egf_check(k, nmax) for k in range(min(kmax, nmax) + 1)), None
+    return _series_failures(classic.lah_egf_check(k, nmax) for k in range(min(kmax, nmax) + 1))
 
 
 def _weighted_egf(nmax, r, order):
-    return _series_failures([rnumbers.weighted_stirling_egf_check(nmax, r, order)]), None
+    return _series_failures([rnumbers.weighted_stirling_egf_check(nmax, r, order)])
 
 
 def _log_concavity(nmax, m, r):
     bad = [n for n in range(2, nmax + 1) if not rnumbers.verify_log_concavity(n, m, r)]
-    return [_failure(n, None, "log-concave", "mismatch") for n in bad], _LOG_CONCAVE
-
-
-def _engine_ortho(nmax, alpha, m, r):
-    """Each engine first kind times its engine second kind is the identity
-    matrix: w1 W2 at alpha and the (-1)^(n-k)-signed r-w1 times r-W2 at
-    (m, r).  A failure names the first kind."""
-    kinds = {
-        "whitney1": (_scaled("whitney1"), _scaled("whitney2"), {"alpha": alpha}),
-        "r-whitney1": (_signed(_scaled("r-whitney1")), _scaled("r-whitney2"), {"m": m, "r": r}),
-    }
-    bad = []
-    for name, (first, second, point) in kinds.items():
-        bad += inverse_failures(nmax, first(nmax, **point), second(nmax, **point), name)
-    return bad, None
+    return [_failure(n, None, "log-concave", "mismatch") for n in bad]
 
 
 _HS_GRID = tuple(
@@ -388,29 +391,55 @@ _W_LAH = _rows("whitney-lah")
 _RW_LAH = _rows("r-whitney-lah")
 _W_LAH_SQUARE = Inverse(_scaled("whitney-lah"), _scaled("whitney-lah"))  # its own inverse
 _R_WHITNEY_PAIR = Inverse(_signed(_solved("r-whitney1")), _scaled("r-whitney2"))
+# The partial Bell reductions: (engine family, x_i, the sign taking B(n,k) to it).
+_PARTIAL_BELL = tuple(
+    Tables(_rows(family), ((_bell_polynomials(x), 0),), sign, family)
+    for family, x, sign in (
+        ("stirling2", lambda i: 1, "as printed"),
+        ("lah", math.factorial, "(-1)^n"),
+        ("stirling1", lambda i: math.factorial(i - 1), "(-1)^(n-k)"),
+    )
+)
+# W(n,k) = S(n+1,k+1) at alpha = 1, so the row sums are the Bell numbers B(n+1).
+_BELL_REDUCTION = (
+    Tables(
+        lambda nmax: (row[1:] for row in islice(families.rows("stirling2", {}, nmax + 1), 1, None)),
+        ((partial(_rows("whitney2"), alpha=1), 0),),
+    ),
+    Sequences(lambda nmax: _sums("stirling2")(nmax + 1)[1:], partial(_sums("whitney2"), alpha=1)),
+)
+# The engine's w1 W2 at alpha and (-1)^(n-k) r-w1 times r-W2 at (m, r).
+_ENGINE_ORTHO = (
+    Inverse(_scaled("whitney1"), _scaled("whitney2"), "whitney1"),
+    Inverse(_signed(_scaled("r-whitney1")), _scaled("r-whitney2"), "r-whitney1"),
+)
+_PARTIAL_BELL_NOTES = "B(n,k) at x_i = 1, i!, (i-1)! against S(n,k), (-1)^n L(n,k), (-1)^(n-k) s(n,k)"
+_BELL_REDUCTION_NOTES = "unit-step Dowling numbers against shifted Bell/Stirling values"
 _HORILAH = "angle-bracket weights resolved as the ascending product x(x+1)...(x+i-1)"
 _TRIWLAH = "vertical, horizontal and product routes against the triangular recurrence"
 _RWLAH = "explicit, product, vertical and horizontal routes against the recurrence"
 _LOG_CONCAVE = "product-form strict log-concavity; the sum form is implied at these sizes"
+_CONVENTIONS = "; ".join(f"{name}: {convention}" for name, convention, *_ in SPECIALIZATIONS)
 
 REGISTRY = {
     ident.name: ident
     for ident in (
         Identity("lef", {"nmax": 30}, Tables(_LAH, _lah_routes("lah", explicit=0))),
         Identity("verlah", {"nmax": 20}, Tables(_LAH, _lah_routes("lah", vertical=0))),
-        Identity("horilah", {"nmax": 20}, Tables(_LAH, _lah_routes("lah", horizontal=0), _HORILAH)),
+        Identity("horilah", {"nmax": 20}, Tables(_LAH, _lah_routes("lah", horizontal=0)), notes=_HORILAH),
         Identity("lgf", {"nmax": 20}, _lgf, fixed={"kmax": 5}),
         Identity("qi", {"nmax": 25}, Sequences(_sums("stirling2"), _explicit("bell"))),
         Identity("ordlahstirling", {"nmax": 15}, Tables(_LAH, _lah_routes("lah", product=0))),
         Identity("stirling-inverse", {"nmax": 9}, Inverse(_scaled("stirling2"), _scaled("stirling1"))),
-        Identity("partial-bell", {"nmax": 10}, _partial_bell),
+        Identity("partial-bell", {"nmax": 10}, _PARTIAL_BELL, notes=_PARTIAL_BELL_NOTES),
         Identity("ortho", {"nmax": 12, "alpha": 3}, _W_LAH_SQUARE),
         Identity("inv1", {"nmax": 9, "alpha": 3}, _W_LAH_SQUARE),
         Identity("wla1", _W, Tables(_W_LAH, _lah_routes("whitney-lah", explicit=0, product=0))),
         Identity(
             "triwlah",
             {"nmax": 15, "alpha": 3},
-            Tables(_W_LAH, _lah_routes("whitney-lah", vertical=1, horizontal=0, product=0), _TRIWLAH),
+            Tables(_W_LAH, _lah_routes("whitney-lah", vertical=1, horizontal=0, product=0)),
+            notes=_TRIWLAH,
         ),
         Identity("whitney-ortho", _W, Inverse(_solved("whitney1"), _scaled("whitney2"))),
         Identity(
@@ -419,7 +448,7 @@ REGISTRY = {
             Tables(_rows("whitney2"), ((whitney.whitney_second_benoumhani_rows, 0),)),
         ),
         Identity("dow1", {"nmax": 10, "alpha": 3}, Sequences(_sums("whitney2"), _explicit("dowling"))),
-        Identity("bell-reduction", {"nmax": 12}, _bell_reduction),
+        Identity("bell-reduction", {"nmax": 12}, _BELL_REDUCTION, notes=_BELL_REDUCTION_NOTES),
         Identity("lah1", _R, Tables(_rows("r-lah"), _lah_routes("r-lah", explicit=0, product=0))),
         Identity("lah4", {"nmax": 7, "r": 2}, Inverse(_scaled("r-stirling1"), _signed(_scaled("r-stirling2")))),
         Identity("expb", _R, Sequences(_sums("r-stirling2"), _explicit("r-bell"))),
@@ -431,21 +460,22 @@ REGISTRY = {
         ),
         Identity("rw-ortho", {"nmax": 8, "m": 2, "r": 2}, _R_WHITNEY_PAIR),
         Identity("rw-inv", {"nmax": 7, "m": 2, "r": 2}, _R_WHITNEY_PAIR),
-        Identity("engine-ortho", {"nmax": 12, "alpha": 3, "m": 2, "r": 2}, _engine_ortho),
+        Identity("engine-ortho", {"nmax": 12, "alpha": 3, "m": 2, "r": 2}, _ENGINE_ORTHO),
         Identity("rwhitneylah", _RW, Tables(_RW_LAH, _lah_routes("r-whitney-lah", product=0))),
         Identity("exprwlah", _RW, Tables(_RW_LAH, _lah_routes("r-whitney-lah", explicit=0))),
         Identity(
             "rwlah-routes",
             _RW,
-            Tables(_RW_LAH, _lah_routes("r-whitney-lah", explicit=0, product=0, vertical=1, horizontal=0), _RWLAH),
+            Tables(_RW_LAH, _lah_routes("r-whitney-lah", explicit=0, product=0, vertical=1, horizontal=0)),
+            notes=_RWLAH,
         ),
         Identity("expl-rdow", _RW, Sequences(_sums("r-whitney2"), _explicit("r-dowling"))),
         Identity("ugexp", {"nmax": 10}, Sequences(_sums("hs1"), _explicit("hs-bell")), _HS_GRID),
         Identity("cakic-bell", {"nmax": 10, "alpha": 2}, Sequences(_sums("cakic"), _explicit("cakic-bell"))),
         Identity("hs-ortho", {"nmax": 8}, Inverse(_scaled("hs1"), _solved("hs2")), _HS_GRID),
         Identity("invrel", {"nmax": 9}, Inverse(_solved("hs1"), _scaled("hs2")), _HS_GRID),
-        Identity("log-concavity", {"nmax": 20}, _log_concavity, _MR_GRID),
-        Identity("specializations", {"nmax": 6}, _specializations),
+        Identity("log-concavity", {"nmax": 20}, _log_concavity, _MR_GRID, notes=_LOG_CONCAVE),
+        Identity("specializations", {"nmax": 6}, _SPECIALIZATIONS, notes=_CONVENTIONS),
         Identity("oracle", {"nmax": 8}, _oracle, needs_oracle=True),
     )
 }
@@ -463,7 +493,8 @@ def taken(ident: Identity, given: dict) -> dict:
 
 
 def report(ident: Identity, given: dict | None = None, nmax: int | None = None) -> dict:
-    """Run one identity and return its verification report.
+    """Run one identity and return its verification report: the failures of
+    its check, case by case where it is a tuple of shapes, at each point.
 
     `given` holds parameters that replace the defaults; a parameter the
     identity does not take, or part of its grid group, is a ValueError.
@@ -481,14 +512,18 @@ def report(ident: Identity, given: dict | None = None, nmax: int | None = None) 
     params.update((key, value(nmax) if callable(value) else value) for key, value in ident.fixed.items())
     params.update(given)
     points = (params,) if given or not ident.grid else ident.grid
-    failures, notes = [], None
-    for point in points:
-        bad, notes = ident.check(nmax, **point)
-        if ident.grid:
-            where = ", ".join(f"{key}={value}" for key, value in point.items())
-            for item in bad:
-                item["actual"] += f" at {where}"
-        failures += bad
+    cases = (ident.check,) if callable(ident.check) else ident.check
+    failures, solves = [], _SOLVES.set({})
+    try:
+        for point in points:
+            bad = [item for case in cases for item in case(nmax, **point)]
+            if ident.grid:
+                where = ", ".join(f"{key}={value}" for key, value in point.items())
+                for item in bad:
+                    item["actual"] += f" at {where}"
+            failures += bad
+    finally:
+        _SOLVES.reset(solves)
     out = {
         "identity": ident.name,
         "params": {key: str(value) for key, value in params.items()},
@@ -496,6 +531,6 @@ def report(ident: Identity, given: dict | None = None, nmax: int | None = None) 
         "pass": not failures,
         "failures": failures,
     }
-    if notes:
-        out["notes"] = notes
+    if ident.notes:
+        out["notes"] = ident.notes
     return out

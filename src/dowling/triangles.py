@@ -6,7 +6,7 @@ closed-form Lah-type row of the verification routes."""
 
 from __future__ import annotations
 
-from collections import deque, namedtuple
+from collections import namedtuple
 from fractions import Fraction
 from itertools import chain, count, islice
 
@@ -119,11 +119,6 @@ def recurrence_triangle(
 ) -> Triangle:
     """The whole triangle of `recurrence_rows` up to row nmax."""
     return Triangle(tuple(recurrence_rows(nmax, d, a, b, c)), family, params)
-
-
-def recurrence_row(n: int, d: int, a: int, b: int, c: int) -> tuple:
-    """Row n of `recurrence_rows` alone, keeping one row at a time."""
-    return deque(recurrence_rows(n, d, a, b, c), maxlen=1)[0]
 
 
 def alternating_sums(second_rows, lah_rows, sign: int = 1):

@@ -106,8 +106,7 @@ def test_criterion_7_log_concavity():
 
 
 def test_criterion_8_specialization_report():
-    failures, _ = REGISTRY["specializations"].check(6)
-    ok = not failures
+    ok = identities.report(REGISTRY["specializations"], nmax=6)["pass"]
     _report(8, "all reductions match cross-module triangles with recorded conventions", ok)
 
 

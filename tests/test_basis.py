@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import pytest
@@ -18,10 +19,10 @@ from dowling.basis import (
     verify_orthogonality,
     verify_tauber_product,
 )
+from dowling.cli import main
 from dowling.exactmath import DegenerateBasisError, IntegralityError, Poly, as_integer
 from dowling.identities import _HS_GRID
 from dowling.triangles import Triangle
-from dowling.unified import hs_pair_by_solve
 
 F = Fraction
 
@@ -243,9 +244,12 @@ def test_the_integer_solve_is_the_fraction_solve(family):
     ),
     ids=("hs2-target", "hs1-source"),
 )
-def test_the_pair_asserts_integer_mutual_inversion(monkeypatch, kind, wrong):
-    params = (F(1, 2), F(1, 3), 2)
-    hs_pair_by_solve(8, params)
+def test_a_solved_pair_not_mutually_inverse_fails_its_report(capsys, monkeypatch, kind, wrong):
+    """`specializations` multiplies the solved s1 and s2 at each of its
+    triples: with one wrong node of either basis, `verify` exits 1 with a
+    `solved pair` failure in its report, not a traceback."""
     monkeypatch.setitem(BASES, kind, BASES[kind]._replace(**wrong))
-    with pytest.raises(AssertionError, match="mutually inverse"):
-        hs_pair_by_solve(8, params)
+    code = main(["verify", "--identity", "specializations"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 1 and report["pass"] is False
+    assert any(f["expected"].startswith("solved pair at (") for f in report["failures"])

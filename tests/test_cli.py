@@ -24,7 +24,6 @@ from dowling.cli import (
     unlimited_int_digits,
 )
 from dowling.identities import REGISTRY
-from dowling.unified import hs_pair_by_solve
 
 
 def run(capsys, *argv):
@@ -115,7 +114,7 @@ def test_rational_triangle_json_roundtrip_is_byte_identical(capsys):
     )
     assert code == 0
     mat = triangle_from_json(out)
-    assert mat.rows == hs_pair_by_solve(2, (Fraction(1, 2), Fraction(1, 3), 2)).s1.rows
+    assert mat.rows == basis.solve("hs1", {"alpha": Fraction(1, 2), "beta": Fraction(1, 3), "gamma": 2}, 2).rows
     assert mat.rows[2][1] == Fraction(23, 6)
     assert mat == families.triangle("hs1", mat.params, 2)
     assert json_text(mat, mat.family, mat.params) == out

@@ -14,8 +14,7 @@ from hypothesis import strategies as st
 from dowling import basis, classic, families, identities, rnumbers, triangles, unified, whitney
 from dowling.exactmath import IntegralityError
 from dowling.identities import _MR_GRID
-from dowling.triangles import Triangle, product, recurrence_row, recurrence_rows, recurrence_triangle
-from dowling.unified import hs_pair_by_solve
+from dowling.triangles import Triangle, product, recurrence_rows, recurrence_triangle
 
 F = Fraction
 
@@ -36,6 +35,11 @@ def named(params) -> dict:
     return dict(zip(("alpha", "beta", "gamma"), params))
 
 
+def solved_pair(nmax, params) -> tuple:
+    """s1 and s2 at a Hsu-Shiue triple by the integer connection solve."""
+    return tuple(basis.solve(kind, named(params), nmax) for kind in ("hs1", "hs2"))
+
+
 def test_engine_small_tables():
     assert recurrence_triangle("s2", {}, 4, 1, 0, 1, 0).rows[4] == (0, 1, 7, 6, 1)
     # signed Lah: the diagonal carries (-1)^n
@@ -49,7 +53,7 @@ def test_engine_rejects_bad_input():
     with pytest.raises(ValueError):
         recurrence_triangle("x", {}, 3, 2, 0, 1, 0)
     with pytest.raises(ValueError):
-        recurrence_row(-1, 1, 0, 1, 0)
+        deque(recurrence_rows(-1, 1, 0, 1, 0), maxlen=1)
     with pytest.raises(ValueError):
         families.row_sum("stirling2", {}, -1)
 
@@ -58,7 +62,7 @@ def test_engine_rejects_bad_input():
 _ANY = {"alpha": 3, "beta": 1, "gamma": 2, "m": 2, "r": 2}
 _SIZED_ROUTES = {
     **{f"solve-{family}": partial(basis.solve, family, _ANY) for family in basis.BASES},
-    "hs_pair_by_solve": lambda n: hs_pair_by_solve(n, (0, 1, 2)),
+    "scaled_solve": partial(basis.scaled_solve, "hs1", _ANY),
     "hs_bell_explicit": lambda n: unified.hs_bell_explicit(n, (0, 1, 2)),
     "dowling_explicit": lambda n: whitney.dowling_explicit(n, 3),
     "r_dowling_explicit": lambda n: rnumbers.r_dowling_explicit(n, 2, 2),
@@ -78,7 +82,6 @@ def test_rolling_row_matches_the_whole_triangle():
     for weights in ((1, 0, 1, 0), (-1, -3, -3, 1), (1, 2, -1, 7), (1, 0, 0, 0)):
         rows = tuple(recurrence_rows(40, *weights))
         assert recurrence_triangle("t", {}, 40, *weights).rows == rows
-        assert recurrence_row(40, *weights) == rows[40]
 
 
 def whole_product(first, second, signed=False) -> tuple:
@@ -129,35 +132,35 @@ def test_r_whitney_engine_vs_solve():
 
 def test_hs_pair_engine_vs_solve():
     for params in HS_POINTS:
-        solved = unified.hs_pair_by_solve(20, params)
-        assert families.triangle("hs1", named(params), 20).rows == solved.s1.rows
-        assert families.triangle("hs2", named(params), 20).rows == solved.s2.rows
+        s1, s2 = solved_pair(20, params)
+        assert families.triangle("hs1", named(params), 20).rows == s1.rows
+        assert families.triangle("hs2", named(params), 20).rows == s2.rows
 
 
 def test_hs_lah_engine_vs_solve():
     for params in HS_POINTS:
-        engine, pair = families.triangle("hs-lah", named(params), 15), hs_pair_by_solve(15, params)
-        assert engine.rows == tuple(product(pair.s2.rows, pair.s1.rows, signed=True))
+        engine, (s1, s2) = families.triangle("hs-lah", named(params), 15), solved_pair(15, params)
+        assert engine.rows == tuple(product(s2.rows, s1.rows, signed=True))
 
 
 def test_hs_families_from_the_table_match_the_pair():
     for params in HS_POINTS:
         p = named(params)
-        pair = unified.hs_pair_by_solve(12, params)
-        assert families.triangle("hs1", p, 12).rows == pair.s1.rows
-        assert families.triangle("hs2", p, 12).rows == pair.s2.rows
+        s1, s2 = solved_pair(12, params)
+        assert families.triangle("hs1", p, 12).rows == s1.rows
+        assert families.triangle("hs2", p, 12).rows == s2.rows
 
 
 def test_cakic_engine_vs_defining_solve():
     # The defining solve of the Cakic numbers is the solved s1 at (alpha, 1, 0).
     for alpha in (2, -3, F(1, 2)):
-        solved = hs_pair_by_solve(20, (alpha, 1, 0)).s1
+        solved = basis.solve("hs1", named((alpha, 1, 0)), 20)
         assert families.triangle("cakic", {"alpha": alpha}, 20).rows == solved.rows
 
 
 def test_rolling_sums_vs_full_solved_rows():
     for params in HS_POINTS:
-        s1 = unified.hs_pair_by_solve(20, params).s1
+        s1 = basis.solve("hs1", named(params), 20)
         for n in (0, 1, 7, 20):
             assert families.row_sum("hs1", named(params), n) == sum(s1.rows[n])
     for m, r in RW_POINTS:
@@ -175,7 +178,7 @@ def rolling_sum(name, params, n):
     Fraction for a rational one."""
     _, scale, weights = families._engine(name, params)
     total = 0
-    for u in reversed(recurrence_row(n, *weights)):
+    for u in reversed(deque(recurrence_rows(n, *weights), maxlen=1)[0]):
         total = total * scale + u
     return F(total, scale**n) if families.FAMILIES[name].rational else total
 
@@ -307,11 +310,11 @@ def test_property_cakic_bell_sum_is_the_last_row_summed(alpha, n):
 @given(small_rationals, small_rationals, small_rationals, st.integers(0, 6))
 def test_property_hs_engine_vs_solve(alpha, beta, gamma, n):
     params = (alpha, beta, gamma)
-    solved = unified.hs_pair_by_solve(n, params)
-    assert families.triangle("hs1", named(params), n).rows == solved.s1.rows
-    assert families.triangle("hs2", named(params), n).rows == solved.s2.rows
+    s1, s2 = solved_pair(n, params)
+    assert families.triangle("hs1", named(params), n).rows == s1.rows
+    assert families.triangle("hs2", named(params), n).rows == s2.rows
     lah = families.triangle("hs-lah", named(params), n)
-    assert lah.rows == tuple(product(solved.s2.rows, solved.s1.rows, signed=True))
+    assert lah.rows == tuple(product(s2.rows, s1.rows, signed=True))
     assert families.row_sum("hs1", named(params), n) == unified.hs_bell_explicit(n, params)
 
 

@@ -68,8 +68,8 @@ def test_r_dowling_explicit_equals_the_whole_table_formula(m, r):
 @pytest.mark.parametrize("params", HS_POINTS)
 def test_hs_bell_explicit_equals_the_whole_table_formula(params):
     # The solved pair is the reference; the formula reads the engine rows.
-    pair = unified.hs_pair_by_solve(10, params)
-    want = whole_table(pair.s1, triangles.Triangle(triangles.product(pair.s2.rows, pair.s1.rows, signed=True)), 1)
+    s1, s2 = (basis.solve(kind, named(params), 10) for kind in ("hs1", "hs2"))
+    want = whole_table(s1, triangles.Triangle(triangles.product(s2.rows, s1.rows, signed=True)), 1)
     assert explicit_sequence("hs-bell", named(params), 10) == want
     assert [unified.hs_bell_explicit(n, params) for n in range(11)] == want
 

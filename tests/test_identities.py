@@ -1,16 +1,19 @@
-"""The identity registry: every table, sequence and inverse-pair check can
-fail, every specialization fails on a sign error, `verify` builds every
-engine family, `verify` takes only the parameters an identity declares, the
-Lah-type families are what `LAH_TYPES` declares them to be, and a wrong
-weight of any engine family is caught by the identities that read it."""
+"""The identity registry: every table, sequence and inverse-pair case can
+fail, a failing case lists at most 20 failures, every specialization fails
+on a sign error, `verify` builds every engine family, `verify` takes only
+the parameters an identity declares, the Lah-type families are what
+`LAH_TYPES` declares them to be, and a wrong weight of any engine family is
+caught by the identities that read it."""
 
+import importlib.util
 import json
 import math
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
-from dowling import classic, families, identities, triangles
+from dowling import basis, classic, families, identities, triangles
 from dowling.cli import main
 from dowling.exactmath import IntegralityError
 from dowling.identities import LAH_TYPES, REGISTRY, SPECIALIZATIONS, Inverse, Sequences, Tables, lah_route, report
@@ -29,8 +32,20 @@ def _default_point(ident):
     return {**params, **ident.fixed}
 
 
-def _reference_source(ident, monkeypatch):
-    """The (family-table entry point, family) the reference is built from."""
+def _cases(ident) -> tuple:
+    """The shapes of an identity's check: the check itself, or its tuple."""
+    return (ident.check,) if callable(ident.check) else ident.check
+
+
+def _with_case(ident, i, case):
+    """`ident` with case i of its check replaced by `case`."""
+    if callable(ident.check):
+        return ident._replace(check=case)
+    return ident._replace(check=(*ident.check[:i], case, *ident.check[i + 1 :]))
+
+
+def _sources(monkeypatch, call) -> set:
+    """The (family-table entry point, family) pairs that `call()` reads."""
     seen = set()
     with monkeypatch.context() as patch:
         for entry in ("rows", "row_sum"):
@@ -41,44 +56,76 @@ def _reference_source(ident, monkeypatch):
                 return real(name, *args)
 
             patch.setattr(families, entry, spy)
-        ident.check.reference(ident.defaults["nmax"], **_default_point(ident))
-    (source,) = seen
-    return source
+        call()
+    return seen
+
+
+def _perturb(patch, entry, family, n0, k0):
+    """Make entry (n0, k0) of `family`'s rows, or its row sum n0, one more,
+    wherever `families.rows` or `families.row_sum` builds it."""
+    real = getattr(families, entry)
+
+    def rows(name, params, nmax, *args):
+        table = real(name, params, nmax, *args)
+        if name != family or nmax < n0:
+            return table
+        table = [list(row) for row in table]
+        table[n0][k0] += 1
+        return map(tuple, table)
+
+    def row_sum(name, params, n):
+        value = real(name, params, n)
+        return value + 1 if name == family and n == n0 else value
+
+    patch.setattr(families, entry, rows if entry == "rows" else row_sum)
+
+
+def _first_change(before, after) -> tuple:
+    """The first (n, k) at which two row streams differ, k None for terms."""
+    n, old, new = next((n, old, new) for n, (old, new) in enumerate(zip(before, after)) if old != new)
+    return n, next(k for k, (a, b) in enumerate(zip(old, new)) if a != b) if isinstance(old, tuple) else None
 
 
 def test_every_table_and_sequence_check_can_fail(capsys, monkeypatch):
     """Perturb the production family behind each reference at one entry,
-    wherever it is built, and the check must fail there.  A route that
-    reads the same production family instead of computing the entry its own
-    way would be perturbed alike and pass, so this also catches a route
-    compared with itself."""
-    names = [name for name, ident in REGISTRY.items() if isinstance(ident.check, (Tables, Sequences))]
-    assert len(names) == 17
-    for name in names:
-        ident = REGISTRY[name]
-        entry, family = _reference_source(ident, monkeypatch)
-        n0 = ident.defaults["nmax"]
-        k0 = 1 if isinstance(ident.check, Tables) else None
-        real = getattr(families, entry)
-
-        def rows(name, params, nmax, *args):
-            table = real(name, params, nmax, *args)
-            if name != family or nmax < n0:
-                return table
-            table = [list(row) for row in table]
-            table[n0][k0] += 1
-            return map(tuple, table)
-
-        def row_sum(name, params, n):
-            value = real(name, params, n)
-            return value + 1 if name == family and n == n0 else value
-
+    wherever it is built, and the check must fail, under the case's label,
+    where that changed the reference.  A route that reads the same
+    production family instead of computing the entry its own way would be
+    perturbed alike and pass, so this also catches a route compared with
+    itself.  The cases of a tuple check are perturbed one at a time, and so
+    is each family that `oracle`, a plain function, compares with its
+    counts."""
+    cases = [
+        (name, ident, case)
+        for name, ident in REGISTRY.items()
+        for case in _cases(ident)
+        if isinstance(case, (Tables, Sequences))
+    ]
+    assert len(cases) == 32
+    for name, ident, case in cases:
+        reference = partial(case.reference, ident.defaults["nmax"], **_default_point(ident))
+        ((entry, family),) = _sources(monkeypatch, reference)
+        n0, k0 = ident.defaults["nmax"], 1 if entry == "rows" else None
+        before = list(reference())
         with monkeypatch.context() as patch:
-            patch.setattr(families, entry, rows if entry == "rows" else row_sum)
+            _perturb(patch, entry, family, n0, k0)
+            where = _first_change(before, reference())
             code, out, _ = run(capsys, "verify", "--identity", name)
+        prefix = f"{case.label}: " if isinstance(case, Tables) and case.label else ""
         failures = json.loads(out)["failures"]
-        assert code == 1, name
-        assert any(f["n"] == n0 and f["k"] == k0 for f in failures), name
+        assert code == 1, (name, family)
+        assert any((f["n"], f["k"]) == where and f["expected"].startswith(prefix) for f in failures), (name, family)
+    ident = REGISTRY["oracle"]
+    n0 = ident.defaults["nmax"]
+    sources = _sources(monkeypatch, partial(ident.check, n0))
+    assert {family for _, family in sources} == {"stirling2", "lah", "r-stirling2", "r-lah"} and len(sources) == 6
+    for entry, family in sources:
+        k0 = 1 if entry == "rows" else None
+        with monkeypatch.context() as patch:
+            _perturb(patch, entry, family, n0, k0)
+            code, out, _ = run(capsys, "verify", "--identity", "oracle", "--with-oracle")
+        assert code == 1, family
+        assert any((f["n"], f["k"]) == (n0, k0) for f in json.loads(out)["failures"]), (entry, family)
 
 
 def test_qi_streams_the_stirling_rows_once(capsys, monkeypatch):
@@ -158,30 +205,11 @@ def test_a_wrong_engine_weight_fails_its_specialization(capsys, monkeypatch, fam
     assert _failing_reductions(capsys) == {reduction}
 
 
-@pytest.mark.parametrize("family", ("stirling2", "lah", "stirling1"))
-def test_partial_bell_fails_on_each_engine_family(capsys, monkeypatch, family):
-    # partial-bell compares three engine tables, so no one reference covers it
-    # in the test above; one wrong entry of each fails it there alone.
-    real = families.rows
-
-    def rows(name, params, nmax, *args):
-        table = real(name, params, nmax, *args)
-        if name != family:
-            return table
-        table = [list(row) for row in table]
-        table[4][2] += 1
-        return map(tuple, table)
-
-    monkeypatch.setattr(families, "rows", rows)
-    code, out, _ = run(capsys, "verify", "--identity", "partial-bell")
-    assert code == 1
-    assert [(f["n"], f["k"]) for f in json.loads(out)["failures"]] == [(4, 2)]
-
-
-@pytest.mark.parametrize("name", ("lef", "horilah", "exprwlah"))
+@pytest.mark.parametrize("name", ("lef", "horilah", "exprwlah", "bell-reduction", "partial-bell", "specializations"))
 def test_streamed_identities_build_no_whole_triangle(capsys, monkeypatch, name):
     # The reference and every route of these identities are row streams,
-    # compared one row at a time.
+    # compared one row at a time; a solve or a brute-force table may be
+    # whole, but no engine triangle is.
     def refuse(*args, **kwargs):
         raise AssertionError("built a whole triangle")
 
@@ -247,6 +275,35 @@ def test_a_wrong_egf_coefficient_is_named(capsys, monkeypatch, name, family, n, 
     ]
 
 
+def test_specializations_solve_each_triple_once(capsys, monkeypatch):
+    """The cases of `specializations` at one triple, its reductions and its
+    solved pair, share one solve of hs1 and one of hs2."""
+    real, solved = basis.scaled_solve, []
+
+    def scaled_solve(family, params, nmax):
+        solved.append((family, tuple(params.values())))
+        return real(family, params, nmax)
+
+    monkeypatch.setattr(basis, "scaled_solve", scaled_solve)
+    code, _, _ = run(capsys, "verify", "--identity", "specializations")
+    triples = {triple for *_, triple, _, _ in SPECIALIZATIONS}
+    assert code == 0 and len(triples) == 7
+    assert sorted(solved) == sorted((kind, triple) for kind in ("hs1", "hs2") for triple in triples)
+
+
+def test_the_declarations_build_no_rows_at_import(monkeypatch):
+    """Importing the registry builds no rows, sums or solves: every check
+    builds its rows when it runs."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("built rows at import")
+
+    for module, name in ((families, "scaled_rows"), (families, "rows"), (families, "row_sum"), (basis, "scaled_solve")):
+        monkeypatch.setattr(module, name, refuse)
+    spec = importlib.util.spec_from_file_location("dowling.registry_at_import", identities.__file__)
+    spec.loader.exec_module(importlib.util.module_from_spec(spec))
+
+
 def test_a_rational_pair_is_multiplied_on_ints(capsys, monkeypatch):
     """At (1/2, 1/3, 2), hs-ortho and invrel multiply the scaled ints of
     the pair, one product each: no Fraction reaches `triangles.product`."""
@@ -272,21 +329,55 @@ def test_a_rational_pair_is_multiplied_on_ints(capsys, monkeypatch):
 def test_a_wrong_entry_of_one_factor_fails_at_its_row(capsys, monkeypatch):
     """One wrong entry (3, 1) of the first factor of an inverse pair changes
     row 3 of the product alone, and its column 1 since the second factor's
-    diagonal is 1 or -1: each `Inverse` check fails there, in that row."""
-    names = [name for name, ident in REGISTRY.items() if isinstance(ident.check, Inverse)]
-    assert len(names) == 9
-    for name in names:
-        ident = REGISTRY[name]
+    diagonal is 1 or -1: each `Inverse` case fails there, in that row, under
+    its label."""
+    cases = [
+        (name, i, case)
+        for name, ident in REGISTRY.items()
+        for i, case in enumerate(_cases(ident))
+        if isinstance(case, Inverse)
+    ]
+    assert len(cases) == 18
+    for name, i, case in cases:
 
-        def first(nmax, real=ident.check.first, **point):
+        def first(nmax, real=case.first, **point):
             scale, rows = real(nmax, **point)
             return scale, ((row[0], row[1] + 1, *row[2:]) if n == 3 else row for n, row in enumerate(rows))
 
-        monkeypatch.setitem(REGISTRY, name, ident._replace(check=ident.check._replace(first=first)))
-        code, out, _ = run(capsys, "verify", "--identity", name)
+        with monkeypatch.context() as patch:
+            patch.setitem(REGISTRY, name, _with_case(REGISTRY[name], i, case._replace(first=first)))
+            code, out, _ = run(capsys, "verify", "--identity", name)
         failures = json.loads(out)["failures"]
-        assert code == 1, name
-        assert {f["n"] for f in failures} == {3} and any(f["k"] == 1 for f in failures), name
+        prefix = f"{case.label}: " if case.label else ""
+        assert code == 1, (name, case.label)
+        assert {f["n"] for f in failures} == {3} and any(f["k"] == 1 for f in failures), (name, case.label)
+        assert all(f["expected"].startswith(prefix) for f in failures), (name, case.label)
+
+
+def test_a_failing_case_lists_its_first_failures(capsys, monkeypatch):
+    """A route or sequence lists at most its first 20 failures, then one
+    failure at no (n, k) that counts the rest, under the case's label."""
+    real_rows, real_sequence = families.rows, classic.explicit_sequence
+
+    def rows(name, params, nmax, *args):
+        table = real_rows(name, params, nmax, *args)
+        return (tuple(v + 1 for v in row) for row in table) if name == "lah" else table
+
+    monkeypatch.setattr(families, "rows", rows)
+    code, out, _ = run(capsys, "verify", "--identity", "partial-bell")
+    failures = json.loads(out)["failures"]
+    # Rows 0..10 of the lah case are wrong, 66 entries; rows 0..4 and five
+    # entries of row 5 are listed.
+    assert code == 1 and len(failures) == 21
+    assert [(f["n"], f["k"]) for f in failures[:20]] == [(n, k) for n in range(6) for k in range(n + 1)][:20]
+    assert all(f["expected"].startswith("lah: ") for f in failures)
+    assert failures[20] == {"n": None, "k": None, "expected": "lah: 20 failures listed", "actual": "46 more"}
+
+    monkeypatch.setattr(classic, "explicit_sequence", lambda *args: [v + 1 for v in real_sequence(*args)])
+    code, out, _ = run(capsys, "verify", "--identity", "qi")
+    failures = json.loads(out)["failures"]
+    assert code == 1 and [f["n"] for f in failures] == [*range(20), None]
+    assert failures[20] == {"n": None, "k": None, "expected": "20 failures listed", "actual": "6 more"}
 
 
 def test_verify_builds_every_engine_family(capsys, monkeypatch):

@@ -1,11 +1,12 @@
 import random
 import re
+from collections import namedtuple
 from fractions import Fraction
 
 from dowling import families
 from dowling.basis import connection_matrix, factorial_basis, verify_orthogonality
-from dowling.identities import REGISTRY
-from dowling.unified import HSPair, hs_bell_explicit
+from dowling.identities import REGISTRY, report
+from dowling.unified import hs_bell_explicit
 
 F = Fraction
 
@@ -15,6 +16,10 @@ PARAM_SETS = ((0, 1, 2), (0, 2, 2), (1, 0, 0), (F(1, 2), F(1, 3), 2))
 def named(params) -> dict:
     """A Hsu-Shiue triple as the family table's parameters."""
     return dict(zip(("alpha", "beta", "gamma"), params))
+
+
+# The mutually inverse matrices s1 and s2 for one parameter triple.
+HSPair = namedtuple("HSPair", "s1 s2")
 
 
 def hs_pair(nmax: int, params) -> HSPair:
@@ -127,8 +132,9 @@ def test_cakic_defining_relation():
 
 
 def test_specialization_report_passes():
-    failures, notes = REGISTRY["specializations"].check(6)
-    assert failures == []
+    out = report(REGISTRY["specializations"], nmax=6)
+    assert out["failures"] == []
+    notes = out["notes"]
     # Conventions hold "; " themselves, so split only before "<name>: ".
     conventions = dict(note.split(": ", 1) for note in re.split(r"; (?=[a-z-]+: )", notes))
     assert len(conventions) == 10
@@ -139,8 +145,7 @@ def test_specialization_report_passes():
 
 
 def test_specialization_report_trivial_nmax():
-    failures, _ = REGISTRY["specializations"].check(0)
-    assert failures == []
+    assert report(REGISTRY["specializations"], nmax=0)["failures"] == []
 
 
 def test_degenerate_step_pair_still_works():
