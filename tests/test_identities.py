@@ -205,6 +205,28 @@ def test_a_wrong_engine_weight_fails_its_specialization(capsys, monkeypatch, fam
     assert _failing_reductions(capsys) == {reduction}
 
 
+@pytest.mark.parametrize("family", ("stirling2", "lah", "stirling1"))
+def test_partial_bell_fails_on_each_engine_family(capsys, monkeypatch, family):
+    # partial-bell is one Tables case per engine family; one wrong entry of
+    # each family fails its own case alone, at that entry.
+    real = families.rows
+
+    def rows(name, params, nmax, *args):
+        table = real(name, params, nmax, *args)
+        if name != family:
+            return table
+        table = [list(row) for row in table]
+        table[4][2] += 1
+        return map(tuple, table)
+
+    monkeypatch.setattr(families, "rows", rows)
+    code, out, _ = run(capsys, "verify", "--identity", "partial-bell")
+    failures = json.loads(out)["failures"]
+    assert code == 1
+    assert [(f["n"], f["k"]) for f in failures] == [(4, 2)]
+    assert failures[0]["expected"].startswith(f"{family}: ")
+
+
 @pytest.mark.parametrize("name", ("lef", "horilah", "exprwlah", "bell-reduction", "partial-bell", "specializations"))
 def test_streamed_identities_build_no_whole_triangle(capsys, monkeypatch, name):
     # The reference and every route of these identities are row streams,
