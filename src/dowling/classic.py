@@ -28,21 +28,15 @@ def stirling1_triangle(nmax: int) -> Triangle:
     return families.triangle("stirling1", {}, nmax)
 
 
-def lah_egf_check(k: int, order: int) -> tuple | None:
-    """The first (n, k, n! [t^n] ((-t)/(1+t))^k, k! L(n,k)) whose two values
-    differ, n <= order, or None where none does: the EGF
-    (0, -1!, 2!, -3!, ...) raised to the k-th power by `egf_product`."""
-    if order < k:
-        raise ValueError("order must be at least k")
-    base = [0] + [(-1) ** n * math.factorial(n) for n in range(1, order + 1)]
-    series = [1] + [0] * order
-    for _ in range(k):
-        series = egf_product(series, base)
-    tri = families.triangle("lah", {}, order)
-    for n in range(order + 1):
-        if series[n] != math.factorial(k) * tri.value(n, k):
-            return n, k, series[n], math.factorial(k) * tri.value(n, k)
-    return None
+def lah_egf_rows(nmax: int, kmax: int) -> list:
+    """Rows n = 0..nmax of n! [t^n] ((-t)/(1+t))^k, k = 0..min(kmax, nmax),
+    the coefficients that k! L(n,k) must match: the EGF (0, -1!, 2!, -3!,
+    ...) raised to each power by `egf_product`."""
+    base = [0] + [(-1) ** n * math.factorial(n) for n in range(1, nmax + 1)]
+    powers = [[1] + [0] * nmax]
+    for _ in range(min(kmax, nmax)):
+        powers.append(egf_product(powers[-1], base))
+    return list(zip(*powers))
 
 
 # The paper's explicit formula for each sum of `families.SUMS`,

@@ -11,9 +11,9 @@ where the point holds the identity's parameters other than nmax.  The shapes:
 - `Inverse`: the product of two row streams is the identity matrix,
   entrywise, on the scaled ints of a rational pair.
 
-The checks that fit no shape are plain functions (nmax, **point) ->
-failures.  A route, sequence or product lists at most `_LISTED` failures,
-then one failure counting the rest.
+One check fits no shape, `log-concavity`, a per-row predicate: a plain
+function (nmax, **point) -> failures.  A route, sequence or product lists
+at most `_LISTED` failures, then one failure counting the rest.
 
 Parameter rules: an identity takes the parameters among its defaults, or
 the parameter group of its grid; its fixed parameters cannot be set (a
@@ -64,11 +64,11 @@ _LACKS, _LACKS_TERM = ("a row", "no row"), ("a term", "no term")
 
 def _entrywise(ref, routes, sign="as printed", label=None) -> list:
     """The failures of each route (rows, first column compared) against the
-    rows `ref`, entry by entry, its rows taken with a `_SIGNS` sign and each
-    expected value prefixed by `label`; the streams advance together, one
-    row of each held.  A route with fewer or more rows than `ref` fails
-    once, at the first row one of them lacks.  Failures go route by route,
-    at most `_LISTED` of each."""
+    rows `ref`, of any width, entry by entry, its rows taken with a `_SIGNS`
+    sign and each expected value prefixed by `label`; the streams advance
+    together, one row of each held.  A route fails once at the first row
+    one stream lacks, and once at each row of another length than `ref`'s.
+    Failures go route by route, at most `_LISTED` of each."""
     prefix, sign = f"{label}: " if label else "", _SIGNS[sign]
     bads, seen, ended = [[] for _ in routes], [0] * len(routes), set()
     for n, (want, *got) in enumerate(zip_longest(ref, *(rows for rows, _ in routes))):
@@ -78,9 +78,13 @@ def _entrywise(ref, routes, sign="as printed", label=None) -> list:
             if want is None or row is None:
                 ended.add(i)
                 fresh = [] if want is row else [_failure(n, None, prefix + _LACKS[want is None], _LACKS[row is None])]
+            elif len(row) != len(want):
+                fresh = [_failure(n, None, f"{prefix}{len(want)} entries", f"{len(row)} entries")]
             else:
                 row = sign(n, row)
-                fresh = [_failure(n, k, prefix + str(want[k]), row[k]) for k in range(kmin, n + 1) if want[k] != row[k]]
+                fresh = [
+                    _failure(n, k, prefix + str(want[k]), row[k]) for k in range(kmin, len(want)) if want[k] != row[k]
+                ]
             seen[i] += len(fresh)
             bads[i] += fresh[: _LISTED - len(bads[i])]
     return [item for bad, many in zip(bads, seen) for item in _listed(bad, many, prefix)]
@@ -294,39 +298,42 @@ def lah_route(kind, family, nmax, **point):
     raise ValueError(f"unknown Lah-type route {kind!r}")
 
 
-def _counts(ordered):
-    """Rows 0..nmax of the brute-force counts of partitions of n + r elements
-    into k + r blocks, `ordered` or not, the first r elements apart."""
-    return lambda nmax, r=0: (
-        tuple(oracle.count_partitions(oracle.PartitionSpec(n + r, k + r, r, ordered)) for k in range(n + 1))
-        for n in range(nmax + 1)
+def _counted(family, ordered, top, sign="as printed", r=0) -> tuple:
+    """The cases of a family that stop at row min(nmax, `top`): its
+    production rows against the brute-force counts of partitions of n + r
+    elements into k + r blocks, `ordered` or not, the first r elements
+    apart, and unordered, its row sums against the counts of all of them."""
+    point, last = {"r": r} if r else {}, partial(min, top)
+
+    def counts(nmax):
+        return (
+            tuple(oracle.count_partitions(oracle.PartitionSpec(n + r, k + r, r, ordered)) for k in range(n + 1))
+            for n in range(last(nmax) + 1)
+        )
+
+    rows = Tables(lambda nmax: _rows(family)(last(nmax), **point), ((counts, 0),), sign)
+    if ordered:
+        return (rows,)
+    return rows, Sequences(
+        lambda nmax: _sums(family)(last(nmax), **point),
+        lambda nmax: [oracle.count_all_partitions(n + r, r) for n in range(last(nmax) + 1)],
     )
 
 
-def _all_counts(nmax, r=0):
-    """The brute-force counts of all those partitions, n = 0..nmax."""
-    return [oracle.count_all_partitions(n + r, r) for n in range(nmax + 1)]
-
-
-_R_ORACLE = (  # the cases of `oracle` at r = 1, 2, 3
-    Tables(_counts(False), ((_rows("r-stirling2"), 0),)),
-    Sequences(_all_counts, _sums("r-stirling2")),
-    Tables(_counts(True), ((_rows("r-lah"), 0),)),
+# Brute-force partition counts against the production families and their row
+# sums; the ordered-block counts are the signless Lah numbers (-1)^n L(n,k).
+# The enumeration stops at its size guard, 12 elements, so `stirling2` and the
+# Bell numbers stop at n = 12, `lah` at 9 and the r-families at min(11 - r, 9).
+_ORACLE = (
+    *_counted("stirling2", False, oracle.SIZE_GUARD),
+    *_counted("lah", True, 9, "(-1)^n"),
+    *(
+        case
+        for r in (1, 2, 3)
+        for family, ordered in (("r-stirling2", False), ("r-lah", True))
+        for case in _counted(family, ordered, min(11 - r, 9), r=r)
+    ),
 )
-
-
-def _oracle(nmax):
-    """Brute-force partition counts against the production families and
-    their row sums; the ordered-block counts are the signless Lah numbers
-    (-1)^n L(n,k).  The enumeration is capped by its size guard, so Lah
-    stops at n = 9 and the r-families at min(nmax, 11-r, 9)."""
-    checks = [  # (last row, point, case)
-        (nmax, {}, Tables(_counts(False), ((_rows("stirling2"), 0),))),
-        (nmax, {}, Sequences(_all_counts, _sums("stirling2"))),
-        (min(nmax, 9), {}, Tables(_counts(True), ((_rows("lah"), 0),), "(-1)^n")),
-        *((min(nmax, 11 - r, 9), {"r": r}, case) for r in (1, 2, 3) for case in _R_ORACLE),
-    ]
-    return [item for top, point, case in checks for item in case(top, **point)]
 
 
 # ---------------------------------------------------------------------------
@@ -359,18 +366,9 @@ def _lah_routes(family, **columns) -> tuple:
     return tuple((partial(lah_route, kind, family), kmin) for kind, kmin in columns.items())
 
 
-def _series_failures(differences) -> list:
-    """Each first (n, k, series value, k! T(n,k)) of an EGF check that is
-    not None, as a failure expecting the triangle's value."""
-    return [_failure(n, k, want, got) for n, k, got, want in filter(None, differences)]
-
-
-def _lgf(nmax, kmax):
-    return _series_failures(classic.lah_egf_check(k, nmax) for k in range(min(kmax, nmax) + 1))
-
-
-def _weighted_egf(nmax, r, order):
-    return _series_failures([rnumbers.weighted_stirling_egf_check(nmax, r, order)])
+def _times_factorial(rows, width):
+    """Rows of k! T(n,k), k < width, from rows of T(n,k), 0 where k > n."""
+    return (tuple(math.factorial(k) * v for k, v in enumerate((*row, *[0] * width)[:width])) for row in rows)
 
 
 def _log_concavity(nmax, m, r):
@@ -413,6 +411,15 @@ _ENGINE_ORTHO = (
     Inverse(_scaled("whitney1"), _scaled("whitney2"), "whitney1"),
     Inverse(_signed(_scaled("r-whitney1")), _scaled("r-whitney2"), "r-whitney1"),
 )
+# The EGF powers k <= kmax (Lah) and k <= nmax (weighted r-Stirling) against k! T(n,k).
+_LGF = Tables(
+    lambda nmax, kmax: _times_factorial(families.rows("lah", {}, nmax), min(kmax, nmax) + 1),
+    ((classic.lah_egf_rows, 0),),
+)
+_WEIGHTED_EGF = Tables(
+    lambda nmax, r, order: _times_factorial(families.rows("r-stirling2", {"r": r}, nmax), nmax + 1),
+    ((rnumbers.weighted_stirling_egf_rows, 0),),
+)
 _PARTIAL_BELL_NOTES = "B(n,k) at x_i = 1, i!, (i-1)! against S(n,k), (-1)^n L(n,k), (-1)^(n-k) s(n,k)"
 _BELL_REDUCTION_NOTES = "unit-step Dowling numbers against shifted Bell/Stirling values"
 _HORILAH = "angle-bracket weights resolved as the ascending product x(x+1)...(x+i-1)"
@@ -427,7 +434,7 @@ REGISTRY = {
         Identity("lef", {"nmax": 30}, Tables(_LAH, _lah_routes("lah", explicit=0))),
         Identity("verlah", {"nmax": 20}, Tables(_LAH, _lah_routes("lah", vertical=0))),
         Identity("horilah", {"nmax": 20}, Tables(_LAH, _lah_routes("lah", horizontal=0)), notes=_HORILAH),
-        Identity("lgf", {"nmax": 20}, _lgf, fixed={"kmax": 5}),
+        Identity("lgf", {"nmax": 20}, _LGF, fixed={"kmax": 5}),
         Identity("qi", {"nmax": 25}, Sequences(_sums("stirling2"), _explicit("bell"))),
         Identity("ordlahstirling", {"nmax": 15}, Tables(_LAH, _lah_routes("lah", product=0))),
         Identity("stirling-inverse", {"nmax": 9}, Inverse(_scaled("stirling2"), _scaled("stirling1"))),
@@ -455,7 +462,7 @@ REGISTRY = {
         Identity(
             "weighted-egf",
             {"nmax": 12, "r": 2},
-            _weighted_egf,
+            _WEIGHTED_EGF,
             fixed={"order": partial(max, 12)},  # the series order must reach nmax
         ),
         Identity("rw-ortho", {"nmax": 8, "m": 2, "r": 2}, _R_WHITNEY_PAIR),
@@ -476,7 +483,7 @@ REGISTRY = {
         Identity("invrel", {"nmax": 9}, Inverse(_solved("hs1"), _scaled("hs2")), _HS_GRID),
         Identity("log-concavity", {"nmax": 20}, _log_concavity, _MR_GRID, notes=_LOG_CONCAVE),
         Identity("specializations", {"nmax": 6}, _SPECIALIZATIONS, notes=_CONVENTIONS),
-        Identity("oracle", {"nmax": 8}, _oracle, needs_oracle=True),
+        Identity("oracle", {"nmax": 8}, _ORACLE, needs_oracle=True),
     )
 }
 

@@ -14,7 +14,6 @@ distinguished elements pairwise separated.  Row 0 is always [1].
 
 from __future__ import annotations
 
-import math
 from collections import deque
 
 from . import classic, families
@@ -23,24 +22,19 @@ from .families import check_param
 from .triangles import Triangle, explicit_row
 
 
-def weighted_stirling_egf_check(nmax: int, r, order: int) -> tuple | None:
-    """The first (n, k), k then n, whose n! [t^n] e^(rt) (e^t - 1)^k differs
-    from k! S_r(n,k), the r-Stirling second-kind entry, k, n <= nmax, as
-    (n, k, series value, k! S_r(n,k)), or None where none does: the EGF
-    (r^n) times (0, 1, 1, ...) once per k, through t^order by `egf_product`."""
+def weighted_stirling_egf_rows(nmax: int, r, order: int) -> list:
+    """Rows n = 0..nmax of n! [t^n] e^(rt) (e^t - 1)^k, k = 0..nmax, the
+    coefficients that k! S_r(n,k), the r-Stirling second-kind entries, must
+    match: the EGF (r^n) times (0, 1, 1, ...) once per k, through t^order by
+    `egf_product`."""
     r = check_param("r", r)
     if order < nmax:
         raise ValueError("order must be at least nmax")
-    tri = families.triangle("r-stirling2", {"r": r}, nmax)
     ones = [0] + [1] * order
-    series = [r**n for n in range(order + 1)]
-    for k in range(nmax + 1):
-        if k:
-            series = egf_product(series, ones)
-        for n in range(nmax + 1):
-            if series[n] != math.factorial(k) * tri.value(n, k):
-                return n, k, series[n], math.factorial(k) * tri.value(n, k)
-    return None
+    powers = [[r**n for n in range(order + 1)]]
+    for _ in range(nmax):
+        powers.append(egf_product(powers[-1], ones))
+    return list(zip(*powers))[: nmax + 1]
 
 
 def r_whitney_second_recurrence(nmax: int, m, r) -> Triangle:

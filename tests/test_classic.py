@@ -7,7 +7,7 @@ import pytest
 from dowling import families
 from dowling.classic import (
     explicit_sum,
-    lah_egf_check,
+    lah_egf_rows,
     partial_bell_rows,
 )
 from dowling.identities import lah_route
@@ -100,11 +100,12 @@ def test_lah_vertical_small_cases():
 
 
 def test_lah_egf():
-    assert lah_egf_check(1, 4) is None
-    assert lah_egf_check(0, 3) is None
-    assert lah_egf_check(2, 6) is None
-    with pytest.raises(ValueError):
-        lah_egf_check(4, 2)
+    # Row n of the k-th powers is k! L(n,k), k <= kmax, 0 above the diagonal.
+    for nmax, kmax in ((4, 1), (3, 0), (6, 2)):
+        rows = families.rows("lah", {}, nmax)
+        want = [tuple(math.factorial(k) * row[k] if k < len(row) else 0 for k in range(kmax + 1)) for row in rows]
+        assert lah_egf_rows(nmax, kmax) == want
+    assert lah_egf_rows(2, 4) == lah_egf_rows(2, 2)  # no power above nmax
 
 
 def test_lah_from_stirlings():

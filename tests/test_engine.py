@@ -143,14 +143,6 @@ def test_hs_lah_engine_vs_solve():
         assert engine.rows == tuple(product(s2.rows, s1.rows, signed=True))
 
 
-def test_hs_families_from_the_table_match_the_pair():
-    for params in HS_POINTS:
-        p = named(params)
-        s1, s2 = solved_pair(12, params)
-        assert families.triangle("hs1", p, 12).rows == s1.rows
-        assert families.triangle("hs2", p, 12).rows == s2.rows
-
-
 def test_cakic_engine_vs_defining_solve():
     # The defining solve of the Cakic numbers is the solved s1 at (alpha, 1, 0).
     for alpha in (2, -3, F(1, 2)):

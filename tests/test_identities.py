@@ -92,16 +92,14 @@ def test_every_table_and_sequence_check_can_fail(capsys, monkeypatch):
     where that changed the reference.  A route that reads the same
     production family instead of computing the entry its own way would be
     perturbed alike and pass, so this also catches a route compared with
-    itself.  The cases of a tuple check are perturbed one at a time, and so
-    is each family that `oracle`, a plain function, compares with its
-    counts."""
+    itself.  The cases of a tuple check are perturbed one at a time."""
     cases = [
         (name, ident, case)
         for name, ident in REGISTRY.items()
         for case in _cases(ident)
         if isinstance(case, (Tables, Sequences))
     ]
-    assert len(cases) == 32
+    assert len(cases) == 46 and sum(name == "oracle" for name, _, _ in cases) == 12
     for name, ident, case in cases:
         reference = partial(case.reference, ident.defaults["nmax"], **_default_point(ident))
         ((entry, family),) = _sources(monkeypatch, reference)
@@ -110,22 +108,11 @@ def test_every_table_and_sequence_check_can_fail(capsys, monkeypatch):
         with monkeypatch.context() as patch:
             _perturb(patch, entry, family, n0, k0)
             where = _first_change(before, reference())
-            code, out, _ = run(capsys, "verify", "--identity", name)
+            code, out, _ = run(capsys, "verify", "--identity", name, *["--with-oracle"] * ident.needs_oracle)
         prefix = f"{case.label}: " if isinstance(case, Tables) and case.label else ""
         failures = json.loads(out)["failures"]
         assert code == 1, (name, family)
         assert any((f["n"], f["k"]) == where and f["expected"].startswith(prefix) for f in failures), (name, family)
-    ident = REGISTRY["oracle"]
-    n0 = ident.defaults["nmax"]
-    sources = _sources(monkeypatch, partial(ident.check, n0))
-    assert {family for _, family in sources} == {"stirling2", "lah", "r-stirling2", "r-lah"} and len(sources) == 6
-    for entry, family in sources:
-        k0 = 1 if entry == "rows" else None
-        with monkeypatch.context() as patch:
-            _perturb(patch, entry, family, n0, k0)
-            code, out, _ = run(capsys, "verify", "--identity", "oracle", "--with-oracle")
-        assert code == 1, family
-        assert any((f["n"], f["k"]) == (n0, k0) for f in json.loads(out)["failures"]), (entry, family)
 
 
 def test_qi_streams_the_stirling_rows_once(capsys, monkeypatch):
@@ -276,25 +263,33 @@ def test_a_sequence_route_of_the_wrong_length_fails(capsys, monkeypatch, change,
 
 @pytest.mark.parametrize("name, family, n, k", (("lgf", "lah", 7, 3), ("weighted-egf", "r-stirling2", 6, 2)))
 def test_a_wrong_egf_coefficient_is_named(capsys, monkeypatch, name, family, n, k):
-    """An EGF check fails at the first coefficient n! [t^n] of the k-th
-    power that differs from k! T(n,k), expecting the triangle's value."""
-    real = families.triangle
-
-    def triangle(fam, params, nmax):
-        table = real(fam, params, nmax)
-        if fam != family:
-            return table
-        rows = [list(row) for row in table.rows]
-        rows[n][k] += 1
-        return table._replace(rows=rows)
-
-    monkeypatch.setattr(families, "triangle", triangle)
+    """An EGF check fails at each coefficient n! [t^n] of the k-th power
+    that differs from k! T(n,k), expecting the triangle's value."""
+    entry = math.factorial(k) * families.triangle(family, {"r": 2} if family == "r-stirling2" else {}, n).value(n, k)
+    _perturb(monkeypatch, "rows", family, n, k)
     code, out, _ = run(capsys, "verify", "--identity", name)
-    entry = math.factorial(k) * real(family, {"r": 2} if family == "r-stirling2" else {}, n).value(n, k)
     assert code == 1
     assert json.loads(out)["failures"] == [
         {"n": n, "k": k, "expected": str(entry + math.factorial(k)), "actual": str(entry)}
     ]
+
+
+@pytest.mark.parametrize("change", (-1, 1))
+def test_a_route_row_of_another_length_fails_once(capsys, monkeypatch, change):
+    """A route whose row 5 is one entry short, or one entry long, fails at
+    row 5 alone, once, naming both lengths; the rows after it still pass."""
+    ident = REGISTRY["lef"]
+    ((explicit, kmin),) = ident.check.routes
+
+    def route(nmax):
+        for n, row in enumerate(explicit(nmax)):
+            yield (row + (0,))[: len(row) + change] if n == 5 else row
+
+    monkeypatch.setitem(REGISTRY, "lef", ident._replace(check=ident.check._replace(routes=((route, kmin),))))
+    code, out, _ = run(capsys, "verify", "--identity", "lef", "--nmax", "8")
+    assert code == 1
+    failures = json.loads(out)["failures"]
+    assert failures == [{"n": 5, "k": None, "expected": "6 entries", "actual": f"{6 + change} entries"}]
 
 
 def test_specializations_solve_each_triple_once(capsys, monkeypatch):

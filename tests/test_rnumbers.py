@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -12,7 +13,7 @@ from dowling.rnumbers import (
     r_dowling_explicit,
     r_whitney_lah_explicit,
     verify_log_concavity,
-    weighted_stirling_egf_check,
+    weighted_stirling_egf_rows,
 )
 from dowling.triangles import Triangle, transform
 
@@ -92,11 +93,13 @@ def test_r_lah_row_sums_feed_the_bell_formula():
 
 
 def test_weighted_stirling_egf():
-    assert weighted_stirling_egf_check(5, 2, 8) is None
-    for r in range(4):
-        assert weighted_stirling_egf_check(4, r, 12) is None
+    # Row n of the k-th powers is k! S_r(n,k), k <= nmax, 0 above the diagonal.
+    for nmax, r, order in ((5, 2, 8), *((4, r, 12) for r in range(4))):
+        rows = families.rows("r-stirling2", {"r": r}, nmax)
+        want = [tuple(math.factorial(k) * row[k] if k < len(row) else 0 for k in range(nmax + 1)) for row in rows]
+        assert weighted_stirling_egf_rows(nmax, r, order) == want
     with pytest.raises(ValueError):
-        weighted_stirling_egf_check(5, 2, 3)
+        weighted_stirling_egf_rows(5, 2, 3)
 
 
 def test_r_stirling2_column_zero_is_powers_of_r():
