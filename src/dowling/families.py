@@ -189,6 +189,49 @@ def triangle(name: str, params: dict, nmax: int) -> Triangle:
     return Triangle(rows(name, params, nmax), name, _validate(name, params))
 
 
+def _span(x: int, a: int, lo: int, hi: int) -> int:
+    """prod_{i=lo}^{hi} (x + a*i), a != 0; 1 where lo > hi."""
+    return math.prod(range(x + a * lo, x + a * (hi + 1), a))
+
+
+def _step_products(n: int, a: int, b: int, c: int):
+    """Yield F(j) = prod_{i=1}^n (b*j + c + a*i) for j = 0..n, b != 0.
+
+    At a = 0 each F(j) is the power (b*j + c)^n, whose power of two is
+    applied as a shift.  Otherwise, with b/a = p/q in lowest terms and
+    q > 0, b*(j+q) = b*j + a*p shifts the factors by p:
+
+        F(j+q) = F(j) prod_{i=n+1}^{n+p} (.) / prod_{i=1}^{p} (.)
+
+    at x = b*j + c, mirrored for p < 0, so each chain j, j+q, ... costs
+    2|p| small factors and one exact division a step instead of a product
+    of n.  The walk runs only where |p| < n: there the divisor's factors
+    are among F(j)'s, so a chain whose F(j) is 0 restarts with a fresh
+    product, and a fresh F(j) with a vanishing factor is 0 without
+    multiplying.  At most q values are held."""
+    if not a:
+        for j in range(n + 1):
+            x = b * j + c
+            twos = (x & -x).bit_length() - 1 if x else 0
+            yield (x >> twos) ** n << n * twos
+        return
+    g = math.gcd(a, b)
+    p, q = (b // g, a // g) if a > 0 else (-b // g, -a // g)
+    gained, lost = ((n + 1, n + p), (1, p)) if p > 0 else ((p + 1, 0), (n + p + 1, n))
+    ahead = {}
+    for j in range(n + 1):
+        x = b * j + c
+        f = ahead.pop(j, None)
+        if f is None:
+            i, rest = divmod(-x, a)
+            f = 0 if not rest and 1 <= i <= n else _span(x, a, 1, n)
+        if f and abs(p) < n and j + q <= n:
+            ahead[j + q], remainder = divmod(f * _span(x, a, *gained), _span(x, a, *lost))
+            if remainder:
+                raise AssertionError("a step of F(j) failed to divide exactly")
+        yield f
+
+
 def _explicit_sum(n: int, a: int, b: int, c: int, scale: int) -> int:
     """sum_k U(n,k) scale^k over row n of the integer family
     U(n,k) = U(n-1,k-1) + (a*n + b*k + c)*U(n-1,k), b != 0.  Row n is the
@@ -209,20 +252,13 @@ def _explicit_sum(n: int, a: int, b: int, c: int, scale: int) -> int:
 
         G(s) = b*(s+1)*G(s+1) + C(n,s) D^(n-s) F(n-s),
 
-    so that s walks from n down to 0 with O(1) big ints live, one more
-    Horner step per term carrying the scale, and C(n,s) D^(n-s) kept as one
-    running product.  At a = 0 each F costs one power, whose power of two is
-    applied as a shift; otherwise it is the product of n small factors.  The
-    division by n! b^n is asserted exact, the formula's invariant."""
+    so that s walks from n down to 0, one more Horner step per term
+    carrying the scale, and C(n,s) D^(n-s) kept as one running product.
+    F(n-s) comes from `_step_products`.  The division by n! b^n is asserted
+    exact, the formula's invariant."""
     total, g, weight = 0, 0, 1
-    for s in range(n, -1, -1):
-        x = b * (n - s) + c
-        if a:
-            term = weight * math.prod(range(x + a, x + a * (n + 1), a))
-        else:
-            twos = (x & -x).bit_length() - 1 if x else 0
-            term = weight * (x >> twos) ** n << n * twos
-        g = b * (s + 1) * g + term
+    for s, f in zip(range(n, -1, -1), _step_products(n, a, b, c)):
+        g = b * (s + 1) * g + weight * f
         total = g - scale * total
         weight = weight * (s * scale) // (n - s + 1)
     quotient, remainder = divmod(total, math.factorial(n) * b**n)

@@ -7,13 +7,13 @@ order.  Every reference and route of a shape is called as fn(nmax, **point),
 where the point holds the identity's parameters other than nmax.  The shapes:
 
 - `Tables`: a production row stream against route row streams, entrywise;
-- `Sequences`: a production sequence against a sequence route, term by term;
+  a sequence is declared as one (`_sequences`), its terms one-entry rows,
+  and so is `log-concavity`, each row's verdict against "log-concave";
 - `Inverse`: the product of two row streams is the identity matrix,
   entrywise, on the scaled ints of a rational pair.
 
-One check fits no shape, `log-concavity`, a per-row predicate: a plain
-function (nmax, **point) -> failures.  A route, sequence or product lists
-at most `_LISTED` failures, then one failure counting the rest.
+Both compare through `_entrywise`, where a route or product lists at most
+`_LISTED` failures, then one failure counting the rest.
 
 Parameter rules: an identity takes the parameters among its defaults, or
 the parameter group of its grid; its fixed parameters cannot be set (a
@@ -40,16 +40,8 @@ def _failure(n, k, expected, actual) -> dict:
     return {"n": n, "k": k, "expected": str(expected), "actual": str(actual)}
 
 
-# The failures a route, sequence or product lists; one more counts the rest.
+# The failures a route or product lists; one more counts the rest.
 _LISTED = 20
-
-
-def _listed(bad, seen, prefix) -> list:
-    """The first `_LISTED` of `bad`, the first of `seen` failures, then one
-    failure counting any left out."""
-    if seen <= _LISTED:
-        return bad
-    return bad[:_LISTED] + [_failure(None, None, f"{prefix}{_LISTED} failures listed", f"{seen - _LISTED} more")]
 
 
 # The sign taking a route's row n to the engine's, entry by entry.
@@ -58,8 +50,8 @@ _SIGNS = {
     "(-1)^(n-k)": lambda n, row: [-v if (n - k) % 2 else v for k, v in enumerate(row)],
     "(-1)^n": lambda n, row: [-v for v in row] if n % 2 else row,
 }
-# Indexed by whether a stream of rows, or of terms, lacks item n.
-_LACKS, _LACKS_TERM = ("a row", "no row"), ("a term", "no term")
+# Indexed by whether a stream lacks row n.
+_LACKS = ("a row", "no row")
 
 
 def _entrywise(ref, routes, sign="as printed", label=None) -> list:
@@ -68,7 +60,8 @@ def _entrywise(ref, routes, sign="as printed", label=None) -> list:
     sign and each expected value prefixed by `label`; the streams advance
     together, one row of each held.  A route fails once at the first row
     one stream lacks, and once at each row of another length than `ref`'s.
-    Failures go route by route, at most `_LISTED` of each."""
+    Failures go route by route, at most `_LISTED` of each, then one
+    counting any left out."""
     prefix, sign = f"{label}: " if label else "", _SIGNS[sign]
     bads, seen, ended = [[] for _ in routes], [0] * len(routes), set()
     for n, (want, *got) in enumerate(zip_longest(ref, *(rows for rows, _ in routes))):
@@ -87,7 +80,10 @@ def _entrywise(ref, routes, sign="as printed", label=None) -> list:
                 ]
             seen[i] += len(fresh)
             bads[i] += fresh[: _LISTED - len(bads[i])]
-    return [item for bad, many in zip(bads, seen) for item in _listed(bad, many, prefix)]
+    for bad, many in zip(bads, seen):
+        if many > _LISTED:
+            bad.append(_failure(None, None, f"{prefix}{_LISTED} failures listed", f"{many - _LISTED} more"))
+    return [item for bad in bads for item in bad]
 
 
 # ---------------------------------------------------------------------------
@@ -107,24 +103,6 @@ class Tables(namedtuple("Tables", ("reference", "routes", "sign", "label"), defa
         return _entrywise(ref, routes, self.sign, self.label)
 
 
-class Sequences(namedtuple("Sequences", ("reference", "route"))):
-    """`reference` and `route` return the values at n = 0..nmax, compared
-    term by term.  A route with fewer or more terms than the reference
-    fails once, at the first n one of them lacks."""
-
-    __slots__ = ()
-
-    def __call__(self, nmax, **point):
-        got, bad = self.route(nmax, **point), []
-        for n, (want, value) in enumerate(zip_longest(self.reference(nmax, **point), got)):
-            if want is None or value is None:
-                bad.append(_failure(n, None, _LACKS_TERM[want is None], _LACKS_TERM[value is None]))
-                break
-            if want != value:
-                bad.append(_failure(n, None, want, value))
-        return _listed(bad, len(bad), "")
-
-
 class Inverse(namedtuple("Inverse", ("first", "second", "label"), defaults=(None,))):
     """`first` and `second` return two tables, each (D, rows of its scaled
     ints U(n,k) = D^(n-k) T(n,k)) at one D, as `families.scaled_rows` does;
@@ -140,6 +118,16 @@ class Inverse(namedtuple("Inverse", ("first", "second", "label"), defaults=(None
             raise ValueError(f"an inverse pair needs one scale, got {scale} and {other}")
         ref = (tuple(int(n == k) for k in range(n + 1)) for n in range(nmax + 1))
         return _entrywise(ref, [(product(first, second), 0)], label=self.label)
+
+
+def _sequences(reference, route) -> Tables:
+    """`reference` and `route` return the values at n = 0..nmax, compared as
+    one-entry rows: a term that differs fails at (n, 0)."""
+
+    def terms(sequence):
+        return lambda nmax, **point: ((term,) for term in sequence(nmax, **point))
+
+    return Tables(terms(reference), ((terms(route), 0),))
 
 
 def _explicit(name):
@@ -314,7 +302,7 @@ def _counted(family, ordered, top, sign="as printed", r=0) -> tuple:
     rows = Tables(lambda nmax: _rows(family)(last(nmax), **point), ((counts, 0),), sign)
     if ordered:
         return (rows,)
-    return rows, Sequences(
+    return rows, _sequences(
         lambda nmax: _sums(family)(last(nmax), **point),
         lambda nmax: [oracle.count_all_partitions(n + r, r) for n in range(last(nmax) + 1)],
     )
@@ -343,7 +331,7 @@ _ORACLE = (
 _IDENTITY_FIELDS = (
     "name",
     "defaults",  # nmax and the parameters a caller may set, in report order
-    "check",  # a shape, a tuple of shapes, or a function (nmax, **point) -> failures
+    "check",  # a shape, or a tuple of shapes
     "grid",  # default points of the parameter group, if any
     "fixed",  # parameters a caller may not set, or functions of nmax
     "needs_oracle",
@@ -371,9 +359,17 @@ def _times_factorial(rows, width):
     return (tuple(math.factorial(k) * v for k, v in enumerate((*row, *[0] * width)[:width])) for row in rows)
 
 
-def _log_concavity(nmax, m, r):
-    bad = [n for n in range(2, nmax + 1) if not rnumbers.verify_log_concavity(n, m, r)]
-    return [_failure(n, None, "log-concave", "mismatch") for n in bad]
+def _log_concave(nmax, m, r):
+    """The verdict "log-concave" for rows 2..nmax; rows 0 and 1 have no
+    interior entry and compare as empty rows."""
+    return (("log-concave",) if n > 1 else () for n in range(nmax + 1))
+
+
+def _verdicts(nmax, m, r):
+    """Each r-Whitney-Lah row's verdict by `rnumbers.verify_log_concavity`,
+    over one stream of the rows 0..nmax, those without an interior entry empty."""
+    for row in families.rows("r-whitney-lah", {"m": m, "r": r}, nmax):
+        yield ("log-concave" if rnumbers.verify_log_concavity(row) else "mismatch",) if len(row) > 2 else ()
 
 
 _HS_GRID = tuple(
@@ -404,7 +400,7 @@ _BELL_REDUCTION = (
         lambda nmax: (row[1:] for row in islice(families.rows("stirling2", {}, nmax + 1), 1, None)),
         ((partial(_rows("whitney2"), alpha=1), 0),),
     ),
-    Sequences(lambda nmax: _sums("stirling2")(nmax + 1)[1:], partial(_sums("whitney2"), alpha=1)),
+    _sequences(lambda nmax: _sums("stirling2")(nmax + 1)[1:], partial(_sums("whitney2"), alpha=1)),
 )
 # The engine's w1 W2 at alpha and (-1)^(n-k) r-w1 times r-W2 at (m, r).
 _ENGINE_ORTHO = (
@@ -435,7 +431,7 @@ REGISTRY = {
         Identity("verlah", {"nmax": 20}, Tables(_LAH, _lah_routes("lah", vertical=0))),
         Identity("horilah", {"nmax": 20}, Tables(_LAH, _lah_routes("lah", horizontal=0)), notes=_HORILAH),
         Identity("lgf", {"nmax": 20}, _LGF, fixed={"kmax": 5}),
-        Identity("qi", {"nmax": 25}, Sequences(_sums("stirling2"), _explicit("bell"))),
+        Identity("qi", {"nmax": 25}, _sequences(_sums("stirling2"), _explicit("bell"))),
         Identity("ordlahstirling", {"nmax": 15}, Tables(_LAH, _lah_routes("lah", product=0))),
         Identity("stirling-inverse", {"nmax": 9}, Inverse(_scaled("stirling2"), _scaled("stirling1"))),
         Identity("partial-bell", {"nmax": 10}, _PARTIAL_BELL, notes=_PARTIAL_BELL_NOTES),
@@ -454,11 +450,11 @@ REGISTRY = {
             {"nmax": 15, "alpha": 3},
             Tables(_rows("whitney2"), ((whitney.whitney_second_benoumhani_rows, 0),)),
         ),
-        Identity("dow1", {"nmax": 10, "alpha": 3}, Sequences(_sums("whitney2"), _explicit("dowling"))),
+        Identity("dow1", {"nmax": 10, "alpha": 3}, _sequences(_sums("whitney2"), _explicit("dowling"))),
         Identity("bell-reduction", {"nmax": 12}, _BELL_REDUCTION, notes=_BELL_REDUCTION_NOTES),
         Identity("lah1", _R, Tables(_rows("r-lah"), _lah_routes("r-lah", explicit=0, product=0))),
         Identity("lah4", {"nmax": 7, "r": 2}, Inverse(_scaled("r-stirling1"), _signed(_scaled("r-stirling2")))),
-        Identity("expb", _R, Sequences(_sums("r-stirling2"), _explicit("r-bell"))),
+        Identity("expb", _R, _sequences(_sums("r-stirling2"), _explicit("r-bell"))),
         Identity(
             "weighted-egf",
             {"nmax": 12, "r": 2},
@@ -476,12 +472,12 @@ REGISTRY = {
             Tables(_RW_LAH, _lah_routes("r-whitney-lah", explicit=0, product=0, vertical=1, horizontal=0)),
             notes=_RWLAH,
         ),
-        Identity("expl-rdow", _RW, Sequences(_sums("r-whitney2"), _explicit("r-dowling"))),
-        Identity("ugexp", {"nmax": 10}, Sequences(_sums("hs1"), _explicit("hs-bell")), _HS_GRID),
-        Identity("cakic-bell", {"nmax": 10, "alpha": 2}, Sequences(_sums("cakic"), _explicit("cakic-bell"))),
+        Identity("expl-rdow", _RW, _sequences(_sums("r-whitney2"), _explicit("r-dowling"))),
+        Identity("ugexp", {"nmax": 10}, _sequences(_sums("hs1"), _explicit("hs-bell")), _HS_GRID),
+        Identity("cakic-bell", {"nmax": 10, "alpha": 2}, _sequences(_sums("cakic"), _explicit("cakic-bell"))),
         Identity("hs-ortho", {"nmax": 8}, Inverse(_scaled("hs1"), _solved("hs2")), _HS_GRID),
         Identity("invrel", {"nmax": 9}, Inverse(_solved("hs1"), _scaled("hs2")), _HS_GRID),
-        Identity("log-concavity", {"nmax": 20}, _log_concavity, _MR_GRID, notes=_LOG_CONCAVE),
+        Identity("log-concavity", {"nmax": 20}, Tables(_log_concave, ((_verdicts, 0),)), _MR_GRID, notes=_LOG_CONCAVE),
         Identity("specializations", {"nmax": 6}, _SPECIALIZATIONS, notes=_CONVENTIONS),
         Identity("oracle", {"nmax": 8}, _ORACLE, needs_oracle=True),
     )

@@ -1,6 +1,6 @@
 """Verification routes for the r-Stirling, r-Whitney and r-Whitney-Lah
 numbers: the weighted EGF of the r-Stirling numbers of the second kind, on
-ints, and the log-concavity of the r-Whitney-Lah rows.  The r-Whitney
+ints, and the log-concavity of an r-Whitney-Lah row.  The r-Whitney
 numbers of both kinds by connection solve are `basis.solve`'s, the explicit
 formulas of the r-Bell and r-Dowling numbers are declared with the paper's
 other Bell-type formulas in `classic.EXPLICIT`, and the r-Whitney-Lah closed
@@ -13,8 +13,6 @@ distinguished elements pairwise separated.  Row 0 is always [1].
 """
 
 from __future__ import annotations
-
-from collections import deque
 
 from . import classic, families
 from .exactmath import egf_product
@@ -52,13 +50,13 @@ def r_whitney_lah_explicit(n: int, k: int, m, r) -> int:
     return explicit_row(n, 2 * r, m)[k]
 
 
-def verify_log_concavity(n: int, m, r) -> bool:
-    """True iff row n of the r-Whitney-Lah triangle is strictly log-concave,
+def verify_log_concavity(row) -> bool:
+    """True iff a row of the r-Whitney-Lah triangle is strictly log-concave,
     L(n,k-1)*L(n,k+1) < L(n,k)^2, and unimodal."""
+    n = len(row) - 1
     if n < 2:
         raise ValueError("log-concavity needs a row with interior entries")
-    row = deque(families.rows("r-whitney-lah", {"m": m, "r": r}, n), maxlen=1)[0]
-    peak = max(range(n + 1), key=lambda k: row[k])
+    peak = max(range(n + 1), key=row.__getitem__)
     return (
         all(row[k - 1] * row[k + 1] < row[k] ** 2 for k in range(1, n))
         and all(row[k] <= row[k + 1] for k in range(peak))

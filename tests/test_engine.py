@@ -219,6 +219,28 @@ def test_rational_sums_stay_fractions():
     assert all(type(families.row_sum("hs1", named((0, 1, 2)), n)) is F for n in range(10))
 
 
+# Points of `_step_products` at a != 0: Cakic steps and Hsu-Shiue triples
+# whose F(j) has vanishing factors, negative a or b, and |p| from 1 to 3.
+_WALK_POINTS = (
+    *(("cakic", {"alpha": alpha}) for alpha in (1, 2, 3, -1, -2, 5)),
+    *(
+        ("hs1", named(params))
+        for params in ((F(1, 2), F(1, 3), 2), (1, 2, 3), (-3, 2, F(1, 5)), (2, -1, 0), (4, 6, -2))
+    ),
+)
+
+
+@pytest.mark.parametrize("name, params", _WALK_POINTS)
+def test_step_products_walk_by_their_ratio(name, params):
+    """F(j) walked by its ratio F(j+q)/F(j) is the plain product of its n
+    factors, at every j <= n < 40."""
+    _, _, (_, a, b, c) = families._engine(name, params)
+    assert a != 0
+    for n in range(40):
+        plain = [math.prod(b * j + c + a * i for i in range(1, n + 1)) for j in range(n + 1)]
+        assert list(families._step_products(n, a, b, c)) == plain, n
+
+
 def test_explicit_sum_asserts_exact_division(monkeypatch):
     # 5! B(5) = 6240 is no multiple of 7: a wrong divisor must trip the assertion.
     monkeypatch.setattr(families.math, "factorial", lambda n: 7)

@@ -16,7 +16,7 @@ import pytest
 from dowling import basis, classic, families, identities, triangles
 from dowling.cli import main
 from dowling.exactmath import IntegralityError
-from dowling.identities import LAH_TYPES, REGISTRY, SPECIALIZATIONS, Inverse, Sequences, Tables, lah_route, report
+from dowling.identities import LAH_TYPES, REGISTRY, SPECIALIZATIONS, Inverse, Tables, lah_route, report
 
 
 def run(capsys, *argv):
@@ -26,10 +26,13 @@ def run(capsys, *argv):
 
 
 def _default_point(ident):
+    """The first point `report` runs `ident` at by default: a fixed value
+    that is a function of nmax is taken at the default nmax."""
     if ident.grid:
         return dict(ident.grid[0])
+    nmax = ident.defaults["nmax"]
     params = {key: value for key, value in ident.defaults.items() if key != "nmax"}
-    return {**params, **ident.fixed}
+    return {**params, **{key: value(nmax) if callable(value) else value for key, value in ident.fixed.items()}}
 
 
 def _cases(ident) -> tuple:
@@ -81,9 +84,9 @@ def _perturb(patch, entry, family, n0, k0):
 
 
 def _first_change(before, after) -> tuple:
-    """The first (n, k) at which two row streams differ, k None for terms."""
+    """The first (n, k) at which two row streams differ."""
     n, old, new = next((n, old, new) for n, (old, new) in enumerate(zip(before, after)) if old != new)
-    return n, next(k for k, (a, b) in enumerate(zip(old, new)) if a != b) if isinstance(old, tuple) else None
+    return n, next(k for k, (a, b) in enumerate(zip(old, new)) if a != b)
 
 
 def test_every_table_and_sequence_check_can_fail(capsys, monkeypatch):
@@ -92,17 +95,18 @@ def test_every_table_and_sequence_check_can_fail(capsys, monkeypatch):
     where that changed the reference.  A route that reads the same
     production family instead of computing the entry its own way would be
     perturbed alike and pass, so this also catches a route compared with
-    itself.  The cases of a tuple check are perturbed one at a time."""
+    itself.  The cases of a tuple check are perturbed one at a time; a
+    reference that reads no production family (`log-concavity`'s verdicts)
+    is left out."""
     cases = [
-        (name, ident, case)
+        (name, ident, case, partial(case.reference, ident.defaults["nmax"], **_default_point(ident)))
         for name, ident in REGISTRY.items()
         for case in _cases(ident)
-        if isinstance(case, (Tables, Sequences))
+        if isinstance(case, Tables)
     ]
-    assert len(cases) == 46 and sum(name == "oracle" for name, _, _ in cases) == 12
-    for name, ident, case in cases:
-        reference = partial(case.reference, ident.defaults["nmax"], **_default_point(ident))
-        ((entry, family),) = _sources(monkeypatch, reference)
+    cases = [(*case, sources) for case in cases if (sources := _sources(monkeypatch, case[-1]))]
+    assert len(cases) == 46 and sum(case[0] == "oracle" for case in cases) == 12
+    for name, ident, case, reference, ((entry, family),) in cases:
         n0, k0 = ident.defaults["nmax"], 1 if entry == "rows" else None
         before = list(reference())
         with monkeypatch.context() as patch:
@@ -128,6 +132,41 @@ def test_qi_streams_the_stirling_rows_once(capsys, monkeypatch):
     code, _, _ = run(capsys, "verify", "--identity", "qi")
     assert code == 0
     assert asked.count("stirling2") == 1
+
+
+def test_log_concavity_streams_each_grid_point_once(capsys, monkeypatch):
+    """`log-concavity` reads one stream of the r-Whitney-Lah rows 0..nmax
+    per grid point, not one per n."""
+    asked, real = [], families.rows
+
+    def rows(name, params, nmax, *args):
+        asked.append((name, tuple(params.items()), nmax))
+        return real(name, params, nmax, *args)
+
+    monkeypatch.setattr(families, "rows", rows)
+    code, _, _ = run(capsys, "verify", "--identity", "log-concavity", "--nmax", "30")
+    grid = REGISTRY["log-concavity"].grid
+    assert code == 0
+    assert asked == [("r-whitney-lah", tuple(point.items()), 30) for point in grid]
+
+
+def test_a_row_that_is_not_log_concave_fails_at_its_n(capsys, monkeypatch):
+    """An r-Whitney-Lah row 7 with entry 3 set to 0, not log-concave,
+    fails `log-concavity` at n = 7 alone, at each grid point, expecting
+    "log-concave"."""
+    real = families.rows
+
+    def rows(name, params, nmax, *args):
+        for n, row in enumerate(real(name, params, nmax, *args)):
+            yield (*row[:3], 0, *row[4:]) if name == "r-whitney-lah" and n == 7 else row
+
+    monkeypatch.setattr(families, "rows", rows)
+    code, out, _ = run(capsys, "verify", "--identity", "log-concavity")
+    points = [", ".join(f"{key}={value}" for key, value in point.items()) for point in REGISTRY["log-concavity"].grid]
+    assert code == 1
+    assert json.loads(out)["failures"] == [
+        {"n": 7, "k": 0, "expected": "log-concave", "actual": f"mismatch at {point}"} for point in points
+    ]
 
 
 def test_hs_pair_checks_read_the_engine(capsys, monkeypatch):
@@ -245,10 +284,11 @@ def test_a_route_with_a_wrong_row_count_fails(capsys, monkeypatch, change, n, ex
     assert json.loads(out)["failures"] == [{"n": n, "k": None, "expected": expected, "actual": actual}]
 
 
-@pytest.mark.parametrize("change, n, expected, actual", ((-1, 25, "a term", "no term"), (1, 26, "no term", "a term")))
+@pytest.mark.parametrize("change, n, expected, actual", ((-1, 25, "a row", "no row"), (1, 26, "no row", "a row")))
 def test_a_sequence_route_of_the_wrong_length_fails(capsys, monkeypatch, change, n, expected, actual):
     """A sequence route one term short, or one term long, fails once, at
-    the first n that one side lacks, with exit code 1."""
+    the first n that one side lacks, with exit code 1: its terms are
+    compared as one-entry rows."""
     real = classic.explicit_sequence
 
     def explicit_sequence(name, params, nmax):

@@ -218,12 +218,14 @@ def test_r_whitney_lah_m1_reduces_to_r_lah():
 
 
 def test_log_concavity():
-    assert verify_log_concavity(2, 2, 2)
+    assert verify_log_concavity(R_WHITNEY_LAH_22[2])
     for m, r in ((1, 1), (2, 2), (3, 1)):
-        for n in range(2, 21):
-            assert verify_log_concavity(n, m, r)
+        for row in families.triangle("r-whitney-lah", {"m": m, "r": r}, 20).rows[2:]:
+            assert verify_log_concavity(row)
+    # 1 * 16 is not below 4^2, and 4 * 4 is above 1^2.
+    assert not verify_log_concavity((1, 4, 16, 4)) and not verify_log_concavity((1, 4, 1, 4))
     with pytest.raises(ValueError):
-        verify_log_concavity(1, 2, 2)
+        verify_log_concavity(R_WHITNEY_LAH_22[1])
 
 
 def test_r_dowling_values_and_routes():
