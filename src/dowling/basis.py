@@ -1,14 +1,13 @@
-"""Connection coefficients between Newton bases, the verification route
-of the families `BASES` declares: prod_{i<n} (x - a_i) = sum_j T(n,j)
-prod_{i<j} (x - b_i).  One integer routine, `scaled_solve`, expands source
-element n in monomials and divides it synthetically by (x - b_j), j < n;
-the remainder of division j is T(n,j), and the last quotient is 1.
-Rational parameters are scaled by D, the lcm of their denominators, so that
-over y = D x every node is an integer and the rows are the engine's scaled
-ints U(n,k) = D^(n-k) T(n,k), at the D of `families.scaled_rows`: the
-inverse-pair checks of `identities` multiply them by the engine's scaled
-rows as they come, and `solve` reads them off.  The `Fraction` bases,
-expansions and back-substitution below are the tests' reference.
+"""Two verification routes over a family's Hsu-Shiue triple (alpha, beta,
+gamma) in `families.TRIPLES`, each giving the engine's scaled ints
+U(n,k) = D^(n-k) T(n,k) at the D of `families.scaled_rows`, the lcm of the
+parameters' denominators, with odd columns negated where the triple is
+signed: `scaled_solve`, the connection solve prod_{i<n} (x - i alpha) =
+sum_j T(n,j) prod_{i<j} (x - gamma - i beta), whose rows the inverse-pair
+checks of `identities` multiply as they come and `solve` reads off; and
+`egf_rows`, the exponential Riordan array [g, f], column k of k! U(n,k)
+being n! [t^n] g f^k.  The `Fraction` bases, expansions and
+back-substitution below are the tests' reference.
 """
 
 from __future__ import annotations
@@ -17,59 +16,63 @@ from collections import namedtuple
 from fractions import Fraction
 
 from . import families
-from .exactmath import DegenerateBasisError, Poly, as_integer
+from .exactmath import DegenerateBasisError, Poly, as_integer, egf_product
 from .triangles import Triangle
 
-# The two Newton bases of a family, from the paper's definitions: the nodes
-# a_i = source(p, i) and b_j = target(p, j) of the validated parameters p;
-# where `checkerboard` is set, the family is (-1)^(n-k) times the solve.
-Newton = namedtuple("Newton", ("source", "target", "checkerboard"), defaults=(False,))
 
-BASES = {
-    # x(x-1)...(x-n+1) in powers of x
-    "stirling1": Newton(lambda p, i: i, lambda p, j: 0),
-    # (x-1|alpha)_n in powers of x
-    "whitney1": Newton(lambda p, i: 1 + i * p["alpha"], lambda p, j: 0),
-    # over y = m x: m^n x(x-1)...(x-n+1) in powers of (mx + r), unsigned
-    "r-whitney1": Newton(lambda p, i: i * p["m"], lambda p, j: -p["r"], True),
-    # over y = m x: (mx + r)^n in m^k x(x-1)...(x-k+1)
-    "r-whitney2": Newton(lambda p, i: -p["r"], lambda p, j: j * p["m"]),
-    # (t|alpha)_n in (t - gamma|beta)_k
-    "hs1": Newton(lambda p, i: i * p["alpha"], lambda p, j: p["gamma"] + j * p["beta"]),
-    # (t|beta)_n in (t + gamma|alpha)_k
-    "hs2": Newton(lambda p, i: i * p["beta"], lambda p, j: j * p["alpha"] - p["gamma"]),
-}
+def _scaled_triple(family: str, params: dict) -> tuple:
+    """(D, the family's triple times D as ints, whether it is signed)."""
+    triple, signed = families.TRIPLES[family]
+    params = families._validate(family, params)
+    scale = families._denominator(params.values())
+    return scale, tuple(as_integer(scale * v) for v in triple(params)), signed
 
 
 def scaled_solve(family: str, params: dict, nmax: int) -> tuple:
-    """(D, rows 0..nmax of U(n,k) = D^(n-k) T(n,k)) of a family of `BASES`,
-    D = 1 for an integer family.  Over y = D x, each source element is the
-    last times (y - D a_{n-1}), and a copy is divided by y - D b_j in place,
-    j = 0..n-1: division j leaves its remainder at index j and its quotient
-    above, so the copy ends as the row."""
+    """(D, rows 0..nmax of U(n,k) = D^(n-k) T(n,k)) of a family of
+    `families.TRIPLES` by the connection solve, D = 1 for an integer family.
+    Over y = D x, each source element is the last times y - D (n-1) alpha,
+    and a copy is divided by y - D (gamma + j beta) in place, j = 0..n-1:
+    division j leaves its remainder at index j and its quotient above, so
+    the copy ends as the row."""
     if nmax < 0:
         raise ValueError("nmax must be nonnegative")
-    source, target, signed = BASES[family]
-    params = families._validate(family, params)
-    scale = families._denominator(params.values())
-    a = [as_integer(scale * source(params, i)) for i in range(nmax)]
-    b = [as_integer(scale * target(params, j)) for j in range(nmax)]
+    scale, (alpha, beta, gamma), signed = _scaled_triple(family, params)
     rows, poly = [(1,)], [1]
     for n in range(1, nmax + 1):
-        poly = [u - a[n - 1] * v for u, v in zip((0, *poly), (*poly, 0))]
+        poly = [u - (n - 1) * alpha * v for u, v in zip((0, *poly), (*poly, 0))]
         row = list(poly)
         for j in range(n):
+            b = gamma + j * beta
             for i in range(n - 1, j - 1, -1):
-                row[i] += b[j] * row[i + 1]
-        rows.append(tuple(-v if signed and (n - k) % 2 else v for k, v in enumerate(row)))
+                row[i] += b * row[i + 1]
+        rows.append(tuple(-v if signed and k % 2 else v for k, v in enumerate(row)))
     return scale, tuple(rows)
 
 
 def solve(family: str, params: dict, nmax: int) -> Triangle:
-    """Rows 0..nmax of a family of `BASES` by `scaled_solve`: ints, or exact
-    rationals where the parameters have denominators."""
+    """Rows 0..nmax of a family of `families.TRIPLES` by `scaled_solve`:
+    ints, or exact rationals where the parameters have denominators."""
     scale, rows = scaled_solve(family, params, nmax)
     return Triangle(families._read_off(rows, scale), family, families._validate(family, params))
+
+
+def egf_rows(family: str, params: dict, nmax: int, kmax: int | None = None) -> list:
+    """Rows 0..nmax of k! U(n,k), k <= min(kmax, nmax), 0 where k > n, of a
+    family of `families.TRIPLES`: column k is g f^k by `egf_product`, where
+    n! [t^n] g = prod_{i<n} (D gamma - i D alpha) and n! [t^n] f =
+    prod_{i=1}^{n-1} (D beta - i D alpha), f_0 = 0, negated if signed."""
+    if nmax < 0:
+        raise ValueError("nmax must be nonnegative")
+    _, (alpha, beta, gamma), signed = _scaled_triple(family, params)
+    g, f = [1], [0, -1 if signed else 1]
+    for n in range(1, nmax + 1):
+        g.append(g[-1] * (gamma - (n - 1) * alpha))
+        f.append(f[-1] * (beta - n * alpha))
+    columns = [g]
+    for _ in range(nmax if kmax is None else min(kmax, nmax)):
+        columns.append(egf_product(columns[-1], f))
+    return list(zip(*columns))
 
 
 # ---------------------------------------------------------------------------

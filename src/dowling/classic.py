@@ -1,16 +1,16 @@
-"""Verification routes for the Lah numbers' EGF and the Bell numbers, the
-rows of the partial Bell polynomials, and `EXPLICIT`, the paper's
-alternating Lah/Stirling formula for each Bell-type sum: Qi's formula for
-the Bell numbers, its Dowling, r-Bell and r-Dowling generalizations, and the
-theorem for the Hsu-Shiue generalized Bell numbers and the Cakic-Bell
-numbers, declared once as data.
+"""The rows of the partial Bell polynomials, a name for the engine's Stirling
+numbers of the first kind, and `EXPLICIT`, the paper's alternating
+Lah/Stirling formula for each Bell-type sum: Qi's formula for the Bell
+numbers, its Dowling, r-Bell and r-Dowling generalizations, and the theorem
+for the Hsu-Shiue generalized Bell numbers and the Cakic-Bell numbers,
+declared once as data.
 
 The engine in `families` builds every family; the routes here compute it
 another way, and the test suite pins them against each other and against
 brute-force partition counts.  The Lah numbers' closed form is the one of
 all four Lah-type families, `triangles.explicit_row`, read through
-`identities.lah_route`; the signed Stirling numbers of the first kind by
-expansion are `basis.solve("stirling1", ...)`.
+`identities.lah_route`; their EGF and the signed Stirling numbers of the
+first kind by connection solve are `basis.egf_rows` and `basis.solve`'s.
 """
 
 from __future__ import annotations
@@ -19,24 +19,12 @@ import math
 from collections import deque
 
 from . import families
-from .exactmath import egf_product
 from .triangles import Triangle, alternating_sums
 
 
 def stirling1_triangle(nmax: int) -> Triangle:
     """The engine's signed Stirling triangle, by the name `perfbench/pin.py` calls."""
     return families.triangle("stirling1", {}, nmax)
-
-
-def lah_egf_rows(nmax: int, kmax: int) -> list:
-    """Rows n = 0..nmax of n! [t^n] ((-t)/(1+t))^k, k = 0..min(kmax, nmax),
-    the coefficients that k! L(n,k) must match: the EGF (0, -1!, 2!, -3!,
-    ...) raised to each power by `egf_product`."""
-    base = [0] + [(-1) ** n * math.factorial(n) for n in range(1, nmax + 1)]
-    powers = [[1] + [0] * nmax]
-    for _ in range(min(kmax, nmax)):
-        powers.append(egf_product(powers[-1], base))
-    return list(zip(*powers))
 
 
 # The paper's explicit formula for each sum of `families.SUMS`,

@@ -111,6 +111,30 @@ FAMILIES = {
     "cakic": Family(("alpha",), lambda p: (1, -p["alpha"], 1, p["alpha"]), True),
 }
 
+# Every engine family but `hs-lah` as the Hsu-Shiue numbers S(n,k; alpha,
+# beta, gamma) of (t|alpha)_n = sum_k S(n,k) (t - gamma|beta)_k, declared apart
+# from the weights for the routes of `basis`: the triple as a function of the
+# validated parameters, and whether the family is (-1)^k S(n,k).
+Triple = namedtuple("Triple", ("triple", "signed"), defaults=(False,))
+
+TRIPLES = {
+    "stirling1": Triple(lambda p: (1, 0, 0)),
+    "stirling2": Triple(lambda p: (0, 1, 0)),
+    "lah": Triple(lambda p: (1, -1, 0), True),
+    "whitney1": Triple(lambda p: (p["alpha"], 0, -1)),
+    "whitney2": Triple(lambda p: (0, p["alpha"], 1)),
+    "whitney-lah": Triple(lambda p: (p["alpha"], -p["alpha"], -2), True),
+    "r-stirling1": Triple(lambda p: (-1, 0, p["r"])),
+    "r-stirling2": Triple(lambda p: (0, 1, p["r"])),
+    "r-lah": Triple(lambda p: (-1, 1, 2 * p["r"])),
+    "r-whitney1": Triple(lambda p: (-p["m"], 0, p["r"])),
+    "r-whitney2": Triple(lambda p: (0, p["m"], p["r"])),
+    "r-whitney-lah": Triple(lambda p: (-p["m"], p["m"], 2 * p["r"])),
+    "hs1": Triple(lambda p: (p["alpha"], p["beta"], p["gamma"])),
+    "hs2": Triple(lambda p: (p["beta"], p["alpha"], -p["gamma"])),
+    "cakic": Triple(lambda p: (p["alpha"], 1, 0)),
+}
+
 # Bell-type sums: each is the row sum of one family.
 SUMS = {
     "bell": "stirling2",

@@ -407,14 +407,14 @@ _ENGINE_ORTHO = (
     Inverse(_scaled("whitney1"), _scaled("whitney2"), "whitney1"),
     Inverse(_signed(_scaled("r-whitney1")), _scaled("r-whitney2"), "r-whitney1"),
 )
-# The EGF powers k <= kmax (Lah) and k <= nmax (weighted r-Stirling) against k! T(n,k).
+# The EGF powers k <= kmax (Lah) and k <= nmax (r-Stirling) by `basis.egf_rows` against k! T(n,k).
 _LGF = Tables(
     lambda nmax, kmax: _times_factorial(families.rows("lah", {}, nmax), min(kmax, nmax) + 1),
-    ((classic.lah_egf_rows, 0),),
+    ((lambda nmax, kmax: basis.egf_rows("lah", {}, nmax, kmax), 0),),
 )
 _WEIGHTED_EGF = Tables(
     lambda nmax, r, order: _times_factorial(families.rows("r-stirling2", {"r": r}, nmax), nmax + 1),
-    ((rnumbers.weighted_stirling_egf_rows, 0),),
+    ((lambda nmax, r, order: basis.egf_rows("r-stirling2", {"r": r}, nmax), 0),),
 )
 _PARTIAL_BELL_NOTES = "B(n,k) at x_i = 1, i!, (i-1)! against S(n,k), (-1)^n L(n,k), (-1)^(n-k) s(n,k)"
 _BELL_REDUCTION_NOTES = "unit-step Dowling numbers against shifted Bell/Stirling values"
@@ -459,7 +459,7 @@ REGISTRY = {
             "weighted-egf",
             {"nmax": 12, "r": 2},
             _WEIGHTED_EGF,
-            fixed={"order": partial(max, 12)},  # the series order must reach nmax
+            fixed={"order": partial(max, 12)},  # read by no route; its report bytes are pinned
         ),
         Identity("rw-ortho", {"nmax": 8, "m": 2, "r": 2}, _R_WHITNEY_PAIR),
         Identity("rw-inv", {"nmax": 7, "m": 2, "r": 2}, _R_WHITNEY_PAIR),

@@ -1,11 +1,10 @@
 """Verification routes for the r-Stirling, r-Whitney and r-Whitney-Lah
-numbers: the weighted EGF of the r-Stirling numbers of the second kind, on
-ints, and the log-concavity of an r-Whitney-Lah row.  The r-Whitney
-numbers of both kinds by connection solve are `basis.solve`'s, the explicit
-formulas of the r-Bell and r-Dowling numbers are declared with the paper's
-other Bell-type formulas in `classic.EXPLICIT`, and the r-Whitney-Lah closed
-form, of which `r_whitney_lah_explicit` reads one entry, is
-`triangles.explicit_row`.
+numbers: the log-concavity of an r-Whitney-Lah row, and one entry of its
+closed form `triangles.explicit_row`.  The weighted EGF of the r-Stirling
+numbers of the second kind and the r-Whitney numbers by connection solve
+are `basis.egf_rows` and `basis.solve`'s, and the explicit formulas of the
+r-Bell and r-Dowling numbers are declared with the paper's other Bell-type
+formulas in `classic.EXPLICIT`.
 
 Indexing follows the shifted convention: the (n, k) entry of an r-family
 refers to a ground set of n+r elements split into k+r blocks, with the r
@@ -15,24 +14,8 @@ distinguished elements pairwise separated.  Row 0 is always [1].
 from __future__ import annotations
 
 from . import classic, families
-from .exactmath import egf_product
 from .families import check_param
 from .triangles import Triangle, explicit_row
-
-
-def weighted_stirling_egf_rows(nmax: int, r, order: int) -> list:
-    """Rows n = 0..nmax of n! [t^n] e^(rt) (e^t - 1)^k, k = 0..nmax, the
-    coefficients that k! S_r(n,k), the r-Stirling second-kind entries, must
-    match: the EGF (r^n) times (0, 1, 1, ...) once per k, through t^order by
-    `egf_product`."""
-    r = check_param("r", r)
-    if order < nmax:
-        raise ValueError("order must be at least nmax")
-    ones = [0] + [1] * order
-    powers = [[r**n for n in range(order + 1)]]
-    for _ in range(nmax):
-        powers.append(egf_product(powers[-1], ones))
-    return list(zip(*powers))[: nmax + 1]
 
 
 def r_whitney_second_recurrence(nmax: int, m, r) -> Triangle:

@@ -1,8 +1,8 @@
-"""Verification routes for the Whitney numbers of the second kind; the
-first kind by expansion is `basis.solve("whitney1", ...)`, the Dowling
-numbers' explicit formula is declared with the paper's other Bell-type
-formulas in `classic.EXPLICIT`, and the Whitney-Lah routes with the other
-Lah-type families in `identities.LAH_TYPES`.
+"""Verification routes for the Whitney numbers of the second kind.  Both
+kinds by connection solve and by EGF are `basis.solve` and `basis.egf_rows`
+over `families.TRIPLES`, the Dowling numbers' explicit formula is declared
+with the paper's other Bell-type formulas in `classic.EXPLICIT`, and the
+Whitney-Lah routes with the other Lah-type families in `identities.LAH_TYPES`.
 
 The step parameter alpha is a nonzero integer.
 """

@@ -1,14 +1,16 @@
 import json
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dowling import families
 from dowling.basis import (
-    BASES,
     PolyBasis,
     connection_matrix,
+    egf_rows,
     expand_in_monomials,
     factorial_basis,
     identity_matrix,
@@ -186,18 +188,19 @@ def test_connection_round_trip_is_identity(p, q):
     assert connection_matrix(p, q).mul(connection_matrix(q, p)).is_identity()
 
 
-def checkerboard(table):
+def alternate(table):
     """The same table with entries (-1)^(n-k) T(n,k)."""
     return Triangle(tuple((-1) ** (n - k) * v for k, v in enumerate(row)) for n, row in enumerate(table.rows))
 
 
-# Each family of `basis.BASES` by the Fraction back-substitution over the
-# bases its route was solved on before the integer solve, as (params, nmax)
-# -> table; the Hsu-Shiue parameters as Fractions, as that route took them.
+# Six families of `families.TRIPLES` by the Fraction back-substitution over
+# the bases their routes were solved on before the integer solve, as
+# (params, nmax) -> table; the Hsu-Shiue parameters as Fractions, as that
+# route took them.
 FRACTION_ROUTES = {
     "stirling1": lambda p, n: expand_in_monomials(factorial_basis(1, 0, 1, n)),
     "whitney1": lambda p, n: expand_in_monomials(factorial_basis(1, -1, p["alpha"], n)),
-    "r-whitney1": lambda p, n: checkerboard(
+    "r-whitney1": lambda p, n: alternate(
         connection_matrix(factorial_basis(p["m"], 0, p["m"], n), power_basis(Poly((p["r"], p["m"])), n))
     ),
     "r-whitney2": lambda p, n: connection_matrix(
@@ -222,11 +225,11 @@ SOLVE_POINTS = {
 }
 
 
-@pytest.mark.parametrize("family", sorted(BASES))
+@pytest.mark.parametrize("family", sorted(FRACTION_ROUTES))
 def test_the_integer_solve_is_the_fraction_solve(family):
-    """Rows 0..12 of every declared family by `solve` equal the Fraction
-    solve's, and `scaled_solve` gives ints U(n,k) = D^(n-k) T(n,k)."""
-    assert set(SOLVE_POINTS) == set(FRACTION_ROUTES) == set(BASES)
+    """Rows 0..12 of each family with a Fraction route by `solve` equal the
+    Fraction solve's, and `scaled_solve` gives ints U(n,k) = D^(n-k) T(n,k)."""
+    assert set(SOLVE_POINTS) == set(FRACTION_ROUTES) <= set(families.TRIPLES)
     for point in SOLVE_POINTS[family]:
         want = FRACTION_ROUTES[family](point, 12).rows
         assert solve(family, point, 12).rows == want, point
@@ -239,17 +242,58 @@ def test_the_integer_solve_is_the_fraction_solve(family):
 @pytest.mark.parametrize(
     "kind, wrong",
     (
-        ("hs2", {"target": lambda p, j: j * p["alpha"] + p["gamma"]}),  # gamma's sign flipped
-        ("hs1", {"source": lambda p, i: (i + 1) * p["alpha"]}),  # the source nodes shifted by one
+        ("hs2", lambda p: (p["beta"], p["alpha"], p["gamma"])),  # the target nodes with gamma's sign flipped
+        ("hs1", lambda p: (p["alpha"] + 1, p["beta"], p["gamma"])),  # the source step raised by one
     ),
     ids=("hs2-target", "hs1-source"),
 )
 def test_a_solved_pair_not_mutually_inverse_fails_its_report(capsys, monkeypatch, kind, wrong):
     """`specializations` multiplies the solved s1 and s2 at each of its
-    triples: with one wrong node of either basis, `verify` exits 1 with a
+    triples: with a wrong triple of either kind, `verify` exits 1 with a
     `solved pair` failure in its report, not a traceback."""
-    monkeypatch.setitem(BASES, kind, BASES[kind]._replace(**wrong))
+    monkeypatch.setitem(families.TRIPLES, kind, families.TRIPLES[kind]._replace(triple=wrong))
     code = main(["verify", "--identity", "specializations"])
     report = json.loads(capsys.readouterr().out)
     assert code == 1 and report["pass"] is False
     assert any(f["expected"].startswith("solved pair at (") for f in report["failures"])
+
+
+_STEPS = tuple({"alpha": alpha} for alpha in (3, 1, -2))
+_R = tuple({"r": r} for r in range(4))
+_RW = (*_MR, {"m": 1, "r": 3})
+_HS_POINTS = (*_HS, {"alpha": 2, "beta": -3, "gamma": F(-1, 2)})
+# Points of every family of `families.TRIPLES`: an integer point, a negative
+# step where the family has one, r = 0 or m = 1, and rational points.
+TRIPLE_POINTS = {
+    "stirling1": ({},),
+    "stirling2": ({},),
+    "lah": ({},),
+    "whitney1": _STEPS,
+    "whitney2": _STEPS,
+    "whitney-lah": _STEPS,
+    "r-stirling1": _R,
+    "r-stirling2": _R,
+    "r-lah": _R,
+    "r-whitney1": _RW,
+    "r-whitney2": _RW,
+    "r-whitney-lah": _RW,
+    "hs1": _HS_POINTS,
+    "hs2": _HS_POINTS,
+    "cakic": tuple({"alpha": alpha} for alpha in (2, -3, F(1, 2))),
+}
+
+
+@pytest.mark.parametrize("family", sorted(TRIPLE_POINTS))
+def test_both_routes_of_the_triple_match_the_engine(family):
+    """Rows 0..14 of every family but `hs-lah` by the connection solve over
+    its triple are the engine's (D, U(n,k)), and its EGF rows are k! U(n,k),
+    0 where k > n, cut at column min(kmax, nmax)."""
+    assert set(TRIPLE_POINTS) == set(families.TRIPLES) == set(families.FAMILIES) - {"hs-lah"}
+    for point in TRIPLE_POINTS[family]:
+        scale, rows = families.scaled_rows(family, point, 14)
+        rows = tuple(rows)
+        assert scaled_solve(family, point, 14) == (scale, rows), point
+        want = [tuple(math.factorial(k) * (row[k] if k < len(row) else 0) for k in range(15)) for row in rows]
+        assert egf_rows(family, point, 14) == want, point
+        for kmax in (0, 1, 2, 20):
+            assert egf_rows(family, point, 14, kmax) == [row[: kmax + 1] for row in want], (point, kmax)

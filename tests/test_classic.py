@@ -5,11 +5,7 @@ from fractions import Fraction
 import pytest
 
 from dowling import families
-from dowling.classic import (
-    explicit_sum,
-    lah_egf_rows,
-    partial_bell_rows,
-)
+from dowling.classic import explicit_sum, partial_bell_rows
 from dowling.identities import lah_route
 from dowling.oracle import PartitionSpec, count_partitions
 from dowling.triangles import transform
@@ -97,15 +93,6 @@ def test_lah_vertical_small_cases():
     assert vertical[3][3] == -1  # single-term sum on the diagonal
     assert horizontal[3][2] == -6
     assert horizontal[2][2] == 1
-
-
-def test_lah_egf():
-    # Row n of the k-th powers is k! L(n,k), k <= kmax, 0 above the diagonal.
-    for nmax, kmax in ((4, 1), (3, 0), (6, 2)):
-        rows = families.rows("lah", {}, nmax)
-        want = [tuple(math.factorial(k) * row[k] if k < len(row) else 0 for k in range(kmax + 1)) for row in rows]
-        assert lah_egf_rows(nmax, kmax) == want
-    assert lah_egf_rows(2, 4) == lah_egf_rows(2, 2)  # no power above nmax
 
 
 def test_lah_from_stirlings():

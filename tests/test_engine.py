@@ -61,8 +61,9 @@ def test_engine_rejects_bad_input():
 # Every solve, expansion and explicit-formula route as a function of its size.
 _ANY = {"alpha": 3, "beta": 1, "gamma": 2, "m": 2, "r": 2}
 _SIZED_ROUTES = {
-    **{f"solve-{family}": partial(basis.solve, family, _ANY) for family in basis.BASES},
+    **{f"solve-{family}": partial(basis.solve, family, _ANY) for family in families.TRIPLES},
     "scaled_solve": partial(basis.scaled_solve, "hs1", _ANY),
+    "egf_rows": partial(basis.egf_rows, "hs1", _ANY),
     "hs_bell_explicit": lambda n: unified.hs_bell_explicit(n, (0, 1, 2)),
     "dowling_explicit": lambda n: whitney.dowling_explicit(n, 3),
     "r_dowling_explicit": lambda n: rnumbers.r_dowling_explicit(n, 2, 2),

@@ -1,4 +1,3 @@
-import math
 import random
 from fractions import Fraction
 
@@ -13,7 +12,6 @@ from dowling.rnumbers import (
     r_dowling_explicit,
     r_whitney_lah_explicit,
     verify_log_concavity,
-    weighted_stirling_egf_rows,
 )
 from dowling.triangles import Triangle, transform
 
@@ -90,16 +88,6 @@ def test_r_bell_values_and_routes():
 def test_r_lah_row_sums_feed_the_bell_formula():
     tri = families.triangle("r-lah", {"r": 2}, 4)
     assert tuple(sum(tri.row(n)) for n in range(5)) == (1, 5, 31, 229, 1961)
-
-
-def test_weighted_stirling_egf():
-    # Row n of the k-th powers is k! S_r(n,k), k <= nmax, 0 above the diagonal.
-    for nmax, r, order in ((5, 2, 8), *((4, r, 12) for r in range(4))):
-        rows = families.rows("r-stirling2", {"r": r}, nmax)
-        want = [tuple(math.factorial(k) * row[k] if k < len(row) else 0 for k in range(nmax + 1)) for row in rows]
-        assert weighted_stirling_egf_rows(nmax, r, order) == want
-    with pytest.raises(ValueError):
-        weighted_stirling_egf_rows(5, 2, 3)
 
 
 def test_r_stirling2_column_zero_is_powers_of_r():
