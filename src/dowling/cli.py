@@ -20,7 +20,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 from itertools import chain, islice
 
-from . import classic, families
+from . import families
 from .families import FAMILIES
 
 
@@ -30,38 +30,35 @@ class UsageError(Exception):
 
 # ---------------------------------------------------------------------------
 # families and sums: the table in `families`, plus `qi-bell`, the Bell
-# numbers by Qi's formula, `classic.EXPLICIT["bell"]`, which is no row sum
+# numbers by the explicit formula of `families.SUMS["bell"]` (Qi's), which
+# is no row sum
 
 
 SUMS = {**families.SUMS, "qi-bell": None}
 
 
 def _sum_needs(name: str) -> tuple:
-    family = SUMS[name]
-    return () if family is None else FAMILIES[family].needs
+    entry = SUMS[name]
+    return () if entry is None else FAMILIES[entry.family].needs
 
 
 def _sum_value(name: str, params: dict, n: int):
-    family = SUMS[name]
-    if family is None:
-        return classic.explicit_sum("bell", {}, n)
-    return families.row_sum(family, params, n)
+    entry = SUMS[name]
+    if entry is None:
+        return families.explicit_sum("bell", {}, n)
+    return families.row_sum(entry.family, params, n)
 
 
 _PARAMS = ("m", "r", "alpha", "beta", "gamma")
-_INT_PARAMS = {"m", "r"}
 
 
 def _parse_param(name: str, raw: str):
+    """A parameter as an exact rational; the family or identity that takes
+    it checks whether it must be an integer."""
     try:
-        value = Fraction(raw)
+        return Fraction(raw)
     except (ValueError, ZeroDivisionError) as exc:
         raise UsageError(f"cannot parse --{name}={raw!r}: {exc}") from None
-    if name in _INT_PARAMS:
-        if value.denominator != 1:
-            raise UsageError(f"--{name} must be an integer, got {raw}")
-        value = value.numerator
-    return value
 
 
 def _collect_params(needs, args) -> dict:
@@ -361,7 +358,7 @@ def _paper_tables() -> tuple:
         polys = WHITNEY_LAH_ALPHA_POLYS
         return tuple(tuple(sum(c * alpha**i for i, c in enumerate(p)) for p in row) for row in polys)
 
-    explicit = classic.explicit_sum
+    explicit = families.explicit_sum
     steps = (1, 2, 3, 4)
     rwl = rows("r-whitney-lah", {"m": 2, "r": 2}, 4)
     return (

@@ -7,9 +7,12 @@ with its parameters and their validation.  The production path of every
 family and every Bell-type row sum runs through this table.  The row sums
 do not roll the engine: each sum family has weights (1, a, b, c), and
 `row_sum` takes the explicit formula of `_explicit_sum` where b != 0 and a
-product of n factors where b = 0, integer or rational alike.  Connection
-solves, polynomial expansions and the other closed forms stay in the family
-modules as verification routes.
+product of n factors where b = 0, integer or rational alike.  `SUMS` also
+declares the paper's explicit formula for each sum, over the rows of its
+family and of a Lah-type family; `explicit_sequence` and `explicit_sum`
+compute it, the one verification route kept here.  Connection solves,
+polynomial expansions and the other closed forms stay in the family modules
+as verification routes.
 
 Rational parameters never put a Fraction inside the recurrence.  With D the
 lcm of the denominators of the weights, the scaled weights D*(a*n + b*k + c)
@@ -27,7 +30,7 @@ rows, both at the triple's one D, whose powers then read off the same way.
 from __future__ import annotations
 
 import math
-from collections import namedtuple
+from collections import deque, namedtuple
 from fractions import Fraction
 
 from . import triangles
@@ -135,14 +138,25 @@ TRIPLES = {
     "cakic": Triple(lambda p: (p["alpha"], 1, 0)),
 }
 
-# Bell-type sums: each is the row sum of one family.
+# The Bell-type sums, each the row sum of its second-kind family W and the
+# paper's explicit formula
+#
+#     (-1)^n sum_k W(n,k) sign^k [sum_j L(k,j)]
+#
+# over a Lah-type family L: (W, L, L's parameters as a function of the sum's,
+# sign).  At `bell` it is Qi's formula over the signless Lah numbers, the
+# r-Lah numbers at r = 0; at `hs-bell` it is the paper's theorem for the
+# generalized Bell numbers, over the Lah-type numbers of the Hsu-Shiue
+# triple, and `cakic-bell` is its triple (alpha, 1, 0).
+Sum = namedtuple("Sum", ("family", "lah", "lah_params", "sign"))
+
 SUMS = {
-    "bell": "stirling2",
-    "dowling": "whitney2",
-    "r-bell": "r-stirling2",
-    "r-dowling": "r-whitney2",
-    "hs-bell": "hs1",
-    "cakic-bell": "cakic",
+    "bell": Sum("stirling2", "r-lah", lambda p: {"r": 0}, -1),
+    "dowling": Sum("whitney2", "whitney-lah", dict, 1),
+    "r-bell": Sum("r-stirling2", "r-lah", dict, -1),
+    "r-dowling": Sum("r-whitney2", "r-whitney-lah", dict, -1),
+    "hs-bell": Sum("hs1", "hs-lah", dict, 1),
+    "cakic-bell": Sum("cakic", "hs-lah", lambda p: {"alpha": p["alpha"], "beta": 1, "gamma": 0}, 1),
 }
 
 # ---------------------------------------------------------------------------
@@ -306,6 +320,20 @@ def row_sum(name: str, params: dict, n: int):
     if b:
         total = _explicit_sum(n, a, b, c, scale)
     else:
-        x = scale + c
-        total = math.prod(range(x + a, x + a * (n + 1), a)) if a else x**n
+        total = _span(scale + c, a, 1, n) if a else (scale + c) ** n
     return Fraction(total, scale**n) if FAMILIES[name].rational else total
+
+
+def explicit_sequence(name: str, params: dict, nmax: int) -> list:
+    """The sum `name` of `SUMS` at n = 0..nmax by the paper's explicit
+    formula, over the streamed rows of both kinds."""
+    family, lah, lah_params, sign = SUMS[name]
+    return list(triangles.alternating_sums(rows(family, params, nmax), rows(lah, lah_params(params), nmax), sign))
+
+
+def explicit_sum(name: str, params: dict, n: int):
+    """The sum `name` of `SUMS` at n by the same formula over row n of W
+    alone: an int, or an exact rational where the rows have denominators."""
+    family, lah, lah_params, sign = SUMS[name]
+    second = deque(rows(family, params, n), maxlen=1)
+    return next(triangles.alternating_sums(second, rows(lah, lah_params(params), n), sign))

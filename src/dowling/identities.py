@@ -131,8 +131,8 @@ def _sequences(reference, route) -> Tables:
 
 
 def _explicit(name):
-    """The sum `name` of `classic.EXPLICIT` at n = 0..nmax by its explicit formula."""
-    return lambda nmax, **point: classic.explicit_sequence(name, point, nmax)
+    """The sum `name` of `families.SUMS` at n = 0..nmax by its explicit formula."""
+    return lambda nmax, **point: families.explicit_sequence(name, point, nmax)
 
 
 def _rows(family):

@@ -4,7 +4,7 @@ closed form `triangles.explicit_row`.  The weighted EGF of the r-Stirling
 numbers of the second kind and the r-Whitney numbers by connection solve
 are `basis.egf_rows` and `basis.solve`'s, and the explicit formulas of the
 r-Bell and r-Dowling numbers are declared with the paper's other Bell-type
-formulas in `classic.EXPLICIT`.
+formulas in `families.SUMS`.
 
 Indexing follows the shifted convention: the (n, k) entry of an r-family
 refers to a ground set of n+r elements split into k+r blocks, with the r
@@ -13,7 +13,7 @@ distinguished elements pairwise separated.  Row 0 is always [1].
 
 from __future__ import annotations
 
-from . import classic, families
+from . import families
 from .families import check_param
 from .triangles import Triangle, explicit_row
 
@@ -48,5 +48,5 @@ def verify_log_concavity(row) -> bool:
 
 
 def r_dowling_explicit(n: int, m, r) -> int:
-    """D(n) by the paper's alternating r-Whitney-Lah sum, `classic.EXPLICIT["r-dowling"]`."""
-    return classic.explicit_sum("r-dowling", {"m": m, "r": r}, n)
+    """D(n) by the paper's alternating r-Whitney-Lah sum, `families.SUMS["r-dowling"]`."""
+    return families.explicit_sum("r-dowling", {"m": m, "r": r}, n)

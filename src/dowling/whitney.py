@@ -1,7 +1,7 @@
 """Verification routes for the Whitney numbers of the second kind.  Both
 kinds by connection solve and by EGF are `basis.solve` and `basis.egf_rows`
 over `families.TRIPLES`, the Dowling numbers' explicit formula is declared
-with the paper's other Bell-type formulas in `classic.EXPLICIT`, and the
+with the paper's other Bell-type formulas in `families.SUMS`, and the
 Whitney-Lah routes with the other Lah-type families in `identities.LAH_TYPES`.
 
 The step parameter alpha is a nonzero integer.
@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 
-from . import classic, families
+from . import families
 from .families import check_param
 
 
@@ -30,5 +30,5 @@ def whitney_second_benoumhani_rows(nmax: int, alpha) -> tuple:
 
 
 def dowling_explicit(n: int, alpha) -> int:
-    """D_n by the paper's alternating Whitney-Lah sum, `classic.EXPLICIT["dowling"]`."""
-    return classic.explicit_sum("dowling", {"alpha": alpha}, n)
+    """D_n by the paper's alternating Whitney-Lah sum, `families.SUMS["dowling"]`."""
+    return families.explicit_sum("dowling", {"alpha": alpha}, n)

@@ -8,7 +8,7 @@ import io
 import time
 from fractions import Fraction
 
-from dowling import classic, families, identities, rnumbers, whitney
+from dowling import families, identities, rnumbers, whitney
 from dowling.cli import run_paper_tables
 from dowling.identities import REGISTRY
 
@@ -32,7 +32,7 @@ def test_criterion_2_worked_verifications():
         whitney.dowling_explicit(3, 3) == 35
         and families.row_sum("stirling2", {}, 4) == 15
         and families.row_sum("whitney2", {"alpha": 1}, 3) == 15
-        and classic.explicit_sum("r-bell", {"r": 2}, 3) == 37
+        and families.explicit_sum("r-bell", {"r": 2}, 3) == 37
         and rnumbers.r_dowling_explicit(4, 2, 2) == 257
     )
     _report(2, "worked checks 35 / 15 / 37 / 257 hold exactly", ok)

@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 
 from dowling import families
-from dowling.classic import explicit_sum, partial_bell_rows
+from dowling.classic import partial_bell_rows
+from dowling.families import explicit_sum
 from dowling.identities import lah_route
 from dowling.oracle import PartitionSpec, count_partitions
 from dowling.triangles import transform

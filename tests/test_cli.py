@@ -375,6 +375,28 @@ def test_invalid_parameter_exits_2(capsys):
 
 
 @pytest.mark.parametrize(
+    "m, r, message",
+    (("1/2", "2", "m must be a positive integer, got 1/2"), ("2", "3/2", "r must be a nonnegative integer, got 3/2")),
+    ids=("m", "r"),
+)
+@pytest.mark.parametrize(
+    "argv",
+    (
+        ("triangle", "--family", "r-whitney-lah", "--nmax", "3"),
+        ("sum", "--family", "r-dowling", "--n", "3"),
+        ("bench", "--family", "r-whitney2", "--nmax", "3"),
+        ("verify", "--identity", "rwlah-routes"),
+    ),
+    ids=lambda argv: argv[0],
+)
+def test_a_proper_fraction_for_m_or_r_exits_2(capsys, argv, m, r, message):
+    # The family table, or the identity's route, refuses it.
+    code, out, err = run(capsys, *argv, "--m", m, "--r", r)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
     "argv",
     (
         ("triangle", "--family", "stirling2", "--alpha", "3", "--nmax", "2"),
@@ -565,14 +587,29 @@ def test_parameter_error_leaves_out_untouched(tmp_path, capsys, argv, existing):
     assert target.read_text() == "kept\n" if existing else not target.exists()
 
 
+def test_the_cli_loads_five_modules_of_the_package():
+    # The package, the CLI and the production path alone: no route module
+    # loads before `verify`.  -I leaves out PYTHONPATH and the user's site,
+    # so src goes on sys.path by hand, as in the CI's CLI floor step.
+    src = Path(__file__).resolve().parents[1] / "src"
+    check = (
+        f"import sys; sys.path.insert(0, {str(src)!r}); import dowling.cli; "
+        "print(*sorted(m for m in sys.modules if m.partition('.')[0] == 'dowling'))"
+    )
+    result = subprocess.run([sys.executable, "-I", "-c", check], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    loaded = ["dowling", "dowling.cli", "dowling.exactmath", "dowling.families", "dowling.triangles"]
+    assert result.stdout.split() == loaded
+
+
 def test_importing_the_cli_leaves_the_registry_unloaded():
     # Only `verify` needs the identity registry and the route modules it
     # reads; every other command skips their import, and the package itself
-    # imports only its five exports.  Every call pays for what the CLI imports
+    # imports only its four exports.  Every call pays for what the CLI imports
     # at start, so it loads neither `dataclasses` (which imports `inspect`)
     # nor `json`, and the registry no `dataclasses` either; -S keeps a site
     # hook from loading them.
-    assert sorted(dowling.__all__) == ["EXPLICIT", "Triangle", "explicit_sequence", "explicit_sum", "families"]
+    assert sorted(dowling.__all__) == ["Triangle", "explicit_sequence", "explicit_sum", "families"]
     env = _subprocess_env()
     routes = ("dowling.basis", "dowling.unified", "dowling.rnumbers", "dowling.whitney")
     for module, absent in (

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dowling import basis, classic, families, identities, rnumbers, triangles, unified, whitney
+from dowling import basis, families, identities, rnumbers, triangles, unified, whitney
 from dowling.exactmath import IntegralityError
 from dowling.identities import _MR_GRID
 from dowling.triangles import Triangle, product, recurrence_rows, recurrence_triangle
@@ -67,8 +67,8 @@ _SIZED_ROUTES = {
     "hs_bell_explicit": lambda n: unified.hs_bell_explicit(n, (0, 1, 2)),
     "dowling_explicit": lambda n: whitney.dowling_explicit(n, 3),
     "r_dowling_explicit": lambda n: rnumbers.r_dowling_explicit(n, 2, 2),
-    **{f"explicit_sum-{name}": partial(classic.explicit_sum, name, _ANY) for name in classic.EXPLICIT},
-    **{f"explicit_sequence-{name}": partial(classic.explicit_sequence, name, _ANY) for name in classic.EXPLICIT},
+    **{f"explicit_sum-{name}": partial(families.explicit_sum, name, _ANY) for name in families.SUMS},
+    **{f"explicit_sequence-{name}": partial(families.explicit_sequence, name, _ANY) for name in families.SUMS},
 }
 
 
@@ -162,7 +162,7 @@ def test_rolling_sums_vs_full_solved_rows():
         assert dowling == [sum(row) for row in second.rows]
     s2 = families.triangle("stirling2", {}, 30)
     assert [families.row_sum("stirling2", {}, n) for n in range(31)] == [sum(row) for row in s2.rows]
-    assert classic.explicit_sequence("bell", {}, 30) == [sum(row) for row in s2.rows]
+    assert families.explicit_sequence("bell", {}, 30) == [sum(row) for row in s2.rows]
 
 
 def rolling_sum(name, params, n):
@@ -202,7 +202,7 @@ def test_row_sums_roll_no_engine_row(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("rolled the engine's row")
 
-    points = [(family, _ANY) for family in families.SUMS.values()]
+    points = [(entry.family, _ANY) for entry in families.SUMS.values()]
     points += [("hs1", named((F(1, 2), F(1, 3), 2))), ("hs1", named((F(1, 2), 0, F(1, 3))))]
     points += [("cakic", {"alpha": F(1, 2)})]
     want = [rolling_sum(family, params, 40) for family, params in points]

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from dowling import basis, families, identities, rnumbers, triangles, unified, whitney
-from dowling.classic import EXPLICIT, explicit_sequence, explicit_sum
+from dowling.families import SUMS, explicit_sequence, explicit_sum
 from dowling.triangles import alternating_sums, transform
 
 NMAX = 30
@@ -87,8 +87,8 @@ def test_alternating_sums_reads_the_lah_rows_only_as_far_as_needed():
 
 
 def test_the_integer_routes_build_no_whole_triangle_and_solve_nothing(monkeypatch):
-    """Every entry of `EXPLICIT`, the rational `hs-bell` and `cakic-bell`
-    too, streams engine rows and solves no connection."""
+    """The explicit formula of every sum of `SUMS`, the rational `hs-bell`
+    and `cakic-bell` too, streams engine rows and solves no connection."""
 
     def refuse(*args, **kwargs):
         raise AssertionError("built a whole triangle or solved a connection")
@@ -106,9 +106,9 @@ def test_the_integer_routes_build_no_whole_triangle_and_solve_nothing(monkeypatc
         "hs-bell": named((Fraction(1, 2), Fraction(1, 3), 2)),
         "cakic-bell": {"alpha": 2},
     }
-    assert set(points) == set(EXPLICIT)
+    assert set(points) == set(SUMS)
     for name, params in points.items():
-        assert explicit_sum(name, params, n) == families.row_sum(families.SUMS[name], params, n)
+        assert explicit_sum(name, params, n) == families.row_sum(SUMS[name].family, params, n)
         assert explicit_sequence(name, params, n)[n] == explicit_sum(name, params, n)
     hs_bell = explicit_sum("hs-bell", points["hs-bell"], n)
     assert unified.hs_bell_explicit(n, (Fraction(1, 2), Fraction(1, 3), 2)) == hs_bell
@@ -116,7 +116,7 @@ def test_the_integer_routes_build_no_whole_triangle_and_solve_nothing(monkeypatc
     assert rnumbers.r_dowling_explicit(n, 2, 2) == explicit_sum("r-dowling", {"m": 2, "r": 2}, n)
 
 
-# Two or more parameter points of each sum of `EXPLICIT`; `bell` has one.
+# Two or more parameter points of each sum of `SUMS`; `bell` has one.
 EXPLICIT_POINTS = {
     "bell": ({},),
     "dowling": tuple({"alpha": alpha} for alpha in ALPHAS),
@@ -127,12 +127,12 @@ EXPLICIT_POINTS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(EXPLICIT))
+@pytest.mark.parametrize("name", sorted(SUMS))
 def test_each_explicit_formula_is_its_sum(monkeypatch, name):
-    """Each entry of `EXPLICIT` reads the rows of the sum's own family W and
-    of a Lah-type family L, and equals the sum's production row sums, with
-    no whole triangle built."""
-    assert set(EXPLICIT_POINTS) == set(EXPLICIT)
+    """Each sum's explicit formula reads the rows of the sum's own family W
+    and of its Lah-type family L, and equals the sum's production row sums,
+    with no whole triangle built."""
+    assert set(EXPLICIT_POINTS) == set(SUMS)
 
     def refuse(*args, **kwargs):
         raise AssertionError("built a whole triangle")
@@ -145,7 +145,7 @@ def test_each_explicit_formula_is_its_sum(monkeypatch, name):
 
     monkeypatch.setattr(families, "triangle", refuse)
     monkeypatch.setattr(families, "rows", rows)
-    second, lah = families.SUMS[name], EXPLICIT[name][0]
+    second, lah = SUMS[name].family, SUMS[name].lah
     assert lah in identities.LAH_TYPES or lah == "hs-lah"
     for params in EXPLICIT_POINTS[name]:
         read.clear()

@@ -13,7 +13,7 @@ from functools import partial
 
 import pytest
 
-from dowling import basis, classic, families, identities, triangles
+from dowling import basis, families, identities, triangles
 from dowling.cli import main
 from dowling.exactmath import IntegralityError
 from dowling.identities import LAH_TYPES, REGISTRY, SPECIALIZATIONS, Inverse, Tables, lah_route, report
@@ -289,13 +289,13 @@ def test_a_sequence_route_of_the_wrong_length_fails(capsys, monkeypatch, change,
     """A sequence route one term short, or one term long, fails once, at
     the first n that one side lacks, with exit code 1: its terms are
     compared as one-entry rows."""
-    real = classic.explicit_sequence
+    real = families.explicit_sequence
 
     def explicit_sequence(name, params, nmax):
         terms = real(name, params, nmax)
         return terms[:change] if change < 0 else terms + [0] * change
 
-    monkeypatch.setattr(classic, "explicit_sequence", explicit_sequence)
+    monkeypatch.setattr(families, "explicit_sequence", explicit_sequence)
     code, out, _ = run(capsys, "verify", "--identity", "qi")
     assert code == 1 and json.loads(out)["pass"] is False
     assert json.loads(out)["failures"] == [{"n": n, "k": None, "expected": expected, "actual": actual}]
@@ -414,7 +414,7 @@ def test_a_wrong_entry_of_one_factor_fails_at_its_row(capsys, monkeypatch):
 def test_a_failing_case_lists_its_first_failures(capsys, monkeypatch):
     """A route or sequence lists at most its first 20 failures, then one
     failure at no (n, k) that counts the rest, under the case's label."""
-    real_rows, real_sequence = families.rows, classic.explicit_sequence
+    real_rows, real_sequence = families.rows, families.explicit_sequence
 
     def rows(name, params, nmax, *args):
         table = real_rows(name, params, nmax, *args)
@@ -430,7 +430,7 @@ def test_a_failing_case_lists_its_first_failures(capsys, monkeypatch):
     assert all(f["expected"].startswith("lah: ") for f in failures)
     assert failures[20] == {"n": None, "k": None, "expected": "lah: 20 failures listed", "actual": "46 more"}
 
-    monkeypatch.setattr(classic, "explicit_sequence", lambda *args: [v + 1 for v in real_sequence(*args)])
+    monkeypatch.setattr(families, "explicit_sequence", lambda *args: [v + 1 for v in real_sequence(*args)])
     code, out, _ = run(capsys, "verify", "--identity", "qi")
     failures = json.loads(out)["failures"]
     assert code == 1 and [f["n"] for f in failures] == [*range(20), None]

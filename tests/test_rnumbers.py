@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 
 from dowling import basis, families
-from dowling.classic import explicit_sum
 from dowling.exactmath import IntegralityError
+from dowling.families import explicit_sum
 from dowling.identities import lah_route
 from dowling.oracle import PartitionSpec, count_all_partitions, count_partitions
 from dowling.rnumbers import (
