@@ -8,9 +8,9 @@ table, `families.SUMS`: each sum's family and the paper's explicit formula
 for it, read by `explicit_sequence` and `explicit_sum`.  The other
 verification routes live in their modules (`classic`, `whitney`, `rnumbers`,
 `unified`, `basis`), each an independent way to the same numbers, and the
-identity registry that checks them against the engine is
-`dowling.identities`; all are imported on demand, so the CLI loads none of
-them before `verify`.
+identity registry that checks them against the engine, with the paper's
+reference tables, is `dowling.identities`; all are imported on demand, so
+the CLI loads none of them before `verify` or `paper-tables`.
 """
 
 from . import families

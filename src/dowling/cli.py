@@ -328,95 +328,26 @@ def _worker(fd: int, pipe: int, rows, m: int, start: int, line, tail: str, size)
 
 
 # ---------------------------------------------------------------------------
-# reference tables bundled for the paper-tables command
-
-
-# Whitney-Lah rows 0..3: each entry a polynomial in alpha, by its coefficients.
-WHITNEY_LAH_ALPHA_POLYS = (
-    ((1,),),
-    ((-2,), (-1,)),
-    ((4, 2), (4, 2), (1,)),
-    ((-8, -12, -4), (-12, -18, -6), (-6, -6), (-1,)),
-)
-
-
-def _paper_tables() -> tuple:
-    """(label, computed, bundled) of every reference table and worked check.
-
-    The Whitney-Lah rows are checked as polynomials in the step: each entry
-    of rows 0..3 is a polynomial of degree at most 3 in alpha, so agreement
-    at the four steps 1..4 pins it, and its interpolant is the bundled one.
-    """
-
-    def rows(family, params, nmax):
-        return families.triangle(family, params, nmax).rows
-
-    def column(name, params, count):
-        return tuple(_sum_value(name, params, n) for n in range(count))
-
-    def polys_at(alpha):
-        polys = WHITNEY_LAH_ALPHA_POLYS
-        return tuple(tuple(sum(c * alpha**i for i, c in enumerate(p)) for p in row) for row in polys)
-
-    explicit = families.explicit_sum
-    steps = (1, 2, 3, 4)
-    rwl = rows("r-whitney-lah", {"m": 2, "r": 2}, 4)
-    return (
-        (
-            "whitney-lah rows 0..3, symbolic step (4 points + interpolation)",
-            tuple(rows("whitney-lah", {"alpha": a}, 3) for a in steps),
-            tuple(map(polys_at, steps)),
-        ),
-        (
-            "whitney2 alpha=3 rows 0..3",
-            rows("whitney2", {"alpha": 3}, 3),
-            ((1,), (1, 1), (1, 5, 1), (1, 21, 12, 1)),
-        ),
-        ("dowling alpha=3 column", column("dowling", {"alpha": 3}, 4), (1, 2, 7, 35)),
-        (
-            "r-lah r=2 rows 0..5",
-            rows("r-lah", {"r": 2}, 5),
-            ((1,), (4, 1), (20, 10, 1), (120, 90, 18, 1), (840, 840, 252, 28, 1), (6720, 8400, 3360, 560, 40, 1)),
-        ),
-        (
-            "r-stirling2 r=2 rows 0..5",
-            rows("r-stirling2", {"r": 2}, 5),
-            ((1,), (2, 1), (4, 5, 1), (8, 19, 9, 1), (16, 65, 55, 14, 1), (32, 211, 285, 125, 20, 1)),
-        ),
-        ("r-bell r=2 column", column("r-bell", {"r": 2}, 6), (1, 3, 10, 37, 151, 674)),
-        (
-            "r-whitney2 m=2 r=2 rows 0..4",
-            rows("r-whitney2", {"m": 2, "r": 2}, 4),
-            ((1,), (2, 1), (4, 6, 1), (8, 28, 12, 1), (16, 120, 100, 20, 1)),
-        ),
-        ("r-dowling m=2 r=2 column", column("r-dowling", {"m": 2, "r": 2}, 5), (1, 3, 11, 49, 257)),
-        (
-            "r-whitney-lah m=2 r=2 rows 0..4",
-            rwl,
-            ((1,), (4, 1), (24, 12, 1), (192, 144, 24, 1), (1920, 1920, 480, 40, 1)),
-        ),
-        ("r-whitney-lah m=2 r=2 row sums", tuple(map(sum, rwl)), (1, 5, 37, 361, 4361)),
-        ("worked check: dowling-explicit(3, alpha=3) = 35", explicit("dowling", {"alpha": 3}, 3), 35),
-        (
-            "worked check: bell(4) = 15 via unit-step dowling",
-            (_sum_value("bell", {}, 4), _sum_value("dowling", {"alpha": 1}, 3)),
-            (15, 15),
-        ),
-        ("worked check: r-bell-explicit(3, r=2) = 37", explicit("r-bell", {"r": 2}, 3), 37),
-        ("worked check: r-dowling-explicit(4, m=2, r=2) = 257", explicit("r-dowling", {"m": 2, "r": 2}, 4), 257),
-    )
+# the paper's reference tables and worked checks
 
 
 def run_paper_tables(out) -> int:
-    """Regenerate every bundled reference table and worked check, writing
-    one line each to `out`; return the number of mismatches."""
+    """Run every case of `identities.PAPER_TABLES`, writing one line each to
+    `out`: "ok", or "MISMATCH" with the failures its shapes list; return the
+    number of mismatches."""
+    # Imported here, like the registry in `cmd_verify`: every other command
+    # would pay for it at start.
+    from .identities import PAPER_TABLES
+
     problems = 0
-    for label, computed, bundled in _paper_tables():
-        if computed == bundled:
-            print(f"ok        {label}", file=out)
-        else:
-            print(f"MISMATCH  {label}  {computed}", file=out)
+    for label, nmax, cases in PAPER_TABLES:
+        failures = [item for case in cases for item in case(nmax)]
+        if failures:
+            listed = "; ".join("({n}, {k}) expected {expected}, actual {actual}".format(**item) for item in failures)
+            print(f"MISMATCH  {label}  {listed}", file=out)
             problems += 1
+        else:
+            print(f"ok        {label}", file=out)
     print("all reference tables match" if not problems else f"{problems} mismatch(es)", file=out)
     return problems
 

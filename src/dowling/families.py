@@ -10,9 +10,10 @@ do not roll the engine: each sum family has weights (1, a, b, c), and
 product of n factors where b = 0, integer or rational alike.  `SUMS` also
 declares the paper's explicit formula for each sum, over the rows of its
 family and of a Lah-type family; `explicit_sequence` and `explicit_sum`
-compute it, the one verification route kept here.  Connection solves,
-polynomial expansions and the other closed forms stay in the family modules
-as verification routes.
+compute it, the one verification route kept here.  The connection solve is
+`basis.scaled_solve`; the Lah types' closed form and polynomial expansions
+are `triangles.explicit_row`, `vertical_rows` and `horizontal_rows`, read
+through `identities.lah_route`.
 
 Rational parameters never put a Fraction inside the recurrence.  With D the
 lcm of the denominators of the weights, the scaled weights D*(a*n + b*k + c)

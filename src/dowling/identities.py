@@ -1,12 +1,15 @@
 """The identity registry: every identity the package verifies, declared once
-as data.  `dowling verify` and the acceptance suite both run it.
+as data.  `dowling verify` and the acceptance suite both run it, and
+`dowling paper-tables` runs `PAPER_TABLES`, the paper's reference tables and
+worked checks, over the same shapes.
 
 An identity is a check plus its default size, parameters and notes.  A
 check is a shape, or a tuple of shapes whose failures the report lists in
 order.  Every reference and route of a shape is called as fn(nmax, **point),
 where the point holds the identity's parameters other than nmax.  The shapes:
 
-- `Tables`: a production row stream against route row streams, entrywise;
+- `Tables`: a reference row stream, of the production path or of the
+  values the paper prints, against route row streams, entrywise;
   a sequence is declared as one (`_sequences`), its terms one-entry rows,
   and so is `log-concavity`, each row's verdict against "log-concave";
 - `Inverse`: the product of two row streams is the identity matrix,
@@ -483,6 +486,71 @@ REGISTRY = {
     )
 }
 
+
+# ---------------------------------------------------------------------------
+# the paper's reference tables and worked checks
+
+
+def _printed(family, params, rows, label=None):
+    """The printed `rows` against a family's production rows at `params`."""
+    return Tables(lambda nmax: rows, ((partial(_rows(family), **params), 0),), label=label)
+
+
+def _column(terms, route):
+    """The printed `terms` at n = 0.. against route(nmax), as `_sequences`."""
+    return _sequences(lambda nmax: terms, route)
+
+
+def _worked(value, route):
+    """A worked check: `value` against route(nmax), a one-entry sequence."""
+    return _column((value,), lambda nmax: (route(nmax),))
+
+
+def _explicit_at(name, **params):
+    """The sum `name` of `families.SUMS` at n by `families.explicit_sum`."""
+    return lambda n: families.explicit_sum(name, params, n)
+
+
+# Whitney-Lah rows 0..3 as printed: each entry a polynomial in alpha, by its
+# coefficients.  Its degree is at most 3, so agreement at alpha = 1..4 pins it.
+_WHITNEY_LAH_POLYS = (
+    ((1,),),
+    ((-2,), (-1,)),
+    ((4, 2), (4, 2), (1,)),
+    ((-8, -12, -4), (-12, -18, -6), (-6, -6), (-1,)),
+)
+
+
+def _whitney_lah_at(alpha):
+    """The printed Whitney-Lah rows at one step against the production rows."""
+    rows = tuple(tuple(sum(c * alpha**i for i, c in enumerate(p)) for p in row) for row in _WHITNEY_LAH_POLYS)
+    return _printed("whitney-lah", {"alpha": alpha}, rows, f"alpha={alpha}")
+
+
+# What `dowling paper-tables` checks, in the order it prints them: (label,
+# nmax, cases), each case a shape called at nmax against the printed values.
+PAPER_TABLES = (
+    ("whitney-lah rows 0..3, symbolic step (4 points + interpolation)", 3, tuple(map(_whitney_lah_at, (1, 2, 3, 4)))),
+    ("whitney2 alpha=3 rows 0..3", 3, (_printed("whitney2", {"alpha": 3}, ((1,), (1, 1), (1, 5, 1), (1, 21, 12, 1))),)),
+    ("dowling alpha=3 column", 3, (_column((1, 2, 7, 35), partial(_sums("whitney2"), alpha=3)),)),
+    ("r-lah r=2 rows 0..5", 5, (_printed("r-lah", {"r": 2}, (
+        (1,), (4, 1), (20, 10, 1), (120, 90, 18, 1), (840, 840, 252, 28, 1), (6720, 8400, 3360, 560, 40, 1))),)),
+    ("r-stirling2 r=2 rows 0..5", 5, (_printed("r-stirling2", {"r": 2}, (
+        (1,), (2, 1), (4, 5, 1), (8, 19, 9, 1), (16, 65, 55, 14, 1), (32, 211, 285, 125, 20, 1))),)),
+    ("r-bell r=2 column", 5, (_column((1, 3, 10, 37, 151, 674), partial(_sums("r-stirling2"), r=2)),)),
+    ("r-whitney2 m=2 r=2 rows 0..4", 4, (_printed("r-whitney2", {"m": 2, "r": 2}, (
+        (1,), (2, 1), (4, 6, 1), (8, 28, 12, 1), (16, 120, 100, 20, 1))),)),
+    ("r-dowling m=2 r=2 column", 4, (_column((1, 3, 11, 49, 257), partial(_sums("r-whitney2"), m=2, r=2)),)),
+    ("r-whitney-lah m=2 r=2 rows 0..4", 4, (_printed("r-whitney-lah", {"m": 2, "r": 2}, (
+        (1,), (4, 1), (24, 12, 1), (192, 144, 24, 1), (1920, 1920, 480, 40, 1))),)),
+    ("r-whitney-lah m=2 r=2 row sums", 4, (_column((1, 5, 37, 361, 4361), partial(_sums("r-whitney-lah"), m=2, r=2)),)),
+    ("worked check: dowling-explicit(3, alpha=3) = 35", 3, (_worked(35, _explicit_at("dowling", alpha=3)),)),
+    ("worked check: bell(4) = 15 via unit-step dowling", 3, (
+        _worked(15, lambda n: families.row_sum("stirling2", {}, n + 1)),
+        _worked(15, lambda n: families.row_sum("whitney2", {"alpha": 1}, n)))),
+    ("worked check: r-bell-explicit(3, r=2) = 37", 3, (_worked(37, _explicit_at("r-bell", r=2)),)),
+    ("worked check: r-dowling-explicit(4, m=2, r=2) = 257", 4, (_worked(257, _explicit_at("r-dowling", m=2, r=2)),)),
+)
 
 # ---------------------------------------------------------------------------
 # running

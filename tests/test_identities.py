@@ -1,9 +1,10 @@
 """The identity registry: every table, sequence and inverse-pair case can
-fail, a failing case lists at most 20 failures, every specialization fails
-on a sign error, `verify` builds every engine family, `verify` takes only
-the parameters an identity declares, the Lah-type families are what
-`LAH_TYPES` declares them to be, and a wrong weight of any engine family is
-caught by the identities that read it."""
+fail, and so can every case of the paper's tables, a failing case lists at
+most 20 failures, every specialization fails on a sign error, `verify`
+builds every engine family, `verify` takes only the parameters an identity
+declares, the Lah-type families are what `LAH_TYPES` declares them to be,
+and a wrong weight of any engine family is caught by the identities that
+read it."""
 
 import importlib.util
 import json
@@ -16,7 +17,7 @@ import pytest
 from dowling import basis, families, identities, triangles
 from dowling.cli import main
 from dowling.exactmath import IntegralityError
-from dowling.identities import LAH_TYPES, REGISTRY, SPECIALIZATIONS, Inverse, Tables, lah_route, report
+from dowling.identities import LAH_TYPES, PAPER_TABLES, REGISTRY, SPECIALIZATIONS, Inverse, Tables, lah_route, report
 
 
 def run(capsys, *argv):
@@ -117,6 +118,38 @@ def test_every_table_and_sequence_check_can_fail(capsys, monkeypatch):
         failures = json.loads(out)["failures"]
         assert code == 1, (name, family)
         assert any((f["n"], f["k"]) == where and f["expected"].startswith(prefix) for f in failures), (name, family)
+
+
+def test_every_paper_case_can_fail(capsys, monkeypatch):
+    """Make one entry of each production family that a case of
+    `PAPER_TABLES` reads one more, at the last row or sum its route reads
+    (nmax, or nmax + 1 for the Bell number one past the unit-step Dowling
+    number): `paper-tables` exits 1, the case's line is a MISMATCH naming
+    where its route changed, and the last line counts the MISMATCH lines."""
+    failed = set()
+    for label, nmax, cases in PAPER_TABLES:
+        for case in cases:
+            ((route, _),) = case.routes
+            read = partial(route, nmax)
+            sources, before = _sources(monkeypatch, read), list(read())
+            assert sources, label
+            for entry, family in sources:
+                for n0 in (nmax + 1, nmax):
+                    with monkeypatch.context() as patch:
+                        _perturb(patch, entry, family, n0, 1 if entry == "rows" else None)
+                        after = list(read())
+                        code, out, _ = run(capsys, "paper-tables")
+                    if after != before:
+                        break
+                else:
+                    pytest.fail(f"no entry of {family} read by {label!r} changes it")
+                n, k = _first_change(before, after)
+                *lines, last = out.splitlines()
+                mismatches = [line for line in lines if line.startswith("MISMATCH  ")]
+                assert code == 1 and last == f"{len(mismatches)} mismatch(es)", (label, family)
+                assert any(line.startswith(f"MISMATCH  {label}  ") and f"({n}, {k})" in line for line in mismatches)
+                failed.add(label)
+    assert failed == {label for label, _, _ in PAPER_TABLES}
 
 
 def test_qi_streams_the_stirling_rows_once(capsys, monkeypatch):

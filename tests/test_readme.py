@@ -1,7 +1,12 @@
-"""The library example in README.md runs as written."""
+"""The library example in README.md runs as written, and the README names
+every family, sum and identity that the package has."""
 
 import doctest
+import re
 from pathlib import Path
+
+from dowling import cli, families
+from dowling.identities import REGISTRY
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -9,3 +14,18 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 def test_readme_example():
     result = doctest.testfile(str(README), module_relative=False)
     assert result.attempted > 0 and result.failed == 0
+
+
+def _listed(start, end) -> list:
+    """The backquoted names of the README from `start` to the next `end`."""
+    text = README.read_text(encoding="utf-8")
+    begin = text.index(start) + len(start)
+    return re.findall(r"`([^`]+)`", text[begin : text.index(end, begin)])
+
+
+def test_readme_lists_every_family_sum_and_identity():
+    assert sorted(_listed("Triangle families:", "Sum families:")) == sorted(families.FAMILIES)
+    assert sorted(_listed("Sum families:", "\n\n")) == sorted(cli.SUMS)
+    identities = _listed("Identities for `verify`:", "(the last needs")
+    assert sorted(identities) == sorted(REGISTRY)
+    assert [name for name, ident in REGISTRY.items() if ident.needs_oracle] == identities[-1:]
