@@ -22,6 +22,8 @@ from .triangles import Triangle
 
 def _scaled_triple(family: str, params: dict) -> tuple:
     """(D, the family's triple times D as ints, whether it is signed)."""
+    if family not in families.TRIPLES:
+        raise ValueError(f"family {family!r} has no Hsu-Shiue triple")
     triple, signed = families.TRIPLES[family]
     params = families._validate(family, params)
     scale = families._denominator(params.values())
@@ -64,6 +66,8 @@ def egf_rows(family: str, params: dict, nmax: int, kmax: int | None = None) -> l
     prod_{i=1}^{n-1} (D beta - i D alpha), f_0 = 0, negated if signed."""
     if nmax < 0:
         raise ValueError("nmax must be nonnegative")
+    if kmax is not None and kmax < 0:
+        raise ValueError("kmax must be nonnegative")
     _, (alpha, beta, gamma), signed = _scaled_triple(family, params)
     g, f = [1], [0, -1 if signed else 1]
     for n in range(1, nmax + 1):

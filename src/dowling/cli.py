@@ -18,6 +18,7 @@ import time
 from collections import namedtuple
 from contextlib import contextmanager
 from fractions import Fraction
+from functools import partial
 from itertools import chain, islice
 
 from . import families
@@ -29,24 +30,19 @@ class UsageError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# families and sums: the table in `families`, plus `qi-bell`, the Bell
-# numbers by the explicit formula of `families.SUMS["bell"]` (Qi's), which
-# is no row sum
+# the sums the CLI prints, each as the parameters it takes and its value at
+# (params, n): the row sum of its `families.SUMS` family, and `qi-bell`, the
+# Bell numbers by the explicit formula of `families.SUMS["bell"]` (Qi's),
+# which is no row sum
 
 
-SUMS = {**families.SUMS, "qi-bell": None}
+_Sum = namedtuple("_Sum", ("needs", "value"))
 
-
-def _sum_needs(name: str) -> tuple:
-    entry = SUMS[name]
-    return () if entry is None else FAMILIES[entry.family].needs
-
-
-def _sum_value(name: str, params: dict, n: int):
-    entry = SUMS[name]
-    if entry is None:
-        return families.explicit_sum("bell", {}, n)
-    return families.row_sum(entry.family, params, n)
+SUMS = {
+    name: _Sum(FAMILIES[entry.family].needs, partial(families.row_sum, entry.family))
+    for name, entry in families.SUMS.items()
+}
+SUMS["qi-bell"] = _Sum((), partial(families.explicit_sum, "bell"))
 
 
 _PARAMS = ("m", "r", "alpha", "beta", "gamma")
@@ -69,10 +65,6 @@ def _collect_params(needs, args) -> dict:
             raise UsageError(f"missing required parameter --{name}")
         params[name] = _parse_param(name, raw)
     return params
-
-
-def _params_as_strings(params: dict) -> dict:
-    return {key: str(value) for key, value in params.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +179,8 @@ def triangle_json(table, family: str, params: dict, out, split: bool = False) ->
     for obj = {"family", "params", "nmax", "rows"}, its values strings."""
     import json
 
-    head = {"family": family, "params": _params_as_strings(params), "nmax": table.nmax}
+    params = {key: str(value) for key, value in params.items()}
+    head = {"family": family, "params": params, "nmax": table.nmax}
     # Drop the closing "\n}" and go on with the rows; an entry's str needs no
     # JSON escape.
     head = json.dumps(head, indent=2)[:-2] + ',\n  "rows": ['
@@ -392,8 +385,6 @@ def cmd_triangle(args) -> int:
     width is known (see `render_table`).
     The --out file is opened here to be written from its start, so a large
     integer triangle may go out from two processes (see `_split_row`)."""
-    if args.family not in FAMILIES:
-        raise UsageError(f"unknown family {args.family!r}; known: {', '.join(sorted(FAMILIES))}")
     table = _decimal_rows(args.family, args.params, args.nmax)
     split = bool(args.out)
     with _output(args.out) as out, decimal.localcontext(EXACT_DECIMALS):
@@ -407,41 +398,34 @@ def cmd_triangle(args) -> int:
 
 
 def cmd_sum(args) -> int:
-    if args.family not in SUMS:
-        raise UsageError(f"unknown sum family {args.family!r}; known: {', '.join(sorted(SUMS))}")
-    value = _sum_value(args.family, args.params, args.nmax)
-    _emit(str(value) + "\n", args.out)
+    _emit(str(args.entry.value(args.params, args.nmax)) + "\n", args.out)
     return 0
 
 
 def cmd_verify(args) -> int:
+    """Write the report of the identity `_check_args` resolved, or with
+    `all` {"pass", "identities"} over every identity the oracle flag allows."""
     # Imported here, like `json` in the JSON writers: every other command
     # would pay for them at start.
     import json
 
     from . import identities
-    from .identities import REGISTRY
 
-    if args.identity == "all":
-        chosen = [ident for ident in REGISTRY.values() if ident.needs_oracle <= args.with_oracle]
+    if args.entry is None:
+        chosen = [ident for ident in identities.REGISTRY.values() if ident.needs_oracle <= args.with_oracle]
         given = [identities.taken(ident, args.params) for ident in chosen]
-        unused = set(args.params).difference(*given)
-        if unused:
-            raise UsageError(f"no identity takes --{min(unused)} as given")
-        reports = [identities.report(ident, g, args.nmax) for ident, g in zip(chosen, given)]
-        ok = all(r["pass"] for r in reports)
-        _emit(json.dumps({"pass": ok, "identities": reports}, indent=2) + "\n", args.out)
-        return 0 if ok else 1
-    ident = REGISTRY.get(args.identity)
-    if ident is None:
-        raise UsageError(
-            f"unknown identity {args.identity!r}; known: {', '.join(sorted(REGISTRY))} or 'all'"
-        )
-    if ident.needs_oracle and not args.with_oracle:
-        raise UsageError(f"identity {ident.name!r} needs --with-oracle")
-    report = identities.report(ident, args.params, args.nmax)
-    _emit(json.dumps(report, indent=2) + "\n", args.out)
-    return 0 if report["pass"] else 1
+    else:
+        if args.entry.needs_oracle and not args.with_oracle:
+            raise UsageError(f"identity {args.entry.name!r} needs --with-oracle")
+        chosen, given = [args.entry], [args.params]
+    unused = set(args.params).difference(*given)
+    if unused:
+        raise UsageError(f"no identity takes --{min(unused)} as given")
+    reports = [identities.report(ident, g, args.nmax) for ident, g in zip(chosen, given)]
+    ok = all(r["pass"] for r in reports)
+    result = {"pass": ok, "identities": reports} if args.entry is None else reports[0]
+    _emit(json.dumps(result, indent=2) + "\n", args.out)
+    return 0 if ok else 1
 
 
 def cmd_paper_tables(args) -> int:
@@ -453,8 +437,6 @@ def cmd_paper_tables(args) -> int:
 def cmd_bench(args) -> int:
     """Build a family's rows one at a time, timing only the build, and count
     their entries and the bits of the widest numerator or denominator."""
-    if args.family not in FAMILIES:
-        raise UsageError(f"unknown family {args.family!r}")
     elapsed = entries = peak = 0
     start = time.perf_counter()
     for row in families.rows(args.family, args.params, args.nmax):
@@ -536,23 +518,38 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _lookup(kind: str, name: str, table: dict, also: str = ""):
+    entry = table.get(name)
+    if entry is None:
+        raise UsageError(f"unknown {kind} {name!r}; known: {', '.join(sorted(table))}{also}")
+    return entry
+
+
 def _check_args(args) -> None:
-    """Refuse a bad argument combination and set `args.params` to the parsed
-    parameters the command takes."""
-    args.params = {}
-    family = getattr(args, "family", None)
+    """Resolve the name the command is given, as `args.entry`: a family of
+    `FAMILIES`, a sum of `SUMS`, or an identity of the registry (None for
+    `all` and for `paper-tables`).  Then refuse a bad argument combination
+    and set `args.params` to the parsed parameters the command takes."""
+    args.entry, args.params = None, {}
     nmax = getattr(args, "nmax", None)
     given = [name for name in _PARAMS if getattr(args, name, None) is not None]
     if args.command == "verify":
+        # Imported here, as in `run_paper_tables`: every other command would
+        # pay for it at start.
+        from .identities import REGISTRY
+
+        if args.identity != "all":
+            args.entry = _lookup("identity", args.identity, REGISTRY, " or 'all'")
         args.params = _collect_params(given, args)
-    elif family in (SUMS if args.command == "sum" else FAMILIES):
-        needs = _sum_needs(family) if args.command == "sum" else FAMILIES[family].needs
-        extra = [name for name in given if name not in needs]
+    elif args.command != "paper-tables":
+        kind, table = ("sum family", SUMS) if args.command == "sum" else ("family", FAMILIES)
+        args.entry = _lookup(kind, args.family, table)
+        extra = [name for name in given if name not in args.entry.needs]
         if extra:
-            raise UsageError(f"family {family!r} does not take --{extra[0]}")
-        args.params = _collect_params(needs, args)
-    if nmax is None and args.command in ("triangle", "sum", "bench"):
-        raise UsageError("--nmax is required")
+            raise UsageError(f"family {args.family!r} does not take --{extra[0]}")
+        args.params = _collect_params(args.entry.needs, args)
+        if nmax is None:
+            raise UsageError("--nmax is required")
     if nmax is not None and nmax < 0:
         raise UsageError(f"{args.nmax_flag} must be nonnegative")
 
@@ -589,10 +586,7 @@ def main(argv=None) -> int:
         # argparse's own exit, once it has written the help (0) or its usage
         # error (2).
         return exc.code
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, ZeroDivisionError) as exc:
+    except (UsageError, ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

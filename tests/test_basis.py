@@ -297,3 +297,17 @@ def test_both_routes_of_the_triple_match_the_engine(family):
         assert egf_rows(family, point, 14) == want, point
         for kmax in (0, 1, 2, 20):
             assert egf_rows(family, point, 14, kmax) == [row[: kmax + 1] for row in want], (point, kmax)
+
+
+@pytest.mark.parametrize("family", ("hs-lah", "nope"))
+def test_a_family_without_a_triple_is_a_value_error(family):
+    message = f"family {family!r} has no Hsu-Shiue triple"
+    for route in (scaled_solve, solve, egf_rows):
+        with pytest.raises(ValueError, match=message):
+            route(family, {}, 3)
+
+
+def test_egf_rows_refuses_a_negative_kmax():
+    with pytest.raises(ValueError, match="kmax must be nonnegative"):
+        egf_rows("lah", {}, 3, -1)
+    assert egf_rows("lah", {}, 3, 0) == [(1,), (0,), (0,), (0,)]

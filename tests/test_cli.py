@@ -19,7 +19,6 @@ from dowling import basis, cli, families, triangles
 from dowling.cli import (
     EXACT_DECIMALS,
     main,
-    run_paper_tables,
     triangle_json,
     unlimited_int_digits,
 )
@@ -362,6 +361,37 @@ def test_unknown_family_exits_2(capsys):
     assert code == 2 and "unknown family" in err
 
 
+def _unknown(kind: str, known, also: str = "") -> str:
+    return f"error: unknown {kind} 'nope'; known: {', '.join(sorted(known))}{also}\n"
+
+
+# Each command's flag of the name it resolves, and the message of an unknown
+# one: `bench` lists the known families, as `triangle` and `sum` do.
+_UNKNOWN = {
+    "triangle": ("--family", _unknown("family", families.FAMILIES)),
+    "sum": ("--family", _unknown("sum family", cli.SUMS)),
+    "bench": ("--family", _unknown("family", families.FAMILIES)),
+    "verify": ("--identity", _unknown("identity", REGISTRY, " or 'all'")),
+}
+
+
+@pytest.mark.parametrize("command", _UNKNOWN)
+def test_an_unknown_name_is_refused_with_the_known_names(capsys, command):
+    flag, message = _UNKNOWN[command]
+    assert run(capsys, command, flag, "nope", "--nmax", "3") == (2, "", message)
+
+
+@pytest.mark.parametrize("command", _UNKNOWN)
+@pytest.mark.parametrize(
+    "rest",
+    ((), ("--nmax", "-1"), ("--alpha", "x", "--nmax", "3"), ("--alpha", "x", "--nmax", "-1")),
+    ids=("no row count", "negative row count", "unparsed parameter", "both"),
+)
+def test_an_unknown_name_is_refused_before_the_other_checks(capsys, command, rest):
+    flag, message = _UNKNOWN[command]
+    assert run(capsys, command, flag, "nope", *rest) == (2, "", message)
+
+
 def test_missing_parameter_exits_2(capsys):
     code, _, err = run(capsys, "triangle", "--family", "r-lah", "--nmax", "3")
     assert code == 2 and "--r" in err
@@ -415,11 +445,6 @@ def test_paper_tables_all_match(capsys):
     code, out, _ = run(capsys, "paper-tables")
     assert code == 0
     assert out.splitlines() == [f"ok        {label}" for label, _, _ in PAPER_TABLES] + ["all reference tables match"]
-
-
-def test_run_paper_tables_returns_mismatch_count():
-    sink = io.StringIO()
-    assert run_paper_tables(out=sink) == 0
 
 
 def test_bench_runs(capsys):
@@ -856,7 +881,7 @@ def _calls(draw) -> list:
         name = draw(st.sampled_from((*names, "nope")))
         argv += ["--family", name]
         if name in names:
-            takes = cli._sum_needs(name) if command == "sum" else families.FAMILIES[name].needs
+            takes = names[name].needs
     if command == "triangle":
         argv += ["--format", draw(st.sampled_from(("table", "csv", "json")))]
     given = takes if draw(st.booleans()) else draw(st.lists(st.sampled_from(_NAMES), unique=True))
