@@ -291,14 +291,16 @@ def lah_route(kind, family, nmax, **point):
 
 def _counted(family, ordered, top, sign="as printed", r=0) -> tuple:
     """The cases of a family that stop at row min(nmax, `top`): its
-    production rows against the brute-force counts of partitions of n + r
-    elements into k + r blocks, `ordered` or not, the first r elements
-    apart, and unordered, its row sums against the counts of all of them."""
+    production rows against `oracle.count_partitions(n + r, k + r, r,
+    ordered)`, the brute-force counts of partitions of n + r elements into
+    k + r blocks, `ordered` or not, the first r elements apart, and
+    unordered, its row sums against `oracle.count_all_partitions(n + r, r)`,
+    the counts of all of them."""
     point, last = {"r": r} if r else {}, partial(min, top)
 
     def counts(nmax):
         return (
-            tuple(oracle.count_partitions(oracle.PartitionSpec(n + r, k + r, r, ordered)) for k in range(n + 1))
+            tuple(oracle.count_partitions(n + r, k + r, r, ordered) for k in range(n + 1))
             for n in range(last(nmax) + 1)
         )
 

@@ -6,35 +6,16 @@ label or the next fresh one); each partition has exactly one such string, so
 the walk is exhaustive and duplicate-free.  It carries each partition's
 statistics incrementally and tallies them at the leaf: nothing is derived by
 recurrence or closed form.  A hard size guard keeps it at desk scale.
+
+Both queries take plain arguments and read the cached census of a total
+through one checked lookup, `_tallies`.
 """
 
 from __future__ import annotations
 
-from collections import namedtuple
 from functools import lru_cache
 
 SIZE_GUARD = 12
-
-
-def _check(total: int, distinguished: int) -> None:
-    if total < 0:
-        raise ValueError(f"total={total} must be nonnegative")
-    if not 0 <= distinguished <= total:
-        raise ValueError(f"distinguished={distinguished} must lie in 0..total={total}")
-
-
-class PartitionSpec(namedtuple("PartitionSpec", ("total", "blocks", "distinguished", "ordered_blocks"))):
-    """What to count: partitions of {1..total} into `blocks` nonempty blocks,
-    with the first `distinguished` elements pairwise separated; `ordered`
-    counts each block as a linearly ordered list."""
-
-    __slots__ = ()
-
-    def __new__(cls, total: int, blocks: int, distinguished: int = 0, ordered_blocks: bool = False):
-        _check(total, distinguished)
-        if blocks < 0:
-            raise ValueError(f"blocks={blocks} must be nonnegative")
-        return super().__new__(cls, total, blocks, distinguished, ordered_blocks)
 
 
 def _iter_partition_stats(total: int):
@@ -85,24 +66,31 @@ def _census(total: int):
     return _iter_partition_stats(total)
 
 
-def count_partitions(spec: PartitionSpec) -> int:
-    """Count the partitions described by `spec` by exhaustive enumeration."""
-    if spec.total > SIZE_GUARD:
-        raise ValueError(f"total={spec.total} exceeds the size guard ({SIZE_GUARD})")
-    plain, weighted = _census(spec.total)
-    table = weighted if spec.ordered_blocks else plain
-    return sum(
-        count
-        for (blocks, sep), count in table.items()
-        if blocks == spec.blocks and sep >= spec.distinguished
-    )
-
-
-def count_all_partitions(total: int, distinguished: int = 0, ordered: bool = False) -> int:
-    """Count partitions into any number of blocks (same constraints)."""
-    _check(total, distinguished)
+def _tallies(total: int, distinguished: int, ordered: bool, blocks: int = 0):
+    """The (block_count, count) pairs of the census of `total` whose first
+    `distinguished` elements lie in distinct blocks, plain or `ordered`;
+    every argument is checked first."""
+    if total < 0:
+        raise ValueError(f"total={total} must be nonnegative")
+    if not 0 <= distinguished <= total:
+        raise ValueError(f"distinguished={distinguished} must lie in 0..total={total}")
+    if blocks < 0:
+        raise ValueError(f"blocks={blocks} must be nonnegative")
     if total > SIZE_GUARD:
         raise ValueError(f"total={total} exceeds the size guard ({SIZE_GUARD})")
     plain, weighted = _census(total)
     table = weighted if ordered else plain
-    return sum(count for (_, sep), count in table.items() if sep >= distinguished)
+    return ((count_blocks, count) for (count_blocks, sep), count in table.items() if sep >= distinguished)
+
+
+def count_partitions(total: int, blocks: int, distinguished: int = 0, ordered: bool = False) -> int:
+    """Count the partitions of {1..total} into `blocks` nonempty blocks with
+    the first `distinguished` elements pairwise separated, by exhaustive
+    enumeration; `ordered` counts each block as a linearly ordered list."""
+    tallies = _tallies(total, distinguished, ordered, blocks)
+    return sum(count for count_blocks, count in tallies if count_blocks == blocks)
+
+
+def count_all_partitions(total: int, distinguished: int = 0, ordered: bool = False) -> int:
+    """Count partitions into any number of blocks (same constraints)."""
+    return sum(count for _, count in _tallies(total, distinguished, ordered))

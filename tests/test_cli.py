@@ -343,22 +343,11 @@ def test_verify_expb(capsys):
     assert code == 0 and json.loads(out)["pass"] is True
 
 
-def test_verify_unknown_identity_exits_2(capsys):
-    code, _, err = run(capsys, "verify", "--identity", "nonsense")
-    assert code == 2
-    assert "unknown identity" in err
-
-
 def test_verify_oracle_needs_flag(capsys):
     code, _, err = run(capsys, "verify", "--identity", "oracle")
     assert code == 2 and "--with-oracle" in err
     code, out, _ = run(capsys, "verify", "--identity", "oracle", "--with-oracle", "--nmax", "6")
     assert code == 0 and json.loads(out)["pass"] is True
-
-
-def test_unknown_family_exits_2(capsys):
-    code, _, err = run(capsys, "triangle", "--family", "nope", "--nmax", "3")
-    assert code == 2 and "unknown family" in err
 
 
 def _unknown(kind: str, known, also: str = "") -> str:

@@ -1,9 +1,10 @@
 import math
+from functools import partial
 
 import pytest
 
 from dowling import oracle
-from dowling.oracle import PartitionSpec, count_all_partitions, count_partitions
+from dowling.oracle import count_all_partitions, count_partitions
 
 BELL = (1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147, 115975, 678570)
 # OEIS A000262: sets of lists, i.e. partitions weighted by the product of
@@ -32,24 +33,24 @@ def _reference_census(total):
 
 
 def test_stirling_style_counts():
-    assert count_partitions(PartitionSpec(4, 2)) == 7
-    assert count_partitions(PartitionSpec(0, 0)) == 1
-    assert count_partitions(PartitionSpec(5, 5)) == 1
-    assert count_partitions(PartitionSpec(5, 0)) == 0
-    assert count_partitions(PartitionSpec(5, 6)) == 0
+    assert count_partitions(4, 2) == 7
+    assert count_partitions(0, 0) == 1
+    assert count_partitions(5, 5) == 1
+    assert count_partitions(5, 0) == 0
+    assert count_partitions(5, 6) == 0
 
 
 def test_ordered_block_counts():
-    assert count_partitions(PartitionSpec(3, 1, ordered_blocks=True)) == 6
-    assert count_partitions(PartitionSpec(4, 2, ordered_blocks=True)) == 36
-    assert count_partitions(PartitionSpec(6, 6, ordered_blocks=True)) == 1
+    assert count_partitions(3, 1, ordered=True) == 6
+    assert count_partitions(4, 2, ordered=True) == 36
+    assert count_partitions(6, 6, ordered=True) == 1
 
 
 def test_distinguished_elements_must_be_separated():
-    assert count_partitions(PartitionSpec(4, 3, 2, ordered_blocks=True)) == 10
+    assert count_partitions(4, 3, 2, ordered=True) == 10
     # Partitions of {1,2,3} into 2 blocks keeping 1 and 2 apart:
     # {1,3}{2}, {1}{2,3} -- the pair {1,2}{3} is excluded.
-    assert count_partitions(PartitionSpec(3, 2, 2)) == 2
+    assert count_partitions(3, 2, 2) == 2
 
 
 def test_count_all_partitions():
@@ -94,34 +95,38 @@ def test_one_enumeration_per_distinct_total(monkeypatch):
     try:
         for total in (3, 5, 3, 0, 5, 7):
             count_all_partitions(total)
-            count_partitions(PartitionSpec(total, 2))
+            count_partitions(total, 2)
     finally:
         oracle._census.cache_clear()
     assert seen == [3, 5, 0, 7]
 
 
-def test_size_guard():
-    with pytest.raises(ValueError):
-        count_partitions(PartitionSpec(13, 2))
-    with pytest.raises(ValueError):
-        count_all_partitions(13)
-    with pytest.raises(ValueError, match="distinguished=-2"):
-        count_all_partitions(4, -2)
-    with pytest.raises(ValueError, match="total=-1"):
-        count_all_partitions(-1)
-    with pytest.raises(ValueError, match="distinguished=5"):
-        count_all_partitions(4, 5)
+# Both queries read the census through one checked lookup, so each refuses a
+# bad argument with the same message; `count_partitions` is asked for 2 blocks
+# unless the case sets them.
+_QUERIES = {"count_partitions": partial(count_partitions, blocks=2), "count_all_partitions": count_all_partitions}
+_BAD_ARGUMENTS = (
+    ("negative total", {"total": -1}, "total=-1 must be nonnegative"),
+    ("negative distinguished", {"total": 4, "distinguished": -2}, "distinguished=-2 must lie in 0..total=4"),
+    ("distinguished past total", {"total": 4, "distinguished": 5}, "distinguished=5 must lie in 0..total=4"),
+    ("past the size guard", {"total": 13}, "total=13 exceeds the size guard (12)"),
+    ("negative blocks", {"total": 4, "blocks": -1}, "blocks=-1 must be nonnegative"),
+)
 
 
-def test_spec_validation():
-    with pytest.raises(ValueError):
-        PartitionSpec(3, 1, 4)
-    with pytest.raises(ValueError):
-        PartitionSpec(-1, 0)
-    with pytest.raises(ValueError, match="distinguished=-1"):
-        PartitionSpec(4, 2, -1)
-    with pytest.raises(ValueError, match="blocks=-1"):
-        PartitionSpec(4, -1)
+@pytest.mark.parametrize(
+    "query, arguments, message",
+    [
+        pytest.param(query, arguments, message, id=f"{case}-{query}")
+        for case, arguments, message in _BAD_ARGUMENTS
+        for query in _QUERIES
+        if query == "count_partitions" or "blocks" not in arguments
+    ],
+)
+def test_bad_arguments_are_refused(query, arguments, message):
+    with pytest.raises(ValueError) as error:
+        _QUERIES[query](**arguments)
+    assert str(error.value) == message
 
 
 def test_r_families_past_the_verify_clamp():
@@ -133,8 +138,6 @@ def test_r_families_past_the_verify_clamp():
         rs2, rl = families.triangle("r-stirling2", {"r": r}, top), families.triangle("r-lah", {"r": r}, top)
         for n in range(10 if r else 0, top + 1):
             for k in range(n + 1):
-                assert rs2.value(n, k) == count_partitions(PartitionSpec(n + r, k + r, r))
-                assert rl.value(n, k) == count_partitions(
-                    PartitionSpec(n + r, k + r, r, ordered_blocks=True)
-                )
+                assert rs2.value(n, k) == count_partitions(n + r, k + r, r)
+                assert rl.value(n, k) == count_partitions(n + r, k + r, r, ordered=True)
             assert families.row_sum("r-stirling2", {"r": r}, n) == count_all_partitions(n + r, r)

@@ -7,7 +7,7 @@ from dowling import basis, families
 from dowling.exactmath import IntegralityError
 from dowling.families import explicit_sum
 from dowling.identities import lah_route
-from dowling.oracle import PartitionSpec, count_all_partitions, count_partitions
+from dowling.oracle import count_all_partitions, count_partitions
 from dowling.rnumbers import (
     r_dowling_explicit,
     r_whitney_lah_explicit,
@@ -114,9 +114,8 @@ def test_r_families_match_oracle_counts():
         rl = families.triangle("r-lah", {"r": r}, top)
         for n in range(top + 1):
             for k in range(n + 1):
-                assert rs2.value(n, k) == count_partitions(PartitionSpec(n + r, k + r, r))
-                spec = PartitionSpec(n + r, k + r, r, ordered_blocks=True)
-                assert rl.value(n, k) == count_partitions(spec)
+                assert rs2.value(n, k) == count_partitions(n + r, k + r, r)
+                assert rl.value(n, k) == count_partitions(n + r, k + r, r, ordered=True)
             assert families.row_sum("r-stirling2", {"r": r}, n) == count_all_partitions(n + r, r)
 
 
