@@ -13,10 +13,14 @@ where the point holds the identity's parameters other than nmax.  The shapes:
   a sequence is declared as one (`_sequences`), its terms one-entry rows,
   and so is `log-concavity`, each row's verdict against "log-concave";
 - `Inverse`: the product of two row streams is the identity matrix,
-  entrywise, on the scaled ints of a rational pair.
+  entrywise, on the scaled ints of a rational pair;
+- `Reductions`: the rows of `SPECIALIZATIONS` at one Hsu-Shiue triple,
+  called as fn(nmax): hs1 and hs2 are solved there once, each reduction is
+  a `Tables` over the solves, and the solved pair an `Inverse`.
 
-Both compare through `_entrywise`, where a route or product lists at most
-`_LISTED` failures, then one failure counting the rest.
+`Tables` and `Inverse` compare through `_entrywise`, where a route or
+product lists at most `_LISTED` failures, then one failure counting the
+rest.
 
 Parameter rules: an identity takes the parameters among its defaults, or
 the parameter group of its grid; its fixed parameters cannot be set (a
@@ -29,7 +33,6 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from contextvars import ContextVar
 from fractions import Fraction
 from functools import partial
 from itertools import count, islice, zip_longest
@@ -174,41 +177,11 @@ def _signed(table):
 # the reductions of the Hsu-Shiue pair
 
 
-# The solves of the running report by (kind, triple, nmax), a dict `report`
-# sets: the cases of `specializations` at a triple share one of each kind.
-_SOLVES = ContextVar("solves")
-
-
-def _solve_once(kind, triple, nmax):
-    """(D, the scaled rows of `kind`, hs1 or hs2, by `basis.scaled_solve` at
-    a triple (alpha, beta, gamma)), solved once per report."""
-    solves, key = _SOLVES.get({}), (kind, triple, nmax)
-    if key not in solves:
-        solves[key] = basis.scaled_solve(kind, dict(zip(families._HS, triple)), nmax)
-    return solves[key]
-
-
-def _pair_routes(kind, triple) -> tuple:
-    """The routes compared with a reduction's engine table at its triple,
-    each called as fn(nmax): the solved s1, or for a Lah-type reduction
-    ("L") the signed product of the solved s2 and s1 and the engine's
-    `hs-lah`."""
-
-    def solved(name, nmax):
-        scale, rows = _solve_once(name, triple, nmax)
-        return families._read_off(rows, scale)
-
-    if kind == "s1":
-        return ((partial(solved, "hs1"), 0),)
-    return (
-        (lambda nmax: product(solved("hs2", nmax), solved("hs1", nmax), signed=True), 0),
-        (lambda nmax: families.rows("hs-lah", dict(zip(families._HS, triple)), nmax), 0),
-    )
-
-
 # The reductions of the Hsu-Shiue pair, each with the one sign convention it
 # satisfies: (name, convention, engine family and parameters, the triple
-# (alpha, beta, gamma), the kind of its `_pair_routes`, the sign).
+# (alpha, beta, gamma), the routes it is compared with, the sign).  Routes
+# "s1" are the solved s1; routes "L", of a Lah-type reduction, the signed
+# product of the solved s2 and s1 and the engine's `hs-lah`.
 SPECIALIZATIONS = (
     ("whitney-first", "w(n,k) = S(n,k; beta, 0, -1) as printed",
      "whitney1", {"alpha": 3}, (3, 0, -1), "s1", "as printed"),
@@ -232,17 +205,39 @@ SPECIALIZATIONS = (
      "cakic", {"alpha": 2}, (2, 1, 0), "s1", "as printed"),
 )
 
-# Each engine table of `SPECIALIZATIONS` against its routes, entrywise, then
-# the solved pair at each triple, which must be mutually inverse.
-_SPECIALIZATIONS = (
-    *(
-        Tables(partial(_rows(family), **params), _pair_routes(kind, triple), sign, name)
-        for name, _, family, params, triple, kind, sign in SPECIALIZATIONS
-    ),
-    *(
-        Inverse(partial(_solve_once, "hs1", triple), partial(_solve_once, "hs2", triple), f"solved pair at {triple}")
-        for triple in dict.fromkeys(triple for *_, triple, _, _ in SPECIALIZATIONS)
-    ),
+
+class Reductions(namedtuple("Reductions", ("triple", "cases"))):
+    """The rows `cases` of `SPECIALIZATIONS` at one `triple`: hs1 and hs2
+    are solved there once by `basis.scaled_solve`, each case's engine table
+    is compared with its routes over them as a `Tables`, and then the
+    solved pair must be mutually inverse as an `Inverse`."""
+
+    __slots__ = ()
+
+    def __call__(self, nmax):
+        point = dict(zip(families._HS, self.triple))
+        (scale, s1), (_, s2) = pair = [basis.scaled_solve(kind, point, nmax) for kind in ("hs1", "hs2")]
+        routes = {
+            "s1": ((lambda nmax: families._read_off(s1, scale), 0),),
+            "L": (
+                (lambda nmax: product(families._read_off(s2, scale), families._read_off(s1, scale), signed=True), 0),
+                (partial(_rows("hs-lah"), **point), 0),
+            ),
+        }
+        checks = (
+            *(
+                Tables(partial(_rows(family), **params), routes[kind], sign, name)
+                for name, _, family, params, _, kind, sign in self.cases
+            ),
+            Inverse(lambda nmax: pair[0], lambda nmax: pair[1], f"solved pair at {self.triple}"),
+        )
+        return [item for check in checks for item in check(nmax)]
+
+
+# `SPECIALIZATIONS` by triple, in the order the triples first appear.
+_REDUCTIONS = tuple(
+    Reductions(triple, tuple(case for case in SPECIALIZATIONS if case[4] == triple))
+    for triple in dict.fromkeys(case[4] for case in SPECIALIZATIONS)
 )
 
 
@@ -483,7 +478,7 @@ REGISTRY = {
         Identity("hs-ortho", {"nmax": 8}, Inverse(_scaled("hs1"), _solved("hs2")), _HS_GRID),
         Identity("invrel", {"nmax": 9}, Inverse(_solved("hs1"), _scaled("hs2")), _HS_GRID),
         Identity("log-concavity", {"nmax": 20}, Tables(_log_concave, ((_verdicts, 0),)), _MR_GRID, notes=_LOG_CONCAVE),
-        Identity("specializations", {"nmax": 6}, _SPECIALIZATIONS, notes=_CONVENTIONS),
+        Identity("specializations", {"nmax": 6}, _REDUCTIONS, notes=_CONVENTIONS),
         Identity("oracle", {"nmax": 8}, _ORACLE, needs_oracle=True),
     )
 }
@@ -586,17 +581,14 @@ def report(ident: Identity, given: dict | None = None, nmax: int | None = None) 
     params.update(given)
     points = (params,) if given or not ident.grid else ident.grid
     cases = (ident.check,) if callable(ident.check) else ident.check
-    failures, solves = [], _SOLVES.set({})
-    try:
-        for point in points:
-            bad = [item for case in cases for item in case(nmax, **point)]
-            if ident.grid:
-                where = ", ".join(f"{key}={value}" for key, value in point.items())
-                for item in bad:
-                    item["actual"] += f" at {where}"
-            failures += bad
-    finally:
-        _SOLVES.reset(solves)
+    failures = []
+    for point in points:
+        bad = [item for case in cases for item in case(nmax, **point)]
+        if ident.grid:
+            where = ", ".join(f"{key}={value}" for key, value in point.items())
+            for item in bad:
+                item["actual"] += f" at {where}"
+        failures += bad
     out = {
         "identity": ident.name,
         "params": {key: str(value) for key, value in params.items()},

@@ -98,7 +98,8 @@ def test_every_table_and_sequence_check_can_fail(capsys, monkeypatch):
     perturbed alike and pass, so this also catches a route compared with
     itself.  The cases of a tuple check are perturbed one at a time; a
     reference that reads no production family (`log-concavity`'s verdicts)
-    is left out."""
+    is left out, and so are the tables inside `specializations`' cases,
+    which `test_a_wrong_entry_fails_its_specialization` fails alike."""
     cases = [
         (name, ident, case, partial(case.reference, ident.defaults["nmax"], **_default_point(ident)))
         for name, ident in REGISTRY.items()
@@ -106,7 +107,7 @@ def test_every_table_and_sequence_check_can_fail(capsys, monkeypatch):
         if isinstance(case, Tables)
     ]
     cases = [(*case, sources) for case in cases if (sources := _sources(monkeypatch, case[-1]))]
-    assert len(cases) == 46 and sum(case[0] == "oracle" for case in cases) == 12
+    assert len(cases) == 36 and sum(case[0] == "oracle" for case in cases) == 12
     for name, ident, case, reference, ((entry, family),) in cases:
         n0, k0 = ident.defaults["nmax"], 1 if entry == "rows" else None
         before = list(reference())
@@ -250,6 +251,18 @@ def test_a_sign_error_fails_its_specialization(capsys, monkeypatch):
             assert _failing_reductions(capsys) == {name}, name
 
 
+def test_a_wrong_entry_fails_its_specialization(capsys, monkeypatch):
+    """One wrong entry (6, 1) of a reduction's engine table fails that
+    reduction alone, there, under its name."""
+    for name, _, family, *_ in SPECIALIZATIONS:
+        with monkeypatch.context() as patch:
+            _perturb(patch, "rows", family, 6, 1)
+            code, out, _ = run(capsys, "verify", "--identity", "specializations")
+        failures = json.loads(out)["failures"]
+        assert code == 1, name
+        assert {(f["n"], f["k"], f["expected"].split(": ", 1)[0]) for f in failures} == {(6, 1, name)}, name
+
+
 @pytest.mark.parametrize(
     "family, weights, reduction",
     (
@@ -365,9 +378,13 @@ def test_a_route_row_of_another_length_fails_once(capsys, monkeypatch, change):
     assert failures == [{"n": 5, "k": None, "expected": "6 entries", "actual": f"{6 + change} entries"}]
 
 
+_TRIPLES = tuple(dict.fromkeys(triple for *_, triple, _, _ in SPECIALIZATIONS))
+
+
 def test_specializations_solve_each_triple_once(capsys, monkeypatch):
     """The cases of `specializations` at one triple, its reductions and its
-    solved pair, share one solve of hs1 and one of hs2."""
+    solved pair, share one solve of hs1 and one of hs2, made triple by
+    triple in the order the triples first appear in `SPECIALIZATIONS`."""
     real, solved = basis.scaled_solve, []
 
     def scaled_solve(family, params, nmax):
@@ -376,9 +393,29 @@ def test_specializations_solve_each_triple_once(capsys, monkeypatch):
 
     monkeypatch.setattr(basis, "scaled_solve", scaled_solve)
     code, _, _ = run(capsys, "verify", "--identity", "specializations")
-    triples = {triple for *_, triple, _, _ in SPECIALIZATIONS}
-    assert code == 0 and len(triples) == 7
-    assert sorted(solved) == sorted((kind, triple) for kind in ("hs1", "hs2") for triple in triples)
+    assert code == 0 and len(_TRIPLES) == 7
+    assert solved == [(kind, triple) for triple in _TRIPLES for kind in ("hs1", "hs2")]
+
+
+@pytest.mark.parametrize("triple", _TRIPLES, ids=str)
+def test_a_wrong_entry_of_a_solved_pair_fails_under_its_label(capsys, monkeypatch, triple):
+    """One wrong entry (3, 1) of the hs1 rows solved at one triple fails
+    that triple's solved pair in row 3 and at (3, 1), under its label, and
+    no other triple's pair."""
+    real = basis.scaled_solve
+
+    def scaled_solve(family, params, nmax):
+        scale, rows = real(family, params, nmax)
+        if family == "hs1" and tuple(params.values()) == triple:
+            rows = (*rows[:3], (rows[3][0], rows[3][1] + 1, *rows[3][2:]), *rows[4:])
+        return scale, rows
+
+    monkeypatch.setattr(basis, "scaled_solve", scaled_solve)
+    code, out, _ = run(capsys, "verify", "--identity", "specializations")
+    pairs = [f for f in json.loads(out)["failures"] if f["expected"].startswith("solved pair at ")]
+    assert code == 1
+    assert {f["expected"].split(": ", 1)[0] for f in pairs} == {f"solved pair at {triple}"}
+    assert {f["n"] for f in pairs} == {3} and any(f["k"] == 1 for f in pairs)
 
 
 def test_the_declarations_build_no_rows_at_import(monkeypatch):
@@ -416,18 +453,28 @@ def test_a_rational_pair_is_multiplied_on_ints(capsys, monkeypatch):
         assert seen.count("call") == 1 and set(seen) == {"call", int}, name
 
 
+def test_an_inverse_pair_at_two_scales_is_refused():
+    """The factors of an `Inverse` multiply to the identity matrix only as
+    scaled ints at one D, so factors at two scales are a ValueError."""
+    rows = ((1,), (0, 1))
+    case = Inverse(lambda nmax: (1, rows), lambda nmax: (2, rows))
+    with pytest.raises(ValueError, match="an inverse pair needs one scale, got 1 and 2"):
+        case(1)
+
+
 def test_a_wrong_entry_of_one_factor_fails_at_its_row(capsys, monkeypatch):
     """One wrong entry (3, 1) of the first factor of an inverse pair changes
     row 3 of the product alone, and its column 1 since the second factor's
     diagonal is 1 or -1: each `Inverse` case fails there, in that row, under
-    its label."""
+    its label.  The solved pairs inside `specializations`' cases are failed
+    by `test_a_wrong_entry_of_a_solved_pair_fails_under_its_label`."""
     cases = [
         (name, i, case)
         for name, ident in REGISTRY.items()
         for i, case in enumerate(_cases(ident))
         if isinstance(case, Inverse)
     ]
-    assert len(cases) == 18
+    assert len(cases) == 11
     for name, i, case in cases:
 
         def first(nmax, real=case.first, **point):
