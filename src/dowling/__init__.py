@@ -5,12 +5,13 @@ The package exports four names.  Every family and sum is built by one
 engine, `families.triangle(name, params, nmax)` and `families.row_sum(name,
 params, n)`, into one container, `Triangle`.  The six Bell-type sums are one
 table, `families.SUMS`: each sum's family and the paper's explicit formula
-for it, read by `explicit_sequence` and `explicit_sum`.  The other
-verification routes live in their modules (`classic`, `whitney`, `rnumbers`,
-`unified`, `basis`), each an independent way to the same numbers, and the
-identity registry that checks them against the engine, with the paper's
-reference tables, is `dowling.identities`; all are imported on demand, so
-the CLI loads none of them before `verify` or `paper-tables`.
+for it, read by `explicit_sequence` and `explicit_sum`.  The connection
+solve and the EGF rows are `basis`'s; every other verification route sits
+next to the identity that runs it in `dowling.identities`, the registry that
+checks each route against the engine, with the paper's reference tables.
+Both are imported on demand, so the CLI loads neither before `verify` or
+`paper-tables`.  `classic`, `whitney`, `rnumbers` and `unified` keep only
+the names `perfbench/pin.py` calls.
 """
 
 from . import families

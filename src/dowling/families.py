@@ -11,9 +11,9 @@ product of n factors where b = 0, integer or rational alike.  `SUMS` also
 declares the paper's explicit formula for each sum, over the rows of its
 family and of a Lah-type family; `explicit_sequence` and `explicit_sum`
 compute it, the one verification route kept here.  The connection solve is
-`basis.scaled_solve`; the Lah types' closed form and polynomial expansions
-are `triangles.explicit_row`, `vertical_rows` and `horizontal_rows`, read
-through `identities.lah_route`.
+`basis.scaled_solve`; the Lah types' closed form is `triangles.explicit_row`
+and their polynomial expansions `identities.vertical_rows` and
+`horizontal_rows`, all read through `identities.lah_route`.
 
 Rational parameters never put a Fraction inside the recurrence.  With D the
 lcm of the denominators of the weights, the scaled weights D*(a*n + b*k + c)

@@ -22,6 +22,14 @@ where the point holds the identity's parameters other than nmax.  The shapes:
 product lists at most `_LISTED` failures, then one failure counting the
 rest.
 
+The registry holds every verification route that only it runs: the
+Lah-type routes of `lah_route` (the closed form `triangles.explicit_row`
+and the expansions `vertical_rows` and `horizontal_rows`), the partial Bell
+polynomials `partial_bell_rows`, Benoumhani's sum for the Whitney numbers
+`whitney_second_benoumhani_rows` and the log-concavity predicate
+`verify_log_concavity`.  The connection solves and EGF rows are `basis`'s,
+the paper's sum formulas `families.explicit_sum`.
+
 Parameter rules: an identity takes the parameters among its defaults, or
 the parameter group of its grid; its fixed parameters cannot be set (a
 fixed value may be a function of nmax).  An identity with a grid is checked
@@ -38,8 +46,9 @@ from functools import partial
 from itertools import count, islice, zip_longest
 from types import MappingProxyType
 
-from . import basis, classic, families, oracle, rnumbers, whitney
-from .triangles import explicit_row, horizontal_rows, product, vertical_rows
+from . import basis, families, oracle
+from .exactmath import as_integer
+from .triangles import explicit_row, product
 
 
 def _failure(n, k, expected, actual) -> dict:
@@ -143,8 +152,8 @@ def _explicit(name):
 
 def _rows(family):
     """The production rows of a family, `families.rows` looked up at each
-    call, so a test that patches it reaches every reference (and
-    `families.triangle`)."""
+    call, so a test that patches it reaches every reference and route that
+    reads the engine."""
     return lambda nmax, **point: families.rows(family, point, nmax)
 
 
@@ -241,10 +250,47 @@ _REDUCTIONS = tuple(
 )
 
 
-def _bell_polynomials(x):
-    """The rows of the partial Bell polynomials B(n,k) at x_i = x(i), i >= 1,
-    by `classic.partial_bell_rows`, which shares no code with the engine."""
-    return lambda nmax: classic.partial_bell_rows(nmax, [x(i) for i in range(1, nmax + 1)])
+# ---------------------------------------------------------------------------
+# the verification routes that only the registry runs
+
+
+def vertical_rows(lower, nmax: int, c: int, h: int, sign: int):
+    """Yield rows 0..nmax of the column-wise expansion of a Lah-type triangle,
+
+        T(n,k) = sum_{i=0}^{n-k} sign^(i+1) (x|h)_i T(n-1-i, k-1),  x = c + (n-1+k)h,
+
+    with the step-h falling factorial (x|h)_i = x(x-h)...(x-(i-1)h) kept as
+    a running product, all from `lower`, the rows 0..nmax-1 of T.  Column 0
+    below row 0 is the empty sum 0."""
+    yield (1,)
+    for n in range(1, nmax + 1):
+        row = [0]
+        for k in range(1, n + 1):
+            x, total, factor = c + (n - 1 + k) * h, 0, sign
+            for i in range(n - k + 1):
+                total += factor * lower[n - 1 - i][k - 1]
+                factor *= sign * (x - i * h)
+            row.append(total)
+        yield tuple(row)
+
+
+def horizontal_rows(upper, nmax: int, c: int, h: int, sign: int):
+    """Yield rows 0..nmax of the row-wise expansion of a Lah-type triangle
+    from the row below,
+
+        T(n,k) = sum_{i=0}^{n-k} sign (-1)^i [x|h]_i T(n+1, k+i+1),  x = c + (n+k+1)h,
+
+    with the step-h rising factorial [x|h]_i = x(x+h)...(x+(i-1)h) kept as a
+    running product.  Row n reads only row n+1 of `upper`, rows 0..nmax+1."""
+    for n, below in enumerate(islice(upper, 1, nmax + 2)):
+        row = []
+        for k in range(n + 1):
+            x, total, factor = c + (n + k + 1) * h, 0, sign
+            for i in range(n - k + 1):
+                total += factor * below[k + i + 1]
+                factor *= -(x + i * h)
+            row.append(total)
+        yield tuple(row)
 
 
 # The four Lah-type families.  Each is the r-Whitney-Lah triangle at one
@@ -266,22 +312,81 @@ def lah_route(kind, family, nmax, **point):
     "horizontal" or "product" route, its parameters validated with
     `families.check_param` at the call, as an iterator.  The explicit route
     is the closed form sign^n C(n,k) [2r|m]_n / [2r|m]_k of
-    `triangles.explicit_row`.  The expansions run over the family's own
-    engine rows, 0..nmax-1 whole below and 0..nmax+1 streamed above; column
-    0 of the vertical route reads 0 below row 0."""
+    `triangles.explicit_row`.  The expansions `vertical_rows` and
+    `horizontal_rows` run over the family's own engine rows, 0..nmax-1 held
+    below and 0..nmax+1 streamed above; column 0 of the vertical route reads
+    0 below row 0."""
     mr, sign, first, second = LAH_TYPES[family]
     params = {key: families.check_param(key, value) for key, value in point.items()}
     m, r = mr(params)
     if kind == "explicit":
         return (tuple(sign**n * v for v in explicit_row(n, 2 * r, m)) for n in range(nmax + 1))
     if kind == "vertical":
-        return vertical_rows(families.triangle(family, params, max(nmax - 1, 0)), nmax, 2 * r, m, sign)
+        return vertical_rows(tuple(families.rows(family, params, max(nmax - 1, 0))), nmax, 2 * r, m, sign)
     if kind == "horizontal":
         return horizontal_rows(families.rows(family, params, nmax + 1), nmax, 2 * r, m, sign)
     if kind == "product":
         (_, first), (_, second) = first(nmax, **params), second(nmax, **params)
         return product(first, second, signed=sign == -1)
     raise ValueError(f"unknown Lah-type route {kind!r}")
+
+
+def partial_bell_rows(nmax: int, x) -> tuple:
+    """Rows 0..nmax of the partial Bell polynomials B(n,k) at x_i = x(i),
+    i >= 1, by the size i of the block that holds the first element:
+    B(0,0) = 1, B(n,0) = 0 for n >= 1, and
+
+        B(n,k) = sum_{i=1}^{n-k+1} C(n-1,i-1) x_i B(n-i,k-1),
+
+    in O(nmax^3) operations on ints; it shares no code with the engine."""
+    xs, rows = [x(i) for i in range(1, nmax + 1)], [(1,)]
+    for n in range(1, nmax + 1):
+        weights = [math.comb(n - 1, i) * xs[i] for i in range(n)]
+        rows.append(
+            (0, *(sum(weights[i] * rows[n - 1 - i][k - 1] for i in range(n - k + 1)) for k in range(1, n + 1)))
+        )
+    return tuple(rows)
+
+
+def whitney_second_benoumhani_rows(nmax: int, alpha) -> tuple:
+    """Second-kind Whitney rows as Benoumhani's binomial sums over the
+    Stirling rows, W(n,k) = sum_i C(n,i) alpha^(i-k) S(i,k), on ints.  The
+    `whitney2` reference it is compared with validates alpha first."""
+    alpha, s2 = as_integer(alpha), tuple(families.rows("stirling2", {}, nmax))
+    return tuple(
+        tuple(
+            sum(math.comb(n, i) * alpha ** (i - k) * s2[i][k] for i in range(k, n + 1))
+            for k in range(n + 1)
+        )
+        for n in range(nmax + 1)
+    )
+
+
+def verify_log_concavity(row) -> bool:
+    """True iff a row of the r-Whitney-Lah triangle is strictly log-concave,
+    L(n,k-1)*L(n,k+1) < L(n,k)^2, and unimodal."""
+    n = len(row) - 1
+    if n < 2:
+        raise ValueError("log-concavity needs a row with interior entries")
+    peak = max(range(n + 1), key=row.__getitem__)
+    return (
+        all(row[k - 1] * row[k + 1] < row[k] ** 2 for k in range(1, n))
+        and all(row[k] <= row[k + 1] for k in range(peak))
+        and all(row[k] >= row[k + 1] for k in range(peak, n))
+    )
+
+
+def _log_concave(nmax, m, r):
+    """The verdict "log-concave" for rows 2..nmax; rows 0 and 1 have no
+    interior entry and compare as empty rows."""
+    return (("log-concave",) if n > 1 else () for n in range(nmax + 1))
+
+
+def _verdicts(nmax, m, r):
+    """Each r-Whitney-Lah row's verdict by `verify_log_concavity`, over one
+    stream of the rows 0..nmax, those without an interior entry empty."""
+    for row in families.rows("r-whitney-lah", {"m": m, "r": r}, nmax):
+        yield ("log-concave" if verify_log_concavity(row) else "mismatch",) if len(row) > 2 else ()
 
 
 def _counted(family, ordered, top, sign="as printed", r=0) -> tuple:
@@ -359,19 +464,6 @@ def _times_factorial(rows, width):
     return (tuple(math.factorial(k) * v for k, v in enumerate((*row, *[0] * width)[:width])) for row in rows)
 
 
-def _log_concave(nmax, m, r):
-    """The verdict "log-concave" for rows 2..nmax; rows 0 and 1 have no
-    interior entry and compare as empty rows."""
-    return (("log-concave",) if n > 1 else () for n in range(nmax + 1))
-
-
-def _verdicts(nmax, m, r):
-    """Each r-Whitney-Lah row's verdict by `rnumbers.verify_log_concavity`,
-    over one stream of the rows 0..nmax, those without an interior entry empty."""
-    for row in families.rows("r-whitney-lah", {"m": m, "r": r}, nmax):
-        yield ("log-concave" if rnumbers.verify_log_concavity(row) else "mismatch",) if len(row) > 2 else ()
-
-
 _HS_GRID = tuple(
     {"alpha": a, "beta": b, "gamma": g}
     for a, b, g in ((0, 1, 2), (0, 2, 2), (1, 0, 0), (Fraction(1, 2), Fraction(1, 3), 2))
@@ -387,7 +479,7 @@ _W_LAH_SQUARE = Inverse(_scaled("whitney-lah"), _scaled("whitney-lah"))  # its o
 _R_WHITNEY_PAIR = Inverse(_signed(_solved("r-whitney1")), _scaled("r-whitney2"))
 # The partial Bell reductions: (engine family, x_i, the sign taking B(n,k) to it).
 _PARTIAL_BELL = tuple(
-    Tables(_rows(family), ((_bell_polynomials(x), 0),), sign, family)
+    Tables(_rows(family), ((partial(partial_bell_rows, x=x), 0),), sign, family)
     for family, x, sign in (
         ("stirling2", lambda i: 1, "as printed"),
         ("lah", math.factorial, "(-1)^n"),
@@ -448,7 +540,7 @@ REGISTRY = {
         Identity(
             "benoumhani",
             {"nmax": 15, "alpha": 3},
-            Tables(_rows("whitney2"), ((whitney.whitney_second_benoumhani_rows, 0),)),
+            Tables(_rows("whitney2"), ((whitney_second_benoumhani_rows, 0),)),
         ),
         Identity("dow1", {"nmax": 10, "alpha": 3}, _sequences(_sums("whitney2"), _explicit("dowling"))),
         Identity("bell-reduction", {"nmax": 12}, _BELL_REDUCTION, notes=_BELL_REDUCTION_NOTES),

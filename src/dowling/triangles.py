@@ -1,14 +1,14 @@
 """The exact lower-triangular table every number family is stored in, the
 one recurrence engine that builds integer tables, the paper's alternating
-Lah/Stirling sum and the triangular matrix product over streamed rows, and
-the whole-table algorithms (transform, row and column expansions) and the
-closed-form Lah-type row of the verification routes."""
+Lah/Stirling sum and the triangular matrix product over streamed rows, the
+whole-table transform, and the closed-form Lah-type row of the verification
+routes."""
 
 from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from itertools import chain, count, islice
+from itertools import chain, count
 
 from .exactmath import as_integer
 
@@ -159,45 +159,6 @@ def transform(table, seq) -> list:
     if len(seq) > len(rows):
         raise ValueError("sequence longer than the table")
     return [sum(v * s for v, s in zip(rows[n], seq)) for n in range(len(seq))]
-
-
-def vertical_rows(lower: Triangle, nmax: int, c: int, h: int, sign: int):
-    """Yield rows 0..nmax of the column-wise expansion of a Lah-type triangle,
-
-        T(n,k) = sum_{i=0}^{n-k} sign^(i+1) (x|h)_i T(n-1-i, k-1),  x = c + (n-1+k)h,
-
-    with the step-h falling factorial (x|h)_i = x(x-h)...(x-(i-1)h) kept as
-    a running product, all from `lower`, which holds rows 0..nmax-1 of T.
-    Column 0 below row 0 is the empty sum 0."""
-    yield (1,)
-    for n in range(1, nmax + 1):
-        row = [0]
-        for k in range(1, n + 1):
-            x, total, factor = c + (n - 1 + k) * h, 0, sign
-            for i in range(n - k + 1):
-                total += factor * lower.rows[n - 1 - i][k - 1]
-                factor *= sign * (x - i * h)
-            row.append(total)
-        yield tuple(row)
-
-
-def horizontal_rows(upper, nmax: int, c: int, h: int, sign: int):
-    """Yield rows 0..nmax of the row-wise expansion of a Lah-type triangle
-    from the row below,
-
-        T(n,k) = sum_{i=0}^{n-k} sign (-1)^i [x|h]_i T(n+1, k+i+1),  x = c + (n+k+1)h,
-
-    with the step-h rising factorial [x|h]_i = x(x+h)...(x+(i-1)h) kept as a
-    running product.  Row n reads only row n+1 of `upper`, rows 0..nmax+1."""
-    for n, below in enumerate(islice(upper, 1, nmax + 2)):
-        row = []
-        for k in range(n + 1):
-            x, total, factor = c + (n + k + 1) * h, 0, sign
-            for i in range(n - k + 1):
-                total += factor * below[k + i + 1]
-                factor *= -(x + i * h)
-            row.append(total)
-        yield tuple(row)
 
 
 def explicit_row(n: int, c: int, h: int) -> tuple:

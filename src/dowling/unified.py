@@ -1,7 +1,4 @@
-"""A verification route of the Hsu-Shiue pair: `hs_bell_explicit`, the
-generalized Bell numbers by the paper's formula in `families.SUMS`.  The
-pair is solved by `basis.scaled_solve`, and `identities.SPECIALIZATIONS`
-declares its reductions to the other families."""
+"""The one name of the Hsu-Shiue generalized Bell numbers that `perfbench/pin.py` calls."""
 
 from __future__ import annotations
 

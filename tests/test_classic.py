@@ -5,9 +5,8 @@ from fractions import Fraction
 import pytest
 
 from dowling import families
-from dowling.classic import partial_bell_rows
 from dowling.families import explicit_sum
-from dowling.identities import lah_route
+from dowling.identities import lah_route, partial_bell_rows
 from dowling.oracle import count_partitions
 from dowling.triangles import transform
 
@@ -171,34 +170,39 @@ def enumerated_partial_bell(n, k, xs):
     return total.numerator
 
 
+def bell_rows(nmax, xs):
+    """`partial_bell_rows` at the list x_1, x_2, ... = xs."""
+    return partial_bell_rows(nmax, lambda i: xs[i - 1])
+
+
 @pytest.mark.parametrize("seed", range(3))
 def test_partial_bell_recurrence_against_enumeration(seed):
     rng = random.Random(seed)
     xs = [rng.randint(-9, 9) for _ in range(13)]
-    rows = partial_bell_rows(12, xs)
+    rows = bell_rows(12, xs)
     assert [len(row) for row in rows] == list(range(1, 14))
     for n in range(13):
         for k in range(n + 1):
             want = enumerated_partial_bell(n, k, xs) if n else 1
             # B(n,k) reads x_1..x_(n-k+1) alone: zeros after them change nothing.
-            truncated = partial_bell_rows(n, xs[: n - k + 1] + [0] * n)[n][k]
+            truncated = bell_rows(n, xs[: n - k + 1] + [0] * n)[n][k]
             assert rows[n][k] == truncated == want, (n, k)
 
 
 def test_partial_bell_all_ones_is_stirling2():
-    assert partial_bell_rows(8, [1] * 8) == families.triangle("stirling2", {}, 8).rows
+    assert bell_rows(8, [1] * 8) == families.triangle("stirling2", {}, 8).rows
 
 
 def test_partial_bell_diagonal_is_power():
     for x1 in (1, 2, -3):
-        rows = partial_bell_rows(5, [x1, 0, 0, 0, 0])
+        rows = bell_rows(5, [x1, 0, 0, 0, 0])
         assert [rows[n][n] for n in range(1, 6)] == [x1**n for n in range(1, 6)]
 
 
 def test_partial_bell_against_enumeration_oracle():
     xs = [((-1) ** i) * (i + 2) for i in range(7)]
-    rows = partial_bell_rows(6, xs)
-    assert partial_bell_rows(4, [1, 2, 3, 0])[4][2] == brute_partial_bell(4, 2, [1, 2, 3]) == 24
+    rows = bell_rows(6, xs)
+    assert bell_rows(4, [1, 2, 3, 0])[4][2] == brute_partial_bell(4, 2, [1, 2, 3]) == 24
     for n in range(7):
         for k in range(n + 1):
             assert rows[n][k] == brute_partial_bell(n, k, xs)

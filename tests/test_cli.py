@@ -617,18 +617,21 @@ def test_the_cli_loads_five_modules_of_the_package():
 
 def test_importing_the_cli_leaves_the_registry_unloaded():
     # Only `verify` and `paper-tables` need the identity registry and the
-    # route modules it reads; every other command skips their import, and the package itself
-    # imports only its four exports.  Every call pays for what the CLI imports
+    # solves of `basis` it reads; every other command skips their import, and
+    # the package itself imports only its four exports.  The registry holds
+    # its other routes itself, so it loads none of the modules that keep only
+    # the names `perfbench/pin.py` calls.  Every call pays for what the CLI imports
     # at start, so it loads neither `dataclasses` (which imports `inspect`)
     # nor `json`, and the registry no `dataclasses` either; -S keeps a site
     # hook from loading them.
     assert sorted(dowling.__all__) == ["Triangle", "explicit_sequence", "explicit_sum", "families"]
     env = _subprocess_env()
     routes = ("dowling.basis", "dowling.unified", "dowling.rnumbers", "dowling.whitney")
+    pin_only = ("dowling.classic", "dowling.whitney", "dowling.rnumbers", "dowling.unified")
     for module, absent in (
         ("dowling.cli", ("dowling.identities", *routes)),
         ("dowling.cli", ("dataclasses", "inspect", "json")),
-        ("dowling.identities", ("dataclasses",)),
+        ("dowling.identities", ("dataclasses", *pin_only)),
     ):
         check = f"import sys, {module}; sys.exit(' '.join(m for m in {absent!r} if m in sys.modules) or None)"
         result = subprocess.run([sys.executable, "-S", "-c", check], env=env, capture_output=True, text=True)

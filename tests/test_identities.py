@@ -545,6 +545,14 @@ def test_partial_parameter_group_exits_2(capsys):
     assert code == 2 and "--alpha, --beta, --gamma together" in err
 
 
+@pytest.mark.parametrize("alpha", ("0", "1/2"))
+def test_benoumhani_at_an_invalid_alpha_exits_2(capsys, alpha):
+    # The `whitney2` reference validates alpha before Benoumhani's sum, which
+    # has no check of its own, is asked for a row.
+    message = f"error: alpha must be a nonzero integer, got {alpha}\n"
+    assert run(capsys, "verify", "--identity", "benoumhani", "--alpha", alpha) == (2, "", message)
+
+
 def test_whole_parameter_group_replaces_the_grid(capsys):
     code, out, _ = run(
         capsys, "verify", "--identity", "ugexp", "--alpha", "1", "--beta", "0", "--gamma", "0", "--nmax", "3"

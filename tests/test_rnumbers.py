@@ -6,13 +6,9 @@ import pytest
 from dowling import basis, families
 from dowling.exactmath import IntegralityError
 from dowling.families import explicit_sum
-from dowling.identities import lah_route
+from dowling.identities import lah_route, verify_log_concavity
 from dowling.oracle import count_all_partitions, count_partitions
-from dowling.rnumbers import (
-    r_dowling_explicit,
-    r_whitney_lah_explicit,
-    verify_log_concavity,
-)
+from dowling.rnumbers import r_dowling_explicit, r_whitney_lah_explicit
 from dowling.triangles import Triangle, transform
 
 R_STIRLING2_R2 = ((1,), (2, 1), (4, 5, 1), (8, 19, 9, 1), (16, 65, 55, 14, 1), (32, 211, 285, 125, 20, 1))

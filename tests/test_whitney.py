@@ -4,8 +4,8 @@ import pytest
 
 from dowling import families
 from dowling.exactmath import interpolate
-from dowling.identities import lah_route
-from dowling.whitney import dowling_explicit, whitney_second_benoumhani_rows
+from dowling.identities import lah_route, whitney_second_benoumhani_rows
+from dowling.whitney import dowling_explicit
 from dowling.triangles import transform
 
 ALPHAS = (1, 2, 3, 5)
