@@ -3,10 +3,14 @@ as data.  `dowling verify` and the acceptance suite both run it, and
 `dowling paper-tables` runs `PAPER_TABLES`, the paper's reference tables and
 worked checks, over the same shapes.
 
-An identity is a check plus its default size, parameters and notes.  A
-check is a shape, or a tuple of shapes whose failures the report lists in
-order.  Every reference and route of a shape is called as fn(nmax, **point),
-where the point holds the identity's parameters other than nmax.  The shapes:
+An identity is a check plus its default size, parameters and notes, and
+`at_scale`: the sizes and points at which CI checks it beyond its defaults,
+each entry shaped like `defaults` (nmax and the parameters it sets; with
+none, the default point or every grid point).  CI runs every entry through
+`report`; the tests check only the declarations.  A check is a shape, or a
+tuple of shapes whose failures the report lists in order.  Every reference
+and route of a shape is called as fn(nmax, **point), where the point holds
+the identity's parameters other than nmax.  The shapes:
 
 - `Tables`: a reference row stream, of the production path or of the
   values the paper prints, against route row streams, entrywise;
@@ -436,6 +440,7 @@ _ORACLE = (
 _IDENTITY_FIELDS = (
     "name",
     "defaults",  # nmax and the parameters a caller may set, in report order
+    "at_scale",  # entries like `defaults` where CI checks it beyond them
     "check",  # a shape, or a tuple of shapes
     "grid",  # default points of the parameter group, if any
     "fixed",  # parameters a caller may not set, or functions of nmax
@@ -516,62 +521,121 @@ _RWLAH = "explicit, product, vertical and horizontal routes against the recurren
 _LOG_CONCAVE = "product-form strict log-concavity; the sum form is implied at these sizes"
 _CONVENTIONS = "; ".join(f"{name}: {convention}" for name, convention, *_ in SPECIALIZATIONS)
 
+# The `at_scale` sizes run in about 2 s or less each on a 2-vCPU VM, all in
+# one process under a 200 MB address-space limit; `lef` and `exprwlah` reach
+# nmax 1000 since `verify` holds one row of each stream.  The Lah-type routes
+# also run at edge points: at alpha = -2 the factor 2 + k*alpha of the closed
+# form is 0 at k = 1, and at r = 0 its quotient [2r|m]_n / [2r|m]_k is 0/0 as
+# printed (the walk of `triangles.explicit_row` meets neither), and column 0
+# of an expansion is an edge case.
 REGISTRY = {
     ident.name: ident
     for ident in (
-        Identity("lef", {"nmax": 30}, Tables(_LAH, _lah_routes("lah", explicit=0))),
-        Identity("verlah", {"nmax": 20}, Tables(_LAH, _lah_routes("lah", vertical=0))),
-        Identity("horilah", {"nmax": 20}, Tables(_LAH, _lah_routes("lah", horizontal=0)), notes=_HORILAH),
-        Identity("lgf", {"nmax": 20}, _LGF, fixed={"kmax": 5}),
-        Identity("qi", {"nmax": 25}, _sequences(_sums("stirling2"), _explicit("bell"))),
-        Identity("ordlahstirling", {"nmax": 15}, Tables(_LAH, _lah_routes("lah", product=0))),
-        Identity("stirling-inverse", {"nmax": 9}, Inverse(_scaled("stirling2"), _scaled("stirling1"))),
-        Identity("partial-bell", {"nmax": 10}, _PARTIAL_BELL, notes=_PARTIAL_BELL_NOTES),
-        Identity("ortho", {"nmax": 12, "alpha": 3}, _W_LAH_SQUARE),
-        Identity("inv1", {"nmax": 9, "alpha": 3}, _W_LAH_SQUARE),
-        Identity("wla1", _W, Tables(_W_LAH, _lah_routes("whitney-lah", explicit=0, product=0))),
+        Identity("lef", {"nmax": 30}, ({"nmax": 1000},), Tables(_LAH, _lah_routes("lah", explicit=0))),
+        Identity("verlah", {"nmax": 20}, ({"nmax": 60},), Tables(_LAH, _lah_routes("lah", vertical=0))),
+        Identity(
+            "horilah",
+            {"nmax": 20},
+            ({"nmax": 60},),
+            Tables(_LAH, _lah_routes("lah", horizontal=0)),
+            notes=_HORILAH,
+        ),
+        Identity("lgf", {"nmax": 20}, ({"nmax": 60},), _LGF, fixed={"kmax": 5}),
+        Identity("qi", {"nmax": 25}, ({"nmax": 400},), _sequences(_sums("stirling2"), _explicit("bell"))),
+        Identity("ordlahstirling", {"nmax": 15}, ({"nmax": 200},), Tables(_LAH, _lah_routes("lah", product=0))),
+        Identity(
+            "stirling-inverse",
+            {"nmax": 9},
+            ({"nmax": 200},),
+            Inverse(_scaled("stirling2"), _scaled("stirling1")),
+        ),
+        Identity("partial-bell", {"nmax": 10}, ({"nmax": 100},), _PARTIAL_BELL, notes=_PARTIAL_BELL_NOTES),
+        Identity("ortho", {"nmax": 12, "alpha": 3}, ({"nmax": 200},), _W_LAH_SQUARE),
+        Identity("inv1", {"nmax": 9, "alpha": 3}, ({"nmax": 200, "alpha": -2},), _W_LAH_SQUARE),
+        Identity(
+            "wla1",
+            _W,
+            ({"nmax": 30, "alpha": -2},),
+            Tables(_W_LAH, _lah_routes("whitney-lah", explicit=0, product=0)),
+        ),
         Identity(
             "triwlah",
             {"nmax": 15, "alpha": 3},
+            ({"nmax": 30, "alpha": -2},),
             Tables(_W_LAH, _lah_routes("whitney-lah", vertical=1, horizontal=0, product=0)),
             notes=_TRIWLAH,
         ),
-        Identity("whitney-ortho", _W, Inverse(_solved("whitney1"), _scaled("whitney2"))),
+        Identity("whitney-ortho", _W, ({"nmax": 200},), Inverse(_solved("whitney1"), _scaled("whitney2"))),
         Identity(
             "benoumhani",
             {"nmax": 15, "alpha": 3},
+            ({"nmax": 60, "alpha": -2},),
             Tables(_rows("whitney2"), ((whitney_second_benoumhani_rows, 0),)),
         ),
-        Identity("dow1", {"nmax": 10, "alpha": 3}, _sequences(_sums("whitney2"), _explicit("dowling"))),
-        Identity("bell-reduction", {"nmax": 12}, _BELL_REDUCTION, notes=_BELL_REDUCTION_NOTES),
-        Identity("lah1", _R, Tables(_rows("r-lah"), _lah_routes("r-lah", explicit=0, product=0))),
-        Identity("lah4", {"nmax": 7, "r": 2}, Inverse(_scaled("r-stirling1"), _signed(_scaled("r-stirling2")))),
-        Identity("expb", _R, _sequences(_sums("r-stirling2"), _explicit("r-bell"))),
+        Identity(
+            "dow1",
+            {"nmax": 10, "alpha": 3},
+            ({"nmax": 400},),
+            _sequences(_sums("whitney2"), _explicit("dowling")),
+        ),
+        Identity("bell-reduction", {"nmax": 12}, ({"nmax": 400},), _BELL_REDUCTION, notes=_BELL_REDUCTION_NOTES),
+        Identity(
+            "lah1",
+            _R,
+            ({"nmax": 30, "r": 3}, {"nmax": 30, "r": 0}),
+            Tables(_rows("r-lah"), _lah_routes("r-lah", explicit=0, product=0)),
+        ),
+        Identity(
+            "lah4",
+            {"nmax": 7, "r": 2},
+            ({"nmax": 200},),
+            Inverse(_scaled("r-stirling1"), _signed(_scaled("r-stirling2"))),
+        ),
+        Identity("expb", _R, ({"nmax": 400},), _sequences(_sums("r-stirling2"), _explicit("r-bell"))),
         Identity(
             "weighted-egf",
             {"nmax": 12, "r": 2},
+            ({"nmax": 60},),
             _WEIGHTED_EGF,
             fixed={"order": partial(max, 12)},  # read by no route; its report bytes are pinned
         ),
-        Identity("rw-ortho", {"nmax": 8, "m": 2, "r": 2}, _R_WHITNEY_PAIR),
-        Identity("rw-inv", {"nmax": 7, "m": 2, "r": 2}, _R_WHITNEY_PAIR),
-        Identity("engine-ortho", {"nmax": 12, "alpha": 3, "m": 2, "r": 2}, _ENGINE_ORTHO),
-        Identity("rwhitneylah", _RW, Tables(_RW_LAH, _lah_routes("r-whitney-lah", product=0))),
-        Identity("exprwlah", _RW, Tables(_RW_LAH, _lah_routes("r-whitney-lah", explicit=0))),
+        Identity("rw-ortho", {"nmax": 8, "m": 2, "r": 2}, ({"nmax": 60},), _R_WHITNEY_PAIR),
+        Identity("rw-inv", {"nmax": 7, "m": 2, "r": 2}, ({"nmax": 60},), _R_WHITNEY_PAIR),
+        Identity("engine-ortho", {"nmax": 12, "alpha": 3, "m": 2, "r": 2}, ({"nmax": 150},), _ENGINE_ORTHO),
+        Identity("rwhitneylah", _RW, ({"nmax": 200},), Tables(_RW_LAH, _lah_routes("r-whitney-lah", product=0))),
+        Identity(
+            "exprwlah",
+            _RW,
+            ({"nmax": 1000}, {"nmax": 30, "m": 1, "r": 0}),
+            Tables(_RW_LAH, _lah_routes("r-whitney-lah", explicit=0)),
+        ),
         Identity(
             "rwlah-routes",
             _RW,
+            ({"nmax": 24, "m": 3, "r": 1}, {"nmax": 24, "m": 1, "r": 0}),
             Tables(_RW_LAH, _lah_routes("r-whitney-lah", explicit=0, product=0, vertical=1, horizontal=0)),
             notes=_RWLAH,
         ),
-        Identity("expl-rdow", _RW, _sequences(_sums("r-whitney2"), _explicit("r-dowling"))),
-        Identity("ugexp", {"nmax": 10}, _sequences(_sums("hs1"), _explicit("hs-bell")), _HS_GRID),
-        Identity("cakic-bell", {"nmax": 10, "alpha": 2}, _sequences(_sums("cakic"), _explicit("cakic-bell"))),
-        Identity("hs-ortho", {"nmax": 8}, Inverse(_scaled("hs1"), _solved("hs2")), _HS_GRID),
-        Identity("invrel", {"nmax": 9}, Inverse(_solved("hs1"), _scaled("hs2")), _HS_GRID),
-        Identity("log-concavity", {"nmax": 20}, Tables(_log_concave, ((_verdicts, 0),)), _MR_GRID, notes=_LOG_CONCAVE),
-        Identity("specializations", {"nmax": 6}, _REDUCTIONS, notes=_CONVENTIONS),
-        Identity("oracle", {"nmax": 8}, _ORACLE, needs_oracle=True),
+        Identity("expl-rdow", _RW, ({"nmax": 400},), _sequences(_sums("r-whitney2"), _explicit("r-dowling"))),
+        Identity("ugexp", {"nmax": 10}, ({"nmax": 150},), _sequences(_sums("hs1"), _explicit("hs-bell")), _HS_GRID),
+        Identity(
+            "cakic-bell",
+            {"nmax": 10, "alpha": 2},
+            ({"nmax": 200},),
+            _sequences(_sums("cakic"), _explicit("cakic-bell")),
+        ),
+        Identity("hs-ortho", {"nmax": 8}, ({"nmax": 150},), Inverse(_scaled("hs1"), _solved("hs2")), _HS_GRID),
+        Identity("invrel", {"nmax": 9}, ({"nmax": 150},), Inverse(_solved("hs1"), _scaled("hs2")), _HS_GRID),
+        Identity(
+            "log-concavity",
+            {"nmax": 20},
+            ({"nmax": 200},),
+            Tables(_log_concave, ((_verdicts, 0),)),
+            _MR_GRID,
+            notes=_LOG_CONCAVE,
+        ),
+        Identity("specializations", {"nmax": 6}, ({"nmax": 100},), _REDUCTIONS, notes=_CONVENTIONS),
+        Identity("oracle", {"nmax": 8}, ({"nmax": 11}, {"nmax": 13}), _ORACLE, needs_oracle=True),
     )
 }
 

@@ -714,6 +714,23 @@ def test_split_out_file_holds_the_stdout_bytes(tmp_path, capsys, two_cpus, famil
             assert target.read_text() == stdout, (nmax, fmt)
 
 
+@pytest.mark.parametrize("cpus, device", (({0}, False), ({0, 1}, True)), ids=("one-cpu", "devnull"))
+def test_no_worker_on_one_cpu_or_into_a_device(tmp_path, capsys, monkeypatch, cpus, device):
+    # At a size that splits, one CPU or an --out that is not a regular file
+    # keeps every row in this process.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+    monkeypatch.setattr(cli, "_write_split", lambda *args: pytest.fail("a worker was forked"))
+    target = os.devnull if device else str(tmp_path / "out")
+    for fmt in ("table", "csv", "json"):
+        argv = _triangle_argv("lah", {}, cli._SPLIT_NMAX, fmt)
+        code, stdout, _ = run(capsys, *argv)
+        assert code == 0
+        code, out, err = run(capsys, *argv, "--out", target)
+        assert code == 0 and out == err == ""
+        if not device:
+            assert Path(target).read_text() == stdout, fmt
+
+
 def test_split_worker_write_error_is_a_usage_error(tmp_path, capsys, monkeypatch, two_cpus):
     # Only the forked worker writes with os.pwrite.
     def full(fd, data, offset):

@@ -2,9 +2,9 @@
 fail, and so can every case of the paper's tables, a failing case lists at
 most 20 failures, every specialization fails on a sign error, `verify`
 builds every engine family, `verify` takes only the parameters an identity
-declares, the Lah-type families are what `LAH_TYPES` declares them to be,
-and a wrong weight of any engine family is caught by the identities that
-read it."""
+declares, every identity declares valid sizes and points at scale, the
+Lah-type families are what `LAH_TYPES` declares them to be, and a wrong
+weight of any engine family is caught by the identities that read it."""
 
 import importlib.util
 import json
@@ -429,6 +429,19 @@ def test_the_declarations_build_no_rows_at_import(monkeypatch):
         monkeypatch.setattr(module, name, refuse)
     spec = importlib.util.spec_from_file_location("dowling.registry_at_import", identities.__file__)
     spec.loader.exec_module(importlib.util.module_from_spec(spec))
+
+
+def test_every_identity_declares_where_it_is_checked_at_scale():
+    """CI runs every `at_scale` entry through `report`; here only the
+    declarations are checked: each identity has an entry, none below its
+    default nmax, and `report` takes each entry's parameters (run with an
+    empty check, so no entry runs)."""
+    for name, ident in REGISTRY.items():
+        assert ident.at_scale, name
+        for entry in ident.at_scale:
+            point = {key: value for key, value in entry.items() if key != "nmax"}
+            assert isinstance(entry["nmax"], int) and entry["nmax"] >= ident.defaults["nmax"], (name, entry)
+            assert report(ident._replace(check=()), point, entry["nmax"])["pass"], (name, entry)
 
 
 def test_a_rational_pair_is_multiplied_on_ints(capsys, monkeypatch):
