@@ -4,10 +4,11 @@ U(n,k) = D^(n-k) T(n,k) at the D of `families.scaled_rows`, the lcm of the
 parameters' denominators, with odd columns negated where the triple is
 signed: `scaled_solve`, the connection solve prod_{i<n} (x - i alpha) =
 sum_j T(n,j) prod_{i<j} (x - gamma - i beta), whose rows the inverse-pair
-checks of `identities` multiply as they come and `solve` reads off; and
-`egf_rows`, the exponential Riordan array [g, f], column k of k! U(n,k)
-being n! [t^n] g f^k.  The `Fraction` bases, expansions and
-back-substitution below are the tests' reference.
+checks of `identities` multiply as they come; and `egf_rows`, the
+exponential Riordan array [g, f], column k of k! U(n,k) being
+n! [t^n] g f^k.  The `Fraction` bases, expansions and back-substitution
+below are reached only by their own tests and by the per-layer tracer in
+`perfbench`.
 """
 
 from __future__ import annotations
@@ -50,13 +51,6 @@ def scaled_solve(family: str, params: dict, nmax: int) -> tuple:
                 row[i] += b * row[i + 1]
         rows.append(tuple(-v if signed and k % 2 else v for k, v in enumerate(row)))
     return scale, tuple(rows)
-
-
-def solve(family: str, params: dict, nmax: int) -> Triangle:
-    """Rows 0..nmax of a family of `families.TRIPLES` by `scaled_solve`:
-    ints, or exact rationals where the parameters have denominators."""
-    scale, rows = scaled_solve(family, params, nmax)
-    return Triangle(families._read_off(rows, scale), family, families._validate(family, params))
 
 
 def egf_rows(family: str, params: dict, nmax: int, kmax: int | None = None) -> list:

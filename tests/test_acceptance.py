@@ -8,7 +8,7 @@ import io
 import time
 from fractions import Fraction
 
-from dowling import families, identities, rnumbers, whitney
+from dowling import families, identities
 from dowling.cli import run_paper_tables
 from dowling.identities import REGISTRY
 
@@ -29,11 +29,11 @@ def test_criterion_1_reference_tables():
 
 def test_criterion_2_worked_verifications():
     ok = (
-        whitney.dowling_explicit(3, 3) == 35
+        families.explicit_sum("dowling", {"alpha": 3}, 3) == 35
         and families.row_sum("stirling2", {}, 4) == 15
         and families.row_sum("whitney2", {"alpha": 1}, 3) == 15
         and families.explicit_sum("r-bell", {"r": 2}, 3) == 37
-        and rnumbers.r_dowling_explicit(4, 2, 2) == 257
+        and families.explicit_sum("r-dowling", {"m": 2, "r": 2}, 4) == 257
     )
     _report(2, "worked checks 35 / 15 / 37 / 257 hold exactly", ok)
 

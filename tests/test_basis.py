@@ -17,12 +17,11 @@ from dowling.basis import (
     monomial_basis,
     power_basis,
     scaled_solve,
-    solve,
     verify_orthogonality,
     verify_tauber_product,
 )
 from dowling.cli import main
-from dowling.exactmath import DegenerateBasisError, IntegralityError, Poly, as_integer
+from dowling.exactmath import DegenerateBasisError, IntegralityError, Poly
 from dowling.identities import _HS_GRID
 from dowling.triangles import Triangle
 
@@ -188,55 +187,74 @@ def test_connection_round_trip_is_identity(p, q):
     assert connection_matrix(p, q).mul(connection_matrix(q, p)).is_identity()
 
 
-def alternate(table):
-    """The same table with entries (-1)^(n-k) T(n,k)."""
-    return Triangle(tuple((-1) ** (n - k) * v for k, v in enumerate(row)) for n, row in enumerate(table.rows))
+def sympy_connection(family, p, nmax) -> list:
+    """Rows 0..nmax of a family by sympy, as the connection M between the
+    bases of its defining relation, source(n) = sum_j M(n,j) target(j), by
+    back-substitution: the leading coefficient of target(j) pins M(n,j)
+    from degree j downwards."""
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    alpha, beta, gamma, m, r = (sympy.sympify(p.get(key, 0)) for key in ("alpha", "beta", "gamma", "m", "r"))
+
+    def falling(a, b, step):
+        """n -> prod_{i<n} (a x + b - i step)."""
+        return lambda n: sympy.prod([a * x + b - i * step for i in range(n)])
+
+    def monomial(n):
+        return x**n
+
+    def power(n):
+        return (m * x + r) ** n
+
+    def connection(source, target, sign=1):
+        targets, rows = [sympy.Poly(target(j), x) for j in range(nmax + 1)], []
+        for n in range(nmax + 1):
+            rest, row = sympy.Poly(source(n), x), [0] * (n + 1)
+            for j in range(n, -1, -1):
+                row[j] = rest.nth(j) / targets[j].LC()
+                rest -= targets[j] * row[j]
+            rows.append([sign ** (n - k) * v for k, v in enumerate(row)])
+        return rows
+
+    bases = {
+        "stirling1": (falling(1, 0, 1), monomial),  # (x)_n in x^k
+        "whitney1": (falling(1, -1, alpha), monomial),  # (x-1|alpha)_n in x^k
+        "whitney2": (monomial, falling(1, -1, alpha)),  # x^n in (x-1|alpha)_k
+        "r-whitney1": (falling(m, 0, m), power, -1),  # (mx|m)_n in (mx+r)^k, signed by (-1)^(n-k)
+        "r-whitney2": (power, falling(m, 0, m)),  # (mx+r)^n in (mx|m)_k
+        "hs1": (falling(1, 0, alpha), falling(1, -gamma, beta)),  # (x|alpha)_n in (x-gamma|beta)_k
+        "hs2": (falling(1, 0, beta), falling(1, gamma, alpha)),  # (x|beta)_n in (x+gamma|alpha)_k
+        "cakic": (falling(1, 0, alpha), falling(1, 0, 1)),  # (x|alpha)_n in (x)_k
+    }
+    return connection(*bases[family])
 
 
-# Six families of `families.TRIPLES` by the Fraction back-substitution over
-# the bases their routes were solved on before the integer solve, as
-# (params, nmax) -> table; the Hsu-Shiue parameters as Fractions, as that
-# route took them.
-FRACTION_ROUTES = {
-    "stirling1": lambda p, n: expand_in_monomials(factorial_basis(1, 0, 1, n)),
-    "whitney1": lambda p, n: expand_in_monomials(factorial_basis(1, -1, p["alpha"], n)),
-    "r-whitney1": lambda p, n: alternate(
-        connection_matrix(factorial_basis(p["m"], 0, p["m"], n), power_basis(Poly((p["r"], p["m"])), n))
-    ),
-    "r-whitney2": lambda p, n: connection_matrix(
-        power_basis(Poly((p["r"], p["m"])), n), factorial_basis(p["m"], 0, p["m"], n)
-    ),
-    "hs1": lambda p, n: connection_matrix(
-        factorial_basis(1, 0, F(p["alpha"]), n), factorial_basis(1, -F(p["gamma"]), F(p["beta"]), n)
-    ),
-    "hs2": lambda p, n: connection_matrix(
-        factorial_basis(1, 0, F(p["beta"]), n), factorial_basis(1, F(p["gamma"]), F(p["alpha"]), n)
-    ),
-}
 _MR = tuple({"m": m, "r": r} for m, r in ((1, 0), (2, 2), (3, 1)))
 _HS = (*_HS_GRID, {"alpha": -3, "beta": 2, "gamma": F(1, 5)})
+# Points of the eight families whose defining relation `sympy_connection` solves.
 SOLVE_POINTS = {
     "stirling1": ({},),
     "whitney1": tuple({"alpha": alpha} for alpha in (3, 1, -2)),
+    "whitney2": tuple({"alpha": alpha} for alpha in (3, 1)),
     "r-whitney1": _MR,
     "r-whitney2": _MR,
     "hs1": _HS,
     "hs2": _HS,
+    "cakic": tuple({"alpha": alpha} for alpha in (2, 3)),
 }
 
 
-@pytest.mark.parametrize("family", sorted(FRACTION_ROUTES))
+@pytest.mark.parametrize("family", sorted(SOLVE_POINTS))
 def test_the_integer_solve_is_the_fraction_solve(family):
-    """Rows 0..12 of each family with a Fraction route by `solve` equal the
-    Fraction solve's, and `scaled_solve` gives ints U(n,k) = D^(n-k) T(n,k)."""
-    assert set(SOLVE_POINTS) == set(FRACTION_ROUTES) <= set(families.TRIPLES)
+    """Rows 0..12 of each family by `scaled_solve` are the ints
+    U(n,k) = D^(n-k) T(n,k) of the connection T that sympy solves in exact
+    fractions between the bases of the family's defining relation."""
+    assert set(SOLVE_POINTS) <= set(families.TRIPLES)
     for point in SOLVE_POINTS[family]:
-        want = FRACTION_ROUTES[family](point, 12).rows
-        assert solve(family, point, 12).rows == want, point
+        want = sympy_connection(family, point, 12)
         scale, rows = scaled_solve(family, point, 12)
-        assert rows == tuple(
-            tuple(as_integer(scale ** (n - k) * v) for k, v in enumerate(row)) for n, row in enumerate(want)
-        ), point
+        scaled = tuple(tuple(scale ** (n - k) * v for k, v in enumerate(row)) for n, row in enumerate(want))
+        assert rows == scaled, point
 
 
 @pytest.mark.parametrize(
@@ -302,7 +320,7 @@ def test_both_routes_of_the_triple_match_the_engine(family):
 @pytest.mark.parametrize("family", ("hs-lah", "nope"))
 def test_a_family_without_a_triple_is_a_value_error(family):
     message = f"family {family!r} has no Hsu-Shiue triple"
-    for route in (scaled_solve, solve, egf_rows):
+    for route in (scaled_solve, egf_rows):
         with pytest.raises(ValueError, match=message):
             route(family, {}, 3)
 

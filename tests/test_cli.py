@@ -113,16 +113,15 @@ def test_rational_triangle_json_roundtrip_is_byte_identical(capsys):
     )
     assert code == 0
     mat = triangle_from_json(out)
-    assert mat.rows == basis.solve("hs1", {"alpha": Fraction(1, 2), "beta": Fraction(1, 3), "gamma": 2}, 2).rows
     assert mat.rows[2][1] == Fraction(23, 6)
     assert mat == families.triangle("hs1", mat.params, 2)
     assert json_text(mat, mat.family, mat.params) == out
 
 
-def _int_rendering(table, fmt: str, family: str, params: dict) -> str:
-    """A triangle as the CLI printed it from a whole `Triangle`: every entry
-    turned into its str first, then formatted."""
-    rows = [[str(v) for v in row] for row in table.rows]
+def _int_rendering(rows, fmt: str, family: str, params: dict) -> str:
+    """A triangle as the CLI printed it from the rows of a whole `Triangle`:
+    every entry turned into its str first, then formatted."""
+    rows = [[str(v) for v in row] for row in rows]
     if fmt == "table":
         width = max(len(v) for row in rows for v in row)
         label_width = len(str(len(rows) - 1))
@@ -185,7 +184,7 @@ def test_integer_triangles_print_as_their_int_entries(capsys, family, params):
         for fmt in ("table", "csv", "json"):
             code, out, _ = run(capsys, *_triangle_argv(family, params, nmax, fmt))
             assert code == 0
-            assert out == _int_rendering(table, fmt, family, params), (nmax, fmt)
+            assert out == _int_rendering(table.rows, fmt, family, params), (nmax, fmt)
 
 
 @pytest.mark.parametrize(
@@ -201,7 +200,7 @@ def test_table_width_from_a_negative_entry_above_the_last_row(capsys, family, pa
     widths = [max(len(str(v)) for v in row) for row in table.rows]
     assert widths[1] > widths[2] and len(str(min(table.rows[1]))) == widths[1]
     code, out, _ = run(capsys, *_triangle_argv(family, params, 2, "table"))
-    assert code == 0 and out == _int_rendering(table, "table", family, params)
+    assert code == 0 and out == _int_rendering(table.rows, "table", family, params)
 
 
 def test_table_streams_in_one_rows_memory(tmp_path):
@@ -224,17 +223,11 @@ def test_table_streams_in_one_rows_memory(tmp_path):
 
 
 @pytest.mark.parametrize("family, params", _family_points(families.FAMILIES), ids=_point_id)
-def test_engine_families_print_without_a_whole_triangle(monkeypatch, capsys, family, params):
+def test_engine_families_print_without_a_whole_triangle(capsys, no_whole_triangle, family, params):
     # Every family streams from the engine's rows, `hs-lah` as the product
     # of two row streams; none may build a `Triangle` to print.
-    table = families.triangle(family, params, 6)
-    expected = {fmt: _int_rendering(table, fmt, family, params) for fmt in ("table", "csv", "json")}
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("built a whole triangle")
-
-    monkeypatch.setattr(families, "triangle", refuse)
-    monkeypatch.setattr(triangles, "recurrence_triangle", refuse)
+    rows = tuple(families.rows(family, params, 6))
+    expected = {fmt: _int_rendering(rows, fmt, family, params) for fmt in ("table", "csv", "json")}
     for fmt, text in expected.items():
         code, out, _ = run(capsys, *_triangle_argv(family, params, 6, fmt))
         assert code == 0 and out == text, fmt
@@ -252,7 +245,7 @@ def test_engine_families_print_without_a_whole_triangle(monkeypatch, capsys, fam
 @pytest.mark.parametrize("nmax", (0, 1, 5))
 def test_streamed_json_is_json_dumps(capsys, family, params, nmax):
     table = families.triangle(family, params, nmax)
-    expected = _int_rendering(table, "json", family, params)
+    expected = _int_rendering(table.rows, "json", family, params)
     assert json_text(table, family, params) == expected
     code, out, _ = run(capsys, *_triangle_argv(family, params, nmax, "json"))
     assert code == 0 and out == expected
@@ -308,7 +301,7 @@ def test_rational_table_prints_each_entry_once(monkeypatch, capsys):
     # rational entry; CPython's int -> str is quadratic in the digits.
     params = {"alpha": Fraction(1, 2), "beta": Fraction(1, 3), "gamma": 2}
     table = families.triangle("hs1", params, 12)
-    expected = _int_rendering(table, "table", "hs1", params)
+    expected = _int_rendering(table.rows, "table", "hs1", params)
     argv = _triangle_argv("hs1", params, 12, "table")
     printed = []
     real = Fraction.__str__
@@ -450,17 +443,11 @@ def test_bench_runs(capsys):
     ),
     ids=("r-whitney-lah", "hs1"),
 )
-def test_bench_streams_rows_without_a_whole_triangle(monkeypatch, capsys, family, params):
-    # `bench` counts entries and peak bits row by row; the whole triangle
-    # is the reference.
-    rows = families.triangle(family, params, 30).rows
+def test_bench_streams_rows_without_a_whole_triangle(capsys, no_whole_triangle, family, params):
+    # `bench` counts entries and peak bits row by row; the rows held whole
+    # are the reference.
+    rows = tuple(families.rows(family, params, 30))
     peak = max(max(v.numerator.bit_length(), v.denominator.bit_length()) for row in rows for v in row)
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("built a whole triangle")
-
-    monkeypatch.setattr(families, "triangle", refuse)
-    monkeypatch.setattr(triangles, "recurrence_triangle", refuse)
     argv = [f"--{key}={value}" for key, value in params.items()]
     code, out, _ = run(capsys, "bench", "--family", family, *argv, "--n", "30")
     assert code == 0

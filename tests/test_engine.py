@@ -1,5 +1,5 @@
 """The recurrence engine and the family table against the routes that stay
-as verification: the integer connection solve of `basis.solve`, and
+as verification: the integer connection solve of `basis.scaled_solve`, and
 full-triangle row sums."""
 
 import math
@@ -12,7 +12,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dowling import basis, families, identities, rnumbers, triangles, unified, whitney
-from dowling.exactmath import IntegralityError
 from dowling.identities import _MR_GRID
 from dowling.triangles import Triangle, product, recurrence_rows, recurrence_triangle
 
@@ -35,25 +34,36 @@ def named(params) -> dict:
     return dict(zip(("alpha", "beta", "gamma"), params))
 
 
+def engine_scaled(family, params, nmax) -> tuple:
+    """(D, the engine's scaled rows U(n,k) = D^(n-k) T(n,k)) as a tuple."""
+    scale, rows = families.scaled_rows(family, params, nmax)
+    return scale, tuple(rows)
+
+
+def solved(family, params, nmax) -> tuple:
+    """Rows 0..nmax of T(n,k) = U(n,k) / D^(n-k) read off the integer
+    connection solve: ints, or exact rationals where the parameters have
+    denominators."""
+    scale, rows = basis.scaled_solve(family, params, nmax)
+    return tuple(families._read_off(rows, scale))
+
+
 def solved_pair(nmax, params) -> tuple:
-    """s1 and s2 at a Hsu-Shiue triple by the integer connection solve."""
-    return tuple(basis.solve(kind, named(params), nmax) for kind in ("hs1", "hs2"))
+    """The rows of s1 and s2 at a Hsu-Shiue triple by the integer connection solve."""
+    return tuple(solved(kind, named(params), nmax) for kind in ("hs1", "hs2"))
 
 
 def test_engine_small_tables():
-    assert recurrence_triangle("s2", {}, 4, 1, 0, 1, 0).rows[4] == (0, 1, 7, 6, 1)
+    assert tuple(recurrence_rows(4, 1, 0, 1, 0))[4] == (0, 1, 7, 6, 1)
     # signed Lah: the diagonal carries (-1)^n
-    assert recurrence_triangle("lah", {}, 3, -1, -1, -1, 1).rows[3] == (0, -6, -6, -1)
-    assert recurrence_triangle("one", {}, 0, 1, 5, 5, 5).rows == ((1,),)
+    assert tuple(recurrence_rows(3, -1, -1, -1, 1))[3] == (0, -6, -6, -1)
+    assert tuple(recurrence_rows(0, 1, 5, 5, 5)) == ((1,),)
 
 
 def test_engine_rejects_bad_input():
-    with pytest.raises(ValueError):
-        recurrence_triangle("x", {}, -1, 1, 0, 1, 0)
-    with pytest.raises(ValueError):
-        recurrence_triangle("x", {}, 3, 2, 0, 1, 0)
-    with pytest.raises(ValueError):
-        deque(recurrence_rows(-1, 1, 0, 1, 0), maxlen=1)
+    for nmax, d in ((-1, 1), (3, 2)):
+        with pytest.raises(ValueError):
+            deque(recurrence_rows(nmax, d, 0, 1, 0), maxlen=1)
     with pytest.raises(ValueError):
         families.row_sum("stirling2", {}, -1)
 
@@ -61,7 +71,7 @@ def test_engine_rejects_bad_input():
 # Every solve, expansion and explicit-formula route as a function of its size.
 _ANY = {"alpha": 3, "beta": 1, "gamma": 2, "m": 2, "r": 2}
 _SIZED_ROUTES = {
-    **{f"solve-{family}": partial(basis.solve, family, _ANY) for family in families.TRIPLES},
+    **{f"solve-{family}": partial(basis.scaled_solve, family, _ANY) for family in families.TRIPLES},
     "scaled_solve": partial(basis.scaled_solve, "hs1", _ANY),
     "egf_rows": partial(basis.egf_rows, "hs1", _ANY),
     "hs_bell_explicit": lambda n: unified.hs_bell_explicit(n, (0, 1, 2)),
@@ -115,51 +125,50 @@ def test_product_streams_the_whole_table_product(signed):
 
 
 def test_stirling1_engine_vs_expansion():
-    assert families.triangle("stirling1", {}, 30).rows == basis.solve("stirling1", {}, 30).rows
+    assert families.triangle("stirling1", {}, 30).rows == solved("stirling1", {}, 30)
 
 
 def test_whitney1_engine_vs_expansion():
     for alpha in (1, 2, 3, -1, -2):
         engine = families.triangle("whitney1", {"alpha": alpha}, 30)
-        assert engine.rows == basis.solve("whitney1", {"alpha": alpha}, 30).rows
+        assert engine.rows == solved("whitney1", {"alpha": alpha}, 30)
 
 
 def test_r_whitney_engine_vs_solve():
     for m, r in RW_POINTS:
         p = {"m": m, "r": r}
         for family in ("r-whitney1", "r-whitney2"):
-            assert families.triangle(family, p, 30).rows == basis.solve(family, p, 30).rows
+            assert families.triangle(family, p, 30).rows == solved(family, p, 30)
 
 
 def test_hs_pair_engine_vs_solve():
     for params in HS_POINTS:
         s1, s2 = solved_pair(20, params)
-        assert families.triangle("hs1", named(params), 20).rows == s1.rows
-        assert families.triangle("hs2", named(params), 20).rows == s2.rows
+        assert families.triangle("hs1", named(params), 20).rows == s1
+        assert families.triangle("hs2", named(params), 20).rows == s2
 
 
 def test_hs_lah_engine_vs_solve():
     for params in HS_POINTS:
         engine, (s1, s2) = families.triangle("hs-lah", named(params), 15), solved_pair(15, params)
-        assert engine.rows == tuple(product(s2.rows, s1.rows, signed=True))
+        assert engine.rows == tuple(product(s2, s1, signed=True))
 
 
 def test_cakic_engine_vs_defining_solve():
     # The defining solve of the Cakic numbers is the solved s1 at (alpha, 1, 0).
     for alpha in (2, -3, F(1, 2)):
-        solved = basis.solve("hs1", named((alpha, 1, 0)), 20)
-        assert families.triangle("cakic", {"alpha": alpha}, 20).rows == solved.rows
+        assert families.triangle("cakic", {"alpha": alpha}, 20).rows == solved("hs1", named((alpha, 1, 0)), 20)
 
 
 def test_rolling_sums_vs_full_solved_rows():
     for params in HS_POINTS:
-        s1 = basis.solve("hs1", named(params), 20)
+        s1 = solved("hs1", named(params), 20)
         for n in (0, 1, 7, 20):
-            assert families.row_sum("hs1", named(params), n) == sum(s1.rows[n])
+            assert families.row_sum("hs1", named(params), n) == sum(s1[n])
     for m, r in RW_POINTS:
-        second = basis.solve("r-whitney2", {"m": m, "r": r}, 30)
+        second = solved("r-whitney2", {"m": m, "r": r}, 30)
         dowling = [families.row_sum("r-whitney2", {"m": m, "r": r}, n) for n in range(31)]
-        assert dowling == [sum(row) for row in second.rows]
+        assert dowling == [sum(row) for row in second]
     s2 = families.triangle("stirling2", {}, 30)
     assert [families.row_sum("stirling2", {}, n) for n in range(31)] == [sum(row) for row in s2.rows]
     assert families.explicit_sequence("bell", {}, 30) == [sum(row) for row in s2.rows]
@@ -186,6 +195,7 @@ _SUM_POINTS = (
     *(("r-whitney2", point) for point in (*_MR_GRID, {"m": 3, "r": 0})),
     *(("hs1", named(params)) for params in (*HS_POINTS, (F(1, 2), 0, F(1, 3)), (-3, 2, F(1, 5)))),
     *(("cakic", {"alpha": alpha}) for alpha in (1, 2, 3, -3, F(1, 2))),
+    *(("r-whitney2", {"m": m, "r": r}) for m, r in ((1, 0), (3, 2), (5, 0))),
 )
 
 
@@ -294,17 +304,17 @@ small_rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 @given(st.integers(1, 6), st.integers(0, 5), st.integers(0, 8))
 def test_property_r_whitney_engine_vs_solve(m, r, n):
     p = {"m": m, "r": r}
-    assert families.triangle("r-whitney1", p, n).rows == basis.solve("r-whitney1", p, n).rows
-    assert families.triangle("r-whitney2", p, n).rows == basis.solve("r-whitney2", p, n).rows
-    assert families.row_sum("r-whitney2", p, n) == rnumbers.r_dowling_explicit(n, m, r)
+    for family in ("r-whitney1", "r-whitney2"):
+        assert basis.scaled_solve(family, p, n) == engine_scaled(family, p, n), family
+    assert families.row_sum("r-whitney2", p, n) == families.explicit_sum("r-dowling", p, n)
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(-6, 6).filter(bool), st.integers(0, 8))
 def test_property_whitney_engine_vs_expansion(alpha, n):
-    engine = families.triangle("whitney1", {"alpha": alpha}, n)
-    assert engine.rows == basis.solve("whitney1", {"alpha": alpha}, n).rows
-    assert families.row_sum("whitney2", {"alpha": alpha}, n) == whitney.dowling_explicit(n, alpha)
+    p = {"alpha": alpha}
+    assert basis.scaled_solve("whitney1", p, n) == engine_scaled("whitney1", p, n)
+    assert families.row_sum("whitney2", p, n) == families.explicit_sum("dowling", p, n)
 
 
 @settings(max_examples=40, deadline=None)
@@ -324,20 +334,16 @@ def test_property_cakic_bell_sum_is_the_last_row_summed(alpha, n):
 @settings(max_examples=40, deadline=None)
 @given(small_rationals, small_rationals, small_rationals, st.integers(0, 6))
 def test_property_hs_engine_vs_solve(alpha, beta, gamma, n):
-    params = (alpha, beta, gamma)
-    s1, s2 = solved_pair(n, params)
-    assert families.triangle("hs1", named(params), n).rows == s1.rows
-    assert families.triangle("hs2", named(params), n).rows == s2.rows
-    lah = families.triangle("hs-lah", named(params), n)
-    assert lah.rows == tuple(product(s2.rows, s1.rows, signed=True))
-    assert families.row_sum("hs1", named(params), n) == unified.hs_bell_explicit(n, params)
+    p = named((alpha, beta, gamma))
+    (scale, s1), (_, s2) = solved = tuple(basis.scaled_solve(kind, p, n) for kind in ("hs1", "hs2"))
+    assert solved == (engine_scaled("hs1", p, n), engine_scaled("hs2", p, n))
+    assert engine_scaled("hs-lah", p, n) == (scale, tuple(product(s2, s1, signed=True)))
+    assert families.row_sum("hs1", p, n) == families.explicit_sum("hs-bell", p, n)
 
 
 def test_triangle_keeps_exact_entries_and_refuses_others():
     half = Triangle(((F(1, 2),),))
     assert half.rows == ((F(1, 2),),) and type(half.value(0, 0)) is F
-    with pytest.raises(IntegralityError):
-        half.to_triangle("x")
     with pytest.raises(TypeError):
         Triangle(((1,), (2.7, 1)))
     with pytest.raises(TypeError):

@@ -300,15 +300,10 @@ def test_partial_bell_fails_on_each_engine_family(capsys, monkeypatch, family):
 
 
 @pytest.mark.parametrize("name", ("lef", "horilah", "exprwlah", "bell-reduction", "partial-bell", "specializations"))
-def test_streamed_identities_build_no_whole_triangle(capsys, monkeypatch, name):
+def test_streamed_identities_build_no_whole_triangle(capsys, no_whole_triangle, name):
     # The reference and every route of these identities are row streams,
     # compared one row at a time; a solve or a brute-force table may be
     # whole, but no engine triangle is.
-    def refuse(*args, **kwargs):
-        raise AssertionError("built a whole triangle")
-
-    monkeypatch.setattr(families, "triangle", refuse)
-    monkeypatch.setattr(triangles, "recurrence_triangle", refuse)
     for argv in ((), ("--nmax", "60")):
         code, out, _ = run(capsys, "verify", "--identity", name, *argv)
         assert code == 0 and json.loads(out)["pass"] is True, argv

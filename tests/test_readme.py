@@ -1,5 +1,6 @@
-"""The library example in README.md runs as written, and the README names
-every family, sum and identity that the package has."""
+"""The library example in README.md runs as written, the README names
+every family, sum and identity that the package has, and every test or
+source file that it names exists."""
 
 import doctest
 import re
@@ -29,3 +30,9 @@ def test_readme_lists_every_family_sum_and_identity():
     identities = _listed("Identities for `verify`:", "(the last needs")
     assert sorted(identities) == sorted(REGISTRY)
     assert [name for name, ident in REGISTRY.items() if ident.needs_oracle] == identities[-1:]
+
+
+def test_readme_names_only_files_that_exist():
+    named = set(re.findall(r"(?:tests|src/dowling)/\w+\.py", README.read_text(encoding="utf-8")))
+    assert named
+    assert sorted(path for path in named if not (README.parent / path).exists()) == []

@@ -8,8 +8,7 @@ from dowling.exactmath import IntegralityError
 from dowling.families import explicit_sum
 from dowling.identities import lah_route, verify_log_concavity
 from dowling.oracle import count_all_partitions, count_partitions
-from dowling.rnumbers import r_dowling_explicit, r_whitney_lah_explicit
-from dowling.triangles import Triangle, transform
+from dowling.triangles import product
 
 R_STIRLING2_R2 = ((1,), (2, 1), (4, 5, 1), (8, 19, 9, 1), (16, 65, 55, 14, 1), (32, 211, 285, 125, 20, 1))
 R_LAH_R2 = (
@@ -24,10 +23,15 @@ R_WHITNEY2_22 = ((1,), (2, 1), (4, 6, 1), (8, 28, 12, 1), (16, 120, 100, 20, 1))
 R_WHITNEY_LAH_22 = ((1,), (4, 1), (24, 12, 1), (192, 144, 24, 1), (1920, 1920, 480, 40, 1))
 
 PARAM_GRID = ((1, 1), (2, 2), (3, 2))
-RW_VERTICAL, RW_HORIZONTAL, RW_PRODUCT = (
+RW_VERTICAL, RW_HORIZONTAL, RW_PRODUCT, RW_EXPLICIT = (
     lambda nmax, kind=kind, **point: tuple(lah_route(kind, "r-whitney-lah", nmax, **point))
-    for kind in ("vertical", "horizontal", "product")
+    for kind in ("vertical", "horizontal", "product", "explicit")
 )
+
+
+def transform(rows, seq) -> list:
+    """f(n) = sum_k T(n,k) seq(k)."""
+    return [sum(v * seq[k] for k, v in enumerate(row)) for row in rows]
 
 
 def test_r_stirling2_table():
@@ -66,9 +70,9 @@ def test_r_inverse_roundtrip():
     samples += [([rng.randint(-40, 40) for _ in range(8)], r) for r in (1, 2) for _ in range(5)]
     for a, r in samples:
         # b_n = sum_j A(n,j) a_j is undone by a_n = sum_j (-1)^(n-j) S(n,j) b_j.
-        first = families.triangle("r-stirling1", {"r": r}, len(a) - 1)
-        second = families.triangle("r-stirling2", {"r": r}, len(a) - 1)
-        second = Triangle(tuple((-1) ** (n - k) * v for k, v in enumerate(row)) for n, row in enumerate(second.rows))
+        first = families.triangle("r-stirling1", {"r": r}, len(a) - 1).rows
+        second = families.triangle("r-stirling2", {"r": r}, len(a) - 1).rows
+        second = [[(-1) ** (n - k) * v for k, v in enumerate(row)] for n, row in enumerate(second)]
         assert transform(second, transform(first, a)) == a
 
 
@@ -122,7 +126,7 @@ def test_r_whitney_second_table_and_recurrence():
     assert tri.value(4, 2) == 100
     for m, r in PARAM_GRID:
         engine = families.triangle("r-whitney2", {"m": m, "r": r}, 10)
-        assert engine.rows == basis.solve("r-whitney2", {"m": m, "r": r}, 10).rows
+        assert basis.scaled_solve("r-whitney2", {"m": m, "r": r}, 10) == (1, engine.rows)
 
 
 def test_r_whitney_first_small():
@@ -134,12 +138,11 @@ def test_r_whitney_first_small():
 def test_r_whitney_orthogonality():
     for m, r in PARAM_GRID:
         w = families.triangle("r-whitney1", {"m": m, "r": r}, 8)
-        second = families.triangle("r-whitney2", {"m": m, "r": r}, 8)
-        signed = Triangle(
-            tuple(tuple((-1) ** (n - j) * w.value(n, j) for j in range(n + 1)) for n in range(9))
-        )
-        assert signed.mul(second).is_identity()
-        assert second.mul(signed).is_identity()
+        second = families.triangle("r-whitney2", {"m": m, "r": r}, 8).rows
+        signed = tuple(tuple((-1) ** (n - j) * w.value(n, j) for j in range(n + 1)) for n in range(9))
+        identity = tuple(tuple(int(n == j) for j in range(n + 1)) for n in range(9))
+        assert tuple(product(signed, second)) == identity
+        assert tuple(product(second, signed)) == identity
 
 
 def test_r_whitney_inverse_relation():
@@ -169,8 +172,7 @@ def _from_column_1(rows) -> list:
 def test_r_whitney_lah_all_routes_agree():
     for m, r in PARAM_GRID:
         rows = families.triangle("r-whitney-lah", {"m": m, "r": r}, 12).rows
-        explicit = tuple(tuple(r_whitney_lah_explicit(n, k, m, r) for k in range(n + 1)) for n in range(13))
-        assert explicit == rows
+        assert RW_EXPLICIT(12, m=m, r=r) == rows
         assert RW_PRODUCT(12, m=m, r=r) == rows
         assert RW_HORIZONTAL(12, m=m, r=r) == rows
         assert _from_column_1(RW_VERTICAL(12, m=m, r=r)) == _from_column_1(rows)
@@ -182,14 +184,11 @@ def test_r_whitney_lah_route_examples():
     # Column 0 is outside the expansion.
     assert vertical[3][0] == 0 != families.triangle("r-whitney-lah", {"m": 2, "r": 2}, 3).value(3, 0)
     assert RW_HORIZONTAL(1, m=2, r=2)[1][0] == 4
-    assert r_whitney_lah_explicit(2, 1, 2, 2) == 12
+    assert RW_EXPLICIT(2, m=2, r=2)[2][1] == 12
 
 
 def test_r_whitney_lah_explicit_degenerate_r_zero():
-    tri = families.triangle("r-whitney-lah", {"m": 2, "r": 0}, 8)
-    for n in range(9):
-        for k in range(n + 1):
-            assert r_whitney_lah_explicit(n, k, 2, 0) == tri.value(n, k)
+    assert RW_EXPLICIT(8, m=2, r=0) == families.triangle("r-whitney-lah", {"m": 2, "r": 0}, 8).rows
 
 
 def test_r_whitney_lah_m1_reduces_to_r_lah():
@@ -214,10 +213,11 @@ def test_log_concavity():
 def test_r_dowling_values_and_routes():
     assert families.row_sum("r-whitney2", {"m": 2, "r": 2}, 0) == 1
     assert families.row_sum("r-whitney2", {"m": 2, "r": 2}, 3) == 49
-    assert families.row_sum("r-whitney2", {"m": 2, "r": 2}, 4) == 257 and r_dowling_explicit(4, 2, 2) == 257
+    assert families.row_sum("r-whitney2", {"m": 2, "r": 2}, 4) == 257
+    assert explicit_sum("r-dowling", {"m": 2, "r": 2}, 4) == 257
     for m, r in PARAM_GRID:
         for n in range(13):
-            assert r_dowling_explicit(n, m, r) == families.row_sum("r-whitney2", {"m": m, "r": r}, n)
+            assert explicit_sum("r-dowling", {"m": m, "r": r}, n) == families.row_sum("r-whitney2", {"m": m, "r": r}, n)
 
 
 def test_r_whitney_second_r1_matches_whitney():

@@ -1,12 +1,12 @@
+import math
 import random
 import re
-from collections import namedtuple
 from fractions import Fraction
 
 from dowling import families
-from dowling.basis import connection_matrix, factorial_basis, verify_orthogonality
+from dowling.families import explicit_sum
 from dowling.identities import REGISTRY, report
-from dowling.unified import hs_bell_explicit
+from dowling.triangles import product
 
 F = Fraction
 
@@ -18,54 +18,53 @@ def named(params) -> dict:
     return dict(zip(("alpha", "beta", "gamma"), params))
 
 
-# The mutually inverse matrices s1 and s2 for one parameter triple.
-HSPair = namedtuple("HSPair", "s1 s2")
+def identity_rows(nmax: int) -> tuple:
+    return tuple(tuple(int(n == k) for k in range(n + 1)) for n in range(nmax + 1))
 
 
-def hs_pair(nmax: int, params) -> HSPair:
-    """Both matrices of the pair from the family table."""
-    return HSPair(*(families.triangle(kind, named(params), nmax) for kind in ("hs1", "hs2")))
+def transform(rows, seq) -> list:
+    """f(n) = sum_k T(n,k) seq(k)."""
+    return [sum(v * seq[k] for k, v in enumerate(row)) for row in rows]
+
+
+def hs_pair(nmax: int, params) -> tuple:
+    """The tables s1 and s2 of one triple from the family table."""
+    return tuple(families.triangle(kind, named(params), nmax) for kind in ("hs1", "hs2"))
 
 
 def test_hs_pair_recovers_r_stirling2():
-    pair = hs_pair(5, (0, 1, 2))
+    s1, _ = hs_pair(5, (0, 1, 2))
     tri = families.triangle("r-stirling2", {"r": 2}, 5)
     for n in range(6):
         for k in range(n + 1):
-            assert pair.s1.value(n, k) == tri.value(n, k)
+            assert s1.value(n, k) == tri.value(n, k)
 
 
 def test_hs_pair_diagonal_is_one():
     for params in PARAM_SETS:
-        pair = hs_pair(6, params)
-        for n in range(7):
-            assert pair.s1.value(n, n) == 1
-            assert pair.s2.value(n, n) == 1
+        for table in hs_pair(6, params):
+            assert all(table.value(n, n) == 1 for n in range(7))
 
 
 def test_hs_pair_recovers_stirling_first_kind():
-    pair = hs_pair(5, (1, 0, 0))
-    s1 = families.triangle("stirling1", {}, 5)
-    for n in range(6):
-        for k in range(n + 1):
-            assert pair.s1.value(n, k) == s1.value(n, k)
+    s1, _ = hs_pair(5, (1, 0, 0))
+    assert s1.rows == families.triangle("stirling1", {}, 5).rows
 
 
 def test_hs_orthogonality():
-    assert verify_orthogonality(*hs_pair(0, (3, 7, 1)))
-    assert verify_orthogonality(*hs_pair(8, (0, 1, 2)))
-    assert verify_orthogonality(*hs_pair(6, (F(1, 2), F(1, 3), 2)))
-    assert verify_orthogonality(*hs_pair(8, (2, 3, 1)))
-    assert verify_orthogonality(*hs_pair(8, (F(1, 2), F(1, 3), 2)))
+    points = ((0, (3, 7, 1)), (8, (0, 1, 2)), (6, (F(1, 2), F(1, 3), 2)), (8, (2, 3, 1)), (8, (F(1, 2), F(1, 3), 2)))
+    for nmax, params in points:
+        s1, s2 = (table.rows for table in hs_pair(nmax, params))
+        assert tuple(product(s1, s2)) == tuple(product(s2, s1)) == identity_rows(nmax), params
 
 
 def test_hs_inverse_relation_roundtrip():
     for params in ((0, 1, 2), (0, 2, 2), (F(1, 2), F(1, 3), 2), (2, 3, F(-1, 2))):
-        pair = hs_pair(9, params)
+        s1, s2 = (table.rows for table in hs_pair(9, params))
         for seed in range(5):
             rng = random.Random(seed)
             g = [F(rng.randint(-30, 30), rng.randint(1, 5)) for _ in range(10)]
-            assert pair.s2.transform(pair.s1.transform(g)) == g
+            assert transform(s2, transform(s1, g)) == g
 
 
 def test_hs_lah_diagonal():
@@ -94,8 +93,8 @@ def test_hs_lah_self_composition_where_self_inverse():
     # With a unit shift the Lah-type matrix coincides with the Whitney-Lah
     # family, which is its own inverse.
     for beta in (2, 3):
-        lah = families.triangle("hs-lah", named((0, beta, 1)), 8)
-        assert lah.mul(lah).is_identity()
+        lah = tuple(families.rows("hs-lah", named((0, beta, 1)), 8))
+        assert tuple(product(lah, lah)) == identity_rows(8)
 
 
 def test_hs_bell_values():
@@ -107,11 +106,11 @@ def test_hs_bell_values():
 def test_hs_bell_explicit_agrees():
     for params in PARAM_SETS:
         for n in range(11):
-            assert hs_bell_explicit(n, params) == families.row_sum("hs1", named(params), n)
+            assert explicit_sum("hs-bell", named(params), n) == families.row_sum("hs1", named(params), n)
 
 
 def test_cakic_unit_step_is_identity():
-    assert families.triangle("cakic", {"alpha": 1}, 6).is_identity()
+    assert families.triangle("cakic", {"alpha": 1}, 6).rows == identity_rows(6)
 
 
 def test_cakic_diagonal_and_bell_routes():
@@ -121,14 +120,19 @@ def test_cakic_diagonal_and_bell_routes():
     for n in range(7):
         row_sum = sum(mat.value(n, k) for k in range(n + 1))
         assert families.row_sum("cakic", {"alpha": 2}, n) == row_sum
-        assert hs_bell_explicit(n, (2, 1, 0)) == row_sum
+        assert explicit_sum("hs-bell", named((2, 1, 0)), n) == row_sum
 
 
 def test_cakic_defining_relation():
-    # Step-alpha factorial of x expanded in plain falling factorials.
+    # Step-alpha factorial of x expanded in plain falling factorials:
+    # (x|alpha)_n = sum_k C(n,k) (x)_k, both sides of degree n, so equal
+    # where they agree at x = 0..n.
     for alpha in (2, 3):
-        solved = connection_matrix(factorial_basis(1, 0, alpha, 5), factorial_basis(1, 0, 1, 5))
-        assert families.triangle("cakic", {"alpha": alpha}, 5).rows == solved.rows
+        tri = families.triangle("cakic", {"alpha": alpha}, 5)
+        for n in range(6):
+            for x in range(n + 1):
+                falling = [math.prod(x - i for i in range(k)) for k in range(n + 1)]
+                assert sum(c * f for c, f in zip(tri.row(n), falling)) == math.prod(x - i * alpha for i in range(n))
 
 
 def test_specialization_report_passes():
@@ -150,7 +154,6 @@ def test_specialization_report_trivial_nmax():
 
 def test_degenerate_step_pair_still_works():
     # alpha = beta = 0 turns both sides into shifted monomial bases.
-    pair = hs_pair(5, (0, 0, 1))
-    assert verify_orthogonality(*pair)
-    binomial_row = [pair.s1.value(4, k) for k in range(5)]
-    assert binomial_row == [1, 4, 6, 4, 1]
+    s1, s2 = (table.rows for table in hs_pair(5, (0, 0, 1)))
+    assert tuple(product(s1, s2)) == tuple(product(s2, s1)) == identity_rows(5)
+    assert s1[4] == (1, 4, 6, 4, 1)
