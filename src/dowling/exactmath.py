@@ -1,7 +1,7 @@
 """Exact scalars, `egf_product`, the product of two exponential generating
 functions on ints with which `basis.egf_rows` raises a series to each power,
-and the `Fraction` polynomials, interpolation and truncated power series
-that the tests keep as their reference.
+and the `Fraction` polynomials, interpolation and truncated power series,
+reached only by their own tests, `basis`'s `Fraction` section and `perfbench`.
 
 Everything in this package computes over Python ints and
 `fractions.Fraction`, so every result is exact; nothing here ever rounds.

@@ -469,6 +469,27 @@ def _times_factorial(rows, width):
     return (tuple(math.factorial(k) * v for k, v in enumerate((*row, *[0] * width)[:width])) for row in rows)
 
 
+def _egf(family, label=None, solved=False, **point):
+    """A `Tables` of k! U(n,k), k <= min(kmax, nmax), of the engine's scaled
+    rows of a family of `families.TRIPLES` at `point`, updated with the
+    parameters the identity passes (one the family does not take is
+    ignored), against `basis.egf_rows` under `label`; if `solved`, also
+    against k! times the rows of `basis.scaled_solve`, which fail at every
+    entry, each tagged with the solve's D, where it is not the engine's."""
+
+    def reference(nmax, kmax=None, **given):
+        _, rows = families.scaled_rows(family, {**point, **given}, nmax)
+        return _times_factorial(rows, min(nmax if kmax is None else kmax, nmax) + 1)
+
+    def solve(nmax):
+        (scale, _), (other, rows) = families.scaled_rows(family, point, 0), basis.scaled_solve(family, point, nmax)
+        rows = _times_factorial(rows, nmax + 1)
+        return rows if other == scale else (tuple(f"{v} at D = {other}" for v in row) for row in rows)
+
+    egf = (lambda nmax, kmax=None, **given: basis.egf_rows(family, {**point, **given}, nmax, kmax), 0)
+    return Tables(reference, (egf, (solve, 0)) if solved else (egf,), label=label)
+
+
 _HS_GRID = tuple(
     {"alpha": a, "beta": b, "gamma": g}
     for a, b, g in ((0, 1, 2), (0, 2, 2), (1, 0, 0), (Fraction(1, 2), Fraction(1, 3), 2))
@@ -504,15 +525,17 @@ _ENGINE_ORTHO = (
     Inverse(_scaled("whitney1"), _scaled("whitney2"), "whitney1"),
     Inverse(_signed(_scaled("r-whitney1")), _scaled("r-whitney2"), "r-whitney1"),
 )
-# The EGF powers k <= kmax (Lah) and k <= nmax (r-Stirling) by `basis.egf_rows` against k! T(n,k).
-_LGF = Tables(
-    lambda nmax, kmax: _times_factorial(families.rows("lah", {}, nmax), min(kmax, nmax) + 1),
-    ((lambda nmax, kmax: basis.egf_rows("lah", {}, nmax, kmax), 0),),
-)
-_WEIGHTED_EGF = Tables(
-    lambda nmax, r, order: _times_factorial(families.rows("r-stirling2", {"r": r}, nmax), nmax + 1),
-    ((lambda nmax, r, order: basis.egf_rows("r-stirling2", {"r": r}, nmax), 0),),
-)
+# Each family of `families.TRIPLES` at the point where `triples` checks it,
+# a negative or rational one where the family has one.
+_HS_POINT = {"alpha": Fraction(-1, 2), "beta": Fraction(2, 3), "gamma": Fraction(-5, 7)}
+_TRIPLE_POINTS = {
+    "stirling1": {}, "stirling2": {}, "lah": {},
+    "whitney1": {"alpha": -2}, "whitney2": {"alpha": -2}, "whitney-lah": {"alpha": -3},
+    "r-stirling1": {"r": 3}, "r-stirling2": {"r": 3}, "r-lah": {"r": 3},
+    "r-whitney1": {"m": 3, "r": 2}, "r-whitney2": {"m": 3, "r": 2}, "r-whitney-lah": {"m": 3, "r": 2},
+    "hs1": _HS_POINT, "hs2": _HS_POINT, "cakic": {"alpha": Fraction(-3, 2)},
+}
+_TRIPLES = tuple(_egf(family, family, solved=True, **point) for family, point in _TRIPLE_POINTS.items())
 _PARTIAL_BELL_NOTES = "B(n,k) at x_i = 1, i!, (i-1)! against S(n,k), (-1)^n L(n,k), (-1)^(n-k) s(n,k)"
 _BELL_REDUCTION_NOTES = "unit-step Dowling numbers against shifted Bell/Stirling values"
 _HORILAH = "angle-bracket weights resolved as the ascending product x(x+1)...(x+i-1)"
@@ -540,7 +563,7 @@ REGISTRY = {
             Tables(_LAH, _lah_routes("lah", horizontal=0)),
             notes=_HORILAH,
         ),
-        Identity("lgf", {"nmax": 20}, ({"nmax": 60},), _LGF, fixed={"kmax": 5}),
+        Identity("lgf", {"nmax": 20}, ({"nmax": 60},), _egf("lah"), fixed={"kmax": 5}),
         Identity("qi", {"nmax": 25}, ({"nmax": 400},), _sequences(_sums("stirling2"), _explicit("bell"))),
         Identity("ordlahstirling", {"nmax": 15}, ({"nmax": 200},), Tables(_LAH, _lah_routes("lah", product=0))),
         Identity(
@@ -596,7 +619,7 @@ REGISTRY = {
             "weighted-egf",
             {"nmax": 12, "r": 2},
             ({"nmax": 60},),
-            _WEIGHTED_EGF,
+            _egf("r-stirling2"),
             fixed={"order": partial(max, 12)},  # read by no route; its report bytes are pinned
         ),
         Identity("rw-ortho", {"nmax": 8, "m": 2, "r": 2}, ({"nmax": 60},), _R_WHITNEY_PAIR),
@@ -635,6 +658,7 @@ REGISTRY = {
             notes=_LOG_CONCAVE,
         ),
         Identity("specializations", {"nmax": 6}, ({"nmax": 100},), _REDUCTIONS, notes=_CONVENTIONS),
+        Identity("triples", {"nmax": 10}, ({"nmax": 60},), _TRIPLES),
         Identity("oracle", {"nmax": 8}, ({"nmax": 11}, {"nmax": 13}), _ORACLE, needs_oracle=True),
     )
 }

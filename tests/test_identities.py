@@ -3,8 +3,10 @@ fail, and so can every case of the paper's tables, a failing case lists at
 most 20 failures, every specialization fails on a sign error, `verify`
 builds every engine family, `verify` takes only the parameters an identity
 declares, every identity declares valid sizes and points at scale, the
-Lah-type families are what `LAH_TYPES` declares them to be, and a wrong
-weight of any engine family is caught by the identities that read it."""
+Lah-type families are what `LAH_TYPES` declares them to be, `triples`
+checks both routes of every family's Hsu-Shiue triple, and a wrong weight
+of any engine family is caught by the identities that read it, one right
+only at the default points by `triples`."""
 
 import importlib.util
 import json
@@ -49,15 +51,22 @@ def _with_case(ident, i, case):
 
 
 def _sources(monkeypatch, call) -> set:
-    """The (family-table entry point, family) pairs that `call()` reads."""
-    seen = set()
+    """The (family-table entry point, family) pairs that `call()` reads,
+    without those an entry point reads for another (`rows` reads
+    `scaled_rows`)."""
+    seen, depth = set(), [0]
     with monkeypatch.context() as patch:
-        for entry in ("rows", "row_sum"):
+        for entry in ("rows", "scaled_rows", "row_sum"):
             real = getattr(families, entry)
 
             def spy(name, *args, entry=entry, real=real):
-                seen.add((entry, name))
-                return real(name, *args)
+                if not depth[0]:
+                    seen.add((entry, name))
+                depth[0] += 1
+                try:
+                    return real(name, *args)
+                finally:
+                    depth[0] -= 1
 
             patch.setattr(families, entry, spy)
         call()
@@ -65,23 +74,30 @@ def _sources(monkeypatch, call) -> set:
 
 
 def _perturb(patch, entry, family, n0, k0):
-    """Make entry (n0, k0) of `family`'s rows, or its row sum n0, one more,
-    wherever `families.rows` or `families.row_sum` builds it."""
+    """Make entry (n0, k0) of `family`'s rows or scaled rows, or its row sum
+    n0, one more, wherever `families.rows`, `families.scaled_rows` or
+    `families.row_sum` builds it."""
     real = getattr(families, entry)
 
-    def rows(name, params, nmax, *args):
-        table = real(name, params, nmax, *args)
+    def bump(name, nmax, table):
         if name != family or nmax < n0:
             return table
         table = [list(row) for row in table]
         table[n0][k0] += 1
         return map(tuple, table)
 
+    def rows(name, params, nmax, *args):
+        return bump(name, nmax, real(name, params, nmax, *args))
+
+    def scaled_rows(name, params, nmax, *args):
+        scale, table = real(name, params, nmax, *args)
+        return scale, bump(name, nmax, table)
+
     def row_sum(name, params, n):
         value = real(name, params, n)
         return value + 1 if name == family and n == n0 else value
 
-    patch.setattr(families, entry, rows if entry == "rows" else row_sum)
+    patch.setattr(families, entry, {"rows": rows, "scaled_rows": scaled_rows, "row_sum": row_sum}[entry])
 
 
 def _first_change(before, after) -> tuple:
@@ -107,9 +123,9 @@ def test_every_table_and_sequence_check_can_fail(capsys, monkeypatch):
         if isinstance(case, Tables)
     ]
     cases = [(*case, sources) for case in cases if (sources := _sources(monkeypatch, case[-1]))]
-    assert len(cases) == 36 and sum(case[0] == "oracle" for case in cases) == 12
+    assert len(cases) == 51 and sum(case[0] == "oracle" for case in cases) == 12
     for name, ident, case, reference, ((entry, family),) in cases:
-        n0, k0 = ident.defaults["nmax"], 1 if entry == "rows" else None
+        n0, k0 = ident.defaults["nmax"], None if entry == "row_sum" else 1
         before = list(reference())
         with monkeypatch.context() as patch:
             _perturb(patch, entry, family, n0, k0)
@@ -137,7 +153,7 @@ def test_every_paper_case_can_fail(capsys, monkeypatch):
             for entry, family in sources:
                 for n0 in (nmax + 1, nmax):
                     with monkeypatch.context() as patch:
-                        _perturb(patch, entry, family, n0, 1 if entry == "rows" else None)
+                        _perturb(patch, entry, family, n0, None if entry == "row_sum" else 1)
                         after = list(read())
                         code, out, _ = run(capsys, "paper-tables")
                     if after != before:
@@ -347,7 +363,7 @@ def test_a_wrong_egf_coefficient_is_named(capsys, monkeypatch, name, family, n, 
     """An EGF check fails at each coefficient n! [t^n] of the k-th power
     that differs from k! T(n,k), expecting the triangle's value."""
     entry = math.factorial(k) * families.triangle(family, {"r": 2} if family == "r-stirling2" else {}, n).value(n, k)
-    _perturb(monkeypatch, "rows", family, n, k)
+    _perturb(monkeypatch, "scaled_rows", family, n, k)
     code, out, _ = run(capsys, "verify", "--identity", name)
     assert code == 1
     assert json.loads(out)["failures"] == [
@@ -437,6 +453,31 @@ def test_every_identity_declares_where_it_is_checked_at_scale():
             point = {key: value for key, value in entry.items() if key != "nmax"}
             assert isinstance(entry["nmax"], int) and entry["nmax"] >= ident.defaults["nmax"], (name, entry)
             assert report(ident._replace(check=()), point, entry["nmax"])["pass"], (name, entry)
+
+
+def test_triples_checks_every_family_of_the_triples_table():
+    """`triples` has one case per family of `families.TRIPLES`, labelled by
+    it, each with the EGF route and the connection solve."""
+    cases = REGISTRY["triples"].check
+    assert sorted(case.label for case in cases) == sorted(families.TRIPLES)
+    assert {len(case.routes) for case in cases} == {2}
+
+
+def test_a_solve_at_another_scale_fails_triples(capsys, monkeypatch):
+    """A connection solve whose D is not the engine's is a verification
+    failure of its family's case, each entry tagged with that D, not an
+    exception; the rows themselves are the engine's."""
+    real = basis.scaled_solve
+
+    def scaled_solve(family, params, nmax):
+        scale, rows = real(family, params, nmax)
+        return (2 * scale if family == "hs1" else scale), rows
+
+    monkeypatch.setattr(basis, "scaled_solve", scaled_solve)
+    code, out, _ = run(capsys, "verify", "--identity", "triples")
+    failures = json.loads(out)["failures"]
+    assert code == 1 and failures[0] == {"n": 0, "k": 0, "expected": "hs1: 1", "actual": "1 at D = 84"}
+    assert all(f["expected"].startswith("hs1: ") for f in failures) and len(failures) == 21
 
 
 def test_a_rational_pair_is_multiplied_on_ints(capsys, monkeypatch):
@@ -668,34 +709,48 @@ def test_lah_routes_validate_their_parameters():
 
 
 # The identities that catch each engine family with its weight a, b or c
-# raised by 1, exactly: every such mutant is caught at least twice.  `oracle`
+# raised by 1, exactly: every such mutant is caught at least three times,
+# always by `triples`, which reads every family but `hs-lah`.  `oracle`
 # catches `lah` since it reads the engine table.  The whitney-lah mutant of
 # weight c is still its own inverse, so `ortho` and `inv1` pass it.
-_W_LAH_CATCHERS = {"wla1", "triwlah", "dow1", "specializations"}
-_HS_CATCHERS = {"ugexp", "cakic-bell", "specializations"}
+_W_LAH_CATCHERS = {"wla1", "triwlah", "dow1", "specializations", "triples"}
+_HS_CATCHERS = {"ugexp", "cakic-bell", "specializations", "triples"}
 MUTANT_CATCHERS = {
-    "stirling1": dict.fromkeys("abc", {"partial-bell", "stirling-inverse"}),
+    "stirling1": dict.fromkeys("abc", {"partial-bell", "stirling-inverse", "triples"}),
     "stirling2": dict.fromkeys(
-        "abc", {"qi", "ordlahstirling", "stirling-inverse", "partial-bell", "benoumhani", "bell-reduction", "oracle"}
+        "abc",
+        {
+            "qi", "ordlahstirling", "stirling-inverse", "partial-bell", "benoumhani", "bell-reduction", "oracle",
+            "triples",
+        },
     ),
-    "lah": dict.fromkeys("abc", {"lef", "verlah", "horilah", "lgf", "ordlahstirling", "partial-bell", "oracle"}),
-    "whitney1": dict.fromkeys("abc", {"engine-ortho", "specializations"}),
+    "lah": dict.fromkeys(
+        "abc", {"lef", "verlah", "horilah", "lgf", "ordlahstirling", "partial-bell", "oracle", "triples"}
+    ),
+    "whitney1": dict.fromkeys("abc", {"engine-ortho", "specializations", "triples"}),
     "whitney2": dict.fromkeys(
         "abc",
-        {"wla1", "triwlah", "whitney-ortho", "benoumhani", "dow1", "bell-reduction", "engine-ortho", "specializations"},
+        {
+            "wla1", "triwlah", "whitney-ortho", "benoumhani", "dow1", "bell-reduction", "engine-ortho",
+            "specializations", "triples",
+        },
     ),
     "whitney-lah": {**dict.fromkeys("ab", _W_LAH_CATCHERS | {"ortho", "inv1"}), "c": _W_LAH_CATCHERS},
-    "r-stirling1": dict.fromkeys("abc", {"lah1", "lah4", "specializations"}),
-    "r-stirling2": dict.fromkeys("abc", {"expb", "lah1", "lah4", "oracle", "specializations", "weighted-egf"}),
-    "r-lah": dict.fromkeys("abc", {"qi", "lah1", "expb", "specializations", "oracle"}),
-    "r-whitney1": dict.fromkeys("abc", {"engine-ortho", "specializations"}),
-    "r-whitney2": dict.fromkeys("abc", {"rw-ortho", "rw-inv", "engine-ortho", "expl-rdow", "specializations"}),
+    "r-stirling1": dict.fromkeys("abc", {"lah1", "lah4", "specializations", "triples"}),
+    "r-stirling2": dict.fromkeys(
+        "abc", {"expb", "lah1", "lah4", "oracle", "specializations", "weighted-egf", "triples"}
+    ),
+    "r-lah": dict.fromkeys("abc", {"qi", "lah1", "expb", "specializations", "oracle", "triples"}),
+    "r-whitney1": dict.fromkeys("abc", {"engine-ortho", "specializations", "triples"}),
+    "r-whitney2": dict.fromkeys(
+        "abc", {"rw-ortho", "rw-inv", "engine-ortho", "expl-rdow", "specializations", "triples"}
+    ),
     "r-whitney-lah": dict.fromkeys(
-        "abc", {"rwhitneylah", "exprwlah", "rwlah-routes", "expl-rdow", "specializations"}
+        "abc", {"rwhitneylah", "exprwlah", "rwlah-routes", "expl-rdow", "specializations", "triples"}
     ),
     "hs1": dict.fromkeys("abc", _HS_CATCHERS | {"hs-ortho"}),
     "hs2": dict.fromkeys("abc", _HS_CATCHERS | {"invrel"}),
-    "cakic": dict.fromkeys("abc", {"cakic-bell", "specializations"}),
+    "cakic": dict.fromkeys("abc", {"cakic-bell", "specializations", "triples"}),
 }
 
 
@@ -727,9 +782,9 @@ def _catching(monkeypatch, family, weight) -> set:
 def test_a_wrong_lah_type_weight_is_caught(monkeypatch, family, weight):
     """The mutation gate, over every engine family (the Lah types were its
     first): each single-weight mutant is caught by exactly its declared
-    identities, at least two."""
+    identities, at least three."""
     assert set(MUTANT_CATCHERS) == {name for name, fam in families.FAMILIES.items() if fam.weights}
-    assert len(MUTANT_CATCHERS[family][weight]) >= 2
+    assert len(MUTANT_CATCHERS[family][weight]) >= 3
     assert _catching(monkeypatch, family, weight) == MUTANT_CATCHERS[family][weight]
 
 
@@ -737,6 +792,23 @@ def test_a_wrong_lah_type_weight_is_caught(monkeypatch, family, weight):
 @pytest.mark.parametrize("family", ("whitney1", "r-whitney1"))
 def test_a_wrong_first_kind_weight_is_caught_twice(family, weight):
     """The engine's first kinds are caught by the solved s1 of
-    `specializations` and by `engine-ortho`, which multiplies each by its
-    engine second kind; the gate above runs them."""
-    assert MUTANT_CATCHERS[family][weight] == {"specializations", "engine-ortho"}
+    `specializations`, by `engine-ortho`, which multiplies each by its
+    engine second kind, and by both routes of `triples`; the gate above
+    runs them."""
+    assert MUTANT_CATCHERS[family][weight] == {"specializations", "engine-ortho", "triples"}
+
+
+def test_a_weight_right_only_at_the_default_points_fails_triples(capsys, monkeypatch):
+    """r-Whitney-Lah with weight c = r*m - m instead of 2r - m is right
+    wherever m = 2 or r = 0, so at (m, r) = (2, 2), where every other
+    identity reads it; `triples` reads it at (3, 2) and is the one identity
+    that fails."""
+    real = families.FAMILIES["r-whitney-lah"]
+
+    def weights(p):
+        return 1, p["m"], p["m"], p["r"] * p["m"] - p["m"]
+
+    monkeypatch.setitem(families.FAMILIES, "r-whitney-lah", real._replace(weights=weights))
+    code, out, _ = run(capsys, "verify", "--identity", "all")
+    assert code == 1
+    assert [r["identity"] for r in json.loads(out)["identities"] if not r["pass"]] == ["triples"]
