@@ -15,7 +15,8 @@ the identity's parameters other than nmax.  The shapes:
 - `Tables`: a reference row stream, of the production path or of the
   values the paper prints, against route row streams, entrywise;
   a sequence is declared as one (`_sequences`), its terms one-entry rows,
-  and so is `log-concavity`, each row's verdict against "log-concave";
+  and so are `log-concavity`, each row's verdict against "log-concave",
+  and each case of `sums`, one row n after n empty rows;
 - `Inverse`: the product of two row streams is the identity matrix,
   entrywise, on the scaled ints of a rational pair;
 - `Reductions`: the rows of `SPECIALIZATIONS` at one Hsu-Shiue triple,
@@ -44,7 +45,7 @@ the grid.
 from __future__ import annotations
 
 import math
-from collections import namedtuple
+from collections import deque, namedtuple
 from fractions import Fraction
 from functools import partial
 from itertools import count, islice, zip_longest
@@ -433,6 +434,53 @@ _ORACLE = (
 )
 
 
+def _rolled(family, point, n):
+    """Row n of a diagonal-weight-1 family summed off the engine's row, one
+    held: sum_k U(n,k) D^k / D^n over `families.scaled_rows`, by Horner's rule."""
+    scale, rows = families.scaled_rows(family, point, n)
+    total = 0
+    for u in reversed(deque(rows, maxlen=1)[0]):
+        total = total * scale + u
+    return Fraction(total, scale**n)
+
+
+def _one_row(name, point, top, route) -> Tables:
+    """The sum `name` of `families.SUMS` at `point` in row n = min(nmax,
+    `top`) alone, labelled by the sum, `route` and point: the production
+    `families.row_sum` of its family against `_rolled` ("rolled") or the
+    paper's formula `families.explicit_sum` ("formula"), each a one-entry
+    row n after n empty rows."""
+    family, last = families.SUMS[name].family, partial(min, top)
+    where = ", ".join(f"{key}={value}" for key, value in point.items())
+
+    def at_row(value):
+        return lambda nmax: (*[()] * last(nmax), (value(last(nmax)),))
+
+    reference = at_row(lambda n: families.row_sum(family, point, n))
+    summed = at_row(lambda n: _rolled(family, point, n) if route == "rolled" else families.explicit_sum(name, point, n))
+    return Tables(reference, ((summed, 0),), label=f"{name} {route}" + (f" at {where}" if where else ""))
+
+
+# Where `sums` checks each Bell-type sum.  `hs-bell` and `cakic-bell` stream
+# `hs-lah`, an O(n^3) product, so their formulas stop at row 200.  At
+# (1/2, 0, 1/3), b = 0, the production sum is a product, not the formula.
+_HS_HALF = {"alpha": Fraction(1, 2), "beta": Fraction(1, 3), "gamma": 2}
+_SUMS = (
+    _one_row("bell", {}, 1000, "rolled"),
+    _one_row("r-dowling", {"m": 2, "r": 2}, 2000, "rolled"),
+    _one_row("dowling", {"alpha": -2}, 1500, "rolled"),
+    _one_row("hs-bell", _HS_HALF, 1000, "rolled"),
+    _one_row("hs-bell", {"alpha": Fraction(1, 2), "beta": 0, "gamma": Fraction(1, 3)}, 1000, "rolled"),
+    _one_row("cakic-bell", {"alpha": 2}, 2000, "rolled"),
+    _one_row("bell", {}, 1000, "formula"),
+    _one_row("dowling", {"alpha": 3}, 1000, "formula"),
+    _one_row("r-bell", {"r": 2}, 1000, "formula"),
+    _one_row("r-dowling", {"m": 2, "r": 2}, 1000, "formula"),
+    _one_row("hs-bell", _HS_HALF, 200, "formula"),
+    _one_row("cakic-bell", {"alpha": 2}, 200, "formula"),
+)
+
+
 # ---------------------------------------------------------------------------
 # the registry
 
@@ -542,15 +590,17 @@ _HORILAH = "angle-bracket weights resolved as the ascending product x(x+1)...(x+
 _TRIWLAH = "vertical, horizontal and product routes against the triangular recurrence"
 _RWLAH = "explicit, product, vertical and horizontal routes against the recurrence"
 _LOG_CONCAVE = "product-form strict log-concavity; the sum form is implied at these sizes"
+_SUMS_NOTES = "row min(nmax, top) of each case alone, top 200 to 2000, against the production row sum"
 _CONVENTIONS = "; ".join(f"{name}: {convention}" for name, convention, *_ in SPECIALIZATIONS)
 
-# The `at_scale` sizes run in about 2 s or less each on a 2-vCPU VM, all in
-# one process under a 200 MB address-space limit; `lef` and `exprwlah` reach
-# nmax 1000 since `verify` holds one row of each stream.  The Lah-type routes
-# also run at edge points: at alpha = -2 the factor 2 + k*alpha of the closed
-# form is 0 at k = 1, and at r = 0 its quotient [2r|m]_n / [2r|m]_k is 0/0 as
-# printed (the walk of `triangles.explicit_row` meets neither), and column 0
-# of an expansion is an edge case.
+# The `at_scale` sizes run in about 2 s or less each on a 2-vCPU VM (`sums`,
+# twelve rows at n = 200-2000, in 7-10 s), all in one process under a 200 MB
+# address-space limit; `lef` and `exprwlah` reach nmax 1000 since `verify`
+# holds one row of each stream.  The Lah-type routes also run at edge points:
+# at alpha = -2 the factor 2 + k*alpha of the closed form is 0 at k = 1, and
+# at r = 0 its quotient [2r|m]_n / [2r|m]_k is 0/0 as printed (the walk of
+# `triangles.explicit_row` meets neither), and column 0 of an expansion is an
+# edge case.
 REGISTRY = {
     ident.name: ident
     for ident in (
@@ -659,6 +709,7 @@ REGISTRY = {
         ),
         Identity("specializations", {"nmax": 6}, ({"nmax": 100},), _REDUCTIONS, notes=_CONVENTIONS),
         Identity("triples", {"nmax": 10}, ({"nmax": 60},), _TRIPLES),
+        Identity("sums", {"nmax": 30}, ({"nmax": 2000},), _SUMS, notes=_SUMS_NOTES),
         Identity("oracle", {"nmax": 8}, ({"nmax": 11}, {"nmax": 13}), _ORACLE, needs_oracle=True),
     )
 }

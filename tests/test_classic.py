@@ -60,10 +60,6 @@ def test_lah_triangle_values():
     assert tri.value(0, 0) == 1
 
 
-def test_lah_explicit_matches_recurrence_to_30():
-    assert tuple(lah_route("explicit", "lah", 30)) == families.triangle("lah", {}, 30).rows
-
-
 def test_lah_explicit_values():
     # (-1)^n C(n-1,k-1) n!/k!
     rows = tuple(lah_route("explicit", "lah", 4))
@@ -77,12 +73,6 @@ def test_lah_signless_counts_ordered_partitions():
     for n in range(10):
         for k in range(n + 1):
             assert (-1) ** n * tri.value(n, k) == count_partitions(n, k, ordered=True)
-
-
-def test_lah_vertical_and_horizontal_agree_to_20():
-    rows = families.triangle("lah", {}, 20).rows
-    assert tuple(lah_route("vertical", "lah", 20)) == rows
-    assert tuple(lah_route("horizontal", "lah", 20)) == rows
 
 
 def test_lah_vertical_small_cases():

@@ -4,9 +4,10 @@ most 20 failures, every specialization fails on a sign error, `verify`
 builds every engine family, `verify` takes only the parameters an identity
 declares, every identity declares valid sizes and points at scale, the
 Lah-type families are what `LAH_TYPES` declares them to be, `triples`
-checks both routes of every family's Hsu-Shiue triple, and a wrong weight
-of any engine family is caught by the identities that read it, one right
-only at the default points by `triples`."""
+checks both routes of every family's Hsu-Shiue triple, `sums` checks every
+Bell-type sum by its routes at the declared rows and each route can fail
+there, and a wrong weight of any engine family is caught by the identities
+that read it, one right only at the default points by `triples`."""
 
 import importlib.util
 import json
@@ -75,16 +76,16 @@ def _sources(monkeypatch, call) -> set:
 
 def _perturb(patch, entry, family, n0, k0):
     """Make entry (n0, k0) of `family`'s rows or scaled rows, or its row sum
-    n0, one more, wherever `families.rows`, `families.scaled_rows` or
-    `families.row_sum` builds it."""
+    or explicit sum n0, one more, wherever `families.rows`,
+    `families.scaled_rows`, `families.row_sum` or `families.explicit_sum`
+    builds it (`family` names the sum for `explicit_sum`); rows stream, one
+    held at a time."""
     real = getattr(families, entry)
 
     def bump(name, nmax, table):
         if name != family or nmax < n0:
             return table
-        table = [list(row) for row in table]
-        table[n0][k0] += 1
-        return map(tuple, table)
+        return ((*row[:k0], row[k0] + 1, *row[k0 + 1 :]) if n == n0 else row for n, row in enumerate(table))
 
     def rows(name, params, nmax, *args):
         return bump(name, nmax, real(name, params, nmax, *args))
@@ -93,11 +94,11 @@ def _perturb(patch, entry, family, n0, k0):
         scale, table = real(name, params, nmax, *args)
         return scale, bump(name, nmax, table)
 
-    def row_sum(name, params, n):
+    def value(name, params, n):
         value = real(name, params, n)
         return value + 1 if name == family and n == n0 else value
 
-    patch.setattr(families, entry, {"rows": rows, "scaled_rows": scaled_rows, "row_sum": row_sum}[entry])
+    patch.setattr(families, entry, {"rows": rows, "scaled_rows": scaled_rows}.get(entry, value))
 
 
 def _first_change(before, after) -> tuple:
@@ -123,7 +124,7 @@ def test_every_table_and_sequence_check_can_fail(capsys, monkeypatch):
         if isinstance(case, Tables)
     ]
     cases = [(*case, sources) for case in cases if (sources := _sources(monkeypatch, case[-1]))]
-    assert len(cases) == 51 and sum(case[0] == "oracle" for case in cases) == 12
+    assert len(cases) == 63 and sum(case[0] == "oracle" for case in cases) == 12
     for name, ident, case, reference, ((entry, family),) in cases:
         n0, k0 = ident.defaults["nmax"], None if entry == "row_sum" else 1
         before = list(reference())
@@ -463,6 +464,90 @@ def test_triples_checks_every_family_of_the_triples_table():
     assert {len(case.routes) for case in cases} == {2}
 
 
+def _sum_reads(monkeypatch, case, nmax) -> set:
+    """What a case of `sums` reads at `nmax`, with no row built: each call
+    of `families.row_sum`, `scaled_rows` or `explicit_sum`, stubbed to a
+    zero sum or rows of one zero, as (entry, family or sum, point, n)."""
+    reads = set()
+
+    def stub(entry, value):
+        def read(name, params, n, *args):
+            reads.add((entry, name, tuple(params.items()), n))
+            return value(n)
+
+        return read
+
+    with monkeypatch.context() as patch:
+        patch.setattr(families, "row_sum", stub("row_sum", lambda n: 0))
+        patch.setattr(families, "explicit_sum", stub("explicit_sum", lambda n: 0))
+        patch.setattr(families, "scaled_rows", stub("scaled_rows", lambda n: (1, [(0,)] * (n + 1))))
+        assert case(nmax) == [], case.label
+    return reads
+
+
+_HS_HALF = (("alpha", Fraction(1, 2)), ("beta", Fraction(1, 3)), ("gamma", 2))
+# The rows that `sums` must check at scale, as `_sum_reads` reads them: the
+# engine's rows summed, and the paper's formulas.
+_SUM_ROWS = {
+    ("scaled_rows", "stirling2", (), 1000),
+    ("scaled_rows", "r-whitney2", (("m", 2), ("r", 2)), 2000),
+    ("scaled_rows", "whitney2", (("alpha", -2),), 1500),
+    ("scaled_rows", "hs1", _HS_HALF, 1000),
+    ("scaled_rows", "hs1", (("alpha", Fraction(1, 2)), ("beta", 0), ("gamma", Fraction(1, 3))), 1000),
+    ("scaled_rows", "cakic", (("alpha", 2),), 2000),
+    ("explicit_sum", "bell", (), 1000),
+    ("explicit_sum", "dowling", (("alpha", 3),), 1000),
+    ("explicit_sum", "r-bell", (("r", 2),), 1000),
+    ("explicit_sum", "r-dowling", (("m", 2), ("r", 2)), 1000),
+    ("explicit_sum", "hs-bell", _HS_HALF, 200),
+    ("explicit_sum", "cakic-bell", (("alpha", 2),), 200),
+}
+
+
+def test_sums_checks_every_sum_of_the_table(monkeypatch):
+    """At its `at_scale` nmax, each case of `sums`, labelled by its sum and
+    route, reads its route at one row n and the production `row_sum` of the
+    sum's family at the same point and n; together they read every row of
+    `_SUM_ROWS` and the formula of every sum of `families.SUMS`."""
+    ident, routes = REGISTRY["sums"], set()
+    (entry,) = ident.at_scale
+    for case in ident.check:
+        reads = _sum_reads(monkeypatch, case, entry["nmax"])
+        (reference,) = {read for read in reads if read[0] == "row_sum"}
+        (route,) = reads - {reference}
+        name, kind, *_ = case.label.split()
+        family = families.SUMS[name].family
+        assert route == {"rolled": ("scaled_rows", family), "formula": ("explicit_sum", name)}[kind] + route[2:]
+        assert reference == ("row_sum", family, *route[2:]), case.label
+        routes.add(route)
+    assert routes >= _SUM_ROWS
+    assert {name for entry, name, _, _ in routes if entry == "explicit_sum"} == set(families.SUMS)
+
+
+@pytest.mark.parametrize(
+    "route, cheapest",
+    (("rolled", "hs-bell rolled at alpha=1/2, beta=0, gamma=1/3"), ("formula", "cakic-bell formula at alpha=2")),
+    ids=("rolled", "formula"),
+)
+def test_a_wrong_sum_route_fails_its_case_at_its_row(monkeypatch, route, cheapest):
+    """Make what a route of `sums` reads one more at the row its case
+    checks, entry (n, 1) of the engine's scaled row for "rolled" or the
+    explicit sum for "formula": the case fails there alone, at (n, 0),
+    under its label.  Every case of the route runs at the default nmax,
+    where it checks row 30, and `cheapest` also one past its top, where it
+    checks row top."""
+    ident = REGISTRY["sums"]
+    cases = {case.label: case for case in ident.check if case.label.split()[1] == route}
+    ((_, _, _, top),) = {read for read in _sum_reads(monkeypatch, cases[cheapest], 10**4) if read[0] != "row_sum"}
+    for case, nmax in (*((case, ident.defaults["nmax"]) for case in cases.values()), (cases[cheapest], top + 1)):
+        ((entry, name, _, n),) = {read for read in _sum_reads(monkeypatch, case, nmax) if read[0] != "row_sum"}
+        with monkeypatch.context() as patch:
+            _perturb(patch, entry, name, n, 1)
+            failures = case(nmax)
+        assert n == min(nmax, top) and [(f["n"], f["k"]) for f in failures] == [(n, 0)], case.label
+        assert failures[0]["expected"].startswith(f"{case.label}: "), case.label
+
+
 def test_a_solve_at_another_scale_fails_triples(capsys, monkeypatch):
     """A connection solve whose D is not the engine's is a verification
     failure of its family's case, each entry tagged with that D, not an
@@ -711,17 +796,18 @@ def test_lah_routes_validate_their_parameters():
 # The identities that catch each engine family with its weight a, b or c
 # raised by 1, exactly: every such mutant is caught at least three times,
 # always by `triples`, which reads every family but `hs-lah`.  `oracle`
-# catches `lah` since it reads the engine table.  The whitney-lah mutant of
-# weight c is still its own inverse, so `ortho` and `inv1` pass it.
-_W_LAH_CATCHERS = {"wla1", "triwlah", "dow1", "specializations", "triples"}
-_HS_CATCHERS = {"ugexp", "cakic-bell", "specializations", "triples"}
+# catches `lah` since it reads the engine table, and `sums` each family that
+# one of its formulas reads.  The whitney-lah mutant of weight c is still its
+# own inverse, so `ortho` and `inv1` pass it.
+_W_LAH_CATCHERS = {"wla1", "triwlah", "dow1", "specializations", "triples", "sums"}
+_HS_CATCHERS = {"ugexp", "cakic-bell", "specializations", "triples", "sums"}
 MUTANT_CATCHERS = {
     "stirling1": dict.fromkeys("abc", {"partial-bell", "stirling-inverse", "triples"}),
     "stirling2": dict.fromkeys(
         "abc",
         {
             "qi", "ordlahstirling", "stirling-inverse", "partial-bell", "benoumhani", "bell-reduction", "oracle",
-            "triples",
+            "triples", "sums",
         },
     ),
     "lah": dict.fromkeys(
@@ -732,25 +818,25 @@ MUTANT_CATCHERS = {
         "abc",
         {
             "wla1", "triwlah", "whitney-ortho", "benoumhani", "dow1", "bell-reduction", "engine-ortho",
-            "specializations", "triples",
+            "specializations", "triples", "sums",
         },
     ),
     "whitney-lah": {**dict.fromkeys("ab", _W_LAH_CATCHERS | {"ortho", "inv1"}), "c": _W_LAH_CATCHERS},
     "r-stirling1": dict.fromkeys("abc", {"lah1", "lah4", "specializations", "triples"}),
     "r-stirling2": dict.fromkeys(
-        "abc", {"expb", "lah1", "lah4", "oracle", "specializations", "weighted-egf", "triples"}
+        "abc", {"expb", "lah1", "lah4", "oracle", "specializations", "weighted-egf", "triples", "sums"}
     ),
-    "r-lah": dict.fromkeys("abc", {"qi", "lah1", "expb", "specializations", "oracle", "triples"}),
+    "r-lah": dict.fromkeys("abc", {"qi", "lah1", "expb", "specializations", "oracle", "triples", "sums"}),
     "r-whitney1": dict.fromkeys("abc", {"engine-ortho", "specializations", "triples"}),
     "r-whitney2": dict.fromkeys(
-        "abc", {"rw-ortho", "rw-inv", "engine-ortho", "expl-rdow", "specializations", "triples"}
+        "abc", {"rw-ortho", "rw-inv", "engine-ortho", "expl-rdow", "specializations", "triples", "sums"}
     ),
     "r-whitney-lah": dict.fromkeys(
-        "abc", {"rwhitneylah", "exprwlah", "rwlah-routes", "expl-rdow", "specializations", "triples"}
+        "abc", {"rwhitneylah", "exprwlah", "rwlah-routes", "expl-rdow", "specializations", "triples", "sums"}
     ),
     "hs1": dict.fromkeys("abc", _HS_CATCHERS | {"hs-ortho"}),
     "hs2": dict.fromkeys("abc", _HS_CATCHERS | {"invrel"}),
-    "cakic": dict.fromkeys("abc", {"cakic-bell", "specializations", "triples"}),
+    "cakic": dict.fromkeys("abc", {"cakic-bell", "specializations", "triples", "sums"}),
 }
 
 

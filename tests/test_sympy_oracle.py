@@ -64,6 +64,6 @@ def test_sampled_entries_match_sympy(capsys, family):
         assert entries[n, k] == str(oracle(n, k)), (n, k)
 
 
-@pytest.mark.parametrize("family, n", (("bell", 200), ("qi-bell", 120)))
+@pytest.mark.parametrize("family, n", (("bell", 200), ("qi-bell", 120), ("bell", 1000), ("qi-bell", 1000)))
 def test_bell_sums_match_sympy(capsys, family, n):
     assert _cli(capsys, "sum", "--family", family, "--n", str(n)) == f"{bell(n)}\n"
