@@ -98,8 +98,8 @@ EXACT_DECIMALS = decimal.Context(
 )
 
 # A triangle whose rows are still to be built: the writers read `nmax` and
-# iterate `rows` once, as they do a `Triangle`; `int_rows()` builds the same
-# rows again as ints, for the column width of a table.
+# iterate `rows` once; `int_rows()` builds the same rows again as ints, for
+# the column width of a table.
 _Rows = namedtuple("_Rows", ("nmax", "rows", "int_rows"))
 
 

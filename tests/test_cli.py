@@ -3,6 +3,7 @@ import errno
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -465,6 +466,39 @@ def test_main_returns_argparse_exit_codes(capsys):
     assert main(["--help"]) == 0 and main(["bench", "--help"]) == 0
     captured = capsys.readouterr()
     assert captured.out.startswith("usage: dowling") and captured.err == ""
+
+
+# What CI's "Write large outputs in bounded memory" step runs: its list of
+# calls, then its two-process call in each format of its loop.  No size may
+# shrink unnoticed.
+CI_STREAM_CALLS = [
+    "triangle --family hs-lah --alpha 1/2 --beta 1/3 --gamma 2 --nmax 300 --format csv --out $out",
+    "triangle --family r-whitney-lah --m 3 --r 2 --nmax 1000 --format csv --out $out",
+    "triangle --family cakic --alpha 2 --nmax 1000 --format json --out $out",
+    "triangle --family r-whitney-lah --m 3 --r 2 --nmax 1000 --format table --out /dev/null",
+    "bench --family r-whitney-lah --m 3 --r 2 --nmax 1000",
+    "triangle --family r-whitney-lah --m 3 --r 2 --nmax 600 --format table",
+    "triangle --family r-whitney-lah --m 3 --r 2 --nmax 600 --format csv",
+    "triangle --family r-whitney-lah --m 3 --r 2 --nmax 600 --format json",
+]
+
+
+def test_ci_stream_calls_are_valid_calls(monkeypatch):
+    """Each call of CI's stream step parses and passes `_check_args`, which
+    builds no row, so a renamed family or flag in the step fails here; the
+    step runs them all under one 200 MB address-space limit."""
+    workflow = Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tier1.yml"
+    step = workflow.read_text(encoding="utf-8").split("- name: Write large outputs in bounded memory\n")[1]
+    step = step.split("\n      - name: ")[0]
+    listed = step.split("<<EOF\n")[1].split("\n          EOF\n")[0].splitlines()
+    calls = [line.strip() for line in listed if not line.lstrip().startswith("#")]
+    call, fmts = re.search(r'for fmt in ([\w ]+); do\n *call="([^"$]+)\$fmt"', step).group(2, 1)
+    calls += [call + fmt for fmt in fmts.split()]
+    assert calls == CI_STREAM_CALLS
+    assert step.split("run: |\n")[1].split("\n")[0].strip() == "ulimit -v 200000"
+    monkeypatch.setattr(families, "rows", None)
+    for call in calls:
+        cli._check_args(cli._build_parser().parse_args(cli._attach_negative_values(call.split())))
 
 
 def test_out_file(tmp_path, capsys):
