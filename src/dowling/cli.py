@@ -1,6 +1,8 @@
 """Command-line interface: emit triangles and Bell-type sums, run identity
-verification suites, reproduce the bundled reference tables, and benchmark
-triangle generation.
+verification suites, reproduce the bundled reference tables, and time the
+library's build of a family's rows (`bench`: `families.rows`, whose entries
+are ints for an integer family, where `triangle` prints rows that the engine
+builds on `decimal.Decimal`).
 
 Exit codes: 0 success, 1 verification/table failure, 2 usage or parameter
 error.  All numeric output is decimal strings (rationals as "p/q") so
@@ -436,7 +438,9 @@ def cmd_paper_tables(args) -> int:
 
 def cmd_bench(args) -> int:
     """Build a family's rows one at a time, timing only the build, and count
-    their entries and the bits of the widest numerator or denominator."""
+    their entries and the bits of the widest numerator or denominator.  The
+    rows are those of `families.rows`, ints or Fractions, not the `Decimal`
+    rows `triangle` prints for an integer family (see `_decimal_rows`)."""
     elapsed = entries = peak = 0
     start = time.perf_counter()
     for row in families.rows(args.family, args.params, args.nmax):
@@ -511,7 +515,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("paper-tables", help="regenerate the bundled reference tables")
 
-    p_bench = sub.add_parser("bench", help="time triangle generation")
+    p_bench = sub.add_parser("bench", help="time families.rows (not the Decimal rows of triangle)")
     p_bench.add_argument("--family", required=True)
     add_common(p_bench, nmax_aliases=("--nmax", "--n"))
 

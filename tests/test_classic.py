@@ -20,13 +20,6 @@ def test_stirling2_values():
     assert tri.row(0) == (1,)
 
 
-def test_stirling2_matches_oracle():
-    tri = families.triangle("stirling2", {}, 10)
-    for n in range(11):
-        for k in range(n + 1):
-            assert tri.value(n, k) == count_partitions(n, k)
-
-
 def test_stirling1_values():
     tri = families.triangle("stirling1", {}, 5)
     assert tri.value(3, 1) == 2  # x(x-1)(x-2) = x^3 - 3x^2 + 2x
@@ -181,10 +174,6 @@ def test_partial_bell_recurrence_against_enumeration(seed):
             # B(n,k) reads x_1..x_(n-k+1) alone: zeros after them change nothing.
             truncated = bell_rows(n, xs[: n - k + 1] + [0] * n)[n][k]
             assert rows[n][k] == truncated == want, (n, k)
-
-
-def test_partial_bell_all_ones_is_stirling2():
-    assert bell_rows(8, [1] * 8) == families.triangle("stirling2", {}, 8).rows
 
 
 def test_partial_bell_diagonal_is_power():

@@ -457,15 +457,21 @@ def test_bench_streams_rows_without_a_whole_triangle(capsys, no_whole_triangle, 
 
 def test_main_returns_argparse_exit_codes(capsys):
     # argparse's usage errors and --help come back from `main` as its exit
-    # code, not as a SystemExit; the usage error stays on stderr.
-    for argv in (["paper-tables", "--nmax", "0"], ["sum", "--family", "bell", "--n", "x"]):
-        assert main(argv) == 2
+    # code, not as a SystemExit; the usage error stays on stderr.  A missing
+    # subcommand or --family is a usage error, and every subcommand has help.
+    missing = ([], ["triangle", "--nmax", "3"])
+    for argv in (*missing, ["paper-tables", "--nmax", "0"], ["sum", "--family", "bell", "--n", "x"]):
+        assert main(argv) == 2, argv
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("usage: dowling")
         assert sum("error:" in line for line in captured.err.splitlines()) == 1
-    assert main(["--help"]) == 0 and main(["bench", "--help"]) == 0
+    assert main(["--help"]) == 0
     captured = capsys.readouterr()
     assert captured.out.startswith("usage: dowling") and captured.err == ""
+    for command in ("triangle", "sum", "verify", "paper-tables", "bench"):
+        assert main([command, "--help"]) == 0, command
+        captured = capsys.readouterr()
+        assert captured.out.startswith(f"usage: dowling {command}") and captured.err == ""
 
 
 # What CI's "Write large outputs in bounded memory" step runs: its list of
@@ -623,8 +629,7 @@ def test_parameter_error_leaves_out_untouched(tmp_path, capsys, argv, existing):
 def test_the_cli_loads_five_modules_of_the_package():
     # The package, the CLI and the production path alone: no route module
     # loads before `verify` or `paper-tables`.  -I leaves out PYTHONPATH and
-    # the user's site, so src goes on sys.path by hand, as in the CI's CLI
-    # floor step.
+    # the user's site, so src goes on sys.path by hand.
     src = Path(__file__).resolve().parents[1] / "src"
     check = (
         f"import sys; sys.path.insert(0, {str(src)!r}); import dowling.cli; "

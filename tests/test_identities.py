@@ -7,7 +7,8 @@ Lah-type families are what `LAH_TYPES` declares them to be, `triples`
 checks both routes of every family's Hsu-Shiue triple, `sums` checks every
 Bell-type sum by its routes at the declared rows and each route can fail
 there, and a wrong weight of any engine family is caught by the identities
-that read it, one right only at the default points by `triples`."""
+that read it, one right only at the default points by `triples`, and each
+of the two parameter-shaped mutants at the defaults and at scale."""
 
 import importlib.util
 import json
@@ -840,6 +841,15 @@ MUTANT_CATCHERS = {
 }
 
 
+def _catches(ident, point=None, nmax=None) -> bool:
+    """Whether `ident` fails or raises at `point` and `nmax` (its defaults
+    where None)."""
+    try:
+        return not report(ident, point, nmax)["pass"]
+    except Exception:
+        return True
+
+
 def _catching(monkeypatch, family, weight) -> set:
     """The identities that catch `family` with its engine weight a, b or c
     raised by 1.  Every identity runs at its defaults on the mutant; one
@@ -853,14 +863,7 @@ def _catching(monkeypatch, family, weight) -> set:
         return tuple(mutated)
 
     monkeypatch.setitem(families.FAMILIES, family, real._replace(weights=weights))
-    caught = set()
-    for name, ident in REGISTRY.items():
-        try:
-            if not report(ident)["pass"]:
-                caught.add(name)
-        except Exception:
-            caught.add(name)
-    return caught
+    return {name for name, ident in REGISTRY.items() if _catches(ident)}
 
 
 @pytest.mark.parametrize("weight", "abc")
@@ -884,17 +887,63 @@ def test_a_wrong_first_kind_weight_is_caught_twice(family, weight):
     assert MUTANT_CATCHERS[family][weight] == {"specializations", "engine-ortho", "triples"}
 
 
-def test_a_weight_right_only_at_the_default_points_fails_triples(capsys, monkeypatch):
-    """r-Whitney-Lah with weight c = r*m - m instead of 2r - m is right
-    wherever m = 2 or r = 0, so at (m, r) = (2, 2), where every other
-    identity reads it; `triples` reads it at (3, 2) and is the one identity
-    that fails."""
+def _r_whitney_lah_c_as_rm_minus_m(monkeypatch):
+    """r-Whitney-Lah with weight c = r*m - m instead of 2r - m: right
+    wherever m = 2 (or r = 0)."""
     real = families.FAMILIES["r-whitney-lah"]
 
     def weights(p):
         return 1, p["m"], p["m"], p["r"] * p["m"] - p["m"]
 
     monkeypatch.setitem(families.FAMILIES, "r-whitney-lah", real._replace(weights=weights))
+
+
+def _lah_route_r_squared(monkeypatch):
+    """`2 * r` read as `r * r` by the explicit, vertical and horizontal
+    routes of `lah_route`: right at r = 0 and r = 2.  Each route's c = 2r
+    becomes (c // 2)^2 on the way in."""
+    for name, at in (("explicit_row", 1), ("vertical_rows", 2), ("horizontal_rows", 2)):
+        real = getattr(identities, name)
+
+        def mutated(*args, real=real, at=at):
+            return real(*args[:at], (args[at] // 2) ** 2, *args[at + 1 :])
+
+        monkeypatch.setattr(identities, name, mutated)
+
+
+# The two mutants that are right at the default points of all but a few
+# identities: the catchers at the defaults, exactly, and the `at_scale`
+# entries that fail too, so each is caught at least twice.
+PARAMETER_MUTANTS = {
+    "r-whitney-lah-weight-c": (
+        _r_whitney_lah_c_as_rm_minus_m,
+        {"triples"},
+        [("triples", {"nmax": 60}), ("rwlah-routes", {"nmax": 24, "m": 3, "r": 1})],
+    ),
+    "lah-route-r-squared": (
+        _lah_route_r_squared,
+        {"wla1", "triwlah"},
+        [("lah1", {"nmax": 30, "r": 3}), ("rwlah-routes", {"nmax": 24, "m": 3, "r": 1})],
+    ),
+}
+
+
+@pytest.mark.parametrize("mutant", sorted(PARAMETER_MUTANTS))
+def test_a_parameter_shaped_mutant_is_caught_at_the_defaults_and_at_scale(monkeypatch, mutant):
+    mutate, at_defaults, at_scale = PARAMETER_MUTANTS[mutant]
+    mutate(monkeypatch)
+    assert {name for name, ident in REGISTRY.items() if _catches(ident)} == at_defaults
+    for name, entry in at_scale:
+        assert entry in REGISTRY[name].at_scale
+        point = {key: value for key, value in entry.items() if key != "nmax"}
+        assert _catches(REGISTRY[name], point, entry["nmax"]), (name, entry)
+
+
+def test_a_weight_right_only_at_the_default_points_fails_triples(capsys, monkeypatch):
+    """The r-Whitney-Lah mutant above is right at (m, r) = (2, 2), where
+    every other identity reads it; `triples` reads it at (3, 2) and is the
+    one identity that fails."""
+    _r_whitney_lah_c_as_rm_minus_m(monkeypatch)
     code, out, _ = run(capsys, "verify", "--identity", "all")
     assert code == 1
     assert [r["identity"] for r in json.loads(out)["identities"] if not r["pass"]] == ["triples"]

@@ -1,6 +1,6 @@
-"""The library example in README.md runs as written, the README names
-every family, sum and identity that the package has, and every test or
-source file that it names exists."""
+"""The library example and every CLI call in README.md run as written, the
+README names every family, sum and identity that the package has, and
+every test or source file that it names exists."""
 
 import doctest
 import re
@@ -15,6 +15,18 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 def test_readme_example():
     result = doctest.testfile(str(README), module_relative=False)
     assert result.attempted > 0 and result.failed == 0
+
+
+def test_readme_cli_examples_exit_0(capsys):
+    """Every `dowling ...` line of the README's sh blocks, its comment
+    dropped; a renamed family, flag or identity in the docs fails here."""
+    blocks = re.findall(r"^```sh\n(.*?)^```$", README.read_text(encoding="utf-8"), flags=re.M | re.S)
+    lines = (re.sub(r" *#.*", "", line) for block in blocks for line in block.splitlines())
+    calls = [line.split()[1:] for line in lines if line.startswith("dowling ")]
+    assert calls
+    for argv in calls:
+        assert cli.main(argv) == 0, argv
+        assert capsys.readouterr().err == "", argv
 
 
 def _listed(start, end) -> list:
