@@ -1,6 +1,6 @@
 """Two verification routes over a family's Hsu-Shiue triple (alpha, beta,
 gamma) in `families.TRIPLES`, each giving the engine's scaled ints
-U(n,k) = D^(n-k) T(n,k) at the D of `families.scaled_rows`, the lcm of the
+U(n,k) = D^(n-k) T(n,k) at the one D of `families.resolve`, the lcm of the
 parameters' denominators, with odd columns negated where the triple is
 signed: `scaled_solve`, the connection solve prod_{i<n} (x - i alpha) =
 sum_j T(n,j) prod_{i<j} (x - gamma - i beta), whose rows the inverse-pair
@@ -26,8 +26,7 @@ def _scaled_triple(family: str, params: dict) -> tuple:
     if family not in families.TRIPLES:
         raise ValueError(f"family {family!r} has no Hsu-Shiue triple")
     triple, signed = families.TRIPLES[family]
-    params = families._validate(family, params)
-    scale = families._denominator(params.values())
+    params, scale = families.resolve(family, params)
     return scale, tuple(as_integer(scale * v) for v in triple(params)), signed
 
 

@@ -590,7 +590,7 @@ def main(argv=None) -> int:
         # argparse's own exit, once it has written the help (0) or its usage
         # error (2).
         return exc.code
-    except (UsageError, ValueError, ZeroDivisionError) as exc:
+    except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -15,11 +15,14 @@ compute it, the one verification route kept here.  The connection solve is
 and their polynomial expansions `identities.vertical_rows` and
 `horizontal_rows`, all read through `identities.lah_route`.
 
-Rational parameters never put a Fraction inside the recurrence.  With D the
-lcm of the denominators of the weights, the scaled weights D*(a*n + b*k + c)
-are integers, the integer recurrence gives U(n,k), and
-S(n,k) = U(n,k) / D^(n-k) is read off one row at a time; `scaled_rows`
-yields U itself, for the checks that multiply two scaled tables.
+Rational parameters never put a Fraction inside the recurrence.  `resolve`
+validates a point and fixes its scale D, the lcm of the parameters'
+denominators, once for every reader: each weight and each entry of a
+family's triple is an integer combination of the parameters, so D clears
+them all.  The scaled weights D*(a*n + b*k + c) are integers, the integer
+recurrence gives U(n,k), and S(n,k) = U(n,k) / D^(n-k) is read off one row
+at a time; `scaled_rows` yields U itself, for the checks that multiply two
+scaled tables.
 
 `hs-lah` is the one family without a two-term linear recurrence (at
 (1, 0, 0) the weights fitted to row 4 are 13/3, 5, 6), so its rows stream as
@@ -164,21 +167,22 @@ SUMS = {
 # building
 
 
-def _validate(name: str, params: dict) -> dict:
+def resolve(name: str, params: dict) -> tuple:
+    """(the validated parameters of a family, D): its `needs` taken from
+    `params` (any other key is ignored), exact rationals for a rational
+    family, ints within their bounds by `check_param` otherwise, and D the
+    lcm of their denominators, 1 for an integer family."""
     family = FAMILIES[name]
-    if family.rational:
-        return {key: Fraction(params[key]) for key in family.needs}
-    return {key: check_param(key, params[key]) for key in family.needs}
-
-
-def _denominator(values) -> int:
-    return math.lcm(*(Fraction(v).denominator for v in values))
+    if not family.rational:
+        return {key: check_param(key, params[key]) for key in family.needs}, 1
+    params = {key: Fraction(params[key]) for key in family.needs}
+    return params, math.lcm(*(v.denominator for v in params.values()))
 
 
 def _scaled(weights, scale: int) -> tuple:
     """Engine weights multiplied by `scale`, which clears their denominators."""
     d, *linear = weights
-    return (d, *(as_integer(Fraction(v) * scale) for v in linear))
+    return (d, *(as_integer(v * scale) for v in linear))
 
 
 def _read_off(scaled_rows, scale: int):
@@ -194,20 +198,18 @@ def _read_off(scaled_rows, scale: int):
 
 
 def _engine(name: str, params: dict) -> tuple:
-    """(validated params, scale, integer weights) of an engine family."""
-    params = _validate(name, params)
-    weights = FAMILIES[name].weights(params)
-    scale = _denominator(weights[1:])
-    return params, scale, _scaled(weights, scale)
+    """(validated params, D, integer weights) of an engine family."""
+    params, scale = resolve(name, params)
+    return params, scale, _scaled(FAMILIES[name].weights(params), scale)
 
 
 def scaled_rows(name: str, params: dict, nmax: int, one=1) -> tuple:
     """(D, the rows 0..nmax of a family's scaled ints U(n,k) = D^(n-k) T(n,k),
-    one at a time), D the lcm of the denominators of its weights.  Entries
-    are of the type of `one` (see `triangles.recurrence_rows`) at D = 1,
-    ints otherwise and for `hs-lah`, the signed product of the hs2 and hs1
-    rows, both at the triple's one D.  The parameters are validated at the
-    call, before the first row is asked for."""
+    one at a time), D that of `resolve`.  Entries are of the type of `one`
+    (see `triangles.recurrence_rows`) at D = 1, ints otherwise and for
+    `hs-lah`, the signed product of the hs2 and hs1 rows, both at the
+    triple's one D.  The parameters are validated at the call, before the
+    first row is asked for."""
     if name == "hs-lah":
         (scale, s2), (_, s1) = (scaled_rows(kind, params, nmax) for kind in ("hs2", "hs1"))
         return scale, triangles.product(s2, s1, signed=True)
@@ -224,8 +226,8 @@ def rows(name: str, params: dict, nmax: int, one=1):
 
 def triangle(name: str, params: dict, nmax: int) -> Triangle:
     """Rows 0..nmax of a family gathered from `rows`: ints, or exact
-    rationals for a rational family whose weights have denominators."""
-    return Triangle(rows(name, params, nmax), name, _validate(name, params))
+    rationals for a rational family whose parameters have denominators."""
+    return Triangle(rows(name, params, nmax), name, resolve(name, params)[0])
 
 
 def _span(x: int, a: int, lo: int, hi: int) -> int:

@@ -18,7 +18,8 @@ the identity's parameters other than nmax.  The shapes:
   and so are `log-concavity`, each row's verdict against "log-concave",
   and each case of `sums`, one row n after n empty rows;
 - `Inverse`: the product of two row streams is the identity matrix,
-  entrywise, on the scaled ints of a rational pair;
+  entrywise, on the scaled ints of a rational pair, both at the one D of
+  `families.resolve`;
 - `Reductions`: the rows of `SPECIALIZATIONS` at one Hsu-Shiue triple,
   called as fn(nmax): hs1 and hs2 are solved there once, each reduction is
   a `Tables` over the solves, and the solved pair an `Inverse`.
@@ -52,7 +53,6 @@ from itertools import count, islice, zip_longest
 from types import MappingProxyType
 
 from . import basis, families, oracle
-from .exactmath import as_integer
 from .triangles import explicit_row, product
 
 
@@ -124,20 +124,20 @@ class Tables(namedtuple("Tables", ("reference", "routes", "sign", "label"), defa
 
 
 class Inverse(namedtuple("Inverse", ("first", "second", "label"), defaults=(None,))):
-    """`first` and `second` return two tables, each (D, rows of its scaled
-    ints U(n,k) = D^(n-k) T(n,k)) at one D, as `families.scaled_rows` does;
-    their product, D^(n-k) times the tables', is compared with the identity
-    matrix by `_entrywise` under `label`.  One order suffices: AB = I iff
-    BA = I for square lower-triangular tables."""
+    """`first` and `second` return the rows of two tables as scaled ints
+    U(n,k) = D^(n-k) T(n,k), both at the one D of `families.resolve`; their
+    product, D^(n-k) times the tables', is compared with the identity matrix
+    by `_entrywise` under `label`.  One order suffices: AB = I iff BA = I for
+    square lower-triangular tables.  Factors at two scales fail entrywise,
+    since every entry below the diagonal of their product carries a power
+    of D."""
 
     __slots__ = ()
 
     def __call__(self, nmax, **point):
-        (scale, first), (other, second) = self.first(nmax, **point), self.second(nmax, **point)
-        if scale != other:
-            raise ValueError(f"an inverse pair needs one scale, got {scale} and {other}")
         ref = (tuple(int(n == k) for k in range(n + 1)) for n in range(nmax + 1))
-        return _entrywise(ref, [(product(first, second), 0)], label=self.label)
+        rows = product(self.first(nmax, **point), self.second(nmax, **point))
+        return _entrywise(ref, [(rows, 0)], label=self.label)
 
 
 def _sequences(reference, route) -> Tables:
@@ -163,8 +163,8 @@ def _rows(family):
 
 
 def _scaled(family):
-    """(D, the production rows of a family as scaled ints), looked up likewise."""
-    return lambda nmax, **point: families.scaled_rows(family, point, nmax)
+    """The production rows of a family as scaled ints, looked up likewise."""
+    return lambda nmax, **point: families.scaled_rows(family, point, nmax)[1]
 
 
 def _sums(family):
@@ -173,18 +173,13 @@ def _sums(family):
 
 
 def _solved(family):
-    """(D, a family's scaled rows by its connection solve), called like `_scaled`."""
-    return lambda nmax, **point: basis.scaled_solve(family, point, nmax)
+    """A family's scaled rows by its connection solve, called like `_scaled`."""
+    return lambda nmax, **point: basis.scaled_solve(family, point, nmax)[1]
 
 
 def _signed(table):
     """A function like `_scaled`'s with its entries signed by (-1)^(n-k)."""
-
-    def signed(nmax, **point):
-        scale, rows = table(nmax, **point)
-        return scale, map(_SIGNS["(-1)^(n-k)"], count(), rows)
-
-    return signed
+    return lambda nmax, **point: map(_SIGNS["(-1)^(n-k)"], count(), table(nmax, **point))
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +225,7 @@ class Reductions(namedtuple("Reductions", ("triple", "cases"))):
 
     def __call__(self, nmax):
         point = dict(zip(families._HS, self.triple))
-        (scale, s1), (_, s2) = pair = [basis.scaled_solve(kind, point, nmax) for kind in ("hs1", "hs2")]
+        (scale, s1), (_, s2) = (basis.scaled_solve(kind, point, nmax) for kind in ("hs1", "hs2"))
         routes = {
             "s1": ((lambda nmax: families._read_off(s1, scale), 0),),
             "L": (
@@ -243,7 +238,7 @@ class Reductions(namedtuple("Reductions", ("triple", "cases"))):
                 Tables(partial(_rows(family), **params), routes[kind], sign, name)
                 for name, _, family, params, _, kind, sign in self.cases
             ),
-            Inverse(lambda nmax: pair[0], lambda nmax: pair[1], f"solved pair at {self.triple}"),
+            Inverse(lambda nmax: s1, lambda nmax: s2, f"solved pair at {self.triple}"),
         )
         return [item for check in checks for item in check(nmax)]
 
@@ -302,7 +297,7 @@ def horizontal_rows(upper, nmax: int, c: int, h: int, sign: int):
 # (m, r), times (-1)^n where its sign is -1, and the product of a first- and
 # a second-kind table, signed likewise: (m, r) as a function of the validated
 # parameters, the sign, and the two kinds, each called as fn(nmax, **params)
-# and returning (1, rows), as `_scaled` and `_solved` do at integer points.
+# and returning rows of ints, as `_scaled` and `_solved` do at integer points.
 LahType = namedtuple("LahType", ("mr", "sign", "first", "second"))
 LAH_TYPES = {
     "lah": LahType(lambda p: (1, 0), -1, _solved("stirling1"), _scaled("stirling2")),
@@ -314,15 +309,15 @@ LAH_TYPES = {
 
 def lah_route(kind, family, nmax, **point):
     """Rows 0..nmax of a `LAH_TYPES` family by its "explicit", "vertical",
-    "horizontal" or "product" route, its parameters validated with
-    `families.check_param` at the call, as an iterator.  The explicit route
+    "horizontal" or "product" route, its parameters validated by
+    `families.resolve` at the call, as an iterator.  The explicit route
     is the closed form sign^n C(n,k) [2r|m]_n / [2r|m]_k of
     `triangles.explicit_row`.  The expansions `vertical_rows` and
     `horizontal_rows` run over the family's own engine rows, 0..nmax-1 held
     below and 0..nmax+1 streamed above; column 0 of the vertical route reads
     0 below row 0."""
     mr, sign, first, second = LAH_TYPES[family]
-    params = {key: families.check_param(key, value) for key, value in point.items()}
+    params, _ = families.resolve(family, point)
     m, r = mr(params)
     if kind == "explicit":
         return (tuple(sign**n * v for v in explicit_row(n, 2 * r, m)) for n in range(nmax + 1))
@@ -331,8 +326,7 @@ def lah_route(kind, family, nmax, **point):
     if kind == "horizontal":
         return horizontal_rows(families.rows(family, params, nmax + 1), nmax, 2 * r, m, sign)
     if kind == "product":
-        (_, first), (_, second) = first(nmax, **params), second(nmax, **params)
-        return product(first, second, signed=sign == -1)
+        return product(first(nmax, **params), second(nmax, **params), signed=sign == -1)
     raise ValueError(f"unknown Lah-type route {kind!r}")
 
 
@@ -355,9 +349,10 @@ def partial_bell_rows(nmax: int, x) -> tuple:
 
 def whitney_second_benoumhani_rows(nmax: int, alpha) -> tuple:
     """Second-kind Whitney rows as Benoumhani's binomial sums over the
-    Stirling rows, W(n,k) = sum_i C(n,i) alpha^(i-k) S(i,k), on ints.  The
-    `whitney2` reference it is compared with validates alpha first."""
-    alpha, s2 = as_integer(alpha), tuple(families.rows("stirling2", {}, nmax))
+    Stirling rows, W(n,k) = sum_i C(n,i) alpha^(i-k) S(i,k), on ints, alpha
+    validated as `whitney2`'s by `families.resolve`."""
+    params, _ = families.resolve("whitney2", {"alpha": alpha})
+    alpha, s2 = params["alpha"], tuple(families.rows("stirling2", {}, nmax))
     return tuple(
         tuple(
             sum(math.comb(n, i) * alpha ** (i - k) * s2[i][k] for i in range(k, n + 1))
@@ -522,20 +517,15 @@ def _egf(family, label=None, solved=False, **point):
     rows of a family of `families.TRIPLES` at `point`, updated with the
     parameters the identity passes (one the family does not take is
     ignored), against `basis.egf_rows` under `label`; if `solved`, also
-    against k! times the rows of `basis.scaled_solve`, which fail at every
-    entry, each tagged with the solve's D, where it is not the engine's."""
+    against k! times the rows of `basis.scaled_solve`, at the same D."""
 
     def reference(nmax, kmax=None, **given):
         _, rows = families.scaled_rows(family, {**point, **given}, nmax)
         return _times_factorial(rows, min(nmax if kmax is None else kmax, nmax) + 1)
 
-    def solve(nmax):
-        (scale, _), (other, rows) = families.scaled_rows(family, point, 0), basis.scaled_solve(family, point, nmax)
-        rows = _times_factorial(rows, nmax + 1)
-        return rows if other == scale else (tuple(f"{v} at D = {other}" for v in row) for row in rows)
-
     egf = (lambda nmax, kmax=None, **given: basis.egf_rows(family, {**point, **given}, nmax, kmax), 0)
-    return Tables(reference, (egf, (solve, 0)) if solved else (egf,), label=label)
+    solve = (lambda nmax: _times_factorial(_solved(family)(nmax, **point), nmax + 1), 0)
+    return Tables(reference, (egf, solve) if solved else (egf,), label=label)
 
 
 _HS_GRID = tuple(
@@ -594,7 +584,7 @@ _SUMS_NOTES = "row min(nmax, top) of each case alone, top 200 to 2000, against t
 _CONVENTIONS = "; ".join(f"{name}: {convention}" for name, convention, *_ in SPECIALIZATIONS)
 
 # The `at_scale` sizes run in about 2 s or less each on a 2-vCPU VM (`sums`,
-# twelve rows at n = 200-2000, in 7-10 s), all in one process under a 200 MB
+# twelve rows at n = 200-2000, in 7-12 s), all in one process under a 200 MB
 # address-space limit; `lef` and `exprwlah` reach nmax 1000 since `verify`
 # holds one row of each stream.  The Lah-type routes also run at edge points:
 # at alpha = -2 the factor 2 + k*alpha of the closed form is 0 at k = 1, and

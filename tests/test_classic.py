@@ -9,6 +9,8 @@ from dowling.families import explicit_sum
 from dowling.identities import lah_route, partial_bell_rows
 from dowling.oracle import count_partitions
 
+from helpers import transform
+
 BELL = [1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147, 115975]
 
 
@@ -93,11 +95,6 @@ def test_qi_bell_equals_bell_to_25():
     assert explicit_sum("bell", {}, 4) == 15
     for n in range(26):
         assert explicit_sum("bell", {}, n) == families.row_sum("stirling2", {}, n)
-
-
-def transform(rows, seq) -> list:
-    """f(n) = sum_k T(n,k) seq(k)."""
-    return [sum(v * seq[k] for k, v in enumerate(row)) for row in rows]
 
 
 def test_stirling_inverse_relation_roundtrip():

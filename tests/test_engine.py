@@ -15,6 +15,8 @@ from dowling import basis, families, identities, rnumbers, triangles, unified, w
 from dowling.identities import _MR_GRID
 from dowling.triangles import Triangle, product, recurrence_rows, recurrence_triangle
 
+from helpers import named, solved
+
 F = Fraction
 
 # Integer, rational and negative-step points (alpha, beta, gamma) of the unified pair.
@@ -29,23 +31,10 @@ HS_POINTS = (
 RW_POINTS = ((1, 0), (1, 1), (2, 2), (3, 2), (5, 0))
 
 
-def named(params) -> dict:
-    """A Hsu-Shiue triple as the family table's parameters."""
-    return dict(zip(("alpha", "beta", "gamma"), params))
-
-
 def engine_scaled(family, params, nmax) -> tuple:
     """(D, the engine's scaled rows U(n,k) = D^(n-k) T(n,k)) as a tuple."""
     scale, rows = families.scaled_rows(family, params, nmax)
     return scale, tuple(rows)
-
-
-def solved(family, params, nmax) -> tuple:
-    """Rows 0..nmax of T(n,k) = U(n,k) / D^(n-k) read off the integer
-    connection solve: ints, or exact rationals where the parameters have
-    denominators."""
-    scale, rows = basis.scaled_solve(family, params, nmax)
-    return tuple(families._read_off(rows, scale))
 
 
 def solved_pair(nmax, params) -> tuple:

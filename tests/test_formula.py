@@ -11,22 +11,13 @@ from dowling import basis, families, identities, rnumbers, triangles, unified, w
 from dowling.families import SUMS, explicit_sequence, explicit_sum
 from dowling.triangles import alternating_sums
 
+from helpers import named, solved
+
 NMAX = 30
 ALPHAS = (1, 2, 3, -2)
 RS = (0, 1, 2, 3)
 MRS = ((1, 0), (1, 1), (2, 2), (3, 1))
 HS_POINTS = ((0, 1, 2), (1, 0, 0), (Fraction(1, 2), Fraction(1, 3), 2), (-2, 3, 1))
-
-
-def named(params) -> dict:
-    """A Hsu-Shiue triple as the family table's parameters."""
-    return dict(zip(("alpha", "beta", "gamma"), params))
-
-
-def solved(family, params, nmax) -> tuple:
-    """Rows 0..nmax of a family read off its integer connection solve."""
-    scale, rows = basis.scaled_solve(family, params, nmax)
-    return tuple(families._read_off(rows, scale))
 
 
 def whole_table(second, lah, sign):

@@ -549,23 +549,6 @@ def test_a_wrong_sum_route_fails_its_case_at_its_row(monkeypatch, route, cheapes
         assert failures[0]["expected"].startswith(f"{case.label}: "), case.label
 
 
-def test_a_solve_at_another_scale_fails_triples(capsys, monkeypatch):
-    """A connection solve whose D is not the engine's is a verification
-    failure of its family's case, each entry tagged with that D, not an
-    exception; the rows themselves are the engine's."""
-    real = basis.scaled_solve
-
-    def scaled_solve(family, params, nmax):
-        scale, rows = real(family, params, nmax)
-        return (2 * scale if family == "hs1" else scale), rows
-
-    monkeypatch.setattr(basis, "scaled_solve", scaled_solve)
-    code, out, _ = run(capsys, "verify", "--identity", "triples")
-    failures = json.loads(out)["failures"]
-    assert code == 1 and failures[0] == {"n": 0, "k": 0, "expected": "hs1: 1", "actual": "1 at D = 84"}
-    assert all(f["expected"].startswith("hs1: ") for f in failures) and len(failures) == 21
-
-
 def test_a_rational_pair_is_multiplied_on_ints(capsys, monkeypatch):
     """At (1/2, 1/3, 2), hs-ortho and invrel multiply the scaled ints of
     the pair, one product each: no Fraction reaches `triangles.product`."""
@@ -588,15 +571,6 @@ def test_a_rational_pair_is_multiplied_on_ints(capsys, monkeypatch):
         assert seen.count("call") == 1 and set(seen) == {"call", int}, name
 
 
-def test_an_inverse_pair_at_two_scales_is_refused():
-    """The factors of an `Inverse` multiply to the identity matrix only as
-    scaled ints at one D, so factors at two scales are a ValueError."""
-    rows = ((1,), (0, 1))
-    case = Inverse(lambda nmax: (1, rows), lambda nmax: (2, rows))
-    with pytest.raises(ValueError, match="an inverse pair needs one scale, got 1 and 2"):
-        case(1)
-
-
 def test_a_wrong_entry_of_one_factor_fails_at_its_row(capsys, monkeypatch):
     """One wrong entry (3, 1) of the first factor of an inverse pair changes
     row 3 of the product alone, and its column 1 since the second factor's
@@ -613,8 +587,7 @@ def test_a_wrong_entry_of_one_factor_fails_at_its_row(capsys, monkeypatch):
     for name, i, case in cases:
 
         def first(nmax, real=case.first, **point):
-            scale, rows = real(nmax, **point)
-            return scale, ((row[0], row[1] + 1, *row[2:]) if n == 3 else row for n, row in enumerate(rows))
+            return ((row[0], row[1] + 1, *row[2:]) if n == 3 else row for n, row in enumerate(real(nmax, **point)))
 
         with monkeypatch.context() as patch:
             patch.setitem(REGISTRY, name, _with_case(REGISTRY[name], i, case._replace(first=first)))

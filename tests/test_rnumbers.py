@@ -10,6 +10,8 @@ from dowling.identities import lah_route, verify_log_concavity
 from dowling.oracle import count_all_partitions, count_partitions
 from dowling.triangles import product
 
+from helpers import transform
+
 R_STIRLING2_R2 = ((1,), (2, 1), (4, 5, 1), (8, 19, 9, 1), (16, 65, 55, 14, 1), (32, 211, 285, 125, 20, 1))
 R_LAH_R2 = (
     (1,),
@@ -27,11 +29,6 @@ RW_VERTICAL, RW_HORIZONTAL, RW_PRODUCT, RW_EXPLICIT = (
     lambda nmax, kind=kind, **point: tuple(lah_route(kind, "r-whitney-lah", nmax, **point))
     for kind in ("vertical", "horizontal", "product", "explicit")
 )
-
-
-def transform(rows, seq) -> list:
-    """f(n) = sum_k T(n,k) seq(k)."""
-    return [sum(v * seq[k] for k, v in enumerate(row)) for row in rows]
 
 
 def test_r_stirling2_table():

@@ -8,23 +8,11 @@ from dowling.families import explicit_sum
 from dowling.identities import REGISTRY, report
 from dowling.triangles import product
 
+from helpers import identity_rows, named, transform
+
 F = Fraction
 
 PARAM_SETS = ((0, 1, 2), (0, 2, 2), (1, 0, 0), (F(1, 2), F(1, 3), 2))
-
-
-def named(params) -> dict:
-    """A Hsu-Shiue triple as the family table's parameters."""
-    return dict(zip(("alpha", "beta", "gamma"), params))
-
-
-def identity_rows(nmax: int) -> tuple:
-    return tuple(tuple(int(n == k) for k in range(n + 1)) for n in range(nmax + 1))
-
-
-def transform(rows, seq) -> list:
-    """f(n) = sum_k T(n,k) seq(k)."""
-    return [sum(v * seq[k] for k, v in enumerate(row)) for row in rows]
 
 
 def hs_pair(nmax: int, params) -> tuple:

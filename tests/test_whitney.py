@@ -10,6 +10,8 @@ from dowling.identities import lah_route, whitney_second_benoumhani_rows
 from dowling.triangles import product
 from dowling.whitney import dowling_explicit
 
+from helpers import identity_rows, transform
+
 ALPHAS = (1, 2, 3, 5)
 VERTICAL, HORIZONTAL, PRODUCT = (
     lambda nmax, kind=kind, **point: tuple(lah_route(kind, "whitney-lah", nmax, **point))
@@ -30,15 +32,6 @@ WHITNEY_LAH_POLYS = {
     (3, 2): (-6, -6),
     (3, 3): (-1,),
 }
-
-
-def identity_rows(nmax: int) -> tuple:
-    return tuple(tuple(int(n == k) for k in range(n + 1)) for n in range(nmax + 1))
-
-
-def transform(rows, seq) -> list:
-    """f(n) = sum_k T(n,k) seq(k)."""
-    return [sum(v * seq[k] for k, v in enumerate(row)) for row in rows]
 
 
 def _differences(values, order) -> list:
@@ -169,18 +162,6 @@ def test_dowling_explicit_matches_row_sums():
     for alpha in ALPHAS:
         for n in range(16):
             assert dowling_explicit(n, alpha) == families.row_sum("whitney2", {"alpha": alpha}, n)
-
-
-def test_unit_step_reduces_to_bell_and_stirling():
-    assert families.row_sum("whitney2", {"alpha": 1}, 3) == 15
-    assert families.row_sum("whitney2", {"alpha": 1}, 0) == 1
-    for n in range(13):
-        assert families.row_sum("whitney2", {"alpha": 1}, n) == families.row_sum("stirling2", {}, n + 1)
-    s2 = families.triangle("stirling2", {}, 13)
-    w1 = families.triangle("whitney2", {"alpha": 1}, 12)
-    for n in range(13):
-        for j in range(n + 1):
-            assert w1.value(n, j) == s2.value(n + 1, j + 1)
 
 
 def test_alpha_validation():
