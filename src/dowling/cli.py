@@ -5,8 +5,10 @@ are ints for an integer family, where `triangle` prints rows that the engine
 builds on `decimal.Decimal`).
 
 Exit codes: 0 success, 1 verification/table failure, 2 usage or parameter
-error.  All numeric output is decimal strings (rationals as "p/q") so
-arbitrary precision survives serialization.
+error: a `UsageError` (`families.UsageError`) or argparse's own exit.  Any
+other exception is an internal error and leaves `main` unhandled.  All
+numeric output is decimal strings (rationals as "p/q") so arbitrary
+precision survives serialization.
 """
 
 from __future__ import annotations
@@ -24,27 +26,22 @@ from functools import partial
 from itertools import chain, islice
 
 from . import families
-from .families import FAMILIES
-
-
-class UsageError(Exception):
-    """Bad family, identity, or parameter combination (exit code 2)."""
-
+from .families import FAMILIES, UsageError
 
 # ---------------------------------------------------------------------------
-# the sums the CLI prints, each as the parameters it takes and its value at
-# (params, n): the row sum of its `families.SUMS` family, and `qi-bell`, the
-# Bell numbers by the explicit formula of `families.SUMS["bell"]` (Qi's),
-# which is no row sum
+# the sums the CLI prints, each as the family whose point it reads, the
+# parameters it takes and its value at (params, n): the row sum of its
+# `families.SUMS` family, and `qi-bell`, the Bell numbers by Qi's explicit
+# formula of `families.SUMS["bell"]`, which is no row sum
 
 
-_Sum = namedtuple("_Sum", ("needs", "value"))
+_Sum = namedtuple("_Sum", ("family", "needs", "value"))
 
 SUMS = {
-    name: _Sum(FAMILIES[entry.family].needs, partial(families.row_sum, entry.family))
+    name: _Sum(entry.family, FAMILIES[entry.family].needs, partial(families.row_sum, entry.family))
     for name, entry in families.SUMS.items()
 }
-SUMS["qi-bell"] = _Sum((), partial(families.explicit_sum, "bell"))
+SUMS["qi-bell"] = _Sum(families.SUMS["bell"].family, (), partial(families.explicit_sum, "bell"))
 
 
 _PARAMS = ("m", "r", "alpha", "beta", "gamma")
@@ -57,16 +54,6 @@ def _parse_param(name: str, raw: str):
         return Fraction(raw)
     except (ValueError, ZeroDivisionError) as exc:
         raise UsageError(f"cannot parse --{name}={raw!r}: {exc}") from None
-
-
-def _collect_params(needs, args) -> dict:
-    params = {}
-    for name in needs:
-        raw = getattr(args, name, None)
-        if raw is None:
-            raise UsageError(f"missing required parameter --{name}")
-        params[name] = _parse_param(name, raw)
-    return params
 
 
 # ---------------------------------------------------------------------------
@@ -533,7 +520,9 @@ def _check_args(args) -> None:
     """Resolve the name the command is given, as `args.entry`: a family of
     `FAMILIES`, a sum of `SUMS`, or an identity of the registry (None for
     `all` and for `paper-tables`).  Then refuse a bad argument combination
-    and set `args.params` to the parsed parameters the command takes."""
+    and set `args.params` to the parsed parameters the command takes, a
+    family's or sum's point as `families.resolve` validates it.  The routes
+    that read an identity's point refuse it: its domain is theirs."""
     args.entry, args.params = None, {}
     nmax = getattr(args, "nmax", None)
     given = [name for name in _PARAMS if getattr(args, name, None) is not None]
@@ -544,14 +533,15 @@ def _check_args(args) -> None:
 
         if args.identity != "all":
             args.entry = _lookup("identity", args.identity, REGISTRY, " or 'all'")
-        args.params = _collect_params(given, args)
+        args.params = {name: _parse_param(name, getattr(args, name)) for name in given}
     elif args.command != "paper-tables":
         kind, table = ("sum family", SUMS) if args.command == "sum" else ("family", FAMILIES)
         args.entry = _lookup(kind, args.family, table)
         extra = [name for name in given if name not in args.entry.needs]
         if extra:
             raise UsageError(f"family {args.family!r} does not take --{extra[0]}")
-        args.params = _collect_params(args.entry.needs, args)
+        family = args.entry.family if args.command == "sum" else args.family
+        args.params = families.resolve(family, {name: _parse_param(name, getattr(args, name)) for name in given})[0]
         if nmax is None:
             raise UsageError("--nmax is required")
     if nmax is not None and nmax < 0:
@@ -590,7 +580,7 @@ def main(argv=None) -> int:
         # argparse's own exit, once it has written the help (0) or its usage
         # error (2).
         return exc.code
-    except (UsageError, ValueError) as exc:
+    except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -18,7 +18,8 @@ class DegenerateBasisError(ValueError):
 
 
 class IntegralityError(ValueError):
-    """A value that must be an integer came out with a denominator."""
+    """A value that must be an integer came out with a denominator: raised
+    only by `as_integer`, on a value the package computed."""
 
 
 def as_integer(value) -> int:

@@ -38,11 +38,16 @@ from collections import deque, namedtuple
 from fractions import Fraction
 
 from . import triangles
-from .exactmath import IntegralityError, as_integer
+from .exactmath import as_integer
 from .triangles import Triangle
 
 # ---------------------------------------------------------------------------
 # parameter validation
+
+
+class UsageError(ValueError):
+    """Refused input, raised here, by `identities.report` and by the CLI
+    (also for an output it cannot write); `cli.main` exits 2 on it."""
 
 
 # Integer parameters: the bound each must satisfy and what the bound says.
@@ -56,15 +61,13 @@ _BOUNDS = {
 
 def check_param(name: str, value) -> int:
     """An integer parameter (`alpha`, `m` or `r`) as an int within its bound.
-    A value that is not an integer raises IntegralityError, one outside the
-    bound ValueError."""
+    A value that is not an integer, or one outside the bound, raises
+    UsageError."""
     holds, kind = _BOUNDS[name]
     if isinstance(value, Fraction) and value.denominator == 1:
         value = value.numerator
-    if not isinstance(value, int):
-        raise IntegralityError(f"{name} must be {kind}, got {value}")
-    if not holds(value):
-        raise ValueError(f"{name} must be {kind}, got {value}")
+    if not isinstance(value, int) or not holds(value):
+        raise UsageError(f"{name} must be {kind}, got {value}")
     return value
 
 
@@ -171,8 +174,12 @@ def resolve(name: str, params: dict) -> tuple:
     """(the validated parameters of a family, D): its `needs` taken from
     `params` (any other key is ignored), exact rationals for a rational
     family, ints within their bounds by `check_param` otherwise, and D the
-    lcm of their denominators, 1 for an integer family."""
+    lcm of their denominators, 1 for an integer family.  A missing key is
+    refused, as a bad value is, with a UsageError that names it."""
     family = FAMILIES[name]
+    for key in family.needs:
+        if key not in params:
+            raise UsageError(f"missing required parameter --{key}")
     if not family.rational:
         return {key: check_param(key, params[key]) for key in family.needs}, 1
     params = {key: Fraction(params[key]) for key in family.needs}

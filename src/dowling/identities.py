@@ -53,6 +53,7 @@ from itertools import count, islice, zip_longest
 from types import MappingProxyType
 
 from . import basis, families, oracle
+from .families import UsageError
 from .triangles import explicit_row, product
 
 
@@ -786,15 +787,15 @@ def report(ident: Identity, given: dict | None = None, nmax: int | None = None) 
     its check, case by case where it is a tuple of shapes, at each point.
 
     `given` holds parameters that replace the defaults; a parameter the
-    identity does not take, or part of its grid group, is a ValueError.
+    identity does not take, or part of its grid group, is a UsageError.
     """
     given = dict(given or {})
     for key in given:
         if key not in ident.accepts:
-            raise ValueError(f"identity {ident.name!r} does not take --{key}")
+            raise UsageError(f"identity {ident.name!r} does not take --{key}")
     if ident.grid and given and len(given) < len(ident.accepts):
         flags = ", ".join(f"--{key}" for key in ident.accepts)
-        raise ValueError(f"identity {ident.name!r} takes {flags} together or not at all")
+        raise UsageError(f"identity {ident.name!r} takes {flags} together or not at all")
     if nmax is None:
         nmax = ident.defaults["nmax"]
     params = {key: value for key, value in ident.defaults.items() if key != "nmax"}

@@ -3,6 +3,7 @@ import errno
 import io
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -955,3 +956,54 @@ def test_exit_code_contract(capsys, argv):
     assert [list(row) for row in tri.rows] == want
     assert [[Fraction(v) for v in row] for row in _rows_from_table(printed["table"])] == want
     assert [[Fraction(v) for v in row] for row in _rows_from_csv(printed["csv"])] == want
+
+
+def test_an_internal_error_in_a_route_leaves_main(capsys, monkeypatch):
+    """A `ValueError` from a bug inside a route is no usage error: it leaves
+    `main` as itself, with no `error:` line and no exit code 2."""
+
+    def broken(*args, **kwargs):
+        raise ValueError("internal route bug")
+
+    monkeypatch.setattr(basis, "scaled_solve", broken)
+    with pytest.raises(ValueError, match="internal route bug"):
+        main(["verify", "--identity", "hs-ortho"])
+    assert "error:" not in capsys.readouterr().err
+
+
+_PROBE_VALUES = ("0", "-0", "1", "-3", "1/2", "-5/7", "2/3", "x", "1/0")
+
+
+def _probe_calls(seed: int, count: int):
+    """Seeded argvs over all five commands, each with a known name, every
+    parameter it takes (all five for `verify --identity all`) drawn from
+    `_PROBE_VALUES`, and a row count in 0..7, 0..8 with --with-oracle."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        command = rng.choice(("triangle", "sum", "verify", "paper-tables", "bench"))
+        if command == "paper-tables":
+            yield [command]
+            continue
+        if command == "verify":
+            name = rng.choice((*REGISTRY, "all"))
+            argv, takes = ["--identity", name], REGISTRY[name].accepts if name in REGISTRY else _NAMES
+            argv += ["--with-oracle"] * (rng.random() < 0.25)
+        else:
+            names = cli.SUMS if command == "sum" else families.FAMILIES
+            name = rng.choice(sorted(names))
+            argv, takes = ["--family", name], names[name].needs
+        for key in takes:
+            argv += [f"--{key}", rng.choice(_PROBE_VALUES)]
+        nmax = rng.randint(0, 8 if "--with-oracle" in argv else 7)
+        yield [command, *argv, "--nmax", str(nmax)]
+
+
+def test_seeded_random_calls_exit_0_or_2(capsys):
+    """Every odd parameter value is refused as a usage error or computed:
+    none reaches a route as an exception, and none fails a verification."""
+    for argv in _probe_calls(25, 1000):
+        try:
+            code, out, err = run(capsys, *argv)
+        except Exception as exc:
+            pytest.fail(f"{argv} raised {exc!r}")
+        assert code == 0 or (code, out, err.count("error:")) == (2, "", 1), argv

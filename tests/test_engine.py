@@ -57,6 +57,22 @@ def test_engine_rejects_bad_input():
         families.row_sum("stirling2", {}, -1)
 
 
+@pytest.mark.parametrize(
+    "call, missing",
+    (
+        (lambda: families.rows("whitney2", {}, 3), "alpha"),
+        (lambda: basis.scaled_solve("hs1", {"alpha": 1}, 3), "beta"),
+        (lambda: identities.lah_route("explicit", "r-lah", 3), "r"),
+    ),
+    ids=("rows", "scaled_solve", "lah_route"),
+)
+def test_a_missing_parameter_is_refused_by_name(call, missing):
+    # Every reader of a point goes through `families.resolve`, which names
+    # the first parameter missing, as the CLI's message does.
+    with pytest.raises(families.UsageError, match=f"^missing required parameter --{missing}$"):
+        call()
+
+
 # Every solve, expansion and explicit-formula route as a function of its size.
 _ANY = {"alpha": 3, "beta": 1, "gamma": 2, "m": 2, "r": 2}
 _SIZED_ROUTES = {

@@ -20,7 +20,7 @@ import pytest
 
 from dowling import basis, families, identities, triangles
 from dowling.cli import main
-from dowling.exactmath import IntegralityError
+from dowling.families import UsageError
 from dowling.identities import LAH_TYPES, PAPER_TABLES, REGISTRY, SPECIALIZATIONS, Inverse, Tables, lah_route, report
 
 
@@ -759,9 +759,9 @@ def test_lah_routes_validate_their_parameters():
         rows = tuple(lah_route(kind, "whitney-lah", 6, alpha=Fraction(3)))
         assert rows == tuple(lah_route(kind, "whitney-lah", 6, alpha=3))
         assert {type(v) for row in rows for v in row} == {int}
-        with pytest.raises(IntegralityError):
+        with pytest.raises(UsageError, match="alpha must be a nonzero integer, got 1/2"):
             lah_route(kind, "whitney-lah", 6, alpha=Fraction(1, 2))
-        with pytest.raises(ValueError):
+        with pytest.raises(UsageError, match="m must be a positive integer, got 0"):
             lah_route(kind, "r-whitney-lah", 6, m=0, r=1)
     with pytest.raises(ValueError, match="unknown Lah-type route"):
         lah_route("diagonal", "lah", 6)
@@ -816,9 +816,12 @@ MUTANT_CATCHERS = {
 
 def _catches(ident, point=None, nmax=None) -> bool:
     """Whether `ident` fails or raises at `point` and `nmax` (its defaults
-    where None)."""
+    where None).  A `UsageError` is no catch: a refused point has checked
+    nothing, so it leaves as itself."""
     try:
         return not report(ident, point, nmax)["pass"]
+    except UsageError:
+        raise
     except Exception:
         return True
 
