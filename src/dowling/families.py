@@ -172,14 +172,17 @@ SUMS = {
 
 def resolve(name: str, params: dict) -> tuple:
     """(the validated parameters of a family, D): its `needs` taken from
-    `params` (any other key is ignored), exact rationals for a rational
-    family, ints within their bounds by `check_param` otherwise, and D the
-    lcm of their denominators, 1 for an integer family.  A missing key is
-    refused, as a bad value is, with a UsageError that names it."""
+    `params`, exact rationals for a rational family, ints within their
+    bounds by `check_param` otherwise, and D the lcm of their denominators,
+    1 for an integer family.  A missing key, a key the family does not take
+    and a bad value are each refused with a UsageError that names the key."""
     family = FAMILIES[name]
     for key in family.needs:
         if key not in params:
             raise UsageError(f"missing required parameter --{key}")
+    for key in params:
+        if key not in family.needs:
+            raise UsageError(f"family {name!r} does not take --{key}")
     if not family.rational:
         return {key: check_param(key, params[key]) for key in family.needs}, 1
     params = {key: Fraction(params[key]) for key in family.needs}

@@ -124,18 +124,21 @@ class Tables(namedtuple("Tables", ("reference", "routes", "sign", "label"), defa
         return _entrywise(ref, routes, self.sign, self.label)
 
 
-class Inverse(namedtuple("Inverse", ("first", "second", "label"), defaults=(None,))):
+class Inverse(namedtuple("Inverse", ("first", "second", "label", "keys"), defaults=(None, None))):
     """`first` and `second` return the rows of two tables as scaled ints
     U(n,k) = D^(n-k) T(n,k), both at the one D of `families.resolve`; their
     product, D^(n-k) times the tables', is compared with the identity matrix
     by `_entrywise` under `label`.  One order suffices: AB = I iff BA = I for
     square lower-triangular tables.  Factors at two scales fail entrywise,
     since every entry below the diagonal of their product carries a power
-    of D."""
+    of D.  With `keys`, both factors read only those parameters of the
+    point, for an identity whose point joins those of several pairs."""
 
     __slots__ = ()
 
     def __call__(self, nmax, **point):
+        if self.keys is not None:
+            point = {key: point[key] for key in self.keys}
         ref = (tuple(int(n == k) for k in range(n + 1)) for n in range(nmax + 1))
         rows = product(self.first(nmax, **point), self.second(nmax, **point))
         return _entrywise(ref, [(rows, 0)], label=self.label)
@@ -516,17 +519,20 @@ def _times_factorial(rows, width):
 def _egf(family, label=None, solved=False, **point):
     """A `Tables` of k! U(n,k), k <= min(kmax, nmax), of the engine's scaled
     rows of a family of `families.TRIPLES` at `point`, updated with the
-    parameters the identity passes (one the family does not take is
-    ignored), against `basis.egf_rows` under `label`; if `solved`, also
-    against k! times the rows of `basis.scaled_solve`, at the same D."""
+    family's parameters the identity passes, against `basis.egf_rows` under
+    `label`; if `solved`, also against k! times the rows of
+    `basis.scaled_solve`, at the same D.  The `order` that `weighted-egf`
+    fixes is printed in its report and read by no route."""
 
-    def reference(nmax, kmax=None, **given):
+    def reference(nmax, kmax=None, order=None, **given):
         _, rows = families.scaled_rows(family, {**point, **given}, nmax)
         return _times_factorial(rows, min(nmax if kmax is None else kmax, nmax) + 1)
 
-    egf = (lambda nmax, kmax=None, **given: basis.egf_rows(family, {**point, **given}, nmax, kmax), 0)
+    def egf(nmax, kmax=None, order=None, **given):
+        return basis.egf_rows(family, {**point, **given}, nmax, kmax)
+
     solve = (lambda nmax: _times_factorial(_solved(family)(nmax, **point), nmax + 1), 0)
-    return Tables(reference, (egf, solve) if solved else (egf,), label=label)
+    return Tables(reference, ((egf, 0), solve) if solved else ((egf, 0),), label=label)
 
 
 _HS_GRID = tuple(
@@ -561,8 +567,8 @@ _BELL_REDUCTION = (
 )
 # The engine's w1 W2 at alpha and (-1)^(n-k) r-w1 times r-W2 at (m, r).
 _ENGINE_ORTHO = (
-    Inverse(_scaled("whitney1"), _scaled("whitney2"), "whitney1"),
-    Inverse(_signed(_scaled("r-whitney1")), _scaled("r-whitney2"), "r-whitney1"),
+    Inverse(_scaled("whitney1"), _scaled("whitney2"), "whitney1", ("alpha",)),
+    Inverse(_signed(_scaled("r-whitney1")), _scaled("r-whitney2"), "r-whitney1", ("m", "r")),
 )
 # Each family of `families.TRIPLES` at the point where `triples` checks it,
 # a negative or rational one where the family has one.

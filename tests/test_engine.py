@@ -73,17 +73,36 @@ def test_a_missing_parameter_is_refused_by_name(call, missing):
         call()
 
 
-# Every solve, expansion and explicit-formula route as a function of its size.
+def test_a_parameter_the_family_does_not_take_is_refused_by_name():
+    with pytest.raises(families.UsageError, match="^family 'stirling2' does not take --alpha$"):
+        families.rows("stirling2", {"alpha": 3}, 3)
+
+
+# One value of each parameter; `_at` takes a family's own from it, since
+# `families.resolve` refuses a parameter that the family does not take.
 _ANY = {"alpha": 3, "beta": 1, "gamma": 2, "m": 2, "r": 2}
+
+
+def _at(family) -> dict:
+    return {key: _ANY[key] for key in families.FAMILIES[family].needs}
+
+
+# Every solve, expansion and explicit-formula route as a function of its size.
 _SIZED_ROUTES = {
-    **{f"solve-{family}": partial(basis.scaled_solve, family, _ANY) for family in families.TRIPLES},
-    "scaled_solve": partial(basis.scaled_solve, "hs1", _ANY),
-    "egf_rows": partial(basis.egf_rows, "hs1", _ANY),
+    **{f"solve-{family}": partial(basis.scaled_solve, family, _at(family)) for family in families.TRIPLES},
+    "scaled_solve": partial(basis.scaled_solve, "hs1", _at("hs1")),
+    "egf_rows": partial(basis.egf_rows, "hs1", _at("hs1")),
     "hs_bell_explicit": lambda n: unified.hs_bell_explicit(n, (0, 1, 2)),
     "dowling_explicit": lambda n: whitney.dowling_explicit(n, 3),
     "r_dowling_explicit": lambda n: rnumbers.r_dowling_explicit(n, 2, 2),
-    **{f"explicit_sum-{name}": partial(families.explicit_sum, name, _ANY) for name in families.SUMS},
-    **{f"explicit_sequence-{name}": partial(families.explicit_sequence, name, _ANY) for name in families.SUMS},
+    **{
+        f"explicit_sum-{name}": partial(families.explicit_sum, name, _at(s.family))
+        for name, s in families.SUMS.items()
+    },
+    **{
+        f"explicit_sequence-{name}": partial(families.explicit_sequence, name, _at(s.family))
+        for name, s in families.SUMS.items()
+    },
 }
 
 
@@ -217,7 +236,7 @@ def test_row_sums_roll_no_engine_row(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("rolled the engine's row")
 
-    points = [(entry.family, _ANY) for entry in families.SUMS.values()]
+    points = [(entry.family, _at(entry.family)) for entry in families.SUMS.values()]
     points += [("hs1", named((F(1, 2), F(1, 3), 2))), ("hs1", named((F(1, 2), 0, F(1, 3))))]
     points += [("cakic", {"alpha": F(1, 2)})]
     want = [rolling_sum(family, params, 40) for family, params in points]
