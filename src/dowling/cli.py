@@ -4,6 +4,11 @@ library's build of a family's rows (`bench`: `families.rows`, whose entries
 are ints for an integer family, where `triangle` prints rows that the engine
 builds on `decimal.Decimal`).
 
+Each command is declared once, as its subparser in `_build_parser`: its
+flags, its handler and the table of the name it resolves.  A process builds
+the parser once; its defaults are immutable, so no call passes the next one
+anything.
+
 Exit codes: 0 success, 1 verification/table failure, 2 usage or parameter
 error: a `UsageError` (`families.UsageError`) or argparse's own exit.  Any
 other exception is an internal error and leaves `main` unhandled.  All
@@ -22,26 +27,22 @@ import time
 from collections import namedtuple
 from contextlib import contextmanager
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 from itertools import chain, islice
 
 from . import families
 from .families import FAMILIES, UsageError
 
 # ---------------------------------------------------------------------------
-# the sums the CLI prints, each as the family whose point it reads, the
-# parameters it takes and its value at (params, n): the row sum of its
-# `families.SUMS` family, and `qi-bell`, the Bell numbers by Qi's explicit
-# formula of `families.SUMS["bell"]`, which is no row sum
+# the sums the CLI prints, each as the family whose point it takes and its
+# value at (params, n): the row sum of its `families.SUMS` family, and
+# `qi-bell`, the Bell numbers by Qi's formula of `families.SUMS["bell"]`
 
 
-_Sum = namedtuple("_Sum", ("family", "needs", "value"))
+_Sum = namedtuple("_Sum", ("family", "value"))
 
-SUMS = {
-    name: _Sum(entry.family, FAMILIES[entry.family].needs, partial(families.row_sum, entry.family))
-    for name, entry in families.SUMS.items()
-}
-SUMS["qi-bell"] = _Sum(families.SUMS["bell"].family, (), partial(families.explicit_sum, "bell"))
+SUMS = {name: _Sum(entry.family, partial(families.row_sum, entry.family)) for name, entry in families.SUMS.items()}
+SUMS["qi-bell"] = _Sum(families.SUMS["bell"].family, partial(families.explicit_sum, "bell"))
 
 
 _PARAMS = ("m", "r", "alpha", "beta", "gamma")
@@ -86,10 +87,10 @@ EXACT_DECIMALS = decimal.Context(
     traps=[decimal.Inexact, decimal.Rounded, decimal.InvalidOperation, decimal.Overflow],
 )
 
-# A triangle whose rows are still to be built: the writers read `nmax` and
-# iterate `rows` once; `int_rows()` builds the same rows again as ints, for
-# the column width of a table.
-_Rows = namedtuple("_Rows", ("nmax", "rows", "int_rows"))
+# A triangle whose rows are still to be built: the writers read `family`,
+# `params` and `nmax` and iterate `rows` once; `int_rows()` builds the same
+# rows again as ints, for the column width of a table.
+_Rows = namedtuple("_Rows", ("family", "params", "nmax", "rows", "int_rows"))
 
 
 def _decimal_rows(family: str, params: dict, nmax: int) -> _Rows:
@@ -103,11 +104,8 @@ def _decimal_rows(family: str, params: dict, nmax: int) -> _Rows:
     its absolute value, so that one that came out as -0 (a negative weight
     times 0) prints as 0 and each row still holds Decimals only or none."""
     rows = families.rows(family, params, nmax, decimal.Decimal(1))
-    return _Rows(
-        nmax,
-        (row if all(row) else tuple(v or abs(v) for v in row) for row in rows),
-        lambda: families.rows(family, params, nmax),
-    )
+    rows = (row if all(row) else tuple(v or abs(v) for v in row) for row in rows)
+    return _Rows(family, params, nmax, rows, lambda: families.rows(family, params, nmax))
 
 
 # The writers below stream a triangle to `out` one row at a time, each format
@@ -163,13 +161,13 @@ def render_csv(table, out, split: bool = False) -> None:
     _write(out, table.nmax, table.rows, "n,k,value\n", line, "", size if split else None, 2)
 
 
-def triangle_json(table, family: str, params: dict, out, split: bool = False) -> None:
+def triangle_json(table, out, split: bool = False) -> None:
     """Write the triangle as the bytes of `json.dumps(obj, indent=2) + "\\n"`
     for obj = {"family", "params", "nmax", "rows"}, its values strings."""
     import json
 
-    params = {key: str(value) for key, value in params.items()}
-    head = {"family": family, "params": params, "nmax": table.nmax}
+    params = {key: str(value) for key, value in table.params.items()}
+    head = {"family": table.family, "params": params, "nmax": table.nmax}
     # Drop the closing "\n}" and go on with the rows; an entry's str needs no
     # JSON escape.
     head = json.dumps(head, indent=2)[:-2] + ',\n  "rows": ['
@@ -343,7 +341,7 @@ def _output(out_path: str | None):
     """The --out file, or stdout without one; failing to open or write
     either is a usage error.  Stdout is flushed before the block ends, so a
     closed pipe or a full disk is seen here, not at interpreter exit."""
-    if out_path:
+    if out_path is not None:
         try:
             with open(out_path, "w", encoding="utf-8") as fh:
                 yield fh
@@ -368,21 +366,15 @@ def _emit(text: str, out_path: str | None):
 
 
 def cmd_triangle(args) -> int:
-    """Write a triangle as it is built (see `_decimal_rows`), in every
-    format one row at a time, `hs-lah` too; only a table whose rows are not
-    decimals (rational or `hs-lah` entries) keeps its strs until the column
-    width is known (see `render_table`).
+    """Write a triangle as it is built (see `_decimal_rows`) by the writer
+    of its --format, in every format one row at a time, `hs-lah` too; only
+    a table whose rows are not decimals (rational or `hs-lah` entries) keeps
+    its strs until the column width is known (see `render_table`).
     The --out file is opened here to be written from its start, so a large
     integer triangle may go out from two processes (see `_split_row`)."""
-    table = _decimal_rows(args.family, args.params, args.nmax)
-    split = bool(args.out)
+    table = _decimal_rows(args.name, args.params, args.nmax)
     with _output(args.out) as out, decimal.localcontext(EXACT_DECIMALS):
-        if args.fmt == "table":
-            render_table(table, out, split)
-        elif args.fmt == "csv":
-            render_csv(table, out, split)
-        else:
-            triangle_json(table, args.family, args.params, out, split)
+        args.writer(table, out, args.out is not None)
     return 0
 
 
@@ -430,14 +422,14 @@ def cmd_bench(args) -> int:
     rows `triangle` prints for an integer family (see `_decimal_rows`)."""
     elapsed = entries = peak = 0
     start = time.perf_counter()
-    for row in families.rows(args.family, args.params, args.nmax):
+    for row in families.rows(args.name, args.params, args.nmax):
         elapsed += time.perf_counter() - start
         entries += len(row)
         peak = max(peak, *(max(v.numerator.bit_length(), v.denominator.bit_length()) for v in row))
         start = time.perf_counter()
     elapsed += time.perf_counter() - start
     text = (
-        f"family        {args.family}\n"
+        f"family        {args.name}\n"
         f"nmax          {args.nmax}\n"
         f"entries       {entries}\n"
         f"peak bits     {peak}\n"
@@ -463,16 +455,28 @@ class _Parser(argparse.ArgumentParser):
             out.write(message)
 
 
-class _Nmax(argparse.Action):
-    """Store the row count with the flag it was given by (`sum` and `bench`
-    take --nmax or --n), so that a message names the flag as typed."""
+class _Store(argparse.Action):
+    """Store the value, or what a dict of choices maps it to (`triangle`'s
+    writer of a --format), and as `<dest>_flag` the flag it was given by, so
+    that a message names the row count's flag as typed (--nmax or --n)."""
 
     def __call__(self, parser, namespace, values, option_string=None):
-        namespace.nmax = values
-        namespace.nmax_flag = option_string
+        setattr(namespace, self.dest, self.choices[values] if self.choices else values)
+        setattr(namespace, f"{self.dest}_flag", option_string)
 
 
+def _registry() -> dict:
+    from .identities import REGISTRY  # here, or every command would pay for it at start
+
+    return REGISTRY
+
+
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process.  Each subparser sets `handler`,
+    `names` (the kind, table and unknown-name suffix of `args.name`; a table
+    is a function, so only `verify` imports the registry) and `family_of`,
+    the family whose point `_check_args` validates, given the name."""
     parser = _Parser(
         prog="dowling",
         description="Exact Stirling/Lah/Whitney/Dowling number families, their "
@@ -480,81 +484,65 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def add(command, help, handler, names=(), family_of=None, flag="--family"):
+        p = sub.add_parser(command, help=help)
+        p.set_defaults(handler=handler, names=names, family_of=family_of)
+        if names:
+            p.add_argument(flag, dest="name", metavar=flag[2:].upper(), required=True)
+        return p
+
     def add_common(p, nmax_aliases=("--nmax",)):
-        p.add_argument(*nmax_aliases, dest="nmax", type=int, default=None, action=_Nmax)
+        p.add_argument(*nmax_aliases, dest="nmax", type=int, default=None, action=_Store)
         for name in _PARAMS:
             p.add_argument(f"--{name}")
         p.add_argument("--out", default=None)
 
-    p_tri = sub.add_parser("triangle", help="emit one family triangle")
-    p_tri.add_argument("--family", required=True)
-    p_tri.add_argument("--format", dest="fmt", choices=("table", "csv", "json"), default="table")
-    add_common(p_tri)
-
-    p_sum = sub.add_parser("sum", help="emit one Bell-type row sum")
-    p_sum.add_argument("--family", required=True)
-    add_common(p_sum, nmax_aliases=("--nmax", "--n"))
-
-    p_ver = sub.add_parser("verify", help="run one identity check (or 'all')")
-    p_ver.add_argument("--identity", required=True)
-    p_ver.add_argument("--with-oracle", action="store_true")
-    add_common(p_ver)
-
-    sub.add_parser("paper-tables", help="regenerate the bundled reference tables")
-
-    p_bench = sub.add_parser("bench", help="time families.rows (not the Decimal rows of triangle)")
-    p_bench.add_argument("--family", required=True)
-    add_common(p_bench, nmax_aliases=("--nmax", "--n"))
-
+    family, itself = ("family", lambda: FAMILIES, ""), lambda name: name
+    sums, identity = ("sum family", lambda: SUMS, ""), ("identity", _registry, " or 'all'")
+    writers = {"table": render_table, "csv": render_csv, "json": triangle_json}
+    p = add("triangle", "emit one family triangle", cmd_triangle, family, itself)
+    p.add_argument("--format", dest="writer", choices=writers, default=writers["table"], action=_Store)
+    add_common(p)
+    p = add("sum", "emit one Bell-type row sum", cmd_sum, sums, lambda name: SUMS[name].family)
+    add_common(p, nmax_aliases=("--nmax", "--n"))
+    p = add("verify", "run one identity check (or 'all')", cmd_verify, identity, flag="--identity")
+    p.add_argument("--with-oracle", action="store_true")
+    add_common(p)
+    add("paper-tables", "regenerate the bundled reference tables", cmd_paper_tables)
+    p = add("bench", "time families.rows (not the Decimal rows of triangle)", cmd_bench, family, itself)
+    add_common(p, nmax_aliases=("--nmax", "--n"))
     return parser
 
 
-def _lookup(kind: str, name: str, table: dict, also: str = ""):
-    entry = table.get(name)
-    if entry is None:
-        raise UsageError(f"unknown {kind} {name!r}; known: {', '.join(sorted(table))}{also}")
-    return entry
-
-
 def _check_args(args) -> None:
-    """Resolve the name the command is given, as `args.entry`: a family of
-    `FAMILIES`, a sum of `SUMS`, or an identity of the registry (None for
-    `all` and for `paper-tables`).  Then refuse a bad argument combination
-    and set `args.params` to the parsed parameters the command takes, a
-    family's or sum's point as `families.resolve` validates it.  The routes
-    that read an identity's point refuse it: its domain is theirs."""
-    args.entry, args.params = None, {}
+    """Resolve the name the command is given in its subparser's table, as
+    `args.entry` (None for `all` and for `paper-tables`).  Then refuse a bad
+    argument combination and set `args.params` to the parsed parameters the
+    command takes: with `family_of`, the family's point as `families.resolve`
+    validates it; for `verify` as given, since the routes that read an
+    identity's point refuse it: its domain is theirs."""
+    args.entry = None
     nmax = getattr(args, "nmax", None)
     given = [name for name in _PARAMS if getattr(args, name, None) is not None]
-    if args.command == "verify":
-        # Imported here, as in `run_paper_tables`: every other command would
-        # pay for it at start.
-        from .identities import REGISTRY
-
-        if args.identity != "all":
-            args.entry = _lookup("identity", args.identity, REGISTRY, " or 'all'")
+    if args.names:
+        kind, table, suffix = args.names
+        table = table()
+        args.entry = table.get(args.name)
+        # The one name a suffix offers, `verify`'s 'all', has no entry.
+        if args.entry is None and repr(args.name) not in suffix:
+            raise UsageError(f"unknown {kind} {args.name!r}; known: {', '.join(sorted(table))}{suffix}")
+    if args.family_of is None:
         args.params = {name: _parse_param(name, getattr(args, name)) for name in given}
-    elif args.command != "paper-tables":
-        kind, table = ("sum family", SUMS) if args.command == "sum" else ("family", FAMILIES)
-        args.entry = _lookup(kind, args.family, table)
-        extra = [name for name in given if name not in args.entry.needs]
+    else:
+        family = args.family_of(args.name)
+        extra = [name for name in given if name not in FAMILIES[family].needs]
         if extra:
-            raise UsageError(f"family {args.family!r} does not take --{extra[0]}")
-        family = args.entry.family if args.command == "sum" else args.family
+            raise UsageError(f"family {args.name!r} does not take --{extra[0]}")
         args.params = families.resolve(family, {name: _parse_param(name, getattr(args, name)) for name in given})[0]
         if nmax is None:
             raise UsageError("--nmax is required")
     if nmax is not None and nmax < 0:
         raise UsageError(f"{args.nmax_flag} must be nonnegative")
-
-
-_DISPATCH = {
-    "triangle": cmd_triangle,
-    "sum": cmd_sum,
-    "verify": cmd_verify,
-    "paper-tables": cmd_paper_tables,
-    "bench": cmd_bench,
-}
 
 
 def _attach_negative_values(argv) -> list:
@@ -575,7 +563,7 @@ def main(argv=None) -> int:
         args = _build_parser().parse_args(_attach_negative_values(sys.argv[1:] if argv is None else argv))
         with unlimited_int_digits():
             _check_args(args)
-            return _DISPATCH[args.command](args)
+            return args.handler(args)
     except SystemExit as exc:
         # argparse's own exit, once it has written the help (0) or its usage
         # error (2).

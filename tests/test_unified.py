@@ -1,6 +1,5 @@
 import math
 import random
-import re
 from fractions import Fraction
 
 from dowling import families
@@ -121,19 +120,6 @@ def test_cakic_defining_relation():
             for x in range(n + 1):
                 falling = [math.prod(x - i for i in range(k)) for k in range(n + 1)]
                 assert sum(c * f for c, f in zip(tri.row(n), falling)) == math.prod(x - i * alpha for i in range(n))
-
-
-def test_specialization_report_passes():
-    out = report(REGISTRY["specializations"], nmax=6)
-    assert out["failures"] == []
-    notes = out["notes"]
-    # Conventions hold "; " themselves, so split only before "<name>: ".
-    conventions = dict(note.split(": ", 1) for note in re.split(r"; (?=[a-z-]+: )", notes))
-    assert len(conventions) == 10
-    assert not conventions["r-stirling-first"].endswith("as printed")
-    assert "(-1)^(n-k)" in conventions["r-stirling-first"]
-    assert conventions["whitney-second"].endswith("as printed")
-    assert "+alpha" in conventions["cakic"]
 
 
 def test_specialization_report_trivial_nmax():
